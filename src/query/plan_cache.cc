@@ -48,6 +48,35 @@ StatusOr<std::shared_ptr<const CachedQuery>> PlanCache::GetOrCompile(
   return entry;
 }
 
+namespace {
+
+bool CompiledFor(const CachedQuery& entry, uint64_t store_uid) {
+  return entry.annotations != nullptr &&
+         entry.annotations->store_uid == store_uid;
+}
+
+}  // namespace
+
+void PlanCache::EraseStore(uint64_t store_uid) {
+  for (Shard& shard : shards_) {
+    util::MutexLock lock(shard.mu);
+    std::erase_if(shard.entries, [&](const auto& kv) {
+      return CompiledFor(*kv.second, store_uid);
+    });
+  }
+}
+
+size_t PlanCache::EntriesForStore(uint64_t store_uid) const {
+  size_t n = 0;
+  for (const Shard& shard : shards_) {
+    util::MutexLock lock(shard.mu);
+    for (const auto& [key, entry] : shard.entries) {
+      n += CompiledFor(*entry, store_uid);
+    }
+  }
+  return n;
+}
+
 size_t PlanCache::size() const {
   size_t n = 0;
   for (const Shard& shard : shards_) {

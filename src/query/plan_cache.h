@@ -72,8 +72,16 @@ class PlanCache {
             misses_.load(std::memory_order_relaxed)};
   }
 
+  /// Erases every entry compiled for `store_uid` (its annotations'
+  /// store_uid). Called when a document is dropped: uids are never
+  /// recycled, so those entries could only leak. Handed-out entries stay
+  /// valid through their shared_ptr.
+  void EraseStore(uint64_t store_uid);
+
   /// Number of cached entries (test hook; takes every shard lock).
   size_t size() const;
+  /// Number of entries compiled for `store_uid` (test hook).
+  size_t EntriesForStore(uint64_t store_uid) const;
 
  private:
   static constexpr size_t kShards = 8;

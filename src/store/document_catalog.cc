@@ -135,7 +135,8 @@ Status DocumentCatalog::LoadCorpus(const std::vector<CorpusDocument>& batch,
   return Status::OK();
 }
 
-Status DocumentCatalog::Drop(std::string_view id) {
+StatusOr<std::shared_ptr<const query::StorageAdapter>> DocumentCatalog::Drop(
+    std::string_view id) {
   util::MutexLock lock(mu_);
   std::vector<Entry> docs = snapshot_->docs;
   const auto it =
@@ -145,9 +146,10 @@ Status DocumentCatalog::Drop(std::string_view id) {
     return Status::NotFound("[unknown-document] no document \"" +
                             std::string(id) + "\" in catalog");
   }
+  std::shared_ptr<const query::StorageAdapter> dropped = it->store;
   docs.erase(it);
   snapshot_ = Assemble(std::move(docs));
-  return Status::OK();
+  return dropped;
 }
 
 std::shared_ptr<const DocumentCatalog::Snapshot> DocumentCatalog::snapshot()

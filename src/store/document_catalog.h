@@ -101,9 +101,11 @@ class DocumentCatalog {
                     const StoreBuilder& builder, const LoadOptions& options,
                     const IngestGovernance* governance = nullptr);
 
-  /// Removes a document; kNotFound "[unknown-document]" when absent.
-  /// Queries holding a snapshot keep the dropped store alive.
-  Status Drop(std::string_view id);
+  /// Removes a document and returns its store; kNotFound
+  /// "[unknown-document]" when absent. Queries holding a snapshot keep the
+  /// dropped store alive.
+  StatusOr<std::shared_ptr<const query::StorageAdapter>> Drop(
+      std::string_view id);
 
   /// Current corpus view (never null; empty catalog = empty docs).
   std::shared_ptr<const Snapshot> snapshot() const;

@@ -3,89 +3,32 @@
 #include <algorithm>
 #include <map>
 
-#include "util/logging.h"
-#include "util/thread_pool.h"
+#include "store/bulkload.h"
 
 namespace xmark::store {
 
 StatusOr<std::unique_ptr<DomStore>> DomStore::Load(
     std::string_view xml, const Options& options,
     const LoadOptions& load_options) {
-  const unsigned threads = load_options.EffectiveThreads();
-  if (threads > 1) {
-    ThreadPool pool(threads);
-    xml::ParseOptions popts;
-    popts.pool = &pool;
-    XMARK_ASSIGN_OR_RETURN(xml::Document doc,
-                           xml::Document::Parse(xml, popts));
-    std::unique_ptr<DomStore> out(new DomStore(std::move(doc), options));
-    out->BuildIndexesParallel(&pool, threads);
-    return out;
-  }
-  XMARK_ASSIGN_OR_RETURN(xml::Document doc, xml::Document::Parse(xml));
+  const std::unique_ptr<ThreadPool> pool = MakeLoadPool(load_options);
+  xml::ParseOptions popts;
+  popts.pool = pool.get();
+  XMARK_ASSIGN_OR_RETURN(xml::Document doc, xml::Document::Parse(xml, popts));
   std::unique_ptr<DomStore> out(new DomStore(std::move(doc), options));
-  out->BuildIndexes();
+  out->BuildIndexes(pool.get());
   return out;
 }
 
-void DomStore::BuildIndexes() {
-  const xml::NameId id_attr = doc_.names().Lookup("id");
-  if (options_.build_path_summary) {
-    summary_.clear();
-    summary_.push_back(SummaryNode{});  // virtual document node
-  }
-  // Single DFS builds every index; summary positions are tracked with an
-  // explicit stack of summary indices parallel to the element stack.
-  std::vector<size_t> summary_stack{0};
-  std::vector<xml::NodeId> node_stack;
-
-  for (xml::NodeId n = 0; n < doc_.num_nodes(); ++n) {
-    // Maintain the stacks: pop ancestors that do not contain n.
-    while (!node_stack.empty() &&
-           !(n >= node_stack.back() && n < doc_.SubtreeEnd(node_stack.back()))) {
-      node_stack.pop_back();
-      if (options_.build_path_summary) summary_stack.pop_back();
-    }
-    if (!doc_.IsElement(n)) continue;
-
-    const xml::NameId tag = doc_.name(n);
-    if (options_.build_tag_index) {
-      tag_index_[tag].push_back(n);
-    }
-    if (options_.build_id_index && id_attr != xml::kInvalidName) {
-      const auto id = doc_.attribute(n, id_attr);
-      if (id.has_value()) id_index_.emplace(std::string(*id), n);
-    }
-    if (options_.build_path_summary) {
-      SummaryNode& parent = summary_[summary_stack.back()];
-      auto it = parent.children.find(tag);
-      size_t idx;
-      if (it == parent.children.end()) {
-        idx = summary_.size();
-        summary_[summary_stack.back()].children.emplace(tag, idx);
-        summary_.push_back(SummaryNode{});
-        summary_.back().tag = tag;
-      } else {
-        idx = it->second;
-      }
-      summary_[idx].extent.push_back(n);
-      summary_stack.push_back(idx);
-    }
-    node_stack.push_back(n);
-  }
-}
-
 void DomStore::BuildSummary() {
-  // Same traversal as BuildIndexes, restricted to the structural summary
-  // (its id assignment and extent order are inherently sequential — and
-  // cheap next to the parse).
+  // One preorder walk with a stack of summary indices parallel to the
+  // element stack (its id assignment and extent order are inherently
+  // sequential — and cheap next to the parse).
   summary_.clear();
-  summary_.push_back(SummaryNode{});
+  summary_.push_back(SummaryNode{});  // virtual document node
   std::vector<size_t> summary_stack{0};
   std::vector<xml::NodeId> node_stack;
   for (xml::NodeId n = 0; n < doc_.num_nodes(); ++n) {
-    while (!node_stack.empty() &&
-           !(n >= node_stack.back() && n < doc_.SubtreeEnd(node_stack.back()))) {
+    while (!node_stack.empty() && n >= doc_.SubtreeEnd(node_stack.back())) {
       node_stack.pop_back();
       summary_stack.pop_back();
     }
@@ -108,48 +51,49 @@ void DomStore::BuildSummary() {
   }
 }
 
-void DomStore::BuildIndexesParallel(ThreadPool* pool, unsigned threads) {
+void DomStore::BuildIndexes(ThreadPool* pool) {
   const size_t n = doc_.num_nodes();
   const size_t num_names = doc_.names().size();
   const xml::NameId id_attr = doc_.names().Lookup("id");
 
   // Chunked collection for the tag and id indexes; the summary runs as
-  // one concurrent task. All merges happen in chunk (= document) order.
-  const std::vector<size_t> bounds = ChunkBounds(n, threads);
+  // one more task. All merges happen in chunk (= document) order.
+  if (options_.build_path_summary) {
+    if (pool != nullptr) {
+      pool->Submit([this] { BuildSummary(); });
+    } else {
+      BuildSummary();
+    }
+  }
+  const std::vector<size_t> bounds =
+      ChunkBounds(n, pool == nullptr ? 1 : pool->worker_count());
   const size_t chunks = bounds.size() - 1;
-
   std::vector<std::vector<std::vector<query::NodeHandle>>> tag_parts;
   std::vector<std::vector<std::pair<std::string, query::NodeHandle>>>
       id_parts(chunks);
-  if (options_.build_path_summary) {
-    pool->Submit([this] { BuildSummary(); });
+  if (options_.build_tag_index) {
+    tag_parts.assign(chunks,
+                     std::vector<std::vector<query::NodeHandle>>(num_names));
   }
-  if (options_.build_tag_index || options_.build_id_index) {
-    if (options_.build_tag_index) {
-      tag_parts.assign(chunks,
-                       std::vector<std::vector<query::NodeHandle>>(num_names));
-    }
-    for (size_t k = 0; k < chunks; ++k) {
-      pool->Submit([&, k] {
+  const bool ids = options_.build_id_index && id_attr != xml::kInvalidName;
+  if (options_.build_tag_index || ids) {
+    ParallelFor(pool, 0, chunks, 1, [&](size_t kb, size_t ke) {
+      for (size_t k = kb; k < ke; ++k) {
         for (size_t i = bounds[k]; i < bounds[k + 1]; ++i) {
           const xml::NodeId node = static_cast<xml::NodeId>(i);
           if (!doc_.IsElement(node)) continue;
           if (options_.build_tag_index) {
-            tag_parts[k][doc_.name(node)].push_back(
-                static_cast<query::NodeHandle>(i));
+            tag_parts[k][doc_.name(node)].push_back(node);
           }
-          if (options_.build_id_index && id_attr != xml::kInvalidName) {
+          if (ids) {
             const auto id = doc_.attribute(node, id_attr);
-            if (id.has_value()) {
-              id_parts[k].emplace_back(std::string(*id),
-                                       static_cast<query::NodeHandle>(i));
-            }
+            if (id.has_value()) id_parts[k].emplace_back(*id, node);
           }
         }
-      });
-    }
+      }
+    });
   }
-  pool->Wait();
+  if (pool != nullptr) pool->Wait();  // the summary task
   if (options_.build_tag_index) {
     for (size_t t = 0; t < num_names; ++t) {
       size_t total = 0;
@@ -163,12 +107,8 @@ void DomStore::BuildIndexesParallel(ThreadPool* pool, unsigned threads) {
       }
     }
   }
-  if (options_.build_id_index) {
-    for (size_t k = 0; k < chunks; ++k) {
-      for (auto& [id, node] : id_parts[k]) {
-        id_index_.emplace(std::move(id), node);
-      }
-    }
+  for (auto& part : id_parts) {
+    for (auto& [id, node] : part) id_index_.emplace(std::move(id), node);
   }
 }
 
@@ -241,23 +181,24 @@ void DomStore::DumpState(std::string* out) const {
 void DomStore::OpenChildCursor(query::NodeHandle parent,
                                query::ChildFilter filter, xml::NameId tag,
                                query::ChildCursor* cur) const {
-  cur->u0 =
-      cur->Init(this, parent, filter, tag)
-          ? AsHandle(doc_.first_child(static_cast<xml::NodeId>(parent)))
-          : query::kInvalidHandle;
+  if (!cur->Init(this, parent, filter, tag)) return;  // u0 == u1: exhausted
+  // The children of `parent` are the subtree-end chain from parent + 1 up
+  // to the end of its own subtree.
+  cur->u0 = parent + 1;
+  cur->u1 = doc_.SubtreeEnd(static_cast<xml::NodeId>(parent));
 }
 
 size_t DomStore::AdvanceChildCursor(query::ChildCursor* cur,
                                     query::NodeHandle* out,
                                     size_t cap) const {
   size_t n = 0;
-  query::NodeHandle c = cur->u0;
-  while (n < cap && c != query::kInvalidHandle) {
-    const xml::NodeId id = static_cast<xml::NodeId>(c);
-    if (query::MatchesChildFilter(cur->filter, doc_.name(id), cur->tag)) {
+  xml::NodeId c = static_cast<xml::NodeId>(cur->u0);
+  const xml::NodeId end = static_cast<xml::NodeId>(cur->u1);
+  while (n < cap && c < end) {
+    if (query::MatchesChildFilter(cur->filter, doc_.name(c), cur->tag)) {
       out[n++] = c;
     }
-    c = AsHandle(doc_.next_sibling(id));
+    c = doc_.SubtreeEnd(c);
   }
   cur->u0 = c;
   return n;

@@ -30,10 +30,9 @@ class DomStore : public query::StorageAdapter {
     bool build_path_summary = true;
   };
 
-  /// Parses `xml` and builds the selected indexes. `load_options.threads
-  /// == 1` is the original serial path; more threads parse in parallel and
-  /// build the tag/id/summary indexes concurrently, with byte-identical
-  /// results.
+  /// Parses `xml` and builds the selected indexes. More than one thread
+  /// parses in parallel and builds the tag/id/summary indexes
+  /// concurrently, with byte-identical results.
   static StatusOr<std::unique_ptr<DomStore>> Load(
       std::string_view xml, const Options& options,
       const LoadOptions& load_options = {});
@@ -79,7 +78,8 @@ class DomStore : public query::StorageAdapter {
   }
   std::vector<std::pair<std::string, std::string>> Attributes(
       query::NodeHandle n) const override;
-  // Dense-array sibling walk over the document's node table.
+  // Sibling walk over the document's subtree-end column: one 4-byte read
+  // per hop, bounded by the parent's subtree end.
   void OpenChildCursor(query::NodeHandle parent, query::ChildFilter filter,
                        xml::NameId tag,
                        query::ChildCursor* cur) const override;
@@ -156,8 +156,8 @@ class DomStore : public query::StorageAdapter {
                                    : static_cast<query::NodeHandle>(id);
   }
 
-  void BuildIndexes();
-  void BuildIndexesParallel(ThreadPool* pool, unsigned threads);
+  // Builds the selected indexes; `pool` may be null (inline).
+  void BuildIndexes(ThreadPool* pool);
   void BuildSummary();
 
   xml::Document doc_;

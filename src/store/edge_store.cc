@@ -2,129 +2,24 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
+#include "store/bulkload.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
-#include "xml/dom.h"
 
 namespace xmark::store {
 
 StatusOr<std::unique_ptr<EdgeStore>> EdgeStore::Load(
     std::string_view xml, const LoadOptions& options) {
-  const unsigned threads = options.EffectiveThreads();
-  if (threads > 1) return LoadParallel(xml, threads);
-  XMARK_ASSIGN_OR_RETURN(xml::Document doc, xml::Document::Parse(xml));
-  std::unique_ptr<EdgeStore> store(new EdgeStore());
-  // Shred the parsed tree into the edge and attribute relations. NameIds
-  // are re-interned into the store's own dictionary so the store is
-  // self-contained once the transient DOM is dropped.
-  const size_t n = doc.num_nodes();
-  store->rows_.reserve(n);
-  const xml::NameId id_attr = doc.names().Lookup("id");
-
-  std::vector<uint32_t> ord_of_node(n, 0);
-  for (xml::NodeId i = 0; i < n; ++i) {
-    uint32_t ord = 0;
-    for (xml::NodeId c = doc.first_child(i); c != xml::kInvalidNode;
-         c = doc.next_sibling(c)) {
-      ord_of_node[c] = ord++;
-    }
-  }
-
-  for (xml::NodeId i = 0; i < n; ++i) {
-    EdgeRow row{};
-    row.id = i;
-    row.parent = doc.parent(i) == xml::kInvalidNode ? kNoParent : doc.parent(i);
-    row.ord = ord_of_node[i];
-    if (doc.IsElement(i)) {
-      row.tag = store->names_.Intern(doc.names().Spelling(doc.name(i)));
-      row.text_begin = 0;
-      row.text_len = 0;
-      for (const auto& attr : doc.attributes(i)) {
-        AttrRow arow{};
-        arow.owner = i;
-        arow.name = store->names_.Intern(doc.names().Spelling(attr.name));
-        arow.value_begin = static_cast<uint32_t>(store->heap_.size());
-        arow.value_len = static_cast<uint32_t>(attr.value.size());
-        store->heap_.append(attr.value);
-        store->attrs_.push_back(arow);
-        if (attr.name == id_attr) {
-          store->id_value_index_.emplace_back(std::string(attr.value), i);
-        }
-      }
-    } else {
-      row.tag = xml::kInvalidName;
-      row.text_begin = static_cast<uint32_t>(store->heap_.size());
-      row.text_len = static_cast<uint32_t>(doc.text(i).size());
-      store->heap_.append(doc.text(i));
-    }
-    store->rows_.push_back(row);
-  }
-
-  // Cluster the edge relation on (parent, ord); build the PK index.
-  std::sort(store->rows_.begin(), store->rows_.end(),
-            [](const EdgeRow& a, const EdgeRow& b) {
-              if (a.parent != b.parent) return a.parent < b.parent;
-              return a.ord < b.ord;
-            });
-  store->pos_of_id_.resize(n);
-  for (uint32_t pos = 0; pos < store->rows_.size(); ++pos) {
-    store->pos_of_id_[store->rows_[pos].id] = pos;
-  }
-  // Dense preorder id->tag projection for the compiled-pipeline raw scans.
-  store->tag_by_id_.resize(n);
-  for (const EdgeRow& row : store->rows_) {
-    store->tag_by_id_[row.id] = row.tag;
-  }
-  store->child_begin_.assign(n, static_cast<uint32_t>(store->rows_.size()));
-  for (uint32_t pos = store->rows_.size(); pos-- > 0;) {
-    const uint32_t parent = store->rows_[pos].parent;
-    if (parent != kNoParent) store->child_begin_[parent] = pos;
-  }
-  // Subtree intervals: ids are preorder, so descendants of i are exactly
-  // the ids in (i, subtree_end_[i]). One ascending pass: a subtree ends at
-  // the node's next sibling, or where its parent's subtree ends (parents
-  // precede children in preorder, so the recurrence resolves in order).
-  store->subtree_end_.resize(n);
-  for (xml::NodeId i = 0; i < n; ++i) {
-    const xml::NodeId sib = doc.next_sibling(i);
-    store->subtree_end_[i] =
-        sib != xml::kInvalidNode
-            ? sib
-            : (doc.parent(i) == xml::kInvalidNode
-                   ? static_cast<uint32_t>(n)
-                   : store->subtree_end_[doc.parent(i)]);
-  }
-  std::stable_sort(store->attrs_.begin(), store->attrs_.end(),
-            [](const AttrRow& a, const AttrRow& b) {
-              return a.owner < b.owner;
-            });
-  store->attr_begin_.assign(n, static_cast<uint32_t>(store->attrs_.size()));
-  for (uint32_t pos = store->attrs_.size(); pos-- > 0;) {
-    store->attr_begin_[store->attrs_[pos].owner] = pos;
-  }
-  std::sort(store->id_value_index_.begin(), store->id_value_index_.end());
-  store->root_ = doc.root();
-  return store;
-}
-
-StatusOr<std::unique_ptr<EdgeStore>> EdgeStore::LoadParallel(
-    std::string_view xml, unsigned threads) {
-  ThreadPool pool(threads);
+  const std::unique_ptr<ThreadPool> pool = MakeLoadPool(options);
   xml::ParseOptions popts;
-  popts.pool = &pool;
+  popts.pool = pool.get();
   XMARK_ASSIGN_OR_RETURN(xml::Document doc, xml::Document::Parse(xml, popts));
   std::unique_ptr<EdgeStore> store(new EdgeStore());
   const size_t n = doc.num_nodes();
-  // The serial path interns tag and attribute spellings per node in
-  // preorder — exactly the order the document's own dictionary was built
-  // in — so copying it yields the identical table without a serial pass.
-  store->names_ = doc.names();
   const xml::NameId id_attr = doc.names().Lookup("id");
 
   // Sibling ordinals: each child is written exactly once, by its parent.
   std::vector<uint32_t> ord_of_node(n, 0);
-  ParallelFor(&pool, 0, n, 1024, [&](size_t b, size_t e) {
+  ParallelFor(pool.get(), 0, n, 1024, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) {
       uint32_t ord = 0;
       for (xml::NodeId c = doc.first_child(static_cast<xml::NodeId>(i));
@@ -134,92 +29,45 @@ StatusOr<std::unique_ptr<EdgeStore>> EdgeStore::LoadParallel(
     }
   });
 
-  // Pass A: per-chunk heap bytes / attribute rows / id entries.
-  const std::vector<size_t> bounds = ChunkBounds(n, threads);
-  const size_t chunks = bounds.size() - 1;
-  std::vector<size_t> heap_base(chunks + 1, 0);
-  std::vector<size_t> attr_base(chunks + 1, 0);
-  std::vector<size_t> id_base(chunks + 1, 0);
-  for (size_t k = 0; k < chunks; ++k) {
-    pool.Submit([&, k] {
-      size_t heap = 0, attrs = 0, ids = 0;
-      for (size_t i = bounds[k]; i < bounds[k + 1]; ++i) {
-        const xml::NodeId node = static_cast<xml::NodeId>(i);
-        if (doc.IsElement(node)) {
-          for (const auto& attr : doc.attributes(node)) {
-            heap += attr.value.size();
-            ++attrs;
-            if (attr.name == id_attr) ++ids;
-          }
-        } else {
-          heap += doc.text(node).size();
-        }
-      }
-      heap_base[k + 1] = heap;
-      attr_base[k + 1] = attrs;
-      id_base[k + 1] = ids;
-    });
-  }
-  pool.Wait();
-  for (size_t k = 0; k < chunks; ++k) {
-    heap_base[k + 1] += heap_base[k];
-    attr_base[k + 1] += attr_base[k];
-    id_base[k + 1] += id_base[k];
-  }
-
-  // Pass B: fill rows, attribute rows, heap bytes and id entries at the
-  // prefix-summed positions — the exact offsets the serial path produces.
+  // Shred the columns into the edge and attribute relations. Text and
+  // attribute values stay where the parse put them: the relations keep
+  // the spans, and the store adopts the document's heap below.
   store->rows_.resize(n);
-  store->attrs_.resize(attr_base[chunks]);
-  store->heap_.resize(heap_base[chunks]);
-  store->id_value_index_.resize(id_base[chunks]);
-  for (size_t k = 0; k < chunks; ++k) {
-    pool.Submit([&, k] {
-      size_t heap_off = heap_base[k];
-      size_t attr_off = attr_base[k];
-      size_t id_off = id_base[k];
-      for (size_t i = bounds[k]; i < bounds[k + 1]; ++i) {
-        const xml::NodeId node = static_cast<xml::NodeId>(i);
-        EdgeRow row{};
-        row.id = static_cast<uint32_t>(i);
-        row.parent = doc.parent(node) == xml::kInvalidNode
-                         ? kNoParent
-                         : doc.parent(node);
-        row.ord = ord_of_node[i];
-        if (doc.IsElement(node)) {
-          row.tag = doc.name(node);
-          for (const auto& attr : doc.attributes(node)) {
-            AttrRow arow{};
-            arow.owner = static_cast<uint32_t>(i);
-            arow.name = attr.name;
-            arow.value_begin = static_cast<uint32_t>(heap_off);
-            arow.value_len = static_cast<uint32_t>(attr.value.size());
-            std::memcpy(store->heap_.data() + heap_off, attr.value.data(),
-                        attr.value.size());
-            heap_off += attr.value.size();
-            store->attrs_[attr_off++] = arow;
-            if (attr.name == id_attr) {
-              store->id_value_index_[id_off++] = {std::string(attr.value),
-                                                  static_cast<uint32_t>(i)};
-            }
-          }
-        } else {
-          row.tag = xml::kInvalidName;
-          row.text_begin = static_cast<uint32_t>(heap_off);
-          row.text_len = static_cast<uint32_t>(doc.text(node).size());
-          std::memcpy(store->heap_.data() + heap_off, doc.text(node).data(),
-                      doc.text(node).size());
-          heap_off += doc.text(node).size();
-        }
-        store->rows_[i] = row;
+  store->attrs_.resize(doc.num_attributes());
+  ParallelFor(pool.get(), 0, n, 4096, [&](size_t b, size_t e) {
+    for (size_t i = b; i < e; ++i) {
+      const xml::NodeId node = static_cast<xml::NodeId>(i);
+      EdgeRow row{};
+      row.id = node;
+      row.parent = doc.parent(node) == xml::kInvalidNode ? kNoParent
+                                                         : doc.parent(node);
+      row.ord = ord_of_node[i];
+      row.tag = doc.name(node);
+      if (!doc.IsElement(node)) {
+        row.text_begin = doc.heap_offset(node);
+        row.text_len = doc.heap_offset(node + 1) - row.text_begin;
       }
-    });
-  }
-  pool.Wait();
+      store->rows_[i] = row;
+      for (uint32_t a = doc.attribute_begin(node);
+           a < doc.attribute_begin(node + 1); ++a) {
+        const xml::AttributeRow& attr = doc.attribute_row(a);
+        store->attrs_[a] = AttrRow{node, attr.name, attr.offset, attr.length};
+      }
+    }
+  });
+  store->id_value_index_ = CollectIdValues<uint32_t>(doc, id_attr);
+  // (value, id) pairs are unique, so the stable sort is a plain sort.
+  ParallelStableSort(pool.get(), store->id_value_index_.begin(),
+                     store->id_value_index_.end(),
+                     [](const auto& a, const auto& b) { return a < b; });
+  // The parse interned tag and attribute names in preorder, the order the
+  // store's dictionary would assign, so both are adopted as they are.
+  store->heap_ = doc.ReleaseHeap();
+  store->names_ = doc.ReleaseNames();
 
-  // Cluster on (parent, ord): keys are unique, so the stable parallel
-  // sort lands on the same array as the serial std::sort.
-  ParallelStableSort(&pool, store->rows_.begin(), store->rows_.end(),
+  // Cluster on (parent, ord): keys are unique, so the order is the same
+  // for any thread count.
+  ParallelStableSort(pool.get(), store->rows_.begin(), store->rows_.end(),
                      [](const EdgeRow& a, const EdgeRow& b) {
                        if (a.parent != b.parent) return a.parent < b.parent;
                        return a.ord < b.ord;
@@ -227,56 +75,28 @@ StatusOr<std::unique_ptr<EdgeStore>> EdgeStore::LoadParallel(
 
   // Index builds: disjoint writes throughout.
   store->pos_of_id_.resize(n);
-  ParallelFor(&pool, 0, n, 4096, [&](size_t b, size_t e) {
-    for (size_t pos = b; pos < e; ++pos) {
-      store->pos_of_id_[store->rows_[pos].id] = static_cast<uint32_t>(pos);
-    }
-  });
   // Dense preorder id->tag projection for the compiled-pipeline raw scans.
   store->tag_by_id_.resize(n);
-  ParallelFor(&pool, 0, n, 4096, [&](size_t b, size_t e) {
-    for (size_t pos = b; pos < e; ++pos) {
-      store->tag_by_id_[store->rows_[pos].id] = store->rows_[pos].tag;
-    }
-  });
   store->child_begin_.assign(n, static_cast<uint32_t>(n));
-  ParallelFor(&pool, 0, n, 4096, [&](size_t b, size_t e) {
+  ParallelFor(pool.get(), 0, n, 4096, [&](size_t b, size_t e) {
     for (size_t pos = b; pos < e; ++pos) {
-      const uint32_t parent = store->rows_[pos].parent;
-      if (parent == kNoParent) continue;
-      if (pos == 0 || store->rows_[pos - 1].parent != parent) {
-        store->child_begin_[parent] = static_cast<uint32_t>(pos);
+      const EdgeRow& row = store->rows_[pos];
+      store->pos_of_id_[row.id] = static_cast<uint32_t>(pos);
+      store->tag_by_id_[row.id] = row.tag;
+      if (row.parent != kNoParent &&
+          (pos == 0 || store->rows_[pos - 1].parent != row.parent)) {
+        store->child_begin_[row.parent] = static_cast<uint32_t>(pos);
       }
     }
   });
-  // Subtree intervals: the ascending recurrence resolves parents before
-  // children, so this stays a (cheap) sequential pass.
+  // Subtree intervals and first attribute rows come straight from the
+  // document's columns.
   store->subtree_end_.resize(n);
+  store->attr_begin_.resize(n);
   for (xml::NodeId i = 0; i < n; ++i) {
-    const xml::NodeId sib = doc.next_sibling(i);
-    store->subtree_end_[i] =
-        sib != xml::kInvalidNode
-            ? sib
-            : (doc.parent(i) == xml::kInvalidNode
-                   ? static_cast<uint32_t>(n)
-                   : store->subtree_end_[doc.parent(i)]);
+    store->subtree_end_[i] = doc.SubtreeEnd(i);
+    store->attr_begin_[i] = FirstAttributeRow(doc, i);
   }
-  // Attribute rows were emitted in preorder, i.e. already owner-sorted
-  // (the serial stable_sort is a no-op on the same sequence).
-  store->attr_begin_.assign(n, static_cast<uint32_t>(store->attrs_.size()));
-  const size_t num_attrs = store->attrs_.size();
-  ParallelFor(&pool, 0, num_attrs, 4096, [&](size_t b, size_t e) {
-    for (size_t pos = b; pos < e; ++pos) {
-      const uint32_t owner = store->attrs_[pos].owner;
-      if (pos == 0 || store->attrs_[pos - 1].owner != owner) {
-        store->attr_begin_[owner] = static_cast<uint32_t>(pos);
-      }
-    }
-  });
-  // (value, id) pairs are unique, so stable == serial std::sort.
-  ParallelStableSort(&pool, store->id_value_index_.begin(),
-                     store->id_value_index_.end(),
-                     [](const auto& a, const auto& b) { return a < b; });
   store->root_ = doc.root();
   return store;
 }

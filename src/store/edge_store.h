@@ -27,9 +27,10 @@ namespace xmark::store {
 /// queries cheaply.
 class EdgeStore : public query::StorageAdapter {
  public:
-  /// Bulkloads the document. `options.threads == 1` is the original serial
-  /// shred-then-sort path; more threads run the parallel pipeline with
-  /// byte-identical results (see LoadOptions).
+  /// Bulkloads the document: parse, shred the document's columns into the
+  /// two relations (adopting its heap and name table), cluster, index.
+  /// More than one thread runs the parse, fills, sorts and index builds on
+  /// a pool with byte-identical results (see LoadOptions).
   static StatusOr<std::unique_ptr<EdgeStore>> Load(
       std::string_view xml, const LoadOptions& options = {});
 
@@ -121,11 +122,6 @@ class EdgeStore : public query::StorageAdapter {
   static constexpr uint32_t kNoParent = 0xffffffffu;
 
   EdgeStore() = default;
-
-  // Parallel pipeline: chunked parse, prefix-summed heap/table fills,
-  // partitioned cluster sort, concurrent index builds.
-  static StatusOr<std::unique_ptr<EdgeStore>> LoadParallel(
-      std::string_view xml, unsigned threads);
 
   const EdgeRow& RowOf(query::NodeHandle n) const {
     return rows_[pos_of_id_[n]];

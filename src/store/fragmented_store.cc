@@ -1,44 +1,43 @@
 #include "store/fragmented_store.h"
 
 #include <algorithm>
-#include <cstring>
 
+#include "store/bulkload.h"
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
-#include "xml/dom.h"
 
 namespace xmark::store {
 
 StatusOr<std::unique_ptr<FragmentedStore>> FragmentedStore::Load(
     std::string_view xml, const LoadOptions& options) {
-  const unsigned threads = options.EffectiveThreads();
-  if (threads > 1) return LoadParallel(xml, threads);
-  XMARK_ASSIGN_OR_RETURN(xml::Document doc, xml::Document::Parse(xml));
+  const std::unique_ptr<ThreadPool> pool = MakeLoadPool(options);
+  xml::ParseOptions popts;
+  popts.pool = pool.get();
+  XMARK_ASSIGN_OR_RETURN(xml::Document doc, xml::Document::Parse(xml, popts));
   std::unique_ptr<FragmentedStore> store(new FragmentedStore());
-  store->text_tag_ = store->names_.Intern("#text");
-  store->path_names_.push_back("");  // virtual document node
   const size_t n = doc.num_nodes();
-  store->path_of_.resize(n);
-  store->idx_in_path_.resize(n);
-  store->paths_.push_back(PathInfo{});  // virtual document node
+  // The dictionary is "#text" followed by the document's own (first-
+  // occurrence) order, so document NameId u is store id u + 1.
+  store->text_tag_ = store->names_.Intern("#text");
+  for (xml::NameId u = 0; u < doc.names().size(); ++u) {
+    store->names_.Intern(doc.names().Spelling(u));
+  }
   const xml::NameId id_attr = doc.names().Lookup("id");
 
-  // DFS assigning each node to its path table. A stack of (node, path)
-  // frames tracks the current path.
-  std::vector<std::pair<xml::NodeId, uint32_t>> stack;  // (element, path)
+  // Path discovery is sequential: path ids are assigned in order of first
+  // appearance, and a node's path extends its parent's (parents precede
+  // children in preorder). The pass touches no heap bytes or attributes.
+  store->path_names_.push_back("");  // virtual document node
+  store->paths_.push_back(PathInfo{});
+  store->path_of_.resize(n);
+  store->idx_in_path_.resize(n);
+  std::vector<uint32_t> path_rows{0};  // rows per path, for exact sizing
   for (xml::NodeId i = 0; i < n; ++i) {
-    while (!stack.empty() &&
-           !(i >= stack.back().first &&
-             i < doc.SubtreeEnd(stack.back().first))) {
-      stack.pop_back();
-    }
-    const uint32_t parent_path = stack.empty() ? 0 : stack.back().second;
+    const xml::NodeId parent = doc.parent(i);
+    const uint32_t parent_path =
+        parent == xml::kInvalidNode ? 0 : store->path_of_[parent];
     const xml::NameId tag =
-        doc.IsElement(i)
-            ? store->names_.Intern(doc.names().Spelling(doc.name(i)))
-            : store->text_tag_;
-    // Find or create the child path.
+        doc.IsElement(i) ? doc.name(i) + 1 : store->text_tag_;
     uint32_t path_id = 0;
     for (uint32_t child : store->paths_[parent_path].child_paths) {
       if (store->paths_[child].tag == tag) {
@@ -57,213 +56,49 @@ StatusOr<std::unique_ptr<FragmentedStore>> FragmentedStore::Load(
       store->paths_by_tag_[tag].push_back(path_id);
       store->path_names_.push_back(store->path_names_[parent_path] + "/" +
                                    store->names_.Spelling(tag));
-    }
-
-    Row row{};
-    row.id = i;
-    row.parent =
-        doc.parent(i) == xml::kInvalidNode ? 0xffffffffu : doc.parent(i);
-    row.subtree_end = doc.SubtreeEnd(i);
-    if (doc.IsElement(i)) {
-      for (const auto& attr : doc.attributes(i)) {
-        AttrRow arow{};
-        arow.owner = i;
-        arow.name = store->names_.Intern(doc.names().Spelling(attr.name));
-        arow.value_begin = static_cast<uint32_t>(store->heap_.size());
-        arow.value_len = static_cast<uint32_t>(attr.value.size());
-        store->heap_.append(attr.value);
-        store->attrs_.push_back(arow);
-        if (attr.name == id_attr) {
-          store->id_value_index_.emplace_back(std::string(attr.value), i);
-        }
-      }
-    } else {
-      row.text_begin = static_cast<uint32_t>(store->heap_.size());
-      row.text_len = static_cast<uint32_t>(doc.text(i).size());
-      store->heap_.append(doc.text(i));
+      path_rows.push_back(0);
     }
     store->path_of_[i] = path_id;
-    store->idx_in_path_[i] =
-        static_cast<uint32_t>(store->paths_[path_id].rows.size());
-    store->paths_[path_id].rows.push_back(row);
-    if (doc.IsElement(i)) stack.emplace_back(i, path_id);
-  }
-
-  std::stable_sort(store->attrs_.begin(), store->attrs_.end(),
-            [](const AttrRow& a, const AttrRow& b) {
-              return a.owner < b.owner;
-            });
-  store->attr_begin_.assign(n, static_cast<uint32_t>(store->attrs_.size()));
-  for (uint32_t pos = store->attrs_.size(); pos-- > 0;) {
-    store->attr_begin_[store->attrs_[pos].owner] = pos;
-  }
-  std::sort(store->id_value_index_.begin(), store->id_value_index_.end());
-  store->root_ = doc.root();
-  return store;
-}
-
-StatusOr<std::unique_ptr<FragmentedStore>> FragmentedStore::LoadParallel(
-    std::string_view xml, unsigned threads) {
-  ThreadPool pool(threads);
-  xml::ParseOptions popts;
-  popts.pool = &pool;
-  XMARK_ASSIGN_OR_RETURN(xml::Document doc, xml::Document::Parse(xml, popts));
-  std::unique_ptr<FragmentedStore> store(new FragmentedStore());
-  const size_t n = doc.num_nodes();
-  // Serial interning order is "#text" first, then the document dictionary
-  // in its own (first-occurrence) order: replaying the document table
-  // reproduces it, and doc NameId u maps to store id u + 1.
-  store->text_tag_ = store->names_.Intern("#text");
-  for (xml::NameId u = 0; u < doc.names().size(); ++u) {
-    store->names_.Intern(doc.names().Spelling(u));
-  }
-  const xml::NameId id_attr = doc.names().Lookup("id");
-
-  // Path discovery stays sequential: path ids are assigned in order of
-  // first appearance, and each node's path depends on its parent's. The
-  // pass touches no heap bytes or attribute rows — just the trie walk.
-  store->path_names_.push_back("");
-  store->paths_.push_back(PathInfo{});
-  store->path_of_.resize(n);
-  store->idx_in_path_.resize(n);
-  std::vector<uint32_t> path_rows;  // rows per path, for preallocation
-  path_rows.push_back(0);
-  {
-    std::vector<std::pair<xml::NodeId, uint32_t>> stack;
-    for (xml::NodeId i = 0; i < n; ++i) {
-      while (!stack.empty() &&
-             !(i >= stack.back().first &&
-               i < doc.SubtreeEnd(stack.back().first))) {
-        stack.pop_back();
-      }
-      const uint32_t parent_path = stack.empty() ? 0 : stack.back().second;
-      const xml::NameId tag =
-          doc.IsElement(i) ? doc.name(i) + 1 : store->text_tag_;
-      uint32_t path_id = 0;
-      for (uint32_t child : store->paths_[parent_path].child_paths) {
-        if (store->paths_[child].tag == tag) {
-          path_id = child;
-          break;
-        }
-      }
-      if (path_id == 0) {
-        path_id = static_cast<uint32_t>(store->paths_.size());
-        PathInfo info;
-        info.parent_path = parent_path;
-        info.tag = tag;
-        info.depth = store->paths_[parent_path].depth + 1;
-        store->paths_.push_back(std::move(info));
-        store->paths_[parent_path].child_paths.push_back(path_id);
-        store->paths_by_tag_[tag].push_back(path_id);
-        store->path_names_.push_back(store->path_names_[parent_path] + "/" +
-                                     store->names_.Spelling(tag));
-        path_rows.push_back(0);
-      }
-      store->path_of_[i] = path_id;
-      store->idx_in_path_[i] = path_rows[path_id]++;
-      if (doc.IsElement(i)) stack.emplace_back(i, path_id);
-    }
+    store->idx_in_path_[i] = path_rows[path_id]++;
   }
   for (size_t p = 0; p < store->paths_.size(); ++p) {
     store->paths_[p].rows.resize(path_rows[p]);
   }
 
-  // Pass A: per-chunk heap bytes / attribute rows / id entries.
-  const std::vector<size_t> bounds = ChunkBounds(n, threads);
-  const size_t chunks = bounds.size() - 1;
-  std::vector<size_t> heap_base(chunks + 1, 0);
-  std::vector<size_t> attr_base(chunks + 1, 0);
-  std::vector<size_t> id_base(chunks + 1, 0);
-  for (size_t k = 0; k < chunks; ++k) {
-    pool.Submit([&, k] {
-      size_t heap = 0, attrs = 0, ids = 0;
-      for (size_t i = bounds[k]; i < bounds[k + 1]; ++i) {
-        const xml::NodeId node = static_cast<xml::NodeId>(i);
-        if (doc.IsElement(node)) {
-          for (const auto& attr : doc.attributes(node)) {
-            heap += attr.value.size();
-            ++attrs;
-            if (attr.name == id_attr) ++ids;
-          }
-        } else {
-          heap += doc.text(node).size();
-        }
+  // Per-path table and attribute fills: every row slot is fixed by the
+  // discovery pass and every attribute row by the document, so writes are
+  // disjoint. Text and values stay in the document's heap, adopted below.
+  store->attrs_.resize(doc.num_attributes());
+  ParallelFor(pool.get(), 0, n, 4096, [&](size_t b, size_t e) {
+    for (size_t i = b; i < e; ++i) {
+      const xml::NodeId node = static_cast<xml::NodeId>(i);
+      Row row{};
+      row.id = node;
+      row.parent = doc.parent(node) == xml::kInvalidNode ? 0xffffffffu
+                                                         : doc.parent(node);
+      row.subtree_end = doc.SubtreeEnd(node);
+      if (!doc.IsElement(node)) {
+        row.text_begin = doc.heap_offset(node);
+        row.text_len = doc.heap_offset(node + 1) - row.text_begin;
       }
-      heap_base[k + 1] = heap;
-      attr_base[k + 1] = attrs;
-      id_base[k + 1] = ids;
-    });
-  }
-  pool.Wait();
-  for (size_t k = 0; k < chunks; ++k) {
-    heap_base[k + 1] += heap_base[k];
-    attr_base[k + 1] += attr_base[k];
-    id_base[k + 1] += id_base[k];
-  }
-
-  // Pass B: concurrent per-path table fills. Every row slot
-  // (path_of_, idx_in_path_) and every heap/attr/id position is fixed by
-  // the discovery pass and the prefix sums, so writes are disjoint and
-  // the result matches the serial layout byte for byte.
-  store->attrs_.resize(attr_base[chunks]);
-  store->heap_.resize(heap_base[chunks]);
-  store->id_value_index_.resize(id_base[chunks]);
-  for (size_t k = 0; k < chunks; ++k) {
-    pool.Submit([&, k] {
-      size_t heap_off = heap_base[k];
-      size_t attr_off = attr_base[k];
-      size_t id_off = id_base[k];
-      for (size_t i = bounds[k]; i < bounds[k + 1]; ++i) {
-        const xml::NodeId node = static_cast<xml::NodeId>(i);
-        Row row{};
-        row.id = static_cast<uint32_t>(i);
-        row.parent = doc.parent(node) == xml::kInvalidNode
-                         ? 0xffffffffu
-                         : doc.parent(node);
-        row.subtree_end = doc.SubtreeEnd(node);
-        if (doc.IsElement(node)) {
-          for (const auto& attr : doc.attributes(node)) {
-            AttrRow arow{};
-            arow.owner = static_cast<uint32_t>(i);
-            arow.name = attr.name + 1;  // doc id -> store id
-            arow.value_begin = static_cast<uint32_t>(heap_off);
-            arow.value_len = static_cast<uint32_t>(attr.value.size());
-            std::memcpy(store->heap_.data() + heap_off, attr.value.data(),
-                        attr.value.size());
-            heap_off += attr.value.size();
-            store->attrs_[attr_off++] = arow;
-            if (attr.name == id_attr) {
-              store->id_value_index_[id_off++] = {std::string(attr.value),
-                                                  static_cast<uint32_t>(i)};
-            }
-          }
-        } else {
-          row.text_begin = static_cast<uint32_t>(heap_off);
-          row.text_len = static_cast<uint32_t>(doc.text(node).size());
-          std::memcpy(store->heap_.data() + heap_off, doc.text(node).data(),
-                      doc.text(node).size());
-          heap_off += doc.text(node).size();
-        }
-        store->paths_[store->path_of_[i]].rows[store->idx_in_path_[i]] = row;
-      }
-    });
-  }
-  pool.Wait();
-
-  // Attribute rows were emitted in preorder (owner-sorted already).
-  store->attr_begin_.assign(n, static_cast<uint32_t>(store->attrs_.size()));
-  const size_t num_attrs = store->attrs_.size();
-  ParallelFor(&pool, 0, num_attrs, 4096, [&](size_t b, size_t e) {
-    for (size_t pos = b; pos < e; ++pos) {
-      const uint32_t owner = store->attrs_[pos].owner;
-      if (pos == 0 || store->attrs_[pos - 1].owner != owner) {
-        store->attr_begin_[owner] = static_cast<uint32_t>(pos);
+      store->paths_[store->path_of_[i]].rows[store->idx_in_path_[i]] = row;
+      for (uint32_t a = doc.attribute_begin(node);
+           a < doc.attribute_begin(node + 1); ++a) {
+        const xml::AttributeRow& attr = doc.attribute_row(a);
+        store->attrs_[a] =
+            AttrRow{node, attr.name + 1, attr.offset, attr.length};
       }
     }
   });
-  ParallelStableSort(&pool, store->id_value_index_.begin(),
+  store->attr_begin_.resize(n);
+  for (xml::NodeId i = 0; i < n; ++i) {
+    store->attr_begin_[i] = FirstAttributeRow(doc, i);
+  }
+  store->id_value_index_ = CollectIdValues<uint32_t>(doc, id_attr);
+  ParallelStableSort(pool.get(), store->id_value_index_.begin(),
                      store->id_value_index_.end(),
                      [](const auto& a, const auto& b) { return a < b; });
+  store->heap_ = doc.ReleaseHeap();
   store->root_ = doc.root();
   return store;
 }

@@ -30,10 +30,10 @@ namespace xmark::store {
 /// compiling as A).
 class FragmentedStore : public query::StorageAdapter {
  public:
-  /// Bulkloads the document. `options.threads == 1` is the original serial
-  /// path; more threads run the parallel pipeline (path discovery stays a
-  /// cheap sequential pass, the per-path table fills, heap build and index
-  /// builds run concurrently) with byte-identical results.
+  /// Bulkloads the document: parse, a sequential path-discovery pass, then
+  /// the per-path table and attribute fills (adopting the document's
+  /// heap). More than one thread runs the parse, fills and sorts on a pool
+  /// with byte-identical results.
   static StatusOr<std::unique_ptr<FragmentedStore>> Load(
       std::string_view xml, const LoadOptions& options = {});
 
@@ -125,9 +125,6 @@ class FragmentedStore : public query::StorageAdapter {
   };
 
   FragmentedStore() = default;
-
-  static StatusOr<std::unique_ptr<FragmentedStore>> LoadParallel(
-      std::string_view xml, unsigned threads);
 
   const Row& RowOf(query::NodeHandle n) const {
     return paths_[path_of_[n]].rows[idx_in_path_[n]];

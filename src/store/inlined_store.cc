@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstring>
 #include <map>
 #include <unordered_set>
 
+#include "store/bulkload.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
-#include "xml/dom.h"
 
 namespace xmark::store {
 namespace {
@@ -57,250 +55,74 @@ bool AtMostOnce(const std::string& model, const std::string& child) {
 StatusOr<std::unique_ptr<InlinedStore>> InlinedStore::Load(
     std::string_view xml, std::string_view dtd_text,
     const LoadOptions& options) {
-  const unsigned threads = options.EffectiveThreads();
-  if (threads > 1) return LoadParallel(xml, dtd_text, threads);
   XMARK_ASSIGN_OR_RETURN(xml::Dtd dtd, xml::Dtd::Parse(dtd_text));
-  XMARK_ASSIGN_OR_RETURN(xml::Document doc, xml::Document::Parse(xml));
-  std::unique_ptr<InlinedStore> store(new InlinedStore());
-  store->dtd_elements_ = dtd.elements().size();
-  const size_t n = doc.num_nodes();
-  const xml::NameId id_attr = doc.names().Lookup("id");
-
-  store->parent_.resize(n);
-  store->first_child_.resize(n);
-  store->next_sibling_.resize(n);
-  store->tag_.resize(n);
-  store->row_of_.resize(n);
-  store->text_span_.resize(n, {0, 0});
-
-  auto as_handle = [](xml::NodeId id) {
-    return id == xml::kInvalidNode ? query::kInvalidHandle
-                                   : static_cast<query::NodeHandle>(id);
-  };
-
-  for (xml::NodeId i = 0; i < n; ++i) {
-    store->parent_[i] = as_handle(doc.parent(i));
-    store->first_child_[i] = as_handle(doc.first_child(i));
-    store->next_sibling_[i] = as_handle(doc.next_sibling(i));
-    if (doc.IsElement(i)) {
-      const xml::NameId tag =
-          store->names_.Intern(doc.names().Spelling(doc.name(i)));
-      store->tag_[i] = tag;
-      store->row_of_[i] = store->tag_cardinality_[tag]++;
-      for (const auto& attr : doc.attributes(i)) {
-        AttrRow arow{};
-        arow.owner = i;
-        arow.name = store->names_.Intern(doc.names().Spelling(attr.name));
-        arow.value_begin = static_cast<uint32_t>(store->heap_.size());
-        arow.value_len = static_cast<uint32_t>(attr.value.size());
-        store->heap_.append(attr.value);
-        store->attrs_.push_back(arow);
-        if (attr.name == id_attr) {
-          store->id_index_.emplace(std::string(attr.value), i);
-        }
-      }
-    } else {
-      store->tag_[i] = xml::kInvalidName;
-      store->text_span_[i] = {static_cast<uint32_t>(store->heap_.size()),
-                              static_cast<uint32_t>(doc.text(i).size())};
-      store->heap_.append(doc.text(i));
-    }
-  }
-  std::stable_sort(store->attrs_.begin(), store->attrs_.end(),
-            [](const AttrRow& a, const AttrRow& b) {
-              return a.owner < b.owner;
-            });
-  store->attr_begin_.assign(n, static_cast<uint32_t>(store->attrs_.size()));
-  for (uint32_t pos = store->attrs_.size(); pos-- > 0;) {
-    store->attr_begin_[store->attrs_[pos].owner] = pos;
-  }
-
-  // Derive direct child slots from the DTD.
-  std::unordered_set<uint64_t> inlineable;
-  for (const xml::DtdElement& elem : dtd.elements()) {
-    const xml::NameId parent_tag = store->names_.Lookup(elem.name);
-    if (parent_tag == xml::kInvalidName) continue;  // tag absent from doc
-    for (const std::string& child : elem.children) {
-      const xml::NameId child_tag = store->names_.Lookup(child);
-      if (child_tag == xml::kInvalidName) continue;
-      if (AtMostOnce(elem.model, child)) {
-        inlineable.insert(SlotKey(parent_tag, child_tag));
-      }
-    }
-  }
-  for (xml::NodeId i = 0; i < n; ++i) {
-    if (!doc.IsElement(i)) continue;
-    const xml::NameId ptag = store->tag_[i];
-    for (query::NodeHandle c = store->first_child_[i];
-         c != query::kInvalidHandle; c = store->next_sibling_[c]) {
-      const xml::NameId ctag = store->tag_[c];
-      if (ctag == xml::kInvalidName) continue;
-      const uint64_t key = SlotKey(ptag, ctag);
-      if (!inlineable.count(key)) continue;
-      auto& slot = store->slots_[key];
-      if (slot.empty()) {
-        slot.assign(store->tag_cardinality_[ptag], query::kInvalidHandle);
-      }
-      slot[store->row_of_[i]] = c;
-    }
-  }
-
-  store->root_ = doc.root();
-  return store;
-}
-
-StatusOr<std::unique_ptr<InlinedStore>> InlinedStore::LoadParallel(
-    std::string_view xml, std::string_view dtd_text, unsigned threads) {
-  XMARK_ASSIGN_OR_RETURN(xml::Dtd dtd, xml::Dtd::Parse(dtd_text));
-  ThreadPool pool(threads);
+  const std::unique_ptr<ThreadPool> pool = MakeLoadPool(options);
   xml::ParseOptions popts;
-  popts.pool = &pool;
+  popts.pool = pool.get();
   XMARK_ASSIGN_OR_RETURN(xml::Document doc, xml::Document::Parse(xml, popts));
   std::unique_ptr<InlinedStore> store(new InlinedStore());
   store->dtd_elements_ = dtd.elements().size();
   const size_t n = doc.num_nodes();
-  // Serial interning replays the document dictionary order, so the store
-  // dictionary equals it (store NameId == doc NameId).
-  store->names_ = doc.names();
   const xml::NameId id_attr = doc.names().Lookup("id");
-  const size_t num_names = doc.names().size();
-
-  store->parent_.resize(n);
-  store->first_child_.resize(n);
-  store->next_sibling_.resize(n);
-  store->tag_.resize(n);
-  store->row_of_.resize(n);
-  store->text_span_.resize(n, {0, 0});
 
   auto as_handle = [](xml::NodeId id) {
     return id == xml::kInvalidNode ? query::kInvalidHandle
                                    : static_cast<query::NodeHandle>(id);
   };
 
-  // Pass A: per-chunk heap bytes, attr rows, id entries and per-tag
-  // element counts (the dense row_of_ numbering needs, for each chunk, how
-  // many earlier elements carry the same tag).
-  const std::vector<size_t> bounds = ChunkBounds(n, threads);
-  const size_t chunks = bounds.size() - 1;
-  std::vector<size_t> heap_base(chunks + 1, 0);
-  std::vector<size_t> attr_base(chunks + 1, 0);
-  std::vector<size_t> id_base(chunks + 1, 0);
-  std::vector<std::vector<uint32_t>> tag_counts(
-      chunks, std::vector<uint32_t>(num_names, 0));
-  for (size_t k = 0; k < chunks; ++k) {
-    pool.Submit([&, k] {
-      size_t heap = 0, attrs = 0, ids = 0;
-      std::vector<uint32_t>& counts = tag_counts[k];
-      for (size_t i = bounds[k]; i < bounds[k + 1]; ++i) {
-        const xml::NodeId node = static_cast<xml::NodeId>(i);
-        if (doc.IsElement(node)) {
-          ++counts[doc.name(node)];
-          for (const auto& attr : doc.attributes(node)) {
-            heap += attr.value.size();
-            ++attrs;
-            if (attr.name == id_attr) ++ids;
-          }
-        } else {
-          heap += doc.text(node).size();
-        }
+  // Dense structure arrays and attribute rows, straight from the
+  // document's columns; text and values stay in its heap, adopted below.
+  store->parent_.resize(n);
+  store->first_child_.resize(n);
+  store->next_sibling_.resize(n);
+  store->tag_.resize(n);
+  store->text_span_.resize(n, {0, 0});
+  store->attrs_.resize(doc.num_attributes());
+  ParallelFor(pool.get(), 0, n, 4096, [&](size_t b, size_t e) {
+    for (size_t i = b; i < e; ++i) {
+      const xml::NodeId node = static_cast<xml::NodeId>(i);
+      store->parent_[i] = as_handle(doc.parent(node));
+      store->first_child_[i] = as_handle(doc.first_child(node));
+      store->next_sibling_[i] = as_handle(doc.next_sibling(node));
+      store->tag_[i] = doc.name(node);
+      if (!doc.IsElement(node)) {
+        const uint32_t begin = doc.heap_offset(node);
+        store->text_span_[i] = {begin, doc.heap_offset(node + 1) - begin};
       }
-      heap_base[k + 1] = heap;
-      attr_base[k + 1] = attrs;
-      id_base[k + 1] = ids;
-    });
-  }
-  pool.Wait();
-  for (size_t k = 0; k < chunks; ++k) {
-    heap_base[k + 1] += heap_base[k];
-    attr_base[k + 1] += attr_base[k];
-    id_base[k + 1] += id_base[k];
-  }
-  // tag_counts[k] becomes the per-tag base for chunk k (exclusive prefix);
-  // the final totals land in tag_cardinality_.
-  std::vector<uint32_t> tag_total(num_names, 0);
-  for (size_t k = 0; k < chunks; ++k) {
-    for (size_t t = 0; t < num_names; ++t) {
-      const uint32_t c = tag_counts[k][t];
-      tag_counts[k][t] = tag_total[t];
-      tag_total[t] += c;
+      for (uint32_t a = doc.attribute_begin(node);
+           a < doc.attribute_begin(node + 1); ++a) {
+        const xml::AttributeRow& attr = doc.attribute_row(a);
+        store->attrs_[a] = AttrRow{node, attr.name, attr.offset, attr.length};
+      }
     }
+  });
+  // Dense per-tag row numbers, in document order.
+  std::vector<uint32_t> tag_total(doc.names().size(), 0);
+  store->row_of_.resize(n);
+  store->attr_begin_.resize(n);
+  for (xml::NodeId i = 0; i < n; ++i) {
+    store->row_of_[i] = doc.IsElement(i) ? tag_total[doc.name(i)]++ : 0;
+    store->attr_begin_[i] = FirstAttributeRow(doc, i);
   }
-  for (size_t t = 0; t < num_names; ++t) {
+  for (size_t t = 0; t < tag_total.size(); ++t) {
     if (tag_total[t] > 0) {
       store->tag_cardinality_[static_cast<xml::NameId>(t)] = tag_total[t];
     }
   }
-
-  // Pass B: fill the dense structure arrays, heap, attribute rows and id
-  // entries; collect per-chunk id pairs for the (serial) hash inserts.
-  store->attrs_.resize(attr_base[chunks]);
-  store->heap_.resize(heap_base[chunks]);
-  std::vector<std::vector<std::pair<std::string, query::NodeHandle>>>
-      id_pairs(chunks);
-  for (size_t k = 0; k < chunks; ++k) {
-    pool.Submit([&, k] {
-      size_t heap_off = heap_base[k];
-      size_t attr_off = attr_base[k];
-      std::vector<uint32_t> next_row = tag_counts[k];
-      for (size_t i = bounds[k]; i < bounds[k + 1]; ++i) {
-        const xml::NodeId node = static_cast<xml::NodeId>(i);
-        store->parent_[i] = as_handle(doc.parent(node));
-        store->first_child_[i] = as_handle(doc.first_child(node));
-        store->next_sibling_[i] = as_handle(doc.next_sibling(node));
-        if (doc.IsElement(node)) {
-          const xml::NameId tag = doc.name(node);
-          store->tag_[i] = tag;
-          store->row_of_[i] = next_row[tag]++;
-          for (const auto& attr : doc.attributes(node)) {
-            AttrRow arow{};
-            arow.owner = static_cast<uint32_t>(i);
-            arow.name = attr.name;
-            arow.value_begin = static_cast<uint32_t>(heap_off);
-            arow.value_len = static_cast<uint32_t>(attr.value.size());
-            std::memcpy(store->heap_.data() + heap_off, attr.value.data(),
-                        attr.value.size());
-            heap_off += attr.value.size();
-            store->attrs_[attr_off++] = arow;
-            if (attr.name == id_attr) {
-              id_pairs[k].emplace_back(std::string(attr.value),
-                                       static_cast<query::NodeHandle>(i));
-            }
-          }
-        } else {
-          store->tag_[i] = xml::kInvalidName;
-          store->text_span_[i] = {static_cast<uint32_t>(heap_off),
-                                  static_cast<uint32_t>(doc.text(node).size())};
-          std::memcpy(store->heap_.data() + heap_off, doc.text(node).data(),
-                      doc.text(node).size());
-          heap_off += doc.text(node).size();
-        }
-      }
-    });
+  for (auto& [value, node] : CollectIdValues<query::NodeHandle>(doc, id_attr)) {
+    store->id_index_.emplace(std::move(value), node);
   }
-  pool.Wait();
-  for (size_t k = 0; k < chunks; ++k) {
-    for (auto& [value, node] : id_pairs[k]) {
-      store->id_index_.emplace(std::move(value), node);
-    }
-  }
-
-  store->attr_begin_.assign(n, static_cast<uint32_t>(store->attrs_.size()));
-  const size_t num_attrs = store->attrs_.size();
-  ParallelFor(&pool, 0, num_attrs, 4096, [&](size_t b, size_t e) {
-    for (size_t pos = b; pos < e; ++pos) {
-      const uint32_t owner = store->attrs_[pos].owner;
-      if (pos == 0 || store->attrs_[pos - 1].owner != owner) {
-        store->attr_begin_[owner] = static_cast<uint32_t>(pos);
-      }
-    }
-  });
+  // The parse interned names in the order the store's dictionary would,
+  // so store NameId == document NameId and both tables are adopted.
+  store->heap_ = doc.ReleaseHeap();
+  store->names_ = doc.ReleaseNames();
 
   // Direct child slots: the child-chain scans run per chunk; the cheap
   // slot-vector writes replay serially in chunk (= document) order.
   std::unordered_set<uint64_t> inlineable;
   for (const xml::DtdElement& elem : dtd.elements()) {
     const xml::NameId parent_tag = store->names_.Lookup(elem.name);
-    if (parent_tag == xml::kInvalidName) continue;
+    if (parent_tag == xml::kInvalidName) continue;  // tag absent from doc
     for (const std::string& child : elem.children) {
       const xml::NameId child_tag = store->names_.Lookup(child);
       if (child_tag == xml::kInvalidName) continue;
@@ -314,31 +136,31 @@ StatusOr<std::unique_ptr<InlinedStore>> InlinedStore::LoadParallel(
     uint32_t parent_row;
     query::NodeHandle child;
   };
+  const std::vector<size_t> bounds =
+      ChunkBounds(n, pool == nullptr ? 1 : pool->worker_count());
+  const size_t chunks = bounds.size() - 1;
   std::vector<std::vector<SlotEntry>> slot_entries(chunks);
-  for (size_t k = 0; k < chunks; ++k) {
-    pool.Submit([&, k] {
+  ParallelFor(pool.get(), 0, chunks, 1, [&](size_t kb, size_t ke) {
+    for (size_t k = kb; k < ke; ++k) {
       for (size_t i = bounds[k]; i < bounds[k + 1]; ++i) {
-        if (!doc.IsElement(static_cast<xml::NodeId>(i))) continue;
         const xml::NameId ptag = store->tag_[i];
+        if (ptag == xml::kInvalidName) continue;
         for (query::NodeHandle c = store->first_child_[i];
              c != query::kInvalidHandle; c = store->next_sibling_[c]) {
           const xml::NameId ctag = store->tag_[c];
           if (ctag == xml::kInvalidName) continue;
           const uint64_t key = SlotKey(ptag, ctag);
           if (!inlineable.count(key)) continue;
-          slot_entries[k].push_back(
-              SlotEntry{key, store->row_of_[i], c});
+          slot_entries[k].push_back(SlotEntry{key, store->row_of_[i], c});
         }
       }
-    });
-  }
-  pool.Wait();
-  for (size_t k = 0; k < chunks; ++k) {
-    for (const SlotEntry& entry : slot_entries[k]) {
+    }
+  });
+  for (const std::vector<SlotEntry>& entries : slot_entries) {
+    for (const SlotEntry& entry : entries) {
       auto& slot = store->slots_[entry.key];
       if (slot.empty()) {
-        slot.assign(store->tag_cardinality_[static_cast<xml::NameId>(
-                        entry.key >> 32)],
+        slot.assign(tag_total[static_cast<xml::NameId>(entry.key >> 32)],
                     query::kInvalidHandle);
       }
       slot[entry.parent_row] = entry.child;

@@ -32,9 +32,10 @@ namespace xmark::store {
 class InlinedStore : public query::StorageAdapter {
  public:
   /// Loads the document; `dtd_text` supplies the schema to derive the
-  /// mapping from (defaults to the bundled auction DTD). `options.threads
-  /// == 1` is the original serial path; more threads run the parallel
-  /// pipeline with byte-identical results.
+  /// mapping from (defaults to the bundled auction DTD). The dense arrays
+  /// come from the parsed document's columns, whose heap and name table
+  /// the store adopts. More than one thread runs the parse, fills and slot
+  /// scans on a pool with byte-identical results.
   static StatusOr<std::unique_ptr<InlinedStore>> Load(
       std::string_view xml, std::string_view dtd_text = xml::kAuctionDtd,
       const LoadOptions& options = {});
@@ -121,9 +122,6 @@ class InlinedStore : public query::StorageAdapter {
 
  private:
   InlinedStore() = default;
-
-  static StatusOr<std::unique_ptr<InlinedStore>> LoadParallel(
-      std::string_view xml, std::string_view dtd_text, unsigned threads);
 
   static uint64_t SlotKey(xml::NameId parent_tag, xml::NameId child_tag) {
     return (static_cast<uint64_t>(parent_tag) << 32) | child_tag;

@@ -5,13 +5,14 @@
 
 namespace xmark::store {
 
-/// Bulkload configuration shared by every store's Load. `threads == 1`
-/// runs the original single-threaded shred-then-sort path unchanged (the
-/// ablation baseline for the Table 1 bench); larger values run the
-/// parallel pipeline — chunked parallel parse, partitioned sorts with
-/// merge, concurrent per-table fills and index builds. The loaded store is
-/// byte-identical for every thread count: preorder ids, name-table
-/// numbering, heap layout and table order are all deterministic.
+/// Bulkload configuration shared by every store's Load. Every store runs
+/// one pipeline — parse, per-table fills, sorts and index builds; with
+/// `threads == 1` each pass runs inline on the caller (the serial
+/// baseline of the Table 1 bench), larger values run them on a pool —
+/// chunked parallel parse, partitioned sorts with merge, concurrent fills
+/// and index builds. The loaded store is byte-identical, and the same
+/// size, for every thread count: preorder ids, name-table numbering, heap
+/// layout, table order and table sizes are all deterministic.
 struct LoadOptions {
   /// Worker threads for bulkload; 0 means hardware_concurrency.
   unsigned threads = 0;

@@ -84,10 +84,10 @@ class ThreadPool {
 };
 
 /// Deterministic partition of [0, n) into ~threads*4 ranges for the
-/// bulkload fill passes: bounds depend only on n and the thread count
-/// (never on scheduling), which is what lets chunk workers write at
-/// prefix-summed positions and produce identical output for any worker
-/// interleaving. Returns chunk edges: bounds[k]..bounds[k+1] is chunk k.
+/// bulkload passes: bounds depend only on n and the thread count (never
+/// on scheduling), which is what lets per-chunk results merge in chunk
+/// order and produce identical output for any worker interleaving.
+/// Returns chunk edges: bounds[k]..bounds[k+1] is chunk k.
 inline std::vector<size_t> ChunkBounds(size_t n, unsigned threads) {
   const size_t chunks = std::max<size_t>(1, size_t{threads} * 4);
   std::vector<size_t> bounds;

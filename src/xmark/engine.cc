@@ -311,15 +311,13 @@ StatusOr<query::Sequence> ExecuteCollection(
 // document came from legacy Load() (id == kDefaultDocumentId), and
 // doc("auction.xml") binds a lone document of any id. Explicitly
 // catalog-managed ids otherwise require an exact match, so dropped
-// documents miss with a coded error instead of silently rebinding.
+// documents miss with a coded error instead of silently rebinding — also
+// once the catalog is empty, whatever default store a caller retains.
 StatusOr<std::shared_ptr<const query::StorageAdapter>> ResolveScopedStore(
-    const store::DocumentCatalog& catalog,
-    const std::shared_ptr<const query::StorageAdapter>& default_store,
-    const query::QueryScope& scope) {
+    const store::DocumentCatalog& catalog, const query::QueryScope& scope) {
   std::shared_ptr<const store::DocumentCatalog::Snapshot> snap =
       catalog.snapshot();
   if (snap->docs.empty()) {
-    if (default_store != nullptr) return default_store;
     return Status::NotFound("[empty-catalog] no documents loaded");
   }
   const store::DocumentCatalog::Entry* e = snap->Find(scope.doc_uri);
@@ -619,10 +617,10 @@ std::vector<std::string> Engine::ListDocuments() const {
 }
 
 Status Engine::DropDocument(std::string_view id) {
-  const std::shared_ptr<const query::StorageAdapter> dropped =
-      catalog_->Find(id);
-  XMARK_RETURN_IF_ERROR(catalog_->Drop(id));
-  if (dropped != nullptr && dropped == store_) {
+  XMARK_ASSIGN_OR_RETURN(std::shared_ptr<const query::StorageAdapter> dropped,
+                         catalog_->Drop(id));
+  serving_->plan_cache.EraseStore(dropped->store_uid());
+  if (dropped == store_) {
     // The default-scope document went away; fall over to the first
     // remaining document (or unloaded when the catalog is empty).
     std::shared_ptr<const store::DocumentCatalog::Snapshot> snap =
@@ -659,7 +657,7 @@ StatusOr<PreparedQuery> Engine::PrepareCached(
   std::shared_ptr<const query::StorageAdapter> target = store_;
   if (scope.kind == query::QueryScope::Kind::kDocument) {
     XMARK_ASSIGN_OR_RETURN(target,
-                           ResolveScopedStore(*catalog_, store_, scope));
+                           ResolveScopedStore(*catalog_, scope));
   } else if (scope.kind == query::QueryScope::Kind::kCollection) {
     // Compile against the first document; the fan-out compiles per-
     // document entries under the same "collection" scope key at Execute.
@@ -689,7 +687,7 @@ StatusOr<query::Sequence> Engine::Execute(const PreparedQuery& prepared,
       case query::QueryScope::Kind::kDefault:
         break;
       case query::QueryScope::Kind::kDocument: {
-        auto target = ResolveScopedStore(*catalog_, store_, prepared.scope);
+        auto target = ResolveScopedStore(*catalog_, prepared.scope);
         if (!target.ok()) {
           RecordOutcome(serving_.get(), target.status());
           return target.status();
@@ -733,7 +731,7 @@ StatusOr<std::string> Engine::Explain(std::string_view query_text) const {
   if (!reload_per_query_) {
     if (prepared.scope.kind == query::QueryScope::Kind::kDocument) {
       XMARK_ASSIGN_OR_RETURN(
-          target, ResolveScopedStore(*catalog_, store_, prepared.scope));
+          target, ResolveScopedStore(*catalog_, prepared.scope));
     } else if (prepared.scope.kind ==
                query::QueryScope::Kind::kCollection) {
       std::shared_ptr<const store::DocumentCatalog::Snapshot> snap =
@@ -811,7 +809,7 @@ StatusOr<PreparedQuery> EngineSession::Prepare(std::string_view query_text) {
   std::shared_ptr<const query::StorageAdapter> target = store_;
   if (scope.kind == query::QueryScope::Kind::kDocument) {
     XMARK_ASSIGN_OR_RETURN(target,
-                           ResolveScopedStore(*catalog_, store_, scope));
+                           ResolveScopedStore(*catalog_, scope));
   } else if (scope.kind == query::QueryScope::Kind::kCollection) {
     std::shared_ptr<const store::DocumentCatalog::Snapshot> snap =
         catalog_->snapshot();
@@ -842,7 +840,7 @@ StatusOr<query::Sequence> EngineSession::Execute(
     case query::QueryScope::Kind::kDefault:
       break;
     case query::QueryScope::Kind::kDocument: {
-      auto target = ResolveScopedStore(*catalog_, store_, prepared.scope);
+      auto target = ResolveScopedStore(*catalog_, prepared.scope);
       if (!target.ok()) {
         RecordOutcome(serving_.get(), target.status());
         return target.status();
@@ -918,7 +916,10 @@ Status EngineSession::DropDocument(std::string_view id) {
   // its document: running and future default-scope queries keep the
   // snapshot they started from, while doc()/collection() routing sees the
   // updated catalog immediately.
-  return catalog_->Drop(id);
+  XMARK_ASSIGN_OR_RETURN(std::shared_ptr<const query::StorageAdapter> dropped,
+                         catalog_->Drop(id));
+  serving_->plan_cache.EraseStore(dropped->store_uid());
+  return Status::OK();
 }
 
 size_t EngineSession::DocumentCount() const { return catalog_->size(); }

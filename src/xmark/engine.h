@@ -158,10 +158,11 @@ class Engine {
   /// Document ids in sorted order.
   std::vector<std::string> ListDocuments() const;
 
-  /// Drops one document. Later doc("id") queries fail with kNotFound;
-  /// stale plan-cache entries miss (per-document store uids are never
-  /// recycled) instead of crashing. Results already returned keep their
-  /// store alive through the snapshot they were executed against.
+  /// Drops one document. Later doc("id") queries fail with kNotFound, and
+  /// the plan-cache entries compiled for its store are erased (store uids
+  /// are never recycled, so they could never hit again). Results and
+  /// PreparedQuerys already handed out stay valid: they hold their store
+  /// snapshot and cache entry by shared_ptr.
   Status DropDocument(std::string_view id);
 
   size_t DocumentCount() const;
@@ -243,6 +244,11 @@ class Engine {
   query::PlanCacheStats plan_cache_stats() const {
     return serving_->plan_cache.stats();
   }
+  /// Plan-cache entries compiled for the store with `store_uid` (test
+  /// hook; takes every shard lock).
+  size_t plan_cache_entries(uint64_t store_uid) const {
+    return serving_->plan_cache.EntriesForStore(store_uid);
+  }
   /// Evaluator statistics summed over every completed Execute (engine and
   /// sessions), merged under the serving mutex at query completion.
   query::EvalStats cumulative_stats() const;
@@ -313,6 +319,8 @@ class EngineSession {
   // Shared document catalog (same instance as the engine's): sessions may
   // grow or shrink the corpus concurrently with sibling queries — the
   // catalog swaps immutable snapshots, so running queries keep theirs.
+  // DropDocument erases the dropped store's plan-cache entries, as
+  // Engine::DropDocument does.
   Status LoadDocument(std::string_view id, std::string_view xml);
   Status LoadCorpus(const std::vector<store::CorpusDocument>& docs);
   std::vector<std::string> ListDocuments() const;

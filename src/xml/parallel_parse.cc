@@ -7,15 +7,16 @@
 //      decoding, no attribute parsing, no node construction) and picks
 //      split points: start tags at shallow depth nearest to evenly spaced
 //      byte targets, each recorded with its open-element context.
-//   2. The chunks are SAX-parsed concurrently. Each chunk builds local
-//      node/attribute batches, a local name table and a local arena;
-//      elements opened before the chunk ("ghosts") are represented by
+//   2. The chunks are SAX-parsed concurrently, each by a DomBuilder into
+//      a chunk-local Document (columns, attribute rows, heap and name
+//      table); elements opened before the chunk are represented by
 //      markers resolved at stitch time.
-//   3. A cheap sequential walk threads the chunk contexts together
-//      (ghost parents, cross-chunk sibling links), then the batches are
-//      copied into the final document in parallel with id/offset fixups.
+//   3. A cheap sequential walk threads the chunk contexts together (the
+//      ids behind the markers, the subtree ends of elements that close in
+//      a later chunk), then the chunk columns and heaps are concatenated
+//      into the final document in parallel with id/offset/name fixups.
 //
-// Determinism: chunk boundaries depend only on the input bytes, batches
+// Determinism: chunk boundaries depend only on the input bytes, chunks
 // are concatenated in chunk order, and local name tables merge in chunk
 // order (which reproduces the serial first-occurrence interning order),
 // so the resulting Document is identical to the serial parse — same
@@ -23,18 +24,14 @@
 
 #include <cctype>
 #include <cstring>
+#include <memory>
+#include <utility>
 
-#include "util/logging.h"
-#include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "xml/dom.h"
 
 namespace xmark::xml {
 namespace {
-
-// Parent markers for nodes whose parent element was opened in an earlier
-// chunk: kGhostBase + stack level. Real ids stay below 2^31.
-constexpr NodeId kGhostBase = 0x80000000u;
 
 struct ChunkBoundary {
   size_t offset = 0;
@@ -151,140 +148,9 @@ bool ScanChunkBoundaries(std::string_view in, size_t chunks,
 
 }  // namespace
 
-/// Builds one chunk's node/attribute batch (friend of Document via
-/// ParallelDomParser, which owns the stitching).
+/// Stitches chunk-local documents into one (friend of Document).
 class ParallelDomParser {
  public:
-  using NodeRecord = Document::NodeRecord;
-
-  // SAX handler mirroring DomBuilder, but against chunk-local storage and
-  // with ghost markers for elements opened in earlier chunks.
-  class ChunkBuilder : public SaxHandler {
-   public:
-    // Smaller blocks than the serial builder: with many chunk arenas the
-    // per-arena slack would otherwise dominate the reported database size.
-    ChunkBuilder(size_t ghost_levels, bool keep_whitespace)
-        : arena_(std::make_unique<Arena>(1 << 16)),
-          keep_whitespace_(keep_whitespace),
-          ghosts_open_(ghost_levels),
-          ghost_first_(ghost_levels, kInvalidNode),
-          ghost_last_(ghost_levels, kInvalidNode) {
-      stack_.reserve(ghost_levels + 16);
-      last_child_.reserve(ghost_levels + 16);
-      for (size_t d = 0; d < ghost_levels; ++d) {
-        stack_.push_back(kGhostBase + static_cast<NodeId>(d));
-        last_child_.push_back(kInvalidNode);
-      }
-    }
-
-    Status OnStartElement(
-        std::string_view name,
-        const std::vector<SaxAttribute>& attributes) override {
-      NodeRecord rec{};
-      rec.kind = NodeKind::kElement;
-      rec.name = names_.Intern(name);
-      rec.parent = kInvalidNode;
-      rec.first_child = kInvalidNode;
-      rec.next_sibling = kInvalidNode;
-      rec.attr_begin = static_cast<uint32_t>(attrs_.size());
-      rec.attr_count = static_cast<uint32_t>(attributes.size());
-      for (const SaxAttribute& a : attributes) {
-        attrs_.push_back(
-            DomAttribute{names_.Intern(a.name), arena_->CopyString(a.value)});
-      }
-      const NodeId id = Append(rec);
-      stack_.push_back(id);
-      last_child_.push_back(kInvalidNode);
-      return Status::OK();
-    }
-
-    Status OnEndElement(std::string_view /*name*/) override {
-      if (stack_.empty()) return Status::ParseError("unbalanced end element");
-      const NodeId top = stack_.back();
-      if (top >= kGhostBase) {
-        // Deepest still-open ghost closes; record where its child chain in
-        // this chunk ended for the stitcher.
-        const size_t level = top - kGhostBase;
-        ghost_last_[level] = last_child_.back();
-        --ghosts_open_;
-      }
-      stack_.pop_back();
-      last_child_.pop_back();
-      return Status::OK();
-    }
-
-    Status OnCharacters(std::string_view text) override {
-      if (stack_.empty()) return Status::OK();
-      if (!keep_whitespace_ && TrimWhitespace(text).empty()) {
-        return Status::OK();
-      }
-      const NodeId prev = last_child_.back();
-      if (prev != kInvalidNode && nodes_[prev].kind == NodeKind::kText &&
-          prev == static_cast<NodeId>(nodes_.size() - 1)) {
-        std::string merged(nodes_[prev].text);
-        merged.append(text);
-        nodes_[prev].text = arena_->CopyString(merged);
-        return Status::OK();
-      }
-      NodeRecord rec{};
-      rec.kind = NodeKind::kText;
-      rec.name = kInvalidName;
-      rec.parent = kInvalidNode;
-      rec.first_child = kInvalidNode;
-      rec.next_sibling = kInvalidNode;
-      rec.attr_begin = 0;
-      rec.attr_count = 0;
-      rec.text = arena_->CopyString(text);
-      Append(rec);
-      return Status::OK();
-    }
-
-    // Called once the fragment is fully parsed: records where the child
-    // chains of still-open ghosts ended so the stitcher can resume them.
-    void Finish() {
-      for (size_t d = 0; d < ghosts_open_; ++d) {
-        ghost_last_[d] = last_child_[d];
-      }
-    }
-
-   private:
-    friend class ParallelDomParser;
-
-    NodeId Append(NodeRecord record) {
-      const NodeId id = static_cast<NodeId>(nodes_.size());
-      if (!stack_.empty()) {
-        const NodeId top = stack_.back();
-        record.parent = top;  // real local id or ghost marker
-        const NodeId prev = last_child_.back();
-        if (prev == kInvalidNode) {
-          if (top >= kGhostBase) {
-            ghost_first_[top - kGhostBase] = id;
-          } else {
-            nodes_[top].first_child = id;
-          }
-        } else {
-          nodes_[prev].next_sibling = id;
-        }
-        last_child_.back() = id;
-      } else {
-        record.parent = kInvalidNode;  // document element (chunk 0 only)
-      }
-      nodes_.push_back(record);
-      return id;
-    }
-
-    std::vector<NodeRecord> nodes_;
-    std::vector<DomAttribute> attrs_;
-    NameTable names_;
-    std::unique_ptr<Arena> arena_;
-    bool keep_whitespace_;
-    std::vector<NodeId> stack_;       // local ids; >= kGhostBase for ghosts
-    std::vector<NodeId> last_child_;  // parallel to stack_
-    size_t ghosts_open_;              // entry ghosts not yet closed
-    std::vector<NodeId> ghost_first_; // per entry level: first/last direct
-    std::vector<NodeId> ghost_last_;  //   child appended by this chunk
-  };
-
   static StatusOr<Document> Parse(std::string_view input,
                                   const ParseOptions& options);
 };
@@ -307,41 +173,47 @@ StatusOr<Document> ParallelDomParser::Parse(std::string_view input,
   }
   const size_t chunks = bounds.size();
 
-  // Phase 2: parse every chunk concurrently.
-  std::vector<std::unique_ptr<ChunkBuilder>> built(chunks);
-  std::vector<Status> statuses(chunks, Status::OK());
+  // Phase 2: parse every chunk concurrently into its own document.
+  struct Chunk {
+    Document doc;
+    std::unique_ptr<DomBuilder> builder;
+    Status status;
+  };
+  std::vector<Chunk> parts(chunks);
   for (size_t k = 0; k < chunks; ++k) {
     pool->Submit([&, k] {
-      built[k] = std::make_unique<ChunkBuilder>(bounds[k].open_tags.size(),
-                                                options.keep_whitespace);
+      Chunk& part = parts[k];
       const size_t end =
           k + 1 < chunks ? bounds[k + 1].offset : input.size();
+      const std::string_view text =
+          input.substr(bounds[k].offset, end - bounds[k].offset);
+      part.doc.Reserve(text.size());
+      part.builder = std::make_unique<DomBuilder>(
+          &part.doc, options.keep_whitespace, bounds[k].open_tags.size());
       SaxFragment fragment;
       fragment.open_tags = bounds[k].open_tags;
       fragment.allow_open_end = true;
       SaxParser parser;
-      statuses[k] = parser.ParseFragment(
-          input.substr(bounds[k].offset, end - bounds[k].offset),
-          built[k].get(), fragment);
-      if (statuses[k].ok()) built[k]->Finish();
+      part.status = parser.ParseFragment(text, part.builder.get(), fragment);
     });
   }
   pool->Wait();
-  for (size_t k = 0; k < chunks; ++k) {
-    XMARK_RETURN_IF_ERROR(statuses[k]);
-  }
+  for (const Chunk& part : parts) XMARK_RETURN_IF_ERROR(part.status);
 
   // Phase 3a: prefix sums and ordered name-table merge.
   Document doc;
   std::vector<size_t> node_base(chunks + 1, 0);
   std::vector<size_t> attr_base(chunks + 1, 0);
+  std::vector<size_t> heap_base(chunks + 1, 0);
   for (size_t k = 0; k < chunks; ++k) {
-    node_base[k + 1] = node_base[k] + built[k]->nodes_.size();
-    attr_base[k + 1] = attr_base[k] + built[k]->attrs_.size();
+    const Document& local = parts[k].doc;
+    node_base[k + 1] = node_base[k] + local.num_nodes();
+    attr_base[k + 1] = attr_base[k] + local.num_attributes();
+    heap_base[k + 1] = heap_base[k] + local.heap_.size();
   }
   std::vector<std::vector<NameId>> remap(chunks);
   for (size_t k = 0; k < chunks; ++k) {
-    const NameTable& local = built[k]->names_;
+    const NameTable& local = parts[k].doc.names_;
     remap[k].resize(local.size());
     for (NameId i = 0; i < local.size(); ++i) {
       remap[k][i] = doc.names_.Intern(local.Spelling(i));
@@ -349,99 +221,86 @@ StatusOr<Document> ParallelDomParser::Parse(std::string_view input,
   }
 
   // Phase 3b: sequential context walk. Tracks, across chunk seams, the
-  // global id of the element open at each depth and the global id of its
-  // last child so far; emits the cross-chunk parent/sibling patches.
-  struct Patch {
-    size_t node;        // global id to patch
-    bool first_child;   // else next_sibling
-    size_t value;       // global id
-  };
-  struct OpenLevel {
-    size_t id;          // global id of the open element
-    size_t last_child;  // global id of its last child; SIZE_MAX if none
-  };
-  std::vector<Patch> patches;
-  std::vector<OpenLevel> context;  // outermost first
-  std::vector<std::vector<size_t>> ghost_ids(chunks);  // per chunk, per level
+  // global id of the element open at each depth; resolves each chunk's
+  // markers to those ids and records the subtree end of every element
+  // that a later chunk closes.
+  std::vector<NodeId> context;  // outermost first
+  std::vector<std::vector<NodeId>> outer_ids(chunks);
+  std::vector<std::pair<NodeId, NodeId>> seam_ends;  // (id, subtree end)
   for (size_t k = 0; k < chunks; ++k) {
-    const ChunkBuilder& b = *built[k];
-    const size_t ghosts = b.ghost_first_.size();
-    if (context.size() != ghosts) {
-      return Status::ParseError("chunk context mismatch (malformed input)");
+    const DomBuilder& b = *parts[k].builder;
+    const std::vector<NodeId>& open_end = b.open_end();
+    // A chunk entered at depth 0 after earlier nodes holds a second
+    // document element; the serial parser reports either malformation.
+    if (context.size() != open_end.size() ||
+        (context.empty() && node_base[k] > 0 &&
+         parts[k].doc.num_nodes() > 0)) {
+      return Document::Parse(input, options.keep_whitespace);
     }
-    ghost_ids[k].reserve(ghosts);
-    for (size_t d = 0; d < ghosts; ++d) ghost_ids[k].push_back(context[d].id);
-    for (size_t d = 0; d < ghosts; ++d) {
-      if (b.ghost_first_[d] == kInvalidNode) continue;
-      const size_t first = node_base[k] + b.ghost_first_[d];
-      if (context[d].last_child == SIZE_MAX) {
-        patches.push_back(Patch{context[d].id, true, first});
-      } else {
-        patches.push_back(Patch{context[d].last_child, false, first});
-      }
-      XMARK_CHECK(b.ghost_last_[d] != kInvalidNode);  // first implies last
-      context[d].last_child = node_base[k] + b.ghost_last_[d];
+    outer_ids[k] = context;
+    size_t still_open = 0;
+    while (still_open < b.stack().size() &&
+           b.stack()[still_open] >= DomBuilder::kOpenBase) {
+      ++still_open;
     }
-    // Drop ghost levels this chunk closed, then push its still-open local
-    // elements (stack_ entries past the remaining ghosts, outermost first).
-    context.resize(b.ghosts_open_);
-    for (size_t s = b.ghosts_open_; s < b.stack_.size(); ++s) {
-      OpenLevel lvl;
-      lvl.id = node_base[k] + b.stack_[s];
-      lvl.last_child = b.last_child_[s] == kInvalidNode
-                           ? SIZE_MAX
-                           : node_base[k] + b.last_child_[s];
-      context.push_back(lvl);
+    for (size_t d = still_open; d < open_end.size(); ++d) {
+      seam_ends.emplace_back(
+          context[d], static_cast<NodeId>(node_base[k] + open_end[d]));
+    }
+    context.resize(still_open);
+    for (size_t s = still_open; s < b.stack().size(); ++s) {
+      context.push_back(static_cast<NodeId>(node_base[k] + b.stack()[s]));
     }
   }
   if (!context.empty()) {
     return Status::ParseError("unclosed element at end of input");
   }
+  const size_t num_nodes = node_base[chunks];
+  if (num_nodes == 0) return Status::ParseError("document has no element");
 
-  // Phase 3c: parallel copy with id/offset/name fixups.
-  doc.nodes_.resize(node_base[chunks]);
+  // Phase 3c: parallel concatenation with id/offset/name fixups; the
+  // columns and heap are sized exactly once.
+  doc.tag_.resize(num_nodes);
+  doc.parent_.resize(num_nodes);
+  doc.subtree_end_.resize(num_nodes);
+  doc.attr_begin_.resize(num_nodes + 1);
+  doc.heap_begin_.resize(num_nodes + 1);
   doc.attrs_.resize(attr_base[chunks]);
+  doc.heap_.resize(heap_base[chunks]);
   for (size_t k = 0; k < chunks; ++k) {
     pool->Submit([&, k] {
-      const ChunkBuilder& b = *built[k];
-      const uint32_t nb = static_cast<uint32_t>(node_base[k]);
+      const Document& local = parts[k].doc;
+      const std::vector<NameId>& names = remap[k];
+      const NodeId nb = static_cast<NodeId>(node_base[k]);
       const uint32_t ab = static_cast<uint32_t>(attr_base[k]);
-      for (size_t i = 0; i < b.nodes_.size(); ++i) {
-        NodeRecord rec = b.nodes_[i];
-        if (rec.parent == kInvalidNode) {
-          // document element
-        } else if (rec.parent >= kGhostBase) {
-          rec.parent =
-              static_cast<NodeId>(ghost_ids[k][rec.parent - kGhostBase]);
-        } else {
-          rec.parent += nb;
-        }
-        if (rec.first_child != kInvalidNode) rec.first_child += nb;
-        if (rec.next_sibling != kInvalidNode) rec.next_sibling += nb;
-        if (rec.name != kInvalidName) rec.name = remap[k][rec.name];
-        rec.attr_begin += ab;
-        doc.nodes_[node_base[k] + i] = rec;
+      const uint32_t hb = static_cast<uint32_t>(heap_base[k]);
+      for (size_t i = 0; i < local.num_nodes(); ++i) {
+        const size_t g = nb + i;
+        const NameId tag = local.tag_[i];
+        doc.tag_[g] = tag == kInvalidName ? tag : names[tag];
+        const NodeId p = local.parent_[i];
+        doc.parent_[g] = p == kInvalidNode ? p
+                         : p >= DomBuilder::kOpenBase
+                             ? outer_ids[k][p - DomBuilder::kOpenBase]
+                             : p + nb;
+        const NodeId end = local.subtree_end_[i];
+        doc.subtree_end_[g] = end == kInvalidNode ? end : end + nb;
+        doc.attr_begin_[g] = local.attr_begin_[i] + ab;
+        doc.heap_begin_[g] = local.heap_begin_[i] + hb;
       }
-      for (size_t i = 0; i < b.attrs_.size(); ++i) {
-        doc.attrs_[attr_base[k] + i] = DomAttribute{
-            remap[k][b.attrs_[i].name], b.attrs_[i].value};
+      for (size_t i = 0; i < local.attrs_.size(); ++i) {
+        const AttributeRow& row = local.attrs_[i];
+        doc.attrs_[ab + i] =
+            AttributeRow{names[row.name], row.offset + hb, row.length};
       }
+      std::memcpy(doc.heap_.data() + hb, local.heap_.data(),
+                  local.heap_.size());
     });
   }
   pool->Wait();
-  for (const Patch& p : patches) {
-    if (p.first_child) {
-      doc.nodes_[p.node].first_child = static_cast<NodeId>(p.value);
-    } else {
-      doc.nodes_[p.node].next_sibling = static_cast<NodeId>(p.value);
-    }
-  }
-  for (size_t k = 0; k < chunks; ++k) {
-    doc.chunk_arenas_.push_back(std::move(built[k]->arena_));
-  }
-  if (doc.nodes_.empty()) {
-    return Status::ParseError("document has no element");
-  }
+  doc.attr_begin_[num_nodes] = static_cast<uint32_t>(attr_base[chunks]);
+  doc.heap_begin_[num_nodes] = static_cast<uint32_t>(heap_base[chunks]);
+  for (const auto& [id, end] : seam_ends) doc.subtree_end_[id] = end;
   return doc;
 }
 

@@ -202,6 +202,40 @@ TEST(CatalogEdgeTest, EmptyCatalogQueriesFailCoded) {
   EXPECT_EQ(engine->DocumentCount(), 0u);
 }
 
+// After the last document is dropped a session's doc("id") fails coded,
+// like the engine's, instead of binding the default store the session
+// retains; default-scope queries keep that snapshot, as documented.
+TEST(CatalogEdgeTest, SessionDocScopeFailsOnceCatalogIsEmpty) {
+  auto engine = Engine::Create(SystemId::kD);
+  ASSERT_TRUE(engine->LoadDocument("only.xml", GenerateDocument(0.001, 4)).ok());
+  auto session = engine->CreateSession();
+  ASSERT_TRUE(session.ok());
+  const std::string doc_q =
+      "for $p in doc(\"only.xml\")/site/people/person return $p/name";
+  const std::string default_q = "for $p in /site/people/person return $p/name";
+  auto before = (*session)->Run(doc_q);
+  ASSERT_TRUE(before.ok());
+  auto default_before = (*session)->Run(default_q);
+  ASSERT_TRUE(default_before.ok());
+
+  ASSERT_TRUE((*session)->DropDocument("only.xml").ok());
+  ASSERT_EQ(engine->DocumentCount(), 0u);
+  auto gone = (*session)->Run(doc_q);
+  ASSERT_FALSE(gone.ok());
+  EXPECT_EQ(gone.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(gone.status().message().find("[empty-catalog]"),
+            std::string::npos)
+      << gone.status().message();
+  auto engine_gone = engine->Run(doc_q);
+  ASSERT_FALSE(engine_gone.ok());
+  EXPECT_EQ(engine_gone.status().code(), StatusCode::kNotFound);
+
+  auto default_after = (*session)->Run(default_q);
+  ASSERT_TRUE(default_after.ok()) << default_after.status().ToString();
+  EXPECT_EQ(SerializeSequence(*default_after),
+            SerializeSequence(*default_before));
+}
+
 TEST(CatalogEdgeTest, DuplicateAndEmptyIdsRejectedCoded) {
   const std::string xml = GenerateDocument(0.001, 3);
   auto engine = Engine::Create(SystemId::kA);
@@ -261,8 +295,25 @@ TEST(CatalogEdgeTest, DropThenRequeryMissesCleanly) {
   ASSERT_TRUE(warm.ok());
   const std::string first_result = SerializeSequence(*warm);
   ASSERT_TRUE((*session)->Run(keeper_q).ok());
+  auto held = (*session)->Prepare(victim_q);
+  ASSERT_TRUE(held.ok());
+  ASSERT_TRUE(held->cache_hit);
+  const uint64_t victim_uid = held->cached->annotations->store_uid;
+  auto keeper_prepared = (*session)->Prepare(keeper_q);
+  ASSERT_TRUE(keeper_prepared.ok());
+  const uint64_t keeper_uid = keeper_prepared->cached->annotations->store_uid;
+  ASSERT_GT(engine->plan_cache_entries(victim_uid), 0u);
 
+  // Dropping the document erases its plan-cache entries (its store uid is
+  // never reused, so they could only leak); the sibling's entries stay,
+  // and a PreparedQuery handed out earlier keeps its entry alive.
   ASSERT_TRUE(engine->DropDocument("victim.xml").ok());
+  EXPECT_EQ(engine->plan_cache_entries(victim_uid), 0u);
+  EXPECT_GT(engine->plan_cache_entries(keeper_uid), 0u);
+  EXPECT_EQ(held->cached->annotations->store_uid, victim_uid);
+  auto held_run = (*session)->Execute(*held);
+  ASSERT_FALSE(held_run.ok());
+  EXPECT_EQ(held_run.status().code(), StatusCode::kNotFound);
   auto gone = (*session)->Run(victim_q);
   ASSERT_FALSE(gone.ok());
   EXPECT_EQ(gone.status().code(), StatusCode::kNotFound);
@@ -277,10 +328,23 @@ TEST(CatalogEdgeTest, DropThenRequeryMissesCleanly) {
   // Sibling documents keep serving through the warm cache.
   ASSERT_TRUE((*session)->Run(keeper_q).ok());
 
-  // Re-add under the same id with different content: the stale cache
-  // entry (old store uid) must not resurface.
+  // Re-add under the same id with different content: the id compiles
+  // again, against the new store, and the old entry never resurfaces.
   ASSERT_TRUE((*session)->LoadDocument("victim.xml", second).ok());
+  auto recompiled = (*session)->Prepare(victim_q);
+  ASSERT_TRUE(recompiled.ok());
+  EXPECT_FALSE(recompiled->cache_hit);
+  EXPECT_NE(recompiled->cached->annotations->store_uid, victim_uid);
   auto requeried = (*session)->Run(victim_q);
+  ASSERT_TRUE(requeried.ok());
+
+  // A session drop erases entries just like the engine's.
+  const uint64_t second_uid = recompiled->cached->annotations->store_uid;
+  ASSERT_GT(engine->plan_cache_entries(second_uid), 0u);
+  ASSERT_TRUE((*session)->DropDocument("victim.xml").ok());
+  EXPECT_EQ(engine->plan_cache_entries(second_uid), 0u);
+  ASSERT_TRUE((*session)->LoadDocument("victim.xml", second).ok());
+  requeried = (*session)->Run(victim_q);
   ASSERT_TRUE(requeried.ok());
 
   auto oracle = Engine::Create(SystemId::kB);

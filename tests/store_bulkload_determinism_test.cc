@@ -1,6 +1,7 @@
 // Bulkload determinism: loading the same document with threads ∈ {1,2,8}
-// must produce byte-identical stores on every mapping — the serial path
-// (threads=1) is the reference — and byte-identical Q1-Q20 results.
+// must produce byte-identical stores of identical StorageBytes() on every
+// mapping — the serial load (threads=1) is the reference — and
+// byte-identical Q1-Q20 results.
 // This is the acceptance property of the parallel bulkload pipeline: the
 // chunked parallel parse, the partitioned sorts and the concurrent index
 // builds may never let worker count or scheduling leak into the data.
@@ -40,6 +41,7 @@ const std::string& TestDocument() {
 template <typename LoadFn>
 void ExpectDumpsIdentical(const char* name, LoadFn load) {
   std::string reference;
+  size_t reference_bytes = 0;
   for (const unsigned threads : kThreadCounts) {
     auto store = load(LoadOptions{threads});
     ASSERT_TRUE(store.ok()) << name << " threads=" << threads << ": "
@@ -48,9 +50,14 @@ void ExpectDumpsIdentical(const char* name, LoadFn load) {
     (*store)->DumpState(&dump);
     if (threads == 1) {
       reference = std::move(dump);
+      reference_bytes = (*store)->StorageBytes();
       ASSERT_FALSE(reference.empty());
       continue;
     }
+    // Table 1's database size is a property of the document, not of how
+    // many threads loaded it.
+    EXPECT_EQ((*store)->StorageBytes(), reference_bytes)
+        << name << " threads=" << threads;
     // EXPECT_EQ on multi-MB strings prints unreadable diffs; compare
     // explicitly and report the first divergent byte.
     if (dump != reference) {

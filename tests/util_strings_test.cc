@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/arena.h"
 #include "util/table_printer.h"
 
 namespace xmark {
@@ -73,43 +72,6 @@ TEST(XmlEscapeTest, EscapesSpecials) {
 TEST(StringPrintfTest, Formats) {
   EXPECT_EQ(StringPrintf("%d-%s", 4, "x"), "4-x");
   EXPECT_EQ(StringPrintf("%.2f", 1.005), "1.00");
-}
-
-TEST(ArenaTest, CopiesStringsStably) {
-  Arena arena(64);
-  std::string src = "hello world";
-  std::string_view copy = arena.CopyString(src);
-  src.assign("clobbered");
-  EXPECT_EQ(copy, "hello world");
-}
-
-TEST(ArenaTest, ManySmallAllocations) {
-  Arena arena(128);
-  std::vector<std::string_view> views;
-  for (int i = 0; i < 1000; ++i) {
-    views.push_back(arena.CopyString("chunk" + std::to_string(i)));
-  }
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(views[i], "chunk" + std::to_string(i));
-  }
-  EXPECT_GT(arena.bytes_reserved(), 0u);
-  EXPECT_LE(arena.bytes_used(), arena.bytes_reserved());
-}
-
-TEST(ArenaTest, LargeAllocationGetsOwnBlock) {
-  Arena arena(16);
-  void* p = arena.Allocate(1000);
-  EXPECT_NE(p, nullptr);
-  EXPECT_GE(arena.bytes_reserved(), 1000u);
-}
-
-TEST(ArenaTest, AlignmentRespected) {
-  Arena arena;
-  for (int i = 0; i < 10; ++i) {
-    arena.Allocate(1, 1);
-    void* p = arena.Allocate(8, 8);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 8, 0u);
-  }
 }
 
 TEST(TablePrinterTest, AlignsColumns) {

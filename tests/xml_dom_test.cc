@@ -101,6 +101,37 @@ TEST(DomTest, AdjacentTextMerged) {
   EXPECT_EQ(doc.next_sibling(t), kInvalidNode);
 }
 
+TEST(DomTest, ColumnsShareOneHeapInDocumentOrder) {
+  // Attribute values and text nodes land in one heap in document order;
+  // heap_offset(n + 1) ends node n's characters.
+  Document doc = MustParse("<a x=\"1\" y=\"22\"><b>t</b>u&amp;v</a>");
+  ASSERT_EQ(doc.num_nodes(), 4u);  // a, b, "t", "u&v"
+  EXPECT_EQ(doc.heap_offset(0), 0u);
+  EXPECT_EQ(doc.heap_offset(1), 3u);
+  EXPECT_EQ(doc.heap_offset(2), 3u);
+  EXPECT_EQ(doc.heap_offset(3), 4u);
+  EXPECT_EQ(doc.heap_offset(4), 7u);  // closing entry
+  EXPECT_EQ(doc.attribute_begin(0), 0u);
+  EXPECT_EQ(doc.attribute_begin(1), 2u);
+  EXPECT_EQ(doc.attribute_begin(4), 2u);
+  EXPECT_EQ(doc.attribute_row(1).offset, 1u);
+  EXPECT_EQ(doc.attribute_row(1).length, 2u);
+  EXPECT_EQ(doc.text(3), "u&v");
+  EXPECT_EQ(doc.text(0), "");  // elements have no text of their own
+  EXPECT_EQ(doc.SubtreeEnd(1), 3u);
+  EXPECT_EQ(doc.next_sibling(1), 3u);
+  EXPECT_EQ(doc.first_child(2), kInvalidNode);
+  std::string values;
+  for (const DomAttribute& a : doc.attributes(0)) values.append(a.value);
+  EXPECT_EQ(values, "122");
+  EXPECT_EQ(doc.ReleaseHeap(), "122tu&v");
+}
+
+TEST(DomTest, SecondDocumentElementRejected) {
+  EXPECT_FALSE(Document::Parse("<a/><b/>").ok());
+  EXPECT_FALSE(Document::Parse("<a>x</a><b>y</b>").ok());
+}
+
 TEST(DomTest, MemoryBytesPositive) {
   Document doc = MustParse("<a><b>text</b></a>");
   EXPECT_GT(doc.MemoryBytes(), 0u);

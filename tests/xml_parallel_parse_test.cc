@@ -25,13 +25,19 @@ std::string Canon(const Document& doc) {
                              : "text") +
            " p=" + std::to_string(doc.parent(n)) +
            " fc=" + std::to_string(doc.first_child(n)) +
-           " ns=" + std::to_string(doc.next_sibling(n)) + " [" +
+           " ns=" + std::to_string(doc.next_sibling(n)) +
+           " end=" + std::to_string(doc.SubtreeEnd(n)) +
+           " heap=" + std::to_string(doc.heap_offset(n)) +
+           " attr=" + std::to_string(doc.attribute_begin(n)) + " [" +
            std::string(doc.text(n)) + "]";
     for (const DomAttribute& a : doc.attributes(n)) {
       out += " @" + std::to_string(a.name) + "=" + std::string(a.value);
     }
     out += "\n";
   }
+  const NodeId close = static_cast<NodeId>(doc.num_nodes());
+  out += "closing heap=" + std::to_string(doc.heap_offset(close)) +
+         " attr=" + std::to_string(doc.attribute_begin(close)) + "\n";
   out += "names " + std::to_string(doc.names().size()) + "\n";
   for (NameId i = 0; i < doc.names().size(); ++i) {
     out += doc.names().Spelling(i) + "\n";
@@ -78,6 +84,9 @@ TEST(ParallelParseTest, MatchesSerialParse) {
     ASSERT_TRUE(parallel.ok())
         << "threads=" << threads << ": " << parallel.status().ToString();
     EXPECT_EQ(Canon(*serial), Canon(*parallel)) << "threads=" << threads;
+    // Both parses size their columns and heap exactly.
+    EXPECT_EQ(serial->MemoryBytes(), parallel->MemoryBytes())
+        << "threads=" << threads;
   }
 }
 
@@ -112,6 +121,17 @@ TEST(ParallelParseTest, MalformedDocumentStillFails) {
   }
   text += "<unclosed>";
   text += "</site>";
+  ThreadPool pool(4);
+  ParseOptions opts;
+  opts.pool = &pool;
+  EXPECT_FALSE(Document::Parse(text, opts).ok());
+}
+
+TEST(ParallelParseTest, SecondDocumentElementFails) {
+  // The SAX parser accepts a second top-level element; the builders must
+  // reject it in whichever chunk it lands.
+  const std::string text = BigDocument() + "<extra><x/></extra>";
+  EXPECT_FALSE(Document::Parse(text).ok());
   ThreadPool pool(4);
   ParseOptions opts;
   opts.pool = &pool;
