@@ -1,12 +1,13 @@
-// Ablation bench for the design choices DESIGN.md calls out: each engine
-// feature is toggled on the same store and the affected queries re-timed.
-// This grounds the Table 3 contrasts in their mechanisms:
-//   - structural summary / tag index  -> Q6, Q7 (regular path expressions)
+// Ablation bench for the paper-profile flags: each engine feature is
+// toggled on the same store and the affected queries re-timed. This
+// grounds the Table 3 contrasts in their mechanisms:
+//   - structural summary              -> Q6, Q7 (regular path expressions)
 //   - ID index                        -> Q1 (exact match)
 //   - hash-join decorrelation         -> Q8, Q9 (reference chasing)
 //   - lazy let evaluation             -> Q12 (pruned value join)
-// plus a rel-operator microbenchmark of hash join vs nested loops on the
-// shredded closed_auction |x| person join (the Q8 shape).
+//   - invariant-path caching          -> Q11 (repeated rooted paths)
+// plus the compiled-pipeline contrast on the edge store (fused queries
+// with hash_join on vs off, which also turns pipeline fusion off).
 
 #include <cstdio>
 
@@ -14,8 +15,6 @@
 #include "gen/generator.h"
 #include "query/evaluator.h"
 #include "query/parser.h"
-#include "rel/operators.h"
-#include "rel/shredder.h"
 #include "store/dom_store.h"
 #include "store/edge_store.h"
 #include "util/logging.h"
@@ -47,13 +46,9 @@ double TimeQuery(const query::StorageAdapter* store,
 int Main(int argc, char** argv) {
   const double sf = FlagDouble(argc, argv, "sf", 0.05);
   const bool json = FlagBool(argc, argv, "json");
-  // Ablation flag: run every row's baseline without pipeline fusion, so
-  // the other feature contrasts can be read against the unfused executor.
-  const bool no_pipelines = FlagBool(argc, argv, "no-compiled-pipelines");
   if (!json) {
     std::printf("=== Ablation: optimizer features on the native store ===\n");
-    std::printf("scaling factor %g%s\n\n", sf,
-                no_pipelines ? " (compiled pipelines off)" : "");
+    std::printf("scaling factor %g\n\n", sf);
   }
 
   gen::GeneratorOptions gopts;
@@ -65,7 +60,6 @@ int Main(int argc, char** argv) {
   XMARK_CHECK(store.ok());
 
   query::EvaluatorOptions all_on;  // defaults: everything enabled
-  all_on.compiled_pipelines = !no_pipelines;
 
   struct Ablation {
     const char* feature;
@@ -75,52 +69,36 @@ int Main(int argc, char** argv) {
   };
   std::vector<Ablation> ablations;
   {
-    Ablation a{"structural summary + tag index", {6, 7}, all_on};
+    Ablation a{"structural summary", {6, 7}, all_on, all_on};
     a.off.use_path_index = false;
-    a.off.use_tag_index = false;
     ablations.push_back(std::move(a));
   }
   {
-    Ablation a{"ID index", {1}, all_on};
+    Ablation a{"ID index", {1}, all_on, all_on};
     a.off.use_id_index = false;
     ablations.push_back(std::move(a));
   }
   {
-    Ablation a{"hash-join decorrelation", {8, 9}, all_on};
+    Ablation a{"hash-join decorrelation", {8, 9}, all_on, all_on};
     a.off.hash_join = false;
     ablations.push_back(std::move(a));
   }
-  {
-    Ablation a{"sort-merge band join", {11, 12}, all_on};
-    a.off.band_join = false;
-    ablations.push_back(std::move(a));
-  }
-  {
-    Ablation a{"arena result construction", {10, 13, 19}, all_on};
-    a.off.arena_construction = false;
-    ablations.push_back(std::move(a));
-  }
   // The band join removes Q11/Q12's inner loop entirely, so the lazy-let
-  // and invariant-cache rows time both sides with it off — these features
-  // prune/memoize that loop, which is what the ablation must isolate.
+  // and invariant-cache rows time both sides with hash_join (which gates
+  // the band join) off — these features prune/memoize that loop, which is
+  // what the ablation must isolate.
   {
-    Ablation a{"lazy let evaluation", {12}, all_on};
-    a.on.band_join = false;
-    a.off.band_join = false;
+    Ablation a{"lazy let evaluation", {12}, all_on, all_on};
+    a.on.hash_join = false;
+    a.off.hash_join = false;
     a.off.lazy_let = false;
     ablations.push_back(std::move(a));
   }
   {
-    Ablation a{"invariant-path caching", {11}, all_on};
-    a.on.band_join = false;
-    a.off.band_join = false;
+    Ablation a{"invariant-path caching", {11}, all_on, all_on};
+    a.on.hash_join = false;
+    a.off.hash_join = false;
     a.off.cache_invariant_paths = false;
-    ablations.push_back(std::move(a));
-  }
-  {
-    Ablation a{"compiled pipelines", {1, 5, 6, 14}, all_on};
-    a.on.compiled_pipelines = true;  // fused even under --no-compiled-pipelines
-    a.off.compiled_pipelines = false;
     ablations.push_back(std::move(a));
   }
 
@@ -137,8 +115,10 @@ int Main(int argc, char** argv) {
   if (!json) std::printf("%s\n", table.ToString().c_str());
 
   // Compiled-pipeline contrast on the edge store — the mapping whose
-  // dense preorder arrays feed the raw fused drains (the PR 9 acceptance
-  // numbers). Same tree, fused queries, pipelines on vs off.
+  // dense preorder arrays feed the raw fused drains (the BENCH_PR9
+  // numbers). Same tree, fused queries, pipelines on vs off: hash_join off
+  // leaves these queries' plans unchanged apart from the fusion, since
+  // none of them has a join.
   struct PipeRow {
     int query;
     double pipeline_ms;
@@ -150,7 +130,7 @@ int Main(int argc, char** argv) {
     XMARK_CHECK(edge.ok());
     query::EvaluatorOptions fused;  // defaults: everything on
     query::EvaluatorOptions unfused = fused;
-    unfused.compiled_pipelines = false;
+    unfused.hash_join = false;
     for (int q : {1, 5, 6, 14}) {
       PipeRow row{q, TimeQuery(edge->get(), fused, q),
                   TimeQuery(edge->get(), unfused, q)};
@@ -175,7 +155,6 @@ int Main(int argc, char** argv) {
     w.BeginObject();
     w.Key("bench").Value(std::string_view("ablation_optimizer"));
     w.Key("scale").Value(sf);
-    w.Key("no_compiled_pipelines").Value(no_pipelines);
     w.Key("compiled_pipelines").BeginObject();
     w.Key("store").Value(std::string_view("edge table"));
     w.Key("queries").BeginArray();
@@ -190,47 +169,7 @@ int Main(int argc, char** argv) {
     w.EndObject();
     w.EndObject();
     std::printf("%s\n", w.str().c_str());
-    return 0;
   }
-
-  // rel-operator microbench: person |x| closed_auction (the Q8 join) as a
-  // hash join vs a nested-loop join.
-  std::printf("--- rel operators: hash join vs nested loops (Q8 shape) ---\n");
-  auto parsed_doc = xml::Document::Parse(doc_text);
-  XMARK_CHECK(parsed_doc.ok());
-  auto tables = rel::ShredAuctionDocument(*parsed_doc);
-  XMARK_CHECK(tables.ok());
-  const int pid = tables->persons->ColumnIndex("id");
-  const int buyer = tables->closed_auctions->ColumnIndex("buyer");
-
-  PhaseTimer hash_timer;
-  rel::HashJoin hash_join(
-      std::make_unique<rel::TableScan>(tables->persons.get()),
-      std::make_unique<rel::TableScan>(tables->closed_auctions.get()),
-      static_cast<size_t>(pid),
-      static_cast<size_t>(buyer) + 0);
-  auto hash_rows = rel::Collect(&hash_join);
-  XMARK_CHECK(hash_rows.ok());
-  const double hash_ms = hash_timer.ElapsedWallMillis();
-
-  PhaseTimer nl_timer;
-  const size_t person_cols = tables->persons->num_columns();
-  rel::NestedLoopJoin nl_join(
-      std::make_unique<rel::TableScan>(tables->persons.get()),
-      std::make_unique<rel::TableScan>(tables->closed_auctions.get()),
-      [&](const rel::Row& l, const rel::Row& r) {
-        (void)person_cols;
-        return std::get<std::string>(l[pid]) ==
-               std::get<std::string>(r[buyer]);
-      });
-  auto nl_rows = rel::Collect(&nl_join);
-  XMARK_CHECK(nl_rows.ok());
-  const double nl_ms = nl_timer.ElapsedWallMillis();
-
-  std::printf("hash join: %.2f ms (%zu rows), nested loops: %.2f ms "
-              "(%zu rows), speedup %.1fx\n",
-              hash_ms, hash_rows->size(), nl_ms, nl_rows->size(),
-              nl_ms / std::max(0.001, hash_ms));
   return 0;
 }
 

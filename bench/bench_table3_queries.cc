@@ -25,116 +25,35 @@
 namespace xmark::bench {
 namespace {
 
-// Zero-copy + planner ablation on one engine: every query timed with all
-// fast paths on, with only the arena construction off (isolating the
-// ConstructPlan templates on Q10/Q13/Q19), with only the band join off
-// (isolating the sort-merge band join on Q11/Q12), with the descendant
-// cursors additionally off (isolating the interval-encoded descendant
-// scans), and with every fast path off (the seed's per-access allocation
-// behavior) — same store, same tree.
-struct AblationResult {
-  double fast_ms[20] = {};
-  double no_arena_ms[20] = {};  // arena construction off, rest on
-  double no_band_ms[20] = {};   // band join off, rest on
-  double no_desc_ms[20] = {};   // band join + descendant cursors off
-  double slow_ms[20] = {};
-  double fast_total = 0;
-  double no_arena_total = 0;
-  double no_band_total = 0;
-  double no_desc_total = 0;
-  double slow_total = 0;
-  // Heap-allocated constructed nodes per query (nodes_constructed minus
-  // nodes_arena_allocated): the fast run vs the arena-off run is the
-  // Q10-class allocation-count contrast CI pins (>=3x on Q10).
-  int64_t construct_heap_fast[20] = {};
-  int64_t construct_heap_no_arena[20] = {};
-  int64_t cursor_scans = 0;
-  int64_t descendant_scans = 0;
-  int64_t pipeline_batches_fused = 0;  // batches through compiled pipelines
-  int64_t virtual_batches = 0;         // batches through virtual NodeScan
-  int64_t band_joins_built = 0;   // band domains sorted (fast run)
-  int64_t band_join_rows = 0;     // rows answered by band probes (fast run)
-  int64_t nodes_constructed = 0;        // constructed nodes (fast run)
-  int64_t nodes_arena_allocated = 0;    // arena subset (fast run)
-  int64_t construct_templates_built = 0;  // templates lowered (fast run)
-  int64_t allocations_avoided = 0;
-  int64_t compare_allocs_fast = 0;
-  int64_t compare_allocs_slow = 0;
-  int64_t sequence_heap_spills = 0;  // SBO misses across Q1-Q20 (fast run)
+// Edge-store profile: Q1-Q20 on system A's store and options, per-query
+// best-of CPU time plus the evaluator counters that prove each mechanism
+// engaged (descendant cursors, band joins, constructor templates, fused
+// pipelines).
+struct EdgeProfile {
+  double ms[20] = {};
+  double total_ms = 0;
+  query::EvalStats stats;  // summed over Q1-Q20 (last rep of each)
 };
 
-AblationResult RunAblation(Engine* engine, int reps) {
-  AblationResult out;
-  query::EvaluatorOptions fast = engine->evaluator_options();
-  fast.zero_copy_strings = true;
-  fast.child_cursors = true;
-  fast.descendant_cursors = true;
-  fast.band_join = true;
-  fast.arena_construction = true;
-  query::EvaluatorOptions no_arena = fast;
-  no_arena.arena_construction = false;
-  query::EvaluatorOptions no_band = fast;
-  no_band.band_join = false;
-  query::EvaluatorOptions no_desc = no_band;
-  no_desc.descendant_cursors = false;
-  query::EvaluatorOptions slow = no_desc;
-  slow.zero_copy_strings = false;
-  slow.child_cursors = false;
-  slow.arena_construction = false;
-
-  const query::EvaluatorOptions* variants[] = {&fast, &no_arena, &no_band,
-                                               &no_desc, &slow};
+EdgeProfile RunEdgeProfile(Engine* engine, int reps) {
+  EdgeProfile out;
   for (int q = 1; q <= 20; ++q) {
     auto parsed = query::ParseQueryText(GetQuery(q).text);
     XMARK_CHECK(parsed.ok());
-    for (int variant = 0; variant < 5; ++variant) {
-      query::Evaluator evaluator(engine->store(), *variants[variant]);
-      double best = 0;
-      for (int r = 0; r < reps; ++r) {
-        PhaseTimer timer;
-        auto result = evaluator.Run(*parsed);
-        XMARK_CHECK(result.ok());
-        // CPU time, not wall: the ablation isolates CPU-bound evaluator
-        // work, and best-of-CPU is stable on noisy shared hardware where
-        // wall-clock scatter exceeds the single-feature contrasts.
-        const double ms = timer.ElapsedCpuMillis();
-        if (r == 0 || ms < best) best = ms;
-      }
-      const query::Evaluator::Stats& stats = evaluator.stats();
-      if (variant == 0) {
-        out.fast_ms[q - 1] = best;
-        out.fast_total += best;
-        out.construct_heap_fast[q - 1] =
-            stats.nodes_constructed - stats.nodes_arena_allocated;
-        out.cursor_scans += stats.cursor_scans;
-        out.descendant_scans += stats.descendant_scans;
-        out.pipeline_batches_fused += stats.pipeline_batches_fused;
-        out.virtual_batches += stats.virtual_batches;
-        out.band_joins_built += stats.band_joins_built;
-        out.band_join_rows += stats.band_join_rows;
-        out.nodes_constructed += stats.nodes_constructed;
-        out.nodes_arena_allocated += stats.nodes_arena_allocated;
-        out.construct_templates_built += stats.construct_templates_built;
-        out.allocations_avoided += stats.allocations_avoided;
-        out.compare_allocs_fast += stats.compare_allocs;
-        out.sequence_heap_spills += stats.sequence_heap_spills;
-      } else if (variant == 1) {
-        out.no_arena_ms[q - 1] = best;
-        out.no_arena_total += best;
-        out.construct_heap_no_arena[q - 1] =
-            stats.nodes_constructed - stats.nodes_arena_allocated;
-      } else if (variant == 2) {
-        out.no_band_ms[q - 1] = best;
-        out.no_band_total += best;
-      } else if (variant == 3) {
-        out.no_desc_ms[q - 1] = best;
-        out.no_desc_total += best;
-      } else {
-        out.slow_ms[q - 1] = best;
-        out.slow_total += best;
-        out.compare_allocs_slow += stats.compare_allocs;
-      }
+    query::Evaluator evaluator(engine->store(), engine->evaluator_options());
+    double best = 0;
+    for (int r = 0; r < reps; ++r) {
+      PhaseTimer timer;
+      auto result = evaluator.Run(*parsed);
+      XMARK_CHECK(result.ok());
+      // CPU time, not wall: best-of-CPU is stable on noisy shared hardware
+      // where wall-clock scatter exceeds per-query differences.
+      const double ms = timer.ElapsedCpuMillis();
+      if (r == 0 || ms < best) best = ms;
     }
+    out.ms[q - 1] = best;
+    out.total_ms += best;
+    out.stats.MergeFrom(evaluator.stats());
   }
   return out;
 }
@@ -190,9 +109,6 @@ int Main(int argc, char** argv) {
   const double sf = FlagDouble(argc, argv, "sf", 0.05);
   const int reps = FlagInt(argc, argv, "reps", 1);
   const bool json = FlagBool(argc, argv, "json");
-  const bool no_fastpath = FlagBool(argc, argv, "no-fastpath");
-  const bool no_band_join = FlagBool(argc, argv, "no-band-join");
-  const bool no_arena_construct = FlagBool(argc, argv, "no-arena-construct");
   // With --reps > 1 the repetitions compile through the shared plan cache
   // (first rep pays the full parse + catalog + lowering, later reps hit
   // the cache) instead of re-parsing per iteration.
@@ -213,23 +129,6 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "load %c: %s\n", SystemLabel(id),
                    st.ToString().c_str());
       return 1;
-    }
-    if (no_fastpath || no_band_join || no_arena_construct) {
-      Engine* engine = runner.engine(id);
-      query::EvaluatorOptions opts = engine->evaluator_options();
-      if (no_fastpath) {
-        // Ablation flag: run the whole benchmark with the seed's
-        // per-access allocation behavior (no views, no cursors, no band
-        // rewrites, no arena construction).
-        opts.zero_copy_strings = false;
-        opts.child_cursors = false;
-        opts.descendant_cursors = false;
-        opts.band_join = false;
-        opts.arena_construction = false;
-      }
-      if (no_band_join) opts.band_join = false;
-      if (no_arena_construct) opts.arena_construction = false;
-      engine->set_evaluator_options(opts);
     }
   }
 
@@ -334,67 +233,43 @@ int Main(int argc, char** argv) {
                 m(9, 5) / std::max(0.001, m(8, 5)));
   }
 
-  // Zero-copy storage-access ablation on the edge store (system A): the
-  // same tree, Q1-Q20, with the view/cursor fast paths on vs off.
-  const int ablation_reps = reps > 2 ? reps : 2;
-  const AblationResult ab =
-      RunAblation(runner.engine(SystemId::kA), ablation_reps);
-  const double reduction =
-      100.0 * (ab.slow_total - ab.fast_total) / std::max(0.001, ab.slow_total);
+  // Edge-store profile (system A): Q1-Q20 timings and evaluator counters.
+  const int profile_reps = reps > 2 ? reps : 2;
+  const EdgeProfile ep =
+      RunEdgeProfile(runner.engine(SystemId::kA), profile_reps);
+  const query::EvalStats& es = ep.stats;
   if (!json) {
-    std::printf("\n--- zero-copy ablation: edge store, Q1-Q20, best of %d ---\n",
-                ablation_reps);
-    TablePrinter at({"Query", "fast (ms)", "no arena construct (ms)",
-                     "no band join (ms)", "no desc cursors (ms)",
-                     "no fast paths (ms)", "speedup"});
+    std::printf("\n--- edge store profile: Q1-Q20, best of %d ---\n",
+                profile_reps);
+    TablePrinter at({"Query", "cpu (ms)"});
     for (int q = 1; q <= 20; ++q) {
-      at.AddRow({StringPrintf("Q%d", q),
-                 StringPrintf("%.2f", ab.fast_ms[q - 1]),
-                 StringPrintf("%.2f", ab.no_arena_ms[q - 1]),
-                 StringPrintf("%.2f", ab.no_band_ms[q - 1]),
-                 StringPrintf("%.2f", ab.no_desc_ms[q - 1]),
-                 StringPrintf("%.2f", ab.slow_ms[q - 1]),
-                 StringPrintf("%.2fx", ab.slow_ms[q - 1] /
-                                           std::max(0.001, ab.fast_ms[q - 1]))});
+      at.AddRow({StringPrintf("Q%d", q), StringPrintf("%.2f", ep.ms[q - 1])});
     }
     std::printf("%s", at.ToString().c_str());
-    std::printf("total: %.1f ms -> %.1f ms (no arena construct %.1f ms; no "
-                "band join %.1f ms; no desc cursors %.1f ms; %.1f%% "
-                "reduction)\n",
-                ab.slow_total, ab.fast_total, ab.no_arena_total,
-                ab.no_band_total, ab.no_desc_total, reduction);
-    std::printf("band join: Q11 %.2fx, Q12 %.2fx (%lld domains built, "
-                "%lld rows by binary search)\n",
-                ab.no_band_ms[10] / std::max(0.001, ab.fast_ms[10]),
-                ab.no_band_ms[11] / std::max(0.001, ab.fast_ms[11]),
-                static_cast<long long>(ab.band_joins_built),
-                static_cast<long long>(ab.band_join_rows));
-    std::printf("arena construction: Q10 %.2fx cpu, constructed-node heap "
-                "allocations %lld -> %lld (%lld arena nodes, %lld "
-                "templates)\n",
-                ab.no_arena_ms[9] / std::max(0.001, ab.fast_ms[9]),
-                static_cast<long long>(ab.construct_heap_no_arena[9]),
-                static_cast<long long>(ab.construct_heap_fast[9]),
-                static_cast<long long>(ab.nodes_arena_allocated),
-                static_cast<long long>(ab.construct_templates_built));
+    std::printf("total: %.1f ms\n", ep.total_ms);
+    std::printf("band join: %lld domains built, %lld rows by binary search\n",
+                static_cast<long long>(es.band_joins_built),
+                static_cast<long long>(es.band_join_rows));
+    std::printf("construction: %lld arena nodes, %lld templates\n",
+                static_cast<long long>(es.nodes_constructed),
+                static_cast<long long>(es.construct_templates_built));
     std::printf("stats: %lld cursor scans, %lld descendant scans, "
                 "%lld allocations avoided, "
-                "compare-path materializations %lld -> %lld, "
+                "%lld compare-path materializations, "
                 "%lld sequence heap spills\n",
-                static_cast<long long>(ab.cursor_scans),
-                static_cast<long long>(ab.descendant_scans),
-                static_cast<long long>(ab.allocations_avoided),
-                static_cast<long long>(ab.compare_allocs_slow),
-                static_cast<long long>(ab.compare_allocs_fast),
-                static_cast<long long>(ab.sequence_heap_spills));
+                static_cast<long long>(es.cursor_scans),
+                static_cast<long long>(es.descendant_scans),
+                static_cast<long long>(es.allocations_avoided),
+                static_cast<long long>(es.compare_allocs),
+                static_cast<long long>(es.sequence_heap_spills));
     std::printf("pipelines: %lld fused batches, %lld virtual batches "
                 "(fused fraction %.1f%%)\n",
-                static_cast<long long>(ab.pipeline_batches_fused),
-                static_cast<long long>(ab.virtual_batches),
-                100.0 * static_cast<double>(ab.pipeline_batches_fused) /
+                static_cast<long long>(es.pipeline_batches_fused),
+                static_cast<long long>(es.virtual_batches),
+                100.0 * static_cast<double>(es.pipeline_batches_fused) /
                     std::max<double>(1.0, static_cast<double>(
-                                              ab.pipeline_batches_fused +
-                                              ab.virtual_batches)));
+                                              es.pipeline_batches_fused +
+                                              es.virtual_batches)));
   }
 
   if (json) {
@@ -403,9 +278,6 @@ int Main(int argc, char** argv) {
     w.Key("bench").Value(std::string_view("table3_queries"));
     w.Key("scale").Value(sf);
     w.Key("reps").Value(reps);
-    w.Key("no_fastpath").Value(no_fastpath);
-    w.Key("no_band_join").Value(no_band_join);
-    w.Key("no_arena_construct").Value(no_arena_construct);
     w.Key("prepared_cache").Value(prepared_cache);
     w.Key("queries").BeginArray();
     auto emit_query = [&](int q, const std::array<double, 6>& ms) {
@@ -451,43 +323,31 @@ int Main(int argc, char** argv) {
       }
       w.EndObject();
     }
+    // Kept under its historical key: the committed BENCH_PR2-PR9 files
+    // hold the same object plus the retired no_* ablation columns.
     w.Key("ablation").BeginObject();
     w.Key("store").Value(std::string_view("edge table"));
-    w.Key("reps").Value(ablation_reps);
+    w.Key("reps").Value(profile_reps);
     w.Key("queries").BeginArray();
     for (int q = 1; q <= 20; ++q) {
       w.BeginObject();
       w.Key("query").Value(q);
-      w.Key("fast_ms").Value(ab.fast_ms[q - 1]);
-      w.Key("no_arena_construct_ms").Value(ab.no_arena_ms[q - 1]);
-      w.Key("no_band_join_ms").Value(ab.no_band_ms[q - 1]);
-      w.Key("no_descendant_cursors_ms").Value(ab.no_desc_ms[q - 1]);
-      w.Key("no_fastpath_ms").Value(ab.slow_ms[q - 1]);
-      w.Key("construct_heap_nodes_fast").Value(ab.construct_heap_fast[q - 1]);
-      w.Key("construct_heap_nodes_no_arena")
-          .Value(ab.construct_heap_no_arena[q - 1]);
+      w.Key("fast_ms").Value(ep.ms[q - 1]);
       w.EndObject();
     }
     w.EndArray();
-    w.Key("fast_total_ms").Value(ab.fast_total);
-    w.Key("no_arena_construct_total_ms").Value(ab.no_arena_total);
-    w.Key("no_band_join_total_ms").Value(ab.no_band_total);
-    w.Key("no_descendant_cursors_total_ms").Value(ab.no_desc_total);
-    w.Key("no_fastpath_total_ms").Value(ab.slow_total);
-    w.Key("reduction_pct").Value(reduction);
-    w.Key("cursor_scans").Value(ab.cursor_scans);
-    w.Key("descendant_scans").Value(ab.descendant_scans);
-    w.Key("pipeline_batches_fused").Value(ab.pipeline_batches_fused);
-    w.Key("virtual_batches").Value(ab.virtual_batches);
-    w.Key("band_joins_built").Value(ab.band_joins_built);
-    w.Key("band_join_rows").Value(ab.band_join_rows);
-    w.Key("nodes_constructed").Value(ab.nodes_constructed);
-    w.Key("nodes_arena_allocated").Value(ab.nodes_arena_allocated);
-    w.Key("construct_templates_built").Value(ab.construct_templates_built);
-    w.Key("sequence_heap_spills").Value(ab.sequence_heap_spills);
-    w.Key("allocations_avoided").Value(ab.allocations_avoided);
-    w.Key("compare_allocs_fast").Value(ab.compare_allocs_fast);
-    w.Key("compare_allocs_no_fastpath").Value(ab.compare_allocs_slow);
+    w.Key("fast_total_ms").Value(ep.total_ms);
+    w.Key("cursor_scans").Value(es.cursor_scans);
+    w.Key("descendant_scans").Value(es.descendant_scans);
+    w.Key("pipeline_batches_fused").Value(es.pipeline_batches_fused);
+    w.Key("virtual_batches").Value(es.virtual_batches);
+    w.Key("band_joins_built").Value(es.band_joins_built);
+    w.Key("band_join_rows").Value(es.band_join_rows);
+    w.Key("nodes_constructed").Value(es.nodes_constructed);
+    w.Key("construct_templates_built").Value(es.construct_templates_built);
+    w.Key("sequence_heap_spills").Value(es.sequence_heap_spills);
+    w.Key("allocations_avoided").Value(es.allocations_avoided);
+    w.Key("compare_allocs_fast").Value(es.compare_allocs);
     w.EndObject();
     w.EndObject();
     std::printf("%s\n", w.str().c_str());

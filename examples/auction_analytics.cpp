@@ -1,20 +1,14 @@
 // Auction-site analytics: the "large-scale analytical XML processing" the
-// paper positions XMark around, expressed two ways over the same data:
-//   (a) as XQuery against an Engine, and
-//   (b) as relational plans (scan/join/aggregate) over the shredded
-//       entity tables — the flat-file mapping route of section 7.
+// paper positions XMark around, expressed as XQuery against an Engine.
 //
 //   ./auction_analytics [--sf=0.02]
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "gen/generator.h"
-#include "rel/operators.h"
-#include "rel/shredder.h"
-#include "util/table_printer.h"
 #include "xmark/engine.h"
-#include "xml/dom.h"
 
 namespace {
 
@@ -34,7 +28,6 @@ int main(int argc, char** argv) {
   options.scale = ParseScale(argc, argv);
   const std::string document = gen::XmlGen(options).GenerateToString();
 
-  // ---- (a) XQuery route -------------------------------------------------
   auto engine = bench::Engine::Create(bench::SystemId::kD);
   if (!engine->Load(document).ok()) return 1;
 
@@ -54,71 +47,6 @@ int main(int argc, char** argv) {
     if (shown++ == 5) break;
     std::printf("  %s\n", query::SerializeItem(item).c_str());
   }
-  std::printf("  (%zu sales >= 300 in total)\n\n", expensive->size());
-
-  // ---- (b) relational route ----------------------------------------------
-  auto dom = xml::Document::Parse(document);
-  if (!dom.ok()) return 1;
-  auto tables = rel::ShredAuctionDocument(*dom);
-  if (!tables.ok()) return 1;
-
-  std::printf("== Relational: sales volume per continent ==\n");
-  // closed_auctions |x|_{item=id} items, grouped by continent.
-  const size_t item_col =
-      static_cast<size_t>(tables->closed_auctions->ColumnIndex("item"));
-  const size_t price_col =
-      static_cast<size_t>(tables->closed_auctions->ColumnIndex("price"));
-  const size_t ca_width = tables->closed_auctions->num_columns();
-  const size_t continent_col =
-      ca_width + static_cast<size_t>(tables->items->ColumnIndex("continent"));
-
-  auto join = std::make_unique<rel::HashJoin>(
-      std::make_unique<rel::TableScan>(tables->closed_auctions.get()),
-      std::make_unique<rel::TableScan>(tables->items.get()), item_col,
-      static_cast<size_t>(tables->items->ColumnIndex("id")));
-  rel::Aggregate agg(std::move(join), {continent_col},
-                     {{rel::Aggregate::Func::kCount, 0},
-                      {rel::Aggregate::Func::kSum, price_col},
-                      {rel::Aggregate::Func::kMax, price_col}});
-  auto rows = rel::Collect(&agg);
-  if (!rows.ok()) {
-    std::fprintf(stderr, "plan failed: %s\n",
-                 rows.status().ToString().c_str());
-    return 1;
-  }
-  TablePrinter table({"continent", "sales", "revenue", "max price"});
-  for (const rel::Row& row : *rows) {
-    table.AddRow({rel::ValueToString(row[0]), rel::ValueToString(row[1]),
-                  rel::ValueToString(row[2]), rel::ValueToString(row[3])});
-  }
-  std::printf("%s\n", table.ToString().c_str());
-
-  std::printf("== Relational: income bands of active buyers ==\n");
-  // persons |x|_{id=buyer} closed_auctions, then band incomes (Q20 shape).
-  const size_t pid = static_cast<size_t>(tables->persons->ColumnIndex("id"));
-  const size_t income =
-      static_cast<size_t>(tables->persons->ColumnIndex("income"));
-  auto buyers = std::make_unique<rel::HashJoin>(
-      std::make_unique<rel::TableScan>(tables->persons.get()),
-      std::make_unique<rel::TableScan>(tables->closed_auctions.get()), pid,
-      static_cast<size_t>(tables->closed_auctions->ColumnIndex("buyer")));
-  auto banded = std::make_unique<rel::Project>(
-      std::move(buyers), [income](const rel::Row& row) -> rel::Row {
-        const double v = std::get<double>(row[income]);
-        std::string band = v < 0        ? "no income data"
-                           : v >= 100000 ? "preferred (>=100k)"
-                           : v >= 30000  ? "standard (30k..100k)"
-                                         : "challenge (<30k)";
-        return {band};
-      });
-  rel::Aggregate band_agg(std::move(banded), {0},
-                          {{rel::Aggregate::Func::kCount, 0}});
-  auto band_rows = rel::Collect(&band_agg);
-  if (!band_rows.ok()) return 1;
-  TablePrinter bands({"income band", "purchases"});
-  for (const rel::Row& row : *band_rows) {
-    bands.AddRow({rel::ValueToString(row[0]), rel::ValueToString(row[1])});
-  }
-  std::printf("%s", bands.ToString().c_str());
+  std::printf("  (%zu sales >= 300 in total)\n", expensive->size());
   return 0;
 }

@@ -188,10 +188,6 @@ struct ParsedQuery {
 /// string-keyed search. Idempotent; deterministic for a given AST.
 void ResolveVariableSlots(ParsedQuery& query);
 
-/// Slot resolution for a standalone expression (tests, RunExpr). Returns
-/// the number of slots assigned.
-int ResolveVariableSlots(AstNode& root);
-
 /// Renders the AST as an s-expression (debugging, plan tests).
 std::string AstToString(const AstNode& node);
 

@@ -65,7 +65,6 @@ Evaluator::Evaluator(const StorageAdapter* store,
                      const EvaluatorOptions& options)
     : store_(store),
       options_(options),
-      caps_(store->Capabilities()),
       eval_fn_([this](const AstNode& n, Environment& e, const Focus* f) {
         return Eval(n, e, f);
       }) {}
@@ -112,20 +111,13 @@ StatusOr<Sequence> Evaluator::Run(
   // of rebuilt — but only when they were lowered for this exact store and
   // option fingerprint.
   plan_ = std::make_unique<QueryPlan>();
-  PlanAnnotations* local = plan_->mutable_annotations();
-  local->store_name = std::string(store_->mapping_name());
-  local->store_uid = store_->store_uid();
-  local->caps = caps_;
-  local->options = options_;
-  if (options_.use_planner) {
-    if (shared_annotations != nullptr &&
-        shared_annotations->store_uid == store_->store_uid() &&
-        OptionsFingerprint(shared_annotations->options) ==
-            OptionsFingerprint(options_)) {
-      plan_->AdoptShared(std::move(shared_annotations));
-    } else {
-      BuildPlan(query, *store_, options_, local);
-    }
+  if (shared_annotations != nullptr &&
+      shared_annotations->store_uid == store_->store_uid() &&
+      OptionsFingerprint(shared_annotations->options) ==
+          OptionsFingerprint(options_)) {
+    plan_->AdoptShared(std::move(shared_annotations));
+  } else {
+    BuildPlan(query, *store_, options_, plan_->mutable_annotations());
   }
   stats_ = Stats{};
   stats_.construct_templates_built =
@@ -147,34 +139,6 @@ StatusOr<Sequence> Evaluator::Run(
       if (item.is_node()) item = Item(DeepCopyNode(item.node()));
     }
   }
-  return result;
-}
-
-StatusOr<Sequence> Evaluator::RunExpr(const AstNode& expr) {
-  // Borrow the expression without owning it.
-  current_query_ = nullptr;
-  functions_.clear();
-  slot_count_ = static_cast<size_t>(
-      ResolveVariableSlots(const_cast<AstNode&>(expr)));
-  plan_ = std::make_unique<QueryPlan>();
-  PlanAnnotations* local = plan_->mutable_annotations();
-  local->store_name = std::string(store_->mapping_name());
-  local->store_uid = store_->store_uid();
-  local->caps = caps_;
-  local->options = options_;
-  if (options_.use_planner) {
-    BuildExprPlan(expr, *store_, options_, local);
-  }
-  stats_ = Stats{};
-  stats_.construct_templates_built =
-      static_cast<int64_t>(plan_->ann().constructs.size());
-  Environment env(slot_count_);
-  const int64_t spills_before = SequenceHeapSpills();
-  ScopedMemoryBudget charge(ctx_ != nullptr ? ctx_->memory_budget()
-                                            : nullptr);
-  auto result = Eval(expr, env, nullptr);
-  stats_.sequence_heap_spills = SequenceHeapSpills() - spills_before;
-  if (ctx_ != nullptr) stats_.governance_checks = ctx_->checks();
   return result;
 }
 
@@ -293,17 +257,9 @@ Status Evaluator::ApplyPredicates(const std::vector<AstPtr>& predicates,
   return Status::OK();
 }
 
-Status Evaluator::ApplyStep(const Step& step, const StepPlan* planned,
+Status Evaluator::ApplyStep(const Step& step, const StepPlan& planned,
                             const Sequence& input, Environment& env,
                             Sequence* output) {
-  // Legacy interpreter mode: no precomputed plan — make the same decision
-  // the optimizer would, per call.
-  StepPlan local;
-  if (planned == nullptr) {
-    local = ComputeStepPlan(step, options_, caps_);
-    planned = &local;
-  }
-
   xml::NameId want = xml::kInvalidName;
   if (step.test == Step::Test::kName && step.axis != Axis::kAttribute) {
     want = ResolvedStepName(step, store_);
@@ -318,20 +274,13 @@ Status Evaluator::ApplyStep(const Step& step, const StepPlan* planned,
   if (step.axis == Axis::kAttribute) {
     for (const Item& item : input) {
       if (!item.is_node()) continue;
-      if (options_.zero_copy_strings) {
-        const auto view =
-            store_->AttributeView(item.node().handle, step.name);
-        if (view.has_value()) {
-          // The Item still owns one string copy; what's avoided is the
-          // wrapper's intermediate optional<std::string> (the seed
-          // allocated twice per attribute access, this path once).
-          ++stats_.allocations_avoided;
-          output->push_back(Item(std::string(*view)));
-        }
-      } else {
-        // Ablation path: materialize through the wrapper, as the seed did.
-        const auto value = store_->Attribute(item.node().handle, step.name);
-        if (value.has_value()) output->push_back(Item(*value));
+      const auto view = store_->AttributeView(item.node().handle, step.name);
+      if (view.has_value()) {
+        // The Item still owns one string copy; what's avoided is the
+        // wrapper's intermediate optional<std::string> (the seed
+        // allocated twice per attribute access, this path once).
+        ++stats_.allocations_avoided;
+        output->push_back(Item(std::string(*view)));
       }
     }
     // Attribute strings support no further predicates groupings; apply
@@ -364,9 +313,9 @@ Status Evaluator::ApplyStep(const Step& step, const StepPlan* planned,
   // ID-index fast path: step[...@id = "literal"...] resolved without
   // scanning the child list (query Q1's lookup). The literal shape was
   // recognized at plan time.
-  if (planned->id_literal != nullptr) {
+  if (planned.id_literal != nullptr) {
     const NodeHandle candidate =
-        store_->NodeById(planned->id_literal->str_value);
+        store_->NodeById(planned.id_literal->str_value);
     ++stats_.index_lookups;
     if (candidate == kInvalidHandle) return Status::OK();
     if (store_->NameOf(candidate) != want) return Status::OK();
@@ -415,7 +364,7 @@ Status Evaluator::ApplyStep(const Step& step, const StepPlan* planned,
   const bool group_in_output =
       !has_predicates || (input.size() == 1 && output->empty());
   Sequence group_storage;
-  NodeScan scan;  // reused across the input: DFS/buffer state amortizes
+  NodeScan scan;  // reused across the input: buffer state amortizes
   for (const Item& item : input) {
     if (!item.is_node()) {
       if (item.is_constructed()) {
@@ -427,9 +376,8 @@ Status Evaluator::ApplyStep(const Step& step, const StepPlan* planned,
     const NodeHandle base = item.node().handle;
     Sequence& group = group_in_output ? *output : group_storage;
     if (!group_in_output) group.clear();
-    XMARK_RETURN_IF_ERROR(scan.Open(store_, base, planned->access, filter,
-                                    want, options_.child_cursors, &stats_,
-                                    ExecPool(),
+    XMARK_RETURN_IF_ERROR(scan.Open(store_, base, planned.access, filter,
+                                    want, &stats_, ExecPool(),
                                     options_.parallel_exec.min_morsel_ids,
                                     ctx_));
     NodeHandle buf[kBatch];
@@ -459,12 +407,7 @@ Status Evaluator::ApplyStep(const Step& step, const StepPlan* planned,
 StatusOr<Sequence> Evaluator::EvalPath(const AstNode& node, Environment& env,
                                        const Focus* focus) {
   const PathPlan* pp = plan_->FindPath(&node);
-  PathPlan local;
-  if (pp == nullptr) {
-    // Legacy interpreter mode: derive the plan per call.
-    local = ComputePathPlan(node, options_, caps_);
-    pp = &local;
-  }
+  if (pp == nullptr) return Status::Internal("path expression was not planned");
 
   // Memoize loop-invariant rooted paths (real systems materialize these
   // once; naive engines re-walk them per outer-loop iteration).
@@ -518,7 +461,6 @@ StatusOr<Sequence> Evaluator::EvalPath(const AstNode& node, Environment& env,
       // step tests the root element itself; a descendant step covers the
       // root and all its descendants.
       const Step& first = node.steps[0];
-      const StepPlan* first_plan = pp->steps.empty() ? nullptr : &pp->steps[0];
       Sequence group;
       if (first.axis == Axis::kChild) {
         if (first.test == Step::Test::kWildcard ||
@@ -542,7 +484,7 @@ StatusOr<Sequence> Evaluator::EvalPath(const AstNode& node, Environment& env,
         }
         Sequence below;
         XMARK_RETURN_IF_ERROR(
-            ApplyStep(first, first_plan, self_and_below, env, &below));
+            ApplyStep(first, pp->steps[0], self_and_below, env, &below));
         current.insert(current.end(), below.begin(), below.end());
         SortDedupNodes(&current);
       }
@@ -568,7 +510,7 @@ StatusOr<Sequence> Evaluator::EvalPath(const AstNode& node, Environment& env,
   for (; step_index < node.steps.size(); ++step_index) {
     Sequence next;
     XMARK_RETURN_IF_ERROR(ApplyStep(node.steps[step_index],
-                                    &pp->steps[step_index], *input, env,
+                                    pp->steps[step_index], *input, env,
                                     &next));
     current = std::move(next);
     input = &current;
@@ -583,19 +525,6 @@ StatusOr<Sequence> Evaluator::EvalPath(const AstNode& node, Environment& env,
 // ---------------------------------------------------------------------------
 // FLWOR
 // ---------------------------------------------------------------------------
-
-const FlworPlan& Evaluator::FlworPlanFor(const AstNode& flwor) {
-  const FlworPlan* existing = plan_->FindFlwor(&flwor);
-  if (existing != nullptr) return *existing;
-  // Legacy interpreter mode: analyze on first visit, cache for the run.
-  // The entry lands in the plan's local annotations — an adopted shared
-  // plan is immutable (and already complete for planner mode anyway).
-  FlworPlan computed;
-  AnalyzeFlworJoin(flwor, options_, &computed);
-  return plan_->mutable_annotations()
-      ->flwors.emplace(&flwor, std::move(computed))
-      .first->second;
-}
 
 StatusOr<Sequence> Evaluator::EvalHashJoin(const AstNode& node,
                                            const HashJoinPlan& plan,
@@ -723,17 +652,16 @@ StatusOr<Sequence> Evaluator::EvalFlwor(const AstNode& node, Environment& env,
   // equivalent to a fused monomorphic loop (which reads nothing from env
   // or focus — fusable shapes are self-contained by construction), so the
   // whole nested-loop evaluation collapses into one PipelineExec drain.
-  if (options_.compiled_pipelines) {
-    const CompiledPipeline* pipe = plan_->FindPipeline(&node);
-    if (pipe != nullptr) {
-      return PipelineExec::Run(*pipe, store_, &stats_, ctx_, ExecPool(),
-                               options_.parallel_exec.min_morsel_ids);
-    }
+  const CompiledPipeline* pipe = plan_->FindPipeline(&node);
+  if (pipe != nullptr) {
+    return PipelineExec::Run(*pipe, store_, &stats_, ctx_, ExecPool(),
+                             options_.parallel_exec.min_morsel_ids);
   }
 
-  const FlworPlan& fp = FlworPlanFor(node);
-  if (fp.strategy == FlworPlan::Strategy::kHashJoin) {
-    return EvalHashJoin(node, fp.hash, env, focus);
+  const FlworPlan* fp = plan_->FindFlwor(&node);
+  if (fp == nullptr) return Status::Internal("FLWOR was not planned");
+  if (fp->strategy == FlworPlan::Strategy::kHashJoin) {
+    return EvalHashJoin(node, fp->hash, env, focus);
   }
 
   Sequence out;
@@ -971,39 +899,12 @@ bool StreamSteps(const StorageAdapter* store, EvalStats* stats,
 
 // General comparison between two items under XQuery's untyped rules:
 // untyped values compared with a number are cast to numbers, otherwise
-// compared as strings. With zero_copy_strings the operands are consumed
-// through views (text nodes and string atomics never materialize; element
-// string-values reuse the member scratch buffers).
+// compared as strings. The operands are consumed through views (text nodes
+// and string atomics never materialize; element string-values reuse the
+// member scratch buffers).
 bool Evaluator::CompareItems(const Item& a, const Item& b, BinaryOp op) {
   const bool numeric = a.is_number() || b.is_number();
   int cmp;
-  if (!options_.zero_copy_strings) {
-    // Ablation path: materialize a std::string per operand, the way the
-    // seed evaluator did.
-    if (numeric) {
-      auto to_num = [&](const Item& item) -> std::optional<double> {
-        if (item.is_number()) return item.number();
-        if (item.is_boolean()) return item.boolean() ? 1.0 : 0.0;
-        ++stats_.compare_allocs;
-        return ParseDouble(ItemStringValue(item));
-      };
-      const auto na = to_num(a);
-      const auto nb = to_num(b);
-      if (!na.has_value() || !nb.has_value()) return false;
-      cmp = (*na < *nb) ? -1 : (*na > *nb ? 1 : 0);
-    } else if (a.is_boolean() || b.is_boolean()) {
-      const bool ba = a.is_boolean() ? a.boolean()
-                                     : EffectiveBooleanValue(Sequence{a});
-      const bool bb = b.is_boolean() ? b.boolean()
-                                     : EffectiveBooleanValue(Sequence{b});
-      cmp = (ba == bb) ? 0 : (ba < bb ? -1 : 1);
-    } else {
-      stats_.compare_allocs += 2;
-      cmp = ItemStringValue(a).compare(ItemStringValue(b));
-    }
-    return CompareResult(cmp, op);
-  }
-
   auto view_of = [&](const Item& item, std::string* scratch) {
     bool materialized = false;
     const std::string_view v = ItemStringView(item, scratch, &materialized);
@@ -1043,7 +944,7 @@ bool Evaluator::CompareItems(const Item& a, const Item& b, BinaryOp op) {
 // attribute predicates.
 std::optional<bool> Evaluator::TryAttributeCompare(const AstNode& node,
                                                    const Focus* focus) {
-  if (!options_.zero_copy_strings || focus == nullptr) return std::nullopt;
+  if (focus == nullptr) return std::nullopt;
   if (!IsComparisonOp(node.op)) return std::nullopt;
   auto is_attr_path = [](const AstNode& n) {
     return n.kind == AstKind::kPath && !n.absolute && n.start == nullptr &&
@@ -1103,14 +1004,11 @@ StatusOr<Sequence> Evaluator::EvalBinary(const AstNode& node, Environment& env,
     if (fast.has_value()) return Sequence{Item(*fast)};
   }
 
-  const bool stream_ok =
-      options_.zero_copy_strings && options_.child_cursors;
-
   // Streaming comparison: `$v/a/b <op> expr` walks the path with nested
   // tag-filtered cursors and compares each selected node through views,
   // short-circuiting on the first existential match — no sequence is built
   // for the path side. This is the hot shape of the Q11/Q12 theta joins.
-  if (stream_ok && IsComparisonOp(op)) {
+  if (IsComparisonOp(op)) {
     const AstNode* stream = nullptr;
     const AstNode* other = nullptr;
     bool swapped = false;
@@ -1125,7 +1023,7 @@ StatusOr<Sequence> Evaluator::EvalBinary(const AstNode& node, Environment& env,
     if (stream != nullptr) {
       Environment::Binding* binding = env.Find(stream->start->var_slot);
       // Constructed nodes must take the generic path so navigation inside
-      // them raises the same Unimplemented error as with fast paths off.
+      // them raises its Unimplemented error.
       if (binding != nullptr && binding->evaluated &&
           !SequenceHasConstructed(binding->value)) {
         XMARK_ASSIGN_OR_RETURN(Sequence other_seq, Eval(*other, env, focus));
@@ -1154,9 +1052,8 @@ StatusOr<Sequence> Evaluator::EvalBinary(const AstNode& node, Environment& env,
 
   // Streaming arithmetic: `literal <op> $v/a/text()` (Q11's `5000 *
   // $i/text()`) resolves both scalars without intermediate sequences.
-  if (stream_ok &&
-      (op == BinaryOp::kAdd || op == BinaryOp::kSub || op == BinaryOp::kMul ||
-       op == BinaryOp::kDiv || op == BinaryOp::kMod)) {
+  if (op == BinaryOp::kAdd || op == BinaryOp::kSub || op == BinaryOp::kMul ||
+      op == BinaryOp::kDiv || op == BinaryOp::kMod) {
     struct Scalar {
       bool handled = false;
       bool empty = false;
@@ -1468,11 +1365,6 @@ StatusOr<Sequence> Evaluator::EvalFunction(const AstNode& node,
   // from the store heap; element string-values reuse the scratch buffers.
   auto arg_view = [&](const Sequence& arg, std::string* scratch) {
     if (arg.empty()) return std::string_view();
-    if (!options_.zero_copy_strings) {
-      ++stats_.compare_allocs;
-      *scratch = ItemStringValue(arg.front());
-      return std::string_view(*scratch);
-    }
     bool materialized = false;
     const std::string_view v =
         ItemStringView(arg.front(), scratch, &materialized);
@@ -1576,82 +1468,20 @@ StatusOr<Sequence> Evaluator::EvalFunction(const AstNode& node,
 StatusOr<Sequence> Evaluator::EvalConstructor(const AstNode& node,
                                               Environment& env,
                                               const Focus* focus) {
-  // Arena path: the optimizer lowered this constructor into a template —
-  // instantiate it batch-at-a-time into the per-run NodeArena instead of
-  // allocating a shared_ptr node per element and a std::string per text
-  // child. Only plan annotations reach here, so use_planner off (or
-  // arena_construction off) falls through to the legacy path below;
-  // results are byte-identical either way.
-  const ConstructPlan* cp =
-      options_.arena_construction ? plan_->FindConstruct(&node) : nullptr;
-  if (cp != nullptr) {
-    if (plan_->construct_state == nullptr) {
-      plan_->arena = std::make_shared<NodeArena>();
-      plan_->construct_state =
-          std::make_unique<ConstructExec>(plan_->arena);
-    }
-    XMARK_ASSIGN_OR_RETURN(
-        Item item,
-        plan_->construct_state->Instantiate(*cp, env, focus, eval_fn_,
-                                            &stats_,
-                                            options_.copy_results));
-    return Sequence{std::move(item)};
+  // The optimizer lowered every constructor into a template: instantiate
+  // it into the per-run NodeArena (block-allocated nodes, shared text
+  // buffer).
+  const ConstructPlan* cp = plan_->FindConstruct(&node);
+  if (cp == nullptr) return Status::Internal("constructor was not lowered");
+  if (plan_->construct_state == nullptr) {
+    plan_->arena = std::make_shared<NodeArena>();
+    plan_->construct_state = std::make_unique<ConstructExec>(plan_->arena);
   }
-
-  auto out = std::make_shared<ConstructedNode>();
-  ++stats_.nodes_constructed;
-  out->tag = node.tag;
-  for (const AttrConstructor& attr : node.attrs) {
-    std::string value;
-    for (const AttrPart& part : attr.parts) {
-      if (part.expr == nullptr) {
-        value += part.text;
-        continue;
-      }
-      XMARK_ASSIGN_OR_RETURN(Sequence items, Eval(*part.expr, env, focus));
-      for (size_t i = 0; i < items.size(); ++i) {
-        if (i > 0) value += ' ';
-        value += ItemStringValue(items[i]);
-      }
-    }
-    out->attributes.emplace_back(attr.name, std::move(value));
-  }
-  for (const AstPtr& content : node.content) {
-    if (content->kind == AstKind::kStringLiteral) {
-      auto text = std::make_shared<ConstructedNode>();
-      ++stats_.nodes_constructed;
-      text->text = content->str_value;
-      out->children.emplace_back(std::move(text));
-      continue;
-    }
-    XMARK_ASSIGN_OR_RETURN(Sequence items, Eval(*content, env, focus));
-    bool prev_atomic = false;
-    for (Item& item : items) {
-      if (item.is_atomic()) {
-        // Adjacent atomics from one enclosed expression merge into one
-        // text node separated by spaces (XQuery construction rules).
-        if (prev_atomic) {
-          auto text = std::make_shared<ConstructedNode>();
-          ++stats_.nodes_constructed;
-          text->text = " ";
-          out->children.emplace_back(std::move(text));
-        }
-        auto text = std::make_shared<ConstructedNode>();
-        ++stats_.nodes_constructed;
-        text->text = ItemStringValue(item);
-        out->children.emplace_back(std::move(text));
-        prev_atomic = true;
-        continue;
-      }
-      prev_atomic = false;
-      if (item.is_node() && options_.copy_results) {
-        out->children.emplace_back(DeepCopyNode(item.node()));
-      } else {
-        out->children.push_back(std::move(item));
-      }
-    }
-  }
-  return Sequence{Item(ConstructedPtr(std::move(out)))};
+  XMARK_ASSIGN_OR_RETURN(
+      Item item,
+      plan_->construct_state->Instantiate(*cp, env, focus, eval_fn_, &stats_,
+                                          options_.copy_results));
+  return Sequence{std::move(item)};
 }
 
 }  // namespace xmark::query

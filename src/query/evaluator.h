@@ -25,10 +25,6 @@ namespace xmark::query {
 ///   physical operators (query/exec.h): scans, hash joins, band joins
 ///   evaluator (this class): expression semantics driving the operators.
 ///
-/// With options.use_planner off the evaluator reverts to the legacy
-/// tree-walking interpreter that re-decides access paths and join
-/// strategies per node at runtime; results are byte-identical either way.
-///
 /// One Evaluator instance may be reused across queries; every Run() builds
 /// a fresh QueryPlan, which owns all per-run caches (hash-join tables,
 /// band-join domains, invariant-path memos) — stale caches across
@@ -46,9 +42,6 @@ class Evaluator {
   StatusOr<Sequence> Run(
       const ParsedQuery& query,
       std::shared_ptr<const PlanAnnotations> shared_annotations = nullptr);
-
-  /// Evaluates a bare expression (no prolog). Used by tests.
-  StatusOr<Sequence> RunExpr(const AstNode& expr);
 
   /// Installs the governance context (borrowed, not owned) consulted by
   /// the next Run: cooperative deadline/cancellation/budget checks at
@@ -83,14 +76,10 @@ class Evaluator {
   StatusOr<Sequence> EvalConstructor(const AstNode& node, Environment& env,
                                      const Focus* focus);
 
-  Status ApplyStep(const Step& step, const StepPlan* step_plan,
+  Status ApplyStep(const Step& step, const StepPlan& step_plan,
                    const Sequence& input, Environment& env, Sequence* output);
   Status ApplyPredicates(const std::vector<AstPtr>& predicates,
                          Environment& env, Sequence* group);
-
-  /// FLWOR strategy from the plan; in legacy mode the entry is analyzed
-  /// and cached on first visit.
-  const FlworPlan& FlworPlanFor(const AstNode& flwor);
 
   StatusOr<Sequence> EvalHashJoin(const AstNode& node,
                                   const HashJoinPlan& plan, Environment& env,
@@ -118,7 +107,6 @@ class Evaluator {
 
   const StorageAdapter* store_;
   EvaluatorOptions options_;
-  StorageCapabilities caps_;  // snapshot taken at construction
   /// Built once: the Eval callback handed to physical operators (hash
   /// join / band join builds, constructor-template instantiation).
   EvalFn eval_fn_;

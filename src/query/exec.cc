@@ -28,14 +28,9 @@ constexpr size_t kMaxPendingMorselTasks = 1024;
 
 Status NodeScan::Open(const StorageAdapter* store, NodeHandle base,
                       StepPlan::Access access, ChildFilter filter,
-                      xml::NameId tag, bool child_cursors, EvalStats* stats,
-                      ThreadPool* pool, size_t min_morsel_ids,
-                      ExecContext* ctx) {
-  store_ = store;
+                      xml::NameId tag, EvalStats* stats, ThreadPool* pool,
+                      size_t min_morsel_ids, ExecContext* ctx) {
   stats_ = stats;
-  child_cursors_ = child_cursors;
-  filter_ = filter;
-  tag_ = tag;
   materialized_.clear();
   materialized_pos_ = 0;
   switch (access) {
@@ -48,22 +43,13 @@ Status NodeScan::Open(const StorageAdapter* store, NodeHandle base,
         return Status::OK();
       }
       // The physical layout does not cover this node: scan its children
-      // the way the options allow.
-      if (!child_cursors_) {
-        chain_ = store->FirstChild(base);
-        mode_ = Mode::kChildChain;
-        return Status::OK();
-      }
+      // with a cursor.
       [[fallthrough]];
     }
     case StepPlan::Access::kChildCursor:
       store->OpenChildCursor(base, filter, tag, &child_cursor_);
       ++stats->cursor_scans;
       mode_ = Mode::kChildCursor;
-      return Status::OK();
-    case StepPlan::Access::kChildChain:
-      chain_ = store->FirstChild(base);
-      mode_ = Mode::kChildChain;
       return Status::OK();
     case StepPlan::Access::kDescendantCursor: {
       store->OpenDescendantCursor(base, filter, tag, &descendant_cursor_);
@@ -79,20 +65,6 @@ Status NodeScan::Open(const StorageAdapter* store, NodeHandle base,
       }
       return Status::OK();
     }
-    case StepPlan::Access::kTagIndex: {
-      auto from_index = store->DescendantsByTag(base, tag);
-      if (from_index.has_value()) {
-        ++stats->index_lookups;
-        materialized_ = std::move(*from_index);
-        mode_ = Mode::kMaterialized;
-        return Status::OK();
-      }
-      OpenDfs(base);
-      return Status::OK();
-    }
-    case StepPlan::Access::kDescendantDfs:
-      OpenDfs(base);
-      return Status::OK();
     case StepPlan::Access::kAttribute:
     case StepPlan::Access::kSelf:
       mode_ = Mode::kDone;
@@ -190,60 +162,6 @@ Status NodeScan::DrainMorsels(ThreadPool* pool, uint64_t span,
   return Status::OK();
 }
 
-// Children of `parent` in document order, gathered with one batched
-// cursor scan when cursors are enabled (no virtual call pair per child),
-// otherwise with the generic sibling chain.
-void NodeScan::CollectChildren(NodeHandle parent,
-                               std::vector<NodeHandle>* out) {
-  if (child_cursors_) {
-    ChildCursor cur;
-    store_->OpenChildCursor(parent, ChildFilter::kAll, xml::kInvalidName,
-                            &cur);
-    ++stats_->cursor_scans;
-    constexpr size_t kBatch = 64;
-    NodeHandle buf[kBatch];
-    size_t n;
-    while ((n = cur.Fill(buf, kBatch)) > 0) {
-      out->insert(out->end(), buf, buf + n);
-    }
-  } else {
-    for (NodeHandle c = store_->FirstChild(parent); c != kInvalidHandle;
-         c = store_->NextSibling(c)) {
-      out->push_back(c);
-    }
-  }
-}
-
-void NodeScan::OpenDfs(NodeHandle base) {
-  mode_ = Mode::kDescendantDfs;
-  dfs_stack_.clear();
-  dfs_kids_.clear();
-  // Seed with the base's children in reverse so popping emits document
-  // order.
-  CollectChildren(base, &dfs_stack_);
-  std::reverse(dfs_stack_.begin(), dfs_stack_.end());
-}
-
-size_t NodeScan::FillDfs(NodeHandle* out, size_t cap) {
-  size_t n = 0;
-  while (n < cap && !dfs_stack_.empty()) {
-    const NodeHandle node = dfs_stack_.back();
-    dfs_stack_.pop_back();
-    ++stats_->nodes_visited;
-    const xml::NameId node_tag = store_->NameOf(node);
-    if (MatchesChildFilter(filter_, node_tag, tag_)) out[n++] = node;
-    if (node_tag == xml::kInvalidName) continue;  // text leaf
-    // Push children in reverse so the DFS emits document order.
-    dfs_kids_.clear();
-    CollectChildren(node, &dfs_kids_);
-    for (auto it = dfs_kids_.rbegin(); it != dfs_kids_.rend(); ++it) {
-      dfs_stack_.push_back(*it);
-    }
-  }
-  if (dfs_stack_.empty() && n == 0) mode_ = Mode::kDone;
-  return n;
-}
-
 size_t NodeScan::Fill(NodeHandle* out, size_t cap) {
   const size_t n = FillBatch(out, cap);
   // Every non-empty generic batch counts: virtual_batches is the
@@ -268,22 +186,6 @@ size_t NodeScan::FillBatch(NodeHandle* out, size_t cap) {
       if (n == 0) mode_ = Mode::kDone;
       return n;
     }
-    case Mode::kChildChain: {
-      size_t n = 0;
-      NodeHandle c = chain_;
-      while (n < cap && c != kInvalidHandle) {
-        ++stats_->nodes_visited;
-        if (MatchesChildFilter(filter_, store_->NameOf(c), tag_)) {
-          out[n++] = c;
-        }
-        c = store_->NextSibling(c);
-      }
-      chain_ = c;
-      if (n == 0) mode_ = Mode::kDone;
-      return n;
-    }
-    case Mode::kDescendantDfs:
-      return FillDfs(out, cap);
     case Mode::kMaterialized: {
       const size_t n =
           std::min(cap, materialized_.size() - materialized_pos_);
@@ -973,7 +875,6 @@ ConstructedPtr InteriorRef(const ConstructedNode* node) {
 
 ConstructedNode* ConstructExec::NewNode(EvalStats* stats) {
   ++stats->nodes_constructed;
-  ++stats->nodes_arena_allocated;
   return arena_->AllocateNode();
 }
 
@@ -1069,8 +970,8 @@ StatusOr<ConstructedNode*> ConstructExec::BuildElement(
         for (Item& item : items) {
           if (item.is_atomic()) {
             // Adjacent atomics from one enclosed expression merge into
-            // space-separated text nodes, exactly as the legacy path does;
-            // the text bytes land in the arena's shared buffer instead of
+            // space-separated text nodes (XQuery construction rules); the
+            // text bytes land in the arena's shared buffer instead of
             // a std::string per node.
             if (prev_atomic) {
               node->children.emplace_back(

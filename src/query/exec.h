@@ -130,17 +130,14 @@ using EvalFn =
 
 /// Physical operator producing the nodes a planned step access selects
 /// from one base node, drained in batches. One NodeScan instance is reused
-/// across the input sequence of a step, so the DFS stack / materialized
-/// buffer allocations amortize.
+/// across the input sequence of a step, so the materialized buffer
+/// allocation amortizes.
 class NodeScan {
  public:
   /// Positions the scan on `base` for the given access path. Access kinds
   /// kAttribute/kSelf are not scans and must not be passed here.
-  /// kChildrenByTag falls back to a child scan when the store answers
-  /// nullopt for this node; kTagIndex falls back to a DFS.
-  /// `child_cursors` mirrors EvaluatorOptions::child_cursors: it selects
-  /// the batched cursor (vs the virtual sibling chain) for that fallback
-  /// and for the per-element child collection inside the DFS.
+  /// kChildrenByTag falls back to a child cursor when the store answers
+  /// nullopt for this node.
   /// `pool` (optional) enables morsel-parallel draining of descendant
   /// scans whose cursor spans at least `min_morsel_ids` positions and
   /// whose store declares the cursor partitionable: the position interval
@@ -154,7 +151,7 @@ class NodeScan {
   /// its siblings and the first failure in chunk order is returned.
   Status Open(const StorageAdapter* store, NodeHandle base,
               StepPlan::Access access, ChildFilter filter, xml::NameId tag,
-              bool child_cursors, EvalStats* stats, ThreadPool* pool = nullptr,
+              EvalStats* stats, ThreadPool* pool = nullptr,
               size_t min_morsel_ids = 0, ExecContext* ctx = nullptr);
 
   /// Copies up to `cap` matching handles into `out` in document order;
@@ -167,18 +164,13 @@ class NodeScan {
   enum class Mode : uint8_t {
     kDone,
     kChildCursor,
-    kChildChain,
     kDescendantCursor,
-    kDescendantDfs,
     kMaterialized,
   };
 
   /// The mode dispatch behind Fill (kept separate so the public wrapper is
   /// the single place virtual_batches accounting happens).
   size_t FillBatch(NodeHandle* out, size_t cap);
-  void OpenDfs(NodeHandle base);
-  size_t FillDfs(NodeHandle* out, size_t cap);
-  void CollectChildren(NodeHandle parent, std::vector<NodeHandle>* out);
   /// Drains the open descendant cursor (spanning `span` positions) in
   /// parallel chunks and converts the scan to kMaterialized. Chunks
   /// refused by pool admission control run serially on the caller
@@ -186,19 +178,12 @@ class NodeScan {
   /// first failing worker Status in chunk order.
   Status DrainMorsels(ThreadPool* pool, uint64_t span, ExecContext* ctx);
 
-  const StorageAdapter* store_ = nullptr;
   EvalStats* stats_ = nullptr;
   Mode mode_ = Mode::kDone;
-  bool child_cursors_ = true;
-  ChildFilter filter_ = ChildFilter::kAll;
-  xml::NameId tag_ = xml::kInvalidName;
   ChildCursor child_cursor_;
   DescendantCursor descendant_cursor_;
-  NodeHandle chain_ = kInvalidHandle;  // kChildChain position
   std::vector<NodeHandle> materialized_;
   size_t materialized_pos_ = 0;
-  std::vector<NodeHandle> dfs_stack_;
-  std::vector<NodeHandle> dfs_kids_;
 };
 
 // ---------------------------------------------------------------------------
@@ -314,8 +299,7 @@ std::optional<double> BandNumericValue(const Item& item,
 /// shared buffer. Every produced ConstructedPtr aliases the arena's
 /// shared_ptr, so results stay valid for as long as anything references
 /// them, without a per-node control block. Owned by the QueryPlan of the
-/// current run; byte-identical to the evaluator's legacy per-shared_ptr
-/// constructor path.
+/// current run.
 class ConstructExec {
  public:
   explicit ConstructExec(std::shared_ptr<NodeArena> arena)

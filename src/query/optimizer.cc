@@ -227,51 +227,37 @@ const AstNode* IdLiteralOf(const Step& step) {
   return nullptr;
 }
 
-}  // namespace
-
+// Access-path choice for one step, from options x store capabilities x
+// static predicate shape. Descendant steps always scan a cursor: every
+// store answers it from its own layout (id intervals, tag-index slices,
+// path-table slices).
 StepPlan ComputeStepPlan(const Step& step, const EvaluatorOptions& options,
                          const StorageCapabilities& caps) {
   StepPlan plan;
-  if (step.axis == Axis::kAttribute) {
-    plan.access = StepPlan::Access::kAttribute;
-    return plan;
-  }
-  if (step.axis == Axis::kSelf) {
-    plan.access = StepPlan::Access::kSelf;
-    return plan;
-  }
-  if (step.axis == Axis::kChild) {
-    if (options.use_id_index && caps.id_lookup &&
-        step.test == Step::Test::kName) {
-      plan.id_literal = IdLiteralOf(step);
-    }
-    if (step.test == Step::Test::kName && caps.children_by_tag) {
-      plan.access = StepPlan::Access::kChildrenByTag;
-    } else if (options.child_cursors) {
-      plan.access = StepPlan::Access::kChildCursor;
-    } else {
-      plan.access = StepPlan::Access::kChildChain;
-    }
-    return plan;
-  }
-  // Descendant axis. A store advertising interval_descendants answers the
-  // cursor with a clustered range scan — always the best path. Without an
-  // interval encoding the cursor is a generic per-node walk, so a
-  // materialized tag-index slice wins when one is available.
-  const bool tag_index_ok = options.use_tag_index && caps.tag_index &&
-                            step.test == Step::Test::kName;
-  if (options.descendant_cursors && caps.interval_descendants) {
-    plan.access = StepPlan::Access::kDescendantCursor;
-  } else if (tag_index_ok) {
-    plan.access = StepPlan::Access::kTagIndex;
-  } else if (options.descendant_cursors) {
-    plan.access = StepPlan::Access::kDescendantCursor;  // generic walk
-  } else {
-    plan.access = StepPlan::Access::kDescendantDfs;
+  switch (step.axis) {
+    case Axis::kAttribute:
+      plan.access = StepPlan::Access::kAttribute;
+      break;
+    case Axis::kSelf:
+      plan.access = StepPlan::Access::kSelf;
+      break;
+    case Axis::kChild:
+      if (options.use_id_index && caps.id_lookup &&
+          step.test == Step::Test::kName) {
+        plan.id_literal = IdLiteralOf(step);
+      }
+      plan.access = step.test == Step::Test::kName && caps.children_by_tag
+                        ? StepPlan::Access::kChildrenByTag
+                        : StepPlan::Access::kChildCursor;
+      break;
+    case Axis::kDescendant:
+      plan.access = StepPlan::Access::kDescendantCursor;
+      break;
   }
   return plan;
 }
 
+// Plan for one kPath node (cacheability, path-index prefix, step access).
 PathPlan ComputePathPlan(const AstNode& path, const EvaluatorOptions& options,
                          const StorageCapabilities& caps) {
   PathPlan plan;
@@ -295,10 +281,18 @@ PathPlan ComputePathPlan(const AstNode& path, const EvaluatorOptions& options,
   return plan;
 }
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Join analysis
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Join analysis for one FLWOR: detects the decorrelatable equi-join shape
+// and picks the strategy allowed by `options`. Also flags the band
+// comparison shape (strategy selection for bands happens at the enclosing
+// `let`, see AnalyzeBandLet).
 void AnalyzeFlworJoin(const AstNode& flwor, const EvaluatorOptions& options,
                       FlworPlan* out) {
   *out = FlworPlan{};
@@ -360,6 +354,8 @@ void AnalyzeFlworJoin(const AstNode& flwor, const EvaluatorOptions& options,
     if (options.hash_join) out->strategy = FlworPlan::Strategy::kHashJoin;
   } while (false);
 }
+
+}  // namespace
 
 bool AnalyzeBandShape(const AstNode& flwor, BandJoinPlan* out) {
   if (flwor.kind != AstKind::kFlwor) return false;
@@ -577,7 +573,7 @@ void LowerNode(const AstNode& node, const EvaluatorOptions& options,
     FlworPlan fp;
     AnalyzeFlworJoin(node, options, &fp);
     plan->flwors.emplace(&node, fp);
-    if (options.band_join) {
+    if (options.hash_join) {
       for (size_t i = 0; i < node.clauses.size(); ++i) {
         BandJoinPlan band;
         if (AnalyzeBandLet(node, i, &band)) {
@@ -585,8 +581,7 @@ void LowerNode(const AstNode& node, const EvaluatorOptions& options,
         }
       }
     }
-  } else if (node.kind == AstKind::kElementConstructor &&
-             options.arena_construction) {
+  } else if (node.kind == AstKind::kElementConstructor) {
     // The template folds the whole static shell (nested constructors
     // included), so recursion continues only into the dynamic parts:
     // hole expressions and dynamic attribute value parts. A constructor
@@ -620,7 +615,6 @@ void LowerNode(const AstNode& node, const EvaluatorOptions& options,
 
 void BuildPlan(const ParsedQuery& query, const StorageAdapter& store,
                const EvaluatorOptions& options, PlanAnnotations* plan) {
-  plan->built_by_optimizer = true;
   plan->store_name = std::string(store.mapping_name());
   plan->store_uid = store.store_uid();
   plan->caps = store.Capabilities();
@@ -646,24 +640,11 @@ void BuildPlan(const ParsedQuery& query, const StorageAdapter& store,
   LowerNode(*query.body, options, plan->caps, plan);
   // Pipeline fusion runs after lowering: it consults the FLWOR strategies
   // and band-let registrations decided above.
-  if (options.compiled_pipelines) {
+  if (options.hash_join) {
     for (const FunctionDecl& f : query.functions) {
-      FusePipelines(&query, *f.body, store, options, plan);
+      FusePipelines(query, *f.body, store, options, plan);
     }
-    FusePipelines(&query, *query.body, store, options, plan);
-  }
-}
-
-void BuildExprPlan(const AstNode& expr, const StorageAdapter& store,
-                   const EvaluatorOptions& options, PlanAnnotations* plan) {
-  plan->built_by_optimizer = true;
-  plan->store_name = std::string(store.mapping_name());
-  plan->store_uid = store.store_uid();
-  plan->caps = store.Capabilities();
-  plan->options = options;
-  LowerNode(expr, options, plan->caps, plan);
-  if (options.compiled_pipelines) {
-    FusePipelines(nullptr, expr, store, options, plan);
+    FusePipelines(query, *query.body, store, options, plan);
   }
 }
 

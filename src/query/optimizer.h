@@ -6,11 +6,7 @@
 // cacheability, constructor-template lowering. Everything it emits is an
 // immutable annotation in the QueryPlan; nothing here touches documents,
 // evaluates expressions or allocates executor state (BuildPlan is pure
-// analysis and must stay cheap enough to run per query). The legacy
-// interpreter (use_planner=false) reuses the Compute*/Analyze* helpers
-// per node at runtime, which is why they are exported rather than hidden
-// behind BuildPlan — keep them deterministic and side-effect-free so both
-// modes decide identically.
+// analysis and must stay cheap enough to run per query).
 
 #ifndef XMARK_QUERY_OPTIMIZER_H_
 #define XMARK_QUERY_OPTIMIZER_H_
@@ -26,7 +22,7 @@
 namespace xmark::query {
 
 // ---------------------------------------------------------------------------
-// Static analysis (shared by the optimizer and the legacy interpreter path)
+// Static analysis (shared by the optimizer and the pipeline fusion pass)
 // ---------------------------------------------------------------------------
 
 /// Invokes `fn` on every direct child expression of `node`.
@@ -85,22 +81,6 @@ BinaryOp SwapComparison(BinaryOp op);
 // Plan construction
 // ---------------------------------------------------------------------------
 
-/// Access-path choice for one step, from options x store capabilities x
-/// static predicate shape.
-StepPlan ComputeStepPlan(const Step& step, const EvaluatorOptions& options,
-                         const StorageCapabilities& caps);
-
-/// Plan for one kPath node (cacheability, path-index prefix, step access).
-PathPlan ComputePathPlan(const AstNode& path, const EvaluatorOptions& options,
-                         const StorageCapabilities& caps);
-
-/// Join analysis for one FLWOR: detects the decorrelatable equi-join shape
-/// and picks the strategy allowed by `options`. Also flags the band
-/// comparison shape (strategy selection for bands happens at the enclosing
-/// `let`, see AnalyzeBandLet).
-void AnalyzeFlworJoin(const AstNode& flwor, const EvaluatorOptions& options,
-                      FlworPlan* out);
-
 /// True when `flwor` matches the band shape
 ///   for $v in <invariant> where <outer> OP <numeric inner($v)> return $v
 /// (OP a non-equality comparison). Fills `out` with the normalized plan
@@ -117,8 +97,7 @@ bool AnalyzeBandLet(const AstNode& outer_flwor, size_t clause_index,
 /// the static element shell (nested constructors folded in), constant
 /// attributes and constant text segments resolved at plan time, dynamic
 /// holes recorded as expression pointers. Pure structure analysis — no
-/// options or capabilities involved; gating on arena_construction happens
-/// at registration (LowerNode) and at use (EvalConstructor).
+/// options or capabilities involved.
 ConstructPlan LowerConstructor(const AstNode& ctor);
 
 /// Lowers a parsed query against one store + option set. Fills path plans,
@@ -127,10 +106,6 @@ ConstructPlan LowerConstructor(const AstNode& ctor);
 /// PlanAnnotations destined for the plan cache).
 void BuildPlan(const ParsedQuery& query, const StorageAdapter& store,
                const EvaluatorOptions& options, PlanAnnotations* plan);
-
-/// BuildPlan for a bare expression (tests, RunExpr).
-void BuildExprPlan(const AstNode& expr, const StorageAdapter& store,
-                   const EvaluatorOptions& options, PlanAnnotations* plan);
 
 }  // namespace xmark::query
 

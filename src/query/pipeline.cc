@@ -329,13 +329,11 @@ void Walk(const AstNode& node, const std::set<std::string>& udfs,
 
 }  // namespace
 
-void FusePipelines(const ParsedQuery* query, const AstNode& root,
+void FusePipelines(const ParsedQuery& query, const AstNode& root,
                    const StorageAdapter& store,
                    const EvaluatorOptions& options, PlanAnnotations* plan) {
   std::set<std::string> udfs;
-  if (query != nullptr) {
-    for (const FunctionDecl& f : query->functions) udfs.insert(f.name);
-  }
+  for (const FunctionDecl& f : query.functions) udfs.insert(f.name);
   Walk(root, udfs, store, options, plan);
 }
 

@@ -74,12 +74,12 @@ constexpr uint32_t PipelineDispatch(CompiledPipeline::FilterKind filter,
 /// Q14 class — see CompiledPipeline in query/plan.h for the grammar).
 /// Must run after LowerNode has annotated `root`'s FLWORs: the pass
 /// refuses any FLWOR whose planned strategy is not the nested loop and any
-/// domain registered as a band-join let. `query` (nullable) supplies the
-/// prolog's function declarations so a user function shadowing contains/
+/// domain registered as a band-join let. `query` supplies the prolog's
+/// function declarations so a user function shadowing contains/
 /// starts-with/count refuses fusion instead of changing semantics.
 /// Pipeline ids are assigned densely in walk order (deterministic Explain
-/// output). Callers gate on options.compiled_pipelines && use_planner.
-void FusePipelines(const ParsedQuery* query, const AstNode& root,
+/// output). Callers gate on options.hash_join.
+void FusePipelines(const ParsedQuery& query, const AstNode& root,
                    const StorageAdapter& store,
                    const EvaluatorOptions& options, PlanAnnotations* plan);
 

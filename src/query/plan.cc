@@ -15,19 +15,11 @@ uint64_t OptionsFingerprint(const EvaluatorOptions& o) {
   const auto bit = [&f](bool b) { f = (f << 1) | (b ? 1u : 0u); };
   bit(o.use_id_index);
   bit(o.use_path_index);
-  bit(o.use_tag_index);
   bit(o.hash_join);
-  bit(o.band_join);
   bit(o.lazy_let);
   bit(o.cache_invariant_paths);
   bit(o.copy_results);
-  bit(o.use_planner);
-  bit(o.zero_copy_strings);
-  bit(o.child_cursors);
-  bit(o.descendant_cursors);
-  bit(o.arena_construction);
   bit(o.parallel_exec.enabled);
-  bit(o.compiled_pipelines);
   // Execution-only knobs still key the cache: simpler one-key scheme, and
   // sessions with different morsel settings just compile one entry each.
   f |= static_cast<uint64_t>(o.parallel_exec.threads & 0xffffu) << 16;
@@ -45,14 +37,8 @@ const char* StepAccessName(StepPlan::Access access) {
       return "children-by-tag";
     case StepPlan::Access::kChildCursor:
       return "child-cursor";
-    case StepPlan::Access::kChildChain:
-      return "child-chain";
     case StepPlan::Access::kDescendantCursor:
       return "descendant-cursor";
-    case StepPlan::Access::kTagIndex:
-      return "tag-index";
-    case StepPlan::Access::kDescendantDfs:
-      return "descendant-dfs";
   }
   return "?";
 }
@@ -78,37 +64,27 @@ class ExplainPrinter {
     return std::move(out_);
   }
 
-  std::string RenderExpr(const AstNode& expr) {
-    Header();
-    Node(expr, 0);
-    Footer();
-    return std::move(out_);
-  }
-
  private:
   void Header() {
     const PlanAnnotations& a = plan_.ann();
     const EvaluatorOptions& o = a.options;
     out_ += "plan store=" + (a.store_name.empty() ? std::string("?")
                                                   : a.store_name) +
-            " planner=" + (a.built_by_optimizer ? "on" : "off") + "\n";
+            "\n";
     out_ += "scope: " +
             (a.doc_scope.empty() ? std::string("default-document")
                                  : a.doc_scope) +
             "\n";
     out_ += StringPrintf(
-        "options: id-index=%d path-index=%d tag-index=%d hash-join=%d "
-        "band-join=%d lazy-let=%d invariant-cache=%d child-cursors=%d "
-        "descendant-cursors=%d arena-construct=%d\n",
-        o.use_id_index, o.use_path_index, o.use_tag_index, o.hash_join,
-        o.band_join, o.lazy_let, o.cache_invariant_paths, o.child_cursors,
-        o.descendant_cursors, o.arena_construction);
+        "options: id-index=%d path-index=%d hash-join=%d lazy-let=%d "
+        "invariant-cache=%d copy-results=%d\n",
+        o.use_id_index, o.use_path_index, o.hash_join, o.lazy_let,
+        o.cache_invariant_paths, o.copy_results);
     const StorageCapabilities& c = a.caps;
     out_ += StringPrintf(
         "capabilities: id-lookup=%d tag-index=%d path-index=%d "
-        "children-by-tag=%d interval-descendants=%d\n",
-        c.id_lookup, c.tag_index, c.path_index, c.children_by_tag,
-        c.interval_descendants);
+        "children-by-tag=%d\n",
+        c.id_lookup, c.tag_index, c.path_index, c.children_by_tag);
   }
 
   void Footer() {
@@ -378,10 +354,6 @@ std::string QueryPlan::Explain(const ParsedQuery& query) const {
   return ExplainPrinter(*this).Render(query);
 }
 
-std::string QueryPlan::ExplainExpr(const AstNode& expr) const {
-  return ExplainPrinter(*this).RenderExpr(expr);
-}
-
 QueryPlan::Summary QueryPlan::Summarize() const {
   const PlanAnnotations& a = ann();
   Summary s;
@@ -392,7 +364,7 @@ QueryPlan::Summary QueryPlan::Summarize() const {
     if (fp.strategy == FlworPlan::Strategy::kHashJoin) {
       ++s.hash_joins;
     } else if (fp.join_shape) {
-      ++s.joinable_nested_loops;  // decorrelatable but toggled off
+      ++s.joinable_nested_loops;  // decorrelatable, hash_join off
     } else if (fp.band_shape &&
                a.band_lets.find(node) == a.band_lets.end()) {
       ++s.joinable_nested_loops;  // band shape not converted

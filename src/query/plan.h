@@ -37,25 +37,28 @@ class HashJoinExec;
 class BandJoinIndex;
 class ConstructExec;
 
-/// Optimizer toggles. Each engine configuration (systems A-G) enables the
-/// subset its architecture plausibly provides; the differences drive the
-/// Table 3 contrasts. Historically these were interpreted per node at
-/// execution time; with `use_planner` on they are resolved once per query
-/// into a QueryPlan and the evaluator just executes the chosen plan.
+/// Optimizer toggles: the paper-profile knobs. Each engine configuration
+/// (systems A-G) enables the subset its architecture plausibly provides;
+/// the differences drive the Table 3 contrasts. They are resolved once per
+/// query into a QueryPlan and the evaluator just executes the chosen plan.
 struct EvaluatorOptions {
   /// Resolve [@id="lit"] predicates through the store's ID index.
   bool use_id_index = true;
   /// Resolve root child-paths through the structural summary.
   bool use_path_index = true;
-  /// Resolve descendant steps through the tag index.
-  bool use_tag_index = true;
-  /// Decorrelate nested equi-join FLWORs into hash joins.
+  /// The optimizer's join and fusion rewrites, on for systems whose
+  /// optimizer decorrelates joins (A-E), off for the nested-loop-only
+  /// executors (F, G):
+  ///   - decorrelate nested equi-join FLWORs into hash joins;
+  ///   - rewrite the Q11/Q12 numeric band shape (`outer > k * inner`, used
+  ///     only under count()) into a sort-merge band join that sorts the
+  ///     invariant domain once and answers each probe by binary search;
+  ///   - fuse hot FLWOR shapes (scan -> filter -> compare -> emit chains)
+  ///     into CompiledPipeline loops that drain the id interval or cursor
+  ///     range straight into the result.
+  /// Off runs the generic operators and nested loops, the reference the
+  /// rewrites are tested against; output is byte-identical either way.
   bool hash_join = true;
-  /// Rewrite the Q11/Q12 numeric band shape (`outer > k * inner`, used
-  /// only under count()) into a sort-merge band join: sort the invariant
-  /// join domain once, answer each probe with a binary search instead of
-  /// the O(n*m) nested-loop sweep.
-  bool band_join = true;
   /// Defer `let` evaluation until first use (prunes Q12's inner loop).
   bool lazy_let = true;
   /// Memoize absolute-path subexpressions across loop iterations.
@@ -64,43 +67,7 @@ struct EvaluatorOptions {
   /// returns copies, a large part of its overhead).
   bool copy_results = false;
 
-  /// Lower the query into a QueryPlan before execution (join strategies,
-  /// per-step access paths, invariant hoisting decided once per query).
-  /// Off = the legacy tree-walking interpreter that re-decides per node at
-  /// runtime; results are byte-identical either way.
-  bool use_planner = true;
-
-  // --- Storage-access fast paths (implementation quality, not a paper
-  // system knob; on for every system, off for ablation benchmarks) -------
-
-  /// Consume string data through zero-copy views (TextView/AttributeView/
-  /// AppendStringValue) on comparison and predicate paths instead of
-  /// materializing a std::string per node.
-  bool zero_copy_strings = true;
-  /// Walk child steps through batched, tag-filtered store cursors instead
-  /// of a virtual FirstChild/NextSibling call pair per node.
-  bool child_cursors = true;
-  /// Walk descendant steps through batched, interval-encoded store cursors
-  /// (one clustered range scan per input node) instead of the generic DFS
-  /// or a materialized DescendantsByTag vector.
-  bool descendant_cursors = true;
-  /// Build element-constructor results through plan-time ConstructPlan
-  /// templates instantiated into a per-run NodeArena (block-allocated
-  /// nodes, shared text buffer) instead of one shared_ptr allocation per
-  /// node and one std::string per text child. Requires use_planner
-  /// (templates are plan annotations); output is byte-identical either
-  /// way.
-  bool arena_construction = true;
-  /// Fuse hot FLWOR shapes (scan → filter → compare → emit chains) into
-  /// CompiledPipeline loops: monomorphic template instantiations in
-  /// exec.cc drain the underlying id interval or cursor range straight
-  /// into the final result, with no intermediate Sequence per operator
-  /// boundary and no per-batch virtual dispatch. Unfusable shapes run the
-  /// regular operators; output is byte-identical either way. Requires
-  /// use_planner (pipelines are plan annotations).
-  bool compiled_pipelines = true;
-
-  /// Intra-query morsel parallelism. Large descendant/tag-index scans are
+  /// Intra-query morsel parallelism. Large descendant scans are
   /// partitioned into preorder-id morsels drained by a util/thread_pool
   /// worker team, and the band-join domain sort runs partitioned. Results
   /// are byte-identical to serial execution: each morsel emits in id
@@ -140,11 +107,8 @@ struct EvalStats {
   int64_t join_probe_allocs = 0;   // probe keys that materialized a string
   int64_t sequence_heap_spills = 0;  // Sequences that outgrew the inline
                                      // buffer (SBO miss count)
-  int64_t nodes_constructed = 0;     // ConstructedNodes created (both the
-                                     // heap and the arena path)
-  int64_t nodes_arena_allocated = 0;  // subset placed in the per-run
-                                      // NodeArena (heap constructed nodes
-                                      // = nodes_constructed - this)
+  int64_t nodes_constructed = 0;     // ConstructedNodes created in the
+                                     // per-run NodeArena
   int64_t construct_templates_built = 0;  // ConstructPlans lowered by the
                                           // optimizer for this run
   int64_t governance_checks = 0;  // cooperative ExecContext checkpoints
@@ -172,7 +136,6 @@ struct EvalStats {
     join_probe_allocs += other.join_probe_allocs;
     sequence_heap_spills += other.sequence_heap_spills;
     nodes_constructed += other.nodes_constructed;
-    nodes_arena_allocated += other.nodes_arena_allocated;
     construct_templates_built += other.construct_templates_built;
     governance_checks += other.governance_checks;
     pipeline_batches_fused += other.pipeline_batches_fused;
@@ -189,12 +152,9 @@ struct StepPlan {
     kChildrenByTag,     // physical child slots/tables (falls back to a
                         // cursor when the store answers nullopt at runtime)
     kChildCursor,       // batched tag-filtered child cursor
-    kChildChain,        // generic FirstChild/NextSibling walk
-    kDescendantCursor,  // batched interval-encoded descendant cursor
-    kTagIndex,          // materialized DescendantsByTag slice
-    kDescendantDfs,     // generic DFS over child scans
+    kDescendantCursor,  // batched descendant cursor
   };
-  Access access = Access::kChildChain;
+  Access access = Access::kChildCursor;
   /// Non-null: the step carries an [@id = "literal"] predicate and the
   /// store supports ID lookup — resolve through NodeById first.
   const AstNode* id_literal = nullptr;
@@ -328,7 +288,7 @@ struct CompiledPipeline {
   /// Last step carried [@id = "lit"]: filter scanned children on it.
   bool id_filter = false;
   /// ...and the store's ID index answers it directly (one NodeById probe
-  /// instead of the child scan). Mirrors ComputeStepPlan's condition.
+  /// instead of the child scan). Mirrors the step planner's condition.
   bool id_lookup = false;
   std::string id_value;
 
@@ -375,7 +335,6 @@ struct FlworPlan {
 /// Maps are keyed by AstNode address; annotations must never outlive the
 /// ParsedQuery they were lowered from (the cache stores both together).
 struct PlanAnnotations {
-  bool built_by_optimizer = false;
   std::string store_name;       // mapping_name at plan time (Explain)
   std::string doc_scope;        // document scope ("" = default document)
   uint64_t store_uid = 0;       // store identity the plan was built for
@@ -405,15 +364,15 @@ class QueryPlan {
   /// The active annotation view: the shared (cached) annotations when one
   /// was adopted, else the locally built ones.
   const PlanAnnotations& ann() const { return shared_ ? *shared_ : local_; }
-  /// The locally owned annotations (optimizer output target; also the
-  /// overflow target for legacy-mode lazy FLWOR entries).
+  /// The locally owned annotations (optimizer output target).
   PlanAnnotations* mutable_annotations() { return &local_; }
   /// Adopts a cached compilation; Find* then consult it first.
   void AdoptShared(std::shared_ptr<const PlanAnnotations> shared) {
     shared_ = std::move(shared);
   }
 
-  /// Non-null when the optimizer planned this path (use_planner on).
+  /// The optimizer's plan for a kPath node (null only for nodes outside
+  /// the lowered module).
   const PathPlan* FindPath(const AstNode* node) const {
     const auto& paths = ann().paths;
     auto it = paths.find(node);
@@ -425,19 +384,11 @@ class QueryPlan {
     auto it = band_lets.find(let_expr);
     return it == band_lets.end() ? nullptr : &it->second;
   }
-  /// FLWOR strategy; when absent (legacy interpreter mode) the evaluator
-  /// fills the entry on first visit through the same analysis. Lazy
-  /// entries land in the local overflow map, so an adopted shared plan is
-  /// never written to.
+  /// The optimizer's join strategy for a kFlwor node.
   const FlworPlan* FindFlwor(const AstNode* node) const {
     const auto& flwors = ann().flwors;
     auto it = flwors.find(node);
-    if (it != flwors.end()) return &it->second;
-    if (shared_ != nullptr) {
-      auto local_it = local_.flwors.find(node);
-      if (local_it != local_.flwors.end()) return &local_it->second;
-    }
-    return nullptr;
+    return it == flwors.end() ? nullptr : &it->second;
   }
   /// Non-null when `node` (a FLWOR) was fused into a compiled pipeline.
   const CompiledPipeline* FindPipeline(const AstNode* node) const {
@@ -455,15 +406,13 @@ class QueryPlan {
 
   /// Renders the plan as indented text (bench --explain, golden tests).
   std::string Explain(const ParsedQuery& query) const;
-  /// Explain for a bare expression (tests).
-  std::string ExplainExpr(const AstNode& expr) const;
 
   struct Summary {
     int hash_joins = 0;
     int band_joins = 0;
     int construct_templates = 0;
-    /// Join-shaped FLWORs left on the naive nested loop (strategy toggles
-    /// off, or a band shape whose let is not count-only).
+    /// Join-shaped FLWORs left on the naive nested loop (hash_join off, or
+    /// a band shape whose let is not count-only).
     int joinable_nested_loops = 0;
     /// FLWORs fused into compiled pipelines.
     int compiled_pipelines = 0;

@@ -16,7 +16,7 @@ class SlotResolver {
     if (it != slots_.end()) return it->second;
     const int slot = static_cast<int>(slots_.size());
     slots_.emplace(name, slot);
-    if (names_ != nullptr) names_->push_back(name);
+    names_->push_back(name);
     return slot;
   }
 
@@ -44,8 +44,6 @@ class SlotResolver {
     for (AstPtr& c : node.content) Visit(*c);
   }
 
-  size_t slot_count() const { return slots_.size(); }
-
  private:
   std::unordered_map<std::string, int> slots_;
   std::vector<std::string>* names_;
@@ -65,12 +63,6 @@ void ResolveVariableSlots(ParsedQuery& query) {
   }
   if (query.body) resolver.Visit(*query.body);
   query.slots_resolved = true;
-}
-
-int ResolveVariableSlots(AstNode& root) {
-  SlotResolver resolver(nullptr);
-  resolver.Visit(root);
-  return static_cast<int>(resolver.slot_count());
 }
 
 }  // namespace xmark::query

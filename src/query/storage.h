@@ -132,19 +132,17 @@ class DescendantCursor {
 
 /// Plan-time advertisement of the physical access structures a mapping
 /// provides. The optimizer consults this once per query to pick access
-/// paths (id probe, tag-index slice, path-table extent, interval-encoded
-/// descendant scan) instead of re-testing Supports*() virtuals per node at
-/// execution time. The default implementation of
-/// StorageAdapter::Capabilities() derives the index bits from the legacy
-/// Supports* hooks; stores with physical child/descendant layouts override
-/// it to advertise the extra bits.
+/// paths (id probe, path-table extent, physical child slots) instead of
+/// re-testing Supports*() virtuals per node at execution time. The default
+/// implementation of StorageAdapter::Capabilities() derives the index bits
+/// from the Supports* hooks; stores with physical child layouts override
+/// it to advertise the extra bit.
 struct StorageCapabilities {
   bool id_lookup = false;       // NodeById
-  bool tag_index = false;       // NodesByTag / DescendantsByTag
+  bool tag_index = false;       // NodesByTag (tag-filtered descendant
+                                // cursors scan its slices)
   bool path_index = false;      // PathExtent (structural summary)
   bool children_by_tag = false; // ChildrenByTag physical child slots/tables
-  bool interval_descendants = false;  // clustered descendant range scans
-                                      // (subtree intervals, table slices)
 };
 
 /// Abstract physical XML mapping. The query evaluator is written entirely
@@ -329,7 +327,7 @@ class StorageAdapter {
 
   /// One-shot capability snapshot for the query planner. The default
   /// derives the index bits from the Supports* hooks below; stores with
-  /// physical child-slot or interval layouts override it.
+  /// physical child-slot layouts override it.
   virtual StorageCapabilities Capabilities() const {
     StorageCapabilities caps;
     caps.id_lookup = SupportsIdLookup();
@@ -350,16 +348,9 @@ class StorageAdapter {
       xml::NameId /*tag*/) const {
     return nullptr;
   }
-  /// Descendant elements of `n` with tag `tag`, in document order, resolved
-  /// through an index rather than a subtree walk. nullopt when the store
-  /// has no structure supporting this.
-  virtual std::optional<std::vector<NodeHandle>> DescendantsByTag(
-      NodeHandle /*n*/, xml::NameId /*tag*/) const {
-    return std::nullopt;
-  }
   /// Children of `n` with tag `tag` resolved through the physical layout
-  /// (fragmented tables, inlined child slots). nullopt → caller iterates
-  /// the generic child chain.
+  /// (fragmented tables, inlined child slots). nullopt → caller scans a
+  /// child cursor.
   virtual std::optional<std::vector<NodeHandle>> ChildrenByTag(
       NodeHandle /*n*/, xml::NameId /*tag*/) const {
     return std::nullopt;

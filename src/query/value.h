@@ -37,12 +37,13 @@ struct NodeRef {
 /// references to stored nodes (which are deep-copied only at serialization
 /// time).
 ///
-/// Two storage regimes share this struct. Heap nodes (the legacy
-/// per-`make_shared` path) own their tag and text in the `tag`/`text`
-/// strings. Arena nodes (built by ConstructExec from a ConstructPlan
-/// template) leave those strings empty and point `tag_ref`/`text_ref` into
-/// NodeArena-owned memory instead — consumers must go through `tag_view()`
-/// and `text_view()`, which pick whichever representation is populated.
+/// Two storage regimes share this struct. Heap nodes (DeepCopyNode's
+/// copies of stored nodes under copy_results) own their tag and text in
+/// the `tag`/`text` strings. Arena nodes (built by ConstructExec from a
+/// ConstructPlan template) leave those strings empty and point
+/// `tag_ref`/`text_ref` into NodeArena-owned memory instead — consumers
+/// must go through `tag_view()` and `text_view()`, which pick whichever
+/// representation is populated.
 struct ConstructedNode {
   /// Heap node: members allocate from the default resource.
   ConstructedNode();

@@ -281,23 +281,6 @@ const std::vector<query::NodeHandle>* DomStore::NodesByTag(
   return it == tag_index_.end() ? nullptr : &it->second;
 }
 
-std::optional<std::vector<query::NodeHandle>> DomStore::DescendantsByTag(
-    query::NodeHandle n, xml::NameId tag) const {
-  if (!options_.build_tag_index) return std::nullopt;
-  const auto it = tag_index_.find(tag);
-  if (it == tag_index_.end()) return std::vector<query::NodeHandle>{};
-  // Preorder ids: the subtree of n is the contiguous handle interval
-  // [n+1, SubtreeEnd(n)), so a tag-index slice is exactly the answer.
-  const auto& handles = it->second;
-  const query::NodeHandle lo = n + 1;
-  const query::NodeHandle hi =
-      doc_.SubtreeEnd(static_cast<xml::NodeId>(n));
-  auto begin = std::lower_bound(handles.begin(), handles.end(), lo);
-  auto end = std::lower_bound(handles.begin(), handles.end(),
-                              static_cast<query::NodeHandle>(hi));
-  return std::vector<query::NodeHandle>(begin, end);
-}
-
 std::optional<std::vector<query::NodeHandle>> DomStore::PathExtent(
     const std::vector<xml::NameId>& path) const {
   if (!options_.build_path_summary || path.empty()) return std::nullopt;

@@ -110,9 +110,6 @@ class DomStore : public query::StorageAdapter {
   bool SupportsTagIndex() const override { return options_.build_tag_index; }
   const std::vector<query::NodeHandle>* NodesByTag(
       xml::NameId tag) const override;
-  std::optional<std::vector<query::NodeHandle>> DescendantsByTag(
-      query::NodeHandle n, xml::NameId tag) const override;
-
   bool SupportsPathIndex() const override {
     return options_.build_path_summary;
   }
@@ -120,15 +117,6 @@ class DomStore : public query::StorageAdapter {
       const std::vector<xml::NameId>& path) const override;
   std::optional<int64_t> PathCount(
       const std::vector<xml::NameId>& path) const override;
-
-  query::StorageCapabilities Capabilities() const override {
-    query::StorageCapabilities caps;
-    caps.id_lookup = SupportsIdLookup();
-    caps.tag_index = options_.build_tag_index;
-    caps.path_index = options_.build_path_summary;
-    caps.interval_descendants = true;  // dense preorder node table
-    return caps;
-  }
 
   size_t StorageBytes() const override;
   size_t CatalogEntries() const override;

@@ -91,13 +91,6 @@ class EdgeStore : public query::StorageAdapter {
   bool SupportsIdLookup() const override { return true; }
   query::NodeHandle NodeById(std::string_view id) const override;
 
-  query::StorageCapabilities Capabilities() const override {
-    query::StorageCapabilities caps;
-    caps.id_lookup = true;
-    caps.interval_descendants = true;  // subtree_end_ id intervals
-    return caps;
-  }
-
   size_t StorageBytes() const override;
   size_t CatalogEntries() const override { return 2; }  // edge + attr
 

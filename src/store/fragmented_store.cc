@@ -508,23 +508,6 @@ std::optional<std::vector<query::NodeHandle>> FragmentedStore::ChildrenByTag(
   return std::vector<query::NodeHandle>{};  // no such child table
 }
 
-std::optional<std::vector<query::NodeHandle>>
-FragmentedStore::DescendantsByTag(query::NodeHandle n, xml::NameId tag) const {
-  const auto it = paths_by_tag_.find(tag);
-  if (it == paths_by_tag_.end()) return std::vector<query::NodeHandle>{};
-  const Row& row = RowOf(n);
-  std::vector<query::NodeHandle> out;
-  for (uint32_t path_id : it->second) {
-    if (!PathExtends(path_id, path_of_[n])) continue;
-    const PathInfo& p = paths_[path_id];
-    const auto [b, e] =
-        Slice(p, static_cast<uint32_t>(n) + 1, row.subtree_end);
-    for (size_t i = b; i < e; ++i) out.push_back(p.rows[i].id);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::optional<std::vector<query::NodeHandle>> FragmentedStore::PathExtent(
     const std::vector<xml::NameId>& path) const {
   uint32_t idx = 0;

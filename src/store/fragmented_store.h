@@ -83,8 +83,6 @@ class FragmentedStore : public query::StorageAdapter {
 
   std::optional<std::vector<query::NodeHandle>> ChildrenByTag(
       query::NodeHandle n, xml::NameId tag) const override;
-  std::optional<std::vector<query::NodeHandle>> DescendantsByTag(
-      query::NodeHandle n, xml::NameId tag) const override;
 
   bool SupportsPathIndex() const override { return true; }
   std::optional<std::vector<query::NodeHandle>> PathExtent(
@@ -96,7 +94,6 @@ class FragmentedStore : public query::StorageAdapter {
     caps.tag_index = true;   // realized by the per-path tables
     caps.path_index = true;  // path tables ARE the path index
     caps.children_by_tag = true;
-    caps.interval_descendants = true;  // path-table slices
     return caps;
   }
 

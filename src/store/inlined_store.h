@@ -110,7 +110,6 @@ class InlinedStore : public query::StorageAdapter {
     query::StorageCapabilities caps;
     caps.id_lookup = true;
     caps.children_by_tag = true;  // DTD-inlined child slots
-    caps.interval_descendants = true;  // dense preorder tag_ array
     return caps;
   }
 

@@ -116,14 +116,7 @@ StatusOr<PreparedQuery> PrepareThroughCache(
             ResolveCatalogNames(store, out.parsed, &out.catalog_probes,
                                 &out.name_tests);
             auto annotations = std::make_shared<query::PlanAnnotations>();
-            annotations->store_name = std::string(store.mapping_name());
-            annotations->store_uid = store.store_uid();
-            annotations->caps = store.Capabilities();
-            annotations->options = options;
-            if (options.use_planner) {
-              query::BuildPlan(out.parsed, store, options,
-                               annotations.get());
-            }
+            query::BuildPlan(out.parsed, store, options, annotations.get());
             out.annotations = std::move(annotations);
             return out;
           }));
@@ -388,7 +381,6 @@ std::unique_ptr<Engine> Engine::Create(SystemId id) {
     case SystemId::kA:
       // Edge store has no tag/path structures; cost-based optimizer.
       opts.use_id_index = true;
-      opts.use_tag_index = false;
       opts.use_path_index = false;
       opts.hash_join = true;
       opts.lazy_let = true;
@@ -397,7 +389,6 @@ std::unique_ptr<Engine> Engine::Create(SystemId id) {
     case SystemId::kB:
       // Fragmented store exposes path tables; cost-based optimizer.
       opts.use_id_index = true;
-      opts.use_tag_index = true;   // realized by the per-path tables
       opts.use_path_index = true;  // path tables ARE the path index
       opts.hash_join = true;
       opts.lazy_let = true;
@@ -406,7 +397,6 @@ std::unique_ptr<Engine> Engine::Create(SystemId id) {
     case SystemId::kC:
       // Inlined schema: direct child slots, but no tag/path index.
       opts.use_id_index = true;
-      opts.use_tag_index = false;
       opts.use_path_index = false;
       opts.hash_join = true;
       opts.lazy_let = true;
@@ -415,7 +405,6 @@ std::unique_ptr<Engine> Engine::Create(SystemId id) {
     case SystemId::kD:
       // Native store with the full index set (structural summary).
       opts.use_id_index = true;
-      opts.use_tag_index = true;
       opts.use_path_index = true;
       opts.hash_join = true;
       opts.lazy_let = true;
@@ -424,16 +413,15 @@ std::unique_ptr<Engine> Engine::Create(SystemId id) {
     case SystemId::kE:
       // Heuristic optimizer: joins yes, but eager lets and no summary.
       opts.use_id_index = true;
-      opts.use_tag_index = false;
       opts.use_path_index = false;
       opts.hash_join = true;
       opts.lazy_let = false;
       opts.cache_invariant_paths = true;
       break;
     case SystemId::kF:
-      // Nested-loop-only executor.
+      // Nested-loop-only executor: no hash or band joins, no fused
+      // pipelines (hash_join gates all three).
       opts.use_id_index = false;
-      opts.use_tag_index = false;
       opts.use_path_index = false;
       opts.hash_join = false;
       opts.lazy_let = false;
@@ -443,7 +431,6 @@ std::unique_ptr<Engine> Engine::Create(SystemId id) {
       // Embedded processor: no access structures, copies results, reloads
       // the document per query.
       opts.use_id_index = false;
-      opts.use_tag_index = false;
       opts.use_path_index = false;
       opts.hash_join = false;
       opts.lazy_let = false;
@@ -452,12 +439,6 @@ std::unique_ptr<Engine> Engine::Create(SystemId id) {
       reload = true;
       break;
   }
-  // The band join is a join strategy like the hash join: systems whose
-  // optimizer decorrelates joins get both, nested-loop-only systems (F, G)
-  // get neither. Compiled pipelines follow the same split — they are an
-  // optimizer product (plan-time fusion), not a storage feature.
-  opts.band_join = opts.hash_join;
-  opts.compiled_pipelines = opts.hash_join;
   return std::unique_ptr<Engine>(new Engine(id, opts, reload));
 }
 

@@ -231,8 +231,8 @@ class Engine {
   const query::EvaluatorOptions& evaluator_options() const {
     return eval_options_;
   }
-  /// Overrides the evaluator configuration (ablation benchmarks flip the
-  /// storage-access fast paths off through this).
+  /// Overrides the evaluator configuration (ablation benchmarks and the
+  /// options-matrix test flip the paper-profile flags through this).
   void set_evaluator_options(const query::EvaluatorOptions& opts) {
     eval_options_ = opts;
   }

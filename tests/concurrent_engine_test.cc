@@ -183,7 +183,7 @@ TEST(ConcurrentEngine, MorselPipelineSessionsMatchSerial) {
     expected.push_back(query::SerializeSequence(*result));
   }
   query::EvaluatorOptions opts = engine->evaluator_options();
-  ASSERT_TRUE(opts.compiled_pipelines);  // system A serves fused plans
+  ASSERT_TRUE(opts.hash_join);  // system A serves fused plans
   opts.parallel_exec.enabled = true;
   opts.parallel_exec.threads = 4;
   opts.parallel_exec.min_morsel_ids = 1;  // force morsels at tiny scale

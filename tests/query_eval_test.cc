@@ -304,7 +304,6 @@ TEST_F(EvalTest, PathIndexAgreesWithTraversal) {
   EvaluatorOptions indexed;
   EvaluatorOptions plain;
   plain.use_path_index = false;
-  plain.use_tag_index = false;
   plain.cache_invariant_paths = false;
   for (const char* q :
        {"/site/people/person/name/text()", "count(//price)",

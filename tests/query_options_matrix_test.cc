@@ -1,10 +1,10 @@
 // Property test: the evaluator must produce identical results under every
-// combination of optimizer features — the features may only change cost,
-// never semantics. Runs a representative query set over all 2^9 option
-// combinations against the fully-indexed native store, each combination
-// with the planner both on and off, plus cross-store Q1-Q20 byte-parity
-// for planner on vs off (the planner is a lowering of the interpreter, not
-// a semantic change) and for arena construction on vs off.
+// combination of the paper-profile flags — the flags may only change cost,
+// never semantics. Runs Q1-Q20 under all 2^6 combinations against the
+// fully-indexed native store and compares the serialized bytes with
+// System F's options (no indexes, nested loops only, eager lets), plus
+// the same matrix over doc()/collection() catalog scans and byte-parity
+// of morsel-parallel execution across the four physical mappings.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +27,6 @@
 #include "util/logging.h"
 #include "xmark/engine.h"
 #include "xmark/queries.h"
-#include "xmark/result_check.h"
 #include "xml/dtd.h"
 
 namespace xmark::query {
@@ -55,78 +54,70 @@ const store::DomStore& Store() {
 EvaluatorOptions FromMask(int mask) {
   EvaluatorOptions options;
   options.use_id_index = mask & 1;
-  options.use_tag_index = mask & 2;
-  options.use_path_index = mask & 4;
-  options.hash_join = mask & 8;
-  options.lazy_let = mask & 16;
-  options.cache_invariant_paths = mask & 32;
-  options.descendant_cursors = mask & 64;
-  options.arena_construction = mask & 128;
-  options.compiled_pipelines = mask & 256;
-  // The band join rides the join-strategy bit: mask 0 stays the fully
-  // naive nested-loop baseline.
-  options.band_join = options.hash_join;
+  options.use_path_index = mask & 2;
+  options.hash_join = mask & 4;
+  options.lazy_let = mask & 8;
+  options.cache_invariant_paths = mask & 16;
+  options.copy_results = mask & 32;
   return options;
 }
 
-// Queries covering every feature: exact match (id index), regular paths
-// (tag/path index), reference chasing (hash join), value join (band join,
-// lazy let + invariant cache), ordered access and aggregation, plus
-// template-heavy result construction (arena construction, Q10/Q13).
-const int kQueries[] = {1, 2, 6, 7, 8, 10, 11, 12, 13, 20};
+// The structural oracle: System F's profile.
+EvaluatorOptions Reference() {
+  return bench::Engine::Create(bench::SystemId::kF)->evaluator_options();
+}
+
+// Q1-Q20 parsed once; every run shares the (immutable) module.
+const ParsedQuery& Parsed(int q) {
+  static const std::vector<ParsedQuery>* const kQueries = [] {
+    auto* queries = new std::vector<ParsedQuery>();
+    for (int i = 1; i <= 20; ++i) {
+      auto parsed = ParseQueryText(bench::GetQuery(i).text);
+      XMARK_CHECK(parsed.ok());
+      queries->push_back(std::move(*parsed));
+    }
+    return queries;
+  }();
+  return (*kQueries)[q - 1];
+}
+
+std::string RunSerialized(const EvaluatorOptions& options, int q) {
+  Evaluator evaluator(&Store(), options);
+  auto result = evaluator.Run(Parsed(q));
+  if (!result.ok()) {
+    ADD_FAILURE() << "Q" << q << ": " << result.status();
+    return "<error>";
+  }
+  return SerializeSequence(*result);
+}
+
+// System F's bytes are mask-independent: computed once per query.
+const std::string& ReferenceBytes(int q) {
+  static std::map<int, std::string>* const kBytes =
+      new std::map<int, std::string>();
+  auto it = kBytes->find(q);
+  if (it == kBytes->end()) {
+    it = kBytes->emplace(q, RunSerialized(Reference(), q)).first;
+  }
+  return it->second;
+}
 
 class OptionsMatrix : public ::testing::TestWithParam<int> {};
 
-TEST_P(OptionsMatrix, SameResultsAsAllFeaturesOff) {
+TEST_P(OptionsMatrix, SameBytesAsSystemF) {
   const EvaluatorOptions options = FromMask(GetParam());
-  for (int q : kQueries) {
-    auto parsed = ParseQueryText(bench::GetQuery(q).text);
-    ASSERT_TRUE(parsed.ok()) << "Q" << q;
-
-    Evaluator baseline(&Store(), FromMask(0));
-    auto expected = baseline.Run(*parsed);
-    ASSERT_TRUE(expected.ok()) << "Q" << q << ": " << expected.status();
-
-    Evaluator subject(&Store(), options);
-    auto actual = subject.Run(*parsed);
-    ASSERT_TRUE(actual.ok()) << "Q" << q << ": " << actual.status();
-
-    bench::EquivalenceOptions eq;
-    EXPECT_TRUE(bench::ResultsEquivalent(*expected, *actual, eq))
-        << "Q" << q << " differs under option mask " << GetParam() << ": "
-        << bench::ExplainDifference(*expected, *actual, eq);
-  }
-}
-
-// Planner parity per mask: lowering the same toggles into a QueryPlan must
-// not change a byte relative to the runtime-decided interpreter.
-TEST_P(OptionsMatrix, PlannerLoweringIsByteIdentical) {
-  EvaluatorOptions planned = FromMask(GetParam());
-  planned.use_planner = true;
-  EvaluatorOptions interpreted = planned;
-  interpreted.use_planner = false;
-  for (int q : kQueries) {
-    auto parsed = ParseQueryText(bench::GetQuery(q).text);
-    ASSERT_TRUE(parsed.ok()) << "Q" << q;
-
-    Evaluator with_planner(&Store(), planned);
-    auto a = with_planner.Run(*parsed);
-    ASSERT_TRUE(a.ok()) << "Q" << q << ": " << a.status();
-
-    Evaluator without_planner(&Store(), interpreted);
-    auto b = without_planner.Run(*parsed);
-    ASSERT_TRUE(b.ok()) << "Q" << q << ": " << b.status();
-
-    EXPECT_EQ(SerializeSequence(*a), SerializeSequence(*b))
-        << "Q" << q << " planner on/off diverges under mask " << GetParam();
+  for (int q = 1; q <= 20; ++q) {
+    EXPECT_EQ(RunSerialized(options, q), ReferenceBytes(q))
+        << "Q" << q << " differs from system F under option mask "
+        << GetParam();
   }
 }
 
 // Catalog scans under the full matrix: a corpus ingested with 4 threads
 // and queried through doc("id") / collection() must serialize identically
-// under every optimizer feature mask, with the collection fan-out running
-// across the exec pool — the catalog layer may only route and
-// concatenate, never change semantics.
+// to System F's serial run under every flag mask, with the collection
+// fan-out running across the exec pool — the catalog layer may only route
+// and concatenate, never change semantics.
 bench::Engine* MatrixCatalogEngine() {
   static bench::Engine* const kEngine = [] {
     std::unique_ptr<bench::Engine> engine =
@@ -162,7 +153,7 @@ std::string RunCatalogSerialized(const EvaluatorOptions& options,
   return SerializeSequence(*result);
 }
 
-TEST_P(OptionsMatrix, CatalogScansMatchAllFeaturesOff) {
+TEST_P(OptionsMatrix, CatalogScansMatchSystemF) {
   constexpr std::string_view kNeedle = "document(\"auction.xml\")";
   for (int q : {1, 8, 10, 20}) {
     for (const char* entry : {"doc(\"m-1.xml\")", "collection()"}) {
@@ -171,14 +162,13 @@ TEST_P(OptionsMatrix, CatalogScansMatchAllFeaturesOff) {
            hit = text.find(kNeedle, hit)) {
         text.replace(hit, kNeedle.size(), entry);
       }
-      // Baseline (mask 0, serial) is mask-independent: compute it once.
+      // Reference (System F, serial) is mask-independent: compute it once.
       static std::map<std::string, std::string>* const kBaselines =
           new std::map<std::string, std::string>();
       auto baseline = kBaselines->find(text);
       if (baseline == kBaselines->end()) {
         baseline = kBaselines
-                       ->emplace(text,
-                                 RunCatalogSerialized(FromMask(0), text))
+                       ->emplace(text, RunCatalogSerialized(Reference(), text))
                        .first;
       }
       const std::string& expected = baseline->second;
@@ -194,10 +184,9 @@ TEST_P(OptionsMatrix, CatalogScansMatchAllFeaturesOff) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCombinations, OptionsMatrix,
-                         ::testing::Range(0, 512));
+                         ::testing::Range(0, 64));
 
-// Cross-store planner parity: Q1-Q20 on all four physical mappings, every
-// optimization on, planner on vs off — byte-identical serialized results.
+// Cross-store parallel parity: Q1-Q20 on all four physical mappings.
 class PlannerStoreParity : public ::testing::TestWithParam<int> {
  protected:
   static const StorageAdapter* StoreByIndex(int index) {
@@ -229,56 +218,6 @@ class PlannerStoreParity : public ::testing::TestWithParam<int> {
   }
 };
 
-TEST_P(PlannerStoreParity, Q1ToQ20ByteIdenticalPlannerOnOff) {
-  const int query = GetParam();
-  auto parsed = ParseQueryText(bench::GetQuery(query).text);
-  ASSERT_TRUE(parsed.ok());
-  for (int s = 0; s < 4; ++s) {
-    const StorageAdapter* store = StoreByIndex(s);
-    EvaluatorOptions on;  // defaults: everything on, planner on
-    EvaluatorOptions off = on;
-    off.use_planner = false;
-    off.band_join = false;  // band rewrites exist only under the planner
-
-    Evaluator planned(store, on);
-    auto a = planned.Run(*parsed);
-    ASSERT_TRUE(a.ok()) << store->mapping_name() << " Q" << query << ": "
-                        << a.status();
-    Evaluator interpreted(store, off);
-    auto b = interpreted.Run(*parsed);
-    ASSERT_TRUE(b.ok()) << store->mapping_name() << " Q" << query << ": "
-                        << b.status();
-    EXPECT_EQ(SerializeSequence(*a), SerializeSequence(*b))
-        << store->mapping_name() << " Q" << query
-        << " diverges between planner and interpreter";
-
-    // Arena construction is a pure materialization strategy: planner on
-    // with the arena off must also match byte for byte.
-    EvaluatorOptions no_arena = on;
-    no_arena.arena_construction = false;
-    Evaluator heap_constructed(store, no_arena);
-    auto c = heap_constructed.Run(*parsed);
-    ASSERT_TRUE(c.ok()) << store->mapping_name() << " Q" << query << ": "
-                        << c.status();
-    EXPECT_EQ(SerializeSequence(*a), SerializeSequence(*c))
-        << store->mapping_name() << " Q" << query
-        << " diverges between arena and heap construction";
-
-    // Compiled pipelines are a pure execution strategy: the fused
-    // monomorphic loops must not change a byte relative to the generic
-    // operators on any store.
-    EvaluatorOptions no_pipe = on;
-    no_pipe.compiled_pipelines = false;
-    Evaluator generic_ops(store, no_pipe);
-    auto d = generic_ops.Run(*parsed);
-    ASSERT_TRUE(d.ok()) << store->mapping_name() << " Q" << query << ": "
-                        << d.status();
-    EXPECT_EQ(SerializeSequence(*a), SerializeSequence(*d))
-        << store->mapping_name() << " Q" << query
-        << " diverges between compiled pipelines and generic operators";
-  }
-}
-
 // Morsel-parallel execution is pure scheduling: chunked descendant scans
 // merge in deterministic chunk order and the band-domain sort is a
 // deterministic parallel stable sort, so results must be byte-identical
@@ -290,7 +229,7 @@ TEST_P(PlannerStoreParity, ParallelExecByteIdentical) {
   ASSERT_TRUE(parsed.ok());
   for (int s = 0; s < 4; ++s) {
     const StorageAdapter* store = StoreByIndex(s);
-    EvaluatorOptions serial;  // defaults: everything on, parallel off
+    EvaluatorOptions serial;  // defaults: every flag on, parallel off
     Evaluator base(store, serial);
     auto a = base.Run(*parsed);
     ASSERT_TRUE(a.ok()) << store->mapping_name() << " Q" << query << ": "

@@ -1,7 +1,7 @@
 // Planner-layer tests: golden Explain() text for Q8/Q11/Q12 (hash join vs
 // band join chosen), store capability advertisement, and band-join
-// semantics (byte-identical to the nested-loop interpreter across every
-// comparison direction and operand order).
+// semantics (byte-identical to the generic nested loop, hash_join off,
+// across every comparison direction and operand order).
 
 #include <gtest/gtest.h>
 
@@ -99,7 +99,7 @@ TEST(ExplainGolden, Q12ChoosesBandJoin) {
 
 TEST(ExplainGolden, BandJoinOffFallsBackToNestedLoop) {
   EvaluatorOptions options;
-  options.band_join = false;
+  options.hash_join = false;  // also gates the band join
   const std::string text = ExplainQuery(Edge(), 11, options);
   EXPECT_EQ(text.find("band-count-join op"), std::string::npos) << text;
   EXPECT_NE(text.find("nested-loop (band-shape)"), std::string::npos) << text;
@@ -134,7 +134,7 @@ TEST(ExplainGolden, Q14FusesContainsPipeline) {
 
 TEST(ExplainGolden, PipelinesOffFallBackToGenericOperators) {
   EvaluatorOptions options;
-  options.compiled_pipelines = false;
+  options.hash_join = false;  // also gates pipeline fusion
   const std::string text = ExplainQuery(Edge(), 6, options);
   EXPECT_EQ(text.find("pipeline 0 fused"), std::string::npos) << text;
   EXPECT_NE(text.find("compiled-pipeline=0"), std::string::npos) << text;
@@ -151,7 +151,6 @@ TEST(ExplainGolden, HashJoinOffIsFlaggedJoinable) {
 TEST(Capabilities, StoresAdvertiseTheirStructures) {
   const StorageCapabilities edge = Edge().Capabilities();
   EXPECT_TRUE(edge.id_lookup);
-  EXPECT_TRUE(edge.interval_descendants);
   EXPECT_FALSE(edge.children_by_tag);
   EXPECT_FALSE(edge.tag_index);
   EXPECT_FALSE(edge.path_index);
@@ -160,7 +159,6 @@ TEST(Capabilities, StoresAdvertiseTheirStructures) {
   EXPECT_TRUE(dom.id_lookup);
   EXPECT_TRUE(dom.tag_index);
   EXPECT_TRUE(dom.path_index);
-  EXPECT_TRUE(dom.interval_descendants);
   EXPECT_FALSE(dom.children_by_tag);
 
   auto fragmented = store::FragmentedStore::Load(TestDocument());
@@ -168,7 +166,6 @@ TEST(Capabilities, StoresAdvertiseTheirStructures) {
   const StorageCapabilities frag = (*fragmented)->Capabilities();
   EXPECT_TRUE(frag.children_by_tag);
   EXPECT_TRUE(frag.path_index);
-  EXPECT_TRUE(frag.interval_descendants);
 
   auto inlined = store::InlinedStore::Load(TestDocument(), xml::kAuctionDtd);
   ASSERT_TRUE(inlined.ok());
@@ -179,13 +176,11 @@ TEST(Capabilities, StoresAdvertiseTheirStructures) {
 }
 
 // Band-join semantics: every comparison direction and operand order must
-// match the naive interpreter byte for byte.
+// match the generic nested loop byte for byte.
 class BandJoinSemantics : public ::testing::Test {
  protected:
   static std::string Naive(const ParsedQuery& query) {
     EvaluatorOptions options;
-    options.use_planner = false;
-    options.band_join = false;
     options.hash_join = false;
     Evaluator evaluator(&Dom(), options);
     auto result = evaluator.Run(query);
@@ -194,7 +189,7 @@ class BandJoinSemantics : public ::testing::Test {
   }
 
   static std::string Banded(const ParsedQuery& query, int64_t* rows) {
-    Evaluator evaluator(&Dom(), EvaluatorOptions{});  // planner + band on
+    Evaluator evaluator(&Dom(), EvaluatorOptions{});  // band join on
     auto result = evaluator.Run(query);
     XMARK_CHECK(result.ok());
     EXPECT_GE(evaluator.stats().band_joins_built, 1)
@@ -265,7 +260,7 @@ return <items>{count($l)}{$l}</items>
 
 TEST_F(BandJoinSemantics, EagerLetProbesAtBindTime) {
   // Under eager-let semantics (systems E-G) the probe must run at bind
-  // time and still match the interpreter byte for byte.
+  // time and still match the nested loop byte for byte.
   for (int q : {11, 12}) {
     auto parsed = ParseQueryText(bench::GetQuery(q).text);
     ASSERT_TRUE(parsed.ok());
@@ -276,10 +271,9 @@ TEST_F(BandJoinSemantics, EagerLetProbesAtBindTime) {
     ASSERT_TRUE(a.ok());
     EXPECT_GE(banded.stats().band_joins_built, 1);
     EvaluatorOptions naive = eager;
-    naive.use_planner = false;
-    naive.band_join = false;
-    Evaluator interpreted(&Dom(), naive);
-    auto b = interpreted.Run(*parsed);
+    naive.hash_join = false;
+    Evaluator nested(&Dom(), naive);
+    auto b = nested.Run(*parsed);
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(SerializeSequence(*a), SerializeSequence(*b)) << "Q" << q;
   }
@@ -288,7 +282,7 @@ TEST_F(BandJoinSemantics, EagerLetProbesAtBindTime) {
 TEST_F(BandJoinSemantics, ProbeInputReboundRefusesRewrite) {
   // A later clause rebinds $p, which the band FLWOR's probe side reads:
   // the rewrite must refuse (the probe would otherwise see the rebound
-  // value at the count() site) and results must match the interpreter
+  // value at the count() site) and results must match the nested loop
   // under both let-evaluation policies.
   const std::string query = R"(
 for $p in document("auction.xml")/site/people/person
@@ -309,10 +303,9 @@ return count($l)
     EXPECT_EQ(with_planner.stats().band_joins_built, 0)
         << "rewrite must refuse when a probe input is rebound";
     EvaluatorOptions naive = planned;
-    naive.use_planner = false;
-    naive.band_join = false;
-    Evaluator interpreted(&Dom(), naive);
-    auto b = interpreted.Run(*parsed);
+    naive.hash_join = false;
+    Evaluator nested(&Dom(), naive);
+    auto b = nested.Run(*parsed);
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(SerializeSequence(*a), SerializeSequence(*b))
         << "lazy_let=" << lazy;

@@ -1,7 +1,7 @@
-// Cross-store parity: the serialized results of Q1-Q20 must be
-// byte-identical across all four physical mappings, with the zero-copy
-// storage-access fast paths (view-based comparisons + child cursors) on
-// and off. Also pins the Q1 acceptance property: with fast paths on, the
+// Cross-system parity: the serialized results of Q1-Q20 on systems A-D
+// (the four physical mappings, each under its own engine options) must be
+// byte-identical to System F's — the no-index, nested-loop-only profile
+// that is the structural oracle. Also pins the Q1 acceptance property: the
 // equality predicate path performs no per-node string materialization.
 
 #include <gtest/gtest.h>
@@ -46,15 +46,11 @@ Engine* LoadedEngine(SystemId id) {
   return it->second.get();
 }
 
-std::string RunSerialized(SystemId id, int query, bool fast_paths) {
+std::string RunSerialized(SystemId id, int query) {
   Engine* engine = LoadedEngine(id);
   auto parsed = query::ParseQueryText(GetQuery(query).text);
   XMARK_CHECK(parsed.ok());
-  query::EvaluatorOptions opts = engine->evaluator_options();
-  opts.zero_copy_strings = fast_paths;
-  opts.child_cursors = fast_paths;
-  opts.descendant_cursors = fast_paths;
-  query::Evaluator evaluator(engine->store(), opts);
+  query::Evaluator evaluator(engine->store(), engine->evaluator_options());
   auto result = evaluator.Run(*parsed);
   XMARK_CHECK(result.ok());
   return SerializeSequence(*result);
@@ -62,17 +58,13 @@ std::string RunSerialized(SystemId id, int query, bool fast_paths) {
 
 class ParityTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(ParityTest, ByteIdenticalAcrossStoresAndFastPaths) {
+TEST_P(ParityTest, ByteIdenticalToSystemF) {
   const int query = GetParam();
-  // Reference: the native DOM store with every fast path disabled.
-  const std::string reference = RunSerialized(SystemId::kD, query, false);
+  const std::string reference = RunSerialized(SystemId::kF, query);
   for (SystemId id : kStores) {
-    for (bool fast : {false, true}) {
-      const std::string got = RunSerialized(id, query, fast);
-      EXPECT_EQ(got, reference)
-          << "system " << SystemLabel(id) << " Q" << query
-          << (fast ? " with" : " without") << " fast paths diverges";
-    }
+    EXPECT_EQ(RunSerialized(id, query), reference)
+        << "system " << SystemLabel(id) << " Q" << query
+        << " diverges from system F";
   }
 }
 
@@ -86,10 +78,7 @@ TEST(ZeroCopyStats, Q1EqualityPathMaterializesNothing) {
     Engine* engine = LoadedEngine(id);
     auto parsed = query::ParseQueryText(GetQuery(1).text);
     ASSERT_TRUE(parsed.ok());
-    query::EvaluatorOptions opts = engine->evaluator_options();
-    opts.zero_copy_strings = true;
-    opts.child_cursors = true;
-    query::Evaluator evaluator(engine->store(), opts);
+    query::Evaluator evaluator(engine->store(), engine->evaluator_options());
     auto result = evaluator.Run(*parsed);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(evaluator.stats().compare_allocs, 0)
@@ -99,53 +88,37 @@ TEST(ZeroCopyStats, Q1EqualityPathMaterializesNothing) {
 }
 
 // Navigation inside constructed elements is Unimplemented; the streaming
-// fast paths must surface the same error instead of silently returning
+// comparison must surface that error instead of silently returning
 // false/empty.
 TEST(ZeroCopyStats, ConstructedNavigationErrorsMatchGenericPath) {
   Engine* engine = LoadedEngine(SystemId::kD);
-  // `name` must be a tag the store's dictionary knows, or both paths
-  // short-circuit to an empty step result before touching the item.
+  // `name` must be a tag the store's dictionary knows, or the step
+  // short-circuits to an empty result before touching the item.
   auto parsed = query::ParseQueryText(
       "for $v in <x><name>1</name></x> return $v/name = \"1\"");
   ASSERT_TRUE(parsed.ok());
-  for (bool fast : {false, true}) {
-    query::EvaluatorOptions opts = engine->evaluator_options();
-    opts.zero_copy_strings = fast;
-    opts.child_cursors = fast;
-    query::Evaluator evaluator(engine->store(), opts);
-    auto result = evaluator.Run(*parsed);
-    EXPECT_FALSE(result.ok())
-        << (fast ? "fast" : "generic")
-        << " path silently evaluated constructed-node navigation";
-  }
+  query::Evaluator evaluator(engine->store(), engine->evaluator_options());
+  auto result = evaluator.Run(*parsed);
+  EXPECT_FALSE(result.ok())
+      << "streaming comparison silently evaluated constructed-node "
+         "navigation";
 }
 
-// The cursor fast paths actually engage: Q6 (descendant walk) on the edge
-// store reports batched child scans on its child steps and one batched
-// interval scan per descendant step input.
+// The cursors actually engage: Q6 (descendant walk) on the edge store
+// reports batched child scans on its child steps and one batched interval
+// scan per descendant step input.
 TEST(ZeroCopyStats, CursorScansReported) {
   Engine* engine = LoadedEngine(SystemId::kA);
   auto parsed = query::ParseQueryText(GetQuery(6).text);
   ASSERT_TRUE(parsed.ok());
   query::EvaluatorOptions opts = engine->evaluator_options();
-  // Pin the generic operator path: Q6 otherwise runs as a compiled
-  // pipeline, whose scans are accounted independently of these toggles.
-  opts.compiled_pipelines = false;
-  opts.zero_copy_strings = true;
-  opts.child_cursors = true;
-  opts.descendant_cursors = true;
+  // Pin the generic operators: Q6 otherwise runs as a compiled pipeline,
+  // whose scans are accounted separately.
+  opts.hash_join = false;
   query::Evaluator evaluator(engine->store(), opts);
   ASSERT_TRUE(evaluator.Run(*parsed).ok());
   EXPECT_GT(evaluator.stats().cursor_scans, 0);
   EXPECT_GT(evaluator.stats().descendant_scans, 0);
-
-  opts.child_cursors = false;
-  opts.zero_copy_strings = false;
-  opts.descendant_cursors = false;
-  query::Evaluator no_cursors(engine->store(), opts);
-  ASSERT_TRUE(no_cursors.Run(*parsed).ok());
-  EXPECT_EQ(no_cursors.stats().cursor_scans, 0);
-  EXPECT_EQ(no_cursors.stats().descendant_scans, 0);
 }
 
 // Acceptance property of the transparent hash-join index: the Q8/Q9 probe

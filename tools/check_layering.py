@@ -10,7 +10,6 @@ Machine-enforces the architecture documented in docs/ARCHITECTURE.md:
     never reaches down into concrete stores.
   * ``store/`` implements the ``query/storage.h`` interface without
     reaching into any other ``query/`` internals.
-  * ``rel/`` (relational shredder/operators) sits on store and below.
   * ``xmark/`` (engine / benchmark harness) is the top and may use
     everything.
 
@@ -54,13 +53,12 @@ ALLOWED_DEPS = {
     # store/ may additionally include exactly query/storage.h — handled
     # as a special case below, not via this table.
     "store": {"util", "xml"},
-    "rel": {"store", "util", "xml"},
-    "xmark": {"gen", "query", "rel", "store", "util", "xml"},
+    "xmark": {"gen", "query", "store", "util", "xml"},
 }
 
 # The single query/ header that lower layers may implement against.
 STORAGE_INTERFACE = "query/storage.h"
-STORAGE_IMPLEMENTORS = {"store", "rel"}
+STORAGE_IMPLEMENTORS = {"store"}
 
 # query/ internal sub-layering: header stem -> stems its *header* must not
 # include. Headers define the dependency DAG; the .cc files may need
