@@ -8,7 +8,6 @@
 #include "query/optimizer.h"
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace xmark::query {
 
@@ -70,17 +69,6 @@ Evaluator::Evaluator(const StorageAdapter* store,
       }) {}
 
 Evaluator::~Evaluator() = default;
-
-ThreadPool* Evaluator::ExecPool() {
-  if (!options_.parallel_exec.enabled) return nullptr;
-  if (exec_pool_ == nullptr) {
-    unsigned threads = options_.parallel_exec.threads;
-    if (threads == 0) threads = std::thread::hardware_concurrency();
-    if (threads <= 1) return nullptr;  // a 1-worker pool is just overhead
-    exec_pool_ = std::make_unique<ThreadPool>(threads);
-  }
-  return exec_pool_->worker_count() > 1 ? exec_pool_.get() : nullptr;
-}
 
 StatusOr<Sequence> Evaluator::Run(
     const ParsedQuery& query,

@@ -51,6 +51,12 @@ class Evaluator {
   /// ungoverned runs byte- and plan-identical to earlier releases.
   void set_exec_context(ExecContext* ctx) { ctx_ = ctx; }
 
+  /// Installs the pool (borrowed, not owned) that morsel drains and the
+  /// band-join domain sort run on when options().parallel_exec is
+  /// enabled. Null (the default), or a 1-worker pool, runs them serially.
+  /// The engine passes ThreadPool::Shared(); tests may pass their own.
+  void set_exec_pool(ThreadPool* pool) { pool_ = pool; }
+
   const EvaluatorOptions& options() const { return options_; }
 
   /// Statistics from the last Run (exposed for ablation benchmarks).
@@ -100,10 +106,11 @@ class Evaluator {
   std::optional<bool> TryAttributeCompare(const AstNode& node,
                                           const Focus* focus);
 
-  /// Worker pool for intra-query morsel parallelism. Null when
-  /// options_.parallel_exec is off or resolves to a single worker; created
-  /// lazily on first use and reused across runs of this evaluator.
-  ThreadPool* ExecPool();
+  /// The pool morsel drains run on: null when options_.parallel_exec is
+  /// off or no pool was installed.
+  ThreadPool* ExecPool() const {
+    return options_.parallel_exec.enabled ? pool_ : nullptr;
+  }
 
   const StorageAdapter* store_;
   EvaluatorOptions options_;
@@ -118,7 +125,7 @@ class Evaluator {
   const ParsedQuery* current_query_ = nullptr;
   std::unordered_map<std::string, const FunctionDecl*> functions_;
   std::unique_ptr<QueryPlan> plan_;  // per-run plan + caches
-  std::unique_ptr<ThreadPool> exec_pool_;  // morsel workers (parallel_exec)
+  ThreadPool* pool_ = nullptr;   // borrowed morsel pool (may be null)
   ExecContext* ctx_ = nullptr;  // borrowed per-run governance (may be null)
   int udf_depth_ = 0;
 };

@@ -12,15 +12,6 @@
 #include "util/thread_pool.h"
 
 namespace xmark::query {
-namespace {
-
-// Morsel dispatch backs off to a serial drain once this many tasks are
-// already in flight on the pool: far above anything a healthy run reaches
-// (one drain submits ~4 chunks per worker), low enough that a pathological
-// fan-out degrades instead of queueing unboundedly.
-constexpr size_t kMaxPendingMorselTasks = 1024;
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // NodeScan
@@ -102,8 +93,9 @@ Status NodeScan::DrainMorsels(ThreadPool* pool, uint64_t span,
   std::vector<Status> statuses(chunks);
   std::atomic<bool> abort{false};
   MemoryBudget* budget = ctx != nullptr ? ctx->memory_budget() : nullptr;
-  auto drain_chunk = [this, &bounds, &parts, &statuses, &abort, ctx,
-                      budget](size_t k) {
+  ForkJoin(*pool, chunks, [this, &bounds, &parts, &statuses, &abort, ctx,
+                           budget](size_t k) {
+    if (bounds[k] == bounds[k + 1]) return;  // empty chunk
     if (abort.load(std::memory_order_relaxed)) return;  // sibling failed
     // Workers charge their private buffers to the run's shared budget.
     ScopedMemoryBudget install(budget);
@@ -134,16 +126,7 @@ Status NodeScan::DrainMorsels(ThreadPool* pool, uint64_t span,
       }
       if (abort.load(std::memory_order_relaxed)) return;
     }
-  };
-  for (size_t k = 0; k < chunks; ++k) {
-    if (bounds[k] == bounds[k + 1]) continue;
-    std::function<void()> task = [&drain_chunk, k] { drain_chunk(k); };
-    // Admission-controlled dispatch: a saturated (or fault-injected) pool
-    // degrades to draining the chunk on the caller — same chunk-order
-    // concatenation, so the output is identical, just less parallel.
-    if (!pool->TrySubmit(task, kMaxPendingMorselTasks)) drain_chunk(k);
-  }
-  pool->Wait();
+  });
   for (size_t k = 0; k < chunks; ++k) {
     XMARK_RETURN_IF_ERROR(statuses[k]);
   }
@@ -551,11 +534,11 @@ Status DrainDescCursor(PipeCtx& cx, EmitBatchFn emit, DescendantCursor* cur,
 // Morsel-parallel fused descendant drain, mirroring NodeScan::DrainMorsels
 // chunk for chunk: deterministic ChunkBounds over the id span, one private
 // PipeCtx + result Sequence per chunk (scratch buffers and emission never
-// cross threads), admission-controlled TrySubmit with inline fallback,
-// abort flag + sticky-context convergence for deterministic first failure,
-// chunk-order concatenation (= serial order, since chunks cover ascending
-// id ranges and each candidate's emission is contiguous). Stat deltas are
-// settled on the caller after the barrier.
+// cross threads), one ForkJoin over the chunks, abort flag +
+// sticky-context convergence for deterministic first failure, chunk-order
+// concatenation (= serial order, since chunks cover ascending id ranges
+// and each candidate's emission is contiguous). Stat deltas are settled
+// on the caller after the barrier.
 Status DrainDescMorsels(const CompiledPipeline& pipe,
                         const StorageAdapter* store, EmitBatchFn emit,
                         bool raw, NodeHandle raw_from,
@@ -570,9 +553,10 @@ Status DrainDescMorsels(const CompiledPipeline& pipe,
   std::vector<Status> statuses(chunks);
   std::atomic<bool> abort{false};
   MemoryBudget* budget = ctx != nullptr ? ctx->memory_budget() : nullptr;
-  auto drain_chunk = [&pipe, store, emit, raw, raw_from, proto, &bounds,
-                      &parts, &part_stats, &statuses, &abort, ctx,
-                      budget](size_t k) {
+  ForkJoin(*pool, chunks, [&pipe, store, emit, raw, raw_from, proto, &bounds,
+                           &parts, &part_stats, &statuses, &abort, ctx,
+                           budget](size_t k) {
+    if (bounds[k] == bounds[k + 1]) return;  // empty chunk
     if (abort.load(std::memory_order_relaxed)) return;  // sibling failed
     ScopedMemoryBudget install(budget);
     PipeCtx cx{&pipe, store, {}};
@@ -593,15 +577,7 @@ Status DrainDescMorsels(const CompiledPipeline& pipe,
       statuses[k] = std::move(st);
       abort.store(true, std::memory_order_relaxed);
     }
-  };
-  for (size_t k = 0; k < chunks; ++k) {
-    if (bounds[k] == bounds[k + 1]) continue;
-    std::function<void()> task = [&drain_chunk, k] { drain_chunk(k); };
-    // Saturated (or fault-injected) pool: run the chunk on the caller —
-    // identical bytes, just less parallel.
-    if (!pool->TrySubmit(task, kMaxPendingMorselTasks)) drain_chunk(k);
-  }
-  pool->Wait();
+  });
   for (size_t k = 0; k < chunks; ++k) {
     XMARK_RETURN_IF_ERROR(statuses[k]);
   }

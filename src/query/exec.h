@@ -172,10 +172,10 @@ class NodeScan {
   /// the single place virtual_batches accounting happens).
   size_t FillBatch(NodeHandle* out, size_t cap);
   /// Drains the open descendant cursor (spanning `span` positions) in
-  /// parallel chunks and converts the scan to kMaterialized. Chunks
-  /// refused by pool admission control run serially on the caller
-  /// (graceful degradation — identical output either way). Returns the
-  /// first failing worker Status in chunk order.
+  /// parallel chunks, one ForkJoin on `pool`, and converts the scan to
+  /// kMaterialized. When the pool refuses helpers the caller drains every
+  /// chunk itself (identical output either way). Returns the first
+  /// failing chunk's Status in chunk order.
   Status DrainMorsels(ThreadPool* pool, uint64_t span, ExecContext* ctx);
 
   EvalStats* stats_ = nullptr;
@@ -204,7 +204,7 @@ class NodeScan {
 /// Cooperates with governance and morsel parallelism exactly like
 /// NodeScan: every batch checks `ctx` (when non-null), descendant scans
 /// spanning at least `min_morsel_ids` ids split into deterministic chunks
-/// on `pool` (admission-controlled via TrySubmit, private per-chunk
+/// on `pool` (one ForkJoin over the chunks, private per-chunk
 /// buffers concatenated in chunk order), and the "exec/pipeline_drain"
 /// fault site covers the fused drain. Stateless: safe to call from any
 /// number of concurrent runs sharing the plan.

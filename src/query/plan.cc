@@ -22,7 +22,6 @@ uint64_t OptionsFingerprint(const EvaluatorOptions& o) {
   bit(o.parallel_exec.enabled);
   // Execution-only knobs still key the cache: simpler one-key scheme, and
   // sessions with different morsel settings just compile one entry each.
-  f |= static_cast<uint64_t>(o.parallel_exec.threads & 0xffffu) << 16;
   f ^= static_cast<uint64_t>(o.parallel_exec.min_morsel_ids) << 32;
   return f;
 }

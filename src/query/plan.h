@@ -68,16 +68,14 @@ struct EvaluatorOptions {
   bool copy_results = false;
 
   /// Intra-query morsel parallelism. Large descendant scans are
-  /// partitioned into preorder-id morsels drained by a util/thread_pool
-  /// worker team, and the band-join domain sort runs partitioned. Results
-  /// are byte-identical to serial execution: each morsel emits in id
-  /// order and morsels are concatenated in id order, which reproduces the
-  /// serial emission exactly for any chunking.
+  /// partitioned into preorder-id morsels drained as one ForkJoin on the
+  /// evaluator's pool (the engine's is ThreadPool::Shared(), one worker
+  /// per hardware thread), and the band-join domain sort runs
+  /// partitioned. Results are byte-identical to serial execution: each
+  /// morsel emits in id order and morsels are concatenated in id order,
+  /// which reproduces the serial emission exactly for any chunking.
   struct ParallelExec {
     bool enabled = false;
-    /// Worker count; 0 = hardware_concurrency. A resolved count of 1
-    /// falls back to the serial path.
-    unsigned threads = 0;
     /// Minimum cursor positions (ids or tag-index slots) before a scan is
     /// worth splitting; below this the serial drain wins. Tests set 1 to
     /// force morsels on tiny documents.

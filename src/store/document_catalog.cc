@@ -75,11 +75,16 @@ Status DocumentCatalog::LoadCorpus(const std::vector<CorpusDocument>& batch,
 
   // Build every document as an independent pool task. Slots are written by
   // exactly one task each and read only after Wait(), so the commit below
-  // is identical for any worker count or steal order.
+  // is identical for any worker count or steal order. The thread budget is
+  // split across the builds running at once, so `width` concurrent loads
+  // each get threads / width workers instead of each starting a full pool.
   std::vector<StatusOr<std::shared_ptr<query::StorageAdapter>>> built(
       batch.size(), Status::Internal("document build did not run"));
-  const unsigned width = static_cast<unsigned>(
-      std::min<size_t>(options.EffectiveThreads(), batch.size()));
+  const unsigned threads = options.EffectiveThreads();
+  const unsigned width =
+      static_cast<unsigned>(std::min<size_t>(threads, batch.size()));
+  LoadOptions build_options = options;
+  build_options.threads = std::max(1u, threads / width);
   ThreadPool pool(width);
   for (size_t i = 0; i < batch.size(); ++i) {
     pool.Submit([&, i] {
@@ -93,7 +98,7 @@ Status DocumentCatalog::LoadCorpus(const std::vector<CorpusDocument>& batch,
           return;
         }
       }
-      built[i] = builder(batch[i].xml, options);
+      built[i] = builder(batch[i].xml, build_options);
       if (governance != nullptr && built[i].ok()) {
         // Loaded bytes count against the run's memory budget, so a
         // max_result_bytes limit also bounds corpus residency.

@@ -13,10 +13,11 @@
 // the corpus-wide id space), and a deterministic per-document DumpState.
 //
 // Ingest parallelizes ACROSS documents: each document's bulkload runs as
-// one thread-pool task (itself serial or chunked-parallel per
-// LoadOptions), results commit into index-ordered staging slots, and the
-// snapshot assembles in sorted-id order — so the loaded catalog is
-// byte-identical for any thread count and any task interleaving.
+// one thread-pool task (itself serial or chunked-parallel with its share
+// of LoadOptions::threads), results commit into index-ordered staging
+// slots, and the snapshot assembles in sorted-id order — so the loaded
+// catalog is byte-identical for any thread count and any task
+// interleaving.
 //
 // Concurrency: mutations (Add/LoadCorpus/Drop) swap an immutable snapshot
 // under a mutex (copy-on-write); readers grab the snapshot shared_ptr and
@@ -88,15 +89,17 @@ class DocumentCatalog {
   Status AddDocument(std::string_view id, std::string_view xml,
                      const StoreBuilder& builder, const LoadOptions& options);
 
-  /// Loads a batch, parallelizing across documents: min(threads, docs)
-  /// pool workers each run one document's bulkload (which itself honors
-  /// `options.threads`). All-or-nothing: duplicate ids (within the batch
-  /// or against loaded documents) are rejected before any build, and on
-  /// any build failure the catalog is left exactly as it was. The first
-  /// failure in batch order is returned (deterministic under any
-  /// interleaving). `governance` (optional) is consulted before and after
-  /// every document build, so a deadline/cancel/budget violation unwinds
-  /// the whole batch while prior documents stay queryable.
+  /// Loads a batch, parallelizing across documents: width =
+  /// min(threads, docs) pool workers each run one document's bulkload,
+  /// which gets max(1, threads / width) of `options.threads`, so the
+  /// builds together stay within the thread budget. All-or-nothing:
+  /// duplicate ids (within the batch or against loaded documents) are
+  /// rejected before any build, and on any build failure the catalog is
+  /// left exactly as it was. The first failure in batch order is returned
+  /// (deterministic under any interleaving). `governance` (optional) is
+  /// consulted before and after every document build, so a
+  /// deadline/cancel/budget violation unwinds the whole batch while prior
+  /// documents stay queryable.
   Status LoadCorpus(const std::vector<CorpusDocument>& batch,
                     const StoreBuilder& builder, const LoadOptions& options,
                     const IngestGovernance* governance = nullptr);

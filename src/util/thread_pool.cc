@@ -1,8 +1,89 @@
 #include "util/thread_pool.h"
 
 #include "util/fault_injection.h"
+#include "util/logging.h"
 
 namespace xmark {
+namespace {
+
+std::atomic<uint64_t> g_threads_started{0};
+
+// ForkJoin admission: helpers are refused once this many tasks are already
+// in flight — far above anything a healthy run reaches (each call submits
+// at most worker_count() - 1 helpers), low enough that a pathological
+// fan-out degrades to caller-run indices instead of queueing unboundedly.
+constexpr size_t kMaxPendingHelpers = 1024;
+
+// Before sleeping on its condition variable, a ForkJoin caller re-checks
+// this many times, yielding in between. Helpers usually finish tiny
+// indices within that window, and sleeping costs a futex wait plus a wake
+// from the helper that ends last — several microseconds, more than a
+// cheap collection() leg.
+constexpr int kAwaitSpins = 100;
+
+// Claim state of one ForkJoin call, shared by the caller and its helper
+// tasks. A helper registers in `running` before it claims, so once the
+// caller has seen every index claimed, waiting for `running == 0` waits
+// exactly for the indices still in flight on helpers. A helper that runs
+// after the call returned registers, claims nothing and leaves: it never
+// dereferences `fn`, which may be gone by then.
+struct ForkJoinState {
+  ForkJoinState(size_t n, const std::function<void(size_t)>* fn)
+      : n(n), fn(fn) {}
+
+  // Claims and runs indices until none are left.
+  void Drain() {
+    for (size_t i = next++; i < n; i = next++) (*fn)(i);
+  }
+
+  // A helper task's body.
+  void Help() {
+    {
+      util::MutexLock lock(mu);
+      ++running;
+    }
+    Drain();
+    util::MutexLock lock(mu);
+    if (--running == 0) idle.NotifyAll();
+  }
+
+  // Blocks until no helper is inside Help().
+  void AwaitHelpers() {
+    for (int spin = 0; spin < kAwaitSpins; ++spin) {
+      {
+        util::MutexLock lock(mu);
+        if (running == 0) return;
+      }
+      std::this_thread::yield();
+    }
+    util::MutexLock lock(mu);
+    while (running != 0) idle.Wait(mu);
+  }
+
+  const size_t n;
+  const std::function<void(size_t)>* const fn;
+  std::atomic<size_t> next{0};
+  util::Mutex mu;
+  util::CondVar idle;
+  size_t running GUARDED_BY(mu) = 0;
+};
+
+}  // namespace
+
+ThreadPool& ThreadPool::Shared() {
+  // Leaked on purpose: destroying it would join its workers during static
+  // destruction, racing client threads that are still submitting.
+  static ThreadPool* const pool = [] {
+    auto* p = new ThreadPool(0);
+    p->shared_ = true;
+    return p;
+  }();
+  return *pool;
+}
+
+uint64_t ThreadPool::ThreadsStarted() {
+  return g_threads_started.load();
+}
 
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) {
@@ -20,6 +101,7 @@ ThreadPool::ThreadPool(unsigned threads) {
   threads_.reserve(threads - 1);
   for (unsigned i = 1; i < threads; ++i) {
     threads_.emplace_back([this, i] { WorkerLoop(i); });
+    ++g_threads_started;
   }
 }
 
@@ -110,6 +192,7 @@ void ThreadPool::WorkerLoop(unsigned self) {
 }
 
 void ThreadPool::Wait() {
+  XMARK_CHECK(!shared_);  // ForkJoin is the only way onto the shared pool
   // The caller works too: drain tasks until none remain in flight.
   while (pending_.load(std::memory_order_acquire) > 0) {
     if (RunOne(0)) continue;
@@ -120,6 +203,23 @@ void ThreadPool::Wait() {
       return pending_.load(std::memory_order_acquire) == 0 || HasRunnable();
     });
   }
+}
+
+void ForkJoin(ThreadPool& pool, size_t n,
+              const std::function<void(size_t)>& fn) {
+  // The caller plus up to width - 1 helpers.
+  const size_t width = std::min<size_t>(n, pool.worker_count());
+  if (width <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  auto state = std::make_shared<ForkJoinState>(n, &fn);
+  for (size_t h = 1; h < width; ++h) {
+    std::function<void()> task = [state] { state->Help(); };
+    if (!pool.TrySubmit(task, kMaxPendingHelpers)) break;
+  }
+  state->Drain();
+  state->AwaitHelpers();
 }
 
 }  // namespace xmark

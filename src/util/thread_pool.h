@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -13,7 +15,7 @@
 
 namespace xmark {
 
-/// Small work-stealing thread pool for bulkload parallelism.
+/// Small work-stealing thread pool.
 ///
 /// The pool owns `worker_count() - 1` background threads; the caller is
 /// worker 0 and participates in execution inside Wait(), so a pool of size
@@ -22,6 +24,12 @@ namespace xmark {
 /// owner); idle workers steal from the front of other deques (FIFO), which
 /// keeps large submitted ranges flowing oldest-first to thieves while
 /// owners stay cache-hot on their newest work.
+///
+/// Two ways to use it. Bulkload builds a private pool per load and runs
+/// phases with Submit + Wait (ParallelFor). Query execution runs every
+/// parallel region as a ForkJoin on the one process-wide Shared() pool,
+/// which never waits on the pool as a whole and so is safe for concurrent
+/// callers and for calls from inside the pool's own tasks.
 ///
 /// The scheduling policy never affects results: every helper below is
 /// written so its output is identical for any worker count and any steal
@@ -36,6 +44,16 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// The process-wide pool query execution runs on: hardware_concurrency()
+  /// workers, created on first use and never destroyed (so no join at exit
+  /// races client threads). With one hardware thread it has no background
+  /// thread and every ForkJoin runs inline. Use it only through ForkJoin:
+  /// Wait() on it fails an XMARK_CHECK.
+  static ThreadPool& Shared();
+
+  /// Background threads started by every pool in this process so far.
+  static uint64_t ThreadsStarted();
+
   unsigned worker_count() const {
     return static_cast<unsigned>(queues_.size());
   }
@@ -46,15 +64,17 @@ class ThreadPool {
 
   /// Admission-controlled Submit: refuses (returns false, leaving `fn`
   /// unmoved) when more than `max_pending` tasks are already in flight —
-  /// the saturation signal morsel dispatch uses to degrade to a serial
-  /// drain instead of piling unbounded work onto a loaded pool. Also the
+  /// the saturation signal ForkJoin uses to run its indices on the caller
+  /// instead of piling unbounded work onto a loaded pool. Also the
   /// "thread_pool/submit" fault-injection site.
   bool TrySubmit(std::function<void()>& fn, size_t max_pending);
 
   /// Runs tasks until every submitted task (including ones submitted while
   /// waiting) has finished. The caller executes and steals work itself, so
   /// Wait() never blocks while runnable tasks exist. Only the thread that
-  /// owns the pool phase may call Wait().
+  /// owns the pool phase may call Wait(), and never from inside one of the
+  /// pool's tasks: the running task counts as pending until it returns, so
+  /// such a Wait() never returns.
   void Wait();
 
  private:
@@ -81,7 +101,23 @@ class ThreadPool {
   std::atomic<size_t> pending_{0};  // submitted but not yet finished
   std::atomic<unsigned> next_queue_{0};
   std::atomic<bool> stop_{false};
+  bool shared_ = false;  // the Shared() pool: Wait() is forbidden
 };
+
+/// Runs fn(i) exactly once for every i in [0, n) and returns after all of
+/// them have finished. The calling thread claims indices from a shared
+/// counter itself, and up to min(n, worker_count()) - 1 helper tasks,
+/// submitted with TrySubmit, claim from the same counter; a refused submit
+/// (saturation, or the "thread_pool/submit" fault site) just leaves more
+/// indices to the caller. The caller never blocks while an index is
+/// unclaimed, and at the end waits only for indices helpers are still
+/// running. The claim state is reference-counted, so a helper that starts
+/// after the call returned finds nothing to claim and touches nothing
+/// else. It never calls Wait(), which makes it safe for concurrent callers
+/// on one pool and for calls from inside the pool's own tasks. On a
+/// 1-worker pool (or n <= 1) every index runs on the caller, in order.
+void ForkJoin(ThreadPool& pool, size_t n,
+              const std::function<void(size_t)>& fn);
 
 /// Deterministic partition of [0, n) into ~threads*4 ranges for the
 /// bulkload passes: bounds depend only on n and the thread count (never
@@ -122,10 +158,11 @@ void ParallelFor(ThreadPool* pool, size_t begin, size_t end, size_t grain,
 }
 
 /// Deterministic parallel stable sort: partitions [begin, end) into one
-/// run per worker, stable-sorts the runs in parallel, then merges adjacent
-/// runs pairwise (also in parallel) with std::inplace_merge. Stability of
-/// both phases makes the result identical to std::stable_sort regardless
-/// of worker count.
+/// run per worker, stable-sorts the runs as one ForkJoin, then merges
+/// adjacent runs pairwise (one ForkJoin per round) with
+/// std::inplace_merge. Stability of both phases makes the result identical
+/// to std::stable_sort regardless of worker count. A null or 1-worker pool
+/// is a plain std::stable_sort.
 template <typename It, typename Comp>
 void ParallelStableSort(ThreadPool* pool, It begin, It end, Comp comp) {
   const size_t n = static_cast<size_t>(end - begin);
@@ -139,23 +176,20 @@ void ParallelStableSort(ThreadPool* pool, It begin, It end, Comp comp) {
   std::vector<size_t> bounds;
   bounds.reserve(parts + 1);
   for (size_t i = 0; i <= parts; ++i) bounds.push_back(i * n / parts);
-  for (size_t i = 0; i < parts; ++i) {
-    pool->Submit([begin, &bounds, &comp, i] {
-      std::stable_sort(begin + bounds[i], begin + bounds[i + 1], comp);
-    });
-  }
-  pool->Wait();
-  // log2(parts) rounds of pairwise merges.
+  ForkJoin(*pool, parts, [begin, &bounds, &comp](size_t i) {
+    std::stable_sort(begin + bounds[i], begin + bounds[i + 1], comp);
+  });
+  // log2(parts) rounds of pairwise merges; merge m of a round joins runs
+  // [2m*width, (2m+1)*width) and [(2m+1)*width, (2m+2)*width).
   for (size_t width = 1; width < parts; width *= 2) {
-    for (size_t i = 0; i + width < parts; i += 2 * width) {
+    const size_t merges = (parts - width + 2 * width - 1) / (2 * width);
+    ForkJoin(*pool, merges, [begin, &bounds, &comp, parts, width](size_t m) {
+      const size_t i = m * 2 * width;
       const size_t lo = bounds[i];
       const size_t mid = bounds[i + width];
       const size_t hi = bounds[std::min(i + 2 * width, parts)];
-      pool->Submit([begin, lo, mid, hi, &comp] {
-        std::inplace_merge(begin + lo, begin + mid, begin + hi, comp);
-      });
-    }
-    pool->Wait();
+      std::inplace_merge(begin + lo, begin + mid, begin + hi, comp);
+    });
   }
 }
 

@@ -139,7 +139,8 @@ void RecordOutcome(ServingState* serving, const Status& status) {
 
 // One evaluator run against one store, with no serving-state recording:
 // the building block shared by single-store Executes and the per-document
-// legs of a collection() fan-out.
+// legs of a collection() fan-out. Morsel parallelism, when enabled, runs
+// on the process-wide pool; otherwise the pool is never touched.
 struct DocRun {
   StatusOr<query::Sequence> result = Status::Internal("document not run");
   query::Evaluator::Stats stats;
@@ -152,6 +153,9 @@ DocRun RunOnStore(const query::StorageAdapter& store,
   DocRun out;
   query::Evaluator evaluator(&store, options);
   evaluator.set_exec_context(ctx);
+  if (options.parallel_exec.enabled) {
+    evaluator.set_exec_pool(&ThreadPool::Shared());
+  }
   out.result = evaluator.Run(module, std::move(annotations));
   out.stats = evaluator.stats();
   return out;
@@ -206,9 +210,9 @@ StatusOr<query::Sequence> ExecuteQuery(const query::StorageAdapter& store,
 // leg compiles its own entry — through the plan cache when the caller's
 // prepare was cached (key: doc store uid + "collection" scope), uncached
 // otherwise — so no AST is ever shared across stores (the per-Step name
-// cache is keyed by one store uid at a time). Legs run in parallel across
-// documents when parallel_exec is enabled; slots are indexed, so the
-// concatenation is deterministic for any interleaving. One governed
+// cache is keyed by one store uid at a time). Legs always run as one
+// ForkJoin on the process-wide pool; each leg writes only its own slot, so
+// the concatenation is deterministic for any interleaving. One governed
 // context spans every leg: a deadline or budget covers the whole corpus
 // scan. The fan-out books exactly one query into the serving counters,
 // with the legs' statistics merged.
@@ -259,23 +263,7 @@ StatusOr<query::Sequence> ExecuteCollection(
     }
   };
 
-  unsigned workers = 1;
-  if (options.parallel_exec.enabled && n > 1) {
-    workers = options.parallel_exec.threads != 0
-                  ? options.parallel_exec.threads
-                  : std::thread::hardware_concurrency();
-    if (workers == 0) workers = 1;
-    workers = static_cast<unsigned>(std::min<size_t>(workers, n));
-  }
-  if (workers > 1) {
-    ThreadPool pool(workers);
-    for (size_t i = 0; i < n; ++i) {
-      pool.Submit([&run_leg, i] { run_leg(i); });
-    }
-    pool.Wait();
-  } else {
-    for (size_t i = 0; i < n; ++i) run_leg(i);
-  }
+  ForkJoin(ThreadPool::Shared(), n, run_leg);
 
   query::Evaluator::Stats merged;
   for (const DocRun& run : runs) merged.MergeFrom(run.stats);

@@ -11,16 +11,21 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "gen/generator.h"
+#include "query/exec_context.h"
 #include "query/value.h"
 #include "store/document_catalog.h"
+#include "store/dom_store.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 #include "xmark/engine.h"
 #include "xmark/queries.h"
 
@@ -471,6 +476,149 @@ TEST(CatalogEdgeTest, ExplainRendersScopeAndCatalog) {
   auto plain = engine->Explain("count(doc(\"ex-0.xml\")//item)");
   ASSERT_TRUE(plain.ok());
   EXPECT_NE(plain->find("scope: doc(ex-0.xml)"), std::string::npos);
+}
+
+// --------------------------------------------------------------------------
+// Parallel collection() fan-out
+// --------------------------------------------------------------------------
+
+// The collection() oracle for `query` on `id`: the single-document
+// engines' results concatenated as Items in document-id order.
+std::string CollectionOracle(SystemId id, int query) {
+  query::Sequence combined;
+  for (size_t slot = 0; slot < kCorpusSize; ++slot) {
+    auto result = ReferenceEngine(id, slot)->Run(GetQuery(query).text);
+    XMARK_CHECK(result.ok());
+    for (query::Item& item : *result) combined.push_back(std::move(item));
+  }
+  return SerializeSequence(combined);
+}
+
+// Sessions sharing one engine fan collection() out concurrently: legs of
+// different requests interleave on the one process pool, and every
+// session still gets the exact id-order concatenation.
+TEST(CatalogEdgeTest, ConcurrentCollectionSessionsMatchOracle) {
+  constexpr int kSessions = 4;
+  std::vector<std::string> rewritten;
+  std::vector<std::string> expected;
+  for (int q = 1; q <= 20; ++q) {
+    rewritten.push_back(RewriteEntryCalls(GetQuery(q).text, "collection()"));
+    expected.push_back(CollectionOracle(SystemId::kD, q));
+  }
+  Engine* engine = CatalogEngine(SystemId::kD, 1);
+  std::vector<std::string> errors(kSessions);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kSessions; ++t) {
+    auto session_or = engine->CreateSession();
+    ASSERT_TRUE(session_or.ok()) << session_or.status().message();
+    clients.emplace_back([&, t, session = std::shared_ptr<EngineSession>(
+                                 std::move(*session_or))] {
+      // Each session starts at a different query, so the legs in flight
+      // at any moment belong to different queries.
+      for (int k = 0; k < 20; ++k) {
+        const int i = (k + 5 * t) % 20;
+        auto result = session->Run(rewritten[i]);
+        if (!result.ok()) {
+          errors[t] = "Q" + std::to_string(i + 1) + ": " +
+                      result.status().message();
+          return;
+        }
+        if (SerializeSequence(*result) != expected[i]) {
+          errors[t] = "Q" + std::to_string(i + 1) +
+                      " diverged from the concatenation oracle";
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& c : clients) c.join();
+  for (int t = 0; t < kSessions; ++t) EXPECT_EQ(errors[t], "") << t;
+}
+
+// Query execution starts no thread once the process pool exists: neither
+// the collection() fan-out nor a morsel-parallel doc() scan builds a pool
+// of its own.
+TEST(CatalogEdgeTest, QueriesStartNoThreads) {
+  auto engine = Engine::Create(SystemId::kD);
+  ASSERT_TRUE(engine->LoadCorpus(CorpusDocs()).ok());
+  query::EvaluatorOptions opts = engine->evaluator_options();
+  opts.parallel_exec.enabled = true;
+  opts.parallel_exec.min_morsel_ids = 1;  // force morsels at tiny scale
+  engine->set_evaluator_options(opts);
+  auto session = engine->CreateSession();
+  ASSERT_TRUE(session.ok());
+  const std::string fan_out =
+      RewriteEntryCalls(GetQuery(8).text, "collection()");
+  // Q14's descendant scan (site//item) is the morsel-partitioned one.
+  const std::string morsels =
+      RewriteEntryCalls(GetQuery(14).text, "doc(\"doc-c.xml\")");
+  for (const std::string* text : {&fan_out, &morsels}) {
+    ASSERT_TRUE((*session)->Run(*text).ok());  // warm-up
+    const uint64_t started = ThreadPool::ThreadsStarted();
+    EXPECT_GE(started, ThreadPool::Shared().worker_count() - 1u);
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE((*session)->Run(*text).ok());
+    }
+    EXPECT_EQ(ThreadPool::ThreadsStarted(), started) << *text;
+  }
+}
+
+// A cancelled collection() fails coded, whatever leg observes the
+// cancellation first, and the next call serves the exact bytes.
+TEST(CatalogEdgeTest, CancelledCollectionFailsThenServesExactBytes) {
+  Engine* engine = CatalogEngine(SystemId::kD, 1);
+  auto prepared = engine->Prepare(
+      RewriteEntryCalls(GetQuery(10).text, "collection()"));
+  ASSERT_TRUE(prepared.ok()) << prepared.status().message();
+  query::ExecContext ctx;
+  ctx.Cancel();
+  auto cancelled = engine->Execute(*prepared, &ctx);
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled)
+      << cancelled.status().message();
+
+  auto retry = engine->Execute(*prepared);
+  ASSERT_TRUE(retry.ok()) << retry.status().message();
+  EXPECT_EQ(SerializeSequence(*retry), CollectionOracle(SystemId::kD, 10));
+}
+
+// A corpus load splits its thread budget across the builds it runs at
+// once: width = min(threads, documents) builds, each with
+// max(1, threads / width) load threads.
+TEST(CatalogEdgeTest, CorpusLoadSplitsThreadsAcrossBuilds) {
+  struct Case {
+    size_t documents;
+    unsigned threads;
+    unsigned per_build;
+  };
+  for (const Case& c : {Case{8, 4, 1}, Case{2, 8, 4}, Case{2, 3, 1}}) {
+    std::atomic<unsigned> calls{0};
+    std::atomic<unsigned> wrong{0};  // a per-build count other than expected
+    const store::DocumentCatalog::StoreBuilder recording =
+        [&](std::string_view xml, const store::LoadOptions& load)
+        -> StatusOr<std::shared_ptr<query::StorageAdapter>> {
+      ++calls;
+      if (load.threads != c.per_build) wrong = load.threads;
+      XMARK_ASSIGN_OR_RETURN(
+          std::unique_ptr<store::DomStore> built,
+          store::DomStore::Load(xml, store::DomStore::Options{}, load));
+      return std::shared_ptr<query::StorageAdapter>(std::move(built));
+    };
+    std::vector<store::CorpusDocument> docs(c.documents);
+    for (size_t i = 0; i < c.documents; ++i) {
+      docs[i].id = "t" + std::to_string(i) + ".xml";
+      docs[i].xml = GenerateDocument(0.001, 300 + i);
+    }
+    store::LoadOptions load;
+    load.threads = c.threads;
+    store::DocumentCatalog catalog;
+    ASSERT_TRUE(catalog.LoadCorpus(docs, recording, load).ok());
+    EXPECT_EQ(calls.load(), c.documents);
+    EXPECT_EQ(wrong.load(), 0u)
+        << c.documents << " documents at " << c.threads
+        << " threads: a build got " << wrong.load() << " instead of "
+        << c.per_build;
+  }
 }
 
 // System G (embedded, reload-per-query) stays single-document.

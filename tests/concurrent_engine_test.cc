@@ -162,7 +162,6 @@ TEST(ConcurrentEngine, ParallelExecSessionsMatchSerial) {
   const std::vector<std::string> expected = SerialResults(engine.get());
   query::EvaluatorOptions opts = engine->evaluator_options();
   opts.parallel_exec.enabled = true;
-  opts.parallel_exec.threads = 4;
   opts.parallel_exec.min_morsel_ids = 1;  // force morsels at tiny scale
   engine->set_evaluator_options(opts);
   RunConcurrentAndCompare(engine.get(), expected, /*threads=*/2,
@@ -185,7 +184,6 @@ TEST(ConcurrentEngine, MorselPipelineSessionsMatchSerial) {
   query::EvaluatorOptions opts = engine->evaluator_options();
   ASSERT_TRUE(opts.hash_join);  // system A serves fused plans
   opts.parallel_exec.enabled = true;
-  opts.parallel_exec.threads = 4;
   opts.parallel_exec.min_morsel_ids = 1;  // force morsels at tiny scale
   engine->set_evaluator_options(opts);
   std::vector<std::string> errors(kClientThreads);

@@ -25,6 +25,7 @@
 #include "store/inlined_store.h"
 #include "store/document_catalog.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 #include "xmark/engine.h"
 #include "xmark/queries.h"
 #include "xml/dtd.h"
@@ -174,7 +175,6 @@ TEST_P(OptionsMatrix, CatalogScansMatchSystemF) {
       const std::string& expected = baseline->second;
       EvaluatorOptions subject = FromMask(GetParam());
       subject.parallel_exec.enabled = true;
-      subject.parallel_exec.threads = 4;
       subject.parallel_exec.min_morsel_ids = 1;
       EXPECT_EQ(RunCatalogSerialized(subject, text), expected)
           << "Q" << q << " via " << entry << " differs under option mask "
@@ -222,7 +222,8 @@ class PlannerStoreParity : public ::testing::TestWithParam<int> {
 // merge in deterministic chunk order and the band-domain sort is a
 // deterministic parallel stable sort, so results must be byte-identical
 // for any worker count. min_morsel_ids=1 forces the morsel path even at
-// this tiny scale.
+// this tiny scale. Each worker count gets its own pool, so the 4-worker
+// case runs multi-threaded whatever the host's core count.
 TEST_P(PlannerStoreParity, ParallelExecByteIdentical) {
   const int query = GetParam();
   auto parsed = ParseQueryText(bench::GetQuery(query).text);
@@ -237,9 +238,10 @@ TEST_P(PlannerStoreParity, ParallelExecByteIdentical) {
     for (unsigned threads : {1u, 4u}) {
       EvaluatorOptions par = serial;
       par.parallel_exec.enabled = true;
-      par.parallel_exec.threads = threads;
       par.parallel_exec.min_morsel_ids = 1;
+      ThreadPool pool(threads);
       Evaluator subject(store, par);
+      subject.set_exec_pool(&pool);
       auto b = subject.Run(*parsed);
       ASSERT_TRUE(b.ok()) << store->mapping_name() << " Q" << query << ": "
                           << b.status();

@@ -26,6 +26,7 @@
 #include "store/document_catalog.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 #include "xmark/engine.h"
 #include "xmark/queries.h"
 
@@ -297,7 +298,6 @@ TEST(ResourceGovernance, MorselDrainPropagatesFailureAndRecovers) {
   std::unique_ptr<Engine> engine = LoadedEngine();
   query::EvaluatorOptions opts = engine->evaluator_options();
   opts.parallel_exec.enabled = true;
-  opts.parallel_exec.threads = 4;
   opts.parallel_exec.min_morsel_ids = 1;  // force morsels at tiny scale
   engine->set_evaluator_options(opts);
   // Q14's descendant axis (site//item) is the morsel-partitioned scan.
@@ -410,20 +410,24 @@ TEST(ResourceGovernance, OutcomeCountersAndExplainLine) {
 #if XMARK_FAULT_INJECTION
 
 // Pool-saturation degradation: with "thread_pool/submit" stuck failing,
-// every morsel chunk is refused admission and runs serially on the caller
-// — same bytes, clean success.
+// every morsel helper is refused admission and the caller drains every
+// chunk itself — same bytes, clean success. The evaluator gets its own
+// 4-worker pool, so the drain consults the pool on any host.
 TEST(ResourceGovernance, PoolSaturationFallsBackToSerialDrain) {
   std::unique_ptr<Engine> engine = LoadedEngine();
-  query::EvaluatorOptions opts = engine->evaluator_options();
-  opts.parallel_exec.enabled = true;
-  opts.parallel_exec.threads = 4;
-  opts.parallel_exec.min_morsel_ids = 1;
-  engine->set_evaluator_options(opts);
   // Q14's descendant axis (site//item) is the morsel-partitioned scan.
   const std::string expected = RunSerialized(engine.get(), 14);
+  auto parsed = query::ParseQueryText(GetQuery(14).text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  query::EvaluatorOptions opts = engine->evaluator_options();
+  opts.parallel_exec.enabled = true;
+  opts.parallel_exec.min_morsel_ids = 1;
+  ThreadPool pool(4);
+  query::Evaluator evaluator(engine->store(), opts);
+  evaluator.set_exec_pool(&pool);
 
   fault::ArmSticky("thread_pool/submit");
-  auto result = engine->Run(GetQuery(14).text);
+  auto result = evaluator.Run(*parsed);
   const int hits = fault::ArmedSiteHits();
   fault::Disarm();
   ASSERT_TRUE(result.ok()) << result.status();
@@ -446,7 +450,6 @@ TEST(ResourceGovernance, EveryFaultSiteFailsCleanAndRecovers) {
     if (load.ok()) {
       query::EvaluatorOptions opts = engine->evaluator_options();
       opts.parallel_exec.enabled = true;
-      opts.parallel_exec.threads = 2;
       opts.parallel_exec.min_morsel_ids = 1;
       engine->set_evaluator_options(opts);
       // Q10: hash join + construction; Q11: band join; Q14: descendant

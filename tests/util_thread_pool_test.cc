@@ -1,0 +1,181 @@
+// ForkJoin, the primitive every query-side parallel region runs on, and
+// ParallelStableSort on top of it. The contract under test: every index
+// runs exactly once; the caller works too and never waits on the pool as a
+// whole, so concurrent callers, calls from inside the pool's own tasks and
+// refused submits are all safe; and helpers that start after the call has
+// returned touch nothing of it. Run under ASan and TSan in CI.
+
+#include "util/thread_pool.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <functional>
+#include <memory>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "util/fault_injection.h"
+#include "util/prng.h"
+
+namespace xmark {
+namespace {
+
+TEST(ForkJoinTest, RunsEveryIndexExactlyOnce) {
+  for (unsigned workers : {1u, 4u}) {
+    ThreadPool pool(workers);
+    for (size_t n : {0u, 1u, 7u, 1000u}) {
+      std::vector<std::atomic<int>> runs(n);
+      ForkJoin(pool, n, [&runs](size_t i) { runs[i].fetch_add(1); });
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(runs[i].load(), 1)
+            << "index " << i << " of " << n << " on " << workers
+            << " workers";
+      }
+    }
+  }
+}
+
+TEST(ForkJoinTest, OneWorkerRunsEveryIndexOnTheCallerInOrder) {
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  bool on_caller = true;
+  ForkJoin(pool, 100, [&](size_t i) {
+    order.push_back(i);
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+  });
+  ASSERT_EQ(order.size(), 100u);
+  for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  EXPECT_TRUE(on_caller);
+}
+
+TEST(ForkJoinTest, ConcurrentCallersGetTheirOwnResults) {
+  ThreadPool pool(4);
+  constexpr int kCallers = 4;
+  std::vector<int> wrong(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &wrong, c] {
+      for (int rep = 0; rep < 50; ++rep) {
+        std::vector<size_t> out(500, 0);
+        ForkJoin(pool, out.size(),
+                 [&out, c](size_t i) { out[i] = i * 10 + c; });
+        for (size_t i = 0; i < out.size(); ++i) {
+          if (out[i] != i * 10 + c) ++wrong[c];
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) EXPECT_EQ(wrong[c], 0) << "caller " << c;
+}
+
+// ThreadPool::Wait() from inside one of the pool's tasks never returns:
+// the running task itself counts as pending. ForkJoin never calls it, so
+// nesting is safe both in a submitted task and in a ForkJoin helper.
+TEST(ForkJoinTest, CallFromInsideAPoolTaskReturns) {
+  for (unsigned workers : {1u, 4u}) {
+    ThreadPool pool(workers);
+    std::atomic<size_t> from_task{0};
+    pool.Submit([&] {
+      ForkJoin(pool, 100, [&](size_t) { from_task.fetch_add(1); });
+    });
+    pool.Wait();
+    EXPECT_EQ(from_task.load(), 100u) << workers << " workers";
+
+    std::atomic<size_t> nested{0};
+    ForkJoin(pool, 8, [&](size_t) {
+      ForkJoin(pool, 100, [&](size_t) { nested.fetch_add(1); });
+    });
+    EXPECT_EQ(nested.load(), 800u) << workers << " workers";
+  }
+}
+
+// The pool's only background worker is busy, so the helper ForkJoin
+// submits stays queued and the caller runs every index and returns. The
+// callable and its data are then freed before the helper runs: a helper
+// that claimed an index or read the callable would be a use-after-free
+// (caught by ASan) or a race (caught by TSan).
+TEST(ForkJoinTest, HelperStartingAfterReturnTouchesNothing) {
+  ThreadPool pool(2);
+  std::atomic<bool> blocker_running{false};
+  std::atomic<bool> release{false};
+  pool.Submit([&] {
+    blocker_running = true;
+    while (!release) std::this_thread::yield();
+  });
+  while (!blocker_running) std::this_thread::yield();
+
+  auto runs = std::make_unique<std::vector<int>>(64, 0);
+  auto fn = std::make_unique<std::function<void(size_t)>>(
+      [data = runs.get()](size_t i) { ++(*data)[i]; });
+  ForkJoin(pool, runs->size(), *fn);
+  for (int r : *runs) EXPECT_EQ(r, 1);
+  fn.reset();
+  runs.reset();
+
+  release = true;
+  pool.Wait();  // the queued helper runs now and finds nothing to claim
+}
+
+#if XMARK_FAULT_INJECTION
+// A pool that refuses every submit ("thread_pool/submit" armed sticky)
+// leaves every index to the caller.
+TEST(ForkJoinTest, RefusedSubmitsLeaveEveryIndexToTheCaller) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(100);
+  fault::ArmSticky("thread_pool/submit");
+  ForkJoin(pool, ran_on.size(),
+           [&](size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  const int hits = fault::ArmedSiteHits();
+  fault::Disarm();
+  EXPECT_GT(hits, 0);
+  for (const std::thread::id& id : ran_on) EXPECT_EQ(id, caller);
+}
+#endif
+
+TEST(SharedPoolTest, OneProcessPoolSizedToTheHardware) {
+  ThreadPool& shared = ThreadPool::Shared();
+  EXPECT_EQ(&shared, &ThreadPool::Shared());
+  const unsigned hardware = std::thread::hardware_concurrency();
+  EXPECT_EQ(shared.worker_count(), std::max(1u, hardware));
+
+  const uint64_t before = ThreadPool::ThreadsStarted();
+  { ThreadPool four(4); }
+  EXPECT_EQ(ThreadPool::ThreadsStarted(), before + 3);
+}
+
+// Pairs with many equal keys: only a stable sort keeps each key's payloads
+// in input order, so any merge-order slip shows up.
+TEST(ParallelStableSortTest, SharedPoolConcurrentCallersMatchStableSort) {
+  using Row = std::pair<int, int>;
+  std::vector<Row> input(100000);
+  Prng rng(7, 0);
+  for (size_t i = 0; i < input.size(); ++i) {
+    input[i] = {static_cast<int>(rng.NextU64() % 500), static_cast<int>(i)};
+  }
+  const auto by_key = [](const Row& a, const Row& b) {
+    return a.first < b.first;
+  };
+  std::vector<Row> expected = input;
+  std::stable_sort(expected.begin(), expected.end(), by_key);
+
+  std::vector<std::vector<Row>> sorted(2, input);
+  std::vector<std::thread> callers;
+  for (std::vector<Row>& rows : sorted) {
+    callers.emplace_back([&rows, by_key] {
+      ParallelStableSort(&ThreadPool::Shared(), rows.begin(), rows.end(),
+                         by_key);
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(sorted[0], expected);
+  EXPECT_EQ(sorted[1], expected);
+}
+
+}  // namespace
+}  // namespace xmark
