@@ -29,7 +29,9 @@ int main(int argc, char** argv) {
   const std::string document = gen::XmlGen(options).GenerateToString();
 
   auto engine = bench::Engine::Create(bench::SystemId::kD);
-  if (!engine->Load(document).ok()) return 1;
+  if (!engine->LoadDocument(bench::Engine::kDefaultDocumentId, document).ok()) {
+    return 1;
+  }
 
   std::printf("== XQuery: five most expensive closed auctions ==\n");
   auto expensive = engine->Run(R"(

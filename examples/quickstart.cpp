@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
 
   // 2. Load it into an engine (System D: native store, all indexes).
   auto engine = bench::Engine::Create(bench::SystemId::kD);
-  const Status load_status = engine->Load(document);
+  const Status load_status =
+      engine->LoadDocument(bench::Engine::kDefaultDocumentId, document);
   if (!load_status.ok()) {
     std::fprintf(stderr, "load failed: %s\n",
                  load_status.ToString().c_str());

@@ -81,9 +81,8 @@ class ExplainPrinter {
         o.cache_invariant_paths, o.copy_results);
     const StorageCapabilities& c = a.caps;
     out_ += StringPrintf(
-        "capabilities: id-lookup=%d tag-index=%d path-index=%d "
-        "children-by-tag=%d\n",
-        c.id_lookup, c.tag_index, c.path_index, c.children_by_tag);
+        "capabilities: id-lookup=%d path-index=%d children-by-tag=%d\n",
+        c.id_lookup, c.path_index, c.children_by_tag);
   }
 
   void Footer() {

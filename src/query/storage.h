@@ -139,8 +139,6 @@ class DescendantCursor {
 /// it to advertise the extra bit.
 struct StorageCapabilities {
   bool id_lookup = false;       // NodeById
-  bool tag_index = false;       // NodesByTag (tag-filtered descendant
-                                // cursors scan its slices)
   bool path_index = false;      // PathExtent (structural summary)
   bool children_by_tag = false; // ChildrenByTag physical child slots/tables
 };
@@ -331,7 +329,6 @@ class StorageAdapter {
   virtual StorageCapabilities Capabilities() const {
     StorageCapabilities caps;
     caps.id_lookup = SupportsIdLookup();
-    caps.tag_index = SupportsTagIndex();
     caps.path_index = SupportsPathIndex();
     return caps;
   }
@@ -342,12 +339,6 @@ class StorageAdapter {
     return kInvalidHandle;
   }
 
-  /// All elements with a given tag, in document order.
-  virtual bool SupportsTagIndex() const { return false; }
-  virtual const std::vector<NodeHandle>* NodesByTag(
-      xml::NameId /*tag*/) const {
-    return nullptr;
-  }
   /// Children of `n` with tag `tag` resolved through the physical layout
   /// (fragmented tables, inlined child slots). nullopt → caller scans a
   /// child cursor.

@@ -107,9 +107,9 @@ class DomStore : public query::StorageAdapter {
   bool SupportsIdLookup() const override { return !id_index_.empty(); }
   query::NodeHandle NodeById(std::string_view id) const override;
 
-  bool SupportsTagIndex() const override { return options_.build_tag_index; }
-  const std::vector<query::NodeHandle>* NodesByTag(
-      xml::NameId tag) const override;
+  /// All elements with a given tag, in document order; null when the tag
+  /// index is off or the tag is absent.
+  const std::vector<query::NodeHandle>* NodesByTag(xml::NameId tag) const;
   bool SupportsPathIndex() const override {
     return options_.build_path_summary;
   }

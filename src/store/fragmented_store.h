@@ -91,7 +91,6 @@ class FragmentedStore : public query::StorageAdapter {
   query::StorageCapabilities Capabilities() const override {
     query::StorageCapabilities caps;
     caps.id_lookup = true;
-    caps.tag_index = true;   // realized by the per-path tables
     caps.path_index = true;  // path tables ARE the path index
     caps.children_by_tag = true;
     return caps;

@@ -44,7 +44,8 @@ inline constexpr std::string_view kFaultSites[] = {
     "exec/hash_join_build",  // HashJoinExec::Build: table build fails
     "exec/band_join_build",  // BandJoinIndex::Build: domain build fails
     "exec/construct",        // ConstructExec::BuildElement: node alloc fails
-    "engine/load_store",     // Engine::BuildStoreForSystem: load fails
+    "engine/load_store",     // BuildStore (engine.cc): a load or G's
+                             // per-query reload fails
 };
 
 /// All registered site names, for harnesses that loop over them.

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <unordered_map>
 
 #include "query/optimizer.h"
 #include "query/plan.h"
@@ -14,9 +15,43 @@
 #include "store/inlined_store.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace xmark::bench {
+
+struct ServingState {
+  explicit ServingState(SystemId system) : id(system) {}
+
+  /// System G: an embedded processor that reloads its one document for
+  /// every query run.
+  bool reload_per_query() const { return id == SystemId::kG; }
+
+  const SystemId id;
+  store::DocumentCatalog catalog;
+  query::PlanCache plan_cache;
+  // Memoized document scopes by query text (scope is a pure function of
+  // the text), so the plan-cache hit path never re-parses just to route.
+  util::Mutex scope_mu;
+  std::unordered_map<std::string, query::QueryScope> scopes
+      GUARDED_BY(scope_mu);
+  util::Mutex stats_mu;
+  // Merged under stats_mu at each query completion; read under stats_mu by
+  // Engine::cumulative_stats() / queries_executed().
+  query::EvalStats cumulative_stats GUARDED_BY(stats_mu);
+  uint64_t queries_executed GUARDED_BY(stats_mu) = 0;
+  // Every Prepare/Execute outcome, successes and governed failures alike.
+  QueryOutcomes outcomes GUARDED_BY(stats_mu);
+  // System G's document text, tied to the uid of the store the catalog
+  // built from it, so a query routed to a since-dropped store never runs
+  // on a successor's text. G's loads, and every drop, hold the mutex
+  // across their catalog update.
+  util::Mutex retained_mu;
+  uint64_t retained_uid GUARDED_BY(retained_mu) = 0;
+  std::shared_ptr<const std::string> retained_xml GUARDED_BY(retained_mu);
+};
+
 namespace {
 
 // Collects all element/attribute names mentioned by the query; compilation
@@ -63,15 +98,59 @@ void ResolveCatalogNames(const query::StorageAdapter& store,
   }
 }
 
-StatusOr<PreparedQuery> CompileUncached(const query::StorageAdapter& store,
-                                        std::string_view query_text) {
-  PreparedQuery out;
-  XMARK_ASSIGN_OR_RETURN(out.parsed, query::ParseQueryText(query_text));
-  ResolveCatalogNames(store, out.parsed, &out.catalog_probes,
-                      &out.name_tests);
-  XMARK_ASSIGN_OR_RETURN(out.scope, query::ExtractQueryScope(out.parsed));
-  out.source_text = std::string(query_text);
-  return out;
+// The store factory: builds system `id`'s mapping of one document.
+StatusOr<std::shared_ptr<query::StorageAdapter>> BuildStore(
+    SystemId id, std::string_view xml, const store::LoadOptions& options) {
+  if (XMARK_FAULT_POINT("engine/load_store")) {
+    return Status::ResourceExhausted(
+        "fault injection: engine/load_store (store bulkload refused)");
+  }
+  switch (id) {
+    case SystemId::kA: {
+      XMARK_ASSIGN_OR_RETURN(auto store, store::EdgeStore::Load(xml, options));
+      return std::shared_ptr<query::StorageAdapter>(std::move(store));
+    }
+    case SystemId::kB: {
+      XMARK_ASSIGN_OR_RETURN(auto store,
+                             store::FragmentedStore::Load(xml, options));
+      return std::shared_ptr<query::StorageAdapter>(std::move(store));
+    }
+    case SystemId::kC: {
+      XMARK_ASSIGN_OR_RETURN(
+          auto store,
+          store::InlinedStore::Load(xml, xml::kAuctionDtd, options));
+      return std::shared_ptr<query::StorageAdapter>(std::move(store));
+    }
+    case SystemId::kD: {
+      store::DomStore::Options dom_opts;
+      dom_opts.build_tag_index = true;
+      dom_opts.build_id_index = true;
+      dom_opts.build_path_summary = true;
+      XMARK_ASSIGN_OR_RETURN(auto store,
+                             store::DomStore::Load(xml, dom_opts, options));
+      return std::shared_ptr<query::StorageAdapter>(std::move(store));
+    }
+    case SystemId::kE: {
+      store::DomStore::Options dom_opts;
+      dom_opts.build_tag_index = false;
+      dom_opts.build_id_index = true;
+      dom_opts.build_path_summary = false;
+      XMARK_ASSIGN_OR_RETURN(auto store,
+                             store::DomStore::Load(xml, dom_opts, options));
+      return std::shared_ptr<query::StorageAdapter>(std::move(store));
+    }
+    case SystemId::kF:
+    case SystemId::kG: {
+      store::DomStore::Options dom_opts;
+      dom_opts.build_tag_index = false;
+      dom_opts.build_id_index = false;
+      dom_opts.build_path_summary = false;
+      XMARK_ASSIGN_OR_RETURN(auto store,
+                             store::DomStore::Load(xml, dom_opts, options));
+      return std::shared_ptr<query::StorageAdapter>(std::move(store));
+    }
+  }
+  return Status::Internal("unknown system");
 }
 
 // Document scope of `query_text`, memoized by text in the serving state
@@ -92,6 +171,49 @@ StatusOr<query::QueryScope> ScopeForQuery(ServingState* serving,
   util::MutexLock lock(serving->scope_mu);
   serving->scopes.emplace(std::string(query_text), scope);
   return scope;
+}
+
+// The store `scope` binds in `snap`. doc("uri") matches the id exactly.
+// The paper's "URI ignored" semantics survive only around the canonical
+// benchmark id: a one-document catalog binds any URI when that document
+// is kDefaultDocumentId, and doc("auction.xml") binds a lone document of
+// any id. Every other scope binds the lowest id: the default scope runs
+// there, and collection() compiles and explains against its first leg.
+StatusOr<std::shared_ptr<const query::StorageAdapter>> ResolveStore(
+    const store::DocumentCatalog::Snapshot& snap,
+    const query::QueryScope& scope) {
+  if (snap.docs.empty()) {
+    return Status::NotFound("[empty-catalog] no documents loaded");
+  }
+  if (scope.kind != query::QueryScope::Kind::kDocument) {
+    return snap.docs.front().store;
+  }
+  const store::DocumentCatalog::Entry* e = snap.Find(scope.doc_uri);
+  if (e != nullptr) return e->store;
+  if (snap.docs.size() == 1 &&
+      (snap.docs[0].id == Engine::kDefaultDocumentId ||
+       scope.doc_uri == Engine::kDefaultDocumentId)) {
+    return snap.docs[0].store;
+  }
+  return Status::NotFound("[unknown-document] no document \"" +
+                          scope.doc_uri + "\" in catalog");
+}
+
+// Uncached compilation path: parse, then resolve the scope's store and
+// the query's names against it, both in one catalog snapshot. `target`
+// receives that store, so Explain plans against the store the names were
+// resolved on.
+StatusOr<PreparedQuery> CompileUncached(
+    const store::DocumentCatalog& catalog, std::string_view query_text,
+    std::shared_ptr<const query::StorageAdapter>* target) {
+  PreparedQuery out;
+  XMARK_ASSIGN_OR_RETURN(out.parsed, query::ParseQueryText(query_text));
+  XMARK_ASSIGN_OR_RETURN(out.scope, query::ExtractQueryScope(out.parsed));
+  XMARK_ASSIGN_OR_RETURN(*target, ResolveStore(*catalog.snapshot(), out.scope));
+  ResolveCatalogNames(**target, out.parsed, &out.catalog_probes,
+                      &out.name_tests);
+  out.source_text = std::string(query_text);
+  return out;
 }
 
 // Cached compilation path: parse + catalog resolution + optimizer
@@ -130,16 +252,29 @@ StatusOr<PreparedQuery> PrepareThroughCache(
   return prepared;
 }
 
-// Buckets a non-Execute failure (Prepare, store load) into the shared
-// outcome counters so serving statistics cover rejected queries too.
+// Buckets a failure outside an evaluator run (prepare, routing, store
+// load) into the shared outcome counters so serving statistics cover
+// rejected queries too.
 void RecordOutcome(ServingState* serving, const Status& status) {
   util::MutexLock lock(serving->stats_mu);
   serving->outcomes.Record(status);
 }
 
-// One evaluator run against one store, with no serving-state recording:
-// the building block shared by single-store Executes and the per-document
-// legs of a collection() fan-out. Morsel parallelism, when enabled, runs
+// Books one completed query into the shared serving counters.
+void RecordRun(ServingState* serving, const Status& status,
+               const query::Evaluator::Stats& stats) {
+  util::MutexLock lock(serving->stats_mu);
+  serving->outcomes.Record(status);
+  if (status.ok()) {
+    serving->cumulative_stats.MergeFrom(stats);
+    ++serving->queries_executed;
+  }
+}
+
+// One evaluator run against one store: the building block shared by
+// single-store Executes and the per-document legs of a collection()
+// fan-out. A private Evaluator adopts `annotations` when they were lowered
+// for this store and option set. Morsel parallelism, when enabled, runs
 // on the process-wide pool; otherwise the pool is never touched.
 struct DocRun {
   StatusOr<query::Sequence> result = Status::Internal("document not run");
@@ -161,155 +296,93 @@ DocRun RunOnStore(const query::StorageAdapter& store,
   return out;
 }
 
-// Books one completed query into the shared serving counters.
-void RecordRun(ServingState* serving, const Status& status,
-               const query::Evaluator::Stats& stats) {
-  util::MutexLock lock(serving->stats_mu);
-  serving->outcomes.Record(status);
-  if (status.ok()) {
-    serving->cumulative_stats.MergeFrom(stats);
-    ++serving->queries_executed;
-  }
-}
-
-// One Execute against `store`: a private Evaluator adopts the cached
-// annotations when present (the cache key guarantees they match this
-// store + option fingerprint), per-run statistics are merged into the
-// shared cumulative counters under the serving mutex at completion.
-//
-// Governance: `ctx` (optional) is a caller-held context (external
-// cancellation); otherwise one is created here iff `run_options` sets a
-// limit. On a governed failure the Evaluator — and with it the run's
-// QueryPlan and NodeArena — is destroyed before returning, so a cancelled
-// query frees its result memory and only the outcome counter survives.
-StatusOr<query::Sequence> ExecuteQuery(const query::StorageAdapter& store,
-                                       const query::EvaluatorOptions& options,
-                                       const query::RunOptions& run_options,
-                                       query::ExecContext* ctx,
-                                       const PreparedQuery& prepared,
-                                       ServingState* serving,
-                                       query::Evaluator::Stats* last_stats) {
-  std::optional<query::ExecContext> local_ctx;
-  if (ctx == nullptr && run_options.engaged()) {
-    local_ctx.emplace(run_options);
-    ctx = &*local_ctx;
-  }
-  std::shared_ptr<const query::PlanAnnotations> annotations;
-  if (prepared.cached != nullptr) annotations = prepared.cached->annotations;
-  DocRun run =
-      RunOnStore(store, options, ctx, prepared.module(), std::move(annotations));
-  RecordRun(serving, run.result.status(), run.stats);
-  if (!run.result.ok()) return run.result.status();
-  *last_stats = run.stats;
-  return run.result;
-}
-
-// collection() fan-out: one evaluator run per catalog document,
+// collection() fan-out: one evaluator run per document of `snap`,
 // concatenated in document-id order (the differential oracle: identical
-// bytes to running each document alone and concatenating). Each document
-// leg compiles its own entry — through the plan cache when the caller's
-// prepare was cached (key: doc store uid + "collection" scope), uncached
+// bytes to running each document alone and concatenating). Each leg
+// compiles its own entry — through the plan cache when the caller's
+// prepare was cached (key: doc store uid + "collection" scope), privately
 // otherwise — so no AST is ever shared across stores (the per-Step name
 // cache is keyed by one store uid at a time). Legs always run as one
 // ForkJoin on the process-wide pool; each leg writes only its own slot, so
-// the concatenation is deterministic for any interleaving. One governed
-// context spans every leg: a deadline or budget covers the whole corpus
-// scan. The fan-out books exactly one query into the serving counters,
-// with the legs' statistics merged.
-StatusOr<query::Sequence> ExecuteCollection(
-    const store::DocumentCatalog& catalog,
-    const query::EvaluatorOptions& options,
-    const query::RunOptions& run_options, query::ExecContext* ctx,
-    const PreparedQuery& prepared, ServingState* serving,
-    query::Evaluator::Stats* last_stats) {
-  std::shared_ptr<const store::DocumentCatalog::Snapshot> snap =
-      catalog.snapshot();
-  if (snap->docs.empty()) {
-    Status status =
-        Status::NotFound("[empty-catalog] collection() over no documents");
-    RecordRun(serving, status, {});
-    return status;
-  }
-  std::optional<query::ExecContext> local_ctx;
-  if (ctx == nullptr && run_options.engaged()) {
-    local_ctx.emplace(run_options);
-    ctx = &*local_ctx;
-  }
-
-  const size_t n = snap->docs.size();
-  const bool use_cache = prepared.cached != nullptr;
+// the concatenation is deterministic for any interleaving. `ctx` spans
+// every leg: a deadline or budget covers the whole corpus scan. The first
+// failure in document-id order wins; the legs' statistics merge into one.
+DocRun RunCollection(const store::DocumentCatalog::Snapshot& snap,
+                     const query::EvaluatorOptions& options,
+                     query::ExecContext* ctx, const PreparedQuery& prepared,
+                     ServingState* serving) {
+  const size_t n = snap.docs.size();
   std::vector<DocRun> runs(n);
   auto run_leg = [&](size_t i) {
-    const store::DocumentCatalog::Entry& doc = snap->docs[i];
-    if (use_cache) {
+    const query::StorageAdapter& store = *snap.docs[i].store;
+    if (prepared.cached != nullptr) {
       StatusOr<PreparedQuery> leg = PrepareThroughCache(
-          *doc.store, options, serving, prepared.source_text, prepared.scope);
+          store, options, serving, prepared.source_text, prepared.scope);
       if (!leg.ok()) {
         runs[i].result = leg.status();
         return;
       }
-      runs[i] = RunOnStore(*doc.store, options, ctx, leg->module(),
+      runs[i] = RunOnStore(store, options, ctx, leg->module(),
                            leg->cached->annotations);
-    } else {
-      // Uncached prepare path: a private parse per document, preserving
-      // the "compilation is never amortized" contract of Engine::Prepare.
-      StatusOr<PreparedQuery> leg =
-          CompileUncached(*doc.store, prepared.source_text);
-      if (!leg.ok()) {
-        runs[i].result = leg.status();
-        return;
-      }
-      runs[i] = RunOnStore(*doc.store, options, ctx, leg->parsed, nullptr);
+      return;
     }
+    // Uncached prepare: a private compile per document, so compilation is
+    // never amortized.
+    StatusOr<query::ParsedQuery> leg =
+        query::ParseQueryText(prepared.source_text);
+    if (!leg.ok()) {
+      runs[i].result = leg.status();
+      return;
+    }
+    size_t probes = 0;
+    size_t name_tests = 0;
+    ResolveCatalogNames(store, *leg, &probes, &name_tests);
+    runs[i] = RunOnStore(store, options, ctx, *leg, nullptr);
   };
 
   ForkJoin(ThreadPool::Shared(), n, run_leg);
 
-  query::Evaluator::Stats merged;
-  for (const DocRun& run : runs) merged.MergeFrom(run.stats);
-  for (size_t i = 0; i < n; ++i) {
-    if (!runs[i].result.ok()) {
-      // First failure in document-id order wins (deterministic).
-      RecordRun(serving, runs[i].result.status(), merged);
-      return runs[i].result.status();
+  DocRun out;
+  for (const DocRun& run : runs) out.stats.MergeFrom(run.stats);
+  size_t total = 0;
+  for (const DocRun& run : runs) {
+    if (!run.result.ok()) {
+      out.result = run.result.status();
+      return out;
+    }
+    total += run.result->size();
+  }
+  query::Sequence concatenated;
+  concatenated.reserve(total);
+  for (DocRun& run : runs) {
+    for (query::Item& item : *run.result) {
+      concatenated.push_back(std::move(item));
     }
   }
-  query::Sequence out;
-  size_t total = 0;
-  for (const DocRun& run : runs) total += run.result->size();
-  out.reserve(total);
-  for (DocRun& run : runs) {
-    for (query::Item& item : *run.result) out.push_back(std::move(item));
-  }
-  RecordRun(serving, Status::OK(), merged);
-  *last_stats = merged;
+  out.result = std::move(concatenated);
   return out;
 }
 
-// Resolves a doc("uri") scope against the catalog: exact id match first.
-// The paper's "URI ignored" semantics survive only around the canonical
-// benchmark id — a single-document catalog binds any URI when that
-// document came from legacy Load() (id == kDefaultDocumentId), and
-// doc("auction.xml") binds a lone document of any id. Explicitly
-// catalog-managed ids otherwise require an exact match, so dropped
-// documents miss with a coded error instead of silently rebinding — also
-// once the catalog is empty, whatever default store a caller retains.
-StatusOr<std::shared_ptr<const query::StorageAdapter>> ResolveScopedStore(
-    const store::DocumentCatalog& catalog, const query::QueryScope& scope) {
-  std::shared_ptr<const store::DocumentCatalog::Snapshot> snap =
-      catalog.snapshot();
-  if (snap->docs.empty()) {
-    return Status::NotFound("[empty-catalog] no documents loaded");
+// System G's per-query load: a private store rebuilt from the text of the
+// document `resolved` was built from, so concurrent G clients never share
+// document state (one embedded processor instance per client).
+StatusOr<std::shared_ptr<const query::StorageAdapter>> ReloadForQuery(
+    ServingState* serving, const query::StorageAdapter& resolved,
+    const store::LoadOptions& options) {
+  std::shared_ptr<const std::string> xml;
+  {
+    util::MutexLock lock(serving->retained_mu);
+    if (serving->retained_uid == resolved.store_uid()) {
+      xml = serving->retained_xml;
+    }
   }
-  const store::DocumentCatalog::Entry* e = snap->Find(scope.doc_uri);
-  if (e != nullptr) return e->store;
-  if (snap->docs.size() == 1 &&
-      (snap->docs[0].id == Engine::kDefaultDocumentId ||
-       scope.doc_uri == Engine::kDefaultDocumentId)) {
-    return snap->docs[0].store;
+  if (xml == nullptr) {
+    return Status::NotFound(
+        "[unknown-document] document dropped while the query was routed");
   }
-  return Status::NotFound("[unknown-document] no document \"" +
-                          scope.doc_uri + "\" in catalog");
+  XMARK_ASSIGN_OR_RETURN(std::shared_ptr<query::StorageAdapter> fresh,
+                         BuildStore(serving->id, *xml, options));
+  return std::shared_ptr<const query::StorageAdapter>(std::move(fresh));
 }
 
 }  // namespace
@@ -364,7 +437,6 @@ std::string_view SystemArchitecture(SystemId id) {
 
 std::unique_ptr<Engine> Engine::Create(SystemId id) {
   query::EvaluatorOptions opts;
-  bool reload = false;
   switch (id) {
     case SystemId::kA:
       // Edge store has no tag/path structures; cost-based optimizer.
@@ -424,128 +496,10 @@ std::unique_ptr<Engine> Engine::Create(SystemId id) {
       opts.lazy_let = false;
       opts.cache_invariant_paths = false;
       opts.copy_results = true;
-      reload = true;
       break;
   }
-  return std::unique_ptr<Engine>(new Engine(id, opts, reload));
-}
-
-StatusOr<std::shared_ptr<query::StorageAdapter>> Engine::BuildStoreForSystem(
-    SystemId id, std::string_view xml, const store::LoadOptions& options) {
-  if (XMARK_FAULT_POINT("engine/load_store")) {
-    return Status::ResourceExhausted(
-        "fault injection: engine/load_store (store bulkload refused)");
-  }
-  switch (id) {
-    case SystemId::kA: {
-      XMARK_ASSIGN_OR_RETURN(auto store, store::EdgeStore::Load(xml, options));
-      return std::shared_ptr<query::StorageAdapter>(std::move(store));
-    }
-    case SystemId::kB: {
-      XMARK_ASSIGN_OR_RETURN(auto store,
-                             store::FragmentedStore::Load(xml, options));
-      return std::shared_ptr<query::StorageAdapter>(std::move(store));
-    }
-    case SystemId::kC: {
-      XMARK_ASSIGN_OR_RETURN(
-          auto store,
-          store::InlinedStore::Load(xml, xml::kAuctionDtd, options));
-      return std::shared_ptr<query::StorageAdapter>(std::move(store));
-    }
-    case SystemId::kD: {
-      store::DomStore::Options dom_opts;
-      dom_opts.build_tag_index = true;
-      dom_opts.build_id_index = true;
-      dom_opts.build_path_summary = true;
-      XMARK_ASSIGN_OR_RETURN(auto store,
-                             store::DomStore::Load(xml, dom_opts, options));
-      return std::shared_ptr<query::StorageAdapter>(std::move(store));
-    }
-    case SystemId::kE: {
-      store::DomStore::Options dom_opts;
-      dom_opts.build_tag_index = false;
-      dom_opts.build_id_index = true;
-      dom_opts.build_path_summary = false;
-      XMARK_ASSIGN_OR_RETURN(auto store,
-                             store::DomStore::Load(xml, dom_opts, options));
-      return std::shared_ptr<query::StorageAdapter>(std::move(store));
-    }
-    case SystemId::kF:
-    case SystemId::kG: {
-      store::DomStore::Options dom_opts;
-      dom_opts.build_tag_index = false;
-      dom_opts.build_id_index = false;
-      dom_opts.build_path_summary = false;
-      XMARK_ASSIGN_OR_RETURN(auto store,
-                             store::DomStore::Load(xml, dom_opts, options));
-      return std::shared_ptr<query::StorageAdapter>(std::move(store));
-    }
-  }
-  return Status::Internal("unknown system");
-}
-
-store::DocumentCatalog::StoreBuilder Engine::MakeStoreBuilder() const {
-  const SystemId id = id_;
-  return [id](std::string_view xml, const store::LoadOptions& options) {
-    return BuildStoreForSystem(id, xml, options);
-  };
-}
-
-Status Engine::Load(std::string_view xml) {
-  // Legacy single-document load: reset the catalog to exactly this
-  // document (sessions created earlier keep the old one alive).
-  auto catalog = std::make_shared<store::DocumentCatalog>();
-  XMARK_RETURN_IF_ERROR(catalog->AddDocument(kDefaultDocumentId, xml,
-                                             MakeStoreBuilder(),
-                                             load_options_));
-  catalog_ = std::move(catalog);
-  store_ = catalog_->Find(kDefaultDocumentId);
-  if (reload_per_query_) {
-    retained_xml_ = std::make_shared<const std::string>(xml);
-  }
-  return Status::OK();
-}
-
-Status Engine::LoadDocument(std::string_view id, std::string_view xml) {
-  std::vector<store::CorpusDocument> batch(1);
-  batch[0].id = std::string(id);
-  batch[0].xml = std::string(xml);
-  return LoadCorpus(batch);
-}
-
-Status Engine::LoadCorpus(const std::vector<store::CorpusDocument>& docs) {
-  if (docs.empty()) return Status::OK();
-  if (reload_per_query_ && DocumentCount() + docs.size() > 1) {
-    return Status::Unimplemented(
-        "[multi-document-unsupported] embedded (reload-per-query) engines "
-        "hold a single document");
-  }
-  // Governance spans the whole corpus load: one context covers every
-  // document's bulkload, charged with the loaded store bytes.
-  std::optional<query::ExecContext> ctx;
-  store::IngestGovernance governance;
-  const store::IngestGovernance* gov = nullptr;
-  if (run_options_.engaged()) {
-    ctx.emplace(run_options_);
-    governance.check = [&ctx] { return ctx->CheckCoarse(); };
-    governance.charge_bytes = [&ctx](size_t bytes) {
-      ctx->memory_budget()->Charge(bytes);
-    };
-    gov = &governance;
-  }
-  Status status =
-      catalog_->LoadCorpus(docs, MakeStoreBuilder(), load_options_, gov);
-  if (!status.ok()) {
-    RecordOutcome(serving_.get(), status);
-    return status;
-  }
-  if (store_ == nullptr) {
-    store_ = catalog_->snapshot()->docs.front().store;
-  }
-  if (reload_per_query_) {
-    retained_xml_ = std::make_shared<const std::string>(docs.front().xml);
-  }
-  return Status::OK();
+  return std::unique_ptr<Engine>(new Engine(EngineSession(
+      std::make_shared<ServingState>(id), opts, store::LoadOptions())));
 }
 
 StatusOr<size_t> Engine::LoadCorpusFromDir(const std::string& dir) {
@@ -581,139 +535,143 @@ StatusOr<size_t> Engine::LoadCorpusFromDir(const std::string& dir) {
   return docs.size();
 }
 
-std::vector<std::string> Engine::ListDocuments() const {
-  return catalog_->ListDocuments();
-}
-
-Status Engine::DropDocument(std::string_view id) {
-  XMARK_ASSIGN_OR_RETURN(std::shared_ptr<const query::StorageAdapter> dropped,
-                         catalog_->Drop(id));
-  serving_->plan_cache.EraseStore(dropped->store_uid());
-  if (dropped == store_) {
-    // The default-scope document went away; fall over to the first
-    // remaining document (or unloaded when the catalog is empty).
-    std::shared_ptr<const store::DocumentCatalog::Snapshot> snap =
-        catalog_->snapshot();
-    store_ = snap->docs.empty() ? nullptr : snap->docs.front().store;
-  }
-  return Status::OK();
-}
-
-size_t Engine::DocumentCount() const { return catalog_->size(); }
-
 void Engine::DumpCatalogState(std::string* out) const {
-  catalog_->DumpState(out);
+  session_.serving_->catalog.DumpState(out);
 }
 
-StatusOr<PreparedQuery> Engine::Prepare(std::string_view query_text) const {
-  if (store_ == nullptr) {
-    return Status::NotFound("[empty-catalog] no documents loaded");
+StatusOr<std::unique_ptr<EngineSession>> Engine::CreateSession() const {
+  return std::unique_ptr<EngineSession>(new EngineSession(
+      session_.serving_, session_.eval_options_, session_.load_options_));
+}
+
+SystemId Engine::id() const { return session_.serving_->id; }
+
+size_t Engine::StorageBytes() const {
+  std::shared_ptr<const store::DocumentCatalog::Snapshot> snap =
+      session_.serving_->catalog.snapshot();
+  size_t total = 0;
+  for (const store::DocumentCatalog::Entry& doc : snap->docs) {
+    total += doc.store->StorageBytes();
   }
-  return CompileUncached(*store_, query_text);
+  return total;
 }
 
-StatusOr<PreparedQuery> Engine::PrepareCached(
+size_t Engine::CatalogEntries() const {
+  std::shared_ptr<const store::DocumentCatalog::Snapshot> snap =
+      session_.serving_->catalog.snapshot();
+  size_t total = 0;
+  for (const store::DocumentCatalog::Entry& doc : snap->docs) {
+    total += doc.store->CatalogEntries();
+  }
+  return total;
+}
+
+const query::StorageAdapter* Engine::store() const {
+  std::shared_ptr<const store::DocumentCatalog::Snapshot> snap =
+      session_.serving_->catalog.snapshot();
+  return snap->docs.empty() ? nullptr : snap->docs.front().store.get();
+}
+
+size_t Engine::plan_cache_entries(uint64_t store_uid) const {
+  return session_.serving_->plan_cache.EntriesForStore(store_uid);
+}
+
+query::EvalStats Engine::cumulative_stats() const {
+  util::MutexLock lock(session_.serving_->stats_mu);
+  return session_.serving_->cumulative_stats;
+}
+
+uint64_t Engine::queries_executed() const {
+  util::MutexLock lock(session_.serving_->stats_mu);
+  return session_.serving_->queries_executed;
+}
+
+// ---------------------------------------------------------------------------
+// EngineSession
+// ---------------------------------------------------------------------------
+
+StatusOr<PreparedQuery> EngineSession::Prepare(
     std::string_view query_text) const {
-  if (store_ == nullptr) {
-    return Status::NotFound("[empty-catalog] no documents loaded");
-  }
-  // A reload-per-query store has a fresh uid at every Execute, so cached
-  // annotations could never be adopted: caching would only accumulate
-  // dead entries.
-  if (reload_per_query_) return CompileUncached(*store_, query_text);
+  if (serving_->reload_per_query()) return PrepareUncached(query_text);
   XMARK_ASSIGN_OR_RETURN(query::QueryScope scope,
                          ScopeForQuery(serving_.get(), query_text));
-  std::shared_ptr<const query::StorageAdapter> target = store_;
-  if (scope.kind == query::QueryScope::Kind::kDocument) {
-    XMARK_ASSIGN_OR_RETURN(target,
-                           ResolveScopedStore(*catalog_, scope));
-  } else if (scope.kind == query::QueryScope::Kind::kCollection) {
-    // Compile against the first document; the fan-out compiles per-
-    // document entries under the same "collection" scope key at Execute.
-    std::shared_ptr<const store::DocumentCatalog::Snapshot> snap =
-        catalog_->snapshot();
-    if (!snap->docs.empty()) target = snap->docs.front().store;
-  }
+  XMARK_ASSIGN_OR_RETURN(std::shared_ptr<const query::StorageAdapter> target,
+                         ResolveStore(*serving_->catalog.snapshot(), scope));
   return PrepareThroughCache(*target, eval_options_, serving_.get(),
                              query_text, scope);
 }
 
-StatusOr<query::Sequence> Engine::Execute(const PreparedQuery& prepared,
-                                          query::ExecContext* ctx) {
-  if (reload_per_query_ && retained_xml_ != nullptr) {
-    // Embedded processors load the document as part of running the query.
-    // They hold one document, so every scope binds it — collection() over
-    // a single-document corpus included.
-    XMARK_ASSIGN_OR_RETURN(
-        store_, BuildStoreForSystem(id_, *retained_xml_, load_options_));
-  }
-  if (store_ == nullptr &&
-      prepared.scope.kind != query::QueryScope::Kind::kCollection) {
-    return Status::NotFound("[empty-catalog] no documents loaded");
-  }
-  if (!reload_per_query_) {
-    switch (prepared.scope.kind) {
-      case query::QueryScope::Kind::kDefault:
-        break;
-      case query::QueryScope::Kind::kDocument: {
-        auto target = ResolveScopedStore(*catalog_, prepared.scope);
-        if (!target.ok()) {
-          RecordOutcome(serving_.get(), target.status());
-          return target.status();
-        }
-        return ExecuteQuery(**target, eval_options_, run_options_, ctx,
-                            prepared, serving_.get(), &last_stats_);
-      }
-      case query::QueryScope::Kind::kCollection:
-        return ExecuteCollection(*catalog_, eval_options_, run_options_,
-                                 ctx, prepared, serving_.get(),
-                                 &last_stats_);
-    }
-  }
-  return ExecuteQuery(*store_, eval_options_, run_options_, ctx, prepared,
-                      serving_.get(), &last_stats_);
+StatusOr<PreparedQuery> EngineSession::PrepareUncached(
+    std::string_view query_text) const {
+  std::shared_ptr<const query::StorageAdapter> target;
+  return CompileUncached(serving_->catalog, query_text, &target);
 }
 
-StatusOr<query::Sequence> Engine::Run(std::string_view query_text) {
-  auto prepared = Prepare(query_text);
+// Governance: `ctx` (optional) is a caller-held context (external
+// cancellation); otherwise one is created here iff run_options_ sets a
+// limit. On a governed failure the Evaluator — and with it the run's
+// QueryPlan and NodeArena — is destroyed before returning, so a cancelled
+// query frees its result memory and only the outcome counter survives.
+StatusOr<query::Sequence> EngineSession::Execute(
+    const PreparedQuery& prepared, query::ExecContext* ctx) {
+  ServingState* serving = serving_.get();
+  std::shared_ptr<const store::DocumentCatalog::Snapshot> snap =
+      serving->catalog.snapshot();
+  StatusOr<std::shared_ptr<const query::StorageAdapter>> target =
+      ResolveStore(*snap, prepared.scope);
+  if (target.ok() && serving->reload_per_query()) {
+    target = ReloadForQuery(serving, **target, load_options_);
+  }
+  if (!target.ok()) {
+    RecordOutcome(serving, target.status());
+    return target.status();
+  }
+  std::optional<query::ExecContext> local_ctx;
+  if (ctx == nullptr && run_options_.engaged()) {
+    local_ctx.emplace(run_options_);
+    ctx = &*local_ctx;
+  }
+  // System G holds one document, so its collection() runs on the reload.
+  DocRun run;
+  if (prepared.scope.kind == query::QueryScope::Kind::kCollection &&
+      !serving->reload_per_query()) {
+    run = RunCollection(*snap, eval_options_, ctx, prepared, serving);
+  } else {
+    run = RunOnStore(**target, eval_options_, ctx, prepared.module(),
+                     prepared.cached != nullptr ? prepared.cached->annotations
+                                                : nullptr);
+  }
+  RecordRun(serving, run.result.status(), run.stats);
+  if (run.result.ok()) last_stats_ = run.stats;
+  return std::move(run.result);
+}
+
+StatusOr<query::Sequence> EngineSession::Run(std::string_view query_text,
+                                             query::ExecContext* ctx) {
+  return RunPrepared(Prepare(query_text), ctx);
+}
+
+StatusOr<query::Sequence> EngineSession::RunPrepared(
+    const StatusOr<PreparedQuery>& prepared, query::ExecContext* ctx) {
   if (!prepared.ok()) {
     RecordOutcome(serving_.get(), prepared.status());
     return prepared.status();
   }
-  return Execute(*prepared);
+  return Execute(*prepared, ctx);
 }
 
-StatusOr<std::unique_ptr<EngineSession>> Engine::CreateSession() const {
-  if (store_ == nullptr) return Status::Internal("engine not loaded");
-  return std::unique_ptr<EngineSession>(new EngineSession(
-      id_, eval_options_, load_options_, reload_per_query_, store_,
-      catalog_, retained_xml_, serving_));
-}
-
-StatusOr<std::string> Engine::Explain(std::string_view query_text) const {
-  if (store_ == nullptr) return Status::Internal("engine not loaded");
-  XMARK_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(query_text));
-  // Explain renders the plan against the store the scope binds — a
-  // collection() plan is shown against the first document (every fan-out
-  // leg lowers the same way modulo per-document statistics).
-  std::shared_ptr<const query::StorageAdapter> target = store_;
-  if (!reload_per_query_) {
-    if (prepared.scope.kind == query::QueryScope::Kind::kDocument) {
-      XMARK_ASSIGN_OR_RETURN(
-          target, ResolveScopedStore(*catalog_, prepared.scope));
-    } else if (prepared.scope.kind ==
-               query::QueryScope::Kind::kCollection) {
-      std::shared_ptr<const store::DocumentCatalog::Snapshot> snap =
-          catalog_->snapshot();
-      if (!snap->docs.empty()) target = snap->docs.front().store;
-    }
-  }
+StatusOr<std::string> EngineSession::Explain(
+    std::string_view query_text) const {
+  std::shared_ptr<const query::StorageAdapter> target;
+  XMARK_ASSIGN_OR_RETURN(
+      PreparedQuery prepared,
+      CompileUncached(serving_->catalog, query_text, &target));
   query::QueryPlan plan;
   query::BuildPlan(prepared.parsed, *target, eval_options_,
                    plan.mutable_annotations());
   std::string text = plan.Explain(prepared.parsed);
-  text += "catalog: documents=" + std::to_string(catalog_->size()) + "\n";
-  const query::PlanCacheStats cache = serving_->plan_cache.stats();
+  text += "catalog: documents=" + std::to_string(DocumentCount()) + "\n";
+  const query::PlanCacheStats cache = plan_cache_stats();
   text += "plan-cache: hits=" + std::to_string(cache.hits) +
           " misses=" + std::to_string(cache.misses) + "\n";
   const QueryOutcomes oc = outcomes();
@@ -724,108 +682,6 @@ StatusOr<std::string> Engine::Explain(std::string_view query_text) const {
           " invalid=" + std::to_string(oc.invalid_query) +
           " other=" + std::to_string(oc.other_error) + "\n";
   return text;
-}
-
-query::EvalStats Engine::cumulative_stats() const {
-  util::MutexLock lock(serving_->stats_mu);
-  return serving_->cumulative_stats;
-}
-
-uint64_t Engine::queries_executed() const {
-  util::MutexLock lock(serving_->stats_mu);
-  return serving_->queries_executed;
-}
-
-QueryOutcomes Engine::outcomes() const {
-  util::MutexLock lock(serving_->stats_mu);
-  return serving_->outcomes;
-}
-
-size_t Engine::StorageBytes() const {
-  std::shared_ptr<const store::DocumentCatalog::Snapshot> snap =
-      catalog_->snapshot();
-  if (snap->docs.empty()) {
-    return store_ == nullptr ? 0 : store_->StorageBytes();
-  }
-  size_t total = 0;
-  for (const store::DocumentCatalog::Entry& doc : snap->docs) {
-    total += doc.store->StorageBytes();
-  }
-  return total;
-}
-
-size_t Engine::CatalogEntries() const {
-  std::shared_ptr<const store::DocumentCatalog::Snapshot> snap =
-      catalog_->snapshot();
-  if (snap->docs.empty()) {
-    return store_ == nullptr ? 0 : store_->CatalogEntries();
-  }
-  size_t total = 0;
-  for (const store::DocumentCatalog::Entry& doc : snap->docs) {
-    total += doc.store->CatalogEntries();
-  }
-  return total;
-}
-
-// ---------------------------------------------------------------------------
-// EngineSession
-// ---------------------------------------------------------------------------
-
-StatusOr<PreparedQuery> EngineSession::Prepare(std::string_view query_text) {
-  if (reload_per_query_) return CompileUncached(*store_, query_text);
-  XMARK_ASSIGN_OR_RETURN(query::QueryScope scope,
-                         ScopeForQuery(serving_.get(), query_text));
-  std::shared_ptr<const query::StorageAdapter> target = store_;
-  if (scope.kind == query::QueryScope::Kind::kDocument) {
-    XMARK_ASSIGN_OR_RETURN(target,
-                           ResolveScopedStore(*catalog_, scope));
-  } else if (scope.kind == query::QueryScope::Kind::kCollection) {
-    std::shared_ptr<const store::DocumentCatalog::Snapshot> snap =
-        catalog_->snapshot();
-    if (!snap->docs.empty()) target = snap->docs.front().store;
-  }
-  if (target == nullptr) {
-    return Status::NotFound("[empty-catalog] no documents loaded");
-  }
-  return PrepareThroughCache(*target, eval_options_, serving_.get(),
-                             query_text, scope);
-}
-
-StatusOr<query::Sequence> EngineSession::Execute(
-    const PreparedQuery& prepared, query::ExecContext* ctx) {
-  if (reload_per_query_ && retained_xml_ != nullptr) {
-    // System G semantics, session-local: the reload happens into a private
-    // store, so concurrent G sessions never share document state (matching
-    // one embedded processor instance per client).
-    XMARK_ASSIGN_OR_RETURN(
-        std::shared_ptr<query::StorageAdapter> fresh,
-        Engine::BuildStoreForSystem(id_, *retained_xml_, load_options_));
-    std::shared_ptr<const query::StorageAdapter> session_store =
-        std::move(fresh);
-    return ExecuteQuery(*session_store, eval_options_, run_options_, ctx,
-                        prepared, serving_.get(), &last_stats_);
-  }
-  switch (prepared.scope.kind) {
-    case query::QueryScope::Kind::kDefault:
-      break;
-    case query::QueryScope::Kind::kDocument: {
-      auto target = ResolveScopedStore(*catalog_, prepared.scope);
-      if (!target.ok()) {
-        RecordOutcome(serving_.get(), target.status());
-        return target.status();
-      }
-      return ExecuteQuery(**target, eval_options_, run_options_, ctx,
-                          prepared, serving_.get(), &last_stats_);
-    }
-    case query::QueryScope::Kind::kCollection:
-      return ExecuteCollection(*catalog_, eval_options_, run_options_, ctx,
-                               prepared, serving_.get(), &last_stats_);
-  }
-  if (store_ == nullptr) {
-    return Status::NotFound("[empty-catalog] no documents loaded");
-  }
-  return ExecuteQuery(*store_, eval_options_, run_options_, ctx, prepared,
-                      serving_.get(), &last_stats_);
 }
 
 Status EngineSession::LoadDocument(std::string_view id,
@@ -839,16 +695,27 @@ Status EngineSession::LoadDocument(std::string_view id,
 Status EngineSession::LoadCorpus(
     const std::vector<store::CorpusDocument>& docs) {
   if (docs.empty()) return Status::OK();
-  if (reload_per_query_) {
+  ServingState& serving = *serving_;
+  if (!serving.reload_per_query()) return LoadIntoCatalog(docs);
+  // System G holds one document and keeps its text for the per-query
+  // reloads. The lock makes the size check, the load and the text one
+  // step against loads and drops through other handles.
+  util::MutexLock lock(serving.retained_mu);
+  if (serving.catalog.size() + docs.size() > 1) {
     return Status::Unimplemented(
         "[multi-document-unsupported] embedded (reload-per-query) engines "
         "hold a single document");
   }
-  const SystemId id = id_;
-  store::DocumentCatalog::StoreBuilder builder =
-      [id](std::string_view xml, const store::LoadOptions& options) {
-        return Engine::BuildStoreForSystem(id, xml, options);
-      };
+  XMARK_RETURN_IF_ERROR(LoadIntoCatalog(docs));
+  serving.retained_uid = serving.catalog.Find(docs[0].id)->store_uid();
+  serving.retained_xml = std::make_shared<const std::string>(docs[0].xml);
+  return Status::OK();
+}
+
+Status EngineSession::LoadIntoCatalog(
+    const std::vector<store::CorpusDocument>& docs) {
+  // Governance spans the whole corpus load: one context covers every
+  // document's bulkload, charged with the loaded store bytes.
   std::optional<query::ExecContext> ctx;
   store::IngestGovernance governance;
   const store::IngestGovernance* gov = nullptr;
@@ -860,47 +727,44 @@ Status EngineSession::LoadCorpus(
     };
     gov = &governance;
   }
-  Status status = catalog_->LoadCorpus(docs, builder, load_options_, gov);
-  if (!status.ok()) {
-    RecordOutcome(serving_.get(), status);
-    return status;
-  }
-  if (store_ == nullptr) {
-    store_ = catalog_->snapshot()->docs.front().store;
-  }
-  return Status::OK();
+  const SystemId id = serving_->id;
+  Status status = serving_->catalog.LoadCorpus(
+      docs,
+      [id](std::string_view xml, const store::LoadOptions& options) {
+        return BuildStore(id, xml, options);
+      },
+      load_options_, gov);
+  if (!status.ok()) RecordOutcome(serving_.get(), status);
+  return status;
 }
 
 std::vector<std::string> EngineSession::ListDocuments() const {
-  return catalog_->ListDocuments();
+  return serving_->catalog.ListDocuments();
 }
 
 Status EngineSession::DropDocument(std::string_view id) {
-  if (reload_per_query_) {
-    return Status::Unimplemented(
-        "[multi-document-unsupported] embedded (reload-per-query) engines "
-        "hold a single document");
-  }
-  // The session's default-scope store_ intentionally survives a drop of
-  // its document: running and future default-scope queries keep the
-  // snapshot they started from, while doc()/collection() routing sees the
-  // updated catalog immediately.
+  ServingState& serving = *serving_;
+  util::MutexLock lock(serving.retained_mu);
   XMARK_ASSIGN_OR_RETURN(std::shared_ptr<const query::StorageAdapter> dropped,
-                         catalog_->Drop(id));
-  serving_->plan_cache.EraseStore(dropped->store_uid());
+                         serving.catalog.Drop(id));
+  serving.plan_cache.EraseStore(dropped->store_uid());
+  if (serving.retained_uid == dropped->store_uid()) {
+    serving.retained_xml = nullptr;
+  }
   return Status::OK();
 }
 
-size_t EngineSession::DocumentCount() const { return catalog_->size(); }
+size_t EngineSession::DocumentCount() const {
+  return serving_->catalog.size();
+}
 
-StatusOr<query::Sequence> EngineSession::Run(std::string_view query_text,
-                                             query::ExecContext* ctx) {
-  auto prepared = Prepare(query_text);
-  if (!prepared.ok()) {
-    RecordOutcome(serving_.get(), prepared.status());
-    return prepared.status();
-  }
-  return Execute(*prepared, ctx);
+query::PlanCacheStats EngineSession::plan_cache_stats() const {
+  return serving_->plan_cache.stats();
+}
+
+QueryOutcomes EngineSession::outcomes() const {
+  util::MutexLock lock(serving_->stats_mu);
+  return serving_->outcomes;
 }
 
 }  // namespace xmark::bench

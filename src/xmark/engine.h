@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "query/evaluator.h"
@@ -16,9 +15,7 @@
 #include "query/storage.h"
 #include "store/document_catalog.h"
 #include "store/load_options.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace xmark::bench {
 
@@ -84,76 +81,81 @@ struct QueryOutcomes {
   }
 };
 
-/// State shared by an Engine and every session created from it: the plan
-/// cache and the cumulative serving statistics. Held by shared_ptr so
-/// sessions stay valid even if the engine is destroyed first.
-struct ServingState {
-  query::PlanCache plan_cache;
-  // Memoized document scopes by query text (scope is a pure function of
-  // the text), so the plan-cache hit path never re-parses just to route.
-  util::Mutex scope_mu;
-  std::unordered_map<std::string, query::QueryScope> scopes
-      GUARDED_BY(scope_mu);
-  util::Mutex stats_mu;
-  // Merged under stats_mu at each query completion; read under stats_mu by
-  // Engine::cumulative_stats() / queries_executed().
-  query::EvalStats cumulative_stats GUARDED_BY(stats_mu);
-  uint64_t queries_executed GUARDED_BY(stats_mu) = 0;
-  // Every Prepare/Execute outcome, successes and governed failures alike.
-  QueryOutcomes outcomes GUARDED_BY(stats_mu);
-};
+/// State every handle of one engine shares, created once by
+/// Engine::Create: the system, the document catalog, the plan cache, the
+/// cumulative statistics and System G's retained document text. Held by
+/// shared_ptr, so sessions stay valid after the engine is destroyed.
+/// Defined in engine.cc.
+struct ServingState;
 
-class EngineSession;
-
-/// One benchmark system: a storage mapping + evaluator configuration.
+/// One serving handle of an engine: every query, load and drop runs here.
+/// Each handle keeps only its own evaluator, load and run options and its
+/// last_stats; everything else lives in the shared ServingState, so a
+/// load, a drop or a query through one handle behaves the same as through
+/// any other, and every handle sees the others' loads and drops at once.
 ///
-/// The lifecycle mirrors the paper's measurement protocol: Load() is the
-/// bulkload of Table 1, Prepare() the compilation phase and Execute() the
-/// execution phase of Table 2, and Prepare+Execute together one query run
-/// of Table 3 / Figure 4.
+/// Routing: a query's scope is re-resolved against the catalog snapshot
+/// each Prepare and each Execute takes. doc("id") binds that document,
+/// collection() fans out over every document in id order, and the default
+/// scope (absolute paths, document() without a literal) binds the lowest
+/// id. An empty catalog fails kNotFound "[empty-catalog]". System G holds
+/// one document and runs every Execute on a private reload of it.
 ///
-/// Concurrency: after Load() the store is immutable, so any number of
-/// threads may execute queries against it — each through its own
-/// EngineSession (CreateSession()). The Engine's own Prepare/Execute/Run
-/// remain a single-threaded convenience API (Execute mutates last_stats_
-/// and, for System G, the store pointer).
-class Engine {
+/// Safe to use from one thread at a time; different handles run fully
+/// concurrently.
+class EngineSession {
  public:
-  /// Creates an unloaded engine for the given system.
-  static std::unique_ptr<Engine> Create(SystemId id);
+  /// Compiles through the shared plan cache: parse, catalog resolution
+  /// and optimizer lowering happen once per (query text, store, options,
+  /// scope) and every later call shares the entry. System G compiles
+  /// uncached: it runs on a fresh store every Execute, so entries could
+  /// never be adopted.
+  StatusOr<PreparedQuery> Prepare(std::string_view query_text) const;
 
-  /// Document id Load() registers the benchmark document under.
-  static constexpr std::string_view kDefaultDocumentId = "auction.xml";
+  /// Compiles from scratch against the store the query's scope binds,
+  /// never touching the plan cache. This is the per-call compilation cost
+  /// Tables 2 and 3 measure, so it must never be amortized; the
+  /// collection() legs of its Execute compile privately too.
+  StatusOr<PreparedQuery> PrepareUncached(std::string_view query_text) const;
 
-  /// Bulkloads the benchmark document (shredding + index build). Resets
-  /// the catalog to this single document, registered as
-  /// kDefaultDocumentId, and makes it the default-scope document.
-  Status Load(std::string_view xml);
+  /// Executes a compiled query. Merges this run's statistics into the
+  /// shared cumulative counters at completion. Governance: when
+  /// run_options() is engaged a per-run ExecContext is created; pass
+  /// `ctx` to share one with the caller (another thread may Cancel() it).
+  /// A cancelled run frees its arena and leaves the shared plan cache and
+  /// every other handle untouched. Defaults leave execution unchecked.
+  StatusOr<query::Sequence> Execute(const PreparedQuery& prepared,
+                                    query::ExecContext* ctx = nullptr);
 
-  // --- Document catalog --------------------------------------------------
+  /// Prepare (cached) + Execute.
+  StatusOr<query::Sequence> Run(std::string_view query_text,
+                                query::ExecContext* ctx = nullptr);
+
+  /// Compiles `query_text`, lowers it through the optimizer against the
+  /// store its scope binds (a collection() plan against its first
+  /// document) and this handle's options, and renders the chosen plan as
+  /// text (join strategies, per-step access paths, invariant hoisting),
+  /// plus catalog, plan-cache and outcome lines.
+  StatusOr<std::string> Explain(std::string_view query_text) const;
+
+  // --- Document catalog -------------------------------------------------
   //
-  // Each engine holds N documents of its mapping, keyed by a stable id.
-  // Queries route by static scope: doc("id") binds one document by exact
-  // id (the paper's "URI ignored" semantics survive only around the
-  // canonical "auction.xml" id of legacy Load()), collection() fans out
-  // over every document in id order, and plain document() / absolute
-  // paths bind the default document (the first ever loaded). System G
-  // (reload-per-query) stays single-document.
+  // The catalog swaps immutable snapshots, so loads and drops may run
+  // concurrently with queries on other handles; running queries keep the
+  // snapshot they started from.
 
   /// Loads one document under `id`. kInvalidArgument
   /// "[duplicate-document-id]" when the id is taken.
   Status LoadDocument(std::string_view id, std::string_view xml);
 
   /// Loads a batch, parallelizing the bulkloads across documents
-  /// (load_options().threads pool tasks; byte-deterministic for any
-  /// count). All-or-nothing; when run_options() is engaged the whole
-  /// batch runs under one governed context, and a deadline/budget
-  /// violation unwinds it leaving prior documents queryable.
+  /// (load_options().threads; byte-deterministic for any count).
+  /// All-or-nothing; when run_options() is engaged the whole batch runs
+  /// under one governed context, and a deadline/budget violation unwinds
+  /// it, leaving prior documents queryable. System G refuses a batch that
+  /// would leave more than one document: kUnimplemented
+  /// "[multi-document-unsupported]".
   Status LoadCorpus(const std::vector<store::CorpusDocument>& docs);
-
-  /// Loads every "*.xml" file of `dir` (sorted by name; the file name is
-  /// the document id). Returns the number of documents loaded.
-  StatusOr<size_t> LoadCorpusFromDir(const std::string& dir);
 
   /// Document ids in sorted order.
   std::vector<std::string> ListDocuments() const;
@@ -167,213 +169,172 @@ class Engine {
 
   size_t DocumentCount() const;
 
+  // --- Per-handle settings and statistics -------------------------------
+
+  /// Per-run limits applied by every Execute without an explicit context
+  /// and by every load.
+  void set_run_options(const query::RunOptions& options) {
+    run_options_ = options;
+  }
+  const query::RunOptions& run_options() const { return run_options_; }
+
+  /// Statistics of this handle's last successful Execute.
+  const query::Evaluator::Stats& last_stats() const { return last_stats_; }
+
+  /// Plan-cache hit/miss counters across every handle.
+  query::PlanCacheStats plan_cache_stats() const;
+
+  /// Per-StatusCode outcomes across every handle.
+  QueryOutcomes outcomes() const;
+
+ private:
+  friend class Engine;
+
+  EngineSession(std::shared_ptr<ServingState> serving,
+                const query::EvaluatorOptions& eval_options,
+                const store::LoadOptions& load_options)
+      : serving_(std::move(serving)),
+        eval_options_(eval_options),
+        load_options_(load_options) {}
+
+  /// Books a failed compile into the outcome counters, or executes.
+  StatusOr<query::Sequence> RunPrepared(
+      const StatusOr<PreparedQuery>& prepared, query::ExecContext* ctx);
+
+  /// Governed catalog load of `docs` with this handle's options.
+  Status LoadIntoCatalog(const std::vector<store::CorpusDocument>& docs);
+
+  std::shared_ptr<ServingState> serving_;
+  query::EvaluatorOptions eval_options_;
+  store::LoadOptions load_options_;
+  query::RunOptions run_options_;
+  query::Evaluator::Stats last_stats_;
+};
+
+/// One benchmark system: a storage mapping + evaluator configuration, and
+/// the default serving handle the paper's protocol runs through.
+///
+/// The lifecycle mirrors the paper's measurement protocol: LoadDocument()
+/// is the bulkload of Table 1, Prepare() the compilation phase and
+/// Execute() the execution phase of Table 2, and Prepare+Execute together
+/// one query run of Table 3 / Figure 4. Every serving method forwards to
+/// the engine's own EngineSession, so the engine obeys the same rules as
+/// any session created from it (CreateSession()), one per client thread.
+class Engine {
+ public:
+  /// Creates an engine with an empty catalog for the given system.
+  static std::unique_ptr<Engine> Create(SystemId id);
+
+  /// Id the benchmark document is registered under. A one-document
+  /// catalog holding this id binds doc() with any URI (the paper's "URI
+  /// ignored" semantics).
+  static constexpr std::string_view kDefaultDocumentId = "auction.xml";
+
+  Status LoadDocument(std::string_view id, std::string_view xml) {
+    return session_.LoadDocument(id, xml);
+  }
+  Status LoadCorpus(const std::vector<store::CorpusDocument>& docs) {
+    return session_.LoadCorpus(docs);
+  }
+  std::vector<std::string> ListDocuments() const {
+    return session_.ListDocuments();
+  }
+  Status DropDocument(std::string_view id) {
+    return session_.DropDocument(id);
+  }
+  size_t DocumentCount() const { return session_.DocumentCount(); }
+
+  /// Loads every regular "*.xml" file of `dir` as one LoadCorpus batch
+  /// (sorted by name; the file name is the document id). Returns the
+  /// number of documents loaded; kNotFound "[corpus-dir]" when the
+  /// directory or a file cannot be read.
+  StatusOr<size_t> LoadCorpusFromDir(const std::string& dir);
+
   /// Deterministic corpus dump: per-document sections in id order with
   /// prefix-summed global id ranges (the CI ingest-determinism gate diffs
   /// threads=1 vs threads=8 outputs).
   void DumpCatalogState(std::string* out) const;
 
-  /// Bulkload configuration (thread count) applied by Load and by System
-  /// G's per-query reloads. Results are identical for any thread count.
-  void set_load_options(const store::LoadOptions& options) {
-    load_options_ = options;
+  /// Uncached compile (EngineSession::PrepareUncached): Table 2's
+  /// compilation phase, never amortized.
+  StatusOr<PreparedQuery> Prepare(std::string_view query_text) const {
+    return session_.PrepareUncached(query_text);
   }
-  const store::LoadOptions& load_options() const { return load_options_; }
-
-  /// Compiles a query: parse, static analysis, catalog/metadata resolution.
-  /// Always compiles from scratch — this is the per-call compilation cost
-  /// Table 2 amplifies, so it must never be amortized by the plan cache.
-  StatusOr<PreparedQuery> Prepare(std::string_view query_text) const;
-
-  /// Compiles through the shared plan cache: parse + catalog resolution +
-  /// optimizer lowering happen once per (query text, store, options) and
-  /// every later call shares the entry. System G (reload-per-query)
-  /// bypasses the cache — its store identity changes on every Execute, so
-  /// entries could never be adopted.
-  StatusOr<PreparedQuery> PrepareCached(std::string_view query_text) const;
-
-  /// Executes a compiled query. For the embedded System G this includes
-  /// re-loading the document — an embedded processor parses its input per
-  /// program run, the constant overhead visible across Figure 4.
-  /// Governance: when run_options() is engaged a per-run ExecContext is
-  /// created for this Execute; pass `ctx` to share one with the caller
-  /// (external cancellation). Defaults leave execution entirely unchecked.
+  /// Compile through the shared plan cache (EngineSession::Prepare).
+  StatusOr<PreparedQuery> PrepareCached(std::string_view query_text) const {
+    return session_.Prepare(query_text);
+  }
   StatusOr<query::Sequence> Execute(const PreparedQuery& prepared,
-                                    query::ExecContext* ctx = nullptr);
-
-  /// Convenience: Prepare + Execute.
-  StatusOr<query::Sequence> Run(std::string_view query_text);
-
-  /// Per-run limits applied by every Execute without an explicit context.
-  void set_run_options(const query::RunOptions& options) {
-    run_options_ = options;
+                                    query::ExecContext* ctx = nullptr) {
+    return session_.Execute(prepared, ctx);
   }
-  const query::RunOptions& run_options() const { return run_options_; }
+  /// Uncached Prepare + Execute: one query run of Table 3's protocol.
+  StatusOr<query::Sequence> Run(std::string_view query_text) {
+    return session_.RunPrepared(session_.PrepareUncached(query_text), nullptr);
+  }
+  StatusOr<std::string> Explain(std::string_view query_text) const {
+    return session_.Explain(query_text);
+  }
 
-  /// A lightweight serving handle sharing this engine's loaded store, plan
-  /// cache and cumulative statistics. Each concurrent client thread gets
-  /// its own session; the engine may be destroyed while sessions live.
+  /// A serving handle on this engine's shared state, starting from the
+  /// engine's evaluator and load options. Valid on an empty engine; the
+  /// engine may be destroyed while sessions live.
   StatusOr<std::unique_ptr<EngineSession>> CreateSession() const;
 
-  /// Compiles `query_text`, lowers it through the optimizer against this
-  /// engine's store + option set, and renders the chosen plan as text
-  /// (join strategies, per-step access paths, invariant hoisting), plus a
-  /// final plan-cache hit/miss line.
-  StatusOr<std::string> Explain(std::string_view query_text) const;
+  SystemId id() const;
+  char label() const { return SystemLabel(id()); }
 
-  SystemId id() const { return id_; }
-  char label() const { return SystemLabel(id_); }
-
-  /// Database size after Load (Table 1).
+  /// Database size over every loaded document (Table 1).
   size_t StorageBytes() const;
   size_t CatalogEntries() const;
 
-  const query::StorageAdapter* store() const { return store_.get(); }
+  /// The default-scope store (lowest document id), or null when the
+  /// catalog is empty. Owned by the catalog: valid until that document is
+  /// dropped.
+  const query::StorageAdapter* store() const;
+
+  /// Bulkload configuration (thread count) applied by loads and by System
+  /// G's per-query reloads. Results are identical for any thread count.
+  void set_load_options(const store::LoadOptions& options) {
+    session_.load_options_ = options;
+  }
+  const store::LoadOptions& load_options() const {
+    return session_.load_options_;
+  }
+  void set_run_options(const query::RunOptions& options) {
+    session_.set_run_options(options);
+  }
+  const query::RunOptions& run_options() const {
+    return session_.run_options();
+  }
   const query::EvaluatorOptions& evaluator_options() const {
-    return eval_options_;
+    return session_.eval_options_;
   }
   /// Overrides the evaluator configuration (ablation benchmarks and the
   /// options-matrix test flip the paper-profile flags through this).
   void set_evaluator_options(const query::EvaluatorOptions& opts) {
-    eval_options_ = opts;
+    session_.eval_options_ = opts;
+  }
+  const query::Evaluator::Stats& last_stats() const {
+    return session_.last_stats();
   }
 
-  /// Statistics of the last Execute.
-  const query::Evaluator::Stats& last_stats() const { return last_stats_; }
-
-  /// Plan-cache hit/miss counters across the engine and all its sessions.
   query::PlanCacheStats plan_cache_stats() const {
-    return serving_->plan_cache.stats();
+    return session_.plan_cache_stats();
   }
   /// Plan-cache entries compiled for the store with `store_uid` (test
   /// hook; takes every shard lock).
-  size_t plan_cache_entries(uint64_t store_uid) const {
-    return serving_->plan_cache.EntriesForStore(store_uid);
-  }
+  size_t plan_cache_entries(uint64_t store_uid) const;
   /// Evaluator statistics summed over every completed Execute (engine and
   /// sessions), merged under the serving mutex at query completion.
   query::EvalStats cumulative_stats() const;
   uint64_t queries_executed() const;
-  /// Per-StatusCode outcomes across the engine and all its sessions.
-  QueryOutcomes outcomes() const;
+  QueryOutcomes outcomes() const { return session_.outcomes(); }
 
  private:
-  friend class EngineSession;
+  explicit Engine(EngineSession session) : session_(std::move(session)) {}
 
-  Engine(SystemId id, query::EvaluatorOptions opts, bool reload_per_query)
-      : id_(id),
-        eval_options_(opts),
-        reload_per_query_(reload_per_query),
-        serving_(std::make_shared<ServingState>()) {}
-
-  /// Builds the system's store from `xml`. Static so sessions of
-  /// reload-per-query engines can build private stores without touching
-  /// the engine.
-  static StatusOr<std::shared_ptr<query::StorageAdapter>> BuildStoreForSystem(
-      SystemId id, std::string_view xml, const store::LoadOptions& options);
-
-  /// Wraps BuildStoreForSystem for the catalog (which must not know the
-  /// system enum).
-  store::DocumentCatalog::StoreBuilder MakeStoreBuilder() const;
-
-  SystemId id_;
-  query::EvaluatorOptions eval_options_;
-  query::RunOptions run_options_;
-  store::LoadOptions load_options_;
-  bool reload_per_query_;
-  // Default-scope document (the first loaded); catalog documents are
-  // routed per query. Both point into the same catalog entries.
-  std::shared_ptr<const query::StorageAdapter> store_;
-  std::shared_ptr<store::DocumentCatalog> catalog_ =
-      std::make_shared<store::DocumentCatalog>();
-  // Kept only by reload-per-query engines; shared so their sessions can
-  // reload privately.
-  std::shared_ptr<const std::string> retained_xml_;
-  std::shared_ptr<ServingState> serving_;
-  query::Evaluator::Stats last_stats_;
-};
-
-/// Per-client serving handle: shares the engine's immutable store, plan
-/// cache and cumulative statistics, while keeping per-session state
-/// (last_stats, System G's private reloaded store) unshared. Safe to use
-/// from one thread at a time; different sessions run fully concurrently.
-class EngineSession {
- public:
-  /// Compiles through the shared plan cache (uncached for System G, whose
-  /// per-execute store identity defeats caching).
-  StatusOr<PreparedQuery> Prepare(std::string_view query_text);
-
-  /// Executes against the shared store (System G: against a freshly loaded
-  /// private store). Merges this run's statistics into the shared
-  /// cumulative counters at completion. Governance mirrors
-  /// Engine::Execute: run_options() limits apply, `ctx` (optional) shares
-  /// a context so another thread can Cancel() this run; a cancelled run
-  /// frees its arena and leaves the shared plan cache and every sibling
-  /// session untouched.
-  StatusOr<query::Sequence> Execute(const PreparedQuery& prepared,
-                                    query::ExecContext* ctx = nullptr);
-
-  /// Convenience: Prepare (cached) + Execute.
-  StatusOr<query::Sequence> Run(std::string_view query_text,
-                                query::ExecContext* ctx = nullptr);
-
-  // Shared document catalog (same instance as the engine's): sessions may
-  // grow or shrink the corpus concurrently with sibling queries — the
-  // catalog swaps immutable snapshots, so running queries keep theirs.
-  // DropDocument erases the dropped store's plan-cache entries, as
-  // Engine::DropDocument does.
-  Status LoadDocument(std::string_view id, std::string_view xml);
-  Status LoadCorpus(const std::vector<store::CorpusDocument>& docs);
-  std::vector<std::string> ListDocuments() const;
-  Status DropDocument(std::string_view id);
-  size_t DocumentCount() const;
-
-  /// Per-run limits applied by every Execute without an explicit context.
-  void set_run_options(const query::RunOptions& options) {
-    run_options_ = options;
-  }
-  const query::RunOptions& run_options() const { return run_options_; }
-
-  /// Statistics of this session's last Execute.
-  const query::Evaluator::Stats& last_stats() const { return last_stats_; }
-
-  query::PlanCacheStats plan_cache_stats() const {
-    return serving_->plan_cache.stats();
-  }
-
-  /// Shared per-StatusCode outcomes (same counters as Engine::outcomes()).
-  QueryOutcomes outcomes() const {
-    util::MutexLock lock(serving_->stats_mu);
-    return serving_->outcomes;
-  }
-
- private:
-  friend class Engine;
-
-  EngineSession(SystemId id, query::EvaluatorOptions opts,
-                store::LoadOptions load_options, bool reload_per_query,
-                std::shared_ptr<const query::StorageAdapter> store,
-                std::shared_ptr<store::DocumentCatalog> catalog,
-                std::shared_ptr<const std::string> retained_xml,
-                std::shared_ptr<ServingState> serving)
-      : id_(id),
-        eval_options_(std::move(opts)),
-        load_options_(std::move(load_options)),
-        reload_per_query_(reload_per_query),
-        store_(std::move(store)),
-        catalog_(std::move(catalog)),
-        retained_xml_(std::move(retained_xml)),
-        serving_(std::move(serving)) {}
-
-  SystemId id_;
-  query::EvaluatorOptions eval_options_;
-  query::RunOptions run_options_;
-  store::LoadOptions load_options_;
-  bool reload_per_query_;
-  std::shared_ptr<const query::StorageAdapter> store_;
-  std::shared_ptr<store::DocumentCatalog> catalog_;
-  std::shared_ptr<const std::string> retained_xml_;
-  std::shared_ptr<ServingState> serving_;
-  query::Evaluator::Stats last_stats_;
+  EngineSession session_;
 };
 
 }  // namespace xmark::bench

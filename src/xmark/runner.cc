@@ -43,7 +43,8 @@ Status BenchmarkRunner::LoadSystem(SystemId system) {
   engine->set_load_options(store::LoadOptions{load_threads_});
   PhaseTimer timer;
   if (corpus_.empty()) {
-    XMARK_RETURN_IF_ERROR(engine->Load(document_));
+    XMARK_RETURN_IF_ERROR(
+        engine->LoadDocument(Engine::kDefaultDocumentId, document_));
   } else {
     XMARK_RETURN_IF_ERROR(engine->LoadCorpus(corpus_));
   }

@@ -11,7 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -100,7 +104,10 @@ Engine* ReferenceEngine(SystemId id, size_t slot) {
   auto it = kEngines->find(key);
   if (it == kEngines->end()) {
     auto engine = Engine::Create(id);
-    XMARK_CHECK(engine->Load(CorpusDocs()[slot].xml).ok());
+    XMARK_CHECK(engine
+                    ->LoadDocument(Engine::kDefaultDocumentId,
+                                   CorpusDocs()[slot].xml)
+                    .ok());
     it = kEngines->emplace(key, std::move(engine)).first;
   }
   return it->second.get();
@@ -208,8 +215,8 @@ TEST(CatalogEdgeTest, EmptyCatalogQueriesFailCoded) {
 }
 
 // After the last document is dropped a session's doc("id") fails coded,
-// like the engine's, instead of binding the default store the session
-// retains; default-scope queries keep that snapshot, as documented.
+// like the engine's, and so does the default scope: it is resolved at
+// every call, so no handle keeps serving the dropped document.
 TEST(CatalogEdgeTest, SessionDocScopeFailsOnceCatalogIsEmpty) {
   auto engine = Engine::Create(SystemId::kD);
   ASSERT_TRUE(engine->LoadDocument("only.xml", GenerateDocument(0.001, 4)).ok());
@@ -236,9 +243,11 @@ TEST(CatalogEdgeTest, SessionDocScopeFailsOnceCatalogIsEmpty) {
   EXPECT_EQ(engine_gone.status().code(), StatusCode::kNotFound);
 
   auto default_after = (*session)->Run(default_q);
-  ASSERT_TRUE(default_after.ok()) << default_after.status().ToString();
-  EXPECT_EQ(SerializeSequence(*default_after),
-            SerializeSequence(*default_before));
+  ASSERT_FALSE(default_after.ok());
+  EXPECT_EQ(default_after.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(default_after.status().message().find("[empty-catalog]"),
+            std::string::npos)
+      << default_after.status().message();
 }
 
 TEST(CatalogEdgeTest, DuplicateAndEmptyIdsRejectedCoded) {
@@ -353,7 +362,7 @@ TEST(CatalogEdgeTest, DropThenRequeryMissesCleanly) {
   ASSERT_TRUE(requeried.ok());
 
   auto oracle = Engine::Create(SystemId::kB);
-  ASSERT_TRUE(oracle->Load(second).ok());
+  ASSERT_TRUE(oracle->LoadDocument(Engine::kDefaultDocumentId, second).ok());
   auto expected = oracle->Run(
       "for $p in document(\"auction.xml\")/site/people/person "
       "return $p/name");
@@ -385,7 +394,8 @@ TEST(CatalogEdgeTest, MixedSizeCorpus) {
   ASSERT_EQ(engine->DocumentCount(), docs.size());
 
   auto oracle = Engine::Create(SystemId::kC);
-  ASSERT_TRUE(oracle->Load(docs[0].xml).ok());
+  ASSERT_TRUE(
+      oracle->LoadDocument(Engine::kDefaultDocumentId, docs[0].xml).ok());
   const std::string big_q = RewriteEntryCalls(GetQuery(1).text,
                                               "doc(\"big.xml\")");
   EXPECT_EQ(RunSerialized(engine.get(), big_q),
@@ -624,10 +634,96 @@ TEST(CatalogEdgeTest, CorpusLoadSplitsThreadsAcrossBuilds) {
 // System G (embedded, reload-per-query) stays single-document.
 TEST(CatalogEdgeTest, EmbeddedEngineRejectsCorpora) {
   auto engine = Engine::Create(SystemId::kG);
-  ASSERT_TRUE(engine->Load(GenerateDocument(0.001, 2)).ok());
+  ASSERT_TRUE(engine
+                  ->LoadDocument(Engine::kDefaultDocumentId,
+                                 GenerateDocument(0.001, 2))
+                  .ok());
   Status more = engine->LoadDocument("extra.xml", GenerateDocument(0.001, 3));
   ASSERT_FALSE(more.ok());
   EXPECT_EQ(more.code(), StatusCode::kUnimplemented);
+}
+
+// --------------------------------------------------------------------------
+// Engine::LoadCorpusFromDir
+// --------------------------------------------------------------------------
+
+// A directory under the test temp dir, removed when the test ends.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& name)
+      : path_(std::filesystem::path(::testing::TempDir()) /
+              (name + "-" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  void Write(const std::string& relative, const std::string& content) const {
+    const std::filesystem::path file = path_ / relative;
+    std::filesystem::create_directories(file.parent_path());
+    std::ofstream(file, std::ios::binary) << content;
+  }
+  std::string path() const { return path_.string(); }
+
+ private:
+  std::filesystem::path path_;
+};
+
+// Only the directory's own regular *.xml files load, under their file
+// names, in sorted order, as one batch.
+TEST(CatalogEdgeTest, LoadCorpusFromDirLoadsRegularXmlFiles) {
+  ScratchDir dir("corpus-dir-files");
+  const std::string b = GenerateDocument(0.001, 21);
+  dir.Write("b.xml", b);
+  dir.Write("a.xml", GenerateDocument(0.001, 20));
+  dir.Write("notes.txt", GenerateDocument(0.001, 22));
+  dir.Write("nested/c.xml", GenerateDocument(0.001, 23));
+  std::filesystem::create_directories(dir.path() + "/folder.xml");
+
+  auto engine = Engine::Create(SystemId::kD);
+  auto loaded = engine->LoadCorpusFromDir(dir.path());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(*loaded, 2u);
+  EXPECT_EQ(engine->ListDocuments(),
+            (std::vector<std::string>{"a.xml", "b.xml"}));
+  auto oracle = Engine::Create(SystemId::kD);
+  ASSERT_TRUE(oracle->LoadDocument("b.xml", b).ok());
+  const std::string names =
+      "for $p in doc(\"b.xml\")/site/people/person return $p/name";
+  EXPECT_EQ(RunSerialized(engine.get(), names),
+            RunSerialized(oracle.get(), names));
+}
+
+TEST(CatalogEdgeTest, LoadCorpusFromDirMissingDirFailsCoded) {
+  auto engine = Engine::Create(SystemId::kD);
+  auto loaded = engine->LoadCorpusFromDir(::testing::TempDir() +
+                                          "/no-such-corpus-dir");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(loaded.status().message().find("[corpus-dir]"),
+            std::string::npos)
+      << loaded.status();
+}
+
+// One malformed file fails the whole batch: nothing from the directory
+// lands in the catalog.
+TEST(CatalogEdgeTest, LoadCorpusFromDirMalformedFileFailsWholeBatch) {
+  ScratchDir dir("corpus-dir-malformed");
+  dir.Write("good.xml", GenerateDocument(0.001, 24));
+  dir.Write("torn.xml", "<site><people><person id=\"p0\">");
+
+  auto engine = Engine::Create(SystemId::kA);
+  ASSERT_TRUE(
+      engine->LoadDocument("kept.xml", GenerateDocument(0.001, 25)).ok());
+  auto loaded = engine->LoadCorpusFromDir(dir.path());
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(engine->DocumentCount(), 1u);
+  EXPECT_EQ(engine->ListDocuments(), std::vector<std::string>{"kept.xml"});
 }
 
 }  // namespace

@@ -39,7 +39,8 @@ const std::string& TestDocument() {
 
 std::unique_ptr<Engine> LoadedEngine(SystemId id) {
   std::unique_ptr<Engine> engine = Engine::Create(id);
-  XMARK_CHECK(engine->Load(TestDocument()).ok());
+  XMARK_CHECK(
+      engine->LoadDocument(Engine::kDefaultDocumentId, TestDocument()).ok());
   return engine;
 }
 

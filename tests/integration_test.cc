@@ -22,7 +22,8 @@ std::unique_ptr<Engine> LoadEngine(SystemId id, double scale, uint64_t seed) {
   options.scale = scale;
   options.seed = seed;
   auto engine = Engine::Create(id);
-  const Status st = engine->Load(gen::XmlGen(options).GenerateToString());
+  const Status st = engine->LoadDocument(
+      Engine::kDefaultDocumentId, gen::XmlGen(options).GenerateToString());
   EXPECT_TRUE(st.ok()) << st;
   return engine;
 }
@@ -39,7 +40,9 @@ TEST(IntegrationTest, QueryCardinalitiesMatchGeneratorModel) {
   options.scale = 0.005;
   gen::XmlGen gen(options);
   auto engine = Engine::Create(SystemId::kD);
-  ASSERT_TRUE(engine->Load(gen.GenerateToString()).ok());
+  ASSERT_TRUE(
+      engine->LoadDocument(Engine::kDefaultDocumentId, gen.GenerateToString())
+          .ok());
 
   EXPECT_EQ(NumberResult(*engine, "count(//person)"),
             static_cast<double>(gen.counts().persons));

@@ -152,12 +152,10 @@ TEST(Capabilities, StoresAdvertiseTheirStructures) {
   const StorageCapabilities edge = Edge().Capabilities();
   EXPECT_TRUE(edge.id_lookup);
   EXPECT_FALSE(edge.children_by_tag);
-  EXPECT_FALSE(edge.tag_index);
   EXPECT_FALSE(edge.path_index);
 
   const StorageCapabilities dom = Dom().Capabilities();
   EXPECT_TRUE(dom.id_lookup);
-  EXPECT_TRUE(dom.tag_index);
   EXPECT_TRUE(dom.path_index);
   EXPECT_FALSE(dom.children_by_tag);
 

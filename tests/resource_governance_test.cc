@@ -66,7 +66,8 @@ const std::string& TestDocument() {
 
 std::unique_ptr<Engine> LoadedEngine(SystemId id = SystemId::kD) {
   std::unique_ptr<Engine> engine = Engine::Create(id);
-  XMARK_CHECK(engine->Load(TestDocument()).ok());
+  XMARK_CHECK(
+      engine->LoadDocument(Engine::kDefaultDocumentId, TestDocument()).ok());
   return engine;
 }
 
@@ -446,7 +447,8 @@ TEST(ResourceGovernance, EveryFaultSiteFailsCleanAndRecovers) {
     fault::Arm(site, 0);
 
     std::unique_ptr<Engine> engine = Engine::Create(SystemId::kD);
-    Status load = engine->Load(TestDocument());
+    Status load =
+        engine->LoadDocument(Engine::kDefaultDocumentId, TestDocument());
     if (load.ok()) {
       query::EvaluatorOptions opts = engine->evaluator_options();
       opts.parallel_exec.enabled = true;
@@ -473,7 +475,11 @@ TEST(ResourceGovernance, EveryFaultSiteFailsCleanAndRecovers) {
 
     // Disarmed, the same engine (reloaded if the load was the victim)
     // serves correct bytes — no residue from the injected failure.
-    if (!load.ok()) ASSERT_TRUE(engine->Load(TestDocument()).ok());
+    if (!load.ok()) {
+      ASSERT_TRUE(
+          engine->LoadDocument(Engine::kDefaultDocumentId, TestDocument())
+              .ok());
+    }
     auto after = engine->Run(GetQuery(8).text);
     EXPECT_TRUE(after.ok()) << site << ": " << after.status();
   }

@@ -109,7 +109,9 @@ TEST_P(BulkloadQueryParityTest, QueriesByteIdenticalAcrossThreadCounts) {
   for (const unsigned threads : kThreadCounts) {
     auto engine = bench::Engine::Create(id);
     engine->set_load_options(LoadOptions{threads});
-    ASSERT_TRUE(engine->Load(TestDocument()).ok());
+    ASSERT_TRUE(
+        engine->LoadDocument(bench::Engine::kDefaultDocumentId, TestDocument())
+            .ok());
     engines[threads] = std::move(engine);
   }
   for (int q = 1; q <= 20; ++q) {

@@ -117,7 +117,6 @@ TEST(DomStoreTest, PathCount) {
 TEST(DomStoreTest, IndexesOffDowngradeGracefully) {
   auto store = Load(false);
   EXPECT_FALSE(store->SupportsIdLookup());
-  EXPECT_FALSE(store->SupportsTagIndex());
   EXPECT_FALSE(store->SupportsPathIndex());
   EXPECT_EQ(store->NodesByTag(Tag(*store, "item")), nullptr);
   EXPECT_FALSE(

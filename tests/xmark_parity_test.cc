@@ -39,7 +39,8 @@ Engine* LoadedEngine(SystemId id) {
   auto it = kEngines->find(id);
   if (it == kEngines->end()) {
     auto engine = Engine::Create(id);
-    Status st = engine->Load(TestDocument());
+    Status st =
+        engine->LoadDocument(Engine::kDefaultDocumentId, TestDocument());
     XMARK_CHECK(st.ok());
     it = kEngines->emplace(id, std::move(engine)).first;
   }
