@@ -1,12 +1,9 @@
 #ifndef XMARK_QUERY_AST_H_
 #define XMARK_QUERY_AST_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
-
-#include "xml/names.h"
 
 namespace xmark::query {
 
@@ -60,47 +57,13 @@ struct Step {
   Test test = Test::kName;
   std::string name;  // for Test::kName and kAttribute
   std::vector<AstPtr> predicates;
-
-  // Per-store name-resolution cache maintained by the evaluator: `name`
-  // is interned against the active store's dictionary on first use, so a
-  // step applied millions of times pays one dictionary probe. Keyed on the
-  // store's never-recycled uid (0 = unresolved), not its address, so a
-  // freed store cannot validate a stale NameId. The id is published before
-  // the uid (release/acquire), so concurrent evaluations of one AST
-  // against a single store — the plan-cache arrangement — are safe;
-  // evaluating one AST against different stores concurrently is not.
-  mutable std::atomic<uint64_t> name_cache_uid{0};
-  mutable std::atomic<xml::NameId> name_cache_id{xml::kInvalidName};
-
-  // The atomics delete the implicit copy/move members; steps only ever
-  // migrate single-threaded (parser construction), so a relaxed snapshot
-  // of the cache is enough.
-  Step() = default;
-  Step(Step&& other) noexcept
-      : axis(other.axis),
-        test(other.test),
-        name(std::move(other.name)),
-        predicates(std::move(other.predicates)),
-        name_cache_uid(other.name_cache_uid.load(std::memory_order_relaxed)),
-        name_cache_id(other.name_cache_id.load(std::memory_order_relaxed)) {}
-  Step& operator=(Step&& other) noexcept {
-    axis = other.axis;
-    test = other.test;
-    name = std::move(other.name);
-    predicates = std::move(other.predicates);
-    name_cache_uid.store(other.name_cache_uid.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    name_cache_id.store(other.name_cache_id.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    return *this;
-  }
 };
 
 /// for/let clause of a FLWOR (or the binding list of a quantifier).
 struct ForLetClause {
   bool is_let = false;
   std::string var;
-  int var_slot = -1;  // assigned by ResolveVariableSlots
+  int var_slot = -1;  // assigned by the parser
   AstPtr expr;
 };
 
@@ -130,9 +93,8 @@ struct AstNode {
 
   // kStringLiteral / kVarRef / kFunctionCall (name)
   std::string str_value;
-  // kVarRef: environment slot assigned by ResolveVariableSlots (-1 until
-  // resolution runs). The evaluator binds and looks variables up by this
-  // index instead of comparing names.
+  // kVarRef: environment slot assigned by the parser. The evaluator binds
+  // and looks variables up by this index instead of comparing names.
   int var_slot = -1;
   // kNumberLiteral
   double num_value = 0.0;
@@ -164,29 +126,26 @@ struct AstNode {
 struct FunctionDecl {
   std::string name;
   std::vector<std::string> params;
-  std::vector<int> param_slots;  // assigned by ResolveVariableSlots
+  std::vector<int> param_slots;  // assigned by the parser
   AstPtr body;
 };
 
 /// A parsed query module: prolog functions plus the body expression.
+/// Immutable once the parser returns it, and store-independent: every
+/// store-specific decision (access paths, step NameIds, join strategies)
+/// lives in the PlanAnnotations the optimizer lowers per store, keyed by
+/// this module's node addresses. So one module, held by shared_ptr<const>,
+/// serves any number of stores and threads at once.
 struct ParsedQuery {
   std::vector<FunctionDecl> functions;
   AstPtr body;
-  // Distinct variable names in the module, indexed by slot (filled by
-  // ResolveVariableSlots; ParseQueryText resolves before returning).
+  // Distinct variable names in the module, indexed by slot. The parser
+  // interns every variable into one dense slot space before it returns:
+  // each distinct name gets one slot, shared by all its (possibly
+  // shadowing) bindings, and the evaluator saves and restores the slot on
+  // scope entry and exit.
   std::vector<std::string> var_names;
-  // Set by ResolveVariableSlots(ParsedQuery&). Evaluator::Run resolves
-  // only while this is false, so a parsed module shared by concurrent
-  // runs (the plan cache) is never mutated after compilation.
-  bool slots_resolved = false;
 };
-
-/// Interns every variable name of the module into a dense slot space:
-/// each distinct name gets one slot, shared by all its (possibly shadowing)
-/// bindings — the evaluator saves and restores the slot on scope entry and
-/// exit, turning variable lookup into a vector index instead of a linear
-/// string-keyed search. Idempotent; deterministic for a given AST.
-void ResolveVariableSlots(ParsedQuery& query);
 
 /// Renders the AST as an s-expression (debugging, plan tests).
 std::string AstToString(const AstNode& node);

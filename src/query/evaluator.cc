@@ -38,22 +38,6 @@ int CompareSortKeys(const SortKey& a, const SortKey& b) {
   return a.str.compare(b.str);
 }
 
-// Resolves a step's element name against the store dictionary through the
-// per-step cache. The cache fields are atomics: the id is published before
-// the uid (release), and a reader that observes the uid (acquire) is
-// guaranteed the matching id — safe for any number of threads evaluating
-// one AST against a single store (the plan-cache arrangement).
-xml::NameId ResolvedStepName(const Step& step, const StorageAdapter* store) {
-  const uint64_t uid = store->store_uid();
-  if (step.name_cache_uid.load(std::memory_order_acquire) == uid) {
-    return step.name_cache_id.load(std::memory_order_relaxed);
-  }
-  const xml::NameId id = store->names().Lookup(step.name);
-  step.name_cache_id.store(id, std::memory_order_relaxed);
-  step.name_cache_uid.store(uid, std::memory_order_release);
-  return id;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -73,17 +57,6 @@ Evaluator::~Evaluator() = default;
 StatusOr<Sequence> Evaluator::Run(
     const ParsedQuery& query,
     std::shared_ptr<const PlanAnnotations> shared_annotations) {
-  current_query_ = &query;
-  // Resolve slots only once per parsed module: ParseQueryText resolves
-  // before returning (setting slots_resolved), so a module shared by
-  // concurrent runs through the plan cache is never mutated here. Only
-  // hand-built queries that bypassed the parser still resolve lazily —
-  // those are single-threaded by construction (tests). ASTs are never
-  // genuinely const objects in this codebase, so writing through the
-  // const reference is defined.
-  if (!query.slots_resolved) {
-    ResolveVariableSlots(const_cast<ParsedQuery&>(query));
-  }
   slot_count_ = query.var_names.size();
   functions_.clear();
   for (const FunctionDecl& f : query.functions) {
@@ -97,7 +70,7 @@ StatusOr<Sequence> Evaluator::Run(
   // invariant memos), so state can never leak across documents. The
   // compile-time annotations may be adopted from the plan cache instead
   // of rebuilt — but only when they were lowered for this exact store and
-  // option fingerprint.
+  // option fingerprint: they carry that store's NameIds.
   plan_ = std::make_unique<QueryPlan>();
   if (shared_annotations != nullptr &&
       shared_annotations->store_uid == store_->store_uid() &&
@@ -248,15 +221,13 @@ Status Evaluator::ApplyPredicates(const std::vector<AstPtr>& predicates,
 Status Evaluator::ApplyStep(const Step& step, const StepPlan& planned,
                             const Sequence& input, Environment& env,
                             Sequence* output) {
-  xml::NameId want = xml::kInvalidName;
-  if (step.test == Step::Test::kName && step.axis != Axis::kAttribute) {
-    want = ResolvedStepName(step, store_);
-    if (want == xml::kInvalidName) {
-      // Tag never occurs in the document: result is empty. (The paper's
-      // closing remark — warning about path expressions with non-existing
-      // tags — would hook in here.)
-      return Status::OK();
-    }
+  const xml::NameId want = planned.name;
+  if (step.test == Step::Test::kName && step.axis != Axis::kAttribute &&
+      want == xml::kInvalidName) {
+    // Tag never occurs in the document: result is empty. (The paper's
+    // closing remark — warning about path expressions with non-existing
+    // tags — would hook in here.)
+    return Status::OK();
   }
 
   if (step.axis == Axis::kAttribute) {
@@ -421,7 +392,7 @@ StatusOr<Sequence> Evaluator::EvalPath(const AstNode& node, Environment& env,
       std::vector<xml::NameId> prefix;
       prefix.reserve(pp->path_index_steps);
       for (size_t i = 0; i < pp->path_index_steps; ++i) {
-        const xml::NameId id = store_->names().Lookup(node.steps[i].name);
+        const xml::NameId id = pp->steps[i].name;
         if (id == xml::kInvalidName) {
           if (pp->cacheable) {
             plan_->invariant_cache.emplace(&node, Sequence{});
@@ -449,12 +420,13 @@ StatusOr<Sequence> Evaluator::EvalPath(const AstNode& node, Environment& env,
       // step tests the root element itself; a descendant step covers the
       // root and all its descendants.
       const Step& first = node.steps[0];
+      const xml::NameId first_name = pp->steps[0].name;
+      const bool root_matches = first.test == Step::Test::kName &&
+                                first_name != xml::kInvalidName &&
+                                store_->NameOf(root) == first_name;
       Sequence group;
       if (first.axis == Axis::kChild) {
-        if (first.test == Step::Test::kWildcard ||
-            (first.test == Step::Test::kName &&
-             store_->names().Lookup(first.name) != xml::kInvalidName &&
-             store_->NameOf(root) == store_->names().Lookup(first.name))) {
+        if (first.test == Step::Test::kWildcard || root_matches) {
           group.push_back(Item(NodeRef{store_, root}));
         }
         XMARK_RETURN_IF_ERROR(ApplyPredicates(first.predicates, env, &group));
@@ -462,9 +434,7 @@ StatusOr<Sequence> Evaluator::EvalPath(const AstNode& node, Environment& env,
       } else {
         // Descendant-or-self from the document node.
         Sequence self_and_below{Item(NodeRef{store_, root})};
-        if (first.test == Step::Test::kName &&
-            store_->names().Lookup(first.name) != xml::kInvalidName &&
-            store_->NameOf(root) == store_->names().Lookup(first.name)) {
+        if (root_matches) {
           Sequence group_root{Item(NodeRef{store_, root})};
           XMARK_RETURN_IF_ERROR(
               ApplyPredicates(first.predicates, env, &group_root));
@@ -849,18 +819,16 @@ bool IsStreamablePath(const AstNode& n) {
   return true;
 }
 
-// Streams the nodes selected by a streamable path from `base` in document
-// order, calling `fn` on each until it returns true (short-circuit).
-// Returns whether fn ever returned true.
+// Streams the nodes selected by a streamable path (`steps`, planned as
+// `plans`) from `base` in document order, calling `fn` on each until it
+// returns true (short-circuit). Returns whether fn ever returned true.
 template <typename Fn>
 bool StreamSteps(const StorageAdapter* store, EvalStats* stats,
-                 NodeHandle base, const std::vector<Step>& steps, size_t idx,
-                 Fn&& fn) {
-  const Step& step = steps[idx];
+                 NodeHandle base, const std::vector<Step>& steps,
+                 const std::vector<StepPlan>& plans, size_t idx, Fn&& fn) {
   ChildFilter filter = ChildFilter::kText;
-  xml::NameId want = xml::kInvalidName;
-  if (step.test == Step::Test::kName) {
-    want = ResolvedStepName(step, store);
+  const xml::NameId want = plans[idx].name;
+  if (steps[idx].test == Step::Test::kName) {
     if (want == xml::kInvalidName) return false;  // tag absent: empty result
     filter = ChildFilter::kTag;
   }
@@ -875,7 +843,8 @@ bool StreamSteps(const StorageAdapter* store, EvalStats* stats,
     for (size_t i = 0; i < n; ++i) {
       if (idx + 1 == steps.size()) {
         if (fn(buf[i])) return true;
-      } else if (StreamSteps(store, stats, buf[i], steps, idx + 1, fn)) {
+      } else if (StreamSteps(store, stats, buf[i], steps, plans, idx + 1,
+                             fn)) {
         return true;
       }
     }
@@ -1008,7 +977,9 @@ StatusOr<Sequence> Evaluator::EvalBinary(const AstNode& node, Environment& env,
       other = node.args[0].get();
       swapped = true;
     }
-    if (stream != nullptr) {
+    const PathPlan* stream_plan =
+        stream != nullptr ? plan_->FindPath(stream) : nullptr;
+    if (stream_plan != nullptr) {
       Environment::Binding* binding = env.Find(stream->start->var_slot);
       // Constructed nodes must take the generic path so navigation inside
       // them raises its Unimplemented error.
@@ -1021,7 +992,8 @@ StatusOr<Sequence> Evaluator::EvalBinary(const AstNode& node, Environment& env,
           for (const Item& start : binding->value) {
             if (!start.is_node()) continue;
             if (StreamSteps(store_, &stats_, start.node().handle,
-                            stream->steps, 0, [&](NodeHandle h) {
+                            stream->steps, stream_plan->steps, 0,
+                            [&](NodeHandle h) {
                               const Item item(NodeRef{store_, h});
                               for (const Item& o : other_seq) {
                                 if (CompareItems(item, o, eff)) return true;
@@ -1051,7 +1023,9 @@ StatusOr<Sequence> Evaluator::EvalBinary(const AstNode& node, Environment& env,
       if (arg.kind == AstKind::kNumberLiteral) {
         return {true, false, arg.num_value};
       }
-      if (!IsStreamablePath(arg)) return {};
+      const PathPlan* arg_plan =
+          IsStreamablePath(arg) ? plan_->FindPath(&arg) : nullptr;
+      if (arg_plan == nullptr) return {};
       Environment::Binding* b = env.Find(arg.start->var_slot);
       if (b == nullptr || !b->evaluated ||
           SequenceHasConstructed(b->value)) {
@@ -1060,8 +1034,8 @@ StatusOr<Sequence> Evaluator::EvalBinary(const AstNode& node, Environment& env,
       NodeHandle first = kInvalidHandle;
       for (const Item& start : b->value) {
         if (!start.is_node()) continue;
-        if (StreamSteps(store_, &stats_, start.node().handle, arg.steps, 0,
-                        [&](NodeHandle h) {
+        if (StreamSteps(store_, &stats_, start.node().handle, arg.steps,
+                        arg_plan->steps, 0, [&](NodeHandle h) {
                           first = h;
                           return true;
                         })) {

@@ -28,17 +28,22 @@ namespace xmark::query {
 /// One Evaluator instance may be reused across queries; every Run() builds
 /// a fresh QueryPlan, which owns all per-run caches (hash-join tables,
 /// band-join domains, invariant-path memos) — stale caches across
-/// documents are impossible by construction.
+/// documents are impossible by construction. Run only reads the module:
+/// everything it needs from the store (access paths, step NameIds) comes
+/// from the plan, so any number of evaluators over different stores may
+/// run one parsed module at once.
 class Evaluator {
  public:
   Evaluator(const StorageAdapter* store, const EvaluatorOptions& options);
   ~Evaluator();
 
-  /// Evaluates a parsed query module and returns the result sequence.
-  /// `shared_annotations` (optional) is a cached compilation from the plan
-  /// cache: it is adopted — skipping BuildPlan — when it was built for
-  /// this store (uid) under the same options fingerprint, and ignored
-  /// otherwise. Per-run executor state is always private to this run.
+  /// Evaluates a module produced by the parser (slots already resolved)
+  /// and returns the result sequence. `shared_annotations` (optional) is a
+  /// compilation lowered from this same module, e.g. a plan-cache entry:
+  /// it is adopted — skipping BuildPlan — when it was built for this
+  /// store (uid) under the same options fingerprint, and ignored
+  /// otherwise, since its NameIds belong to that store. Per-run executor
+  /// state is always private to this run.
   StatusOr<Sequence> Run(
       const ParsedQuery& query,
       std::shared_ptr<const PlanAnnotations> shared_annotations = nullptr);
@@ -122,7 +127,6 @@ class Evaluator {
   std::string cmp_scratch_a_;
   std::string cmp_scratch_b_;
 
-  const ParsedQuery* current_query_ = nullptr;
   std::unordered_map<std::string, const FunctionDecl*> functions_;
   std::unique_ptr<QueryPlan> plan_;  // per-run plan + caches
   ThreadPool* pool_ = nullptr;   // borrowed morsel pool (may be null)

@@ -55,8 +55,8 @@ struct Focus {
   int64_t size = 1;
 };
 
-/// Slot-indexed variable frame: ResolveVariableSlots interned every variable
-/// name of the query into a dense slot space at compile time, so binding and
+/// Slot-indexed variable frame: the parser interned every variable name of
+/// the query into a dense slot space at compile time, so binding and
 /// lookup are vector indexing instead of a linear string-keyed search over a
 /// binding stack. Shadowing (nested FLWORs, UDF recursion) is handled by
 /// saving the previous slot content on a side stack and restoring it on Pop.

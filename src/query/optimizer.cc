@@ -88,18 +88,6 @@ bool IsRootedEntryCall(const AstNode& node) {
   return IsDocumentCall(node) || IsCollectionCall(node);
 }
 
-std::string QueryScope::CacheKey() const {
-  switch (kind) {
-    case Kind::kDefault:
-      return "";
-    case Kind::kDocument:
-      return "doc:" + doc_uri;
-    case Kind::kCollection:
-      return "collection";
-  }
-  return "";
-}
-
 namespace {
 
 // Folds one entry call into the scope; reports conflicts.
@@ -232,8 +220,12 @@ const AstNode* IdLiteralOf(const Step& step) {
 // store answers it from its own layout (id intervals, tag-index slices,
 // path-table slices).
 StepPlan ComputeStepPlan(const Step& step, const EvaluatorOptions& options,
-                         const StorageCapabilities& caps) {
+                         const StorageCapabilities& caps,
+                         const xml::NameTable& names) {
   StepPlan plan;
+  if (step.test == Step::Test::kName && step.axis != Axis::kAttribute) {
+    plan.name = names.Lookup(step.name);
+  }
   switch (step.axis) {
     case Axis::kAttribute:
       plan.access = StepPlan::Access::kAttribute;
@@ -257,9 +249,11 @@ StepPlan ComputeStepPlan(const Step& step, const EvaluatorOptions& options,
   return plan;
 }
 
-// Plan for one kPath node (cacheability, path-index prefix, step access).
+// Plan for one kPath node (cacheability, path-index prefix, step access
+// and names).
 PathPlan ComputePathPlan(const AstNode& path, const EvaluatorOptions& options,
-                         const StorageCapabilities& caps) {
+                         const StorageCapabilities& caps,
+                         const xml::NameTable& names) {
   PathPlan plan;
   plan.cacheable =
       options.cache_invariant_paths && IsCacheableInvariant(path);
@@ -276,7 +270,7 @@ PathPlan ComputePathPlan(const AstNode& path, const EvaluatorOptions& options,
   }
   plan.steps.reserve(path.steps.size());
   for (const Step& s : path.steps) {
-    plan.steps.push_back(ComputeStepPlan(s, options, caps));
+    plan.steps.push_back(ComputeStepPlan(s, options, caps, names));
   }
   return plan;
 }
@@ -566,9 +560,10 @@ ConstructPlan LowerConstructor(const AstNode& ctor) {
 namespace {
 
 void LowerNode(const AstNode& node, const EvaluatorOptions& options,
-               const StorageCapabilities& caps, PlanAnnotations* plan) {
+               const xml::NameTable& names, PlanAnnotations* plan) {
   if (node.kind == AstKind::kPath) {
-    plan->paths.emplace(&node, ComputePathPlan(node, options, caps));
+    plan->paths.emplace(&node,
+                        ComputePathPlan(node, options, plan->caps, names));
   } else if (node.kind == AstKind::kFlwor) {
     FlworPlan fp;
     AnalyzeFlworJoin(node, options, &fp);
@@ -595,19 +590,19 @@ void LowerNode(const AstNode& node, const EvaluatorOptions& options,
       for (const ConstructPlan::Attr& attr : element.attrs) {
         if (attr.src == nullptr) continue;
         for (const AttrPart& part : attr.src->parts) {
-          if (part.expr) LowerNode(*part.expr, options, caps, plan);
+          if (part.expr) LowerNode(*part.expr, options, names, plan);
         }
       }
       for (const ConstructPlan::Child& child : element.children) {
         if (child.kind == ConstructPlan::Child::Kind::kHole) {
-          LowerNode(*child.expr, options, caps, plan);
+          LowerNode(*child.expr, options, names, plan);
         }
       }
     }
     return;
   }
   VisitChildren(node, [&](const AstNode& child) {
-    LowerNode(child, options, caps, plan);
+    LowerNode(child, options, names, plan);
   });
 }
 
@@ -635,9 +630,9 @@ void BuildPlan(const ParsedQuery& query, const StorageAdapter& store,
     }
   }
   for (const FunctionDecl& f : query.functions) {
-    LowerNode(*f.body, options, plan->caps, plan);
+    LowerNode(*f.body, options, store.names(), plan);
   }
-  LowerNode(*query.body, options, plan->caps, plan);
+  LowerNode(*query.body, options, store.names(), plan);
   // Pipeline fusion runs after lowering: it consults the FLWOR strategies
   // and band-let registrations decided above.
   if (options.hash_join) {

@@ -58,9 +58,6 @@ struct QueryScope {
   };
   Kind kind = Kind::kDefault;
   std::string doc_uri;  // set for kDocument
-
-  /// Plan-cache key component ("" / "doc:<uri>" / "collection").
-  std::string CacheKey() const;
 };
 
 /// Walks the whole module (body + user functions). Fails with
@@ -100,10 +97,11 @@ bool AnalyzeBandLet(const AstNode& outer_flwor, size_t clause_index,
 /// options or capabilities involved.
 ConstructPlan LowerConstructor(const AstNode& ctor);
 
-/// Lowers a parsed query against one store + option set. Fills path plans,
-/// FLWOR strategies, band-join lets and constructor templates into the
-/// annotation set (a QueryPlan's local annotations, or a standalone
-/// PlanAnnotations destined for the plan cache).
+/// Lowers a parsed query against one store + option set. Fills path plans
+/// (with every step's NameId resolved in `store`'s dictionary), FLWOR
+/// strategies, band-join lets, constructor templates and pipelines into
+/// the annotation set (a QueryPlan's local annotations, or a standalone
+/// PlanAnnotations destined for the plan cache). Reads `query` only.
 void BuildPlan(const ParsedQuery& query, const StorageAdapter& store,
                const EvaluatorOptions& options, PlanAnnotations* plan);
 

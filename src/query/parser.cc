@@ -1,6 +1,7 @@
 #include "query/parser.h"
 
 #include <cctype>
+#include <unordered_map>
 
 #include "util/fault_injection.h"
 #include "util/string_util.h"
@@ -25,6 +26,61 @@ bool IsXmlNameStart(char c) {
 bool IsXmlNameChar(char c) {
   return IsXmlNameStart(c) || std::isdigit(static_cast<unsigned char>(c)) ||
          c == '-' || c == '.' || c == ':';
+}
+
+// Interns every variable name of a module into a dense slot space: each
+// distinct name gets one slot, shared by all its (possibly shadowing)
+// bindings, so variable lookup is a vector index instead of a
+// string-keyed search. Deterministic for a given AST.
+class SlotResolver {
+ public:
+  explicit SlotResolver(std::vector<std::string>* names) : names_(names) {}
+
+  int SlotOf(const std::string& name) {
+    const auto [it, inserted] =
+        slots_.emplace(name, static_cast<int>(slots_.size()));
+    if (inserted) names_->push_back(name);
+    return it->second;
+  }
+
+  void Visit(AstNode& node) {
+    if (node.kind == AstKind::kVarRef) {
+      node.var_slot = SlotOf(node.str_value);
+    }
+    if (node.start) Visit(*node.start);
+    for (Step& s : node.steps) {
+      for (AstPtr& p : s.predicates) Visit(*p);
+    }
+    for (ForLetClause& c : node.clauses) {
+      c.var_slot = SlotOf(c.var);
+      if (c.expr) Visit(*c.expr);
+    }
+    if (node.where) Visit(*node.where);
+    for (OrderSpec& o : node.order_by) Visit(*o.key);
+    if (node.ret) Visit(*node.ret);
+    for (AstPtr& a : node.args) Visit(*a);
+    for (AttrConstructor& attr : node.attrs) {
+      for (AttrPart& part : attr.parts) {
+        if (part.expr) Visit(*part.expr);
+      }
+    }
+    for (AstPtr& c : node.content) Visit(*c);
+  }
+
+ private:
+  std::unordered_map<std::string, int> slots_;
+  std::vector<std::string>* names_;
+};
+
+void ResolveVariableSlots(ParsedQuery& query) {
+  SlotResolver resolver(&query.var_names);
+  for (FunctionDecl& f : query.functions) {
+    for (const std::string& p : f.params) {
+      f.param_slots.push_back(resolver.SlotOf(p));
+    }
+    resolver.Visit(*f.body);
+  }
+  resolver.Visit(*query.body);
 }
 
 }  // namespace
@@ -119,6 +175,9 @@ StatusOr<ParsedQuery> Parser::ParseQuery() {
   }
   XMARK_ASSIGN_OR_RETURN(query.body, ParseExpr());
   if (!CurIs(TokenKind::kEof)) return Fail(ParseErrorCode::kTrailingInput, "trailing input");
+  // Compile-time variable interning: bindings and references resolve to
+  // environment slots here, so a returned module is never written again.
+  ResolveVariableSlots(query);
   return query;
 }
 
@@ -821,12 +880,7 @@ StatusOr<ParsedQuery> ParseQueryText(std::string_view text) {
     return Status::InvalidQuery(
         "[fault-injection] 1:1: fault injection: parser/module (near '')");
   }
-  Parser parser(text);
-  XMARK_ASSIGN_OR_RETURN(ParsedQuery query, parser.ParseQuery());
-  // Compile-time variable interning: bindings and references are resolved
-  // to dense environment slots once, so evaluation never compares names.
-  ResolveVariableSlots(query);
-  return query;
+  return Parser(text).ParseQuery();
 }
 
 const char* BinaryOpName(BinaryOp op) {

@@ -42,7 +42,9 @@ class Parser {
  public:
   explicit Parser(std::string_view input);
 
-  /// Parses a complete query module (prolog + body).
+  /// Parses a complete query module (prolog + body) and interns its
+  /// variables into environment slots, so the module is ready to run and
+  /// never written again.
   StatusOr<ParsedQuery> ParseQuery();
 
   /// Parses a standalone expression (tests / interactive use).

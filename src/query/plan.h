@@ -2,11 +2,14 @@
 //
 // Layer contract: everything in this file is decided ONCE PER RUN, before
 // the first tuple flows. The optimizer (query/optimizer.cc) lowers the AST
-// into a QueryPlan — per-step access paths, FLWOR join strategies,
-// band-join lets, constructor templates — from a StorageCapabilities
-// snapshot and the EvaluatorOptions toggles; the evaluator and the
-// physical operators (query/exec.h) then only *execute* those decisions,
-// never revisit them. Anything that varies per binding (predicate values,
+// into a QueryPlan — per-step access paths and NameIds, FLWOR join
+// strategies, band-join lets, constructor templates — from one store's
+// dictionary and StorageCapabilities and the EvaluatorOptions toggles; the
+// evaluator and the physical operators (query/exec.h) then only *execute*
+// those decisions, never revisit them. This is the store-dependent half of
+// compilation: the parsed module itself is store-independent and
+// immutable, so one module serves many stores, each through its own
+// annotations. Anything that varies per binding (predicate values,
 // probe keys, dynamic constructor holes) is deliberately NOT here: it
 // belongs to pull time in query/exec.h.
 //
@@ -142,7 +145,8 @@ struct EvalStats {
 };
 
 /// Planned access path for one path step, resolved from options x store
-/// capabilities x static predicate shape.
+/// capabilities x static predicate shape, plus the step's NameId in that
+/// store.
 struct StepPlan {
   enum class Access : uint8_t {
     kAttribute,         // attribute axis: AttributeView probe per node
@@ -153,6 +157,10 @@ struct StepPlan {
     kDescendantCursor,  // batched descendant cursor
   };
   Access access = Access::kChildCursor;
+  /// The step's name test resolved against the planned store's
+  /// dictionary. kInvalidName for attribute steps and non-name tests, and
+  /// for a tag the store never saw (the step then selects nothing).
+  xml::NameId name = xml::kInvalidName;
   /// Non-null: the step carries an [@id = "literal"] predicate and the
   /// store supports ID lookup — resolve through NodeById first.
   const AstNode* id_literal = nullptr;
@@ -327,11 +335,12 @@ struct FlworPlan {
 };
 
 /// The compile-time half of a lowered query: strategy annotations filled
-/// by the optimizer for one (query, store uid, options fingerprint)
+/// by the optimizer for one (module, store uid, options fingerprint)
 /// triple. Immutable once built, which is what lets the plan cache hand
 /// one instance to any number of concurrent runs via shared_ptr<const>.
 /// Maps are keyed by AstNode address; annotations must never outlive the
-/// ParsedQuery they were lowered from (the cache stores both together).
+/// ParsedQuery they were lowered from (a cache entry and a PreparedQuery
+/// hold both).
 struct PlanAnnotations {
   std::string store_name;       // mapping_name at plan time (Explain)
   std::string doc_scope;        // document scope ("" = default document)

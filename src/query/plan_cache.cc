@@ -5,20 +5,17 @@
 namespace xmark::query {
 namespace {
 
-// '\n' never appears in a uint64 rendering and queries cannot un-escape
-// it, so the composite key is unambiguous.
+// '\n' never appears in a uint64 rendering, so the two numbers after the
+// key's last two '\n's are unambiguous whatever the query text holds.
 std::string CacheKey(std::string_view query_text, uint64_t store_uid,
-                     uint64_t options_fingerprint,
-                     std::string_view doc_scope) {
+                     uint64_t options_fingerprint) {
   std::string key;
-  key.reserve(query_text.size() + doc_scope.size() + 48);
+  key.reserve(query_text.size() + 48);
   key.append(query_text);
   key.push_back('\n');
   key.append(std::to_string(store_uid));
   key.push_back('\n');
   key.append(std::to_string(options_fingerprint));
-  key.push_back('\n');
-  key.append(doc_scope);
   return key;
 }
 
@@ -26,10 +23,8 @@ std::string CacheKey(std::string_view query_text, uint64_t store_uid,
 
 StatusOr<std::shared_ptr<const CachedQuery>> PlanCache::GetOrCompile(
     std::string_view query_text, uint64_t store_uid,
-    uint64_t options_fingerprint, std::string_view doc_scope,
-    const CompileFn& compile) {
-  std::string key =
-      CacheKey(query_text, store_uid, options_fingerprint, doc_scope);
+    uint64_t options_fingerprint, const CompileFn& compile) {
+  std::string key = CacheKey(query_text, store_uid, options_fingerprint);
   Shard& shard = shards_[std::hash<std::string>{}(key) % kShards];
   util::MutexLock lock(shard.mu);
   const auto it = shard.entries.find(key);

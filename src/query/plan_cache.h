@@ -1,9 +1,11 @@
 // Shared prepared-query cache for concurrent serving.
 //
-// A compiled query is (parsed AST, optimizer annotations) — both immutable
-// after compilation (the AST's only mutable state, the per-Step name
-// cache, is atomic and keyed by store uid). The cache shares them across
-// sessions and threads: the key is (query text, store uid, options
+// A compiled query is (parsed module, optimizer annotations), both
+// immutable after compilation. The module is store-independent: every
+// entry compiled from one module shares it by shared_ptr, so the legs of
+// a collection() fan-out run the caller's module, each with its own
+// store's annotations. The annotations carry everything store-specific,
+// step NameIds included. The key is (query text, store uid, options
 // fingerprint), so an entry can only ever be executed against the exact
 // store + option set it was compiled for, which is what lets
 // Evaluator::Run adopt the annotations without revalidation.
@@ -28,12 +30,13 @@
 namespace xmark::query {
 
 /// One cached compilation, shared immutably by every execution that hits
-/// it. `annotations` carries the optimizer's plan for the (store uid,
-/// options fingerprint) the entry was keyed under; `catalog_probes` /
-/// `name_tests` preserve the compilation-cost statistics the benches
-/// report (Table 2).
+/// it. `module` is the parsed query, possibly shared with entries for
+/// other stores; `annotations` carries the optimizer's plan of that module
+/// for the (store uid, options fingerprint) the entry was keyed under.
+/// `catalog_probes` / `name_tests` preserve the compilation-cost
+/// statistics the benches report (Table 2).
 struct CachedQuery {
-  ParsedQuery parsed;
+  std::shared_ptr<const ParsedQuery> module;
   std::shared_ptr<const PlanAnnotations> annotations;
   size_t catalog_probes = 0;
   size_t name_tests = 0;
@@ -55,15 +58,10 @@ class PlanCache {
   using CompileFn = std::function<StatusOr<CachedQuery>()>;
 
   /// Returns the cached entry for the key, compiling it via `compile`
-  /// under the shard lock on miss. `doc_scope` is the document-scope key
-  /// component (QueryScope::CacheKey(): "" for the default document,
-  /// "doc:<uri>", or "collection") — per-document entries of a collection
-  /// fan-out and single-document entries never collide even when they
-  /// share a store uid.
+  /// under the shard lock on miss.
   StatusOr<std::shared_ptr<const CachedQuery>> GetOrCompile(
       std::string_view query_text, uint64_t store_uid,
-      uint64_t options_fingerprint, std::string_view doc_scope,
-      const CompileFn& compile);
+      uint64_t options_fingerprint, const CompileFn& compile);
 
   /// Hit/miss counters since construction (monotone; approximate ordering
   /// under concurrency, exact totals).
@@ -74,7 +72,8 @@ class PlanCache {
 
   /// Erases every entry compiled for `store_uid` (its annotations'
   /// store_uid). Called when a document is dropped: uids are never
-  /// recycled, so those entries could only leak. Handed-out entries stay
+  /// recycled, so those entries could only leak. A module dies with the
+  /// last entry or PreparedQuery that holds it; handed-out entries stay
   /// valid through their shared_ptr.
   void EraseStore(uint64_t store_uid);
 

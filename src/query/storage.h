@@ -156,17 +156,16 @@ struct StorageCapabilities {
 /// String access is zero-copy: every store keeps character data in a
 /// contiguous heap it owns, so TextView/AttributeView return views valid
 /// for the store's lifetime, and AppendStringValue concatenates into a
-/// caller-owned scratch buffer. The std::string accessors below them are
-/// convenience wrappers that materialize a copy.
+/// caller-owned scratch buffer. Only Attributes() still materializes.
 class StorageAdapter {
  public:
   StorageAdapter() : uid_(NextStoreUid()) {}
   virtual ~StorageAdapter() = default;
 
-  /// Process-unique, never-recycled identity of this store instance. Used
-  /// as the key of per-AST name-resolution caches: a raw `this` pointer
-  /// can be recycled by the allocator after a store is destroyed, which
-  /// would silently validate stale NameIds.
+  /// Process-unique, never-recycled identity of this store instance. Plan
+  /// annotations record it and plan-cache entries are keyed by it: a raw
+  /// `this` pointer can be recycled by the allocator after a store is
+  /// destroyed, which would silently validate a plan's stale NameIds.
   uint64_t store_uid() const { return uid_; }
 
   /// Human-readable mapping name ("edge table", "native DOM", ...).
@@ -199,25 +198,7 @@ class StorageAdapter {
   virtual std::optional<std::string_view> AttributeView(
       NodeHandle n, std::string_view name) const = 0;
 
-  // --- Materializing wrappers (compatibility) ---------------------------
-
-  /// Content of a text node.
-  std::string Text(NodeHandle n) const { return std::string(TextView(n)); }
-
-  /// XPath string-value (concatenated descendant text).
-  std::string StringValue(NodeHandle n) const {
-    std::string out;
-    AppendStringValue(n, &out);
-    return out;
-  }
-
-  std::optional<std::string> Attribute(NodeHandle n,
-                                       std::string_view name) const {
-    const auto view = AttributeView(n, name);
-    if (!view.has_value()) return std::nullopt;
-    return std::string(*view);
-  }
-
+  /// Every attribute of `n` as (name, value) copies.
   virtual std::vector<std::pair<std::string, std::string>> Attributes(
       NodeHandle n) const = 0;
 

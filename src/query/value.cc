@@ -200,7 +200,9 @@ std::string ConstructedStringValue(const ConstructedNode& node) {
 
 std::string ItemStringValue(const Item& item) {
   if (item.is_node()) {
-    return item.node().store->StringValue(item.node().handle);
+    std::string out;
+    item.node().store->AppendStringValue(item.node().handle, &out);
+    return out;
   }
   if (item.is_constructed()) return ConstructedStringValue(*item.constructed());
   if (item.is_boolean()) return item.boolean() ? "true" : "false";
@@ -289,7 +291,7 @@ ConstructedPtr DeepCopyNode(const NodeRef& ref) {
   const StorageAdapter& store = *ref.store;
   auto out = std::make_shared<ConstructedNode>();
   if (!store.IsElement(ref.handle)) {
-    out->text = store.Text(ref.handle);
+    out->text = std::string(store.TextView(ref.handle));
     return out;
   }
   out->tag = std::string(store.names().Spelling(store.NameOf(ref.handle)));

@@ -33,6 +33,8 @@ struct ServingState {
   query::PlanCache plan_cache;
   // Memoized document scopes by query text (scope is a pure function of
   // the text), so the plan-cache hit path never re-parses just to route.
+  // It keeps scopes only, never a module: a text-keyed memo never shrinks,
+  // and a module must die with the entries that hold it.
   util::Mutex scope_mu;
   std::unordered_map<std::string, query::QueryScope> scopes
       GUARDED_BY(scope_mu);
@@ -153,21 +155,30 @@ StatusOr<std::shared_ptr<query::StorageAdapter>> BuildStore(
   return Status::Internal("unknown system");
 }
 
+using ModulePtr = std::shared_ptr<const query::ParsedQuery>;
+
+StatusOr<ModulePtr> ParseModule(std::string_view query_text) {
+  XMARK_ASSIGN_OR_RETURN(query::ParsedQuery parsed,
+                         query::ParseQueryText(query_text));
+  return std::make_shared<const query::ParsedQuery>(std::move(parsed));
+}
+
 // Document scope of `query_text`, memoized by text in the serving state
 // (scope is a pure function of the text) so the plan-cache hit path never
-// re-parses just to route. Parse and scope-conflict errors are returned,
-// not cached.
+// re-parses just to route. On a memo miss the module parsed for the scope
+// is handed back in `*parsed`, so the compile that follows reuses it.
+// Parse and scope-conflict errors are returned, not cached.
 StatusOr<query::QueryScope> ScopeForQuery(ServingState* serving,
-                                          std::string_view query_text) {
+                                          std::string_view query_text,
+                                          ModulePtr* parsed) {
   {
     util::MutexLock lock(serving->scope_mu);
     const auto it = serving->scopes.find(std::string(query_text));
     if (it != serving->scopes.end()) return it->second;
   }
-  XMARK_ASSIGN_OR_RETURN(query::ParsedQuery parsed,
-                         query::ParseQueryText(query_text));
+  XMARK_ASSIGN_OR_RETURN(*parsed, ParseModule(query_text));
   XMARK_ASSIGN_OR_RETURN(query::QueryScope scope,
-                         query::ExtractQueryScope(parsed));
+                         query::ExtractQueryScope(**parsed));
   util::MutexLock lock(serving->scope_mu);
   serving->scopes.emplace(std::string(query_text), scope);
   return scope;
@@ -207,48 +218,51 @@ StatusOr<PreparedQuery> CompileUncached(
     const store::DocumentCatalog& catalog, std::string_view query_text,
     std::shared_ptr<const query::StorageAdapter>* target) {
   PreparedQuery out;
-  XMARK_ASSIGN_OR_RETURN(out.parsed, query::ParseQueryText(query_text));
-  XMARK_ASSIGN_OR_RETURN(out.scope, query::ExtractQueryScope(out.parsed));
+  XMARK_ASSIGN_OR_RETURN(out.module, ParseModule(query_text));
+  XMARK_ASSIGN_OR_RETURN(out.scope, query::ExtractQueryScope(*out.module));
   XMARK_ASSIGN_OR_RETURN(*target, ResolveStore(*catalog.snapshot(), out.scope));
-  ResolveCatalogNames(**target, out.parsed, &out.catalog_probes,
+  ResolveCatalogNames(**target, *out.module, &out.catalog_probes,
                       &out.name_tests);
   out.source_text = std::string(query_text);
   return out;
 }
 
-// Cached compilation path: parse + catalog resolution + optimizer
-// lowering, once per (query text, store uid, options fingerprint, doc
-// scope); every later request for the key shares the entry. `cache_hit`
-// reports whether the compile lambda ran.
-StatusOr<PreparedQuery> PrepareThroughCache(
+// Cached compilation path: catalog resolution and optimizer lowering of
+// `module` against `store`, once per (query text, store uid, options
+// fingerprint); every later request for the key shares the entry. A null
+// `module` parses the text on a miss. An entry's annotations are keyed by
+// the node addresses of the module it holds, so the result carries the
+// entry's module, which is `module` unless another caller compiled the
+// key first. `cache_hit` reports whether the compile was skipped.
+StatusOr<PreparedQuery> CompileThroughCache(
     const query::StorageAdapter& store,
     const query::EvaluatorOptions& options, ServingState* serving,
-    std::string_view query_text, const query::QueryScope& scope) {
+    std::string_view query_text, ModulePtr module) {
   bool compiled = false;
   XMARK_ASSIGN_OR_RETURN(
       std::shared_ptr<const query::CachedQuery> entry,
       serving->plan_cache.GetOrCompile(
           query_text, store.store_uid(), query::OptionsFingerprint(options),
-          scope.CacheKey(),
           [&]() -> StatusOr<query::CachedQuery> {
             compiled = true;
             query::CachedQuery out;
-            XMARK_ASSIGN_OR_RETURN(out.parsed,
-                                   query::ParseQueryText(query_text));
-            ResolveCatalogNames(store, out.parsed, &out.catalog_probes,
+            if (module == nullptr) {
+              XMARK_ASSIGN_OR_RETURN(module, ParseModule(query_text));
+            }
+            ResolveCatalogNames(store, *module, &out.catalog_probes,
                                 &out.name_tests);
             auto annotations = std::make_shared<query::PlanAnnotations>();
-            query::BuildPlan(out.parsed, store, options, annotations.get());
+            query::BuildPlan(*module, store, options, annotations.get());
+            out.module = std::move(module);
             out.annotations = std::move(annotations);
             return out;
           }));
   PreparedQuery prepared;
-  prepared.cached = std::move(entry);
+  prepared.module = entry->module;
+  prepared.annotations = entry->annotations;
   prepared.cache_hit = !compiled;
-  prepared.catalog_probes = prepared.cached->catalog_probes;
-  prepared.name_tests = prepared.cached->name_tests;
-  prepared.scope = scope;
-  prepared.source_text = std::string(query_text);
+  prepared.catalog_probes = entry->catalog_probes;
+  prepared.name_tests = entry->name_tests;
   return prepared;
 }
 
@@ -298,15 +312,16 @@ DocRun RunOnStore(const query::StorageAdapter& store,
 
 // collection() fan-out: one evaluator run per document of `snap`,
 // concatenated in document-id order (the differential oracle: identical
-// bytes to running each document alone and concatenating). Each leg
-// compiles its own entry — through the plan cache when the caller's
-// prepare was cached (key: doc store uid + "collection" scope), privately
-// otherwise — so no AST is ever shared across stores (the per-Step name
-// cache is keyed by one store uid at a time). Legs always run as one
-// ForkJoin on the process-wide pool; each leg writes only its own slot, so
-// the concatenation is deterministic for any interleaving. `ctx` spans
-// every leg: a deadline or budget covers the whole corpus scan. The first
-// failure in document-id order wins; the legs' statistics merge into one.
+// bytes to running each document alone and concatenating). Every leg runs
+// the caller's module with its own store's annotations: from the leg's
+// plan-cache entry when the caller's prepare was cached (key: the text
+// and the leg's store uid), planned per run otherwise. Nothing is parsed
+// per leg. Legs always run as one ForkJoin on the process-wide pool, and
+// each compiles under its own shard lock only; each leg writes only its
+// own slot, so the concatenation is deterministic for any interleaving.
+// `ctx` spans every leg: a deadline or budget covers the whole corpus
+// scan. The first failure in document-id order wins; the legs' statistics
+// merge into one.
 DocRun RunCollection(const store::DocumentCatalog::Snapshot& snap,
                      const query::EvaluatorOptions& options,
                      query::ExecContext* ctx, const PreparedQuery& prepared,
@@ -315,29 +330,22 @@ DocRun RunCollection(const store::DocumentCatalog::Snapshot& snap,
   std::vector<DocRun> runs(n);
   auto run_leg = [&](size_t i) {
     const query::StorageAdapter& store = *snap.docs[i].store;
-    if (prepared.cached != nullptr) {
-      StatusOr<PreparedQuery> leg = PrepareThroughCache(
-          store, options, serving, prepared.source_text, prepared.scope);
-      if (!leg.ok()) {
-        runs[i].result = leg.status();
-        return;
-      }
-      runs[i] = RunOnStore(store, options, ctx, leg->module(),
-                           leg->cached->annotations);
+    if (prepared.annotations == nullptr) {
+      // Uncached prepare: names resolve and the plan lowers per leg and
+      // per run, so compilation is never amortized.
+      size_t probes = 0;
+      size_t name_tests = 0;
+      ResolveCatalogNames(store, *prepared.module, &probes, &name_tests);
+      runs[i] = RunOnStore(store, options, ctx, *prepared.module, nullptr);
       return;
     }
-    // Uncached prepare: a private compile per document, so compilation is
-    // never amortized.
-    StatusOr<query::ParsedQuery> leg =
-        query::ParseQueryText(prepared.source_text);
+    StatusOr<PreparedQuery> leg = CompileThroughCache(
+        store, options, serving, prepared.source_text, prepared.module);
     if (!leg.ok()) {
       runs[i].result = leg.status();
       return;
     }
-    size_t probes = 0;
-    size_t name_tests = 0;
-    ResolveCatalogNames(store, *leg, &probes, &name_tests);
-    runs[i] = RunOnStore(store, options, ctx, *leg, nullptr);
+    runs[i] = RunOnStore(store, options, ctx, *leg->module, leg->annotations);
   };
 
   ForkJoin(ThreadPool::Shared(), n, run_leg);
@@ -593,12 +601,18 @@ uint64_t Engine::queries_executed() const {
 StatusOr<PreparedQuery> EngineSession::Prepare(
     std::string_view query_text) const {
   if (serving_->reload_per_query()) return PrepareUncached(query_text);
+  ModulePtr parsed;
   XMARK_ASSIGN_OR_RETURN(query::QueryScope scope,
-                         ScopeForQuery(serving_.get(), query_text));
+                         ScopeForQuery(serving_.get(), query_text, &parsed));
   XMARK_ASSIGN_OR_RETURN(std::shared_ptr<const query::StorageAdapter> target,
                          ResolveStore(*serving_->catalog.snapshot(), scope));
-  return PrepareThroughCache(*target, eval_options_, serving_.get(),
-                             query_text, scope);
+  XMARK_ASSIGN_OR_RETURN(
+      PreparedQuery prepared,
+      CompileThroughCache(*target, eval_options_, serving_.get(), query_text,
+                          std::move(parsed)));
+  prepared.scope = std::move(scope);
+  prepared.source_text = std::string(query_text);
+  return prepared;
 }
 
 StatusOr<PreparedQuery> EngineSession::PrepareUncached(
@@ -637,9 +651,8 @@ StatusOr<query::Sequence> EngineSession::Execute(
       !serving->reload_per_query()) {
     run = RunCollection(*snap, eval_options_, ctx, prepared, serving);
   } else {
-    run = RunOnStore(**target, eval_options_, ctx, prepared.module(),
-                     prepared.cached != nullptr ? prepared.cached->annotations
-                                                : nullptr);
+    run = RunOnStore(**target, eval_options_, ctx, *prepared.module,
+                     prepared.annotations);
   }
   RecordRun(serving, run.result.status(), run.stats);
   if (run.result.ok()) last_stats_ = run.stats;
@@ -667,9 +680,9 @@ StatusOr<std::string> EngineSession::Explain(
       PreparedQuery prepared,
       CompileUncached(serving_->catalog, query_text, &target));
   query::QueryPlan plan;
-  query::BuildPlan(prepared.parsed, *target, eval_options_,
+  query::BuildPlan(*prepared.module, *target, eval_options_,
                    plan.mutable_annotations());
-  std::string text = plan.Explain(prepared.parsed);
+  std::string text = plan.Explain(*prepared.module);
   text += "catalog: documents=" + std::to_string(DocumentCount()) + "\n";
   const query::PlanCacheStats cache = plan_cache_stats();
   text += "plan-cache: hits=" + std::to_string(cache.hits) +

@@ -38,14 +38,15 @@ char SystemLabel(SystemId id);
 /// One-line architecture description (for tables and docs).
 std::string_view SystemArchitecture(SystemId id);
 
-/// A compiled query: either a privately owned compilation (`parsed`, the
-/// uncached Prepare path that Table 2 measures per call) or a shared entry
-/// from the plan cache (`cached`, the serving path). Execute runs
-/// whichever side is set; `module()` resolves it.
+/// A compiled query: the parsed module, immutable and store-independent,
+/// plus the optimizer's annotations for the store its scope bound at
+/// Prepare. A cached Prepare shares both with its plan-cache entry; an
+/// uncached one (the path Table 2 measures per call) owns its module and
+/// has no annotations, so every Execute plans afresh.
 struct PreparedQuery {
-  query::ParsedQuery parsed;
-  std::shared_ptr<const query::CachedQuery> cached;
-  bool cache_hit = false;     // cached != null and compile was skipped
+  std::shared_ptr<const query::ParsedQuery> module;
+  std::shared_ptr<const query::PlanAnnotations> annotations;  // null: uncached
+  bool cache_hit = false;     // a cached Prepare that skipped compilation
   size_t catalog_probes = 0;  // catalog entries inspected while compiling
   size_t name_tests = 0;      // element names resolved
   /// Document scope the query statically binds to (doc("id") /
@@ -53,13 +54,8 @@ struct PreparedQuery {
   /// the live catalog at every Execute, so entries prepared before a
   /// DropDocument miss cleanly instead of dangling.
   query::QueryScope scope;
-  /// Original query text, kept for the per-document compiles of a
-  /// collection() fan-out.
+  /// Original query text: the plan-cache key of each collection() leg.
   std::string source_text;
-
-  const query::ParsedQuery& module() const {
-    return cached != nullptr ? cached->parsed : parsed;
-  }
 };
 
 /// Cumulative per-StatusCode query outcomes across an engine and all its
@@ -105,17 +101,20 @@ struct ServingState;
 /// concurrently.
 class EngineSession {
  public:
-  /// Compiles through the shared plan cache: parse, catalog resolution
-  /// and optimizer lowering happen once per (query text, store, options,
-  /// scope) and every later call shares the entry. System G compiles
-  /// uncached: it runs on a fresh store every Execute, so entries could
-  /// never be adopted.
+  /// Compiles through the shared plan cache: catalog resolution and
+  /// optimizer lowering happen once per (query text, store, options), and
+  /// every later call shares the entry, module included. A Prepare parses
+  /// at most once, and a warm one never; the collection() legs of its
+  /// Execute compile their entries from the prepared module, so every leg
+  /// runs that one module. System G compiles uncached: it runs on a fresh
+  /// store every Execute, so entries could never be adopted.
   StatusOr<PreparedQuery> Prepare(std::string_view query_text) const;
 
   /// Compiles from scratch against the store the query's scope binds,
   /// never touching the plan cache. This is the per-call compilation cost
   /// Tables 2 and 3 measure, so it must never be amortized; the
-  /// collection() legs of its Execute compile privately too.
+  /// collection() legs of its Execute run the one module, each resolving
+  /// names and planning against its own store.
   StatusOr<PreparedQuery> PrepareUncached(std::string_view query_text) const;
 
   /// Executes a compiled query. Merges this run's statistics into the
@@ -162,9 +161,10 @@ class EngineSession {
 
   /// Drops one document. Later doc("id") queries fail with kNotFound, and
   /// the plan-cache entries compiled for its store are erased (store uids
-  /// are never recycled, so they could never hit again). Results and
+  /// are never recycled, so they could never hit again); a module dies
+  /// with the last entry or PreparedQuery holding it. Results and
   /// PreparedQuerys already handed out stay valid: they hold their store
-  /// snapshot and cache entry by shared_ptr.
+  /// snapshot, module and annotations by shared_ptr.
   Status DropDocument(std::string_view id);
 
   size_t DocumentCount() const;

@@ -312,10 +312,10 @@ TEST(CatalogEdgeTest, DropThenRequeryMissesCleanly) {
   auto held = (*session)->Prepare(victim_q);
   ASSERT_TRUE(held.ok());
   ASSERT_TRUE(held->cache_hit);
-  const uint64_t victim_uid = held->cached->annotations->store_uid;
+  const uint64_t victim_uid = held->annotations->store_uid;
   auto keeper_prepared = (*session)->Prepare(keeper_q);
   ASSERT_TRUE(keeper_prepared.ok());
-  const uint64_t keeper_uid = keeper_prepared->cached->annotations->store_uid;
+  const uint64_t keeper_uid = keeper_prepared->annotations->store_uid;
   ASSERT_GT(engine->plan_cache_entries(victim_uid), 0u);
 
   // Dropping the document erases its plan-cache entries (its store uid is
@@ -324,7 +324,7 @@ TEST(CatalogEdgeTest, DropThenRequeryMissesCleanly) {
   ASSERT_TRUE(engine->DropDocument("victim.xml").ok());
   EXPECT_EQ(engine->plan_cache_entries(victim_uid), 0u);
   EXPECT_GT(engine->plan_cache_entries(keeper_uid), 0u);
-  EXPECT_EQ(held->cached->annotations->store_uid, victim_uid);
+  EXPECT_EQ(held->annotations->store_uid, victim_uid);
   auto held_run = (*session)->Execute(*held);
   ASSERT_FALSE(held_run.ok());
   EXPECT_EQ(held_run.status().code(), StatusCode::kNotFound);
@@ -348,12 +348,12 @@ TEST(CatalogEdgeTest, DropThenRequeryMissesCleanly) {
   auto recompiled = (*session)->Prepare(victim_q);
   ASSERT_TRUE(recompiled.ok());
   EXPECT_FALSE(recompiled->cache_hit);
-  EXPECT_NE(recompiled->cached->annotations->store_uid, victim_uid);
+  EXPECT_NE(recompiled->annotations->store_uid, victim_uid);
   auto requeried = (*session)->Run(victim_q);
   ASSERT_TRUE(requeried.ok());
 
   // A session drop erases entries just like the engine's.
-  const uint64_t second_uid = recompiled->cached->annotations->store_uid;
+  const uint64_t second_uid = recompiled->annotations->store_uid;
   ASSERT_GT(engine->plan_cache_entries(second_uid), 0u);
   ASSERT_TRUE((*session)->DropDocument("victim.xml").ok());
   EXPECT_EQ(engine->plan_cache_entries(second_uid), 0u);

@@ -2,17 +2,21 @@
 // EngineSessions against one shared loaded store must produce results
 // byte-identical to serial execution, the plan cache must compile each
 // (query, store, options) key exactly once, sessions must survive engine
-// teardown, and shared statistics must merge exactly. Run under
-// ThreadSanitizer in CI (-DSANITIZE=thread).
+// teardown, shared statistics must merge exactly, and one parsed module
+// must serve several stores at once. Run under ThreadSanitizer in CI
+// (-DSANITIZE=thread).
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gen/generator.h"
+#include "query/evaluator.h"
+#include "query/parser.h"
 #include "query/value.h"
 #include "util/logging.h"
 #include "xmark/engine.h"
@@ -244,7 +248,7 @@ TEST(ConcurrentEngine, PreparedQueryReportsCacheHit) {
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_TRUE(second->cache_hit);
   // Both views resolve to the same shared compilation.
-  EXPECT_EQ(first->cached.get(), second->cached.get());
+  EXPECT_EQ(first->annotations.get(), second->annotations.get());
   // Compilation statistics survive the cache round-trip.
   EXPECT_EQ(first->name_tests, second->name_tests);
   EXPECT_EQ(first->catalog_probes, second->catalog_probes);
@@ -254,6 +258,105 @@ TEST(ConcurrentEngine, PreparedQueryReportsCacheHit) {
   const query::PlanCacheStats after = engine->plan_cache_stats();
   EXPECT_EQ(before.hits, after.hits);
   EXPECT_EQ(before.misses, after.misses);
+}
+
+// A people/person document of `persons` people. With `decoy_first`, a
+// decoy subtree introduces the same tags in reverse order before the
+// people, so every tag the queries name gets a different NameId than in
+// the plain document.
+std::string PeopleDocument(int persons, bool decoy_first) {
+  std::string xml = "<site>";
+  if (decoy_first) {
+    xml += "<decoy><age/><profile/><name/><person/><people/></decoy>";
+  }
+  xml += "<people>";
+  for (int i = 0; i < persons; ++i) {
+    const int age = decoy_first ? 20 + (i * 7) % 30 : 18 + (i * 5) % 40;
+    xml += "<person id=\"p" + std::to_string(i) + "\"><name>" +
+           (decoy_first ? "B" : "A") + std::to_string(i) +
+           "</name><profile><age>" + std::to_string(age) +
+           "</age></profile></person>";
+  }
+  return xml + "</people></site>";
+}
+
+// One parsed module runs on several stores at once: each run takes its
+// NameIds from its own store's plan, never from the shared module. Four
+// threads alternate every run between two stores that number the same
+// tags differently, under System F's options, so every step runs through
+// ApplyStep or StreamSteps (no path index, no fusion). Each result must
+// equal that store's solo run.
+TEST(ConcurrentEngine, SharedModuleServesStoresWithDifferentNameIds) {
+  const query::EvaluatorOptions options =
+      Engine::Create(SystemId::kF)->evaluator_options();
+  ASSERT_FALSE(options.hash_join);
+  ASSERT_FALSE(options.use_path_index);
+  std::vector<std::unique_ptr<Engine>> engines;
+  for (bool decoy_first : {false, true}) {
+    engines.push_back(Engine::Create(SystemId::kF));
+    const std::string xml = PeopleDocument(24, decoy_first);
+    ASSERT_TRUE(engines.back()->LoadDocument("people.xml", xml).ok());
+  }
+  const query::StorageAdapter* stores[] = {engines[0]->store(),
+                                           engines[1]->store()};
+  ASSERT_NE(stores[0]->names().Lookup("person"),
+            stores[1]->names().Lookup("person"));
+
+  const char* const shapes[] = {
+      // An unfused FLWOR over a child path.
+      "for $p in /site/people/person return $p/name/text()",
+      // A path with a predicate.
+      "/site/people/person[profile/age > 40]/name/text()",
+      // A streamed comparison.
+      "for $p in /site/people/person where $p/profile/age > 30 "
+      "return $p/@id",
+  };
+  std::vector<query::ParsedQuery> modules;
+  std::vector<std::array<std::string, 2>> expected;
+  for (const char* text : shapes) {
+    auto parsed = query::ParseQueryText(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    modules.push_back(std::move(*parsed));
+    std::array<std::string, 2> solo;
+    for (size_t s = 0; s < 2; ++s) {
+      query::Evaluator evaluator(stores[s], options);
+      auto result = evaluator.Run(modules.back());
+      ASSERT_TRUE(result.ok()) << result.status();
+      solo[s] = query::SerializeSequence(*result);
+    }
+    ASSERT_NE(solo[0], solo[1]) << text;
+    expected.push_back(std::move(solo));
+  }
+
+  constexpr int kRuns = 4000;
+  std::vector<std::string> errors(kClientThreads);
+  std::vector<std::thread> clients;
+  for (unsigned t = 0; t < kClientThreads; ++t) {
+    clients.emplace_back([&, t] {
+      query::Evaluator evaluators[] = {
+          query::Evaluator(stores[0], options),
+          query::Evaluator(stores[1], options)};
+      for (int run = 0; run < kRuns; ++run) {
+        const size_t s = (t + run) % 2;
+        const size_t q = run % modules.size();
+        auto result = evaluators[s].Run(modules[q]);
+        if (!result.ok()) {
+          errors[t] = result.status().ToString();
+          return;
+        }
+        if (query::SerializeSequence(*result) != expected[q][s]) {
+          errors[t] = "run " + std::to_string(run) + " of \"" + shapes[q] +
+                      "\" on store " + std::to_string(s) +
+                      " diverged from its solo run";
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& c : clients) c.join();
+  for (unsigned t = 0; t < kClientThreads; ++t) {
+    EXPECT_EQ(errors[t], "") << "client " << t;
+  }
 }
 
 // Sessions share the store and serving state by shared_ptr: destroying

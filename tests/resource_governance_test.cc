@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -483,6 +484,36 @@ TEST(ResourceGovernance, EveryFaultSiteFailsCleanAndRecovers) {
     auto after = engine->Run(GetQuery(8).text);
     EXPECT_TRUE(after.ok()) << site << ": " << after.status();
   }
+}
+
+// Parse counts, read from the "parser/module" site armed at a countdown
+// it never reaches: a collection() parses one module that every leg then
+// shares. A cold cached request parses at most twice (once for its scope,
+// at most once to compile) while still booking one plan-cache miss per
+// document; the uncached form parses once; a warm request never parses.
+TEST(ResourceGovernance, CollectionSharesOneParsedModule) {
+  constexpr int kDocs = 4;
+  std::unique_ptr<Engine> engine = Engine::Create(SystemId::kD);
+  ASSERT_TRUE(engine->LoadCorpus(TinyCorpus(kDocs, 700)).ok());
+  auto session_or = engine->CreateSession();
+  ASSERT_TRUE(session_or.ok()) << session_or.status();
+  EngineSession& session = **session_or;
+  const std::string text =
+      "for $p in collection()/site/people/person return $p/name/text()";
+  auto parses = [](const std::function<Status()>& request) {
+    fault::Arm("parser/module", 1 << 30);
+    const Status status = request();
+    const int hits = fault::ArmedSiteHits();
+    fault::Disarm();
+    EXPECT_TRUE(status.ok()) << status;
+    return hits;
+  };
+  auto run_cached = [&] { return session.Run(text).status(); };
+
+  EXPECT_LE(parses(run_cached), 2);
+  EXPECT_EQ(engine->plan_cache_stats().misses, uint64_t{kDocs});
+  EXPECT_EQ(parses(run_cached), 0);
+  EXPECT_EQ(parses([&] { return engine->Run(text).status(); }), 1);
 }
 
 // A store bulkload failing partway through a parallel corpus load (the

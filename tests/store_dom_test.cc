@@ -19,6 +19,13 @@ constexpr std::string_view kDoc = R"(<site>
   </regions>
 </site>)";
 
+// XPath string-value of `n`, through the store's append-style accessor.
+std::string StringValueOf(const DomStore& store, query::NodeHandle n) {
+  std::string out;
+  store.AppendStringValue(n, &out);
+  return out;
+}
+
 std::unique_ptr<DomStore> Load(bool indexes) {
   DomStore::Options options;
   options.build_tag_index = indexes;
@@ -66,7 +73,7 @@ TEST(DomStoreTest, IdIndex) {
   EXPECT_TRUE(store->SupportsIdLookup());
   const auto p1 = store->NodeById("p1");
   ASSERT_NE(p1, query::kInvalidHandle);
-  EXPECT_EQ(store->StringValue(p1), "B");
+  EXPECT_EQ(StringValueOf(*store, p1), "B");
   EXPECT_EQ(store->NodeById("missing"), query::kInvalidHandle);
 }
 
@@ -142,8 +149,8 @@ TEST(DomStoreTest, BeforeIsDocumentOrder) {
 TEST(DomStoreTest, Attributes) {
   auto store = Load(true);
   const auto p0 = store->NodeById("p0");
-  EXPECT_EQ(store->Attribute(p0, "id").value(), "p0");
-  EXPECT_FALSE(store->Attribute(p0, "none").has_value());
+  EXPECT_EQ(store->AttributeView(p0, "id").value(), "p0");
+  EXPECT_FALSE(store->AttributeView(p0, "none").has_value());
   const auto attrs = store->Attributes(p0);
   ASSERT_EQ(attrs.size(), 1u);
   EXPECT_EQ(attrs[0].first, "id");

@@ -22,6 +22,10 @@ plus repo-wide source contracts:
   * Any file declaring a ``util::Mutex`` member must include
     ``util/thread_annotations.h`` (directly or via util/mutex.h), i.e.
     the GUARDED_BY vocabulary is always in scope where locks live.
+  * Compiled state shared across threads is immutable after compile: no
+    ``const_cast`` anywhere in ``src/``, and no ``mutable`` member in the
+    AST or plan headers (``query/ast.h``, ``query/plan.h``) — a parsed
+    module and its plan annotations serve many threads and stores at once.
 
 Intra-``query/`` sub-layering (plan -> optimizer -> exec) is also
 checked: plan.h must not include optimizer.h/exec.h, optimizer.h must
@@ -78,6 +82,10 @@ RAW_MUTEX_RE = re.compile(
     r"scoped_lock|shared_lock)"
 )
 MUTEX_MEMBER_RE = re.compile(r"\butil::Mutex\b|\bMutex\s+\w+_?\s*;")
+
+# Headers whose types are shared, read-only, by every run of a compiled
+# query: a `mutable` member there is a cache written under readers.
+IMMUTABLE_HEADERS = {"src/query/ast.h", "src/query/plan.h"}
 
 
 def strip_comments(text: str) -> str:
@@ -167,6 +175,17 @@ def check_tree(root: pathlib.Path) -> list[str]:
                     f"{rel}: uses util::Mutex without including "
                     f"\"util/mutex.h\"")
 
+        # --- immutability contracts ----------------------------------
+        if re.search(r"\bconst_cast\b", text):
+            errors.append(
+                f"{rel}: const_cast — compiled state is immutable after "
+                f"compile; give the writer a non-const path instead")
+        if rel in IMMUTABLE_HEADERS and re.search(r"\bmutable\b", text):
+            errors.append(
+                f"{rel}: mutable member in a header whose types are shared "
+                f"read-only across runs — move the state into the per-run "
+                f"QueryPlan or the per-store PlanAnnotations")
+
     return errors
 
 
@@ -189,12 +208,19 @@ SELF_TEST_BAD = {
     "src/query/plan.h": '#include "query/exec.h"\n',
     # unknown directory: must force a layering decision.
     "src/rogue/new_layer.cc": "int x;\n",
+    # writing through a const reference: forbidden.
+    "src/xmark/bad_cast.cc":
+        "void F(const int& x) { const_cast<int&>(x) = 1; }\n",
+    # a cache written under concurrent readers of the AST: forbidden.
+    "src/query/ast.h": "struct Step { mutable int name_cache = 0; };\n",
 }
 
 SELF_TEST_CLEAN = {
     "src/util/mutex.h": "struct Mutex {};\n",
     "src/xml/names.h": '#include "util/mutex.h"\n',
     "src/query/storage.h": '#include "xml/names.h"\n',
+    # the word in a comment is not a member.
+    "src/query/plan.h": "// per-run mutable state lives in QueryPlan\n",
     "src/store/dom_store.h": '#include "query/storage.h"\n',
     "src/xmark/engine.h":
         '#include "store/dom_store.h"\n#include "util/mutex.h"\n'
@@ -209,6 +235,8 @@ SELF_TEST_EXPECT = [
     "raw locking header outside src/util",
     "plan -> optimizer -> exec is one-way",
     "no layering entry",
+    "src/xmark/bad_cast.cc: const_cast",
+    "src/query/ast.h: mutable member",
 ]
 
 
