@@ -119,22 +119,10 @@ StatusOr<Sequence> Evaluator::Eval(const AstNode& node, Environment& env,
     case AstKind::kNumberLiteral:
       return Sequence{Item(node.num_value)};
     case AstKind::kVarRef: {
-      Environment::Binding* binding = env.Find(node.var_slot);
+      XMARK_ASSIGN_OR_RETURN(Environment::Binding * binding,
+                             Bound(node.var_slot, env));
       if (binding == nullptr) {
         return Status::InvalidArgument("unbound variable $" + node.str_value);
-      }
-      if (!binding->evaluated) {
-        // Band bindings land here only when a use other than count($var)
-        // slipped past the optimizer's analysis: materialize through the
-        // generic nested loop, which is always correct.
-        const AstNode* expr = binding->lazy_expr;
-        XMARK_ASSIGN_OR_RETURN(Sequence value, Eval(*expr, env, nullptr));
-        // Re-find: evaluating the lazy expression may have shadowed and
-        // restored this slot, so re-read it before writing the result.
-        binding = env.Find(node.var_slot);
-        XMARK_CHECK(binding != nullptr);
-        binding->value = std::move(value);
-        binding->evaluated = true;
       }
       return binding->value;
     }
@@ -193,6 +181,107 @@ StatusOr<Sequence> Evaluator::Eval(const AstNode& node, Environment& env,
   return Status::Internal("unhandled AST kind");
 }
 
+StatusOr<Environment::Binding*> Evaluator::Bound(int slot, Environment& env) {
+  Environment::Binding* binding = env.Find(slot);
+  if (binding == nullptr || binding->evaluated) return binding;
+  // Band bindings land here only when a use other than count($var) slipped
+  // past the optimizer's analysis: materialize through the generic nested
+  // loop, which is always correct.
+  const AstNode* expr = binding->lazy_expr;
+  XMARK_ASSIGN_OR_RETURN(Sequence value, Eval(*expr, env, nullptr));
+  // Re-find: evaluating the lazy expression may have shadowed and restored
+  // this slot, so re-read it before writing the result.
+  binding = env.Find(slot);
+  XMARK_CHECK(binding != nullptr);
+  binding->value = std::move(value);
+  binding->evaluated = true;
+  return binding;
+}
+
+// ---------------------------------------------------------------------------
+// Child-path kernel
+// ---------------------------------------------------------------------------
+
+const ChildPath* Evaluator::ChainOf(const AstNode& node) const {
+  if (node.kind != AstKind::kPath) return nullptr;
+  const PathPlan* pp = plan_->FindPath(&node);
+  return pp != nullptr && pp->chain.has_value() ? &*pp->chain : nullptr;
+}
+
+StatusOr<bool> Evaluator::ChainStarts(const ChildPath& chain,
+                                      Environment& env, const Focus* focus,
+                                      const Item** begin, const Item** end) {
+  if (chain.var_slot < 0) {
+    if (focus == nullptr) return false;
+    *begin = &focus->item;
+    *end = *begin + 1;
+  } else {
+    XMARK_ASSIGN_OR_RETURN(Environment::Binding * binding,
+                           Bound(chain.var_slot, env));
+    if (binding == nullptr) return false;
+    *begin = binding->value.begin();
+    *end = binding->value.end();
+  }
+  for (const Item* item = *begin; item != *end; ++item) {
+    if (item->is_constructed()) return false;
+  }
+  return true;
+}
+
+template <typename Visit>
+StatusOr<std::optional<bool>> Evaluator::WalkChain(const ChildPath& chain,
+                                                   Environment& env,
+                                                   const Focus* focus,
+                                                   Visit&& visit) {
+  const Item* begin;
+  const Item* end;
+  XMARK_ASSIGN_OR_RETURN(const bool kernel,
+                         ChainStarts(chain, env, focus, &begin, &end));
+  if (!kernel) return std::optional<bool>();
+  ChildPathWalker walker(store_, chain, &stats_, ctx_);
+  const bool stopped = walker.Walk(begin, end, visit);
+  XMARK_RETURN_IF_ERROR(walker.status());
+  return std::optional<bool>(stopped);
+}
+
+bool Evaluator::CompareChainValue(std::string_view value, bool node_hit,
+                                  const Item& o, BinaryOp op) {
+  int cmp;
+  if (o.is_number()) {
+    const std::optional<double> num = ParseDouble(value);
+    if (!num.has_value()) return false;
+    cmp = (*num < o.number()) ? -1 : (*num > o.number() ? 1 : 0);
+  } else if (o.is_boolean()) {
+    // The hit's effective boolean value as a one-item sequence.
+    const bool hit = node_hit || !value.empty();
+    cmp = (hit == o.boolean()) ? 0 : (hit < o.boolean() ? -1 : 1);
+  } else {
+    bool materialized = false;
+    cmp = value.compare(ItemStringView(o, &cmp_scratch_b_, &materialized));
+    if (materialized) ++stats_.compare_allocs;
+  }
+  return CompareResult(cmp, op);
+}
+
+StatusOr<bool> Evaluator::EvalNative(const NativePredicate& pred,
+                                     size_t index, NodeHandle cand) {
+  const NativePredicate::Node& n = pred.nodes[index];
+  if (n.op == BinaryOp::kAnd || n.op == BinaryOp::kOr) {
+    XMARK_ASSIGN_OR_RETURN(const bool lhs, EvalNative(pred, n.lhs, cand));
+    if (lhs == (n.op == BinaryOp::kOr)) return lhs;  // short-circuit
+    return EvalNative(pred, n.rhs, cand);
+  }
+  const bool node_hit = n.chain.terminal != ChildPath::Terminal::kAttribute;
+  ChildPathWalker walker(store_, n.chain, &stats_, ctx_);
+  const bool match = walker.Walk(cand, [&](const ChildPathHit& hit) {
+    const std::string_view value =
+        ChildPathValue(store_, n.chain, hit, &cmp_scratch_a_);
+    return CompareChainValue(value, node_hit, n.literal, n.op);
+  });
+  XMARK_RETURN_IF_ERROR(walker.status());
+  return match;
+}
+
 // ---------------------------------------------------------------------------
 // Paths
 // ---------------------------------------------------------------------------
@@ -200,18 +289,26 @@ StatusOr<Sequence> Evaluator::Eval(const AstNode& node, Environment& env,
 Status Evaluator::ApplyPredicates(const std::vector<AstPtr>& predicates,
                                   Environment& env, Sequence* group) {
   for (const AstPtr& pred : predicates) {
+    const NativePredicate* native = plan_->FindPredicate(pred.get());
     Sequence kept;
     const int64_t size = static_cast<int64_t>(group->size());
     for (int64_t i = 0; i < size; ++i) {
-      Focus focus{(*group)[i], i + 1, size};
-      XMARK_ASSIGN_OR_RETURN(Sequence value, Eval(*pred, env, &focus));
+      const Item& candidate = (*group)[i];
       bool keep;
-      if (value.size() == 1 && value.front().is_number()) {
-        keep = (value.front().number() == static_cast<double>(i + 1));
+      if (native != nullptr && candidate.is_node()) {
+        // A boolean by construction, so never positional.
+        XMARK_ASSIGN_OR_RETURN(
+            keep, EvalNative(*native, 0, candidate.node().handle));
       } else {
-        keep = EffectiveBooleanValue(value);
+        Focus focus{candidate, i + 1, size};
+        XMARK_ASSIGN_OR_RETURN(Sequence value, Eval(*pred, env, &focus));
+        if (value.size() == 1 && value.front().is_number()) {
+          keep = (value.front().number() == static_cast<double>(i + 1));
+        } else {
+          keep = EffectiveBooleanValue(value);
+        }
       }
-      if (keep) kept.push_back((*group)[i]);
+      if (keep) kept.push_back(candidate);
     }
     *group = std::move(kept);
   }
@@ -367,6 +464,25 @@ StatusOr<Sequence> Evaluator::EvalPath(const AstNode& node, Environment& env,
                                        const Focus* focus) {
   const PathPlan* pp = plan_->FindPath(&node);
   if (pp == nullptr) return Status::Internal("path expression was not planned");
+
+  // Child chains run on the kernel: one walk over the start items, no
+  // Sequence per step.
+  if (pp->chain.has_value()) {
+    const bool attribute =
+        pp->chain->terminal == ChildPath::Terminal::kAttribute;
+    Sequence out;
+    XMARK_ASSIGN_OR_RETURN(
+        const std::optional<bool> walked,
+        WalkChain(*pp->chain, env, focus, [&](const ChildPathHit& hit) {
+          if (attribute) {
+            out.emplace_back(std::string(hit.attribute));
+          } else {
+            out.emplace_back(NodeRef{store_, hit.node});
+          }
+          return false;
+        }));
+    if (walked.has_value()) return out;
+  }
 
   // Memoize loop-invariant rooted paths (real systems materialize these
   // once; naive engines re-walk them per outer-loop iteration).
@@ -759,101 +875,6 @@ StatusOr<Sequence> Evaluator::EvalQuantified(const AstNode& node,
 // Operators
 // ---------------------------------------------------------------------------
 
-namespace {
-
-bool IsComparisonOp(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kEq:
-    case BinaryOp::kNe:
-    case BinaryOp::kLt:
-    case BinaryOp::kLe:
-    case BinaryOp::kGt:
-    case BinaryOp::kGe:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool CompareResult(int cmp, BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kEq:
-      return cmp == 0;
-    case BinaryOp::kNe:
-      return cmp != 0;
-    case BinaryOp::kLt:
-      return cmp < 0;
-    case BinaryOp::kLe:
-      return cmp <= 0;
-    case BinaryOp::kGt:
-      return cmp > 0;
-    case BinaryOp::kGe:
-      return cmp >= 0;
-    default:
-      return false;
-  }
-}
-
-bool SequenceHasConstructed(const Sequence& seq) {
-  for (const Item& item : seq) {
-    if (item.is_constructed()) return true;
-  }
-  return false;
-}
-
-// The streamable path shape: `$v/a/b/text()`-style — variable-rooted,
-// child-axis-only, predicate-free name or text() steps. Such a path can be
-// walked with nested tag-filtered cursors without materializing any
-// intermediate sequence.
-bool IsStreamablePath(const AstNode& n) {
-  if (n.kind != AstKind::kPath || n.absolute || n.start == nullptr ||
-      n.start->kind != AstKind::kVarRef || n.steps.empty()) {
-    return false;
-  }
-  for (const Step& s : n.steps) {
-    if (s.axis != Axis::kChild || !s.predicates.empty()) return false;
-    if (s.test != Step::Test::kName && s.test != Step::Test::kText) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// Streams the nodes selected by a streamable path (`steps`, planned as
-// `plans`) from `base` in document order, calling `fn` on each until it
-// returns true (short-circuit). Returns whether fn ever returned true.
-template <typename Fn>
-bool StreamSteps(const StorageAdapter* store, EvalStats* stats,
-                 NodeHandle base, const std::vector<Step>& steps,
-                 const std::vector<StepPlan>& plans, size_t idx, Fn&& fn) {
-  ChildFilter filter = ChildFilter::kText;
-  const xml::NameId want = plans[idx].name;
-  if (steps[idx].test == Step::Test::kName) {
-    if (want == xml::kInvalidName) return false;  // tag absent: empty result
-    filter = ChildFilter::kTag;
-  }
-  ChildCursor cur;
-  store->OpenChildCursor(base, filter, want, &cur);
-  ++stats->cursor_scans;
-  constexpr size_t kBatch = 64;
-  NodeHandle buf[kBatch];
-  size_t n;
-  while ((n = cur.Fill(buf, kBatch)) > 0) {
-    stats->nodes_visited += static_cast<int64_t>(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (idx + 1 == steps.size()) {
-        if (fn(buf[i])) return true;
-      } else if (StreamSteps(store, stats, buf[i], steps, plans, idx + 1,
-                             fn)) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 // General comparison between two items under XQuery's untyped rules:
 // untyped values compared with a number are cast to numbers, otherwise
 // compared as strings. The operands are consumed through views (text nodes
@@ -895,51 +916,116 @@ bool Evaluator::CompareItems(const Item& a, const Item& b, BinaryOp op) {
   return CompareResult(cmp, op);
 }
 
-// Recognizes `@name <op> literal` (either operand order) against the focus
-// node and answers it with a single AttributeView probe — no sequence
-// construction, no per-node string. This is the shape of Q1/Q4/Q10-style
-// attribute predicates.
-std::optional<bool> Evaluator::TryAttributeCompare(const AstNode& node,
-                                                   const Focus* focus) {
-  if (focus == nullptr) return std::nullopt;
-  if (!IsComparisonOp(node.op)) return std::nullopt;
-  auto is_attr_path = [](const AstNode& n) {
-    return n.kind == AstKind::kPath && !n.absolute && n.start == nullptr &&
-           n.steps.size() == 1 && n.steps[0].axis == Axis::kAttribute &&
-           n.steps[0].predicates.empty();
-  };
-  auto is_literal = [](const AstNode& n) {
-    return n.kind == AstKind::kStringLiteral ||
-           n.kind == AstKind::kNumberLiteral;
-  };
-  const AstNode* attr = nullptr;
-  const AstNode* lit = nullptr;
-  bool swapped = false;
-  if (is_attr_path(*node.args[0]) && is_literal(*node.args[1])) {
-    attr = node.args[0].get();
-    lit = node.args[1].get();
-  } else if (is_attr_path(*node.args[1]) && is_literal(*node.args[0])) {
-    attr = node.args[1].get();
-    lit = node.args[0].get();
-    swapped = true;
-  } else {
-    return std::nullopt;
+bool Evaluator::AnyPairMatches(const Sequence& lhs, const Sequence& rhs,
+                               BinaryOp op) {
+  for (const Item& a : lhs) {
+    for (const Item& b : rhs) {
+      if (CompareItems(a, b, op)) return true;
+    }
   }
-  if (!focus->item.is_node()) return std::nullopt;
-  const auto view =
-      store_->AttributeView(focus->item.node().handle, attr->steps[0].name);
-  if (!view.has_value()) return false;  // empty sequence: existentially false
-  ++stats_.allocations_avoided;
-  int cmp;
-  if (lit->kind == AstKind::kNumberLiteral) {
-    const auto num = ParseDouble(*view);
-    if (!num.has_value()) return false;
-    cmp = (*num < lit->num_value) ? -1 : (*num > lit->num_value ? 1 : 0);
-  } else {
-    cmp = view->compare(lit->str_value);
+  return false;
+}
+
+// General comparison, existential over both operands. A child-chain
+// operand runs on the kernel: each selected value is compared through
+// views against the other operand, stopping at the first match, so the
+// chain side builds no Sequence (the Q8-Q12 join keys, Q12's income test).
+// Operands resolve left to right, like the generic path, so errors
+// surface in the same order.
+StatusOr<Sequence> Evaluator::EvalComparison(const AstNode& node,
+                                             Environment& env,
+                                             const Focus* focus) {
+  const AstNode& lhs = *node.args[0];
+  const AstNode& rhs = *node.args[1];
+  const ChildPath* chain = ChainOf(lhs);
+  const bool chain_left = chain != nullptr;
+  if (!chain_left) chain = ChainOf(rhs);
+  bool kernel = chain != nullptr;
+  if (kernel && chain_left) {
+    // Resolve (materialize) the chain's start before the other operand.
+    const Item* begin;
+    const Item* end;
+    XMARK_ASSIGN_OR_RETURN(kernel,
+                           ChainStarts(*chain, env, focus, &begin, &end));
   }
-  if (swapped) cmp = -cmp;
-  return CompareResult(cmp, node.op);
+  if (!kernel) {
+    XMARK_ASSIGN_OR_RETURN(Sequence l, Eval(lhs, env, focus));
+    XMARK_ASSIGN_OR_RETURN(Sequence r, Eval(rhs, env, focus));
+    return Sequence{Item(AnyPairMatches(l, r, node.op))};
+  }
+  XMARK_ASSIGN_OR_RETURN(Sequence other,
+                         Eval(chain_left ? rhs : lhs, env, focus));
+  const BinaryOp op = chain_left ? node.op : SwapComparison(node.op);
+  const bool node_hit = chain->terminal != ChildPath::Terminal::kAttribute;
+  XMARK_ASSIGN_OR_RETURN(
+      const std::optional<bool> found,
+      WalkChain(*chain, env, focus, [&](const ChildPathHit& hit) {
+        const std::string_view value =
+            ChildPathValue(store_, *chain, hit, &cmp_scratch_a_);
+        for (const Item& o : other) {
+          if (CompareChainValue(value, node_hit, o, op)) return true;
+        }
+        return false;
+      }));
+  if (found.has_value()) return Sequence{Item(*found)};
+  XMARK_ASSIGN_OR_RETURN(Sequence path,
+                         Eval(chain_left ? lhs : rhs, env, focus));
+  return Sequence{Item(chain_left ? AnyPairMatches(path, other, node.op)
+                                  : AnyPairMatches(other, path, node.op))};
+}
+
+// Arithmetic over the first item of each operand; an empty operand gives
+// the empty sequence. A child-chain operand is read from its first
+// selected value without building a Sequence (Q11's `5000 * $i/text()`).
+StatusOr<Sequence> Evaluator::EvalArithmetic(const AstNode& node,
+                                             Environment& env,
+                                             const Focus* focus) {
+  struct Operand {
+    bool empty = true;
+    std::optional<double> num;
+  };
+  auto operand = [&](const AstNode& arg) -> StatusOr<Operand> {
+    Operand out;
+    if (const ChildPath* chain = ChainOf(arg)) {
+      XMARK_ASSIGN_OR_RETURN(
+          const std::optional<bool> walked,
+          WalkChain(*chain, env, focus, [&](const ChildPathHit& hit) {
+            out.empty = false;
+            out.num = ParseDouble(
+                ChildPathValue(store_, *chain, hit, &cmp_scratch_a_));
+            return true;
+          }));
+      if (walked.has_value()) return out;
+    }
+    XMARK_ASSIGN_OR_RETURN(Sequence value, Eval(arg, env, focus));
+    if (!value.empty()) {
+      out.empty = false;
+      out.num = ItemNumberValue(value.front());
+    }
+    return out;
+  };
+  XMARK_ASSIGN_OR_RETURN(const Operand a, operand(*node.args[0]));
+  XMARK_ASSIGN_OR_RETURN(const Operand b, operand(*node.args[1]));
+  if (a.empty || b.empty) return Sequence{};
+  const BinaryOp op = node.op;
+  if (!a.num.has_value() || !b.num.has_value()) {
+    return Status::InvalidArgument(
+        std::string("non-numeric operand to '") + BinaryOpName(op) + "'");
+  }
+  switch (op) {
+    case BinaryOp::kAdd:
+      return Sequence{Item(*a.num + *b.num)};
+    case BinaryOp::kSub:
+      return Sequence{Item(*a.num - *b.num)};
+    case BinaryOp::kMul:
+      return Sequence{Item(*a.num * *b.num)};
+    case BinaryOp::kDiv:
+      return Sequence{Item(*a.num / *b.num)};
+    case BinaryOp::kMod:
+      return Sequence{Item(std::fmod(*a.num, *b.num))};
+    default:
+      return Status::Internal("unhandled binary operator");
+  }
 }
 
 StatusOr<Sequence> Evaluator::EvalBinary(const AstNode& node, Environment& env,
@@ -953,201 +1039,19 @@ StatusOr<Sequence> Evaluator::EvalBinary(const AstNode& node, Environment& env,
     XMARK_ASSIGN_OR_RETURN(Sequence rhs, Eval(*node.args[1], env, focus));
     return Sequence{Item(EffectiveBooleanValue(rhs))};
   }
-
-  // Attribute-predicate fast path: answered from the store heap without
-  // evaluating either operand into a sequence.
-  {
-    const auto fast = TryAttributeCompare(node, focus);
-    if (fast.has_value()) return Sequence{Item(*fast)};
+  if (IsComparisonOp(op)) return EvalComparison(node, env, focus);
+  if (op != BinaryOp::kBefore && op != BinaryOp::kAfter) {
+    return EvalArithmetic(node, env, focus);
   }
-
-  // Streaming comparison: `$v/a/b <op> expr` walks the path with nested
-  // tag-filtered cursors and compares each selected node through views,
-  // short-circuiting on the first existential match — no sequence is built
-  // for the path side. This is the hot shape of the Q11/Q12 theta joins.
-  if (IsComparisonOp(op)) {
-    const AstNode* stream = nullptr;
-    const AstNode* other = nullptr;
-    bool swapped = false;
-    if (IsStreamablePath(*node.args[0])) {
-      stream = node.args[0].get();
-      other = node.args[1].get();
-    } else if (IsStreamablePath(*node.args[1])) {
-      stream = node.args[1].get();
-      other = node.args[0].get();
-      swapped = true;
-    }
-    const PathPlan* stream_plan =
-        stream != nullptr ? plan_->FindPath(stream) : nullptr;
-    if (stream_plan != nullptr) {
-      Environment::Binding* binding = env.Find(stream->start->var_slot);
-      // Constructed nodes must take the generic path so navigation inside
-      // them raises its Unimplemented error.
-      if (binding != nullptr && binding->evaluated &&
-          !SequenceHasConstructed(binding->value)) {
-        XMARK_ASSIGN_OR_RETURN(Sequence other_seq, Eval(*other, env, focus));
-        bool found = false;
-        if (!other_seq.empty()) {
-          const BinaryOp eff = swapped ? SwapComparison(op) : op;
-          for (const Item& start : binding->value) {
-            if (!start.is_node()) continue;
-            if (StreamSteps(store_, &stats_, start.node().handle,
-                            stream->steps, stream_plan->steps, 0,
-                            [&](NodeHandle h) {
-                              const Item item(NodeRef{store_, h});
-                              for (const Item& o : other_seq) {
-                                if (CompareItems(item, o, eff)) return true;
-                              }
-                              return false;
-                            })) {
-              found = true;
-              break;
-            }
-          }
-        }
-        return Sequence{Item(found)};
-      }
-    }
-  }
-
-  // Streaming arithmetic: `literal <op> $v/a/text()` (Q11's `5000 *
-  // $i/text()`) resolves both scalars without intermediate sequences.
-  if (op == BinaryOp::kAdd || op == BinaryOp::kSub || op == BinaryOp::kMul ||
-      op == BinaryOp::kDiv || op == BinaryOp::kMod) {
-    struct Scalar {
-      bool handled = false;
-      bool empty = false;
-      double value = 0;
-    };
-    auto scalar_of = [&](const AstNode& arg) -> Scalar {
-      if (arg.kind == AstKind::kNumberLiteral) {
-        return {true, false, arg.num_value};
-      }
-      const PathPlan* arg_plan =
-          IsStreamablePath(arg) ? plan_->FindPath(&arg) : nullptr;
-      if (arg_plan == nullptr) return {};
-      Environment::Binding* b = env.Find(arg.start->var_slot);
-      if (b == nullptr || !b->evaluated ||
-          SequenceHasConstructed(b->value)) {
-        return {};  // generic path (errors on constructed-node navigation)
-      }
-      NodeHandle first = kInvalidHandle;
-      for (const Item& start : b->value) {
-        if (!start.is_node()) continue;
-        if (StreamSteps(store_, &stats_, start.node().handle, arg.steps,
-                        arg_plan->steps, 0, [&](NodeHandle h) {
-                          first = h;
-                          return true;
-                        })) {
-          break;
-        }
-      }
-      if (first == kInvalidHandle) return {true, true, 0};
-      const Item item(NodeRef{store_, first});
-      bool materialized = false;
-      const auto num =
-          ParseDouble(ItemStringView(item, &cmp_scratch_a_, &materialized));
-      if (materialized) {
-        ++stats_.compare_allocs;
-      } else {
-        ++stats_.allocations_avoided;
-      }
-      if (!num.has_value()) return {};  // non-numeric: generic error path
-      return {true, false, *num};
-    };
-    const Scalar sa = scalar_of(*node.args[0]);
-    if (sa.handled) {
-      const Scalar sb = scalar_of(*node.args[1]);
-      if (sb.handled) {
-        if (sa.empty || sb.empty) return Sequence{};
-        double result = 0;
-        switch (op) {
-          case BinaryOp::kAdd:
-            result = sa.value + sb.value;
-            break;
-          case BinaryOp::kSub:
-            result = sa.value - sb.value;
-            break;
-          case BinaryOp::kMul:
-            result = sa.value * sb.value;
-            break;
-          case BinaryOp::kDiv:
-            result = sa.value / sb.value;
-            break;
-          default:
-            result = std::fmod(sa.value, sb.value);
-            break;
-        }
-        return Sequence{Item(result)};
-      }
-    }
-  }
-
   XMARK_ASSIGN_OR_RETURN(Sequence lhs, Eval(*node.args[0], env, focus));
   XMARK_ASSIGN_OR_RETURN(Sequence rhs, Eval(*node.args[1], env, focus));
-
-  if (op == BinaryOp::kBefore || op == BinaryOp::kAfter) {
-    if (lhs.empty() || rhs.empty()) return Sequence{};
-    if (!lhs.front().is_node() || !rhs.front().is_node()) {
-      return Status::InvalidArgument("<< / >> require nodes");
-    }
-    const bool before = store_->Before(lhs.front().node().handle,
-                                       rhs.front().node().handle);
-    return Sequence{Item(op == BinaryOp::kBefore ? before : !before)};
+  if (lhs.empty() || rhs.empty()) return Sequence{};
+  if (!lhs.front().is_node() || !rhs.front().is_node()) {
+    return Status::InvalidArgument("<< / >> require nodes");
   }
-
-  switch (op) {
-    case BinaryOp::kEq:
-    case BinaryOp::kNe:
-    case BinaryOp::kLt:
-    case BinaryOp::kLe:
-    case BinaryOp::kGt:
-    case BinaryOp::kGe: {
-      // Existential semantics over both sequences.
-      for (const Item& a : lhs) {
-        for (const Item& b : rhs) {
-          if (CompareItems(a, b, op)) return Sequence{Item(true)};
-        }
-      }
-      return Sequence{Item(false)};
-    }
-    case BinaryOp::kAdd:
-    case BinaryOp::kSub:
-    case BinaryOp::kMul:
-    case BinaryOp::kDiv:
-    case BinaryOp::kMod: {
-      if (lhs.empty() || rhs.empty()) return Sequence{};
-      const auto la = ItemNumberValue(lhs.front());
-      const auto rb = ItemNumberValue(rhs.front());
-      if (!la.has_value() || !rb.has_value()) {
-        return Status::InvalidArgument(
-            std::string("non-numeric operand to '") + BinaryOpName(op) + "'");
-      }
-      double result = 0;
-      switch (op) {
-        case BinaryOp::kAdd:
-          result = *la + *rb;
-          break;
-        case BinaryOp::kSub:
-          result = *la - *rb;
-          break;
-        case BinaryOp::kMul:
-          result = *la * *rb;
-          break;
-        case BinaryOp::kDiv:
-          result = *la / *rb;
-          break;
-        case BinaryOp::kMod:
-          result = std::fmod(*la, *rb);
-          break;
-        default:
-          break;
-      }
-      return Sequence{Item(result)};
-    }
-    default:
-      return Status::Internal("unhandled binary operator");
-  }
+  const bool before = store_->Before(lhs.front().node().handle,
+                                     rhs.front().node().handle);
+  return Sequence{Item(op == BinaryOp::kBefore ? before : !before)};
 }
 
 // ---------------------------------------------------------------------------
@@ -1207,6 +1111,17 @@ StatusOr<Sequence> Evaluator::EvalFunction(const AstNode& node,
       XMARK_ASSIGN_OR_RETURN(
           int64_t count, BandCount(node.args[0]->var_slot, env, focus));
       return Sequence{Item(static_cast<double>(count))};
+    }
+  }
+
+  // empty()/exists() over a child chain stop at its first selected item.
+  if ((name == "empty" || name == "exists") && node.args.size() == 1) {
+    if (const ChildPath* chain = ChainOf(*node.args[0])) {
+      XMARK_ASSIGN_OR_RETURN(
+          const std::optional<bool> any,
+          WalkChain(*chain, env, focus,
+                    [](const ChildPathHit&) { return true; }));
+      if (any.has_value()) return Sequence{Item(name == "empty" ? !*any : *any)};
     }
   }
 

@@ -91,6 +91,42 @@ class Evaluator {
                    const Sequence& input, Environment& env, Sequence* output);
   Status ApplyPredicates(const std::vector<AstPtr>& predicates,
                          Environment& env, Sequence* group);
+  StatusOr<Sequence> EvalComparison(const AstNode& node, Environment& env,
+                                    const Focus* focus);
+  StatusOr<Sequence> EvalArithmetic(const AstNode& node, Environment& env,
+                                    const Focus* focus);
+
+  /// The binding in `slot`, materialized first when it is an unevaluated
+  /// let; null when the slot is unbound.
+  StatusOr<Environment::Binding*> Bound(int slot, Environment& env);
+
+  // --- child-path kernel ------------------------------------------------
+  /// The kernel plan of `node` when it is a lowered child chain, else null.
+  const ChildPath* ChainOf(const AstNode& node) const;
+  /// Resolves `chain`'s start items into [*begin, *end): the variable's
+  /// binding (a lazy let is materialized first) or the focus item. False
+  /// when the chain must take the generic path — no focus, an unbound
+  /// variable, or a constructed start item, whose navigation error the
+  /// generic path raises. The range aliases the binding: walk it before
+  /// evaluating anything else.
+  StatusOr<bool> ChainStarts(const ChildPath& chain, Environment& env,
+                             const Focus* focus, const Item** begin,
+                             const Item** end);
+  /// Walks `chain` from its start items, calling `visit(const
+  /// ChildPathHit&)` on each selected item until it returns true. nullopt,
+  /// with nothing walked, when the chain must take the generic path (see
+  /// ChainStarts); else whether the walk stopped early.
+  template <typename Visit>
+  StatusOr<std::optional<bool>> WalkChain(const ChildPath& chain,
+                                          Environment& env,
+                                          const Focus* focus, Visit&& visit);
+  /// CompareItems(hit, o, op) for a chain hit given as its string value:
+  /// the hit is a stored node (`node_hit`) or an attribute string.
+  bool CompareChainValue(std::string_view value, bool node_hit, const Item& o,
+                         BinaryOp op);
+  /// Node `index` of a native step predicate, for candidate `cand`.
+  StatusOr<bool> EvalNative(const NativePredicate& pred, size_t index,
+                            NodeHandle cand);
 
   StatusOr<Sequence> EvalHashJoin(const AstNode& node,
                                   const HashJoinPlan& plan, Environment& env,
@@ -105,11 +141,8 @@ class Evaluator {
   // through zero-copy views (member scratch buffers amortize the rare
   // materializations).
   bool CompareItems(const Item& a, const Item& b, BinaryOp op);
-
-  // [@name <op> literal] predicate resolved with one AttributeView probe.
-  // Returns nullopt when the expression does not have that shape.
-  std::optional<bool> TryAttributeCompare(const AstNode& node,
-                                          const Focus* focus);
+  /// Existential comparison of two sequences.
+  bool AnyPairMatches(const Sequence& lhs, const Sequence& rhs, BinaryOp op);
 
   /// The pool morsel drains run on: null when options_.parallel_exec is
   /// off or no pool was installed.

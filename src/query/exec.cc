@@ -182,101 +182,31 @@ size_t NodeScan::FillBatch(NodeHandle* out, size_t cap) {
 }
 
 // ---------------------------------------------------------------------------
-// PipelineExec
+// ChildPathWalker
 // ---------------------------------------------------------------------------
-//
-// The executor half of compiled pipelines. The plan-time pass
-// (query/pipeline.cc) proved the FLWOR equivalent to scan → [id filter] →
-// [where predicate] → emit over child-name walks, so everything here is
-// written against that grammar only — and every semantic choice below
-// replicates the generic evaluator exactly:
-//   - string-values come from TextView for text nodes and a reused
-//     AppendStringValue scratch for elements (ItemStringView's node
-//     branch);
-//   - the fused comparison is the evaluator's untyped general comparison:
-//     existential over all predicate-path matches, numeric when the
-//     literal is a number (ParseDouble failure → that pair is false),
-//     lexicographic string compare otherwise;
-//   - contains/starts-with consume only the FIRST predicate-path match
-//     (arg_view takes seq.front(); an empty result is the empty string);
-//   - all walks enumerate child levels in cursor order, which equals the
-//     generic level-by-level batch order (child steps expand each node's
-//     matches contiguously, so last-level concatenation IS the DFS order).
 
-namespace {
-
-// Per-drain state: the pipeline, the store, and the element string-value
-// scratch buffer. One instance per thread — morsel workers get their own
-// (the scratch must never be shared across chunks).
-struct PipeCtx {
-  const CompiledPipeline* pipe;
-  const StorageAdapter* store;
-  std::string scratch;
-};
-
-// Serial-drain stat deltas, settled into the shared EvalStats once per
-// drain (morsel workers must not touch the shared struct).
-struct PipeDrainStats {
-  int64_t batches = 0;     // fused batches flushed
-  int64_t candidates = 0;  // tag-matched nodes through the fused loop
-};
-
-// String-value of one stored node, mirroring ItemStringView's node branch.
-std::string_view PipeNodeView(const StorageAdapter* store, NodeHandle n,
-                              std::string* scratch) {
-  if (!store->IsElement(n)) return store->TextView(n);
+std::string_view ChildPathValue(const StorageAdapter* store,
+                                const ChildPath& path, const ChildPathHit& hit,
+                                std::string* scratch) {
+  switch (path.terminal) {
+    case ChildPath::Terminal::kAttribute:
+      return hit.attribute;
+    case ChildPath::Terminal::kText:
+      return store->TextView(hit.node);
+    case ChildPath::Terminal::kNodes:
+      break;
+  }
+  // ItemStringView's node branch. Name steps select elements; an empty
+  // chain selects its start node, which need not be one.
+  if (path.steps.empty() && !store->IsElement(hit.node)) {
+    return store->TextView(hit.node);
+  }
   scratch->clear();
-  store->AppendStringValue(n, scratch);
+  store->AppendStringValue(hit.node, scratch);
   return *scratch;
 }
 
-// Invokes `fn` on every node the pipeline's predicate path selects from
-// `node`, in document order; `fn` returns true to stop early (existential
-// short-circuit / first-match). Returns whether a call stopped the walk.
-template <typename Fn>
-bool ForEachPathNode(const StorageAdapter* store,
-                     const std::vector<xml::NameId>& path, bool text_tail,
-                     NodeHandle node, size_t depth, const Fn& fn) {
-  constexpr size_t kBatch = 16;
-  NodeHandle buf[kBatch];
-  size_t n;
-  if (depth == path.size()) {
-    if (!text_tail) return fn(node);
-    ChildCursor cur;
-    store->OpenChildCursor(node, ChildFilter::kText, xml::kInvalidName, &cur);
-    while ((n = cur.Fill(buf, kBatch)) > 0) {
-      for (size_t i = 0; i < n; ++i) {
-        if (fn(buf[i])) return true;
-      }
-    }
-    return false;
-  }
-  ChildCursor cur;
-  store->OpenChildCursor(node, ChildFilter::kTag, path[depth], &cur);
-  while ((n = cur.Fill(buf, kBatch)) > 0) {
-    for (size_t i = 0; i < n; ++i) {
-      if (ForEachPathNode(store, path, text_tail, buf[i], depth + 1, fn)) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-// First predicate-path value of `cand`, or the empty string when the path
-// selects nothing (the evaluator's arg_view of an empty sequence).
-std::string_view FirstPathValue(PipeCtx& cx, NodeHandle cand) {
-  std::string_view view{};
-  ForEachPathNode(cx.store, cx.pipe->filter_path, cx.pipe->filter_path_text,
-                  cand, 0, [&](NodeHandle v) {
-                    view = PipeNodeView(cx.store, v, &cx.scratch);
-                    return true;
-                  });
-  return view;
-}
-
-// CompareResult twin (the evaluator's copy is file-local to evaluator.cc).
-bool PipeCompareResult(int cmp, BinaryOp op) {
+bool CompareResult(int cmp, BinaryOp op) {
   switch (op) {
     case BinaryOp::kEq:
       return cmp == 0;
@@ -293,6 +223,80 @@ bool PipeCompareResult(int cmp, BinaryOp op) {
     default:
       return false;
   }
+}
+
+void ChildPathWalker::Open(size_t depth, NodeHandle parent,
+                           ChildCursor* cursor) const {
+  if (depth == path_.steps.size()) {
+    store_->OpenChildCursor(parent, ChildFilter::kText, xml::kInvalidName,
+                            cursor);
+  } else {
+    store_->OpenChildCursor(parent, ChildFilter::kTag, path_.steps[depth].name,
+                            cursor);
+  }
+  ++stats_->cursor_scans;
+}
+
+// ---------------------------------------------------------------------------
+// PipelineExec
+// ---------------------------------------------------------------------------
+//
+// The executor half of compiled pipelines. The plan-time pass
+// (query/pipeline.cc) proved the FLWOR equivalent to scan → [id filter] →
+// [where predicate] → emit over child chains, so everything here is
+// written against that grammar only — and every semantic choice below
+// replicates the generic evaluator exactly:
+//   - filter and tail chains are walked by the child-path kernel
+//     (ChildPathWalker), and their values read through ChildPathValue, the
+//     evaluator's own view of a selected item;
+//   - the fused comparison is the evaluator's untyped general comparison:
+//     existential over all predicate-path matches, numeric when the
+//     literal is a number (ParseDouble failure → that pair is false),
+//     lexicographic string compare otherwise;
+//   - contains/starts-with consume only the FIRST predicate-path match
+//     (arg_view takes seq.front(); an empty result is the empty string);
+//   - the prefix walk enumerates child levels in cursor order, which
+//     equals the generic level-by-level batch order (child steps expand
+//     each node's matches contiguously, so last-level concatenation IS the
+//     DFS order the kernel walks).
+
+namespace {
+
+// Per-drain state: the pipeline, the store, the element string-value
+// scratch buffer and the walkers of the filter and tail chains. One
+// instance per thread — morsel workers get their own (the scratch must
+// never be shared across chunks). The walks' scan counters land in
+// `stats`, which nothing reads: the fused drain reports its batches.
+struct PipeCtx {
+  PipeCtx(const CompiledPipeline* p, const StorageAdapter* s)
+      : pipe(p),
+        store(s),
+        filter(s, p->filter_path, &stats, nullptr),
+        tail(s, p->tail, &stats, nullptr) {}
+  const CompiledPipeline* pipe;
+  const StorageAdapter* store;
+  std::string scratch;
+  EvalStats stats;
+  ChildPathWalker filter;
+  ChildPathWalker tail;
+};
+
+// Serial-drain stat deltas, settled into the shared EvalStats once per
+// drain (morsel workers must not touch the shared struct).
+struct PipeDrainStats {
+  int64_t batches = 0;     // fused batches flushed
+  int64_t candidates = 0;  // tag-matched nodes through the fused loop
+};
+
+// First filter-operand value of `cand`, or the empty string when the chain
+// selects nothing (the evaluator's arg_view of an empty sequence).
+std::string_view FirstPathValue(PipeCtx& cx, NodeHandle cand) {
+  std::string_view view{};
+  cx.filter.Walk(cand, [&](const ChildPathHit& hit) {
+    view = ChildPathValue(cx.store, cx.pipe->filter_path, hit, &cx.scratch);
+    return true;
+  });
+  return view;
 }
 
 // --- Per-candidate filter policies (the monomorphic loop bodies) --------
@@ -320,54 +324,24 @@ struct StartsWithMatch {
 template <BinaryOp OP, bool NUMERIC>
 struct CompareMatch {
   static bool Match(PipeCtx& cx, NodeHandle cand) {
-    return ForEachPathNode(
-        cx.store, cx.pipe->filter_path, cx.pipe->filter_path_text, cand, 0,
-        [&](NodeHandle v) {
-          const std::string_view view = PipeNodeView(cx.store, v, &cx.scratch);
-          int cmp;
-          if constexpr (NUMERIC) {
-            const std::optional<double> num = ParseDouble(view);
-            if (!num.has_value()) return false;  // pair is false; keep going
-            const double b = cx.pipe->cmp_number;
-            cmp = (*num < b) ? -1 : (*num > b ? 1 : 0);
-          } else {
-            cmp = static_cast<int>(view.compare(cx.pipe->cmp_str));
-          }
-          return PipeCompareResult(cmp, OP);
-        });
+    return cx.filter.Walk(cand, [&](const ChildPathHit& hit) {
+      const std::string_view view =
+          ChildPathValue(cx.store, cx.pipe->filter_path, hit, &cx.scratch);
+      int cmp;
+      if constexpr (NUMERIC) {
+        const std::optional<double> num = ParseDouble(view);
+        if (!num.has_value()) return false;  // pair is false; keep going
+        const double b = cx.pipe->cmp_number;
+        cmp = (*num < b) ? -1 : (*num > b ? 1 : 0);
+      } else {
+        cmp = static_cast<int>(view.compare(cx.pipe->cmp_str));
+      }
+      return CompareResult(cmp, OP);
+    });
   }
 };
 
 // --- Emission -----------------------------------------------------------
-
-// Emits the pipeline's tail path (kTailNodes) from one surviving binding,
-// in the generic path's order (see the order note atop this section).
-void EmitTail(PipeCtx& cx, NodeHandle node, size_t depth, Sequence* out) {
-  const std::vector<xml::NameId>& tail = cx.pipe->tail;
-  constexpr size_t kBatch = 16;
-  NodeHandle buf[kBatch];
-  size_t n;
-  if (depth == tail.size()) {
-    if (!cx.pipe->tail_text) {
-      out->emplace_back(NodeRef{cx.store, node});
-      return;
-    }
-    ChildCursor cur;
-    cx.store->OpenChildCursor(node, ChildFilter::kText, xml::kInvalidName,
-                              &cur);
-    while ((n = cur.Fill(buf, kBatch)) > 0) {
-      for (size_t i = 0; i < n; ++i) {
-        out->emplace_back(NodeRef{cx.store, buf[i]});
-      }
-    }
-    return;
-  }
-  ChildCursor cur;
-  cx.store->OpenChildCursor(node, ChildFilter::kTag, tail[depth], &cur);
-  while ((n = cur.Fill(buf, kBatch)) > 0) {
-    for (size_t i = 0; i < n; ++i) EmitTail(cx, buf[i], depth + 1, out);
-  }
-}
 
 // One surviving binding's contribution to the result. RAW selects the
 // dense-preorder count loop for kCount (the store advertised RawTagArray
@@ -379,9 +353,21 @@ void EmitOne(PipeCtx& cx, NodeHandle cand, Sequence* out) {
     case CompiledPipeline::Emit::kVar:
       out->emplace_back(NodeRef{cx.store, cand});
       return;
-    case CompiledPipeline::Emit::kTailNodes:
-      EmitTail(cx, cand, 0, out);
+    case CompiledPipeline::Emit::kTailNodes: {
+      // The tail chain's items in the generic path's order (see the order
+      // note atop this section).
+      const bool attribute =
+          pipe.tail.terminal == ChildPath::Terminal::kAttribute;
+      cx.tail.Walk(cand, [&](const ChildPathHit& hit) {
+        if (attribute) {
+          out->emplace_back(std::string(hit.attribute));
+        } else {
+          out->emplace_back(NodeRef{cx.store, hit.node});
+        }
+        return false;
+      });
       return;
+    }
     case CompiledPipeline::Emit::kCount: {
       int64_t count = 0;
       if constexpr (RAW) {
@@ -559,7 +545,7 @@ Status DrainDescMorsels(const CompiledPipeline& pipe,
     if (bounds[k] == bounds[k + 1]) return;  // empty chunk
     if (abort.load(std::memory_order_relaxed)) return;  // sibling failed
     ScopedMemoryBudget install(budget);
-    PipeCtx cx{&pipe, store, {}};
+    PipeCtx cx(&pipe, store);
     Status st;
     if (raw) {
       st = DrainDescRaw(cx, emit, raw_from + bounds[k],
@@ -604,7 +590,7 @@ StatusOr<Sequence> PipelineExec::Run(const CompiledPipeline& pipe,
                                      size_t min_morsel_ids) {
   const bool raw = (pipe.dispatch & kPipelineRawBit) != 0;
   const EmitBatchFn emit = kEmitTable[pipe.dispatch % kPipelineDispatchSlots];
-  PipeCtx cx{&pipe, store, {}};
+  PipeCtx cx(&pipe, store);
   PipeDrainStats ds;
   Sequence out;
 
@@ -678,8 +664,8 @@ StatusOr<Sequence> PipelineExec::Run(const CompiledPipeline& pipe,
           while ((n = cur.Fill(buf, kBatch)) > 0) {
             for (size_t i = 0; i < n; ++i) {
               if (pipe.id_filter) {
-                // TryAttributeCompare semantics: a missing attribute never
-                // matches; the literal compares as a string.
+                // The general comparison's semantics: a missing attribute
+                // never matches; the literal compares as a string.
                 const std::optional<std::string_view> attr =
                     store->AttributeView(buf[i], "id");
                 if (!attr.has_value() || *attr != pipe.id_value) continue;

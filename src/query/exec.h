@@ -14,8 +14,9 @@
 // (HashJoinExec tables, BandJoinIndex domains, ConstructExec's arena and
 // interned const-text segments) are owned by the QueryPlan of the current
 // run — never by the Evaluator, never static — so state cannot leak
-// across runs or documents. NodeScan instances are transient (stack-owned
-// by the evaluator loop) and hold no cross-run state.
+// across runs or documents. NodeScan and ChildPathWalker instances are
+// transient (stack-owned by the evaluator loop) and hold no cross-run
+// state.
 
 #ifndef XMARK_QUERY_EXEC_H_
 #define XMARK_QUERY_EXEC_H_
@@ -184,6 +185,134 @@ class NodeScan {
   DescendantCursor descendant_cursor_;
   std::vector<NodeHandle> materialized_;
   size_t materialized_pos_ = 0;
+};
+
+// ---------------------------------------------------------------------------
+// ChildPathWalker: the child-path kernel
+// ---------------------------------------------------------------------------
+
+/// One item a child chain selects: a node (kNodes / kText terminals), or
+/// for kAttribute the attribute's value on element `node`.
+struct ChildPathHit {
+  NodeHandle node = kInvalidHandle;
+  std::string_view attribute;
+};
+
+/// String value of a hit, as the generic comparison reads it: the
+/// attribute value, a text node's content (both views into the store), or
+/// an element's string value materialized into `*scratch`.
+std::string_view ChildPathValue(const StorageAdapter* store,
+                                const ChildPath& path, const ChildPathHit& hit,
+                                std::string* scratch);
+
+/// `cmp` (a three-way comparison result) read through comparison `op`.
+bool CompareResult(int cmp, BinaryOp op);
+
+/// The child-path kernel: walks one ChildPath (see query/plan.h) from
+/// start nodes and hands each selected item to a visitor, in the generic
+/// evaluator's order — a depth-first walk over nested child scans, which
+/// for child steps equals the step-by-step concatenation. Each level uses
+/// its step's planned access like NodeScan (children-by-tag where the
+/// store answers it, else a tag-filtered child cursor); a text() terminal
+/// is a text-filtered cursor. No Sequence and no per-node Item or string
+/// is built, and the visitor stops the walk whenever it has its answer.
+/// One governance check per child batch when `ctx` is set. A walker holds
+/// no per-walk state beyond its status, so walks may nest freely.
+class ChildPathWalker {
+ public:
+  ChildPathWalker(const StorageAdapter* store, const ChildPath& path,
+                  EvalStats* stats, ExecContext* ctx)
+      : store_(store),
+        path_(path),
+        stats_(stats),
+        ctx_(ctx),
+        levels_(path.steps.size() +
+                (path.terminal == ChildPath::Terminal::kText ? 1 : 0)) {}
+
+  /// Calls `visit(const ChildPathHit&)` on every item the chain selects
+  /// from `start`, in document order, until it returns true. Returns
+  /// whether the walk stopped early: on the visitor's request, or on a
+  /// failed governance check (then status() is not OK).
+  template <typename Visit>
+  bool Walk(NodeHandle start, Visit&& visit) {
+    return !path_.absent && Descend(0, start, visit);
+  }
+  /// The same over the stored nodes among the start items [begin, end).
+  /// Atomics have no children and are skipped; callers route constructed
+  /// start items to the generic path, which raises their navigation error.
+  template <typename Visit>
+  bool Walk(const Item* begin, const Item* end, Visit&& visit) {
+    for (const Item* item = begin; item != end; ++item) {
+      if (item->is_node() && Walk(item->node().handle, visit)) return true;
+    }
+    return false;
+  }
+  const Status& status() const { return status_; }
+
+ private:
+  static constexpr size_t kBatch = 16;
+
+  /// Opens the child cursor of level `depth` (a tag-filtered cursor, or
+  /// the text-filtered one of a text() terminal) under `parent`. In
+  /// query/exec.cc: the one place in query/ that opens child cursors.
+  void Open(size_t depth, NodeHandle parent, ChildCursor* cursor) const;
+
+  template <typename Visit>
+  bool Descend(size_t depth, NodeHandle node, Visit& visit) {
+    if (depth == levels_) {
+      ChildPathHit hit;
+      hit.node = node;
+      if (path_.terminal == ChildPath::Terminal::kAttribute) {
+        const std::optional<std::string_view> value =
+            store_->AttributeView(node, path_.attribute);
+        if (!value.has_value()) return false;
+        hit.attribute = *value;
+      }
+      return visit(static_cast<const ChildPathHit&>(hit));
+    }
+    if (depth < path_.steps.size() &&
+        path_.steps[depth].access == StepPlan::Access::kChildrenByTag) {
+      // Scoped to this branch: the cursor frames stay trivially
+      // destructible, which the hot walks measurably depend on.
+      const std::optional<std::vector<NodeHandle>> direct =
+          store_->ChildrenByTag(node, path_.steps[depth].name);
+      if (direct.has_value()) {
+        ++stats_->index_lookups;
+        return DescendBatch(depth, direct->data(), direct->size(), visit);
+      }
+    }
+    ChildCursor cursor;
+    Open(depth, node, &cursor);
+    NodeHandle buf[kBatch];
+    size_t n;
+    while ((n = cursor.Fill(buf, kBatch)) > 0) {
+      if (DescendBatch(depth, buf, n, visit)) return true;
+    }
+    return false;
+  }
+
+  /// One batch of level `depth`'s nodes: a governance check, then the
+  /// next level under each.
+  template <typename Visit>
+  bool DescendBatch(size_t depth, const NodeHandle* nodes, size_t n,
+                    Visit& visit) {
+    stats_->nodes_visited += static_cast<int64_t>(n);
+    if (ctx_ != nullptr) {
+      status_ = ctx_->Check();
+      if (!status_.ok()) return true;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (Descend(depth + 1, nodes[i], visit)) return true;
+    }
+    return false;
+  }
+
+  const StorageAdapter* store_;
+  const ChildPath& path_;
+  EvalStats* stats_;
+  ExecContext* ctx_;
+  size_t levels_;  // name steps, plus one for a text() terminal
+  Status status_;
 };
 
 // ---------------------------------------------------------------------------

@@ -190,6 +190,24 @@ BinaryOp SwapComparison(BinaryOp op) {
   }
 }
 
+bool IsLiteral(const AstNode& n) {
+  return n.kind == AstKind::kStringLiteral || n.kind == AstKind::kNumberLiteral;
+}
+
+bool IsComparisonOp(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kEq:
+    case BinaryOp::kNe:
+    case BinaryOp::kLt:
+    case BinaryOp::kLe:
+    case BinaryOp::kGt:
+    case BinaryOp::kGe:
+      return true;
+    default:
+      return false;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Step / path plans
 // ---------------------------------------------------------------------------
@@ -249,8 +267,48 @@ StepPlan ComputeStepPlan(const Step& step, const EvaluatorOptions& options,
   return plan;
 }
 
+}  // namespace
+
+std::optional<ChildPath> LowerChildChain(const AstNode& path,
+                                         const std::vector<StepPlan>& steps) {
+  if (path.kind != AstKind::kPath || path.absolute || path.steps.empty()) {
+    return std::nullopt;
+  }
+  ChildPath chain;
+  if (path.start != nullptr) {
+    if (path.start->kind != AstKind::kVarRef) return std::nullopt;
+    chain.var_slot = path.start->var_slot;
+  }
+  chain.steps.reserve(path.steps.size());
+  for (size_t i = 0; i < path.steps.size(); ++i) {
+    const Step& s = path.steps[i];
+    const bool last = i + 1 == path.steps.size();
+    if (!s.predicates.empty()) return std::nullopt;
+    if (s.axis == Axis::kChild && s.test == Step::Test::kName) {
+      chain.steps.push_back({steps[i].name, steps[i].access});
+      if (steps[i].name == xml::kInvalidName) chain.absent = true;
+    } else if (last && s.axis == Axis::kChild &&
+               s.test == Step::Test::kText) {
+      chain.terminal = ChildPath::Terminal::kText;
+    } else if (last && s.axis == Axis::kAttribute &&
+               s.test == Step::Test::kName) {
+      chain.terminal = ChildPath::Terminal::kAttribute;
+      chain.attribute = s.name;
+    } else {
+      return std::nullopt;
+    }
+  }
+  const size_t levels =
+      chain.steps.size() +
+      (chain.terminal == ChildPath::Terminal::kText ? 1 : 0);
+  if (levels > ChildPath::kMaxLevels) return std::nullopt;
+  return chain;
+}
+
+namespace {
+
 // Plan for one kPath node (cacheability, path-index prefix, step access
-// and names).
+// and names, and the kernel chain when the path is one).
 PathPlan ComputePathPlan(const AstNode& path, const EvaluatorOptions& options,
                          const StorageCapabilities& caps,
                          const xml::NameTable& names) {
@@ -272,6 +330,9 @@ PathPlan ComputePathPlan(const AstNode& path, const EvaluatorOptions& options,
   for (const Step& s : path.steps) {
     plan.steps.push_back(ComputeStepPlan(s, options, caps, names));
   }
+  // The kernel is part of the optimizer's rewrites: F and G keep the
+  // generic operators as the byte oracle.
+  if (options.hash_join) plan.chain = LowerChildChain(path, plan.steps);
   return plan;
 }
 
@@ -559,6 +620,46 @@ ConstructPlan LowerConstructor(const AstNode& ctor) {
 
 namespace {
 
+// Appends the native form of predicate subtree `n` to `out->nodes`: an
+// and/or tree whose leaves compare a context-rooted child chain (already
+// lowered into `plan`) with a literal, in either operand order. False for
+// any other shape.
+bool AppendNativeNode(const AstNode& n, const PlanAnnotations& plan,
+                      NativePredicate* out) {
+  if (n.kind != AstKind::kBinary) return false;
+  const size_t index = out->nodes.size();
+  out->nodes.emplace_back();
+  out->nodes[index].op = n.op;
+  if (n.op == BinaryOp::kAnd || n.op == BinaryOp::kOr) {
+    // Write through the index: the recursion grows the vector.
+    out->nodes[index].lhs = out->nodes.size();
+    if (!AppendNativeNode(*n.args[0], plan, out)) return false;
+    out->nodes[index].rhs = out->nodes.size();
+    return AppendNativeNode(*n.args[1], plan, out);
+  }
+  if (!IsComparisonOp(n.op)) return false;
+  const AstNode* chain = n.args[0].get();
+  const AstNode* literal = n.args[1].get();
+  BinaryOp op = n.op;
+  if (IsLiteral(*chain)) {
+    std::swap(chain, literal);
+    op = SwapComparison(op);
+  }
+  if (!IsLiteral(*literal)) return false;
+  const auto it = plan.paths.find(chain);
+  if (it == plan.paths.end() || !it->second.chain.has_value() ||
+      it->second.chain->var_slot != -1) {
+    return false;
+  }
+  NativePredicate::Node& leaf = out->nodes[index];
+  leaf.op = op;
+  leaf.chain = *it->second.chain;
+  leaf.literal = literal->kind == AstKind::kNumberLiteral
+                     ? Item(literal->num_value)
+                     : Item(literal->str_value);
+  return true;
+}
+
 void LowerNode(const AstNode& node, const EvaluatorOptions& options,
                const xml::NameTable& names, PlanAnnotations* plan) {
   if (node.kind == AstKind::kPath) {
@@ -604,6 +705,18 @@ void LowerNode(const AstNode& node, const EvaluatorOptions& options,
   VisitChildren(node, [&](const AstNode& child) {
     LowerNode(child, options, names, plan);
   });
+  // Step predicates go native once their leaf chains are lowered (above);
+  // chains exist only under hash_join, so F and G keep the generic Focus.
+  if (node.kind == AstKind::kPath) {
+    for (const Step& s : node.steps) {
+      for (const AstPtr& pred : s.predicates) {
+        NativePredicate native;
+        if (AppendNativeNode(*pred, *plan, &native)) {
+          plan->predicates.emplace(pred.get(), std::move(native));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

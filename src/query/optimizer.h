@@ -3,7 +3,7 @@
 // Layer contract: this is the only place that READS StorageCapabilities
 // and the EvaluatorOptions toggles to make choices — access-path
 // selection, join decorrelation, band-shape recognition, invariant-path
-// cacheability, constructor-template lowering. Everything it emits is an
+// cacheability, constructor-template lowering, child-chain lowering. Everything it emits is an
 // immutable annotation in the QueryPlan; nothing here touches documents,
 // evaluates expressions or allocates executor state (BuildPlan is pure
 // analysis and must stay cheap enough to run per query).
@@ -12,8 +12,10 @@
 #define XMARK_QUERY_OPTIMIZER_H_
 
 #include <functional>
+#include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "query/ast.h"
 #include "query/plan.h"
@@ -74,6 +76,20 @@ bool IsCacheableInvariant(const AstNode& node);
 /// `a <op> b` == `b <SwapComparison(op)> a`.
 BinaryOp SwapComparison(BinaryOp op);
 
+/// The general comparisons: = != < <= > >=.
+bool IsComparisonOp(BinaryOp op);
+
+/// A string or number literal.
+bool IsLiteral(const AstNode& n);
+
+/// The optimizer's one child-chain matcher: `path` (a kPath) starts at a
+/// variable or at the context item, has only predicate-free child name
+/// steps and may end in text() or @name. Lowers it against the planned
+/// `steps` (one StepPlan per AST step: NameIds and accesses); nullopt for
+/// any other shape, or a chain deeper than ChildPath::kMaxLevels.
+std::optional<ChildPath> LowerChildChain(const AstNode& path,
+                                         const std::vector<StepPlan>& steps);
+
 // ---------------------------------------------------------------------------
 // Plan construction
 // ---------------------------------------------------------------------------
@@ -98,8 +114,9 @@ bool AnalyzeBandLet(const AstNode& outer_flwor, size_t clause_index,
 ConstructPlan LowerConstructor(const AstNode& ctor);
 
 /// Lowers a parsed query against one store + option set. Fills path plans
-/// (with every step's NameId resolved in `store`'s dictionary), FLWOR
-/// strategies, band-join lets, constructor templates and pipelines into
+/// (with every step's NameId resolved in `store`'s dictionary, and child
+/// chains lowered for the kernel), FLWOR strategies, band-join lets,
+/// constructor templates, native step predicates and pipelines into
 /// the annotation set (a QueryPlan's local annotations, or a standalone
 /// PlanAnnotations destined for the plan cache). Reads `query` only.
 void BuildPlan(const ParsedQuery& query, const StorageAdapter& store,

@@ -31,32 +31,24 @@ const AstNode* StepIdLiteral(const Step& step) {
   return nullptr;
 }
 
-// $v, or $v followed by predicate-free child name steps with an optional
-// trailing text() step — the only var-rooted shape the fused filter and
-// tail walkers reproduce exactly (nested per-step walk order equals the
-// evaluator's per-step batch order for a single root).
-bool MatchVarPath(const AstNode& n, const std::string& var,
-                  std::vector<std::string>* names, bool* text_tail) {
-  names->clear();
-  *text_tail = false;
-  if (n.kind == AstKind::kVarRef) return n.str_value == var;
-  if (n.kind != AstKind::kPath || n.absolute || n.start == nullptr) {
-    return false;
+// The loop variable itself (as an empty chain) or a child chain of it,
+// read from the annotations the optimizer's chain matcher lowered — the
+// only var-rooted shapes the fused filter and tail walks take. A chain
+// through a tag the document never saw is refused: the generic path
+// short-circuits it to an empty result anyway, so fusing buys nothing.
+bool VarChain(const AstNode& n, int var_slot, const PlanAnnotations& plan,
+              ChildPath* out) {
+  if (n.kind == AstKind::kVarRef) {
+    if (n.var_slot != var_slot) return false;
+    *out = ChildPath{};
+    out->var_slot = var_slot;
+    return true;
   }
-  if (n.start->kind != AstKind::kVarRef || n.start->str_value != var) {
-    return false;
-  }
-  for (size_t i = 0; i < n.steps.size(); ++i) {
-    const Step& s = n.steps[i];
-    if (s.axis != Axis::kChild || !s.predicates.empty()) return false;
-    if (s.test == Step::Test::kName) {
-      names->push_back(s.name);
-    } else if (s.test == Step::Test::kText && i + 1 == n.steps.size()) {
-      *text_tail = true;
-    } else {
-      return false;
-    }
-  }
+  const auto it = plan.paths.find(&n);
+  if (it == plan.paths.end() || !it->second.chain.has_value()) return false;
+  const ChildPath& chain = *it->second.chain;
+  if (chain.var_slot != var_slot || chain.absent) return false;
+  *out = chain;
   return true;
 }
 
@@ -123,31 +115,13 @@ bool ShadowedBuiltin(const std::set<std::string>& udfs,
   return udfs.count(std::string(name)) != 0;
 }
 
-bool IsComparison(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kEq:
-    case BinaryOp::kNe:
-    case BinaryOp::kLt:
-    case BinaryOp::kLe:
-    case BinaryOp::kGt:
-    case BinaryOp::kGe:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsLiteral(const AstNode& n) {
-  return n.kind == AstKind::kStringLiteral || n.kind == AstKind::kNumberLiteral;
-}
-
 // Where clause: absent, contains/starts-with($v-path, "lit"), or the
 // existential literal compare <$v-path> OP <literal> (either operand
 // order; normalized literal-right via SwapComparison, which preserves the
 // evaluator's CompareItems outcome exactly).
-bool MatchWhere(const AstNode* where, const std::string& var,
-                const std::set<std::string>& udfs, CompiledPipeline* pipe,
-                std::vector<std::string>* filter_names) {
+bool MatchWhere(const AstNode* where, int var_slot,
+                const std::set<std::string>& udfs,
+                const PlanAnnotations& plan, CompiledPipeline* pipe) {
   if (where == nullptr) {
     pipe->filter = CompiledPipeline::FilterKind::kNone;
     return true;
@@ -165,15 +139,15 @@ bool MatchWhere(const AstNode* where, const std::string& var,
     }
     if (ShadowedBuiltin(udfs, w.str_value)) return false;
     if (w.args.size() != 2) return false;
-    bool text_tail = false;
-    if (!MatchVarPath(*w.args[0], var, filter_names, &text_tail)) return false;
+    if (!VarChain(*w.args[0], var_slot, plan, &pipe->filter_path)) {
+      return false;
+    }
     if (w.args[1]->kind != AstKind::kStringLiteral) return false;
     pipe->filter = kind;
-    pipe->filter_path_text = text_tail;
     pipe->needle = w.args[1]->str_value;
     return true;
   }
-  if (w.kind != AstKind::kBinary || !IsComparison(w.op)) return false;
+  if (w.kind != AstKind::kBinary || !IsComparisonOp(w.op)) return false;
   const AstNode* lhs = w.args[0].get();
   const AstNode* rhs = w.args[1].get();
   BinaryOp op = w.op;
@@ -182,10 +156,8 @@ bool MatchWhere(const AstNode* where, const std::string& var,
     op = SwapComparison(op);
   }
   if (!IsLiteral(*rhs)) return false;
-  bool text_tail = false;
-  if (!MatchVarPath(*lhs, var, filter_names, &text_tail)) return false;
+  if (!VarChain(*lhs, var_slot, plan, &pipe->filter_path)) return false;
   pipe->filter = CompiledPipeline::FilterKind::kCompare;
-  pipe->filter_path_text = text_tail;
   pipe->cmp_op = op;
   pipe->cmp_numeric = rhs->kind == AstKind::kNumberLiteral;
   pipe->cmp_number = rhs->num_value;
@@ -193,19 +165,15 @@ bool MatchWhere(const AstNode* where, const std::string& var,
   return true;
 }
 
-// Return clause: $v (emit the binding), a $v-rooted child path with an
-// optional trailing text() (Q1/Q14 tails), or count($v//tag) (Q6).
-bool MatchRet(const AstNode& ret, const std::string& var,
-              const std::set<std::string>& udfs, CompiledPipeline* pipe,
-              std::vector<std::string>* tail_names, std::string* count_name) {
-  bool text_tail = false;
-  if (MatchVarPath(ret, var, tail_names, &text_tail)) {
-    if (tail_names->empty() && !text_tail) {
-      pipe->emit = CompiledPipeline::Emit::kVar;
-    } else {
-      pipe->emit = CompiledPipeline::Emit::kTailNodes;
-      pipe->tail_text = text_tail;
-    }
+// Return clause: $v (emit the binding), a child chain of $v (Q1/Q14
+// tails), or count($v//tag) (Q6).
+bool MatchRet(const AstNode& ret, int var_slot,
+              const std::set<std::string>& udfs, const PlanAnnotations& plan,
+              CompiledPipeline* pipe, std::string* count_name) {
+  if (VarChain(ret, var_slot, plan, &pipe->tail)) {
+    pipe->emit = ret.kind == AstKind::kVarRef
+                     ? CompiledPipeline::Emit::kVar
+                     : CompiledPipeline::Emit::kTailNodes;
     return true;
   }
   if (ret.kind == AstKind::kFunctionCall &&
@@ -215,7 +183,7 @@ bool MatchRet(const AstNode& ret, const std::string& var,
     if (a.kind != AstKind::kPath || a.absolute || a.start == nullptr) {
       return false;
     }
-    if (a.start->kind != AstKind::kVarRef || a.start->str_value != var) {
+    if (a.start->kind != AstKind::kVarRef || a.start->var_slot != var_slot) {
       return false;
     }
     if (a.steps.size() != 1) return false;
@@ -249,16 +217,17 @@ void TryFuse(const AstNode& flwor, const std::set<std::string>& udfs,
   }
   if (plan->band_lets.count(&flwor) != 0) return;
 
-  const std::string& var = flwor.clauses[0].var;
+  const ForLetClause& clause = flwor.clauses[0];
   DomainShape dom;
-  if (!MatchDomain(*flwor.clauses[0].expr, &dom)) return;
+  if (!MatchDomain(*clause.expr, &dom)) return;
 
   CompiledPipeline pipe;
-  std::vector<std::string> filter_names;
-  std::vector<std::string> tail_names;
   std::string count_name;
-  if (!MatchWhere(flwor.where.get(), var, udfs, &pipe, &filter_names)) return;
-  if (!MatchRet(*flwor.ret, var, udfs, &pipe, &tail_names, &count_name)) {
+  if (!MatchWhere(flwor.where.get(), clause.var_slot, udfs, *plan, &pipe)) {
+    return;
+  }
+  if (!MatchRet(*flwor.ret, clause.var_slot, udfs, *plan, &pipe,
+                &count_name)) {
     return;
   }
 
@@ -277,18 +246,6 @@ void TryFuse(const AstNode& flwor, const std::set<std::string>& udfs,
   }
   if (!dom.scan_name.empty() && !resolve(dom.scan_name, &pipe.scan_tag)) {
     return;
-  }
-  pipe.filter_path.reserve(filter_names.size());
-  for (const std::string& name : filter_names) {
-    xml::NameId id = xml::kInvalidName;
-    if (!resolve(name, &id)) return;
-    pipe.filter_path.push_back(id);
-  }
-  pipe.tail.reserve(tail_names.size());
-  for (const std::string& name : tail_names) {
-    xml::NameId id = xml::kInvalidName;
-    if (!resolve(name, &id)) return;
-    pipe.tail.push_back(id);
   }
   if (!count_name.empty() && !resolve(count_name, &pipe.count_tag)) return;
 

@@ -47,7 +47,7 @@ namespace {
 // Renders the AST with the plan's annotations as indented text. The format
 // is pinned by golden tests (tests/query_plan_test.cc) and parsed by the
 // CI nested-loop-fallback check, so keep the `strategy=` / `summary:` line
-// shapes stable.
+// shapes stable (new summary fields go last).
 class ExplainPrinter {
  public:
   explicit ExplainPrinter(const QueryPlan& plan) : plan_(plan) {}
@@ -89,9 +89,9 @@ class ExplainPrinter {
     const QueryPlan::Summary s = plan_.Summarize();
     out_ += StringPrintf(
         "summary: hash-join=%d band-count-join=%d construct-template=%d "
-        "joinable-nested-loop=%d compiled-pipeline=%d\n",
+        "joinable-nested-loop=%d compiled-pipeline=%d child-kernels=%d\n",
         s.hash_joins, s.band_joins, s.construct_templates,
-        s.joinable_nested_loops, s.compiled_pipelines);
+        s.joinable_nested_loops, s.compiled_pipelines, s.child_kernels);
   }
 
   void Line(int depth, const std::string& text) {
@@ -181,6 +181,7 @@ class ExplainPrinter {
       }
       line += "]";
       if (pp->cacheable) line += " invariant-cached";
+      if (pp->chain.has_value()) line += " child-kernel";
     }
     Line(depth, line);
     if (n.start != nullptr && n.start->kind != AstKind::kVarRef &&
@@ -280,7 +281,10 @@ class ExplainPrinter {
         return;
       }
       case AstKind::kBinary: {
-        Line(depth, std::string("op ") + BinaryOpName(n.op));
+        Line(depth, std::string("op ") + BinaryOpName(n.op) +
+                        (plan_.FindPredicate(&n) != nullptr
+                             ? " native-predicate"
+                             : ""));
         for (const AstPtr& a : n.args) Node(*a, depth + 1);
         return;
       }
@@ -358,6 +362,9 @@ QueryPlan::Summary QueryPlan::Summarize() const {
   s.band_joins = static_cast<int>(a.band_lets.size());
   s.construct_templates = static_cast<int>(a.constructs.size());
   s.compiled_pipelines = static_cast<int>(a.pipelines.size());
+  for (const auto& [node, pp] : a.paths) {
+    if (pp.chain.has_value()) ++s.child_kernels;
+  }
   for (const auto& [node, fp] : a.flwors) {
     if (fp.strategy == FlworPlan::Strategy::kHashJoin) {
       ++s.hash_joins;

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -58,7 +59,10 @@ struct EvaluatorOptions {
   ///     invariant domain once and answers each probe by binary search;
   ///   - fuse hot FLWOR shapes (scan -> filter -> compare -> emit chains)
   ///     into CompiledPipeline loops that drain the id interval or cursor
-  ///     range straight into the result.
+  ///     range straight into the result;
+  ///   - lower child chains (`$t/profile/age/text()`) into the child-path
+  ///     kernel, and and/or step predicates over them into native
+  ///     per-candidate tests.
   /// Off runs the generic operators and nested loops, the reference the
   /// rewrites are tested against; output is byte-identical either way.
   bool hash_join = true;
@@ -168,6 +172,37 @@ struct StepPlan {
 
 const char* StepAccessName(StepPlan::Access access);
 
+/// A child chain lowered for the child-path kernel (ChildPathWalker in
+/// query/exec.h): a path that starts at a bound variable or at the context
+/// item, has only predicate-free child name steps, and may end in text()
+/// or @name — `$t/profile/age/text()`, `$t/buyer/@person`, or `income`
+/// inside `profile[income >= 100000]`. The kernel walks it per start node
+/// over the planned child accesses without building a Sequence.
+struct ChildPath {
+  /// Levels the walker recurses through (name steps plus a text() level);
+  /// deeper chains stay on the generic operators.
+  static constexpr size_t kMaxLevels = 16;
+
+  enum class Terminal : uint8_t {
+    kNodes,      // the elements the last name step selects
+    kText,       // their text() children
+    kAttribute,  // the value of `attribute` on them
+  };
+  struct Level {
+    xml::NameId name = xml::kInvalidName;
+    StepPlan::Access access = StepPlan::Access::kChildCursor;
+  };
+
+  /// Slot of the root variable; -1 when the chain starts at the context
+  /// item (a relative path).
+  int var_slot = -1;
+  std::vector<Level> steps;  // the child name steps, in order
+  Terminal terminal = Terminal::kNodes;
+  std::string attribute;  // kAttribute: the attribute name
+  /// A step names a tag the store never saw: the chain selects nothing.
+  bool absent = false;
+};
+
 /// Plan for one kPath expression.
 struct PathPlan {
   /// Loop-invariant rooted path: memoize the result across iterations.
@@ -176,6 +211,26 @@ struct PathPlan {
   /// summary (PathExtent) in one probe. 0 = path index not applicable.
   size_t path_index_steps = 0;
   std::vector<StepPlan> steps;  // one entry per AST step
+  /// Set when the path is a child chain and the kernel is on (hash_join).
+  std::optional<ChildPath> chain;
+};
+
+/// A step predicate answered natively per candidate node: an and/or tree
+/// whose leaves compare a context-rooted child chain with a literal
+/// (`income >= 100000`, `@person = "person20"`). The evaluator walks each
+/// leaf's chain from the candidate and compares through views — no Focus,
+/// no Eval, no Sequence per candidate.
+struct NativePredicate {
+  struct Node {
+    /// kAnd / kOr: an inner node over `lhs` and `rhs`. Any comparison op:
+    /// a leaf `chain op literal` (normalized with the chain on the left).
+    BinaryOp op = BinaryOp::kEq;
+    size_t lhs = 0;
+    size_t rhs = 0;
+    ChildPath chain;
+    Item literal;  // the literal's value, exactly as Eval would yield it
+  };
+  std::vector<Node> nodes;  // nodes[0] is the root
 };
 
 /// Decorrelated equi-join plan for a FLWOR (the Q8/Q9/Q10 shape):
@@ -255,9 +310,9 @@ struct ConstructPlan {
 /// <tail($v)>`. The optimizer's pipeline pass (query/pipeline.cc) proves
 /// the shape at plan time — rooted child/descendant name steps, a
 /// predicate that is a literal compare or contains/starts-with over a
-/// var-rooted child path, a tail that is the variable, a var-rooted path,
-/// or a count() of one descendant step — and resolves every tag to a
-/// NameId. PipelineExec (query/exec.h) then runs the whole chain as one
+/// child chain of the variable, a tail that is the variable, a child chain
+/// of it, or a count() of one descendant step — and resolves every tag to
+/// a NameId. PipelineExec (query/exec.h) then runs the whole chain as one
 /// monomorphic loop selected from a dispatch table: the scan drains the
 /// store's raw preorder interval (or a batched cursor) straight into the
 /// final result, with no intermediate Sequence and no per-batch virtual
@@ -299,8 +354,9 @@ struct CompiledPipeline {
   std::string id_value;
 
   FilterKind filter = FilterKind::kNone;
-  std::vector<xml::NameId> filter_path;  // var-rooted child-name steps
-  bool filter_path_text = false;    // trailing text() on the filter path
+  /// The filter's operand: a child chain of the variable, or the variable
+  /// itself (an empty chain with the kNodes terminal).
+  ChildPath filter_path;
   std::string needle;               // contains/starts-with literal
   BinaryOp cmp_op = BinaryOp::kEq;  // compare: <path> cmp_op <literal>
   bool cmp_numeric = false;         // literal parsed as a number
@@ -308,8 +364,7 @@ struct CompiledPipeline {
   std::string cmp_str;
 
   Emit emit = Emit::kVar;
-  std::vector<xml::NameId> tail;  // kTailNodes: var-rooted child-name steps
-  bool tail_text = false;    // trailing text() on the tail
+  ChildPath tail;  // kTailNodes: a child chain of the variable
   xml::NameId count_tag = xml::kInvalidName;  // kCount: the descendant tag
 
   /// Monomorphic-loop selector, computed at plan time (PipelineDispatch
@@ -352,6 +407,8 @@ struct PlanAnnotations {
   std::unordered_map<const AstNode*, BandJoinPlan> band_lets;
   std::unordered_map<const AstNode*, ConstructPlan> constructs;
   std::unordered_map<const AstNode*, CompiledPipeline> pipelines;
+  /// Keyed by the step predicate's root expression.
+  std::unordered_map<const AstNode*, NativePredicate> predicates;
 };
 
 /// A query lowered against one store + option set: per-node strategy
@@ -410,6 +467,13 @@ class QueryPlan {
     auto it = constructs.find(node);
     return it == constructs.end() ? nullptr : &it->second;
   }
+  /// Non-null when the step predicate rooted at `node` is answered
+  /// natively per candidate.
+  const NativePredicate* FindPredicate(const AstNode* node) const {
+    const auto& predicates = ann().predicates;
+    auto it = predicates.find(node);
+    return it == predicates.end() ? nullptr : &it->second;
+  }
 
   /// Renders the plan as indented text (bench --explain, golden tests).
   std::string Explain(const ParsedQuery& query) const;
@@ -423,6 +487,8 @@ class QueryPlan {
     int joinable_nested_loops = 0;
     /// FLWORs fused into compiled pipelines.
     int compiled_pipelines = 0;
+    /// Paths lowered into child-path kernel chains.
+    int child_kernels = 0;
   };
   Summary Summarize() const;
 

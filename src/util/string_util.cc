@@ -78,14 +78,15 @@ std::string JoinStrings(const std::vector<std::string>& pieces,
 std::string FormatDouble(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "INF" : "-INF";
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
+  // to_chars prints exactly what printf's "%lld" and "%.12g" print in the
+  // C locale, without the format-string interpretation.
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
+  const std::to_chars_result r =
+      v == std::floor(v) && std::fabs(v) < 1e15
+          ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v))
+          : std::to_chars(buf, buf + sizeof(buf), v,
+                          std::chars_format::general, 12);
+  return std::string(buf, r.ptr);
 }
 
 void AppendXmlEscaped(std::string& out, std::string_view s) {

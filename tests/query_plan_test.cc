@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "gen/generator.h"
 #include "query/evaluator.h"
@@ -19,6 +20,7 @@
 #include "store/fragmented_store.h"
 #include "store/inlined_store.h"
 #include "util/logging.h"
+#include "xmark/engine.h"
 #include "xmark/queries.h"
 #include "xml/dtd.h"
 
@@ -307,6 +309,90 @@ return count($l)
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(SerializeSequence(*a), SerializeSequence(*b))
         << "lazy_let=" << lazy;
+  }
+}
+
+// Child-path kernel engagement: on A-E (hash_join on) the child chains of
+// Q10, Q17 and Q20 are lowered — Explain marks each such path
+// `child-kernel` and each native step predicate `native-predicate`, and
+// the summary's trailing field counts the chains. F and G, the byte
+// oracle, lower none.
+// Explain lines ending in `suffix` that contain `needle`.
+size_t CountLines(const std::string& text, const std::string& needle,
+                  const std::string& suffix) {
+  size_t count = 0;
+  size_t begin = 0;
+  while (begin < text.size()) {
+    size_t end = text.find('\n', begin);
+    if (end == std::string::npos) end = text.size();
+    const std::string line = text.substr(begin, end - begin);
+    if (line.find(needle) != std::string::npos && line.size() >= suffix.size() &&
+        line.compare(line.size() - suffix.size(), suffix.size(), suffix) == 0) {
+      ++count;
+    }
+    begin = end + 1;
+  }
+  return count;
+}
+
+// Explain lines of path `spec` that carry the kernel marker.
+size_t KernelLines(const std::string& text, const std::string& spec) {
+  return CountLines(text, "path " + spec + " access=", " child-kernel");
+}
+
+TEST(ChildKernelEngagement, LoweredOnAThroughEAndNeverOnFG) {
+  const std::vector<std::string> q10_chains = {
+      "$t/profile/gender/text()", "$t/profile/age/text()",
+      "$t/profile/education/text()", "$t/profile/income/text()",
+      "$t/name/text()", "$t/address/street/text()",
+      "$t/address/city/text()", "$t/address/country/text()",
+      "$t/emailaddress/text()", "$t/homepage/text()",
+      "$t/creditcard/text()",
+      "$t/profile/interest/@category",  // the hash-join key
+  };
+  for (int s = 0; s < 7; ++s) {
+    const bench::SystemId id = static_cast<bench::SystemId>(s);
+    const bool kernel = id != bench::SystemId::kF && id != bench::SystemId::kG;
+    std::unique_ptr<bench::Engine> engine = bench::Engine::Create(id);
+    ASSERT_TRUE(engine
+                    ->LoadDocument(bench::Engine::kDefaultDocumentId,
+                                   TestDocument())
+                    .ok());
+    auto explain = [&](int q) {
+      auto text = engine->Explain(bench::GetQuery(q).text);
+      XMARK_CHECK(text.ok());
+      return *text;
+    };
+    const std::string label(1, bench::SystemLabel(id));
+    const std::string q10 = explain(10);
+    const std::string q17 = explain(17);
+    const std::string q20 = explain(20);
+    if (!kernel) {
+      for (const std::string* text : {&q10, &q17, &q20}) {
+        EXPECT_EQ(text->find("child-kernel "), std::string::npos) << label;
+        EXPECT_EQ(text->find("native-predicate"), std::string::npos) << label;
+        EXPECT_NE(text->find("compiled-pipeline=0 child-kernels=0\n"),
+                  std::string::npos)
+            << label << "\n" << *text;
+      }
+      continue;
+    }
+    for (const std::string& chain : q10_chains) {
+      EXPECT_EQ(KernelLines(q10, chain), 1u) << label << " " << chain;
+    }
+    EXPECT_NE(q10.find(" child-kernels=12\n"), std::string::npos)
+        << label << "\n" << q10;
+    // Q17: the where clause's empty() operand and the attribute value
+    // template.
+    EXPECT_EQ(KernelLines(q17, "$p/homepage/text()"), 1u) << label;
+    EXPECT_EQ(KernelLines(q17, "$p/name/text()"), 1u) << label;
+    EXPECT_NE(q17.find(" child-kernels=2\n"), std::string::npos) << label;
+    // Q20: three native predicates over four `income` chains, plus the
+    // empty() operand.
+    EXPECT_EQ(CountLines(q20, "op ", " native-predicate"), 3u) << label;
+    EXPECT_EQ(KernelLines(q20, "/income"), 4u) << label << "\n" << q20;
+    EXPECT_EQ(KernelLines(q20, "$p/profile/income"), 1u) << label;
+    EXPECT_NE(q20.find(" child-kernels=5\n"), std::string::npos) << label;
   }
 }
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "util/table_printer.h"
 
 namespace xmark {
@@ -61,6 +67,42 @@ TEST(FormatDoubleTest, IntegersHaveNoPoint) {
   EXPECT_EQ(FormatDouble(3.0), "3");
   EXPECT_EQ(FormatDouble(-12.0), "-12");
   EXPECT_EQ(FormatDouble(2.5), "2.5");
+}
+
+// FormatDouble prints with std::to_chars; its bytes must stay those of
+// printf's "%lld" (integral values below 1e15) and "%.12g" (the rest).
+std::string PrintfFormat(double v) {
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "INF" : "-INF";
+  char buf[64];
+  if (v == std::floor(v) && std::fabs(v) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.12g", v);
+  }
+  return buf;
+}
+
+TEST(FormatDoubleTest, MatchesPrintfByteForByte) {
+  std::vector<double> values = {
+      0.0, -0.0, 1e15 - 1, -(1e15 - 1), 1e15, -1e15, 0.1, 1.0 / 3, -1.0 / 3,
+      1e-7, 1e21, -1e21, 123456789012.5, 0.000123456789012345, 1e300,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3,
+      std::numeric_limits<double>::max(), std::nan(""),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  for (int k = -40; k <= 40; ++k) {
+    values.push_back(2.20371 * k);  // Q18's currency conversion
+    values.push_back(2.20371 * k * 1234.5);
+  }
+  for (double v : values) {
+    EXPECT_EQ(FormatDouble(v), PrintfFormat(v)) << "value " << v;
+  }
+  EXPECT_EQ(FormatDouble(-0.0), "0");
+  EXPECT_EQ(FormatDouble(1e15), "1e+15");
+  EXPECT_EQ(FormatDouble(1.0 / 3), "0.333333333333");
 }
 
 TEST(XmlEscapeTest, EscapesSpecials) {

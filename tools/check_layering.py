@@ -26,6 +26,9 @@ plus repo-wide source contracts:
     ``const_cast`` anywhere in ``src/``, and no ``mutable`` member in the
     AST or plan headers (``query/ast.h``, ``query/plan.h``) — a parsed
     module and its plan annotations serve many threads and stores at once.
+  * Child scans have one home: inside ``src/query/`` only ``exec.cc``
+    (``NodeScan`` and the child-path kernel) calls ``OpenChildCursor(``,
+    so no private child walker grows back beside the kernel.
 
 Intra-``query/`` sub-layering (plan -> optimizer -> exec) is also
 checked: plan.h must not include optimizer.h/exec.h, optimizer.h must
@@ -86,6 +89,11 @@ MUTEX_MEMBER_RE = re.compile(r"\butil::Mutex\b|\bMutex\s+\w+_?\s*;")
 # Headers whose types are shared, read-only, by every run of a compiled
 # query: a `mutable` member there is a cache written under readers.
 IMMUTABLE_HEADERS = {"src/query/ast.h", "src/query/plan.h"}
+
+# A call (not the storage.h declaration) of the child-cursor entry point,
+# and the one query/ file allowed to make it.
+CHILD_CURSOR_CALL_RE = re.compile(r"(\.|->)\s*OpenChildCursor\s*\(")
+CHILD_WALKER_HOME = "src/query/exec.cc"
 
 
 def strip_comments(text: str) -> str:
@@ -180,6 +188,12 @@ def check_tree(root: pathlib.Path) -> list[str]:
             errors.append(
                 f"{rel}: const_cast — compiled state is immutable after "
                 f"compile; give the writer a non-const path instead")
+        if (layer == "query" and rel != CHILD_WALKER_HOME
+                and CHILD_CURSOR_CALL_RE.search(text)):
+            errors.append(
+                f"{rel}: calls OpenChildCursor outside query/exec.cc — walk "
+                f"child chains with the child-path kernel (ChildPathWalker) "
+                f"or a NodeScan")
         if rel in IMMUTABLE_HEADERS and re.search(r"\bmutable\b", text):
             errors.append(
                 f"{rel}: mutable member in a header whose types are shared "
@@ -213,6 +227,9 @@ SELF_TEST_BAD = {
         "void F(const int& x) { const_cast<int&>(x) = 1; }\n",
     # a cache written under concurrent readers of the AST: forbidden.
     "src/query/ast.h": "struct Step { mutable int name_cache = 0; };\n",
+    # a private child walker beside the kernel: forbidden.
+    "src/query/evaluator.cc":
+        "void Walk(const S* s, C* c) { s->OpenChildCursor(0, f, 1, c); }\n",
 }
 
 SELF_TEST_CLEAN = {
@@ -225,6 +242,12 @@ SELF_TEST_CLEAN = {
     "src/xmark/engine.h":
         '#include "store/dom_store.h"\n#include "util/mutex.h"\n'
         "util::Mutex stats_mu;\n",
+    # the kernel's home may open child cursors; stores implement the hook.
+    "src/query/exec.cc":
+        "void Walk(const S* s, C* c) { s->OpenChildCursor(0, f, 1, c); }\n",
+    "src/store/edge_store.cc":
+        '#include "query/storage.h"\n'
+        "void E::OpenChildCursor(H p, F f, N t, C* c) const { Init(c); }\n",
 }
 
 SELF_TEST_EXPECT = [
@@ -237,6 +260,7 @@ SELF_TEST_EXPECT = [
     "no layering entry",
     "src/xmark/bad_cast.cc: const_cast",
     "src/query/ast.h: mutable member",
+    "src/query/evaluator.cc: calls OpenChildCursor outside query/exec.cc",
 ]
 
 
