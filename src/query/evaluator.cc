@@ -92,13 +92,23 @@ StatusOr<Sequence> Evaluator::Run(
   ScopedMemoryBudget charge(ctx_ != nullptr ? ctx_->memory_budget()
                                             : nullptr);
   auto result = Eval(*query.body, env, nullptr);
+  if (result.ok() && options_.copy_results) {
+    // The copies land in the run's arena and are charged to its budget,
+    // so the run checks the budget once more after them.
+    for (Item& item : *result) {
+      if (item.is_node()) item = Construction().Copy(item.node());
+    }
+    if (ctx_ != nullptr) {
+      Status st = ctx_->Check();
+      if (!st.ok()) result = std::move(st);
+    }
+  }
   stats_.sequence_heap_spills = SequenceHeapSpills() - spills_before;
   if (ctx_ != nullptr) stats_.governance_checks = ctx_->checks();
-  if (!result.ok()) return result.status();
-  if (options_.copy_results) {
-    for (Item& item : *result) {
-      if (item.is_node()) item = Item(DeepCopyNode(item.node()));
-    }
+  // Every node the run built, constructor results and copies alike, is in
+  // its arena.
+  if (plan_->arena != nullptr) {
+    stats_.nodes_constructed = plan_->arena->nodes_allocated();
   }
   return result;
 }
@@ -1295,7 +1305,7 @@ StatusOr<Sequence> Evaluator::EvalFunction(const AstNode& node,
           store_->names().Spelling(store_->NameOf(item.node().handle))))};
     }
     if (item.is_constructed()) {
-      return Sequence{Item(std::string(item.constructed()->tag_view()))};
+      return Sequence{Item(std::string(item.constructed()->tag))};
     }
     return Sequence{Item(std::string())};
   }
@@ -1350,15 +1360,18 @@ StatusOr<Sequence> Evaluator::EvalConstructor(const AstNode& node,
   // buffer).
   const ConstructPlan* cp = plan_->FindConstruct(&node);
   if (cp == nullptr) return Status::Internal("constructor was not lowered");
+  XMARK_ASSIGN_OR_RETURN(Item item,
+                         Construction().Instantiate(*cp, env, focus, eval_fn_,
+                                                    options_.copy_results));
+  return Sequence{std::move(item)};
+}
+
+ConstructExec& Evaluator::Construction() {
   if (plan_->construct_state == nullptr) {
     plan_->arena = std::make_shared<NodeArena>();
     plan_->construct_state = std::make_unique<ConstructExec>(plan_->arena);
   }
-  XMARK_ASSIGN_OR_RETURN(
-      Item item,
-      plan_->construct_state->Instantiate(*cp, env, focus, eval_fn_, &stats_,
-                                          options_.copy_results));
-  return Sequence{std::move(item)};
+  return *plan_->construct_state;
 }
 
 }  // namespace xmark::query

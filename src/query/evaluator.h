@@ -86,6 +86,8 @@ class Evaluator {
                                   const Focus* focus);
   StatusOr<Sequence> EvalConstructor(const AstNode& node, Environment& env,
                                      const Focus* focus);
+  /// The run's construction state and arena, created on first use.
+  ConstructExec& Construction();
 
   Status ApplyStep(const Step& step, const StepPlan& step_plan,
                    const Sequence& input, Environment& env, Sequence* output);

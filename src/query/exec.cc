@@ -819,103 +819,96 @@ Status BandJoinIndex::Build(const BandJoinPlan& plan, size_t slot_count,
 namespace {
 
 // Separator between adjacent atomics of one enclosed expression (XQuery
-// construction rules). Static storage: safe as a text_ref forever.
+// construction rules). Static storage: safe as a node's text forever.
 constexpr std::string_view kAtomicSeparator = " ";
-
-// Non-owning ConstructedPtr for INTERIOR edges of one template instance:
-// the parent chain up to the instance root keeps the arena alive, so the
-// per-child refcount would be pure overhead (two atomic RMWs per node).
-// Only the instance root returned from Instantiate carries the owning
-// arena-aliasing pointer; children must never be detached from a dead
-// root (the engine never does — navigation inside constructed nodes is
-// unsupported, and consumers walk trees through a live root item).
-ConstructedPtr InteriorRef(const ConstructedNode* node) {
-  return ConstructedPtr(std::shared_ptr<const ConstructedNode>(), node);
-}
 
 }  // namespace
 
-ConstructedNode* ConstructExec::NewNode(EvalStats* stats) {
-  ++stats->nodes_constructed;
-  return arena_->AllocateNode();
-}
-
-ConstructedNode* ConstructExec::NewTextNode(std::string_view interned_text,
-                                            EvalStats* stats) {
-  ConstructedNode* node = NewNode(stats);
-  node->text_ref = interned_text;
+ConstructedNode* ConstructExec::NewTextNode(std::string_view interned_text) {
+  ConstructedNode* node = arena_->AllocateNode();
+  node->text = interned_text;
   return node;
 }
 
-const std::vector<std::string_view>& ConstructExec::ConstTexts(
+const ConstructExec::Interned& ConstructExec::Intern(
     const ConstructPlan& plan) {
-  if (plan.template_id >= const_texts_.size()) {
-    const_texts_.resize(plan.template_id + 1);
+  if (plan.template_id >= interned_.size()) {
+    interned_.resize(plan.template_id + 1);
   }
-  std::unique_ptr<std::vector<std::string_view>>& slot =
-      const_texts_[plan.template_id];
+  std::unique_ptr<Interned>& slot = interned_[plan.template_id];
   if (slot == nullptr) {
     // First instantiation of this template this run: intern every constant
-    // segment once; all instantiations share the arena copies. (Views must
+    // string once; all instantiations share the arena copies. (Views must
     // point into the arena, never into the ConstructPlan — results outlive
     // the plan.)
-    slot = std::make_unique<std::vector<std::string_view>>();
-    slot->reserve(plan.const_texts.size());
+    slot = std::make_unique<Interned>();
+    slot->elements.reserve(plan.elements.size());
+    for (const ConstructPlan::Element& el : plan.elements) {
+      Interned::Element& out = slot->elements.emplace_back();
+      out.tag = arena_->InternText(el.tag);
+      out.attrs.reserve(el.attrs.size());
+      for (const ConstructPlan::Attr& attr : el.attrs) {
+        out.attrs.push_back({arena_->InternText(attr.name),
+                             arena_->InternText(attr.const_value)});
+      }
+    }
+    slot->texts.reserve(plan.const_texts.size());
     for (const std::string& text : plan.const_texts) {
-      slot->push_back(arena_->InternText(text));
+      slot->texts.push_back(arena_->InternText(text));
     }
   }
   return *slot;
 }
 
 StatusOr<ConstructedNode*> ConstructExec::BuildElement(
-    const ConstructPlan& plan, size_t element_index,
-    const std::vector<std::string_view>& const_texts, Environment& env,
-    const Focus* focus, const EvalFn& eval, EvalStats* stats,
+    const ConstructPlan& plan, size_t element_index, const Interned& interned,
+    Environment& env, const Focus* focus, const EvalFn& eval,
     bool copy_results) {
   const ConstructPlan::Element& el = plan.elements[element_index];
+  const Interned::Element& shell = interned.elements[element_index];
   if (XMARK_FAULT_POINT("exec/construct")) {
     return Status::ResourceExhausted("fault injection: exec/construct");
   }
-  ConstructedNode* node = NewNode(stats);
-  // Tags are copied, not viewed: the template's strings die with the plan,
-  // and XMark tags fit std::string's inline buffer anyway.
-  node->tag = el.tag;
+  ConstructedNode* node = arena_->AllocateNode();
+  node->tag = shell.tag;
 
   if (!el.attrs.empty()) node->attributes.reserve(el.attrs.size());
-  for (const ConstructPlan::Attr& attr : el.attrs) {
-    if (attr.src == nullptr) {
-      node->attributes.emplace_back(attr.name, attr.const_value);
+  for (size_t a = 0; a < el.attrs.size(); ++a) {
+    const AttrConstructor* src = el.attrs[a].src;
+    if (src == nullptr) {
+      node->attributes.push_back(shell.attrs[a]);
       continue;
     }
-    std::string value;
-    for (const AttrPart& part : attr.src->parts) {
+    const size_t base = attr_scratch_.size();
+    for (const AttrPart& part : src->parts) {
       if (part.expr == nullptr) {
-        value += part.text;
+        attr_scratch_ += part.text;
         continue;
       }
       XMARK_ASSIGN_OR_RETURN(Sequence items, eval(*part.expr, env, focus));
       for (size_t i = 0; i < items.size(); ++i) {
-        if (i > 0) value += ' ';
-        value += ItemStringValue(items[i]);
+        if (i > 0) attr_scratch_ += ' ';
+        attr_scratch_ += ItemStringView(items[i], &scratch_);
       }
     }
-    node->attributes.emplace_back(attr.name, std::move(value));
+    node->attributes.push_back(
+        {shell.attrs[a].name,
+         arena_->InternText(std::string_view(attr_scratch_).substr(base))});
+    attr_scratch_.resize(base);
   }
 
-  node->children.reserve(el.children.size());
+  arena_->ReserveChildren(node, el.children.size());
   for (const ConstructPlan::Child& child : el.children) {
     switch (child.kind) {
       case ConstructPlan::Child::Kind::kConstText:
-        node->children.emplace_back(
-            InteriorRef(NewTextNode(const_texts[child.index], stats)));
+        arena_->AppendChild(node, NewTextNode(interned.texts[child.index]));
         break;
       case ConstructPlan::Child::Kind::kElement: {
         XMARK_ASSIGN_OR_RETURN(
             ConstructedNode * nested,
-            BuildElement(plan, child.index, const_texts, env, focus, eval,
-                         stats, copy_results));
-        node->children.emplace_back(InteriorRef(nested));
+            BuildElement(plan, child.index, interned, env, focus, eval,
+                         copy_results));
+        arena_->AppendChild(node, nested);
         break;
       }
       case ConstructPlan::Child::Kind::kHole: {
@@ -924,10 +917,10 @@ StatusOr<ConstructedNode*> ConstructExec::BuildElement(
         // Reserve for the hole's actual cardinality (plus the remaining
         // static slots): the pool's deallocate is a no-op, so every
         // outgrown intermediate buffer would stay dead in the arena.
-        node->children.reserve(node->children.size() + items.size() +
-                               (el.children.size() - 1 -
-                                static_cast<size_t>(&child -
-                                                    el.children.data())));
+        arena_->ReserveChildren(
+            node, items.size() + (el.children.size() - 1 -
+                                  static_cast<size_t>(&child -
+                                                      el.children.data())));
         bool prev_atomic = false;
         for (Item& item : items) {
           if (item.is_atomic()) {
@@ -936,28 +929,20 @@ StatusOr<ConstructedNode*> ConstructExec::BuildElement(
             // text bytes land in the arena's shared buffer instead of
             // a std::string per node.
             if (prev_atomic) {
-              node->children.emplace_back(
-                  InteriorRef(NewTextNode(kAtomicSeparator, stats)));
+              arena_->AppendChild(node, NewTextNode(kAtomicSeparator));
             }
             const std::string_view text = ItemStringView(item, &scratch_);
-            node->children.emplace_back(
-                InteriorRef(NewTextNode(arena_->InternText(text), stats)));
+            arena_->AppendChild(node, NewTextNode(arena_->InternText(text)));
             prev_atomic = true;
             continue;
           }
           prev_atomic = false;
           if (item.is_node() && copy_results) {
-            node->children.emplace_back(DeepCopyNode(item.node()));
-          } else if (item.is_constructed() &&
-                     item.constructed()->owner_arena == arena_.get()) {
-            // A nested instance of this same arena (e.g. Q10's {$p}
-            // personne items): strip the owning arena-aliasing pointer to
-            // a non-owning interior ref. Storing an owning pointer inside
-            // an arena node would cycle the arena's refcount and leak
-            // every node of the run.
-            node->children.emplace_back(InteriorRef(item.constructed().get()));
+            arena_->AppendChild(node, DeepCopyNode(item.node(), *arena_));
           } else {
-            node->children.push_back(std::move(item));
+            // A stored node, or a constructed tree such as Q10's {$p}
+            // personne items.
+            arena_->AppendChild(node, std::move(item));
           }
         }
         break;
@@ -971,13 +956,11 @@ StatusOr<Item> ConstructExec::Instantiate(const ConstructPlan& plan,
                                           Environment& env,
                                           const Focus* focus,
                                           const EvalFn& eval,
-                                          EvalStats* stats,
                                           bool copy_results) {
-  const std::vector<std::string_view>& const_texts = ConstTexts(plan);
+  const Interned& interned = Intern(plan);
   XMARK_ASSIGN_OR_RETURN(
       ConstructedNode * root,
-      BuildElement(plan, 0, const_texts, env, focus, eval, stats,
-                   copy_results));
+      BuildElement(plan, 0, interned, env, focus, eval, copy_results));
   return Item(ConstructedPtr(arena_, root));
 }
 

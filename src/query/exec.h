@@ -12,7 +12,7 @@
 //
 // Cache ownership rule: operator instances that carry per-run state
 // (HashJoinExec tables, BandJoinIndex domains, ConstructExec's arena and
-// interned const-text segments) are owned by the QueryPlan of the current
+// interned constant strings) are owned by the QueryPlan of the current
 // run — never by the Evaluator, never static — so state cannot leak
 // across runs or documents. NodeScan and ChildPathWalker instances are
 // transient (stack-owned by the evaluator loop) and hold no cross-run
@@ -422,13 +422,14 @@ std::optional<double> BandNumericValue(const Item& item,
 // ---------------------------------------------------------------------------
 
 /// Instantiates ConstructPlan templates into the per-run NodeArena: one
-/// batch of block-allocated nodes per instantiation, constant text
-/// segments interned into the arena once per run (shared by every
-/// instantiation of the template), dynamic text appended into the arena's
-/// shared buffer. Every produced ConstructedPtr aliases the arena's
-/// shared_ptr, so results stay valid for as long as anything references
-/// them, without a per-node control block. Owned by the QueryPlan of the
-/// current run.
+/// batch of block-allocated nodes per instantiation, the template's
+/// constant strings (tags, constant attributes, text segments) interned
+/// into the arena once per run and shared by every instantiation, dynamic
+/// text and attribute values appended into the arena's shared buffer.
+/// Every produced ConstructedPtr aliases the arena's shared_ptr, so
+/// results stay valid for as long as anything references them, without a
+/// per-node control block. Owned by the QueryPlan of the current run, and
+/// used only by the thread that drives the run.
 class ConstructExec {
  public:
   explicit ConstructExec(std::shared_ptr<NodeArena> arena)
@@ -439,29 +440,49 @@ class ConstructExec {
   /// produced by holes are deep-copied into constructed trees.
   StatusOr<Item> Instantiate(const ConstructPlan& plan, Environment& env,
                              const Focus* focus, const EvalFn& eval,
-                             EvalStats* stats, bool copy_results);
+                             bool copy_results);
+
+  /// Deep-copies a stored node into the arena (copy_results).
+  Item Copy(const NodeRef& ref) {
+    return Item(ConstructedPtr(arena_, DeepCopyNode(ref, *arena_)));
+  }
 
   const NodeArena& arena() const { return *arena_; }
 
  private:
-  StatusOr<ConstructedNode*> BuildElement(
-      const ConstructPlan& plan, size_t element_index,
-      const std::vector<std::string_view>& const_texts, Environment& env,
-      const Focus* focus, const EvalFn& eval, EvalStats* stats,
-      bool copy_results);
-  ConstructedNode* NewNode(EvalStats* stats);
-  ConstructedNode* NewTextNode(std::string_view interned_text,
-                               EvalStats* stats);
-  /// The template's constant segments, interned into the arena on first
-  /// use of the template this run.
-  const std::vector<std::string_view>& ConstTexts(const ConstructPlan& plan);
+  /// One template's constant strings, interned into this run's arena.
+  struct Interned {
+    struct Element {
+      std::string_view tag;
+      /// By ConstructPlan::Element::attrs index; a dynamic attribute's
+      /// value is empty here and built per instance.
+      std::vector<ConstructedAttribute> attrs;
+    };
+    std::vector<Element> elements;     // by ConstructPlan::elements index
+    std::vector<std::string_view> texts;  // by const_texts index
+  };
+
+  StatusOr<ConstructedNode*> BuildElement(const ConstructPlan& plan,
+                                          size_t element_index,
+                                          const Interned& interned,
+                                          Environment& env, const Focus* focus,
+                                          const EvalFn& eval,
+                                          bool copy_results);
+  ConstructedNode* NewTextNode(std::string_view interned_text);
+  /// The template's constant strings, interned into the arena on first use
+  /// of the template this run.
+  const Interned& Intern(const ConstructPlan& plan);
 
   std::shared_ptr<NodeArena> arena_;
   // Indexed by ConstructPlan::template_id. unique_ptr values: Instantiate
   // re-enters through hole evaluation, and growth must not invalidate the
-  // vector a caller still iterates.
-  std::vector<std::unique_ptr<std::vector<std::string_view>>> const_texts_;
+  // entry a caller still reads.
+  std::vector<std::unique_ptr<Interned>> interned_;
   std::string scratch_;
+  // Dynamic attribute values are built at the end of this buffer and
+  // interned; a nested instantiation (a constructor inside an attribute
+  // expression) appends after its caller's bytes and truncates back.
+  std::string attr_scratch_;
 };
 
 }  // namespace xmark::query

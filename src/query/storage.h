@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "xml/names.h"
@@ -130,6 +131,31 @@ class DescendantCursor {
   uint64_t u2 = 0;
 };
 
+/// Non-owning reference to a callable `void(xml::NameId, std::string_view)`
+/// that receives the attributes of one stored element (see
+/// StorageAdapter::ForEachAttribute): the callable's address plus one
+/// function pointer, so a visit allocates nothing. Build it from a lambda
+/// in the call: the lambda must outlive the visit.
+class AttributeVisitor {
+ public:
+  template <typename Fn,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<Fn>, AttributeVisitor>>>
+  AttributeVisitor(Fn&& fn)  // NOLINT: implicit, like std::function
+      : fn_(&fn), call_([](const void* f, xml::NameId name,
+                           std::string_view value) {
+          (*static_cast<const std::remove_reference_t<Fn>*>(f))(name, value);
+        }) {}
+
+  void operator()(xml::NameId name, std::string_view value) const {
+    call_(fn_, name, value);
+  }
+
+ private:
+  const void* fn_;
+  void (*call_)(const void*, xml::NameId, std::string_view);
+};
+
 /// Plan-time advertisement of the physical access structures a mapping
 /// provides. The optimizer consults this once per query to pick access
 /// paths (id probe, path-table extent, physical child slots) instead of
@@ -154,9 +180,9 @@ struct StorageCapabilities {
 /// other node kinds), attributes exposed through dedicated accessors.
 ///
 /// String access is zero-copy: every store keeps character data in a
-/// contiguous heap it owns, so TextView/AttributeView return views valid
-/// for the store's lifetime, and AppendStringValue concatenates into a
-/// caller-owned scratch buffer. Only Attributes() still materializes.
+/// contiguous heap it owns, so TextView, AttributeView and
+/// ForEachAttribute hand out views valid for the store's lifetime, and
+/// AppendStringValue concatenates into a caller-owned scratch buffer.
 class StorageAdapter {
  public:
   StorageAdapter() : uid_(NextStoreUid()) {}
@@ -198,9 +224,11 @@ class StorageAdapter {
   virtual std::optional<std::string_view> AttributeView(
       NodeHandle n, std::string_view name) const = 0;
 
-  /// Every attribute of `n` as (name, value) copies.
-  virtual std::vector<std::pair<std::string, std::string>> Attributes(
-      NodeHandle n) const = 0;
+  /// Calls `visit(name, value)` for every attribute of `n`, in document
+  /// order, straight from the store's attribute rows: `name` is an id in
+  /// names(), `value` a view into the store's heap.
+  virtual void ForEachAttribute(NodeHandle n,
+                                AttributeVisitor visit) const = 0;
 
   /// True when `a` precedes `b` in document order (Q4's BEFORE predicate).
   virtual bool Before(NodeHandle a, NodeHandle b) const = 0;

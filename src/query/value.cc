@@ -6,29 +6,27 @@
 #include <cstring>
 
 #include "query/exec_context.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace xmark::query {
-namespace {
-
-// Creation-order identity for constructed nodes (see ConstructedNode::
-// node_id). Process-wide and relaxed: ids only need to be unique and
-// monotone per creating thread, never densely numbered.
-std::atomic<uint64_t> g_next_node_id{1};
-
-}  // namespace
-
-ConstructedNode::ConstructedNode()
-    : node_id(g_next_node_id.fetch_add(1, std::memory_order_relaxed)) {}
-
-ConstructedNode::ConstructedNode(std::pmr::memory_resource* mem)
-    : attributes(mem),
-      children(mem),
-      node_id(g_next_node_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 // ---------------------------------------------------------------------------
 // NodeArena
 // ---------------------------------------------------------------------------
+
+namespace {
+
+// Arenas in creation order: arena k owns the node ids
+// [(k + 1) * kIdsPerArena, (k + 2) * kIdsPerArena).
+std::atomic<uint64_t> g_arenas_created{0};
+
+}  // namespace
+
+NodeArena::NodeArena()
+    : first_id_((g_arenas_created.fetch_add(1, std::memory_order_relaxed) +
+                 1) *
+                kIdsPerArena) {}
 
 void* NodeArena::BlockResource::do_allocate(size_t bytes, size_t alignment) {
   size_t at = (used_ + alignment - 1) & ~(alignment - 1);
@@ -50,27 +48,48 @@ void* NodeArena::BlockResource::do_allocate(size_t bytes, size_t alignment) {
   return blocks_.back().get() + at;
 }
 
-NodeArena::~NodeArena() {
-  for (auto& block : node_blocks_) {
-    ConstructedNode* nodes =
-        reinterpret_cast<ConstructedNode*>(block->storage);
-    for (size_t i = block->used; i > 0; --i) nodes[i - 1].~ConstructedNode();
-  }
-}
-
 ConstructedNode* NodeArena::AllocateNode() {
   if (node_blocks_.empty() || node_blocks_.back()->used == kNodesPerBlock) {
+    XMARK_CHECK(static_cast<uint64_t>(nodes_allocated_) + kNodesPerBlock <=
+                kIdsPerArena);
     ChargeThreadMemoryBudget(sizeof(NodeBlock));
     node_blocks_.push_back(std::make_unique<NodeBlock>());
   }
   NodeBlock& block = *node_blocks_.back();
-  ConstructedNode* node = new (block.storage +
-                               block.used * sizeof(ConstructedNode))
-      ConstructedNode(&pool_);
-  node->owner_arena = this;
+  ConstructedNode* node =
+      new (block.storage + block.used * sizeof(ConstructedNode))
+          ConstructedNode(&pool_, first_id_ + nodes_allocated_);
   ++block.used;
   ++nodes_allocated_;
   return node;
+}
+
+namespace {
+
+// Non-owning ConstructedPtr for an interior edge of an arena tree: the
+// tree's root item aliases the arena's shared_ptr and keeps it alive, so a
+// per-child refcount would be pure overhead (two atomic RMWs per node),
+// and an owning pointer stored inside an arena node would cycle the
+// arena's refcount and leak it.
+ConstructedPtr InteriorRef(const ConstructedNode* node) {
+  return ConstructedPtr(ConstructedPtr(), node);
+}
+
+}  // namespace
+
+void NodeArena::AppendChild(ConstructedNode* parent,
+                            const ConstructedNode* child) {
+  XMARK_DCHECK(Owns(*child));
+  parent->children_.emplace_back(InteriorRef(child));
+}
+
+void NodeArena::AppendChild(ConstructedNode* parent, Item child) {
+  XMARK_CHECK(!child.is_atomic());
+  if (child.is_constructed()) {
+    if (!Owns(*child.constructed())) retained_.push_back(child.constructed());
+    child = Item(InteriorRef(child.constructed().get()));
+  }
+  parent->children_.push_back(std::move(child));
 }
 
 std::string_view NodeArena::InternText(std::string_view text) {
@@ -90,30 +109,38 @@ std::string_view NodeArena::InternText(std::string_view text) {
 
 namespace {
 
-void SerializeStoredNode(const NodeRef& ref, std::string& out) {
-  const StorageAdapter& store = *ref.store;
-  if (!store.IsElement(ref.handle)) {
-    AppendXmlEscaped(out, store.TextView(ref.handle));
+void AppendAttribute(std::string_view name, std::string_view value,
+                     std::string& out) {
+  out.push_back(' ');
+  out.append(name);
+  out.append("=\"");
+  AppendXmlEscaped(out, value);
+  out.push_back('"');
+}
+
+// Reads the store through views only: the tag by reference from the name
+// table, attributes from the store's rows and heap.
+void SerializeStoredNode(const StorageAdapter& store, NodeHandle n,
+                         std::string& out) {
+  if (!store.IsElement(n)) {
+    AppendXmlEscaped(out, store.TextView(n));
     return;
   }
+  const xml::NameTable& names = store.names();
+  const std::string& tag = names.Spelling(store.NameOf(n));
   out.push_back('<');
-  const std::string tag(store.names().Spelling(store.NameOf(ref.handle)));
   out.append(tag);
-  for (const auto& [name, value] : store.Attributes(ref.handle)) {
-    out.push_back(' ');
-    out.append(name);
-    out.append("=\"");
-    AppendXmlEscaped(out, value);
-    out.push_back('"');
-  }
-  NodeHandle child = store.FirstChild(ref.handle);
+  store.ForEachAttribute(n, [&](xml::NameId name, std::string_view value) {
+    AppendAttribute(names.Spelling(name), value, out);
+  });
+  NodeHandle child = store.FirstChild(n);
   if (child == kInvalidHandle) {
     out.append("/>");
     return;
   }
   out.push_back('>');
   for (; child != kInvalidHandle; child = store.NextSibling(child)) {
-    SerializeStoredNode(NodeRef{&store, child}, out);
+    SerializeStoredNode(store, child, out);
   }
   out.append("</");
   out.append(tag);
@@ -122,44 +149,38 @@ void SerializeStoredNode(const NodeRef& ref, std::string& out) {
 
 void SerializeConstructed(const ConstructedNode& node, std::string& out) {
   if (node.is_text()) {
-    AppendXmlEscaped(out, node.text_view());
+    AppendXmlEscaped(out, node.text);
     return;
   }
   out.push_back('<');
-  out.append(node.tag_view());
-  for (const auto& [name, value] : node.attributes) {
-    out.push_back(' ');
-    out.append(name);
-    out.append("=\"");
-    AppendXmlEscaped(out, value);
-    out.push_back('"');
+  out.append(node.tag);
+  for (const ConstructedAttribute& attr : node.attributes) {
+    AppendAttribute(attr.name, attr.value, out);
   }
-  if (node.children.empty()) {
+  if (node.children().empty()) {
     out.append("/>");
     return;
   }
   out.push_back('>');
-  for (const Item& child : node.children) {
+  for (const Item& child : node.children()) {
     if (child.is_node()) {
-      SerializeStoredNode(child.node(), out);
-    } else if (child.is_constructed()) {
-      SerializeConstructed(*child.constructed(), out);
+      SerializeStoredNode(*child.node().store, child.node().handle, out);
     } else {
-      AppendXmlEscaped(out, ItemStringValue(child));
+      SerializeConstructed(*child.constructed(), out);
     }
   }
   out.append("</");
-  out.append(node.tag_view());
+  out.append(node.tag);
   out.push_back('>');
 }
 
 void AppendConstructedStringValue(const ConstructedNode& node,
                                   std::string& out) {
   if (node.is_text()) {
-    out.append(node.text_view());
+    out.append(node.text);
     return;
   }
-  for (const Item& child : node.children) {
+  for (const Item& child : node.children()) {
     if (child.is_constructed()) {
       AppendConstructedStringValue(*child.constructed(), out);
     } else {
@@ -261,7 +282,7 @@ namespace {
 // caller-owned buffer — no per-item std::string temporary.
 void AppendSerializedItem(const Item& item, std::string& out) {
   if (item.is_node()) {
-    SerializeStoredNode(item.node(), out);
+    SerializeStoredNode(*item.node().store, item.node().handle, out);
     return;
   }
   if (item.is_constructed()) {
@@ -287,19 +308,23 @@ std::string SerializeItem(const Item& item) {
   return out;
 }
 
-ConstructedPtr DeepCopyNode(const NodeRef& ref) {
+ConstructedNode* DeepCopyNode(const NodeRef& ref, NodeArena& arena) {
   const StorageAdapter& store = *ref.store;
-  auto out = std::make_shared<ConstructedNode>();
+  ConstructedNode* out = arena.AllocateNode();
   if (!store.IsElement(ref.handle)) {
-    out->text = std::string(store.TextView(ref.handle));
+    out->text = arena.InternText(store.TextView(ref.handle));
     return out;
   }
-  out->tag = std::string(store.names().Spelling(store.NameOf(ref.handle)));
-  const auto attrs = store.Attributes(ref.handle);
-  out->attributes.assign(attrs.begin(), attrs.end());
+  const xml::NameTable& names = store.names();
+  out->tag = arena.InternText(names.Spelling(store.NameOf(ref.handle)));
+  store.ForEachAttribute(
+      ref.handle, [&](xml::NameId name, std::string_view value) {
+        out->attributes.push_back({arena.InternText(names.Spelling(name)),
+                                   arena.InternText(value)});
+      });
   for (NodeHandle c = store.FirstChild(ref.handle); c != kInvalidHandle;
        c = store.NextSibling(c)) {
-    out->children.emplace_back(DeepCopyNode(NodeRef{&store, c}));
+    arena.AppendChild(out, DeepCopyNode(NodeRef{&store, c}, arena));
   }
   return out;
 }
@@ -307,13 +332,14 @@ ConstructedPtr DeepCopyNode(const NodeRef& ref) {
 namespace {
 
 // Total order over sequence items for SortDedupNodes: stored nodes first
-// (by preorder handle), then constructed nodes (by creation-order node_id),
-// then atomics (all equivalent — relative order preserved by the stable
-// sort). A genuine strict weak ordering, unlike comparing only node pairs,
-// which violates transitivity of incomparability on mixed sequences.
+// (by preorder handle), then constructed nodes (by node_id: creation order
+// inside an arena, arenas in creation order), then atomics (all
+// equivalent — relative order preserved by the stable sort). A genuine
+// strict weak ordering, unlike comparing only node pairs, which violates
+// transitivity of incomparability on mixed sequences.
 std::pair<int, uint64_t> DocOrderKey(const Item& item) {
   if (item.is_node()) return {0, item.node().handle};
-  if (item.is_constructed()) return {1, item.constructed()->node_id};
+  if (item.is_constructed()) return {1, item.constructed()->node_id()};
   return {2, 0};
 }
 
@@ -323,7 +349,7 @@ std::pair<int, uint64_t> DocOrderKey(const Item& item) {
 bool SameNodeIdentity(const Item& a, const Item& b) {
   if (a.is_node() && b.is_node()) return a.node() == b.node();
   if (a.is_constructed() && b.is_constructed()) {
-    return a.constructed()->node_id == b.constructed()->node_id;
+    return a.constructed()->node_id() == b.constructed()->node_id();
   }
   return false;
 }

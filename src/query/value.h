@@ -2,6 +2,7 @@
 #define XMARK_QUERY_VALUE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <iterator>
 #include <memory>
@@ -32,56 +33,44 @@ struct NodeRef {
   }
 };
 
-/// Element (or text) newly constructed by a query (Q10/Q13 style
-/// constructors). Children may mix text, nested constructed nodes and
-/// references to stored nodes (which are deep-copied only at serialization
-/// time).
-///
-/// Two storage regimes share this struct. Heap nodes (DeepCopyNode's
-/// copies of stored nodes under copy_results) own their tag and text in
-/// the `tag`/`text` strings. Arena nodes (built by ConstructExec from a
-/// ConstructPlan template) leave those strings empty and point
-/// `tag_ref`/`text_ref` into NodeArena-owned memory instead — consumers
-/// must go through `tag_view()` and `text_view()`, which pick whichever
-/// representation is populated.
+/// One attribute of a constructed element. Both views point into the
+/// NodeArena that holds the element (or into static storage).
+struct ConstructedAttribute {
+  std::string_view name;
+  std::string_view value;
+};
+
+/// Element or text node built by a query: constructor results (the
+/// Q10/Q13/Q19 reconstructions) and, under copy_results, deep copies of
+/// stored nodes. Every node lives in a NodeArena, the only code that can
+/// create one or add a child to it. Its tag, text and attributes are views
+/// into memory that arena owns, and its children own nothing either, so
+/// the arena frees its nodes without destroying them one by one.
 struct ConstructedNode {
-  /// Heap node: members allocate from the default resource.
-  ConstructedNode();
-  /// Arena node: `children`/`attributes` storage comes from `mem` (the
-  /// owning NodeArena's monotonic pool), so building a template instance
-  /// performs no individual vector allocations.
-  explicit ConstructedNode(std::pmr::memory_resource* mem);
+  std::string_view tag;   // empty => text node
+  std::string_view text;  // a text node's content
+  std::pmr::vector<ConstructedAttribute> attributes;
 
-  std::string tag;  // empty => text node, `text` holds the content
-  std::string text;
-  // Arena-interned alternatives: when `data() != nullptr` they override the
-  // owned strings above (set only by arena construction; the views point
-  // into the NodeArena that placement-allocated this node, so they share
-  // its lifetime).
-  std::string_view tag_ref;
-  std::string_view text_ref;
-  std::pmr::vector<std::pair<std::string, std::string>> attributes;
-  std::pmr::vector<Item> children;
-  /// Stable identity, assigned at construction in creation order from a
-  /// process-wide counter. SortDedupNodes orders and dedups constructed
-  /// items by this id — never by shared_ptr identity, which arena aliasing
-  /// pointers would break (two distinct control blocks can reference the
-  /// same node).
-  uint64_t node_id = 0;
-  /// The arena that placement-allocated this node (null for heap nodes).
-  /// ConstructExec uses it to strip same-arena child items down to
-  /// non-owning interior references — an owning arena-aliasing pointer
-  /// stored inside an arena node would form a reference cycle and leak
-  /// the whole arena.
-  const NodeArena* owner_arena = nullptr;
+  /// Text and nested constructed nodes (non-owning references: the tree's
+  /// root item keeps the arena alive) and references to stored nodes.
+  const std::pmr::vector<Item>& children() const { return children_; }
 
-  std::string_view tag_view() const {
-    return tag_ref.data() != nullptr ? tag_ref : std::string_view(tag);
-  }
-  std::string_view text_view() const {
-    return text_ref.data() != nullptr ? text_ref : std::string_view(text);
-  }
-  bool is_text() const { return tag_view().empty(); }
+  /// Stable identity in creation order (see NodeArena): SortDedupNodes
+  /// orders and dedups constructed items by it — never by shared_ptr
+  /// identity, which arena aliasing pointers would break (two distinct
+  /// control blocks can reference the same node).
+  uint64_t node_id() const { return node_id_; }
+  bool is_text() const { return tag.empty(); }
+
+ private:
+  friend class NodeArena;
+  /// `children`/`attributes` storage comes from `mem`, the arena's block
+  /// pool, so building a template instance allocates no single vector.
+  ConstructedNode(std::pmr::memory_resource* mem, uint64_t id)
+      : attributes(mem), children_(mem), node_id_(id) {}
+
+  std::pmr::vector<Item> children_;
+  uint64_t node_id_;
 };
 
 using ConstructedPtr = std::shared_ptr<const ConstructedNode>;
@@ -98,21 +87,46 @@ using ConstructedPtr = std::shared_ptr<const ConstructedNode>;
 /// reclaimed when the arena dies — discarded intermediate constructors
 /// accumulate until the end of the run, which the benchmark queries (whose
 /// constructed nodes are all result nodes) never notice.
+///
+/// One thread writes an arena: the thread that drives the run. Node ids
+/// need no shared counter per node: an arena takes one range of
+/// kIdsPerArena ids from a process-wide counter when it is created and
+/// numbers its nodes from it, so ids order nodes by creation inside an
+/// arena and arenas by creation.
 class NodeArena {
  public:
-  NodeArena() = default;
-  ~NodeArena();
+  static constexpr uint64_t kIdsPerArena = uint64_t{1} << 32;
+
+  NodeArena();
   NodeArena(const NodeArena&) = delete;
   NodeArena& operator=(const NodeArena&) = delete;
 
-  /// Placement-allocates one default-constructed node. The pointer is
-  /// stable for the arena's lifetime.
+  /// Placement-allocates one node with empty views and no children; the
+  /// pointer is stable for the arena's lifetime.
   ConstructedNode* AllocateNode();
 
   /// Copies `text` into the shared text buffer; the returned view is
-  /// stable for the arena's lifetime (data() is never null, so it always
-  /// takes priority inside ConstructedNode::text_view()).
+  /// stable for the arena's lifetime.
   std::string_view InternText(std::string_view text);
+
+  /// Whether `node` was allocated by this arena.
+  bool Owns(const ConstructedNode& node) const {
+    return node.node_id() - first_id_ < static_cast<uint64_t>(nodes_allocated_);
+  }
+
+  /// Reserves room for `count` more children of `parent`.
+  void ReserveChildren(ConstructedNode* parent, size_t count) {
+    parent->children_.reserve(parent->children_.size() + count);
+  }
+
+  /// Appends `child`, a node of this arena, to `parent`'s children.
+  void AppendChild(ConstructedNode* parent, const ConstructedNode* child);
+
+  /// Appends a node item — a stored node, or a constructed tree of this
+  /// arena or of another — to `parent`'s children. A tree of another arena
+  /// is kept alive by this arena; no child owns anything. Atomics are not
+  /// children: the caller turns them into text nodes.
+  void AppendChild(ConstructedNode* parent, Item child);
 
   int64_t nodes_allocated() const { return nodes_allocated_; }
   size_t text_bytes() const { return text_bytes_; }
@@ -150,14 +164,18 @@ class NodeArena {
     size_t used_ = 0;  // bytes used in the current block
   };
 
-  // Backs every arena node's children/attributes vectors; declared before
-  // the node blocks, and ~NodeArena destroys all nodes in its body, so the
-  // pool strictly outlives its users.
+  // Backs every arena node's children/attributes vectors.
   BlockResource pool_;
+  // Nodes are never destroyed one by one: a node owns no memory (its views
+  // point into this arena, its children are non-owning references), so
+  // the blocks are freed as they are.
   std::vector<std::unique_ptr<NodeBlock>> node_blocks_;
+  // Owning pointers to the trees of other arenas that children reference.
+  std::vector<ConstructedPtr> retained_;
   std::vector<std::unique_ptr<char[]>> text_blocks_;
   size_t text_cap_ = 0;   // capacity of the current (last) text block
   size_t text_used_ = 0;  // bytes used in the current text block
+  const uint64_t first_id_;  // this arena's first node id
   int64_t nodes_allocated_ = 0;
   size_t text_bytes_ = 0;
 };
@@ -397,16 +415,19 @@ size_t EstimateSerializedSize(const Sequence& seq);
 /// String-value of a constructed node (concatenated text).
 std::string ConstructedStringValue(const ConstructedNode& node);
 
-/// Deep-copies a stored node into a constructed tree (System G's copy
-/// semantics; also used when copy_results lifts stored nodes into
-/// constructed content).
-ConstructedPtr DeepCopyNode(const NodeRef& ref);
+/// Deep-copies a stored node into `arena` (copy_results: System G's copy
+/// semantics, for holes and for the run's final result): tags, attributes
+/// and text are interned there, so the copy outlives the store. Returns
+/// the copy's root, which the caller links into a tree or wraps in an
+/// owning ConstructedPtr.
+ConstructedNode* DeepCopyNode(const NodeRef& ref, NodeArena& arena);
 
 /// Sorts a node sequence into stable document order and removes duplicate
 /// nodes. Stored nodes order by handle (preorder id in every store);
-/// constructed nodes order by their creation-order `node_id` and sort
-/// after all stored nodes; atomics compare equivalent to each other (their
-/// relative order is preserved, and they are never deduplicated).
+/// constructed nodes order by their `node_id()` (creation order inside an
+/// arena, arenas in creation order) and sort after all stored nodes;
+/// atomics compare equivalent to each other (their relative order is
+/// preserved, and they are never deduplicated).
 /// Identity, not shared_ptr equality, drives the dedup: two aliasing
 /// ConstructedPtrs to the same arena node collapse into one.
 void SortDedupNodes(Sequence* seq);

@@ -204,14 +204,12 @@ size_t DomStore::AdvanceChildCursor(query::ChildCursor* cur,
   return n;
 }
 
-std::vector<std::pair<std::string, std::string>> DomStore::Attributes(
-    query::NodeHandle n) const {
-  std::vector<std::pair<std::string, std::string>> out;
-  for (const auto& attr : doc_.attributes(static_cast<xml::NodeId>(n))) {
-    out.emplace_back(std::string(doc_.names().Spelling(attr.name)),
-                     std::string(attr.value));
+void DomStore::ForEachAttribute(query::NodeHandle n,
+                                query::AttributeVisitor visit) const {
+  for (const xml::DomAttribute& attr :
+       doc_.attributes(static_cast<xml::NodeId>(n))) {
+    visit(attr.name, attr.value);
   }
-  return out;
 }
 
 query::NodeHandle DomStore::NodeById(std::string_view id) const {

@@ -76,8 +76,8 @@ class DomStore : public query::StorageAdapter {
       query::NodeHandle n, std::string_view name) const override {
     return doc_.attribute(static_cast<xml::NodeId>(n), name);
   }
-  std::vector<std::pair<std::string, std::string>> Attributes(
-      query::NodeHandle n) const override;
+  void ForEachAttribute(query::NodeHandle n,
+                        query::AttributeVisitor visit) const override;
   // Sibling walk over the document's subtree-end column: one 4-byte read
   // per hop, bounded by the parent's subtree end.
   void OpenChildCursor(query::NodeHandle parent, query::ChildFilter filter,

@@ -259,16 +259,13 @@ size_t EdgeStore::AdvanceDescendantCursor(query::DescendantCursor* cur,
   return n;
 }
 
-std::vector<std::pair<std::string, std::string>> EdgeStore::Attributes(
-    query::NodeHandle n) const {
-  std::vector<std::pair<std::string, std::string>> out;
+void EdgeStore::ForEachAttribute(query::NodeHandle n,
+                                 query::AttributeVisitor visit) const {
   for (size_t i = attr_begin_[n]; i < attrs_.size() && attrs_[i].owner == n;
        ++i) {
-    out.emplace_back(
-        std::string(names_.Spelling(attrs_[i].name)),
-        std::string(HeapString(attrs_[i].value_begin, attrs_[i].value_len)));
+    visit(attrs_[i].name,
+          HeapString(attrs_[i].value_begin, attrs_[i].value_len));
   }
-  return out;
 }
 
 query::NodeHandle EdgeStore::NodeById(std::string_view id) const {

@@ -50,8 +50,8 @@ class EdgeStore : public query::StorageAdapter {
   void AppendStringValue(query::NodeHandle n, std::string* out) const override;
   std::optional<std::string_view> AttributeView(
       query::NodeHandle n, std::string_view name) const override;
-  std::vector<std::pair<std::string, std::string>> Attributes(
-      query::NodeHandle n) const override;
+  void ForEachAttribute(query::NodeHandle n,
+                        query::AttributeVisitor visit) const override;
   // One binary search over the (parent, ord)-clustered relation, then a
   // linear row scan — the cursor never touches the PK index.
   void OpenChildCursor(query::NodeHandle parent, query::ChildFilter filter,

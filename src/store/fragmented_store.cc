@@ -455,16 +455,13 @@ size_t FragmentedStore::AdvanceDescendantCursor(query::DescendantCursor* cur,
   return n;
 }
 
-std::vector<std::pair<std::string, std::string>> FragmentedStore::Attributes(
-    query::NodeHandle n) const {
-  std::vector<std::pair<std::string, std::string>> out;
+void FragmentedStore::ForEachAttribute(query::NodeHandle n,
+                                       query::AttributeVisitor visit) const {
   for (size_t i = attr_begin_[n]; i < attrs_.size() && attrs_[i].owner == n;
        ++i) {
-    out.emplace_back(std::string(names_.Spelling(attrs_[i].name)),
-                     std::string(std::string_view(heap_).substr(
-                         attrs_[i].value_begin, attrs_[i].value_len)));
+    visit(attrs_[i].name, std::string_view(heap_).substr(
+                              attrs_[i].value_begin, attrs_[i].value_len));
   }
-  return out;
 }
 
 query::NodeHandle FragmentedStore::NodeById(std::string_view id) const {

@@ -55,8 +55,8 @@ class FragmentedStore : public query::StorageAdapter {
   void AppendStringValue(query::NodeHandle n, std::string* out) const override;
   std::optional<std::string_view> AttributeView(
       query::NodeHandle n, std::string_view name) const override;
-  std::vector<std::pair<std::string, std::string>> Attributes(
-      query::NodeHandle n) const override;
+  void ForEachAttribute(query::NodeHandle n,
+                        query::AttributeVisitor visit) const override;
   // Tag- and text-filtered scans are direct path-table slices; generic
   // scans fall back to the (merging) FirstChild/NextSibling chain.
   void OpenChildCursor(query::NodeHandle parent, query::ChildFilter filter,

@@ -66,8 +66,8 @@ class InlinedStore : public query::StorageAdapter {
   void AppendStringValue(query::NodeHandle n, std::string* out) const override;
   std::optional<std::string_view> AttributeView(
       query::NodeHandle n, std::string_view name) const override;
-  std::vector<std::pair<std::string, std::string>> Attributes(
-      query::NodeHandle n) const override;
+  void ForEachAttribute(query::NodeHandle n,
+                        query::AttributeVisitor visit) const override;
   // Dense-array sibling walk: no virtual dispatch per child.
   void OpenChildCursor(query::NodeHandle parent, query::ChildFilter filter,
                        xml::NameId tag,

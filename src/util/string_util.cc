@@ -1,9 +1,11 @@
 #include "util/string_util.h"
 
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
@@ -89,34 +91,39 @@ std::string FormatDouble(double v) {
   return std::string(buf, r.ptr);
 }
 
+namespace {
+
+constexpr std::string_view kXmlEntities[] = {"", "&amp;", "&lt;", "&gt;",
+                                              "&quot;"};
+
+// Index into kXmlEntities for each byte, 0 for bytes written as they are.
+// Indexed by the byte as an unsigned char: bytes >= 0x80 occur in UTF-8
+// text and must land in the upper half, never at a negative index.
+constexpr std::array<uint8_t, 256> kXmlEntityOf = [] {
+  std::array<uint8_t, 256> table{};
+  table['&'] = 1;
+  table['<'] = 2;
+  table['>'] = 3;
+  table['"'] = 4;
+  return table;
+}();
+
+}  // namespace
+
 void AppendXmlEscaped(std::string& out, std::string_view s) {
-  // Span-based: memchr-backed find_first_of locates the next escapable
-  // byte and everything before it is bulk-copied in one append, instead
-  // of a branch + push_back per character. Escape-free strings (the
-  // overwhelming case in the serializer) reduce to a single append.
-  constexpr std::string_view kEscapable("&<>\"");
-  size_t pos = 0;
-  while (pos < s.size()) {
-    const size_t hit = s.find_first_of(kEscapable, pos);
-    if (hit == std::string_view::npos) break;
-    out.append(s, pos, hit - pos);
-    switch (s[hit]) {
-      case '&':
-        out.append("&amp;");
-        break;
-      case '<':
-        out.append("&lt;");
-        break;
-      case '>':
-        out.append("&gt;");
-        break;
-      default:  // '"'
-        out.append("&quot;");
-        break;
-    }
-    pos = hit + 1;
+  // One table lookup per byte; each run of bytes between escapable ones
+  // is bulk-appended, so escape-free strings (the overwhelming case in the
+  // serializer) reduce to a single append.
+  const char* run = s.data();
+  const char* const end = run + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const uint8_t entity = kXmlEntityOf[static_cast<unsigned char>(*p)];
+    if (entity == 0) continue;
+    out.append(run, static_cast<size_t>(p - run));
+    out.append(kXmlEntities[entity]);
+    run = p + 1;
   }
-  out.append(s, pos, std::string_view::npos);
+  out.append(run, static_cast<size_t>(end - run));
 }
 
 std::string StringPrintf(const char* fmt, ...) {

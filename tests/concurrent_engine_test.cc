@@ -11,6 +11,7 @@
 #include <array>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -48,23 +49,32 @@ std::unique_ptr<Engine> LoadedEngine(SystemId id) {
   return engine;
 }
 
-// Serial reference: one result string per workload query, computed through
+// The benchmark texts of the mixed workload.
+std::vector<std::string> WorkloadTexts() {
+  std::vector<std::string> texts;
+  for (int q : kWorkload) texts.emplace_back(GetQuery(q).text);
+  return texts;
+}
+
+// Serial reference: one result string per query text, computed through
 // the uncached single-threaded path.
-std::vector<std::string> SerialResults(Engine* engine) {
+std::vector<std::string> SerialResults(Engine* engine,
+                                       const std::vector<std::string>& texts) {
   std::vector<std::string> expected;
-  for (int q : kWorkload) {
-    auto result = engine->Run(GetQuery(q).text);
+  for (const std::string& text : texts) {
+    auto result = engine->Run(text);
     XMARK_CHECK(result.ok());
     expected.push_back(query::SerializeSequence(*result));
   }
   return expected;
 }
 
-// Runs the workload on `threads` concurrent sessions of `engine`; every
+// Runs `texts` on `threads` concurrent sessions of `engine`; every
 // (thread, query) result must serialize identically to `expected`.
 // `passes` > 1 re-runs the mix so later iterations exercise the warm
 // plan cache.
 void RunConcurrentAndCompare(Engine* engine,
+                             const std::vector<std::string>& texts,
                              const std::vector<std::string>& expected,
                              unsigned threads, int passes) {
   std::vector<std::string> errors(threads);
@@ -76,18 +86,18 @@ void RunConcurrentAndCompare(Engine* engine,
         [&, t, session = std::shared_ptr<EngineSession>(
                  std::move(*session_or))] {
           for (int pass = 0; pass < passes; ++pass) {
-            for (size_t i = 0; i < std::size(kWorkload); ++i) {
+            for (size_t i = 0; i < texts.size(); ++i) {
               // De-phase the clients so they are not in lock-step on the
               // same query.
-              const size_t pick = (i + t * 3) % std::size(kWorkload);
-              auto result = session->Run(GetQuery(kWorkload[pick]).text);
+              const size_t pick = (i + t * 3) % texts.size();
+              auto result = session->Run(texts[pick]);
               if (!result.ok()) {
                 errors[t] = result.status().ToString();
                 return;
               }
               if (query::SerializeSequence(*result) != expected[pick]) {
-                errors[t] = "Q" + std::to_string(kWorkload[pick]) +
-                            " diverged from serial result";
+                errors[t] = "diverged from serial result: " +
+                            texts[pick].substr(0, 80);
                 return;
               }
             }
@@ -102,22 +112,25 @@ void RunConcurrentAndCompare(Engine* engine,
 
 TEST(ConcurrentEngine, SessionsMatchSerialByteForByte) {
   std::unique_ptr<Engine> engine = LoadedEngine(SystemId::kD);
-  const std::vector<std::string> expected = SerialResults(engine.get());
-  RunConcurrentAndCompare(engine.get(), expected, kClientThreads,
+  const std::vector<std::string> texts = WorkloadTexts();
+  const std::vector<std::string> expected = SerialResults(engine.get(), texts);
+  RunConcurrentAndCompare(engine.get(), texts, expected, kClientThreads,
                           /*passes=*/2);
 }
 
 TEST(ConcurrentEngine, EdgeStoreSessionsMatchSerial) {
   std::unique_ptr<Engine> engine = LoadedEngine(SystemId::kA);
-  const std::vector<std::string> expected = SerialResults(engine.get());
-  RunConcurrentAndCompare(engine.get(), expected, kClientThreads,
+  const std::vector<std::string> texts = WorkloadTexts();
+  const std::vector<std::string> expected = SerialResults(engine.get(), texts);
+  RunConcurrentAndCompare(engine.get(), texts, expected, kClientThreads,
                           /*passes=*/1);
 }
 
 TEST(ConcurrentEngine, FragmentedStoreSessionsMatchSerial) {
   std::unique_ptr<Engine> engine = LoadedEngine(SystemId::kB);
-  const std::vector<std::string> expected = SerialResults(engine.get());
-  RunConcurrentAndCompare(engine.get(), expected, kClientThreads,
+  const std::vector<std::string> texts = WorkloadTexts();
+  const std::vector<std::string> expected = SerialResults(engine.get(), texts);
+  RunConcurrentAndCompare(engine.get(), texts, expected, kClientThreads,
                           /*passes=*/1);
 }
 
@@ -160,16 +173,83 @@ TEST(ConcurrentEngine, ReloadPerQuerySessionsMatchSerial) {
   EXPECT_EQ(errors[1], "");
 }
 
+// Replaces every `document("auction.xml")` entry call of a benchmark
+// query with `entry` (a doc() call or collection()).
+std::string WithEntry(std::string_view text, std::string_view entry) {
+  constexpr std::string_view kNeedle = "document(\"auction.xml\")";
+  std::string out(text);
+  for (size_t pos = out.find(kNeedle); pos != std::string::npos;
+       pos = out.find(kNeedle, pos + entry.size())) {
+    out.replace(pos, kNeedle.size(), entry);
+  }
+  return out;
+}
+
+// Construction-heavy corpus serving: 4 sessions run the doc() and
+// collection() forms of Q8, Q10, Q13 and Q19 at once. Every collection()
+// leg builds its results in its own arena on a pool thread, beside the
+// other clients' arenas; each result must equal the serial run's bytes.
+TEST(ConcurrentEngine, CorpusConstructionMatchesSerial) {
+  std::unique_ptr<Engine> engine = Engine::Create(SystemId::kD);
+  std::vector<store::CorpusDocument> corpus;
+  for (uint64_t d = 0; d < 4; ++d) {
+    gen::GeneratorOptions options;
+    options.scale = 0.002;
+    options.seed = 11 + d;
+    corpus.push_back({"corpus-" + std::to_string(d) + ".xml",
+                      gen::XmlGen(options).GenerateToString()});
+  }
+  ASSERT_TRUE(engine->LoadCorpus(corpus).ok());
+  std::vector<std::string> texts;
+  for (int q : {8, 10, 13, 19}) {
+    texts.push_back(WithEntry(GetQuery(q).text, "doc(\"corpus-2.xml\")"));
+    texts.push_back(WithEntry(GetQuery(q).text, "collection()"));
+  }
+  const std::vector<std::string> expected = SerialResults(engine.get(), texts);
+  for (const std::string& bytes : expected) ASSERT_FALSE(bytes.empty());
+  RunConcurrentAndCompare(engine.get(), texts, expected, kClientThreads,
+                          /*passes=*/2);
+}
+
+// Node ids come from per-arena ranges: nodes of two arenas (as a
+// collection() result concatenates them) order by arena creation first,
+// then by node creation, whichever thread built them and in whatever
+// interleaving.
+TEST(ConcurrentEngine, SortDedupOrdersArenasThenNodesByCreation) {
+  auto first = std::make_shared<query::NodeArena>();
+  auto second = std::make_shared<query::NodeArena>();
+  const query::ConstructedNode* b[2];
+  std::thread([&] {  // the later arena fills first, on another thread
+    b[0] = second->AllocateNode();
+    b[1] = second->AllocateNode();
+  }).join();
+  const query::ConstructedNode* a[2] = {first->AllocateNode(),
+                                        first->AllocateNode()};
+  query::Sequence seq;
+  for (const query::ConstructedNode* n : {b[1], a[1], b[0], a[0], b[1]}) {
+    const bool in_first = first->Owns(*n);
+    seq.push_back(query::Item(
+        query::ConstructedPtr(in_first ? first : second, n)));
+  }
+  query::SortDedupNodes(&seq);
+  ASSERT_EQ(seq.size(), 4u);
+  EXPECT_EQ(seq[0].constructed().get(), a[0]);
+  EXPECT_EQ(seq[1].constructed().get(), a[1]);
+  EXPECT_EQ(seq[2].constructed().get(), b[0]);
+  EXPECT_EQ(seq[3].constructed().get(), b[1]);
+}
+
 // Morsel-parallel intra-query execution through the serving path: same
 // bytes as the serial engine, with concurrent clients on top.
 TEST(ConcurrentEngine, ParallelExecSessionsMatchSerial) {
   std::unique_ptr<Engine> engine = LoadedEngine(SystemId::kD);
-  const std::vector<std::string> expected = SerialResults(engine.get());
+  const std::vector<std::string> texts = WorkloadTexts();
+  const std::vector<std::string> expected = SerialResults(engine.get(), texts);
   query::EvaluatorOptions opts = engine->evaluator_options();
   opts.parallel_exec.enabled = true;
   opts.parallel_exec.min_morsel_ids = 1;  // force morsels at tiny scale
   engine->set_evaluator_options(opts);
-  RunConcurrentAndCompare(engine.get(), expected, /*threads=*/2,
+  RunConcurrentAndCompare(engine.get(), texts, expected, /*threads=*/2,
                           /*passes=*/1);
 }
 
@@ -225,12 +305,14 @@ TEST(ConcurrentEngine, MorselPipelineSessionsMatchSerial) {
 // every other prepare is a hit.
 TEST(ConcurrentEngine, PlanCacheCompilesOncePerKey) {
   std::unique_ptr<Engine> engine = LoadedEngine(SystemId::kD);
-  const std::vector<std::string> expected = SerialResults(engine.get());
+  const std::vector<std::string> texts = WorkloadTexts();
+  const std::vector<std::string> expected = SerialResults(engine.get(), texts);
   ASSERT_EQ(engine->plan_cache_stats().hits, 0u);
   ASSERT_EQ(engine->plan_cache_stats().misses, 0u);  // Engine::Run is uncached
 
   constexpr int kPasses = 3;
-  RunConcurrentAndCompare(engine.get(), expected, kClientThreads, kPasses);
+  RunConcurrentAndCompare(engine.get(), texts, expected, kClientThreads,
+                          kPasses);
 
   const query::PlanCacheStats stats = engine->plan_cache_stats();
   const uint64_t total =

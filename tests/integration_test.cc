@@ -112,8 +112,8 @@ TEST(IntegrationTest, Q20GroupsPartitionAllPersons) {
   // groups partition the person set.
   const auto& root = *result->front().constructed();
   double total = 0;
-  ASSERT_EQ(root.children.size(), 4u);
-  for (const query::Item& child : root.children) {
+  ASSERT_EQ(root.children().size(), 4u);
+  for (const query::Item& child : root.children()) {
     const auto value =
         ParseDouble(query::ConstructedStringValue(*child.constructed()));
     ASSERT_TRUE(value.has_value());

@@ -210,6 +210,83 @@ INSTANTIATE_TEST_SUITE_P(Documents, ChildKernelDifferential,
                            return info.param ? "Injected" : "Generated";
                          });
 
+// Constructor shapes over the same documents: templates shaped like Q10,
+// Q13 and Q19, attribute value templates over the injected ids and names,
+// stored subtrees with attributes inside holes, nested constructors,
+// adjacent atomics and empty elements. They reach the serializer's escape
+// branches for element text, attribute values and copied stored nodes.
+const Case kConstructorCases[] = {
+    {"q10_shape",
+     "for $i in distinct-values(" PEOPLE "/profile/interest/@category) "
+     "let $p := for $t in " PEOPLE " "
+     "where $t/profile/interest/@category = $i "
+     "return <personne id=\"{$t/@id}\"><statistiques>"
+     "<sexe>{$t/profile/gender/text()}</sexe>"
+     "<age>{$t/profile/age/text()}</age>"
+     "<revenu>{$t/profile/income/text()}</revenu></statistiques>"
+     "<coordonnees><nom>{$t/name/text()}</nom>"
+     "<pays>{$t/address/country/text()}</pays>"
+     "<reseau><courrier>{$t/emailaddress/text()}</courrier></reseau>"
+     "</coordonnees></personne> "
+     "return <categorie><id>{$i}</id>{$p}</categorie>"},
+    {"q13_shape",
+     "for $i in document(\"auction.xml\")/site/regions/europe/item "
+     "return <item name=\"{$i/name/text()}\" at=\"{$i/location}\">"
+     "{$i/description}</item>"},
+    {"q19_shape",
+     "for $b in document(\"auction.xml\")/site/regions//item "
+     "let $k := $b/name/text() order by zero-or-one($b/location) "
+     "return <item name=\"{$k}\">{$b/location/text()}</item>"},
+    {"avt_ids_and_names",
+     "for $p in " PEOPLE " return <p id=\"{$p/@id}\" "
+     "n=\"{$p/name/text()}\" both=\"[{$p/@id}] {$p/name} & <x>\" "
+     "c=\"const & <\'>\" e=\"\"/>"},
+    {"stored_subtrees_with_attributes",
+     "for $p in " PEOPLE "[position() <= 40] "
+     "return <w>{$p}{$p/profile}{$p/watches}</w>"},
+    {"stored_bidders_in_holes",
+     "for $b in " OPEN " return <bids n=\"{count($b/bidder)}\">"
+     "{$b/bidder}{$b/seller}</bids>"},
+    {"nested_constructors",
+     "for $p in " PEOPLE " return <a><b><c x=\"{$p/@id}\">"
+     "{$p/name/text()}</c></b><d/>{<e f=\"{$p/address/city}\">"
+     "{$p/address/country/text()}</e>}</a>"},
+    {"constructor_inside_avt",
+     "for $p in " PEOPLE "[position() <= 30] return <a n=\"{$p/name/text()}"
+     "|{<b c=\"{$p/@id}\">{$p/@id}</b>}|{count(<d e=\"{$p/name}\"/>)}\"/>"},
+    {"adjacent_atomics",
+     "for $p in " PEOPLE " return <a>{$p/@id, $p/name/text(), 1, "
+     "\"x & y < z\", true(), count($p/watches/watch)}"
+     "{\"lone\"}{$p/address/city/text()}{2.5, \"\"}</a>"},
+    {"empty_elements",
+     "for $p in " PEOPLE "[position() <= 25] return <a>{$p/nosuchtag}<b/>"
+     "<c></c>{()}<d k=\"\">{$p/homepage/nosuchtag}</d></a>"},
+    {"mixed_text_and_nodes",
+     "for $i in " CLOSED "[position() <= 30] return <t>price {$i/price} "
+     "& {$i/annotation/description} </t>"},
+    {"stored_results", PEOPLE "[position() <= 10]"},
+};
+
+// A-E must match System F's bytes; G, which copies every stored node into
+// its result arena (copy_results) over a store it reloads per query, must
+// match them too.
+TEST_P(ChildKernelDifferential, ConstructorsMatchSystemF) {
+  const bool injected = GetParam();
+  for (const Case& c : kConstructorCases) {
+    const std::string reference = Outcome(SystemId::kF, injected, c.query);
+    EXPECT_EQ(reference.rfind("status: ", 0), std::string::npos)
+        << c.name << ": " << reference;
+    for (SystemId id : kKernelSystems) {
+      EXPECT_EQ(Outcome(id, injected, c.query), reference)
+          << "system " << SystemLabel(id) << " case " << c.name
+          << (injected ? " (injected document)" : "");
+    }
+    EXPECT_EQ(Outcome(SystemId::kG, injected, c.query), reference)
+        << "system G case " << c.name
+        << (injected ? " (injected document)" : "");
+  }
+}
+
 // The cases reach what they are meant to reach: the kernel is engaged on
 // A-E, the injected document carries escapable characters into results,
 // and the constructed-node cases keep the generic navigation error.
@@ -229,6 +306,37 @@ TEST(ChildKernelDifferential, CasesReachTheirShapes) {
   auto constructed = d->Run("let $c := <a><name>x</name></a> return $c/name");
   ASSERT_FALSE(constructed.ok());
   EXPECT_EQ(constructed.status().code(), StatusCode::kUnimplemented);
+
+  // Every system shares the serializer, so the escapes are pinned by
+  // value: stored and copied attributes, attribute value templates,
+  // constant attributes and element text.
+  auto outcome_of = [](SystemId id, std::string_view name) {
+    for (const Case& c : kConstructorCases) {
+      if (c.name == name) return Outcome(id, /*injected=*/true, c.query);
+    }
+    return std::string("no case ") + std::string(name);
+  };
+  for (SystemId id : {SystemId::kD, SystemId::kG}) {
+    const std::string stored = outcome_of(id, "stored_results");
+    EXPECT_EQ(stored.rfind("<person id=\"pe&amp;r&lt;s&gt;o&quot;n0\">"
+                           "<name>&amp;&lt;James Davis</name>",
+                           0),
+              0u)
+        << stored.substr(0, 200);
+    const std::string avts = outcome_of(id, "avt_ids_and_names");
+    EXPECT_NE(avts.find("both=\"[pe&amp;r&lt;s&gt;o&quot;n0] &amp;&lt;James "
+                        "Davis &amp; &lt;x&gt;\" c=\"const &amp; &lt;'&gt;\""),
+              std::string::npos)
+        << avts.substr(0, 200);
+    // A constructor inside an attribute value builds its own attribute
+    // while the outer value is half built.
+    const std::string nested = outcome_of(id, "constructor_inside_avt");
+    EXPECT_EQ(nested.rfind("<a n=\"&amp;&lt;James Davis|pe&amp;r&lt;s&gt;"
+                           "o&quot;n0|1\"/>\n",
+                           0),
+              0u)
+        << nested.substr(0, 200);
+  }
 }
 
 }  // namespace

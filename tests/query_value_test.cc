@@ -38,65 +38,80 @@ TEST(EffectiveBooleanTest, Rules) {
   EXPECT_FALSE(EffectiveBooleanValue({Item(std::string())}));
 }
 
-TEST(ConstructedTest, TextNode) {
-  auto node = std::make_shared<ConstructedNode>();
-  node->text = "plain & <text>";
-  EXPECT_EQ(SerializeItem(Item(ConstructedPtr(node))),
+// Hand-built trees live in a NodeArena like every constructed node; the
+// root items alias the arena's shared_ptr.
+class ConstructedTest : public ::testing::Test {
+ protected:
+  ConstructedNode* Text(std::string_view text) {
+    ConstructedNode* node = arena_->AllocateNode();
+    node->text = arena_->InternText(text);
+    return node;
+  }
+  ConstructedNode* Element(std::string_view tag) {
+    ConstructedNode* node = arena_->AllocateNode();
+    node->tag = arena_->InternText(tag);
+    return node;
+  }
+  void AddAttribute(ConstructedNode* node, std::string_view name,
+                    std::string_view value) {
+    node->attributes.push_back(
+        {arena_->InternText(name), arena_->InternText(value)});
+  }
+  Item Root(const ConstructedNode* node) {
+    return Item(ConstructedPtr(arena_, node));
+  }
+
+  std::shared_ptr<NodeArena> arena_ = std::make_shared<NodeArena>();
+};
+
+TEST_F(ConstructedTest, TextNode) {
+  EXPECT_EQ(SerializeItem(Root(Text("plain & <text>"))),
             "plain &amp; &lt;text&gt;");
 }
 
-TEST(ConstructedTest, ElementWithAttributesAndChildren) {
-  auto child = std::make_shared<ConstructedNode>();
-  child->text = "inner";
-  auto node = std::make_shared<ConstructedNode>();
-  node->tag = "item";
-  node->attributes.emplace_back("name", "a \"quoted\" one");
-  node->children.emplace_back(ConstructedPtr(child));
-  EXPECT_EQ(SerializeItem(Item(ConstructedPtr(node))),
+TEST_F(ConstructedTest, ElementWithAttributesAndChildren) {
+  ConstructedNode* child = Text("inner");
+  ConstructedNode* node = Element("item");
+  AddAttribute(node, "name", "a \"quoted\" one");
+  arena_->AppendChild(node, child);
+  EXPECT_EQ(SerializeItem(Root(node)),
             "<item name=\"a &quot;quoted&quot; one\">inner</item>");
 }
 
-TEST(ConstructedTest, EmptyElementSelfCloses) {
-  auto node = std::make_shared<ConstructedNode>();
-  node->tag = "person";
-  node->attributes.emplace_back("id", "p1");
-  EXPECT_EQ(SerializeItem(Item(ConstructedPtr(node))),
-            "<person id=\"p1\"/>");
+TEST_F(ConstructedTest, EmptyElementSelfCloses) {
+  ConstructedNode* node = Element("person");
+  AddAttribute(node, "id", "p1");
+  EXPECT_EQ(SerializeItem(Root(node)), "<person id=\"p1\"/>");
 }
 
-TEST(ConstructedTest, StringValueConcatenatesText) {
-  auto t1 = std::make_shared<ConstructedNode>();
-  t1->text = "one ";
-  auto inner = std::make_shared<ConstructedNode>();
-  inner->tag = "b";
-  auto t2 = std::make_shared<ConstructedNode>();
-  t2->text = "two";
-  inner->children.emplace_back(ConstructedPtr(t2));
-  auto node = std::make_shared<ConstructedNode>();
-  node->tag = "a";
-  node->children.emplace_back(ConstructedPtr(t1));
-  node->children.emplace_back(ConstructedPtr(inner));
+TEST_F(ConstructedTest, StringValueConcatenatesText) {
+  ConstructedNode* t1 = Text("one ");
+  ConstructedNode* inner = Element("b");
+  ConstructedNode* t2 = Text("two");
+  arena_->AppendChild(inner, t2);
+  ConstructedNode* node = Element("a");
+  arena_->AppendChild(node, t1);
+  arena_->AppendChild(node, inner);
   EXPECT_EQ(ConstructedStringValue(*node), "one two");
-  EXPECT_EQ(ItemStringValue(Item(ConstructedPtr(node))), "one two");
+  EXPECT_EQ(ItemStringValue(Root(node)), "one two");
 }
 
-TEST(SequenceTest, SerializeSeparators) {
+using SequenceTest = ConstructedTest;
+using SerializeTest = ConstructedTest;
+
+TEST_F(SequenceTest, SerializeSeparators) {
   Sequence seq{Item(1.0), Item(2.0)};
   EXPECT_EQ(SerializeSequence(seq), "1 2");
-  auto node = std::make_shared<ConstructedNode>();
-  node->tag = "x";
-  seq.emplace_back(ConstructedPtr(node));
+  seq.push_back(Root(Element("x")));
   EXPECT_EQ(SerializeSequence(seq), "1 2\n<x/>");
 }
 
 // The span-based escape scan (bulk copy between escapable bytes) must
 // agree with the old per-character loop on every placement of a special
 // character: none, leading, trailing, adjacent, and all four entities.
-TEST(SerializeTest, EscapeSpanScanCoversAllPlacements) {
-  auto esc = [](std::string_view s) {
-    auto n = std::make_shared<ConstructedNode>();
-    n->text = std::string(s);
-    return SerializeItem(Item(ConstructedPtr(n)));
+TEST_F(SerializeTest, EscapeSpanScanCoversAllPlacements) {
+  auto esc = [this](std::string_view s) {
+    return SerializeItem(Root(Text(s)));
   };
   EXPECT_EQ(esc(""), "");
   EXPECT_EQ(esc("no specials at all"), "no specials at all");
@@ -110,7 +125,7 @@ TEST(SerializeTest, EscapeSpanScanCoversAllPlacements) {
 // SerializeSequence streams into one pre-reserved buffer: the estimate
 // must cover the actual output for atomic-only sequences, so the buffer
 // never reallocates while items append.
-TEST(SerializeTest, EstimateCoversAtomicOutput) {
+TEST_F(SerializeTest, EstimateCoversAtomicOutput) {
   Sequence seq{Item(1.5), Item(true), Item(std::string("atomics stay raw")),
                Item(std::string("plain"))};
   const std::string out = SerializeSequence(seq);

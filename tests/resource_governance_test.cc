@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -208,6 +209,40 @@ TEST(ResourceGovernance, MemoryBudgetFreesArenaOnFailure) {
     return;
   }
   FAIL() << "no budget produced a mid-construction kill";
+}
+
+// copy_results copies land in the run's arena, so the result budget covers
+// them: a result that fits the budget as stored nodes fails the run once it
+// is copied (the run checks the budget after its copy loop), and without
+// the budget the copies serialize to exactly the stored bytes.
+TEST(ResourceGovernance, CopiedResultsAreChargedToTheBudget) {
+  constexpr std::string_view kQuery = "document(\"auction.xml\")/site/regions";
+  std::unique_ptr<Engine> engine = LoadedEngine();
+  auto stored = engine->Run(kQuery);
+  ASSERT_TRUE(stored.ok()) << stored.status();
+  const std::string expected = query::SerializeSequence(*stored);
+
+  RunOptions budget;
+  budget.max_result_bytes = 256 * 1024;
+  engine->set_run_options(budget);
+  auto fits = engine->Run(kQuery);
+  ASSERT_TRUE(fits.ok()) << fits.status();
+  EXPECT_EQ(query::SerializeSequence(*fits), expected);
+
+  query::EvaluatorOptions copying = engine->evaluator_options();
+  copying.copy_results = true;
+  engine->set_evaluator_options(copying);
+  auto copied = engine->Run(kQuery);
+  ASSERT_FALSE(copied.ok());
+  EXPECT_EQ(copied.status().code(), StatusCode::kResourceExhausted)
+      << copied.status();
+
+  engine->set_run_options(RunOptions{});
+  auto ungoverned = engine->Run(kQuery);
+  ASSERT_TRUE(ungoverned.ok()) << ungoverned.status();
+  ASSERT_EQ(ungoverned->size(), 1u);
+  EXPECT_TRUE(ungoverned->front().is_constructed());
+  EXPECT_EQ(query::SerializeSequence(*ungoverned), expected);
 }
 
 // The step budget is a deterministic work limit: Q10 needs far more than

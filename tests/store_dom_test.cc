@@ -151,7 +151,10 @@ TEST(DomStoreTest, Attributes) {
   const auto p0 = store->NodeById("p0");
   EXPECT_EQ(store->AttributeView(p0, "id").value(), "p0");
   EXPECT_FALSE(store->AttributeView(p0, "none").has_value());
-  const auto attrs = store->Attributes(p0);
+  std::vector<std::pair<std::string, std::string_view>> attrs;
+  store->ForEachAttribute(p0, [&](xml::NameId name, std::string_view value) {
+    attrs.emplace_back(store->names().Spelling(name), value);
+  });
   ASSERT_EQ(attrs.size(), 1u);
   EXPECT_EQ(attrs[0].first, "id");
 }

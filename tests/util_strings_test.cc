@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/table_printer.h"
@@ -109,6 +110,52 @@ TEST(XmlEscapeTest, EscapesSpecials) {
   std::string out;
   AppendXmlEscaped(out, "a<b>&\"c\"");
   EXPECT_EQ(out, "a&lt;b&gt;&amp;&quot;c&quot;");
+}
+
+// Per-character reference for the table-driven scan.
+std::string ReferenceEscape(std::string_view s) {
+  std::string out;
+  for (const char c : s) {
+    switch (c) {
+      case '&':
+        out += "&amp;";
+        break;
+      case '<':
+        out += "&lt;";
+        break;
+      case '>':
+        out += "&gt;";
+        break;
+      case '"':
+        out += "&quot;";
+        break;
+      default:
+        out += c;
+    }
+  }
+  return out;
+}
+
+// Every byte value, alone and at the start, middle and end of a run of
+// plain bytes, appended after existing output. Bytes >= 0x80 (UTF-8) catch
+// a table indexed by signed char.
+TEST(XmlEscapeTest, EveryByteMatchesPerCharacterReference) {
+  for (int b = 0; b < 256; ++b) {
+    const std::string byte(1, static_cast<char>(b));
+    for (const std::string& input :
+         {byte, byte + "run", "run" + byte + "run", "run" + byte,
+          byte + byte + "\xc3\xa9" + byte}) {
+      std::string out = "prefix<";
+      AppendXmlEscaped(out, input);
+      EXPECT_EQ(out, "prefix<" + ReferenceEscape(input)) << "byte " << b;
+    }
+  }
+  std::string all;
+  for (int b = 0; b < 256; ++b) all.push_back(static_cast<char>(b));
+  std::string out;
+  AppendXmlEscaped(out, all);
+  EXPECT_EQ(out, ReferenceEscape(all));
+  EXPECT_EQ(out.size(), 256u + 4 + 3 + 3 + 5);
 }
 
 TEST(StringPrintfTest, Formats) {

@@ -68,14 +68,16 @@ TEST(ResultCheckTest, ItemDifferenceExplained) {
 }
 
 TEST(ResultCheckTest, AttributeOrderCanonicalized) {
-  auto e1 = std::make_shared<query::ConstructedNode>();
+  // Constructed nodes live in a NodeArena; static-storage views stay valid.
+  auto arena = std::make_shared<query::NodeArena>();
+  query::ConstructedNode* e1 = arena->AllocateNode();
   e1->tag = "a";
   e1->attributes = {{"x", "1"}, {"y", "2"}};
-  auto e2 = std::make_shared<query::ConstructedNode>();
+  query::ConstructedNode* e2 = arena->AllocateNode();
   e2->tag = "a";
   e2->attributes = {{"y", "2"}, {"x", "1"}};
-  query::Sequence a{query::Item(query::ConstructedPtr(e1))};
-  query::Sequence b{query::Item(query::ConstructedPtr(e2))};
+  query::Sequence a{query::Item(query::ConstructedPtr(arena, e1))};
+  query::Sequence b{query::Item(query::ConstructedPtr(arena, e2))};
   EquivalenceOptions options;
   EXPECT_TRUE(ResultsEquivalent(a, b, options));
   options.canonical_attributes = false;
