@@ -12,7 +12,6 @@
 //   --threads=0        max client threads (0 = hardware_concurrency);
 //                      measures 1, 2, 4, ... up to the max
 //   --iters=3          passes over the query mix per client thread
-//   --parallel-exec    additionally enable intra-query morsel parallelism
 //   --deadline-ms=0    per-query deadline applied to every client session
 //                      (0 = no deadline); queries killed by the deadline
 //                      are counted per StatusCode, not treated as fatal
@@ -211,7 +210,6 @@ int Main(int argc, char** argv) {
   const double sf = FlagDouble(argc, argv, "sf", 0.05);
   const int iters = FlagInt(argc, argv, "iters", 3);
   const bool json = FlagBool(argc, argv, "json");
-  const bool parallel_exec = FlagBool(argc, argv, "parallel-exec");
   const int deadline_ms = FlagInt(argc, argv, "deadline-ms", 0);
   const size_t corpus =
       static_cast<size_t>(std::max(0, FlagInt(argc, argv, "corpus", 0)));
@@ -230,11 +228,6 @@ int Main(int argc, char** argv) {
     return 1;
   }
   Engine* engine = runner.engine(system);
-  if (parallel_exec) {
-    query::EvaluatorOptions opts = engine->evaluator_options();
-    opts.parallel_exec.enabled = true;
-    engine->set_evaluator_options(opts);
-  }
 
   const std::vector<WorkItem> workload = Workload(corpus);
   size_t collection_queries = 0;
@@ -283,8 +276,8 @@ int Main(int argc, char** argv) {
     std::printf("=== Concurrent serving throughput: system %c, sf %g ===\n",
                 SystemLabel(system), sf);
     std::printf("hardware_concurrency %u, %d passes over Q1-Q20 per "
-                "client, parallel_exec %s\n\n",
-                hardware, iters, parallel_exec ? "on" : "off");
+                "client\n\n",
+                hardware, iters);
     if (deadline_ms > 0) {
       std::printf("per-query deadline: %d ms\n", deadline_ms);
     }
@@ -323,7 +316,6 @@ int Main(int argc, char** argv) {
     w.Key("system").Value(std::string_view(label));
     w.Key("hardware_concurrency").Value(static_cast<int64_t>(hardware));
     w.Key("iters").Value(iters);
-    w.Key("parallel_exec").Value(parallel_exec);
     w.Key("deadline_ms").Value(deadline_ms);
     w.Key("corpus_documents").Value(corpus);
     w.Key("collection_queries").Value(collection_queries);

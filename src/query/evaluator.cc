@@ -88,7 +88,7 @@ StatusOr<Sequence> Evaluator::Run(
   Environment env(slot_count_);
   const int64_t spills_before = SequenceHeapSpills();
   // Governed runs charge NodeArena / Sequence allocations on this thread
-  // to the run's budget (morsel workers install it themselves).
+  // to the run's budget.
   ScopedMemoryBudget charge(ctx_ != nullptr ? ctx_->memory_budget()
                                             : nullptr);
   auto result = Eval(*query.body, env, nullptr);
@@ -430,7 +430,7 @@ Status Evaluator::ApplyStep(const Step& step, const StepPlan& planned,
   const bool group_in_output =
       !has_predicates || (input.size() == 1 && output->empty());
   Sequence group_storage;
-  NodeScan scan;  // reused across the input: buffer state amortizes
+  NodeScan scan;  // reused across the input
   for (const Item& item : input) {
     if (!item.is_node()) {
       if (item.is_constructed()) {
@@ -442,10 +442,7 @@ Status Evaluator::ApplyStep(const Step& step, const StepPlan& planned,
     const NodeHandle base = item.node().handle;
     Sequence& group = group_in_output ? *output : group_storage;
     if (!group_in_output) group.clear();
-    XMARK_RETURN_IF_ERROR(scan.Open(store_, base, planned.access, filter,
-                                    want, &stats_, ExecPool(),
-                                    options_.parallel_exec.min_morsel_ids,
-                                    ctx_));
+    scan.Open(store_, base, step.axis, filter, want, &stats_);
     NodeHandle buf[kBatch];
     size_t n;
     while ((n = scan.Fill(buf, kBatch)) > 0) {
@@ -680,7 +677,7 @@ StatusOr<int64_t> Evaluator::BandCount(int slot, Environment& env,
   if (it == plan_->band_state.end()) {
     auto built = std::make_unique<BandJoinIndex>();
     XMARK_RETURN_IF_ERROR(built->Build(band, slot_count_, eval_fn_,
-                                       &stats_, ExecPool()));
+                                       &stats_));
     index = built.get();
     plan_->band_state.emplace(band.flwor, std::move(built));
   } else {
@@ -738,8 +735,7 @@ StatusOr<Sequence> Evaluator::EvalFlwor(const AstNode& node, Environment& env,
   // whole nested-loop evaluation collapses into one PipelineExec drain.
   const CompiledPipeline* pipe = plan_->FindPipeline(&node);
   if (pipe != nullptr) {
-    return PipelineExec::Run(*pipe, store_, &stats_, ctx_, ExecPool(),
-                             options_.parallel_exec.min_morsel_ids);
+    return PipelineExec::Run(*pipe, store_, &stats_, ctx_);
   }
 
   const FlworPlan* fp = plan_->FindFlwor(&node);
@@ -1334,7 +1330,7 @@ StatusOr<Sequence> Evaluator::EvalFunction(const AstNode& node,
   if (name == "id") {
     XMARK_RETURN_IF_ERROR(require_args(1));
     Sequence out;
-    if (store_->SupportsIdLookup()) {
+    if (plan_->ann().caps.id_lookup) {
       for (const Item& item : args[0]) {
         const NodeHandle h = store_->NodeById(ItemStringValue(item));
         ++stats_.index_lookups;
@@ -1343,7 +1339,37 @@ StatusOr<Sequence> Evaluator::EvalFunction(const AstNode& node,
       SortDedupNodes(&out);
       return out;
     }
-    return Status::Unimplemented("id() without an ID index");
+    // No ID index: scan the elements in document order and keep, per
+    // wanted value, the first one whose id attribute carries it — the
+    // element the index would answer.
+    std::unordered_set<std::string, TransparentStringHash, std::equal_to<>>
+        wanted;
+    for (const Item& item : args[0]) wanted.insert(ItemStringValue(item));
+    const auto take = [&](NodeHandle n) {
+      const std::optional<std::string_view> value =
+          store_->AttributeView(n, "id");
+      if (!value.has_value()) return;
+      const auto it = wanted.find(*value);
+      if (it == wanted.end()) return;
+      wanted.erase(it);
+      out.push_back(Item(NodeRef{store_, n}));
+    };
+    const NodeHandle root = store_->Root();
+    if (wanted.empty() || root == kInvalidHandle) return out;
+    take(root);
+    DescendantCursor cursor;
+    store_->OpenDescendantCursor(root, ChildFilter::kElements,
+                                 xml::kInvalidName, &cursor);
+    ++stats_.descendant_scans;
+    constexpr size_t kBatch = 256;
+    NodeHandle buf[kBatch];
+    size_t n;
+    while (!wanted.empty() && (n = cursor.Fill(buf, kBatch)) > 0) {
+      stats_.nodes_visited += static_cast<int64_t>(n);
+      if (ctx_ != nullptr) XMARK_RETURN_IF_ERROR(ctx_->Check());
+      for (size_t i = 0; i < n; ++i) take(buf[i]);
+    }
+    return out;
   }
   return Status::InvalidArgument("unknown function " + name);
 }

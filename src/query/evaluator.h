@@ -14,10 +14,6 @@
 #include "query/value.h"
 #include "util/status.h"
 
-namespace xmark {
-class ThreadPool;
-}
-
 namespace xmark::query {
 
 /// XQuery-subset engine over a StorageAdapter, layered as
@@ -29,9 +25,10 @@ namespace xmark::query {
 /// a fresh QueryPlan, which owns all per-run caches (hash-join tables,
 /// band-join domains, invariant-path memos) — stale caches across
 /// documents are impossible by construction. Run only reads the module:
-/// everything it needs from the store (access paths, step NameIds) comes
+/// everything it needs from the store (step NameIds, index probes) comes
 /// from the plan, so any number of evaluators over different stores may
-/// run one parsed module at once.
+/// run one parsed module at once. A run executes entirely on the thread
+/// that calls Run.
 class Evaluator {
  public:
   Evaluator(const StorageAdapter* store, const EvaluatorOptions& options);
@@ -50,17 +47,11 @@ class Evaluator {
 
   /// Installs the governance context (borrowed, not owned) consulted by
   /// the next Run: cooperative deadline/cancellation/budget checks at
-  /// batch boundaries, result-memory charging on this thread and every
-  /// morsel worker. Null (the default) disables every check — the hot
-  /// path then pays one pointer test per Eval dispatch, keeping
-  /// ungoverned runs byte- and plan-identical to earlier releases.
+  /// batch boundaries, result-memory charging on the calling thread. Null
+  /// (the default) disables every check — the hot path then pays one
+  /// pointer test per Eval dispatch, keeping ungoverned runs byte- and
+  /// plan-identical to earlier releases.
   void set_exec_context(ExecContext* ctx) { ctx_ = ctx; }
-
-  /// Installs the pool (borrowed, not owned) that morsel drains and the
-  /// band-join domain sort run on when options().parallel_exec is
-  /// enabled. Null (the default), or a 1-worker pool, runs them serially.
-  /// The engine passes ThreadPool::Shared(); tests may pass their own.
-  void set_exec_pool(ThreadPool* pool) { pool_ = pool; }
 
   const EvaluatorOptions& options() const { return options_; }
 
@@ -146,12 +137,6 @@ class Evaluator {
   /// Existential comparison of two sequences.
   bool AnyPairMatches(const Sequence& lhs, const Sequence& rhs, BinaryOp op);
 
-  /// The pool morsel drains run on: null when options_.parallel_exec is
-  /// off or no pool was installed.
-  ThreadPool* ExecPool() const {
-    return options_.parallel_exec.enabled ? pool_ : nullptr;
-  }
-
   const StorageAdapter* store_;
   EvaluatorOptions options_;
   /// Built once: the Eval callback handed to physical operators (hash
@@ -164,7 +149,6 @@ class Evaluator {
 
   std::unordered_map<std::string, const FunctionDecl*> functions_;
   std::unique_ptr<QueryPlan> plan_;  // per-run plan + caches
-  ThreadPool* pool_ = nullptr;   // borrowed morsel pool (may be null)
   ExecContext* ctx_ = nullptr;  // borrowed per-run governance (may be null)
   int udf_depth_ = 0;
 };

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <utility>
 
 #include "query/pipeline.h"
 #include "util/fault_injection.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace xmark::query {
 
@@ -17,168 +15,27 @@ namespace xmark::query {
 // NodeScan
 // ---------------------------------------------------------------------------
 
-Status NodeScan::Open(const StorageAdapter* store, NodeHandle base,
-                      StepPlan::Access access, ChildFilter filter,
-                      xml::NameId tag, EvalStats* stats, ThreadPool* pool,
-                      size_t min_morsel_ids, ExecContext* ctx) {
+void NodeScan::Open(const StorageAdapter* store, NodeHandle base, Axis axis,
+                    ChildFilter filter, xml::NameId tag, EvalStats* stats) {
   stats_ = stats;
-  materialized_.clear();
-  materialized_pos_ = 0;
-  switch (access) {
-    case StepPlan::Access::kChildrenByTag: {
-      auto direct = store->ChildrenByTag(base, tag);
-      if (direct.has_value()) {
-        ++stats->index_lookups;
-        materialized_ = std::move(*direct);
-        mode_ = Mode::kMaterialized;
-        return Status::OK();
-      }
-      // The physical layout does not cover this node: scan its children
-      // with a cursor.
-      [[fallthrough]];
-    }
-    case StepPlan::Access::kChildCursor:
-      store->OpenChildCursor(base, filter, tag, &child_cursor_);
-      ++stats->cursor_scans;
-      mode_ = Mode::kChildCursor;
-      return Status::OK();
-    case StepPlan::Access::kDescendantCursor: {
-      store->OpenDescendantCursor(base, filter, tag, &descendant_cursor_);
-      ++stats->descendant_scans;
-      mode_ = Mode::kDescendantCursor;
-      const uint64_t span = descendant_cursor_.u1 > descendant_cursor_.u0
-                                ? descendant_cursor_.u1 - descendant_cursor_.u0
-                                : 0;
-      if (pool != nullptr && pool->worker_count() > 1 &&
-          min_morsel_ids > 0 && span >= min_morsel_ids &&
-          store->DescendantCursorPartitionable(descendant_cursor_)) {
-        return DrainMorsels(pool, span, ctx);
-      }
-      return Status::OK();
-    }
-    case StepPlan::Access::kAttribute:
-    case StepPlan::Access::kSelf:
-      mode_ = Mode::kDone;
-      return Status::OK();
+  descendant_ = axis == Axis::kDescendant;
+  if (descendant_) {
+    store->OpenDescendantCursor(base, filter, tag, &descendant_cursor_);
+    ++stats->descendant_scans;
+  } else {
+    store->OpenChildCursor(base, filter, tag, &child_cursor_);
+    ++stats->cursor_scans;
   }
-  mode_ = Mode::kDone;
-  return Status::OK();
-}
-
-// Morsel-parallel drain of a partitionable descendant cursor: split the
-// cursor's [u0, u1) position interval into deterministic chunks
-// (ChunkBounds depends only on span and worker count), drain each chunk
-// through a clamped COPY of the open cursor into a private buffer, then
-// concatenate the buffers in chunk order. Because the store declared the
-// cursor partitionable, every chunk emits exactly the serial scan's
-// matches for its sub-range, in order — so the concatenation is
-// byte-identical to the serial drain for any chunking. Workers touch no
-// shared state beyond the per-chunk status/abort slots (stats are settled
-// once below), and the scan converts to kMaterialized so Fill never
-// consults the cursor again.
-//
-// Error path: a worker that fails (governance check, injected fault)
-// records its Status in its chunk slot and raises the shared abort flag;
-// sibling morsels observe the flag at their next batch and stop early.
-// After the barrier the first non-OK slot in chunk order is returned —
-// deterministic because a governed failure is sticky on the ExecContext
-// (every failing chunk reports the same Status) and an injected fault
-// fires in exactly one chunk.
-Status NodeScan::DrainMorsels(ThreadPool* pool, uint64_t span,
-                              ExecContext* ctx) {
-  const std::vector<size_t> bounds =
-      ChunkBounds(static_cast<size_t>(span), pool->worker_count());
-  const size_t chunks = bounds.size() - 1;
-  std::vector<std::vector<NodeHandle>> parts(chunks);
-  std::vector<Status> statuses(chunks);
-  std::atomic<bool> abort{false};
-  MemoryBudget* budget = ctx != nullptr ? ctx->memory_budget() : nullptr;
-  ForkJoin(*pool, chunks, [this, &bounds, &parts, &statuses, &abort, ctx,
-                           budget](size_t k) {
-    if (bounds[k] == bounds[k + 1]) return;  // empty chunk
-    if (abort.load(std::memory_order_relaxed)) return;  // sibling failed
-    // Workers charge their private buffers to the run's shared budget.
-    ScopedMemoryBudget install(budget);
-    DescendantCursor cur = descendant_cursor_;  // clamped copy
-    const uint64_t origin = descendant_cursor_.u0;
-    cur.u0 = origin + bounds[k];
-    cur.u1 = origin + bounds[k + 1];
-    std::vector<NodeHandle>& out = parts[k];
-    constexpr size_t kBatch = 256;
-    NodeHandle buf[kBatch];
-    size_t n;
-    while ((n = cur.Fill(buf, kBatch)) > 0) {
-      if (XMARK_FAULT_POINT("exec/morsel_drain")) {
-        statuses[k] =
-            Status::ResourceExhausted("fault injection: exec/morsel_drain");
-        abort.store(true, std::memory_order_relaxed);
-        return;
-      }
-      out.insert(out.end(), buf, buf + n);
-      if (budget != nullptr) budget->Charge(n * sizeof(NodeHandle));
-      if (ctx != nullptr) {
-        Status st = ctx->Check();
-        if (!st.ok()) {
-          statuses[k] = std::move(st);
-          abort.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-      if (abort.load(std::memory_order_relaxed)) return;
-    }
-  });
-  for (size_t k = 0; k < chunks; ++k) {
-    XMARK_RETURN_IF_ERROR(statuses[k]);
-  }
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  materialized_.clear();
-  materialized_.reserve(total);
-  for (const auto& p : parts) {
-    materialized_.insert(materialized_.end(), p.begin(), p.end());
-  }
-  // Serial parity: the serial descendant drain counts one visited node per
-  // emitted match (cursor Fill adds the match count per batch).
-  stats_->nodes_visited += static_cast<int64_t>(total);
-  materialized_pos_ = 0;
-  mode_ = Mode::kMaterialized;
-  return Status::OK();
 }
 
 size_t NodeScan::Fill(NodeHandle* out, size_t cap) {
-  const size_t n = FillBatch(out, cap);
+  const size_t n = descendant_ ? descendant_cursor_.Fill(out, cap)
+                               : child_cursor_.Fill(out, cap);
+  stats_->nodes_visited += static_cast<int64_t>(n);
   // Every non-empty generic batch counts: virtual_batches is the
   // denominator the bench reports against pipeline_batches_fused.
   if (n > 0) ++stats_->virtual_batches;
   return n;
-}
-
-size_t NodeScan::FillBatch(NodeHandle* out, size_t cap) {
-  switch (mode_) {
-    case Mode::kDone:
-      return 0;
-    case Mode::kChildCursor: {
-      const size_t n = child_cursor_.Fill(out, cap);
-      stats_->nodes_visited += static_cast<int64_t>(n);
-      if (n == 0) mode_ = Mode::kDone;
-      return n;
-    }
-    case Mode::kDescendantCursor: {
-      const size_t n = descendant_cursor_.Fill(out, cap);
-      stats_->nodes_visited += static_cast<int64_t>(n);
-      if (n == 0) mode_ = Mode::kDone;
-      return n;
-    }
-    case Mode::kMaterialized: {
-      const size_t n =
-          std::min(cap, materialized_.size() - materialized_pos_);
-      std::copy_n(materialized_.begin() + materialized_pos_, n, out);
-      materialized_pos_ += n;
-      if (n == 0) mode_ = Mode::kDone;
-      return n;
-    }
-  }
-  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -231,7 +88,7 @@ void ChildPathWalker::Open(size_t depth, NodeHandle parent,
     store_->OpenChildCursor(parent, ChildFilter::kText, xml::kInvalidName,
                             cursor);
   } else {
-    store_->OpenChildCursor(parent, ChildFilter::kTag, path_.steps[depth].name,
+    store_->OpenChildCursor(parent, ChildFilter::kTag, path_.steps[depth],
                             cursor);
   }
   ++stats_->cursor_scans;
@@ -263,10 +120,9 @@ void ChildPathWalker::Open(size_t depth, NodeHandle parent,
 namespace {
 
 // Per-drain state: the pipeline, the store, the element string-value
-// scratch buffer and the walkers of the filter and tail chains. One
-// instance per thread — morsel workers get their own (the scratch must
-// never be shared across chunks). The walks' scan counters land in
-// `stats`, which nothing reads: the fused drain reports its batches.
+// scratch buffer and the walkers of the filter and tail chains. The
+// walks' scan counters land in `stats`, which nothing reads: the fused
+// drain reports its batches.
 struct PipeCtx {
   PipeCtx(const CompiledPipeline* p, const StorageAdapter* s)
       : pipe(p),
@@ -279,13 +135,6 @@ struct PipeCtx {
   EvalStats stats;
   ChildPathWalker filter;
   ChildPathWalker tail;
-};
-
-// Serial-drain stat deltas, settled into the shared EvalStats once per
-// drain (morsel workers must not touch the shared struct).
-struct PipeDrainStats {
-  int64_t batches = 0;     // fused batches flushed
-  int64_t candidates = 0;  // tag-matched nodes through the fused loop
 };
 
 // First filter-operand value of `cand`, or the empty string when the chain
@@ -343,10 +192,7 @@ struct CompareMatch {
 
 // --- Emission -----------------------------------------------------------
 
-// One surviving binding's contribution to the result. RAW selects the
-// dense-preorder count loop for kCount (the store advertised RawTagArray
-// at plan time, and plan + execution see the same store).
-template <bool RAW>
+// One surviving binding's contribution to the result.
 void EmitOne(PipeCtx& cx, NodeHandle cand, Sequence* out) {
   const CompiledPipeline& pipe = *cx.pipe;
   switch (pipe.emit) {
@@ -370,22 +216,14 @@ void EmitOne(PipeCtx& cx, NodeHandle cand, Sequence* out) {
     }
     case CompiledPipeline::Emit::kCount: {
       int64_t count = 0;
-      if constexpr (RAW) {
-        const xml::NameId* tags = cx.store->RawTagArray();
-        const NodeHandle end = cx.store->RawSubtreeEnd(cand);
-        for (NodeHandle i = cand + 1; i < end; ++i) {
-          count += tags[i] == pipe.count_tag ? 1 : 0;
-        }
-      } else {
-        DescendantCursor cur;
-        cx.store->OpenDescendantCursor(cand, ChildFilter::kTag, pipe.count_tag,
-                                       &cur);
-        constexpr size_t kBatch = 256;
-        NodeHandle buf[kBatch];
-        size_t n;
-        while ((n = cur.Fill(buf, kBatch)) > 0) {
-          count += static_cast<int64_t>(n);
-        }
+      DescendantCursor cur;
+      cx.store->OpenDescendantCursor(cand, ChildFilter::kTag, pipe.count_tag,
+                                     &cur);
+      constexpr size_t kBatch = 256;
+      NodeHandle buf[kBatch];
+      size_t n;
+      while ((n = cur.Fill(buf, kBatch)) > 0) {
+        count += static_cast<int64_t>(n);
       }
       out->emplace_back(static_cast<double>(count));
       return;
@@ -399,11 +237,11 @@ void EmitOne(PipeCtx& cx, NodeHandle cand, Sequence* out) {
 // intermediate Sequence.
 using EmitBatchFn = void (*)(PipeCtx&, const NodeHandle*, size_t, Sequence*);
 
-template <typename Policy, bool RAW>
+template <typename Policy>
 void EmitBatch(PipeCtx& cx, const NodeHandle* batch, size_t n,
                Sequence* out) {
   for (size_t i = 0; i < n; ++i) {
-    if (Policy::Match(cx, batch[i])) EmitOne<RAW>(cx, batch[i], out);
+    if (Policy::Match(cx, batch[i])) EmitOne(cx, batch[i], out);
   }
 }
 
@@ -411,7 +249,7 @@ void EmitBatch(PipeCtx& cx, const NodeHandle* batch, size_t n,
 // the (comparison op, string|numeric) grid laid out by PipelineDispatch.
 template <uint32_t SLOT>
 struct PipeFilterPolicy {
-  static_assert(SLOT >= 3 && SLOT < kPipelineRawBit);
+  static_assert(SLOT >= 3 && SLOT < kPipelineDispatchSlots);
   using Type = CompareMatch<
       static_cast<BinaryOp>(static_cast<uint32_t>(BinaryOp::kEq) +
                             (SLOT - 3) / 2),
@@ -433,15 +271,12 @@ struct PipeFilterPolicy<2> {
 template <uint32_t... SLOT>
 constexpr std::array<EmitBatchFn, kPipelineDispatchSlots> MakeEmitTable(
     std::integer_sequence<uint32_t, SLOT...>) {
-  return {{&EmitBatch<
-      typename PipeFilterPolicy<SLOT & (kPipelineRawBit - 1)>::Type,
-      (SLOT & kPipelineRawBit) != 0>...}};
+  return {{&EmitBatch<typename PipeFilterPolicy<SLOT>::Type>...}};
 }
 
 // The plan-time dispatch table: pipeline.cc computed an index into this
 // array when it proved the shape; Run picks the instantiation with one
-// load. (Slot 15 of each half is padding — PipelineDispatch never
-// produces it.)
+// load. (Slot 15 is padding — PipelineDispatch never produces it.)
 constexpr std::array<EmitBatchFn, kPipelineDispatchSlots> kEmitTable =
     MakeEmitTable(std::make_integer_sequence<uint32_t,
                                              kPipelineDispatchSlots>{});
@@ -451,132 +286,26 @@ constexpr std::array<EmitBatchFn, kPipelineDispatchSlots> kEmitTable =
 // the governance check, the fused-batch accounting.
 Status FlushFused(PipeCtx& cx, EmitBatchFn emit, const NodeHandle* buf,
                   size_t n, Sequence* out, ExecContext* ctx,
-                  PipeDrainStats* ds) {
+                  EvalStats* stats) {
   if (n == 0) return Status::OK();
   if (XMARK_FAULT_POINT("exec/pipeline_drain")) {
     return Status::ResourceExhausted("fault injection: exec/pipeline_drain");
   }
-  ++ds->batches;
-  ds->candidates += static_cast<int64_t>(n);
+  ++stats->pipeline_batches_fused;
+  stats->nodes_visited += static_cast<int64_t>(n);
   emit(cx, buf, n, out);
   if (ctx != nullptr) return ctx->Check();
   return Status::OK();
 }
 
-// Serial fused drain over a raw preorder id interval: the tag compare runs
-// directly against the store's dense tag array; matches flush in batches.
-// `abort` (nullable) is the sibling-failure flag of a morsel drain.
-Status DrainDescRaw(PipeCtx& cx, EmitBatchFn emit, NodeHandle from,
-                    NodeHandle to, Sequence* out, ExecContext* ctx,
-                    PipeDrainStats* ds, const std::atomic<bool>* abort) {
-  const xml::NameId* tags = cx.store->RawTagArray();
-  const xml::NameId want = cx.pipe->scan_tag;
-  constexpr size_t kBatch = 256;
-  // Forces a governance check at least this often even through long
-  // match-free id runs (matches alone would starve the check cadence).
-  constexpr uint64_t kCheckStride = 4096;
-  NodeHandle buf[kBatch];
-  size_t n = 0;
-  uint64_t since_check = 0;
-  for (NodeHandle i = from; i < to; ++i) {
-    if (tags[i] == want) {
-      buf[n++] = i;
-      if (n == kBatch) {
-        XMARK_RETURN_IF_ERROR(FlushFused(cx, emit, buf, n, out, ctx, ds));
-        n = 0;
-        since_check = 0;
-        if (abort != nullptr && abort->load(std::memory_order_relaxed)) {
-          return Status::OK();
-        }
-      }
-    }
-    if (++since_check >= kCheckStride) {
-      since_check = 0;
-      if (ctx != nullptr) XMARK_RETURN_IF_ERROR(ctx->Check());
-      if (abort != nullptr && abort->load(std::memory_order_relaxed)) {
-        return Status::OK();
-      }
-    }
-  }
-  return FlushFused(cx, emit, buf, n, out, ctx, ds);
-}
-
-// Serial fused drain of an open descendant cursor.
+// Fused drain of an open descendant cursor.
 Status DrainDescCursor(PipeCtx& cx, EmitBatchFn emit, DescendantCursor* cur,
-                       Sequence* out, ExecContext* ctx, PipeDrainStats* ds,
-                       const std::atomic<bool>* abort) {
+                       Sequence* out, ExecContext* ctx, EvalStats* stats) {
   constexpr size_t kBatch = 256;
   NodeHandle buf[kBatch];
   size_t n;
   while ((n = cur->Fill(buf, kBatch)) > 0) {
-    XMARK_RETURN_IF_ERROR(FlushFused(cx, emit, buf, n, out, ctx, ds));
-    if (abort != nullptr && abort->load(std::memory_order_relaxed)) {
-      return Status::OK();
-    }
-  }
-  return Status::OK();
-}
-
-// Morsel-parallel fused descendant drain, mirroring NodeScan::DrainMorsels
-// chunk for chunk: deterministic ChunkBounds over the id span, one private
-// PipeCtx + result Sequence per chunk (scratch buffers and emission never
-// cross threads), one ForkJoin over the chunks, abort flag +
-// sticky-context convergence for deterministic first failure, chunk-order
-// concatenation (= serial order, since chunks cover ascending id ranges
-// and each candidate's emission is contiguous). Stat deltas are settled
-// on the caller after the barrier.
-Status DrainDescMorsels(const CompiledPipeline& pipe,
-                        const StorageAdapter* store, EmitBatchFn emit,
-                        bool raw, NodeHandle raw_from,
-                        const DescendantCursor* proto, uint64_t span,
-                        ThreadPool* pool, ExecContext* ctx, Sequence* out,
-                        PipeDrainStats* ds) {
-  const std::vector<size_t> bounds =
-      ChunkBounds(static_cast<size_t>(span), pool->worker_count());
-  const size_t chunks = bounds.size() - 1;
-  std::vector<Sequence> parts(chunks);
-  std::vector<PipeDrainStats> part_stats(chunks);
-  std::vector<Status> statuses(chunks);
-  std::atomic<bool> abort{false};
-  MemoryBudget* budget = ctx != nullptr ? ctx->memory_budget() : nullptr;
-  ForkJoin(*pool, chunks, [&pipe, store, emit, raw, raw_from, proto, &bounds,
-                           &parts, &part_stats, &statuses, &abort, ctx,
-                           budget](size_t k) {
-    if (bounds[k] == bounds[k + 1]) return;  // empty chunk
-    if (abort.load(std::memory_order_relaxed)) return;  // sibling failed
-    ScopedMemoryBudget install(budget);
-    PipeCtx cx(&pipe, store);
-    Status st;
-    if (raw) {
-      st = DrainDescRaw(cx, emit, raw_from + bounds[k],
-                        raw_from + bounds[k + 1], &parts[k], ctx,
-                        &part_stats[k], &abort);
-    } else {
-      DescendantCursor cur = *proto;  // clamped copy
-      const uint64_t origin = proto->u0;
-      cur.u0 = origin + bounds[k];
-      cur.u1 = origin + bounds[k + 1];
-      st = DrainDescCursor(cx, emit, &cur, &parts[k], ctx, &part_stats[k],
-                           &abort);
-    }
-    if (!st.ok()) {
-      statuses[k] = std::move(st);
-      abort.store(true, std::memory_order_relaxed);
-    }
-  });
-  for (size_t k = 0; k < chunks; ++k) {
-    XMARK_RETURN_IF_ERROR(statuses[k]);
-  }
-  size_t total = 0;
-  for (const Sequence& p : parts) total += p.size();
-  out->reserve(out->size() + total);
-  for (Sequence& p : parts) {
-    out->insert(out->end(), std::make_move_iterator(p.begin()),
-                std::make_move_iterator(p.end()));
-  }
-  for (const PipeDrainStats& p : part_stats) {
-    ds->batches += p.batches;
-    ds->candidates += p.candidates;
+    XMARK_RETURN_IF_ERROR(FlushFused(cx, emit, buf, n, out, ctx, stats));
   }
   return Status::OK();
 }
@@ -585,13 +314,9 @@ Status DrainDescMorsels(const CompiledPipeline& pipe,
 
 StatusOr<Sequence> PipelineExec::Run(const CompiledPipeline& pipe,
                                      const StorageAdapter* store,
-                                     EvalStats* stats, ExecContext* ctx,
-                                     ThreadPool* pool,
-                                     size_t min_morsel_ids) {
-  const bool raw = (pipe.dispatch & kPipelineRawBit) != 0;
+                                     EvalStats* stats, ExecContext* ctx) {
   const EmitBatchFn emit = kEmitTable[pipe.dispatch % kPipelineDispatchSlots];
   PipeCtx cx(&pipe, store);
-  PipeDrainStats ds;
   Sequence out;
 
   // Resolve the prefix: a rooted path's first step tests the root element
@@ -613,13 +338,7 @@ StatusOr<Sequence> PipelineExec::Run(const CompiledPipeline& pipe,
       size_t n;
       while ((n = cur.Fill(buf, kBatch)) > 0) {
         next.insert(next.end(), buf, buf + n);
-        if (ctx != nullptr) {
-          Status st = ctx->Check();
-          if (!st.ok()) {
-            stats->pipeline_batches_fused += ds.batches;
-            return st;
-          }
-        }
+        if (ctx != nullptr) XMARK_RETURN_IF_ERROR(ctx->Check());
       }
     }
     level.swap(next);
@@ -632,7 +351,7 @@ StatusOr<Sequence> PipelineExec::Run(const CompiledPipeline& pipe,
       constexpr size_t kBatch = 256;
       for (size_t off = 0; st.ok() && off < level.size(); off += kBatch) {
         const size_t n = std::min(kBatch, level.size() - off);
-        st = FlushFused(cx, emit, level.data() + off, n, &out, ctx, &ds);
+        st = FlushFused(cx, emit, level.data() + off, n, &out, ctx, stats);
       }
       break;
     }
@@ -683,52 +402,25 @@ StatusOr<Sequence> PipelineExec::Run(const CompiledPipeline& pipe,
       constexpr size_t kBatch = 256;
       for (size_t off = 0; st.ok() && off < cands.size(); off += kBatch) {
         const size_t n = std::min(kBatch, cands.size() - off);
-        st = FlushFused(cx, emit, cands.data() + off, n, &out, ctx, &ds);
+        st = FlushFused(cx, emit, cands.data() + off, n, &out, ctx, stats);
       }
       break;
     }
     case CompiledPipeline::Scan::kDescendants: {
       for (NodeHandle p : level) {
-        const bool parallel_ok = pool != nullptr &&
-                                 pool->worker_count() > 1 &&
-                                 min_morsel_ids > 0;
-        if (raw) {
-          const NodeHandle from = p + 1;
-          const NodeHandle to = store->RawSubtreeEnd(p);
-          const uint64_t span = to > from ? to - from : 0;
-          ++stats->descendant_scans;
-          if (parallel_ok && span >= min_morsel_ids) {
-            st = DrainDescMorsels(pipe, store, emit, /*raw=*/true, from,
-                                  nullptr, span, pool, ctx, &out, &ds);
-          } else {
-            st = DrainDescRaw(cx, emit, from, to, &out, ctx, &ds, nullptr);
-          }
-        } else {
-          DescendantCursor cur;
-          store->OpenDescendantCursor(p, ChildFilter::kTag, pipe.scan_tag,
-                                      &cur);
-          ++stats->descendant_scans;
-          const uint64_t span = cur.u1 > cur.u0 ? cur.u1 - cur.u0 : 0;
-          if (parallel_ok && span >= min_morsel_ids &&
-              store->DescendantCursorPartitionable(cur)) {
-            st = DrainDescMorsels(pipe, store, emit, /*raw=*/false,
-                                  kInvalidHandle, &cur, span, pool, ctx,
-                                  &out, &ds);
-          } else {
-            st = DrainDescCursor(cx, emit, &cur, &out, ctx, &ds, nullptr);
-          }
-        }
+        DescendantCursor cur;
+        store->OpenDescendantCursor(p, ChildFilter::kTag, pipe.scan_tag, &cur);
+        ++stats->descendant_scans;
+        st = DrainDescCursor(cx, emit, &cur, &out, ctx, stats);
         if (!st.ok()) break;
       }
       break;
     }
   }
 
-  stats->pipeline_batches_fused += ds.batches;
-  stats->nodes_visited += ds.candidates;
   if (pipe.emit == CompiledPipeline::Emit::kCount) {
-    // Each emitted count is one batched interval scan of its binding's
-    // subtree (raw tag-array walk or descendant cursor drain).
+    // Each emitted count is one descendant cursor drain of its binding's
+    // subtree.
     stats->descendant_scans += static_cast<int64_t>(out.size());
   }
   if (!st.ok()) return st;
@@ -779,8 +471,7 @@ std::optional<double> BandNumericValue(const Item& item,
 }
 
 Status BandJoinIndex::Build(const BandJoinPlan& plan, size_t slot_count,
-                            const EvalFn& eval, EvalStats* stats,
-                            ThreadPool* pool) {
+                            const EvalFn& eval, EvalStats* stats) {
   if (XMARK_FAULT_POINT("exec/band_join_build")) {
     return Status::ResourceExhausted("fault injection: exec/band_join_build");
   }
@@ -803,10 +494,9 @@ Status BandJoinIndex::Build(const BandJoinPlan& plan, size_t slot_count,
     if (std::isnan(*num)) continue;  // NaN compares false against anything
     keys_.push_back(*num);
   }
-  // Keys are plain doubles (NaNs already dropped), so a stable sort orders
-  // them identically to std::sort; ParallelStableSort is deterministic for
-  // any worker count, making the parallel build byte-identical to serial.
-  ParallelStableSort(pool, keys_.begin(), keys_.end(), std::less<double>());
+  // Keys are plain doubles (NaNs already dropped): any sort orders them
+  // identically.
+  std::stable_sort(keys_.begin(), keys_.end());
   valid_ = true;
   ++stats->band_joins_built;
   return Status::OK();

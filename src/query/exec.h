@@ -1,14 +1,15 @@
 // Physical operator layer: pull-time execution of planned decisions.
 //
-// Layer contract: operators here run WITHIN one Evaluator::Run and only
-// execute what the plan layer already decided — a NodeScan never chooses
-// its access path (it receives a StepPlan::Access), ConstructExec never
-// analyzes constructor structure (it instantiates a ConstructPlan), the
-// join operators never detect join shapes (they Build from a
-// HashJoinPlan/BandJoinPlan). Runtime adaptivity is limited to safety
-// fallbacks the plan explicitly allows (ChildrenByTag answering nullopt,
-// an invalid band domain). Operators evaluate subexpressions only through
-// the EvalFn callback, so this layer never depends on the Evaluator class.
+// Layer contract: operators here run WITHIN one Evaluator::Run, on the
+// thread that calls it, and only execute what the plan layer already
+// decided — a NodeScan or ChildPathWalker never chooses a physical access
+// (it drains the store's own cursor, and the store decides how to answer
+// it), ConstructExec never analyzes constructor structure (it instantiates
+// a ConstructPlan), the join operators never detect join shapes (they
+// Build from a HashJoinPlan/BandJoinPlan). Runtime adaptivity is limited
+// to the safety fallback the plan explicitly allows (an invalid band
+// domain). Operators evaluate subexpressions only through the EvalFn
+// callback, so this layer never depends on the Evaluator class.
 //
 // Cache ownership rule: operator instances that carry per-run state
 // (HashJoinExec tables, BandJoinIndex domains, ConstructExec's arena and
@@ -37,10 +38,6 @@
 #include "query/value.h"
 #include "util/status.h"
 #include "util/string_util.h"
-
-namespace xmark {
-class ThreadPool;
-}
 
 namespace xmark::query {
 
@@ -126,34 +123,19 @@ using EvalFn =
                                      const Focus*)>;
 
 // ---------------------------------------------------------------------------
-// NodeScan: batch-pull scan over one physical access path
+// NodeScan: batch-pull scan over one store cursor
 // ---------------------------------------------------------------------------
 
-/// Physical operator producing the nodes a planned step access selects
-/// from one base node, drained in batches. One NodeScan instance is reused
-/// across the input sequence of a step, so the materialized buffer
-/// allocation amortizes.
+/// Physical operator producing the nodes a child or descendant step
+/// selects from one base node: it drains the store's cursor for the axis
+/// in batches. One NodeScan instance is reused across the input sequence
+/// of a step.
 class NodeScan {
  public:
-  /// Positions the scan on `base` for the given access path. Access kinds
-  /// kAttribute/kSelf are not scans and must not be passed here.
-  /// kChildrenByTag falls back to a child cursor when the store answers
-  /// nullopt for this node.
-  /// `pool` (optional) enables morsel-parallel draining of descendant
-  /// scans whose cursor spans at least `min_morsel_ids` positions and
-  /// whose store declares the cursor partitionable: the position interval
-  /// is split into deterministic chunks, each drained by a worker into a
-  /// private buffer, and the buffers are concatenated in chunk order —
-  /// byte-identical to the serial scan for any chunking, since every
-  /// morsel emits in id order and chunks cover ascending id ranges.
-  /// `ctx` (optional) is the run's governance context: morsel workers
-  /// check it per batch, so Open fails with the context's Status when the
-  /// run is cancelled or over budget mid-drain. A failing morsel aborts
-  /// its siblings and the first failure in chunk order is returned.
-  Status Open(const StorageAdapter* store, NodeHandle base,
-              StepPlan::Access access, ChildFilter filter, xml::NameId tag,
-              EvalStats* stats, ThreadPool* pool = nullptr,
-              size_t min_morsel_ids = 0, ExecContext* ctx = nullptr);
+  /// Positions the scan on the children (Axis::kChild) or descendants
+  /// (Axis::kDescendant) of `base` that pass `filter`.
+  void Open(const StorageAdapter* store, NodeHandle base, Axis axis,
+            ChildFilter filter, xml::NameId tag, EvalStats* stats);
 
   /// Copies up to `cap` matching handles into `out` in document order;
   /// returns the number written. 0 signals exhaustion. Every non-empty
@@ -162,29 +144,10 @@ class NodeScan {
   size_t Fill(NodeHandle* out, size_t cap);
 
  private:
-  enum class Mode : uint8_t {
-    kDone,
-    kChildCursor,
-    kDescendantCursor,
-    kMaterialized,
-  };
-
-  /// The mode dispatch behind Fill (kept separate so the public wrapper is
-  /// the single place virtual_batches accounting happens).
-  size_t FillBatch(NodeHandle* out, size_t cap);
-  /// Drains the open descendant cursor (spanning `span` positions) in
-  /// parallel chunks, one ForkJoin on `pool`, and converts the scan to
-  /// kMaterialized. When the pool refuses helpers the caller drains every
-  /// chunk itself (identical output either way). Returns the first
-  /// failing chunk's Status in chunk order.
-  Status DrainMorsels(ThreadPool* pool, uint64_t span, ExecContext* ctx);
-
   EvalStats* stats_ = nullptr;
-  Mode mode_ = Mode::kDone;
+  bool descendant_ = false;
   ChildCursor child_cursor_;
   DescendantCursor descendant_cursor_;
-  std::vector<NodeHandle> materialized_;
-  size_t materialized_pos_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -211,11 +174,11 @@ bool CompareResult(int cmp, BinaryOp op);
 /// The child-path kernel: walks one ChildPath (see query/plan.h) from
 /// start nodes and hands each selected item to a visitor, in the generic
 /// evaluator's order — a depth-first walk over nested child scans, which
-/// for child steps equals the step-by-step concatenation. Each level uses
-/// its step's planned access like NodeScan (children-by-tag where the
-/// store answers it, else a tag-filtered child cursor); a text() terminal
-/// is a text-filtered cursor. No Sequence and no per-node Item or string
-/// is built, and the visitor stops the walk whenever it has its answer.
+/// for child steps equals the step-by-step concatenation. Each level
+/// drains the store's tag-filtered child cursor, like NodeScan; a text()
+/// terminal is a text-filtered cursor. No Sequence and no per-node Item or
+/// string is built, and the visitor stops the walk whenever it has its
+/// answer.
 /// One governance check per child batch when `ctx` is set. A walker holds
 /// no per-walk state beyond its status, so walks may nest freely.
 class ChildPathWalker {
@@ -270,17 +233,6 @@ class ChildPathWalker {
       }
       return visit(static_cast<const ChildPathHit&>(hit));
     }
-    if (depth < path_.steps.size() &&
-        path_.steps[depth].access == StepPlan::Access::kChildrenByTag) {
-      // Scoped to this branch: the cursor frames stay trivially
-      // destructible, which the hot walks measurably depend on.
-      const std::optional<std::vector<NodeHandle>> direct =
-          store_->ChildrenByTag(node, path_.steps[depth].name);
-      if (direct.has_value()) {
-        ++stats_->index_lookups;
-        return DescendBatch(depth, direct->data(), direct->size(), visit);
-      }
-    }
     ChildCursor cursor;
     Open(depth, node, &cursor);
     NodeHandle buf[kBatch];
@@ -324,25 +276,20 @@ class ChildPathWalker {
 /// it annotates. The loop body is selected from a static table of
 /// monomorphic instantiations indexed by the pipeline's plan-time
 /// `dispatch` word — one instantiation per (filter kind × compare op ×
-/// operand type × raw/cursor scan source) — so the hot loop pays no
-/// per-batch virtual call and drains straight into the result Sequence
-/// with no intermediate materialization. Byte-identical to the generic
-/// nested-loop evaluation by construction (the fusion pass refuses any
-/// shape it cannot prove).
+/// operand type) — so the hot loop pays no per-candidate virtual call and
+/// drains the store's cursors straight into the result Sequence with no
+/// intermediate materialization. Byte-identical to the generic nested-loop
+/// evaluation by construction (the fusion pass refuses any shape it cannot
+/// prove).
 ///
-/// Cooperates with governance and morsel parallelism exactly like
-/// NodeScan: every batch checks `ctx` (when non-null), descendant scans
-/// spanning at least `min_morsel_ids` ids split into deterministic chunks
-/// on `pool` (one ForkJoin over the chunks, private per-chunk
-/// buffers concatenated in chunk order), and the "exec/pipeline_drain"
+/// Every batch checks `ctx` (when non-null), and the "exec/pipeline_drain"
 /// fault site covers the fused drain. Stateless: safe to call from any
 /// number of concurrent runs sharing the plan.
 class PipelineExec {
  public:
   static StatusOr<Sequence> Run(const CompiledPipeline& pipe,
                                 const StorageAdapter* store, EvalStats* stats,
-                                ExecContext* ctx, ThreadPool* pool,
-                                size_t min_morsel_ids);
+                                ExecContext* ctx);
 };
 
 // ---------------------------------------------------------------------------
@@ -388,11 +335,8 @@ class BandJoinIndex {
   /// binding's inner side fails to evaluate or yields a non-number, the
   /// index is marked invalid and the caller falls back to the nested loop
   /// (which reproduces the interpreter's behavior, including its errors).
-  /// `pool` (optional) runs the domain-key sort partitioned
-  /// (ParallelStableSort); probe results are identical either way.
   Status Build(const BandJoinPlan& plan, size_t slot_count,
-               const EvalFn& eval, EvalStats* stats,
-               ThreadPool* pool = nullptr);
+               const EvalFn& eval, EvalStats* stats);
 
   bool valid() const { return valid_; }
   size_t domain_size() const { return keys_.size(); }

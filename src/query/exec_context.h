@@ -10,13 +10,13 @@
 // run (null context) pays a single pointer test. Memory is charged where
 // it is allocated — NodeArena blocks and Sequence heap growth in
 // query/value.cc — through a thread-local budget pointer installed for the
-// duration of the run (and inside every morsel worker), because allocation
-// sites cannot return a Status; the overrun surfaces as kResourceExhausted
-// at the next cooperative check.
+// duration of the run (by each collection() leg on its own thread),
+// because allocation sites cannot return a Status; the overrun surfaces as
+// kResourceExhausted at the next cooperative check.
 //
 // Violations are sticky: the first failure fixes the context's error, every
 // later Check() on any thread returns the same Status, which is what stops
-// sibling morsel workers deterministically.
+// the sibling legs of a collection() fan-out deterministically.
 
 #include <atomic>
 #include <chrono>
@@ -99,7 +99,7 @@ class ExecContext {
   Status CheckCoarse();
 
   /// The budget charged by NodeArena / Sequence growth (see
-  /// ScopedMemoryBudget) and by morsel workers' buffers.
+  /// ScopedMemoryBudget), from every collection() leg's thread.
   MemoryBudget* memory_budget() { return &budget_; }
 
   /// Checks performed so far (stats: EvalStats::governance_checks).
@@ -133,8 +133,8 @@ class ExecContext {
 };
 
 /// RAII install of `budget` as this thread's allocation-charge target
-/// (null = uninstall). Evaluator::Run installs the run's budget on the
-/// driving thread; DrainMorsels installs it inside each pool worker.
+/// (null = uninstall). Evaluator::Run installs the run's budget on its
+/// calling thread: a collection() leg on the pool thread that runs it.
 class ScopedMemoryBudget {
  public:
   explicit ScopedMemoryBudget(MemoryBudget* budget);

@@ -233,36 +233,16 @@ const AstNode* IdLiteralOf(const Step& step) {
   return nullptr;
 }
 
-// Access-path choice for one step, from options x store capabilities x
-// static predicate shape. Descendant steps always scan a cursor: every
-// store answers it from its own layout (id intervals, tag-index slices,
-// path-table slices).
-StepPlan ComputeStepPlan(const Step& step, const EvaluatorOptions& options,
-                         const StorageCapabilities& caps,
+// Plan for one step: its NameId, and the id probe that replaces the
+// child scan when the store built an ID index.
+StepPlan ComputeStepPlan(const Step& step, const StorageCapabilities& caps,
                          const xml::NameTable& names) {
   StepPlan plan;
   if (step.test == Step::Test::kName && step.axis != Axis::kAttribute) {
     plan.name = names.Lookup(step.name);
-  }
-  switch (step.axis) {
-    case Axis::kAttribute:
-      plan.access = StepPlan::Access::kAttribute;
-      break;
-    case Axis::kSelf:
-      plan.access = StepPlan::Access::kSelf;
-      break;
-    case Axis::kChild:
-      if (options.use_id_index && caps.id_lookup &&
-          step.test == Step::Test::kName) {
-        plan.id_literal = IdLiteralOf(step);
-      }
-      plan.access = step.test == Step::Test::kName && caps.children_by_tag
-                        ? StepPlan::Access::kChildrenByTag
-                        : StepPlan::Access::kChildCursor;
-      break;
-    case Axis::kDescendant:
-      plan.access = StepPlan::Access::kDescendantCursor;
-      break;
+    if (step.axis == Axis::kChild && caps.id_lookup) {
+      plan.id_literal = IdLiteralOf(step);
+    }
   }
   return plan;
 }
@@ -285,7 +265,7 @@ std::optional<ChildPath> LowerChildChain(const AstNode& path,
     const bool last = i + 1 == path.steps.size();
     if (!s.predicates.empty()) return std::nullopt;
     if (s.axis == Axis::kChild && s.test == Step::Test::kName) {
-      chain.steps.push_back({steps[i].name, steps[i].access});
+      chain.steps.push_back(steps[i].name);
       if (steps[i].name == xml::kInvalidName) chain.absent = true;
     } else if (last && s.axis == Axis::kChild &&
                s.test == Step::Test::kText) {
@@ -307,8 +287,8 @@ std::optional<ChildPath> LowerChildChain(const AstNode& path,
 
 namespace {
 
-// Plan for one kPath node (cacheability, path-index prefix, step access
-// and names, and the kernel chain when the path is one).
+// Plan for one kPath node (cacheability, path-index prefix, step names
+// and id probes, and the kernel chain when the path is one).
 PathPlan ComputePathPlan(const AstNode& path, const EvaluatorOptions& options,
                          const StorageCapabilities& caps,
                          const xml::NameTable& names) {
@@ -317,7 +297,7 @@ PathPlan ComputePathPlan(const AstNode& path, const EvaluatorOptions& options,
       options.cache_invariant_paths && IsCacheableInvariant(path);
   const bool rooted =
       path.absolute || (path.start && IsRootedEntryCall(*path.start));
-  if (rooted && options.use_path_index && caps.path_index) {
+  if (rooted && caps.path_index) {
     for (const Step& s : path.steps) {
       if (s.axis != Axis::kChild || s.test != Step::Test::kName ||
           !s.predicates.empty()) {
@@ -328,7 +308,7 @@ PathPlan ComputePathPlan(const AstNode& path, const EvaluatorOptions& options,
   }
   plan.steps.reserve(path.steps.size());
   for (const Step& s : path.steps) {
-    plan.steps.push_back(ComputeStepPlan(s, options, caps, names));
+    plan.steps.push_back(ComputeStepPlan(s, caps, names));
   }
   // The kernel is part of the optimizer's rewrites: F and G keep the
   // generic operators as the byte oracle.
@@ -750,9 +730,9 @@ void BuildPlan(const ParsedQuery& query, const StorageAdapter& store,
   // and band-let registrations decided above.
   if (options.hash_join) {
     for (const FunctionDecl& f : query.functions) {
-      FusePipelines(query, *f.body, store, options, plan);
+      FusePipelines(query, *f.body, store, plan);
     }
-    FusePipelines(query, *query.body, store, options, plan);
+    FusePipelines(query, *query.body, store, plan);
   }
 }
 

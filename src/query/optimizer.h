@@ -1,8 +1,8 @@
 // Optimizer layer: AST -> QueryPlan, once per run.
 //
 // Layer contract: this is the only place that READS StorageCapabilities
-// and the EvaluatorOptions toggles to make choices — access-path
-// selection, join decorrelation, band-shape recognition, invariant-path
+// and the EvaluatorOptions toggles to make choices — id and path index
+// probes, join decorrelation, band-shape recognition, invariant-path
 // cacheability, constructor-template lowering, child-chain lowering. Everything it emits is an
 // immutable annotation in the QueryPlan; nothing here touches documents,
 // evaluates expressions or allocates executor state (BuildPlan is pure
@@ -85,7 +85,7 @@ bool IsLiteral(const AstNode& n);
 /// The optimizer's one child-chain matcher: `path` (a kPath) starts at a
 /// variable or at the context item, has only predicate-free child name
 /// steps and may end in text() or @name. Lowers it against the planned
-/// `steps` (one StepPlan per AST step: NameIds and accesses); nullopt for
+/// `steps` (one StepPlan per AST step); nullopt for
 /// any other shape, or a chain deeper than ChildPath::kMaxLevels.
 std::optional<ChildPath> LowerChildChain(const AstNode& path,
                                          const std::vector<StepPlan>& steps);

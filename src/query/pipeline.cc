@@ -200,8 +200,7 @@ bool MatchRet(const AstNode& ret, int var_slot,
 }
 
 void TryFuse(const AstNode& flwor, const std::set<std::string>& udfs,
-             const StorageAdapter& store, const EvaluatorOptions& options,
-             PlanAnnotations* plan) {
+             const StorageAdapter& store, PlanAnnotations* plan) {
   if (flwor.clauses.size() != 1 || flwor.clauses[0].is_let ||
       flwor.clauses[0].expr == nullptr) {
     return;
@@ -254,11 +253,9 @@ void TryFuse(const AstNode& flwor, const std::set<std::string>& udfs,
   pipe.id_filter = dom.id_filter;
   pipe.id_value = std::move(dom.id_value);
   // Mirrors ComputeStepPlan's id_literal condition: the probe replaces the
-  // child scan only when both the toggle and the capability agree.
-  pipe.id_lookup =
-      dom.id_filter && options.use_id_index && plan->caps.id_lookup;
-  pipe.dispatch = PipelineDispatch(pipe.filter, pipe.cmp_op, pipe.cmp_numeric,
-                                   store.RawTagArray() != nullptr);
+  // child scan when the store built an ID index.
+  pipe.id_lookup = dom.id_filter && plan->caps.id_lookup;
+  pipe.dispatch = PipelineDispatch(pipe.filter, pipe.cmp_op, pipe.cmp_numeric);
   pipe.stages = "scan";
   if (pipe.id_filter || pipe.filter == CompiledPipeline::FilterKind::kContains ||
       pipe.filter == CompiledPipeline::FilterKind::kStartsWith) {
@@ -274,24 +271,20 @@ void TryFuse(const AstNode& flwor, const std::set<std::string>& udfs,
 }
 
 void Walk(const AstNode& node, const std::set<std::string>& udfs,
-          const StorageAdapter& store, const EvaluatorOptions& options,
-          PlanAnnotations* plan) {
-  if (node.kind == AstKind::kFlwor) {
-    TryFuse(node, udfs, store, options, plan);
-  }
+          const StorageAdapter& store, PlanAnnotations* plan) {
+  if (node.kind == AstKind::kFlwor) TryFuse(node, udfs, store, plan);
   VisitChildren(node, [&](const AstNode& child) {
-    Walk(child, udfs, store, options, plan);
+    Walk(child, udfs, store, plan);
   });
 }
 
 }  // namespace
 
 void FusePipelines(const ParsedQuery& query, const AstNode& root,
-                   const StorageAdapter& store,
-                   const EvaluatorOptions& options, PlanAnnotations* plan) {
+                   const StorageAdapter& store, PlanAnnotations* plan) {
   std::set<std::string> udfs;
   for (const FunctionDecl& f : query.functions) udfs.insert(f.name);
-  Walk(root, udfs, store, options, plan);
+  Walk(root, udfs, store, plan);
 }
 
 }  // namespace xmark::query

@@ -24,45 +24,37 @@ namespace xmark::query {
 // ---------------------------------------------------------------------------
 // Dispatch encoding
 // ---------------------------------------------------------------------------
-// A pipeline's inner loop is monomorphic over (access mode x filter x
-// compare op x operand type): the filter slot picks one template
-// instantiation of the per-candidate test, the raw bit picks the scan
-// source (dense preorder tag array vs batched cursor). Store kind
-// collapses into the raw bit at plan time: stores exposing RawTagArray()
-// (edge, DTD-inlined) take the raw source, the rest the cursor source.
+// A pipeline's inner loop is monomorphic over (filter x compare op x
+// operand type): the filter slot picks one template instantiation of the
+// per-candidate test. The scan source is always the store's cursor, so
+// store kind never enters the encoding.
 
 /// Filter slots: 0 = none, 1 = contains, 2 = starts-with, then one slot
 /// per (comparison op, string|numeric) pair for kEq..kGe.
 inline constexpr uint32_t kPipelineFilterSlots =
     3 + 2 * 6;  // none/contains/starts-with + {eq,ne,lt,le,gt,ge} x {str,num}
-/// Raw-interval scan source (vs cursor batches).
-inline constexpr uint32_t kPipelineRawBit = 16;
-/// Size of the instantiation table exec.cc builds (dense in the encoding).
-inline constexpr uint32_t kPipelineDispatchSlots = kPipelineRawBit * 2;
+/// Size of the instantiation table exec.cc builds (the filter slots plus
+/// one padding entry).
+inline constexpr uint32_t kPipelineDispatchSlots = 16;
 
 /// Dispatch index for one proven pipeline shape. `op` and `numeric` are
 /// meaningful only for FilterKind::kCompare; `op` must be one of kEq..kGe.
 constexpr uint32_t PipelineDispatch(CompiledPipeline::FilterKind filter,
-                                    BinaryOp op, bool numeric, bool raw) {
-  uint32_t slot = 0;
+                                    BinaryOp op, bool numeric) {
   switch (filter) {
     case CompiledPipeline::FilterKind::kNone:
-      slot = 0;
-      break;
+      return 0;
     case CompiledPipeline::FilterKind::kContains:
-      slot = 1;
-      break;
+      return 1;
     case CompiledPipeline::FilterKind::kStartsWith:
-      slot = 2;
-      break;
+      return 2;
     case CompiledPipeline::FilterKind::kCompare:
-      slot = 3 +
+      return 3 +
              2 * (static_cast<uint32_t>(op) -
                   static_cast<uint32_t>(BinaryOp::kEq)) +
              (numeric ? 1 : 0);
-      break;
   }
-  return slot | (raw ? kPipelineRawBit : 0);
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -80,8 +72,7 @@ constexpr uint32_t PipelineDispatch(CompiledPipeline::FilterKind filter,
 /// Pipeline ids are assigned densely in walk order (deterministic Explain
 /// output). Callers gate on options.hash_join.
 void FusePipelines(const ParsedQuery& query, const AstNode& root,
-                   const StorageAdapter& store,
-                   const EvaluatorOptions& options, PlanAnnotations* plan);
+                   const StorageAdapter& store, PlanAnnotations* plan);
 
 }  // namespace xmark::query
 

@@ -13,33 +13,11 @@ QueryPlan::~QueryPlan() = default;
 uint64_t OptionsFingerprint(const EvaluatorOptions& o) {
   uint64_t f = 0;
   const auto bit = [&f](bool b) { f = (f << 1) | (b ? 1u : 0u); };
-  bit(o.use_id_index);
-  bit(o.use_path_index);
   bit(o.hash_join);
   bit(o.lazy_let);
   bit(o.cache_invariant_paths);
   bit(o.copy_results);
-  bit(o.parallel_exec.enabled);
-  // Execution-only knobs still key the cache: simpler one-key scheme, and
-  // sessions with different morsel settings just compile one entry each.
-  f ^= static_cast<uint64_t>(o.parallel_exec.min_morsel_ids) << 32;
   return f;
-}
-
-const char* StepAccessName(StepPlan::Access access) {
-  switch (access) {
-    case StepPlan::Access::kAttribute:
-      return "attribute";
-    case StepPlan::Access::kSelf:
-      return "self-filter";
-    case StepPlan::Access::kChildrenByTag:
-      return "children-by-tag";
-    case StepPlan::Access::kChildCursor:
-      return "child-cursor";
-    case StepPlan::Access::kDescendantCursor:
-      return "descendant-cursor";
-  }
-  return "?";
 }
 
 namespace {
@@ -75,14 +53,12 @@ class ExplainPrinter {
                                  : a.doc_scope) +
             "\n";
     out_ += StringPrintf(
-        "options: id-index=%d path-index=%d hash-join=%d lazy-let=%d "
-        "invariant-cache=%d copy-results=%d\n",
-        o.use_id_index, o.use_path_index, o.hash_join, o.lazy_let,
-        o.cache_invariant_paths, o.copy_results);
+        "options: hash-join=%d lazy-let=%d invariant-cache=%d "
+        "copy-results=%d\n",
+        o.hash_join, o.lazy_let, o.cache_invariant_paths, o.copy_results);
     const StorageCapabilities& c = a.caps;
-    out_ += StringPrintf(
-        "capabilities: id-lookup=%d path-index=%d children-by-tag=%d\n",
-        c.id_lookup, c.path_index, c.children_by_tag);
+    out_ += StringPrintf("capabilities: id-lookup=%d path-index=%d\n",
+                         c.id_lookup, c.path_index);
   }
 
   void Footer() {
@@ -98,6 +74,21 @@ class ExplainPrinter {
     out_.append(static_cast<size_t>(depth) * 2, ' ');
     out_ += text;
     out_ += '\n';
+  }
+
+  // The access a step's axis takes (see StepPlan).
+  static const char* StepAccess(Axis axis) {
+    switch (axis) {
+      case Axis::kChild:
+        return "child-cursor";
+      case Axis::kDescendant:
+        return "descendant-cursor";
+      case Axis::kAttribute:
+        return "attribute";
+      case Axis::kSelf:
+        return "self-filter";
+    }
+    return "?";
   }
 
   static std::string StepSpec(const Step& s) {
@@ -174,9 +165,8 @@ class ExplainPrinter {
       line += " access=[";
       for (size_t i = 0; i < pp->steps.size(); ++i) {
         if (i > 0) line += ",";
-        line += i < pp->path_index_steps
-                    ? "path-index"
-                    : StepAccessName(pp->steps[i].access);
+        line += i < pp->path_index_steps ? "path-index"
+                                         : StepAccess(n.steps[i].axis);
         if (pp->steps[i].id_literal != nullptr) line += "+id-index";
       }
       line += "]";

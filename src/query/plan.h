@@ -2,7 +2,7 @@
 //
 // Layer contract: everything in this file is decided ONCE PER RUN, before
 // the first tuple flows. The optimizer (query/optimizer.cc) lowers the AST
-// into a QueryPlan — per-step access paths and NameIds, FLWOR join
+// into a QueryPlan — per-step NameIds and index probes, FLWOR join
 // strategies, band-join lets, constructor templates — from one store's
 // dictionary and StorageCapabilities and the EvaluatorOptions toggles; the
 // evaluator and the physical operators (query/exec.h) then only *execute*
@@ -45,11 +45,9 @@ class ConstructExec;
 /// (systems A-G) enables the subset its architecture plausibly provides;
 /// the differences drive the Table 3 contrasts. They are resolved once per
 /// query into a QueryPlan and the evaluator just executes the chosen plan.
+/// Which indexes a plan probes is not a toggle: it follows the store's
+/// StorageCapabilities, i.e. what the store built.
 struct EvaluatorOptions {
-  /// Resolve [@id="lit"] predicates through the store's ID index.
-  bool use_id_index = true;
-  /// Resolve root child-paths through the structural summary.
-  bool use_path_index = true;
   /// The optimizer's join and fusion rewrites, on for systems whose
   /// optimizer decorrelates joins (A-E), off for the nested-loop-only
   /// executors (F, G):
@@ -58,8 +56,8 @@ struct EvaluatorOptions {
   ///     only under count()) into a sort-merge band join that sorts the
   ///     invariant domain once and answers each probe by binary search;
   ///   - fuse hot FLWOR shapes (scan -> filter -> compare -> emit chains)
-  ///     into CompiledPipeline loops that drain the id interval or cursor
-  ///     range straight into the result;
+  ///     into CompiledPipeline loops that drain the store's cursors
+  ///     straight into the result;
   ///   - lower child chains (`$t/profile/age/text()`) into the child-path
   ///     kernel, and and/or step predicates over them into native
   ///     per-candidate tests.
@@ -73,22 +71,6 @@ struct EvaluatorOptions {
   /// Deep-copy node results into constructed trees (the embedded System G
   /// returns copies, a large part of its overhead).
   bool copy_results = false;
-
-  /// Intra-query morsel parallelism. Large descendant scans are
-  /// partitioned into preorder-id morsels drained as one ForkJoin on the
-  /// evaluator's pool (the engine's is ThreadPool::Shared(), one worker
-  /// per hardware thread), and the band-join domain sort runs
-  /// partitioned. Results are byte-identical to serial execution: each
-  /// morsel emits in id order and morsels are concatenated in id order,
-  /// which reproduces the serial emission exactly for any chunking.
-  struct ParallelExec {
-    bool enabled = false;
-    /// Minimum cursor positions (ids or tag-index slots) before a scan is
-    /// worth splitting; below this the serial drain wins. Tests set 1 to
-    /// force morsels on tiny documents.
-    size_t min_morsel_ids = 4096;
-  };
-  ParallelExec parallel_exec;
 };
 
 /// Order-independent fingerprint of every option that affects plan
@@ -148,19 +130,10 @@ struct EvalStats {
   }
 };
 
-/// Planned access path for one path step, resolved from options x store
-/// capabilities x static predicate shape, plus the step's NameId in that
-/// store.
+/// Plan for one path step in one store. The access follows the axis: a
+/// child or descendant step drains the store's child or descendant cursor,
+/// an attribute step probes AttributeView, a self step filters its input.
 struct StepPlan {
-  enum class Access : uint8_t {
-    kAttribute,         // attribute axis: AttributeView probe per node
-    kSelf,              // self axis: filter the input sequence
-    kChildrenByTag,     // physical child slots/tables (falls back to a
-                        // cursor when the store answers nullopt at runtime)
-    kChildCursor,       // batched tag-filtered child cursor
-    kDescendantCursor,  // batched descendant cursor
-  };
-  Access access = Access::kChildCursor;
   /// The step's name test resolved against the planned store's
   /// dictionary. kInvalidName for attribute steps and non-name tests, and
   /// for a tag the store never saw (the step then selects nothing).
@@ -170,14 +143,13 @@ struct StepPlan {
   const AstNode* id_literal = nullptr;
 };
 
-const char* StepAccessName(StepPlan::Access access);
-
 /// A child chain lowered for the child-path kernel (ChildPathWalker in
 /// query/exec.h): a path that starts at a bound variable or at the context
 /// item, has only predicate-free child name steps, and may end in text()
 /// or @name — `$t/profile/age/text()`, `$t/buyer/@person`, or `income`
 /// inside `profile[income >= 100000]`. The kernel walks it per start node
-/// over the planned child accesses without building a Sequence.
+/// over the store's tag-filtered child cursors without building a
+/// Sequence.
 struct ChildPath {
   /// Levels the walker recurses through (name steps plus a text() level);
   /// deeper chains stay on the generic operators.
@@ -188,15 +160,10 @@ struct ChildPath {
     kText,       // their text() children
     kAttribute,  // the value of `attribute` on them
   };
-  struct Level {
-    xml::NameId name = xml::kInvalidName;
-    StepPlan::Access access = StepPlan::Access::kChildCursor;
-  };
-
   /// Slot of the root variable; -1 when the chain starts at the context
   /// item (a relative path).
   int var_slot = -1;
-  std::vector<Level> steps;  // the child name steps, in order
+  std::vector<xml::NameId> steps;  // the child name steps' tags, in order
   Terminal terminal = Terminal::kNodes;
   std::string attribute;  // kAttribute: the attribute name
   /// A step names a tag the store never saw: the chain selects nothing.
@@ -314,9 +281,8 @@ struct ConstructPlan {
 /// of it, or a count() of one descendant step — and resolves every tag to
 /// a NameId. PipelineExec (query/exec.h) then runs the whole chain as one
 /// monomorphic loop selected from a dispatch table: the scan drains the
-/// store's raw preorder interval (or a batched cursor) straight into the
-/// final result, with no intermediate Sequence and no per-batch virtual
-/// call. Any shape the pass cannot prove simply gets no entry here and
+/// store's cursor straight into the final result, with no intermediate
+/// Sequence and no per-candidate virtual call. Any shape the pass cannot prove simply gets no entry here and
 /// runs on the regular operators — byte-identical output by contract.
 struct CompiledPipeline {
   /// How the FLWOR domain is scanned.

@@ -1,6 +1,7 @@
 #ifndef XMARK_QUERY_STORAGE_H_
 #define XMARK_QUERY_STORAGE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <optional>
@@ -50,12 +51,45 @@ inline bool MatchesChildFilter(ChildFilter filter, xml::NameId tag,
   return false;
 }
 
+/// Scans the dense preorder ids [*pos, end) of a store whose tag of id `i`
+/// is `tags[i]` (xml::kInvalidName for text nodes), writing up to `cap`
+/// ids that pass `filter` into `out` in document order and advancing
+/// `*pos`; returns the count. The one interval loop behind every
+/// descendant cursor that walks such a column: the edge relation's id->tag
+/// projection, the inlined mapping's tag array and the native document's
+/// name column. The kTag path (every `//tag` step) is branch-free: each
+/// id is written, and kept only when its tag matches.
+inline size_t ScanIdInterval(const xml::NameId* tags, ChildFilter filter,
+                             xml::NameId want, uint64_t* pos, uint64_t end,
+                             NodeHandle* out, size_t cap) {
+  uint64_t id = *pos;
+  size_t n = 0;
+  if (filter == ChildFilter::kTag) {
+    while (n < cap && id < end) {
+      // At most one id is kept per step, so `stop` cannot overrun `out`.
+      const uint64_t stop = std::min<uint64_t>(end, id + (cap - n));
+      for (; id < stop; ++id) {
+        out[n] = id;
+        n += tags[id] == want ? 1 : 0;
+      }
+    }
+  } else {
+    for (; n < cap && id < end; ++id) {
+      if (MatchesChildFilter(filter, tags[id], want)) out[n++] = id;
+    }
+  }
+  *pos = id;
+  return n;
+}
+
 /// Reusable, allocation-free cursor over the (optionally filtered) children
-/// of one node. Opened through StorageAdapter::OpenChildCursor; each store
-/// interprets the state words according to its physical layout (a clustered
-/// row position for the edge table, a path-table slice for the fragmented
-/// mapping, a sibling pointer for the native arrays). The evaluator drains
-/// it in batches, paying one virtual call per batch instead of a
+/// of one node: the query layer's only way to a child step's nodes.
+/// Opened through StorageAdapter::OpenChildCursor; each store interprets
+/// the state words according to its physical layout (a clustered row
+/// position for the edge table, a path-table slice for the fragmented
+/// mapping, a DTD child slot or a sibling pointer for the inlined arrays, a
+/// subtree-end hop for the native document). The evaluator drains it in
+/// batches, paying one virtual call per batch instead of a
 /// FirstChild/NextSibling call pair per node.
 class ChildCursor {
  public:
@@ -91,15 +125,15 @@ class ChildCursor {
 
 /// Reusable, allocation-free cursor over the (optionally filtered)
 /// descendants of one node, in document order, excluding the node itself.
-/// Opened through StorageAdapter::OpenDescendantCursor. Every store's
-/// handles are preorder ids, so a subtree is the contiguous handle interval
-/// (base, subtree_end) and each store scans whatever physical encoding of
-/// that interval it keeps: the edge relation's subtree_end_ array, the
-/// native document's dense preorder node table, the fragmented mapping's
-/// path-table slices, or (for stores without interval structures) a
-/// stack-free preorder walk over the sibling/parent links. The evaluator
-/// drains it in batches, replacing the seed's one-ChildCursor-per-element
-/// DFS on `//tag` steps with one clustered range scan.
+/// Opened through StorageAdapter::OpenDescendantCursor, it is the query
+/// layer's only way to a descendant step's nodes, compiled pipelines and
+/// `count($v//tag)` included. Every store's handles are preorder ids, so a
+/// subtree is the contiguous handle interval (base, subtree_end) and each
+/// store scans whatever physical encoding of that interval it keeps: a
+/// dense tag column (ScanIdInterval), the native store's tag-index slices,
+/// the fragmented mapping's path-table slices, or (for stores without
+/// interval structures) a stack-free preorder walk over the sibling/parent
+/// links. The evaluator drains it in batches on the calling thread.
 class DescendantCursor {
  public:
   /// Copies up to `cap` matching descendant handles into `out` in document
@@ -156,17 +190,14 @@ class AttributeVisitor {
   void (*call_)(const void*, xml::NameId, std::string_view);
 };
 
-/// Plan-time advertisement of the physical access structures a mapping
-/// provides. The optimizer consults this once per query to pick access
-/// paths (id probe, path-table extent, physical child slots) instead of
-/// re-testing Supports*() virtuals per node at execution time. The default
-/// implementation of StorageAdapter::Capabilities() derives the index bits
-/// from the Supports* hooks; stores with physical child layouts override
-/// it to advertise the extra bit.
+/// Plan-time advertisement of the index structures a store built. The
+/// optimizer reads it once per query (an id probe for [@id = "lit"] steps
+/// and id(), a path-table/summary probe for rooted child prefixes); every
+/// other physical choice (path-table slices, DTD slots, tag-index slices,
+/// dense id intervals) lives in the store's own cursors.
 struct StorageCapabilities {
-  bool id_lookup = false;       // NodeById
-  bool path_index = false;      // PathExtent (structural summary)
-  bool children_by_tag = false; // ChildrenByTag physical child slots/tables
+  bool id_lookup = false;   // NodeById
+  bool path_index = false;  // PathExtent (structural summary)
 };
 
 /// Abstract physical XML mapping. The query evaluator is written entirely
@@ -297,63 +328,16 @@ class StorageAdapter {
     return n;
   }
 
-  /// True when an OPEN descendant cursor of this store iterates a monotone
-  /// [u0, u1) position space — dense preorder ids or ascending index
-  /// slices — such that a COPY of the cursor with u0/u1 clamped to any
-  /// sub-range [a, b) ⊆ [u0, u1) yields exactly the matches of that
-  /// sub-range, in document order. Morsel-parallel scans rely on this to
-  /// split one cursor into per-worker chunks whose concatenation (in chunk
-  /// order) reproduces the serial emission byte for byte. The default says
-  /// no: link-walk cursors carry a current-node pointer, not an interval.
-  virtual bool DescendantCursorPartitionable(
-      const DescendantCursor& /*cur*/) const {
-    return false;
-  }
+  // --- Index structures -------------------------------------------------
 
-  // --- Raw preorder views (compiled pipelines) --------------------------
+  /// What this store built (see StorageCapabilities); each store states it
+  /// once, and plans snapshot it.
+  virtual StorageCapabilities Capabilities() const = 0;
 
-  /// Dense preorder tag array, or nullptr. Non-null means this store's
-  /// handles ARE dense preorder ids 0..RawNodeCount(): entry i equals
-  /// NameOf(i) (xml::kInvalidName for text nodes), and the array stays
-  /// valid for the store's lifetime. Compiled pipelines (query/exec.cc)
-  /// scan it directly — a tag compare per id with zero virtual calls —
-  /// instead of draining a batched cursor. Stores whose handles are not
-  /// dense preorder ids keep the nullptr default and pipelines fall back
-  /// to the cursor-batch source.
-  virtual const xml::NameId* RawTagArray() const { return nullptr; }
-  virtual size_t RawNodeCount() const { return 0; }
-  /// One past the last preorder id of `n`'s subtree: the descendants of
-  /// `n` are exactly the ids [n + 1, RawSubtreeEnd(n)). Meaningful only
-  /// while RawTagArray() is non-null; the default (empty interval) keeps
-  /// non-raw stores honest.
-  virtual NodeHandle RawSubtreeEnd(NodeHandle n) const { return n + 1; }
-
-  // --- Optional access paths -------------------------------------------
-  // Engines advertise the physical structures their architecture provides;
-  // the optimizer exploits them only when the engine's feature flags allow.
-
-  /// One-shot capability snapshot for the query planner. The default
-  /// derives the index bits from the Supports* hooks below; stores with
-  /// physical child-slot layouts override it.
-  virtual StorageCapabilities Capabilities() const {
-    StorageCapabilities caps;
-    caps.id_lookup = SupportsIdLookup();
-    caps.path_index = SupportsPathIndex();
-    return caps;
-  }
-
-  /// O(1)/O(log n) lookup of an element by its ID attribute value.
-  virtual bool SupportsIdLookup() const { return false; }
+  /// Lookup of an element by its ID attribute value (capability
+  /// id_lookup); kInvalidHandle when absent or without the index.
   virtual NodeHandle NodeById(std::string_view /*id*/) const {
     return kInvalidHandle;
-  }
-
-  /// Children of `n` with tag `tag` resolved through the physical layout
-  /// (fragmented tables, inlined child slots). nullopt → caller scans a
-  /// child cursor.
-  virtual std::optional<std::vector<NodeHandle>> ChildrenByTag(
-      NodeHandle /*n*/, xml::NameId /*tag*/) const {
-    return std::nullopt;
   }
 
   /// Resolves an element name against the mapping's catalog during query
@@ -365,17 +349,10 @@ class StorageAdapter {
     return names().Lookup(name) != xml::kInvalidName ? 1 : 0;
   }
 
-  /// Structural summary (DataGuide): resolve a root-to-node child path to
-  /// its extent, or just its cardinality, without touching the document
-  /// (System D's trick that makes Q6/Q7 "surprisingly fast").
-  virtual bool SupportsPathIndex() const { return false; }
+  /// Structural summary (capability path_index): resolve a root-to-node
+  /// child path to its extent without touching the document (System D's
+  /// trick that makes Q6/Q7 "surprisingly fast").
   virtual std::optional<std::vector<NodeHandle>> PathExtent(
-      const std::vector<xml::NameId>& /*path*/) const {
-    return std::nullopt;
-  }
-  /// Count of nodes reachable from the path prefix by descending through
-  /// any further tags whose last step equals `tag` (supports //tag counts).
-  virtual std::optional<int64_t> PathCount(
       const std::vector<xml::NameId>& /*path*/) const {
     return std::nullopt;
   }
@@ -391,7 +368,7 @@ class StorageAdapter {
 
   /// Total node count of the mapping (elements + text nodes). The document
   /// catalog prefix-sums these into per-document global id ranges.
-  virtual size_t NodeCount() const { return RawNodeCount(); }
+  virtual size_t NodeCount() const = 0;
 
   /// Deterministic full-state dump: byte-identical for any load thread
   /// count (the bulkload-determinism and catalog-ingest CI gates diff

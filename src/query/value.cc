@@ -393,10 +393,6 @@ size_t EstimateSerializedSize(const Sequence& seq) {
       const NodeRef& ref = item.node();
       if (!ref.store->IsElement(ref.handle)) {
         est += 2 * ref.store->TextView(ref.handle).size() + 1;
-      } else if (ref.store->RawTagArray() != nullptr) {
-        // Preorder stores know the subtree span: ~24 output bytes per
-        // node (tags + text) is the empirically safe per-node factor.
-        est += 24 * (ref.store->RawSubtreeEnd(ref.handle) - ref.handle);
       } else {
         est += 64;
       }

@@ -407,9 +407,8 @@ std::string SerializeItem(const Item& item);
 std::string SerializeSequence(const Sequence& seq);
 
 /// Cheap size estimate for SerializeSequence's output, used to pre-reserve
-/// the result buffer: exact-ish for atomics and text nodes, subtree-span
-/// heuristic for elements on preorder stores (RawTagArray), flat constants
-/// elsewhere. A hint, not a bound.
+/// the result buffer: exact-ish for atomics and text nodes, flat constants
+/// for elements and constructed trees. A hint, not a bound.
 size_t EstimateSerializedSize(const Sequence& seq);
 
 /// String-value of a constructed node (concatenated text).

@@ -249,27 +249,19 @@ void DomStore::OpenDescendantCursor(query::NodeHandle base,
 size_t DomStore::AdvanceDescendantCursor(query::DescendantCursor* cur,
                                          query::NodeHandle* out,
                                          size_t cap) const {
-  size_t n = 0;
   if (cur->u2 != 0) {  // tag-index slice
     size_t pos = static_cast<size_t>(cur->u0);
     const size_t end = static_cast<size_t>(cur->u1);
     if (pos >= end) return 0;  // also guards the u2 == 1 absent-tag marker
     const auto& handles =
         *reinterpret_cast<const std::vector<query::NodeHandle>*>(cur->u2);
+    size_t n = 0;
     while (n < cap && pos < end) out[n++] = handles[pos++];
     cur->u0 = pos;
     return n;
   }
-  xml::NodeId id = static_cast<xml::NodeId>(cur->u0);
-  const xml::NodeId end = static_cast<xml::NodeId>(cur->u1);
-  while (n < cap && id < end) {
-    if (query::MatchesChildFilter(cur->filter, doc_.name(id), cur->tag)) {
-      out[n++] = id;
-    }
-    ++id;
-  }
-  cur->u0 = id;
-  return n;
+  return query::ScanIdInterval(doc_.name_column(), cur->filter, cur->tag,
+                               &cur->u0, cur->u1, out, cap);
 }
 
 const std::vector<query::NodeHandle>* DomStore::NodesByTag(
@@ -291,13 +283,6 @@ std::optional<std::vector<query::NodeHandle>> DomStore::PathExtent(
     idx = it->second;
   }
   return summary_[idx].extent;
-}
-
-std::optional<int64_t> DomStore::PathCount(
-    const std::vector<xml::NameId>& path) const {
-  const auto extent = PathExtent(path);
-  if (!extent.has_value()) return std::nullopt;
-  return static_cast<int64_t>(extent->size());
 }
 
 size_t DomStore::StorageBytes() const {

@@ -87,35 +87,28 @@ class DomStore : public query::StorageAdapter {
                             size_t cap) const override;
   // Preorder ids make the subtree the id interval (n, SubtreeEnd(n)): a
   // tag-filtered scan slices the tag index when one was built, otherwise it
-  // streams the dense node table across that interval.
+  // streams the document's name column across that interval
+  // (query::ScanIdInterval).
   void OpenDescendantCursor(query::NodeHandle base, query::ChildFilter filter,
                             xml::NameId tag,
                             query::DescendantCursor* cur) const override;
   size_t AdvanceDescendantCursor(query::DescendantCursor* cur,
                                  query::NodeHandle* out,
                                  size_t cap) const override;
-  // Both cursor modes (dense id interval, tag-index slice) iterate a
-  // monotone [u0, u1) position space, so clamped copies partition cleanly.
-  bool DescendantCursorPartitionable(
-      const query::DescendantCursor& /*cur*/) const override {
-    return true;
-  }
   bool Before(query::NodeHandle a, query::NodeHandle b) const override {
     return a < b;
   }
 
-  bool SupportsIdLookup() const override { return !id_index_.empty(); }
+  query::StorageCapabilities Capabilities() const override {
+    return {.id_lookup = options_.build_id_index,
+            .path_index = options_.build_path_summary};
+  }
   query::NodeHandle NodeById(std::string_view id) const override;
 
   /// All elements with a given tag, in document order; null when the tag
   /// index is off or the tag is absent.
   const std::vector<query::NodeHandle>* NodesByTag(xml::NameId tag) const;
-  bool SupportsPathIndex() const override {
-    return options_.build_path_summary;
-  }
   std::optional<std::vector<query::NodeHandle>> PathExtent(
-      const std::vector<xml::NameId>& path) const override;
-  std::optional<int64_t> PathCount(
       const std::vector<xml::NameId>& path) const override;
 
   size_t StorageBytes() const override;

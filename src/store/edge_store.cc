@@ -75,7 +75,7 @@ StatusOr<std::unique_ptr<EdgeStore>> EdgeStore::Load(
 
   // Index builds: disjoint writes throughout.
   store->pos_of_id_.resize(n);
-  // Dense preorder id->tag projection for the compiled-pipeline raw scans.
+  // Dense preorder id->tag projection for the descendant cursors.
   store->tag_by_id_.resize(n);
   store->child_begin_.assign(n, static_cast<uint32_t>(n));
   ParallelFor(pool.get(), 0, n, 4096, [&](size_t b, size_t e) {
@@ -246,17 +246,8 @@ size_t EdgeStore::AdvanceChildCursor(query::ChildCursor* cur,
 size_t EdgeStore::AdvanceDescendantCursor(query::DescendantCursor* cur,
                                           query::NodeHandle* out,
                                           size_t cap) const {
-  size_t id = static_cast<size_t>(cur->u0);
-  const size_t end = static_cast<size_t>(cur->u1);
-  size_t n = 0;
-  while (n < cap && id < end) {
-    if (query::MatchesChildFilter(cur->filter, RowOf(id).tag, cur->tag)) {
-      out[n++] = id;
-    }
-    ++id;
-  }
-  cur->u0 = id;
-  return n;
+  return query::ScanIdInterval(tag_by_id_.data(), cur->filter, cur->tag,
+                               &cur->u0, cur->u1, out, cap);
 }
 
 void EdgeStore::ForEachAttribute(query::NodeHandle n,

@@ -60,39 +60,27 @@ class EdgeStore : public query::StorageAdapter {
   size_t AdvanceChildCursor(query::ChildCursor* cur, query::NodeHandle* out,
                             size_t cap) const override;
   // Ids are preorder, so the subtree of n is the id interval
-  // (n, subtree_end_[n]): the descendant scan is one pass over that
-  // interval instead of a DFS of per-element child probes.
+  // (n, subtree_end_[n]): the descendant scan is one pass of
+  // query::ScanIdInterval over the dense id->tag projection instead of a
+  // DFS of per-element child probes.
   void OpenDescendantCursor(query::NodeHandle base, query::ChildFilter filter,
                             xml::NameId tag,
                             query::DescendantCursor* cur) const override;
   size_t AdvanceDescendantCursor(query::DescendantCursor* cur,
                                  query::NodeHandle* out,
                                  size_t cap) const override;
-  // The cursor walks the dense id interval [u0, u1): clamped copies
-  // partition cleanly for morsel-parallel scans.
-  bool DescendantCursorPartitionable(
-      const query::DescendantCursor& /*cur*/) const override {
-    return true;
-  }
   bool Before(query::NodeHandle a, query::NodeHandle b) const override {
     return a < b;
   }
 
-  // Raw preorder views for compiled pipelines: ids are preorder, so the
-  // dense id->tag projection (built once at bulkload) plus subtree_end_
-  // give the fused drains a branch-free interval scan with zero virtual
-  // calls.
-  const xml::NameId* RawTagArray() const override { return tag_by_id_.data(); }
-  size_t RawNodeCount() const override { return tag_by_id_.size(); }
-  query::NodeHandle RawSubtreeEnd(query::NodeHandle n) const override {
-    return subtree_end_[n];
+  query::StorageCapabilities Capabilities() const override {
+    return {.id_lookup = true, .path_index = false};
   }
-
-  bool SupportsIdLookup() const override { return true; }
   query::NodeHandle NodeById(std::string_view id) const override;
 
   size_t StorageBytes() const override;
   size_t CatalogEntries() const override { return 2; }  // edge + attr
+  size_t NodeCount() const override { return rows_.size(); }
 
   size_t num_rows() const { return rows_.size(); }
 
@@ -133,7 +121,7 @@ class EdgeStore : public query::StorageAdapter {
   // walk the id interval (n, subtree_end_[n]) directly.
   std::vector<uint32_t> subtree_end_;
   // id -> tag (kInvalidName for text rows): the dense preorder projection
-  // compiled pipelines scan without going through RowOf's PK indirection.
+  // descendant cursors scan without going through RowOf's PK indirection.
   std::vector<xml::NameId> tag_by_id_;
   std::vector<AttrRow> attrs_;      // sorted by owner
   // id -> position of its first attribute row (attrs_.size() when none):

@@ -488,23 +488,6 @@ bool FragmentedStore::PathExtends(uint32_t candidate, uint32_t base) const {
   return walk == base && candidate != base;
 }
 
-std::optional<std::vector<query::NodeHandle>> FragmentedStore::ChildrenByTag(
-    query::NodeHandle n, xml::NameId tag) const {
-  const PathInfo& path = paths_[path_of_[n]];
-  const Row& row = RowOf(n);
-  for (uint32_t child_path : path.child_paths) {
-    const PathInfo& cp = paths_[child_path];
-    if (cp.tag != tag) continue;
-    const auto [b, e] =
-        Slice(cp, static_cast<uint32_t>(n) + 1, row.subtree_end);
-    std::vector<query::NodeHandle> out;
-    out.reserve(e - b);
-    for (size_t i = b; i < e; ++i) out.push_back(cp.rows[i].id);
-    return out;
-  }
-  return std::vector<query::NodeHandle>{};  // no such child table
-}
-
 std::optional<std::vector<query::NodeHandle>> FragmentedStore::PathExtent(
     const std::vector<xml::NameId>& path) const {
   uint32_t idx = 0;

@@ -78,23 +78,13 @@ class FragmentedStore : public query::StorageAdapter {
     return a < b;
   }
 
-  bool SupportsIdLookup() const override { return true; }
+  // The path tables ARE the path index.
+  query::StorageCapabilities Capabilities() const override {
+    return {.id_lookup = true, .path_index = true};
+  }
   query::NodeHandle NodeById(std::string_view id) const override;
-
-  std::optional<std::vector<query::NodeHandle>> ChildrenByTag(
-      query::NodeHandle n, xml::NameId tag) const override;
-
-  bool SupportsPathIndex() const override { return true; }
   std::optional<std::vector<query::NodeHandle>> PathExtent(
       const std::vector<xml::NameId>& path) const override;
-
-  query::StorageCapabilities Capabilities() const override {
-    query::StorageCapabilities caps;
-    caps.id_lookup = true;
-    caps.path_index = true;  // path tables ARE the path index
-    caps.children_by_tag = true;
-    return caps;
-  }
 
   size_t ResolveName(std::string_view name) const override;
 

@@ -275,8 +275,20 @@ std::optional<std::string_view> InlinedStore::AttributeView(
 void InlinedStore::OpenChildCursor(query::NodeHandle parent,
                                    query::ChildFilter filter, xml::NameId tag,
                                    query::ChildCursor* cur) const {
-  cur->u0 = cur->Init(this, parent, filter, tag) ? first_child_[parent]
-                                                 : query::kInvalidHandle;
+  if (!cur->Init(this, parent, filter, tag)) {
+    cur->u0 = query::kInvalidHandle;
+    return;
+  }
+  if (filter == query::ChildFilter::kTag && tag_[parent] != xml::kInvalidName) {
+    const auto it = slots_.find(SlotKey(tag_[parent], tag));
+    if (it != slots_.end()) {
+      // The DTD allows at most one such child: its slot is the answer.
+      cur->u0 = it->second[row_of_[parent]];
+      cur->u2 = 1;
+      return;
+    }
+  }
+  cur->u0 = first_child_[parent];
 }
 
 size_t InlinedStore::AdvanceChildCursor(query::ChildCursor* cur,
@@ -284,6 +296,13 @@ size_t InlinedStore::AdvanceChildCursor(query::ChildCursor* cur,
                                         size_t cap) const {
   size_t n = 0;
   query::NodeHandle c = cur->u0;
+  if (cur->u2 == 1) {  // slot mode: the one child, then exhausted
+    if (c != query::kInvalidHandle && cap > 0) {
+      out[n++] = c;
+      cur->u0 = query::kInvalidHandle;
+    }
+    return n;
+  }
   while (n < cap && c != query::kInvalidHandle) {
     if (query::MatchesChildFilter(cur->filter, tag_[c], cur->tag)) {
       out[n++] = c;
@@ -294,7 +313,7 @@ size_t InlinedStore::AdvanceChildCursor(query::ChildCursor* cur,
   return n;
 }
 
-query::NodeHandle InlinedStore::RawSubtreeEnd(query::NodeHandle n) const {
+query::NodeHandle InlinedStore::SubtreeEnd(query::NodeHandle n) const {
   // Subtree end: the next sibling of n or of its nearest ancestor with
   // one (preorder ids), else the end of the node table.
   query::NodeHandle end = next_sibling_[n];
@@ -312,23 +331,14 @@ void InlinedStore::OpenDescendantCursor(query::NodeHandle base,
                                         query::DescendantCursor* cur) const {
   if (!cur->Init(this, base, filter, tag)) return;  // u0 == u1: exhausted
   cur->u0 = base + 1;
-  cur->u1 = RawSubtreeEnd(base);
+  cur->u1 = SubtreeEnd(base);
 }
 
 size_t InlinedStore::AdvanceDescendantCursor(query::DescendantCursor* cur,
                                              query::NodeHandle* out,
                                              size_t cap) const {
-  size_t id = static_cast<size_t>(cur->u0);
-  const size_t end = static_cast<size_t>(cur->u1);
-  size_t n = 0;
-  while (n < cap && id < end) {
-    if (query::MatchesChildFilter(cur->filter, tag_[id], cur->tag)) {
-      out[n++] = id;
-    }
-    ++id;
-  }
-  cur->u0 = id;
-  return n;
+  return query::ScanIdInterval(tag_.data(), cur->filter, cur->tag, &cur->u0,
+                               cur->u1, out, cap);
 }
 
 void InlinedStore::ForEachAttribute(query::NodeHandle n,
@@ -343,18 +353,6 @@ void InlinedStore::ForEachAttribute(query::NodeHandle n,
 query::NodeHandle InlinedStore::NodeById(std::string_view id) const {
   const auto it = id_index_.find(id);
   return it == id_index_.end() ? query::kInvalidHandle : it->second;
-}
-
-std::optional<std::vector<query::NodeHandle>> InlinedStore::ChildrenByTag(
-    query::NodeHandle n, xml::NameId tag) const {
-  if (tag_[n] == xml::kInvalidName) return std::vector<query::NodeHandle>{};
-  const auto it = slots_.find(SlotKey(tag_[n], tag));
-  if (it == slots_.end()) return std::nullopt;  // not inlined: generic walk
-  const query::NodeHandle child = it->second[row_of_[n]];
-  if (child == query::kInvalidHandle) {
-    return std::vector<query::NodeHandle>{};
-  }
-  return std::vector<query::NodeHandle>{child};
 }
 
 size_t InlinedStore::StorageBytes() const {

@@ -22,11 +22,11 @@ namespace xmark::store {
 /// Per-tag row groups store structure in dense arrays (O(1) navigation —
 /// the payoff of schema-aware physical design), and for every
 /// (parent, child) pair the DTD declares as at-most-once, a direct child
-/// slot array resolves tag-specific child steps in constant time. This is
-/// what makes C the best relational executor on the ordered-access queries
-/// Q2/Q3 in Table 3. Text of PCDATA-only elements is inlined next to the
-/// element row. No tag or path indexes exist: descendant steps scan the
-/// dense preorder arrays across the subtree interval (fast, but still
+/// slot array answers the tag-filtered child cursor in constant time. This
+/// is what makes C the best relational executor on the ordered-access
+/// queries Q2/Q3 in Table 3. Text of PCDATA-only elements is inlined next
+/// to the element row. No tag or path indexes exist: descendant steps scan
+/// the dense preorder arrays across the subtree interval (fast, but still
 /// proportional to subtree size), which is why C trails D — whose
 /// structural summary answers Q6/Q7 without touching the document — there.
 class InlinedStore : public query::StorageAdapter {
@@ -68,53 +68,35 @@ class InlinedStore : public query::StorageAdapter {
       query::NodeHandle n, std::string_view name) const override;
   void ForEachAttribute(query::NodeHandle n,
                         query::AttributeVisitor visit) const override;
-  // Dense-array sibling walk: no virtual dispatch per child.
+  // A kTag scan of a DTD at-most-once (parent, child) pair reads the
+  // pair's slot (a one-shot cursor, u2 == 1); every other scan is a
+  // dense-array sibling walk with no virtual dispatch per child.
   void OpenChildCursor(query::NodeHandle parent, query::ChildFilter filter,
                        xml::NameId tag,
                        query::ChildCursor* cur) const override;
   size_t AdvanceChildCursor(query::ChildCursor* cur, query::NodeHandle* out,
                             size_t cap) const override;
-  // Ids are preorder, so the descendant set is one dense pass over the
-  // tag_ array across the subtree interval (computed at open from the
-  // sibling/parent links, O(depth)).
+  // Ids are preorder, so the descendant set is one query::ScanIdInterval
+  // pass over the tag_ array across the subtree interval (computed at open
+  // from the sibling/parent links, O(depth)).
   void OpenDescendantCursor(query::NodeHandle base, query::ChildFilter filter,
                             xml::NameId tag,
                             query::DescendantCursor* cur) const override;
   size_t AdvanceDescendantCursor(query::DescendantCursor* cur,
                                  query::NodeHandle* out,
                                  size_t cap) const override;
-  // The cursor walks the dense id interval [u0, u1): clamped copies
-  // partition cleanly for morsel-parallel scans.
-  bool DescendantCursorPartitionable(
-      const query::DescendantCursor& /*cur*/) const override {
-    return true;
-  }
   bool Before(query::NodeHandle a, query::NodeHandle b) const override {
     return a < b;
   }
 
-  // Raw preorder views for compiled pipelines: the dense tag_ array IS the
-  // id->tag projection; subtree ends reuse OpenDescendantCursor's
-  // ancestor-walk computation.
-  const xml::NameId* RawTagArray() const override { return tag_.data(); }
-  size_t RawNodeCount() const override { return tag_.size(); }
-  query::NodeHandle RawSubtreeEnd(query::NodeHandle n) const override;
-
-  bool SupportsIdLookup() const override { return true; }
-  query::NodeHandle NodeById(std::string_view id) const override;
-
-  std::optional<std::vector<query::NodeHandle>> ChildrenByTag(
-      query::NodeHandle n, xml::NameId tag) const override;
-
   query::StorageCapabilities Capabilities() const override {
-    query::StorageCapabilities caps;
-    caps.id_lookup = true;
-    caps.children_by_tag = true;  // DTD-inlined child slots
-    return caps;
+    return {.id_lookup = true, .path_index = false};
   }
+  query::NodeHandle NodeById(std::string_view id) const override;
 
   size_t StorageBytes() const override;
   size_t CatalogEntries() const override;
+  size_t NodeCount() const override { return tag_.size(); }
 
   /// Number of (parent, child) pairs inlined as direct slots.
   size_t InlinedSlots() const { return slots_.size(); }
@@ -125,6 +107,8 @@ class InlinedStore : public query::StorageAdapter {
   static uint64_t SlotKey(xml::NameId parent_tag, xml::NameId child_tag) {
     return (static_cast<uint64_t>(parent_tag) << 32) | child_tag;
   }
+  // One past the last preorder id of n's subtree.
+  query::NodeHandle SubtreeEnd(query::NodeHandle n) const;
 
   // Dense structure arrays indexed by preorder id.
   std::vector<query::NodeHandle> parent_;

@@ -26,10 +26,11 @@ namespace xmark {
 /// owners stay cache-hot on their newest work.
 ///
 /// Two ways to use it. Bulkload builds a private pool per load and runs
-/// phases with Submit + Wait (ParallelFor). Query execution runs every
-/// parallel region as a ForkJoin on the one process-wide Shared() pool,
-/// which never waits on the pool as a whole and so is safe for concurrent
-/// callers and for calls from inside the pool's own tasks.
+/// phases with Submit + Wait (ParallelFor). The engine runs the legs of a
+/// collection() fan-out, the one place a query forks, as a ForkJoin on
+/// the one process-wide Shared() pool, which never waits on the pool as a
+/// whole and so is safe for concurrent callers and for calls from inside
+/// the pool's own tasks.
 ///
 /// The scheduling policy never affects results: every helper below is
 /// written so its output is identical for any worker count and any steal
@@ -44,7 +45,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// The process-wide pool query execution runs on: hardware_concurrency()
+  /// The process-wide pool collection() legs run on: hardware_concurrency()
   /// workers, created on first use and never destroyed (so no join at exit
   /// races client threads). With one hardware thread it has no background
   /// thread and every ForkJoin runs inline. Use it only through ForkJoin:

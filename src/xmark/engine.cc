@@ -285,11 +285,10 @@ void RecordRun(ServingState* serving, const Status& status,
   }
 }
 
-// One evaluator run against one store: the building block shared by
-// single-store Executes and the per-document legs of a collection()
-// fan-out. A private Evaluator adopts `annotations` when they were lowered
-// for this store and option set. Morsel parallelism, when enabled, runs
-// on the process-wide pool; otherwise the pool is never touched.
+// One evaluator run against one store, on the calling thread: the
+// building block shared by single-store Executes and the per-document legs
+// of a collection() fan-out. A private Evaluator adopts `annotations` when
+// they were lowered for this store and option set.
 struct DocRun {
   StatusOr<query::Sequence> result = Status::Internal("document not run");
   query::Evaluator::Stats stats;
@@ -302,9 +301,6 @@ DocRun RunOnStore(const query::StorageAdapter& store,
   DocRun out;
   query::Evaluator evaluator(&store, options);
   evaluator.set_exec_context(ctx);
-  if (options.parallel_exec.enabled) {
-    evaluator.set_exec_pool(&ThreadPool::Shared());
-  }
   out.result = evaluator.Run(module, std::move(annotations));
   out.stats = evaluator.stats();
   return out;
@@ -444,44 +440,36 @@ std::string_view SystemArchitecture(SystemId id) {
 }
 
 std::unique_ptr<Engine> Engine::Create(SystemId id) {
+  // The optimizer knobs; which indexes a system probes follows from what
+  // BuildStore builds for it (StorageCapabilities).
   query::EvaluatorOptions opts;
   switch (id) {
     case SystemId::kA:
       // Edge store has no tag/path structures; cost-based optimizer.
-      opts.use_id_index = true;
-      opts.use_path_index = false;
       opts.hash_join = true;
       opts.lazy_let = true;
       opts.cache_invariant_paths = true;
       break;
     case SystemId::kB:
       // Fragmented store exposes path tables; cost-based optimizer.
-      opts.use_id_index = true;
-      opts.use_path_index = true;  // path tables ARE the path index
       opts.hash_join = true;
       opts.lazy_let = true;
       opts.cache_invariant_paths = true;
       break;
     case SystemId::kC:
       // Inlined schema: direct child slots, but no tag/path index.
-      opts.use_id_index = true;
-      opts.use_path_index = false;
       opts.hash_join = true;
       opts.lazy_let = true;
       opts.cache_invariant_paths = true;
       break;
     case SystemId::kD:
       // Native store with the full index set (structural summary).
-      opts.use_id_index = true;
-      opts.use_path_index = true;
       opts.hash_join = true;
       opts.lazy_let = true;
       opts.cache_invariant_paths = true;
       break;
     case SystemId::kE:
       // Heuristic optimizer: joins yes, but eager lets and no summary.
-      opts.use_id_index = true;
-      opts.use_path_index = false;
       opts.hash_join = true;
       opts.lazy_let = false;
       opts.cache_invariant_paths = true;
@@ -489,8 +477,6 @@ std::unique_ptr<Engine> Engine::Create(SystemId id) {
     case SystemId::kF:
       // Nested-loop-only executor: no hash or band joins, no fused
       // pipelines (hash_join gates all three).
-      opts.use_id_index = false;
-      opts.use_path_index = false;
       opts.hash_join = false;
       opts.lazy_let = false;
       opts.cache_invariant_paths = true;
@@ -498,8 +484,6 @@ std::unique_ptr<Engine> Engine::Create(SystemId id) {
     case SystemId::kG:
       // Embedded processor: no access structures, copies results, reloads
       // the document per query.
-      opts.use_id_index = false;
-      opts.use_path_index = false;
       opts.hash_join = false;
       opts.lazy_let = false;
       opts.cache_invariant_paths = false;

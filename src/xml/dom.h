@@ -193,6 +193,9 @@ class Document {
 
   // --- Column access for the mappings that shred this document ----------
 
+  /// The tag column: entry n is name(n), for dense preorder scans.
+  const NameId* name_column() const { return tag_.data(); }
+
   /// First heap byte of `n`'s characters: its attribute values for an
   /// element, its text for a text node; heap_offset(n + 1) ends them
   /// (n == num_nodes() is the closing entry, the heap size).

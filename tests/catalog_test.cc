@@ -545,24 +545,20 @@ TEST(CatalogEdgeTest, ConcurrentCollectionSessionsMatchOracle) {
   for (int t = 0; t < kSessions; ++t) EXPECT_EQ(errors[t], "") << t;
 }
 
-// Query execution starts no thread once the process pool exists: neither
-// the collection() fan-out nor a morsel-parallel doc() scan builds a pool
-// of its own.
+// Query execution starts no thread once the process pool exists: the
+// collection() fan-out builds no pool of its own, and a doc() query runs
+// on its caller.
 TEST(CatalogEdgeTest, QueriesStartNoThreads) {
   auto engine = Engine::Create(SystemId::kD);
   ASSERT_TRUE(engine->LoadCorpus(CorpusDocs()).ok());
-  query::EvaluatorOptions opts = engine->evaluator_options();
-  opts.parallel_exec.enabled = true;
-  opts.parallel_exec.min_morsel_ids = 1;  // force morsels at tiny scale
-  engine->set_evaluator_options(opts);
   auto session = engine->CreateSession();
   ASSERT_TRUE(session.ok());
   const std::string fan_out =
       RewriteEntryCalls(GetQuery(8).text, "collection()");
-  // Q14's descendant scan (site//item) is the morsel-partitioned one.
-  const std::string morsels =
+  // Q14: a descendant scan (site//item) of one document.
+  const std::string scan =
       RewriteEntryCalls(GetQuery(14).text, "doc(\"doc-c.xml\")");
-  for (const std::string* text : {&fan_out, &morsels}) {
+  for (const std::string* text : {&fan_out, &scan}) {
     ASSERT_TRUE((*session)->Run(*text).ok());  // warm-up
     const uint64_t started = ThreadPool::ThreadsStarted();
     EXPECT_GE(started, ThreadPool::Shared().worker_count() - 1u);

@@ -239,24 +239,20 @@ TEST(ConcurrentEngine, SortDedupOrdersArenasThenNodesByCreation) {
   EXPECT_EQ(seq[3].constructed().get(), b[1]);
 }
 
-// Morsel-parallel intra-query execution through the serving path: same
-// bytes as the serial engine, with concurrent clients on top.
+// Concurrent clients through the serving path, each query on its calling
+// thread: same bytes as the serial engine.
 TEST(ConcurrentEngine, ParallelExecSessionsMatchSerial) {
   std::unique_ptr<Engine> engine = LoadedEngine(SystemId::kD);
   const std::vector<std::string> texts = WorkloadTexts();
   const std::vector<std::string> expected = SerialResults(engine.get(), texts);
-  query::EvaluatorOptions opts = engine->evaluator_options();
-  opts.parallel_exec.enabled = true;
-  opts.parallel_exec.min_morsel_ids = 1;  // force morsels at tiny scale
-  engine->set_evaluator_options(opts);
   RunConcurrentAndCompare(engine.get(), texts, expected, /*threads=*/2,
                           /*passes=*/1);
 }
 
-// Morsel parallelism inside compiled pipelines through the serving path:
-// the fused Q1/Q6/Q14 drains on the edge store (raw interval scans +
-// chunked descendant morsels) must stay byte-identical to the serial
-// engine while concurrent clients share the store and plan cache.
+// Compiled pipelines through the serving path: the fused Q1/Q6/Q14 drains
+// on the edge store (descendant cursors over its id->tag column) must stay
+// byte-identical to the serial engine while concurrent clients share the
+// store and plan cache.
 TEST(ConcurrentEngine, MorselPipelineSessionsMatchSerial) {
   std::unique_ptr<Engine> engine = LoadedEngine(SystemId::kA);
   std::vector<std::string> expected;
@@ -266,11 +262,7 @@ TEST(ConcurrentEngine, MorselPipelineSessionsMatchSerial) {
     ASSERT_TRUE(result.ok()) << result.status();
     expected.push_back(query::SerializeSequence(*result));
   }
-  query::EvaluatorOptions opts = engine->evaluator_options();
-  ASSERT_TRUE(opts.hash_join);  // system A serves fused plans
-  opts.parallel_exec.enabled = true;
-  opts.parallel_exec.min_morsel_ids = 1;  // force morsels at tiny scale
-  engine->set_evaluator_options(opts);
+  ASSERT_TRUE(engine->evaluator_options().hash_join);  // A serves fused plans
   std::vector<std::string> errors(kClientThreads);
   std::vector<std::thread> clients;
   for (unsigned t = 0; t < kClientThreads; ++t) {
@@ -287,7 +279,7 @@ TEST(ConcurrentEngine, MorselPipelineSessionsMatchSerial) {
           }
           if (query::SerializeSequence(*result) != expected[i]) {
             errors[t] = "Q" + std::to_string(fusable[i]) +
-                        " fused morsel run diverged from serial result";
+                        " fused run diverged from serial result";
             return;
           }
         }
@@ -365,14 +357,13 @@ std::string PeopleDocument(int persons, bool decoy_first) {
 // One parsed module runs on several stores at once: each run takes its
 // NameIds from its own store's plan, never from the shared module. Four
 // threads alternate every run between two stores that number the same
-// tags differently, under System F's options, so every step runs through
-// ApplyStep or StreamSteps (no path index, no fusion). Each result must
-// equal that store's solo run.
+// tags differently, under System F's options and store, so every step runs
+// through ApplyStep (no path index, no fusion). Each result must equal
+// that store's solo run.
 TEST(ConcurrentEngine, SharedModuleServesStoresWithDifferentNameIds) {
   const query::EvaluatorOptions options =
       Engine::Create(SystemId::kF)->evaluator_options();
   ASSERT_FALSE(options.hash_join);
-  ASSERT_FALSE(options.use_path_index);
   std::vector<std::unique_ptr<Engine>> engines;
   for (bool decoy_first : {false, true}) {
     engines.push_back(Engine::Create(SystemId::kF));
@@ -383,6 +374,7 @@ TEST(ConcurrentEngine, SharedModuleServesStoresWithDifferentNameIds) {
                                            engines[1]->store()};
   ASSERT_NE(stores[0]->names().Lookup("person"),
             stores[1]->names().Lookup("person"));
+  ASSERT_FALSE(stores[0]->Capabilities().path_index);
 
   const char* const shapes[] = {
       // An unfused FLWOR over a child path.

@@ -1,7 +1,8 @@
-// Differential test of the child-path kernel beyond Q1-Q20: child-chain
-// shapes run on systems A-E (kernel on, four mappings) must serialize to
-// System F's bytes (generic operators), or fail with System F's exact
-// Status. Two fixed-seed sf-0.01 documents: one as generated, and one with
+// Differential test of the child-path kernel and the stores' cursors
+// beyond Q1-Q20: child-chain, constructor and descendant-step shapes run
+// on systems A-E (kernel on, four mappings) must serialize to System F's
+// bytes (generic operators), or fail with System F's exact Status; id()
+// must answer the same on all seven systems. Two fixed-seed sf-0.01 documents: one as generated, and one with
 // `&`, `<`, `>` and `"` injected into text and attribute values (a
 // generated document contains no `&` at all), so values with escapable
 // characters flow through kernel comparisons, holes and attribute value
@@ -284,6 +285,81 @@ TEST_P(ChildKernelDifferential, ConstructorsMatchSystemF) {
     EXPECT_EQ(Outcome(SystemId::kG, injected, c.query), reference)
         << "system G case " << c.name
         << (injected ? " (injected document)" : "");
+  }
+}
+
+// Descendant steps over the store's descendant cursor: Q6's fused
+// count($b//tag), Q7's three generic counts, absent tags, nested `//`,
+// `//text()` and `//*`. Each mapping answers from its own layout (A, C and
+// the untagged DOM scans from a dense tag column, B from path-table
+// slices, D from its tag index), so A-E must match System F's bytes.
+const Case kDescendantCases[] = {
+    {"q6_shape",
+     "for $b in document(\"auction.xml\")/site/regions "
+     "return count($b//item)"},
+    {"q6_per_region",
+     "for $b in document(\"auction.xml\")/site/regions/europe "
+     "return count($b//item)"},
+    {"q7_shape",
+     "for $p in document(\"auction.xml\")/site return count($p//description) "
+     "+ count($p//mail) + count($p//email)"},
+    {"q7_counts_apart",
+     "for $p in document(\"auction.xml\")/site return <c>"
+     "{count($p//description)}|{count($p//mail)}|{count($p//email)}</c>"},
+    {"absent_tag",
+     "for $b in document(\"auction.xml\")/site/regions "
+     "return <n>{count($b//nosuchtag)}{count(document(\"auction.xml\")"
+     "/site//nosuchtag)}</n>"},
+    {"nested_descendants",
+     "count(document(\"auction.xml\")/site//open_auction//increase)"},
+    {"nested_descendants_per_binding",
+     "for $c in " CLOSED " return count($c//keyword)"},
+    {"descendant_text",
+     "for $p in " PEOPLE "[position() <= 20] return count($p//text())"},
+    {"descendant_text_values",
+     "document(\"auction.xml\")/site/regions/africa//text()"},
+    {"descendant_wildcard",
+     "count(document(\"auction.xml\")/site/regions//*)"},
+    {"descendant_scan_emit",
+     "for $i in document(\"auction.xml\")/site//item return $i/name/text()"},
+};
+
+TEST_P(ChildKernelDifferential, DescendantCountsMatchSystemF) {
+  const bool injected = GetParam();
+  for (const Case& c : kDescendantCases) {
+    const std::string reference = Outcome(SystemId::kF, injected, c.query);
+    EXPECT_EQ(reference.rfind("status: ", 0), std::string::npos)
+        << c.name << ": " << reference;
+    for (SystemId id : kKernelSystems) {
+      EXPECT_EQ(Outcome(id, injected, c.query), reference)
+          << "system " << SystemLabel(id) << " case " << c.name
+          << (injected ? " (injected document)" : "");
+    }
+  }
+}
+
+// id() answers the same with and without an ID index: A-E probe theirs,
+// F and G scan the document's elements in order.
+TEST_P(ChildKernelDifferential, IdFunctionSameOnEverySystem) {
+  const bool injected = GetParam();
+  const char* const queries[] = {
+      "id(\"person0\")/name/text()",
+      "count(id((\"person0\", \"item1\", \"nope\")))",
+      "id((\"item1\", \"person0\", \"item1\"))/@id",
+  };
+  for (const char* q : queries) {
+    const std::string reference = Outcome(SystemId::kF, injected, q);
+    EXPECT_EQ(reference.rfind("status: ", 0), std::string::npos)
+        << q << ": " << reference;
+    for (SystemId id : kAllSystems) {
+      EXPECT_EQ(Outcome(id, injected, q), reference)
+          << "system " << SystemLabel(id) << " query " << q
+          << (injected ? " (injected document)" : "");
+    }
+  }
+  if (!injected) {
+    EXPECT_EQ(Outcome(SystemId::kF, false, queries[0]), "James Davis");
+    EXPECT_EQ(Outcome(SystemId::kF, false, queries[1]), "2");
   }
 }
 

@@ -35,14 +35,23 @@ class EvalTest : public ::testing::Test {
     auto loaded = store::DomStore::Load(kDoc, options);
     ASSERT_TRUE(loaded.ok()) << loaded.status();
     store_ = loaded->release();
+    // The same document without the id, tag and path structures.
+    store::DomStore::Options bare;
+    bare.build_tag_index = false;
+    bare.build_id_index = false;
+    bare.build_path_summary = false;
+    auto bare_loaded = store::DomStore::Load(kDoc, bare);
+    ASSERT_TRUE(bare_loaded.ok()) << bare_loaded.status();
+    bare_ = bare_loaded->release();
   }
 
   // Evaluates and serializes; items joined by '|'.
   static std::string Eval(std::string_view text,
-                          const EvaluatorOptions& options = {}) {
+                          const EvaluatorOptions& options = {},
+                          const StorageAdapter* store = store_) {
     auto parsed = ParseQueryText(text);
     if (!parsed.ok()) return "PARSE:" + parsed.status().ToString();
-    Evaluator evaluator(store_, options);
+    Evaluator evaluator(store, options);
     auto result = evaluator.Run(*parsed);
     if (!result.ok()) return "EVAL:" + result.status().ToString();
     std::string out;
@@ -54,9 +63,11 @@ class EvalTest : public ::testing::Test {
   }
 
   static store::DomStore* store_;
+  static store::DomStore* bare_;
 };
 
 store::DomStore* EvalTest::store_ = nullptr;
+store::DomStore* EvalTest::bare_ = nullptr;
 
 TEST_F(EvalTest, AbsolutePaths) {
   EXPECT_EQ(Eval("/site/people/person/name/text()"), "Alice|Bob|Cara");
@@ -88,12 +99,15 @@ TEST_F(EvalTest, BooleanPredicates) {
 }
 
 TEST_F(EvalTest, IdPredicateWithAndWithoutIndex) {
-  EvaluatorOptions with;
-  EvaluatorOptions without;
-  without.use_id_index = false;
-  const char* q = "/site/people/person[@id = \"person1\"]/name/text()";
-  EXPECT_EQ(Eval(q, with), "Bob");
-  EXPECT_EQ(Eval(q, without), "Bob");
+  for (const char* q :
+       {"/site/people/person[@id = \"person1\"]/name/text()",
+        "id(\"person1\")/name/text()",
+        "id((\"item2\", \"person0\", \"nope\", \"person0\"))/@id"}) {
+    EXPECT_EQ(Eval(q), Eval(q, {}, bare_)) << q;
+  }
+  EXPECT_EQ(Eval("id(\"person1\")/name/text()", {}, bare_), "Bob");
+  EXPECT_EQ(Eval("id((\"item2\", \"person0\"))/@id", {}, bare_),
+            "person0|item2");
 }
 
 TEST_F(EvalTest, IdIndexStats) {
@@ -301,14 +315,12 @@ TEST_F(EvalTest, Errors) {
 }
 
 TEST_F(EvalTest, PathIndexAgreesWithTraversal) {
-  EvaluatorOptions indexed;
   EvaluatorOptions plain;
-  plain.use_path_index = false;
   plain.cache_invariant_paths = false;
   for (const char* q :
        {"/site/people/person/name/text()", "count(//price)",
         "count(/site//tag)", "/site/items/item[2]/@id"}) {
-    EXPECT_EQ(Eval(q, indexed), Eval(q, plain)) << q;
+    EXPECT_EQ(Eval(q), Eval(q, plain, bare_)) << q;
   }
 }
 

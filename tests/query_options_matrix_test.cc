@@ -1,10 +1,10 @@
 // Property test: the evaluator must produce identical results under every
-// combination of the paper-profile flags — the flags may only change cost,
-// never semantics. Runs Q1-Q20 under all 2^6 combinations against the
-// fully-indexed native store and compares the serialized bytes with
-// System F's options (no indexes, nested loops only, eager lets), plus
-// the same matrix over doc()/collection() catalog scans and byte-parity
-// of morsel-parallel execution across the four physical mappings.
+// combination of the paper-profile flags and the store's index structures
+// — both may only change cost, never semantics. Runs Q1-Q20 under all 2^4
+// flag combinations against the fully-indexed and the bare native store
+// and compares the serialized bytes with System F (bare store, nested
+// loops only, eager lets), plus the same matrix over doc()/collection()
+// catalog scans and System F parity of the four physical mappings.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,6 @@
 #include "store/inlined_store.h"
 #include "store/document_catalog.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "xmark/engine.h"
 #include "xmark/queries.h"
 #include "xml/dtd.h"
@@ -42,28 +41,40 @@ const std::string& TestDocument() {
   return *kDoc;
 }
 
-const store::DomStore& Store() {
-  static const store::DomStore* const kStore = [] {
-    store::DomStore::Options dom_options;
-    auto store = store::DomStore::Load(TestDocument(), dom_options);
-    XMARK_CHECK(store.ok());
-    return store->release();
-  }();
-  return *kStore;
+// System D's native store (every index built) or System F's (none).
+const store::DomStore& Store(bool bare = false) {
+  static const store::DomStore* const kStores[2] = {
+      [] {
+        store::DomStore::Options dom_options;
+        auto store = store::DomStore::Load(TestDocument(), dom_options);
+        XMARK_CHECK(store.ok());
+        return store->release();
+      }(),
+      [] {
+        store::DomStore::Options dom_options;
+        dom_options.build_tag_index = false;
+        dom_options.build_id_index = false;
+        dom_options.build_path_summary = false;
+        auto store = store::DomStore::Load(TestDocument(), dom_options);
+        XMARK_CHECK(store.ok());
+        return store->release();
+      }()};
+  return *kStores[bare ? 1 : 0];
 }
 
-EvaluatorOptions FromMask(int mask) {
+// Parameters 0-15 are the flag masks over the indexed store, 16-31 the
+// same masks over the bare one.
+EvaluatorOptions FromMask(int param) {
   EvaluatorOptions options;
-  options.use_id_index = mask & 1;
-  options.use_path_index = mask & 2;
-  options.hash_join = mask & 4;
-  options.lazy_let = mask & 8;
-  options.cache_invariant_paths = mask & 16;
-  options.copy_results = mask & 32;
+  options.hash_join = param & 1;
+  options.lazy_let = param & 2;
+  options.cache_invariant_paths = param & 4;
+  options.copy_results = param & 8;
   return options;
 }
+bool BareFromMask(int param) { return (param & 16) != 0; }
 
-// The structural oracle: System F's profile.
+// The structural oracle: System F's profile, run on System F's store.
 EvaluatorOptions Reference() {
   return bench::Engine::Create(bench::SystemId::kF)->evaluator_options();
 }
@@ -82,8 +93,9 @@ const ParsedQuery& Parsed(int q) {
   return (*kQueries)[q - 1];
 }
 
-std::string RunSerialized(const EvaluatorOptions& options, int q) {
-  Evaluator evaluator(&Store(), options);
+std::string RunSerialized(const StorageAdapter* store,
+                          const EvaluatorOptions& options, int q) {
+  Evaluator evaluator(store, options);
   auto result = evaluator.Run(Parsed(q));
   if (!result.ok()) {
     ADD_FAILURE() << "Q" << q << ": " << result.status();
@@ -98,7 +110,9 @@ const std::string& ReferenceBytes(int q) {
       new std::map<int, std::string>();
   auto it = kBytes->find(q);
   if (it == kBytes->end()) {
-    it = kBytes->emplace(q, RunSerialized(Reference(), q)).first;
+    it = kBytes->emplace(q, RunSerialized(&Store(/*bare=*/true), Reference(),
+                                          q))
+             .first;
   }
   return it->second;
 }
@@ -107,8 +121,9 @@ class OptionsMatrix : public ::testing::TestWithParam<int> {};
 
 TEST_P(OptionsMatrix, SameBytesAsSystemF) {
   const EvaluatorOptions options = FromMask(GetParam());
+  const StorageAdapter* store = &Store(BareFromMask(GetParam()));
   for (int q = 1; q <= 20; ++q) {
-    EXPECT_EQ(RunSerialized(options, q), ReferenceBytes(q))
+    EXPECT_EQ(RunSerialized(store, options, q), ReferenceBytes(q))
         << "Q" << q << " differs from system F under option mask "
         << GetParam();
   }
@@ -116,13 +131,16 @@ TEST_P(OptionsMatrix, SameBytesAsSystemF) {
 
 // Catalog scans under the full matrix: a corpus ingested with 4 threads
 // and queried through doc("id") / collection() must serialize identically
-// to System F's serial run under every flag mask, with the collection
-// fan-out running across the exec pool — the catalog layer may only route
-// and concatenate, never change semantics.
-bench::Engine* MatrixCatalogEngine() {
-  static bench::Engine* const kEngine = [] {
-    std::unique_ptr<bench::Engine> engine =
-        bench::Engine::Create(bench::SystemId::kD);
+// to System F's run under every flag mask, on System D's stores and on
+// System F's, with the collection fan-out running across the shared pool —
+// the catalog layer may only route and concatenate, never change
+// semantics.
+bench::Engine* MatrixCatalogEngine(bench::SystemId system) {
+  static std::map<bench::SystemId, bench::Engine*>* const kEngines =
+      new std::map<bench::SystemId, bench::Engine*>();
+  bench::Engine*& slot = (*kEngines)[system];
+  if (slot == nullptr) {
+    std::unique_ptr<bench::Engine> engine = bench::Engine::Create(system);
     store::LoadOptions load;
     load.threads = 4;
     engine->set_load_options(load);
@@ -137,14 +155,15 @@ bench::Engine* MatrixCatalogEngine() {
       docs.push_back(std::move(doc));
     }
     XMARK_CHECK(engine->LoadCorpus(docs).ok());
-    return engine.release();
-  }();
-  return kEngine;
+    slot = engine.release();
+  }
+  return slot;
 }
 
-std::string RunCatalogSerialized(const EvaluatorOptions& options,
+std::string RunCatalogSerialized(bench::SystemId system,
+                                 const EvaluatorOptions& options,
                                  const std::string& text) {
-  bench::Engine* engine = MatrixCatalogEngine();
+  bench::Engine* engine = MatrixCatalogEngine(system);
   engine->set_evaluator_options(options);
   auto result = engine->Run(text);
   if (!result.ok()) {
@@ -163,20 +182,23 @@ TEST_P(OptionsMatrix, CatalogScansMatchSystemF) {
            hit = text.find(kNeedle, hit)) {
         text.replace(hit, kNeedle.size(), entry);
       }
-      // Reference (System F, serial) is mask-independent: compute it once.
+      // Reference (System F) is mask-independent: compute it once.
       static std::map<std::string, std::string>* const kBaselines =
           new std::map<std::string, std::string>();
       auto baseline = kBaselines->find(text);
       if (baseline == kBaselines->end()) {
         baseline = kBaselines
-                       ->emplace(text, RunCatalogSerialized(Reference(), text))
+                       ->emplace(text, RunCatalogSerialized(
+                                           bench::SystemId::kF, Reference(),
+                                           text))
                        .first;
       }
       const std::string& expected = baseline->second;
-      EvaluatorOptions subject = FromMask(GetParam());
-      subject.parallel_exec.enabled = true;
-      subject.parallel_exec.min_morsel_ids = 1;
-      EXPECT_EQ(RunCatalogSerialized(subject, text), expected)
+      const bench::SystemId system = BareFromMask(GetParam())
+                                         ? bench::SystemId::kF
+                                         : bench::SystemId::kD;
+      EXPECT_EQ(RunCatalogSerialized(system, FromMask(GetParam()), text),
+                expected)
           << "Q" << q << " via " << entry << " differs under option mask "
           << GetParam();
     }
@@ -184,9 +206,9 @@ TEST_P(OptionsMatrix, CatalogScansMatchSystemF) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCombinations, OptionsMatrix,
-                         ::testing::Range(0, 64));
+                         ::testing::Range(0, 32));
 
-// Cross-store parallel parity: Q1-Q20 on all four physical mappings.
+// Cross-store parity: Q1-Q20 on all four physical mappings.
 class PlannerStoreParity : public ::testing::TestWithParam<int> {
  protected:
   static const StorageAdapter* StoreByIndex(int index) {
@@ -218,37 +240,16 @@ class PlannerStoreParity : public ::testing::TestWithParam<int> {
   }
 };
 
-// Morsel-parallel execution is pure scheduling: chunked descendant scans
-// merge in deterministic chunk order and the band-domain sort is a
-// deterministic parallel stable sort, so results must be byte-identical
-// for any worker count. min_morsel_ids=1 forces the morsel path even at
-// this tiny scale. Each worker count gets its own pool, so the 4-worker
-// case runs multi-threaded whatever the host's core count.
-TEST_P(PlannerStoreParity, ParallelExecByteIdentical) {
+// Every mapping, under the default (every rewrite on) options, answers
+// through its own cursors and index structures and must serialize exactly
+// System F's bytes.
+TEST_P(PlannerStoreParity, MatchesSystemF) {
   const int query = GetParam();
-  auto parsed = ParseQueryText(bench::GetQuery(query).text);
-  ASSERT_TRUE(parsed.ok());
   for (int s = 0; s < 4; ++s) {
     const StorageAdapter* store = StoreByIndex(s);
-    EvaluatorOptions serial;  // defaults: every flag on, parallel off
-    Evaluator base(store, serial);
-    auto a = base.Run(*parsed);
-    ASSERT_TRUE(a.ok()) << store->mapping_name() << " Q" << query << ": "
-                        << a.status();
-    for (unsigned threads : {1u, 4u}) {
-      EvaluatorOptions par = serial;
-      par.parallel_exec.enabled = true;
-      par.parallel_exec.min_morsel_ids = 1;
-      ThreadPool pool(threads);
-      Evaluator subject(store, par);
-      subject.set_exec_pool(&pool);
-      auto b = subject.Run(*parsed);
-      ASSERT_TRUE(b.ok()) << store->mapping_name() << " Q" << query << ": "
-                          << b.status();
-      EXPECT_EQ(SerializeSequence(*a), SerializeSequence(*b))
-          << store->mapping_name() << " Q" << query << " diverges with "
-          << threads << " exec threads";
-    }
+    EXPECT_EQ(RunSerialized(store, EvaluatorOptions{}, query),
+              ReferenceBytes(query))
+        << store->mapping_name() << " Q" << query << " differs from system F";
   }
 }
 

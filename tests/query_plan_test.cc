@@ -153,24 +153,30 @@ TEST(ExplainGolden, HashJoinOffIsFlaggedJoinable) {
 TEST(Capabilities, StoresAdvertiseTheirStructures) {
   const StorageCapabilities edge = Edge().Capabilities();
   EXPECT_TRUE(edge.id_lookup);
-  EXPECT_FALSE(edge.children_by_tag);
   EXPECT_FALSE(edge.path_index);
 
   const StorageCapabilities dom = Dom().Capabilities();
   EXPECT_TRUE(dom.id_lookup);
   EXPECT_TRUE(dom.path_index);
-  EXPECT_FALSE(dom.children_by_tag);
+
+  store::DomStore::Options bare_options;
+  bare_options.build_tag_index = false;
+  bare_options.build_id_index = false;
+  bare_options.build_path_summary = false;
+  auto bare = store::DomStore::Load(TestDocument(), bare_options);
+  ASSERT_TRUE(bare.ok());
+  EXPECT_FALSE((*bare)->Capabilities().id_lookup);
+  EXPECT_FALSE((*bare)->Capabilities().path_index);
 
   auto fragmented = store::FragmentedStore::Load(TestDocument());
   ASSERT_TRUE(fragmented.ok());
   const StorageCapabilities frag = (*fragmented)->Capabilities();
-  EXPECT_TRUE(frag.children_by_tag);
+  EXPECT_TRUE(frag.id_lookup);
   EXPECT_TRUE(frag.path_index);
 
   auto inlined = store::InlinedStore::Load(TestDocument(), xml::kAuctionDtd);
   ASSERT_TRUE(inlined.ok());
   const StorageCapabilities inl = (*inlined)->Capabilities();
-  EXPECT_TRUE(inl.children_by_tag);
   EXPECT_TRUE(inl.id_lookup);
   EXPECT_FALSE(inl.path_index);
 }

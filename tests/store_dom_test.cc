@@ -70,7 +70,7 @@ TEST(DomStoreTest, Navigation) {
 
 TEST(DomStoreTest, IdIndex) {
   auto store = Load(true);
-  EXPECT_TRUE(store->SupportsIdLookup());
+  EXPECT_TRUE(store->Capabilities().id_lookup);
   const auto p1 = store->NodeById("p1");
   ASSERT_NE(p1, query::kInvalidHandle);
   EXPECT_EQ(StringValueOf(*store, p1), "B");
@@ -100,7 +100,7 @@ TEST(DomStoreTest, TagDescendantCursorRespectsSubtree) {
 
 TEST(DomStoreTest, PathExtent) {
   auto store = Load(true);
-  EXPECT_TRUE(store->SupportsPathIndex());
+  EXPECT_TRUE(store->Capabilities().path_index);
   std::vector<xml::NameId> path{Tag(*store, "site"), Tag(*store, "people"),
                                 Tag(*store, "person")};
   auto extent = store->PathExtent(path);
@@ -114,17 +114,10 @@ TEST(DomStoreTest, PathExtent) {
   EXPECT_TRUE(none->empty());
 }
 
-TEST(DomStoreTest, PathCount) {
-  auto store = Load(true);
-  std::vector<xml::NameId> path{Tag(*store, "site"), Tag(*store, "regions"),
-                                Tag(*store, "asia"), Tag(*store, "item")};
-  EXPECT_EQ(store->PathCount(path).value(), 2);
-}
-
 TEST(DomStoreTest, IndexesOffDowngradeGracefully) {
   auto store = Load(false);
-  EXPECT_FALSE(store->SupportsIdLookup());
-  EXPECT_FALSE(store->SupportsPathIndex());
+  EXPECT_FALSE(store->Capabilities().id_lookup);
+  EXPECT_FALSE(store->Capabilities().path_index);
   EXPECT_EQ(store->NodesByTag(Tag(*store, "item")), nullptr);
   EXPECT_FALSE(
       store->PathExtent({Tag(*store, "site")}).has_value());

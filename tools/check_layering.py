@@ -29,6 +29,10 @@ plus repo-wide source contracts:
   * Child scans have one home: inside ``src/query/`` only ``exec.cc``
     (``NodeScan`` and the child-path kernel) calls ``OpenChildCursor(``,
     so no private child walker grows back beside the kernel.
+  * A query runs on the thread that calls it: nothing in ``src/query/``
+    includes ``util/thread_pool.h`` or names ``ThreadPool``. The engine's
+    ``collection()`` fan-out (``src/xmark/``) is the one place a query
+    forks.
 
 Intra-``query/`` sub-layering (plan -> optimizer -> exec) is also
 checked: plan.h must not include optimizer.h/exec.h, optimizer.h must
@@ -94,6 +98,9 @@ IMMUTABLE_HEADERS = {"src/query/ast.h", "src/query/plan.h"}
 # and the one query/ file allowed to make it.
 CHILD_CURSOR_CALL_RE = re.compile(r"(\.|->)\s*OpenChildCursor\s*\(")
 CHILD_WALKER_HOME = "src/query/exec.cc"
+
+# The thread pool, which the query layer must not reach.
+THREAD_POOL_RE = re.compile(r'"util/thread_pool\.h"|\bThreadPool\b')
 
 
 def strip_comments(text: str) -> str:
@@ -194,6 +201,11 @@ def check_tree(root: pathlib.Path) -> list[str]:
                 f"{rel}: calls OpenChildCursor outside query/exec.cc — walk "
                 f"child chains with the child-path kernel (ChildPathWalker) "
                 f"or a NodeScan")
+        if layer == "query" and THREAD_POOL_RE.search(text):
+            errors.append(
+                f"{rel}: thread pool in query/ — a query runs on its "
+                f"calling thread; only the engine's collection() fan-out "
+                f"forks")
         if rel in IMMUTABLE_HEADERS and re.search(r"\bmutable\b", text):
             errors.append(
                 f"{rel}: mutable member in a header whose types are shared "
@@ -230,6 +242,9 @@ SELF_TEST_BAD = {
     # a private child walker beside the kernel: forbidden.
     "src/query/evaluator.cc":
         "void Walk(const S* s, C* c) { s->OpenChildCursor(0, f, 1, c); }\n",
+    # a query forking onto the pool: forbidden.
+    "src/query/exec.h":
+        '#include "util/thread_pool.h"\nvoid Drain(ThreadPool* pool);\n',
 }
 
 SELF_TEST_CLEAN = {
@@ -241,7 +256,8 @@ SELF_TEST_CLEAN = {
     "src/store/dom_store.h": '#include "query/storage.h"\n',
     "src/xmark/engine.h":
         '#include "store/dom_store.h"\n#include "util/mutex.h"\n'
-        "util::Mutex stats_mu;\n",
+        '#include "util/thread_pool.h"\n'
+        "util::Mutex stats_mu;\nvoid FanOut(ThreadPool& pool);\n",
     # the kernel's home may open child cursors; stores implement the hook.
     "src/query/exec.cc":
         "void Walk(const S* s, C* c) { s->OpenChildCursor(0, f, 1, c); }\n",
@@ -261,6 +277,7 @@ SELF_TEST_EXPECT = [
     "src/xmark/bad_cast.cc: const_cast",
     "src/query/ast.h: mutable member",
     "src/query/evaluator.cc: calls OpenChildCursor outside query/exec.cc",
+    "src/query/exec.h: thread pool in query/",
 ]
 
 
