@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "query/optimizer.h"
+#include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -281,8 +282,21 @@ StatusOr<bool> Evaluator::EvalNative(const NativePredicate& pred,
     if (lhs == (n.op == BinaryOp::kOr)) return lhs;  // short-circuit
     return EvalNative(pred, n.rhs, cand);
   }
-  const bool node_hit = n.chain.terminal != ChildPath::Terminal::kAttribute;
   ChildPathWalker walker(store_, n.chain, &stats_, ctx_);
+  if (n.leaf != NativePredicate::Node::Leaf::kCompare) {
+    // contains/starts-with read the first selected value (arg_view of
+    // the argument sequence's first item, "" when it is empty).
+    std::string_view value;
+    walker.Walk(cand, [&](const ChildPathHit& hit) {
+      value = ChildPathValue(store_, n.chain, hit, &cmp_scratch_a_);
+      return true;
+    });
+    XMARK_RETURN_IF_ERROR(walker.status());
+    return n.leaf == NativePredicate::Node::Leaf::kContains
+               ? Contains(value, n.literal.string())
+               : StartsWith(value, n.literal.string());
+  }
+  const bool node_hit = n.chain.terminal != ChildPath::Terminal::kAttribute;
   const bool match = walker.Walk(cand, [&](const ChildPathHit& hit) {
     const std::string_view value =
         ChildPathValue(store_, n.chain, hit, &cmp_scratch_a_);
@@ -727,16 +741,74 @@ StatusOr<int64_t> Evaluator::BandCount(int slot, Environment& env,
   return count;
 }
 
+// A fused FLWOR (see CompiledPipeline): the nested loop's steps for one
+// `for` clause, minus the per-binding Environment push and Evals. The
+// domain is the path evaluator's (stored nodes only, by the plan's
+// shape); each binding is tested natively and emitted in domain order.
+StatusOr<Sequence> Evaluator::EvalFused(const CompiledPipeline& pipe,
+                                        Environment& env, const Focus* focus) {
+  XMARK_ASSIGN_OR_RETURN(Sequence domain,
+                         Eval(*pipe.flwor->clauses[0].expr, env, focus));
+  ChildPathWalker tail(store_, pipe.tail, &stats_, ctx_);
+  const bool attribute = pipe.tail.terminal == ChildPath::Terminal::kAttribute;
+  Sequence out;
+  constexpr size_t kBatch = 256;
+  for (size_t i = 0; i < domain.size(); ++i) {
+    // Per batch of bindings: the fault site, the fused-batch count and
+    // the governance check.
+    if (i % kBatch == 0) {
+      if (XMARK_FAULT_POINT("exec/pipeline_drain")) {
+        return Status::ResourceExhausted(
+            "fault injection: exec/pipeline_drain");
+      }
+      ++stats_.pipeline_batches_fused;
+      if (ctx_ != nullptr) XMARK_RETURN_IF_ERROR(ctx_->Check());
+    }
+    const NodeHandle binding = domain[i].node().handle;
+    if (pipe.where.has_value()) {
+      XMARK_ASSIGN_OR_RETURN(const bool keep,
+                             EvalNative(*pipe.where, 0, binding));
+      if (!keep) continue;
+    }
+    switch (pipe.emit) {
+      case CompiledPipeline::Emit::kVar:
+        out.push_back(std::move(domain[i]));
+        break;
+      case CompiledPipeline::Emit::kTailNodes:
+        tail.Walk(binding, [&](const ChildPathHit& hit) {
+          if (attribute) {
+            out.emplace_back(std::string(hit.attribute));
+          } else {
+            out.emplace_back(NodeRef{store_, hit.node});
+          }
+          return false;
+        });
+        XMARK_RETURN_IF_ERROR(tail.status());
+        break;
+      case CompiledPipeline::Emit::kCount: {
+        // An absent tag opens an exhausted cursor (DescendantCursor::Init).
+        DescendantCursor cursor;
+        store_->OpenDescendantCursor(binding, ChildFilter::kTag,
+                                     pipe.count_tag, &cursor);
+        ++stats_.descendant_scans;
+        int64_t count = 0;
+        NodeHandle buf[kBatch];
+        size_t n;
+        while ((n = cursor.Fill(buf, kBatch)) > 0) {
+          count += static_cast<int64_t>(n);
+        }
+        out.emplace_back(static_cast<double>(count));
+        break;
+      }
+    }
+  }
+  return out;
+}
+
 StatusOr<Sequence> Evaluator::EvalFlwor(const AstNode& node, Environment& env,
                                         const Focus* focus) {
-  // Compiled pipeline: the plan-time fusion pass proved this FLWOR
-  // equivalent to a fused monomorphic loop (which reads nothing from env
-  // or focus — fusable shapes are self-contained by construction), so the
-  // whole nested-loop evaluation collapses into one PipelineExec drain.
   const CompiledPipeline* pipe = plan_->FindPipeline(&node);
-  if (pipe != nullptr) {
-    return PipelineExec::Run(*pipe, store_, &stats_, ctx_);
-  }
+  if (pipe != nullptr) return EvalFused(*pipe, env, focus);
 
   const FlworPlan* fp = plan_->FindFlwor(&node);
   if (fp == nullptr) return Status::Internal("FLWOR was not planned");

@@ -69,6 +69,8 @@ class Evaluator {
                               const Focus* focus);
   StatusOr<Sequence> EvalFlwor(const AstNode& node, Environment& env,
                                const Focus* focus);
+  StatusOr<Sequence> EvalFused(const CompiledPipeline& pipe, Environment& env,
+                               const Focus* focus);
   StatusOr<Sequence> EvalQuantified(const AstNode& node, Environment& env,
                                     const Focus* focus);
   StatusOr<Sequence> EvalBinary(const AstNode& node, Environment& env,
@@ -117,7 +119,7 @@ class Evaluator {
   /// the hit is a stored node (`node_hit`) or an attribute string.
   bool CompareChainValue(std::string_view value, bool node_hit, const Item& o,
                          BinaryOp op);
-  /// Node `index` of a native step predicate, for candidate `cand`.
+  /// Node `index` of a native predicate, for candidate `cand`.
   StatusOr<bool> EvalNative(const NativePredicate& pred, size_t index,
                             NodeHandle cand);
 

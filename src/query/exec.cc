@@ -1,11 +1,9 @@
 #include "query/exec.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <utility>
 
-#include "query/pipeline.h"
 #include "util/fault_injection.h"
 #include "util/string_util.h"
 
@@ -92,339 +90,6 @@ void ChildPathWalker::Open(size_t depth, NodeHandle parent,
                             cursor);
   }
   ++stats_->cursor_scans;
-}
-
-// ---------------------------------------------------------------------------
-// PipelineExec
-// ---------------------------------------------------------------------------
-//
-// The executor half of compiled pipelines. The plan-time pass
-// (query/pipeline.cc) proved the FLWOR equivalent to scan → [id filter] →
-// [where predicate] → emit over child chains, so everything here is
-// written against that grammar only — and every semantic choice below
-// replicates the generic evaluator exactly:
-//   - filter and tail chains are walked by the child-path kernel
-//     (ChildPathWalker), and their values read through ChildPathValue, the
-//     evaluator's own view of a selected item;
-//   - the fused comparison is the evaluator's untyped general comparison:
-//     existential over all predicate-path matches, numeric when the
-//     literal is a number (ParseDouble failure → that pair is false),
-//     lexicographic string compare otherwise;
-//   - contains/starts-with consume only the FIRST predicate-path match
-//     (arg_view takes seq.front(); an empty result is the empty string);
-//   - the prefix walk enumerates child levels in cursor order, which
-//     equals the generic level-by-level batch order (child steps expand
-//     each node's matches contiguously, so last-level concatenation IS the
-//     DFS order the kernel walks).
-
-namespace {
-
-// Per-drain state: the pipeline, the store, the element string-value
-// scratch buffer and the walkers of the filter and tail chains. The
-// walks' scan counters land in `stats`, which nothing reads: the fused
-// drain reports its batches.
-struct PipeCtx {
-  PipeCtx(const CompiledPipeline* p, const StorageAdapter* s)
-      : pipe(p),
-        store(s),
-        filter(s, p->filter_path, &stats, nullptr),
-        tail(s, p->tail, &stats, nullptr) {}
-  const CompiledPipeline* pipe;
-  const StorageAdapter* store;
-  std::string scratch;
-  EvalStats stats;
-  ChildPathWalker filter;
-  ChildPathWalker tail;
-};
-
-// First filter-operand value of `cand`, or the empty string when the chain
-// selects nothing (the evaluator's arg_view of an empty sequence).
-std::string_view FirstPathValue(PipeCtx& cx, NodeHandle cand) {
-  std::string_view view{};
-  cx.filter.Walk(cand, [&](const ChildPathHit& hit) {
-    view = ChildPathValue(cx.store, cx.pipe->filter_path, hit, &cx.scratch);
-    return true;
-  });
-  return view;
-}
-
-// --- Per-candidate filter policies (the monomorphic loop bodies) --------
-
-struct AlwaysMatch {
-  static bool Match(PipeCtx&, NodeHandle) { return true; }
-};
-
-struct ContainsMatch {
-  static bool Match(PipeCtx& cx, NodeHandle cand) {
-    return Contains(FirstPathValue(cx, cand), cx.pipe->needle);
-  }
-};
-
-struct StartsWithMatch {
-  static bool Match(PipeCtx& cx, NodeHandle cand) {
-    return StartsWith(FirstPathValue(cx, cand), cx.pipe->needle);
-  }
-};
-
-// `<path> OP literal`, existential over every path match, with the
-// evaluator's untyped coercion: numeric when the literal is a number
-// (non-numeric path values make that pair false, never an error), string
-// comparison otherwise.
-template <BinaryOp OP, bool NUMERIC>
-struct CompareMatch {
-  static bool Match(PipeCtx& cx, NodeHandle cand) {
-    return cx.filter.Walk(cand, [&](const ChildPathHit& hit) {
-      const std::string_view view =
-          ChildPathValue(cx.store, cx.pipe->filter_path, hit, &cx.scratch);
-      int cmp;
-      if constexpr (NUMERIC) {
-        const std::optional<double> num = ParseDouble(view);
-        if (!num.has_value()) return false;  // pair is false; keep going
-        const double b = cx.pipe->cmp_number;
-        cmp = (*num < b) ? -1 : (*num > b ? 1 : 0);
-      } else {
-        cmp = static_cast<int>(view.compare(cx.pipe->cmp_str));
-      }
-      return CompareResult(cmp, OP);
-    });
-  }
-};
-
-// --- Emission -----------------------------------------------------------
-
-// One surviving binding's contribution to the result.
-void EmitOne(PipeCtx& cx, NodeHandle cand, Sequence* out) {
-  const CompiledPipeline& pipe = *cx.pipe;
-  switch (pipe.emit) {
-    case CompiledPipeline::Emit::kVar:
-      out->emplace_back(NodeRef{cx.store, cand});
-      return;
-    case CompiledPipeline::Emit::kTailNodes: {
-      // The tail chain's items in the generic path's order (see the order
-      // note atop this section).
-      const bool attribute =
-          pipe.tail.terminal == ChildPath::Terminal::kAttribute;
-      cx.tail.Walk(cand, [&](const ChildPathHit& hit) {
-        if (attribute) {
-          out->emplace_back(std::string(hit.attribute));
-        } else {
-          out->emplace_back(NodeRef{cx.store, hit.node});
-        }
-        return false;
-      });
-      return;
-    }
-    case CompiledPipeline::Emit::kCount: {
-      int64_t count = 0;
-      DescendantCursor cur;
-      cx.store->OpenDescendantCursor(cand, ChildFilter::kTag, pipe.count_tag,
-                                     &cur);
-      constexpr size_t kBatch = 256;
-      NodeHandle buf[kBatch];
-      size_t n;
-      while ((n = cur.Fill(buf, kBatch)) > 0) {
-        count += static_cast<int64_t>(n);
-      }
-      out->emplace_back(static_cast<double>(count));
-      return;
-    }
-  }
-}
-
-// The fused filter → emit loop over one batch of tag-matched candidates:
-// one monomorphic instantiation per dispatch slot, selected once per run
-// from the table below — no virtual call, no branch on filter kind, no
-// intermediate Sequence.
-using EmitBatchFn = void (*)(PipeCtx&, const NodeHandle*, size_t, Sequence*);
-
-template <typename Policy>
-void EmitBatch(PipeCtx& cx, const NodeHandle* batch, size_t n,
-               Sequence* out) {
-  for (size_t i = 0; i < n; ++i) {
-    if (Policy::Match(cx, batch[i])) EmitOne(cx, batch[i], out);
-  }
-}
-
-// Maps a filter slot of the dispatch word to its policy type. Slots 3+ are
-// the (comparison op, string|numeric) grid laid out by PipelineDispatch.
-template <uint32_t SLOT>
-struct PipeFilterPolicy {
-  static_assert(SLOT >= 3 && SLOT < kPipelineDispatchSlots);
-  using Type = CompareMatch<
-      static_cast<BinaryOp>(static_cast<uint32_t>(BinaryOp::kEq) +
-                            (SLOT - 3) / 2),
-      (SLOT - 3) % 2 == 1>;
-};
-template <>
-struct PipeFilterPolicy<0> {
-  using Type = AlwaysMatch;
-};
-template <>
-struct PipeFilterPolicy<1> {
-  using Type = ContainsMatch;
-};
-template <>
-struct PipeFilterPolicy<2> {
-  using Type = StartsWithMatch;
-};
-
-template <uint32_t... SLOT>
-constexpr std::array<EmitBatchFn, kPipelineDispatchSlots> MakeEmitTable(
-    std::integer_sequence<uint32_t, SLOT...>) {
-  return {{&EmitBatch<typename PipeFilterPolicy<SLOT>::Type>...}};
-}
-
-// The plan-time dispatch table: pipeline.cc computed an index into this
-// array when it proved the shape; Run picks the instantiation with one
-// load. (Slot 15 is padding — PipelineDispatch never produces it.)
-constexpr std::array<EmitBatchFn, kPipelineDispatchSlots> kEmitTable =
-    MakeEmitTable(std::make_integer_sequence<uint32_t,
-                                             kPipelineDispatchSlots>{});
-
-// Flushes one candidate batch through the fused loop, with the same
-// per-batch cooperation the generic drain has: the pipeline fault site,
-// the governance check, the fused-batch accounting.
-Status FlushFused(PipeCtx& cx, EmitBatchFn emit, const NodeHandle* buf,
-                  size_t n, Sequence* out, ExecContext* ctx,
-                  EvalStats* stats) {
-  if (n == 0) return Status::OK();
-  if (XMARK_FAULT_POINT("exec/pipeline_drain")) {
-    return Status::ResourceExhausted("fault injection: exec/pipeline_drain");
-  }
-  ++stats->pipeline_batches_fused;
-  stats->nodes_visited += static_cast<int64_t>(n);
-  emit(cx, buf, n, out);
-  if (ctx != nullptr) return ctx->Check();
-  return Status::OK();
-}
-
-// Fused drain of an open descendant cursor.
-Status DrainDescCursor(PipeCtx& cx, EmitBatchFn emit, DescendantCursor* cur,
-                       Sequence* out, ExecContext* ctx, EvalStats* stats) {
-  constexpr size_t kBatch = 256;
-  NodeHandle buf[kBatch];
-  size_t n;
-  while ((n = cur->Fill(buf, kBatch)) > 0) {
-    XMARK_RETURN_IF_ERROR(FlushFused(cx, emit, buf, n, out, ctx, stats));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-StatusOr<Sequence> PipelineExec::Run(const CompiledPipeline& pipe,
-                                     const StorageAdapter* store,
-                                     EvalStats* stats, ExecContext* ctx) {
-  const EmitBatchFn emit = kEmitTable[pipe.dispatch % kPipelineDispatchSlots];
-  PipeCtx cx(&pipe, store);
-  Sequence out;
-
-  // Resolve the prefix: a rooted path's first step tests the root element
-  // itself (EvalPath's rooted semantics), later steps are child-name scans
-  // drained level by level in batch order.
-  std::vector<NodeHandle> level;
-  std::vector<NodeHandle> next;
-  if (!pipe.prefix.empty() && store->NameOf(store->Root()) == pipe.prefix[0]) {
-    level.push_back(store->Root());
-  }
-  for (size_t d = 1; d < pipe.prefix.size() && !level.empty(); ++d) {
-    next.clear();
-    for (NodeHandle p : level) {
-      ChildCursor cur;
-      store->OpenChildCursor(p, ChildFilter::kTag, pipe.prefix[d], &cur);
-      ++stats->cursor_scans;
-      constexpr size_t kBatch = 64;
-      NodeHandle buf[kBatch];
-      size_t n;
-      while ((n = cur.Fill(buf, kBatch)) > 0) {
-        next.insert(next.end(), buf, buf + n);
-        if (ctx != nullptr) XMARK_RETURN_IF_ERROR(ctx->Check());
-      }
-    }
-    level.swap(next);
-  }
-
-  Status st = Status::OK();
-  switch (pipe.scan) {
-    case CompiledPipeline::Scan::kPrefixOnly: {
-      // The bindings ARE the resolved prefix nodes.
-      constexpr size_t kBatch = 256;
-      for (size_t off = 0; st.ok() && off < level.size(); off += kBatch) {
-        const size_t n = std::min(kBatch, level.size() - off);
-        st = FlushFused(cx, emit, level.data() + off, n, &out, ctx, stats);
-      }
-      break;
-    }
-    case CompiledPipeline::Scan::kChildren: {
-      std::vector<NodeHandle> cands;
-      if (pipe.id_lookup) {
-        // One ID-index probe answers the whole step (ApplyStep's id-literal
-        // path): the probed node must carry the step's tag and sit under
-        // one of the prefix nodes.
-        ++stats->index_lookups;
-        const NodeHandle hit = store->NodeById(pipe.id_value);
-        if (hit != kInvalidHandle && store->NameOf(hit) == pipe.scan_tag) {
-          const NodeHandle parent = store->Parent(hit);
-          for (NodeHandle p : level) {
-            if (p == parent) {
-              cands.push_back(hit);
-              break;
-            }
-          }
-        }
-      } else {
-        for (NodeHandle p : level) {
-          ChildCursor cur;
-          store->OpenChildCursor(p, ChildFilter::kTag, pipe.scan_tag, &cur);
-          ++stats->cursor_scans;
-          constexpr size_t kBatch = 64;
-          NodeHandle buf[kBatch];
-          size_t n;
-          while ((n = cur.Fill(buf, kBatch)) > 0) {
-            for (size_t i = 0; i < n; ++i) {
-              if (pipe.id_filter) {
-                // The general comparison's semantics: a missing attribute
-                // never matches; the literal compares as a string.
-                const std::optional<std::string_view> attr =
-                    store->AttributeView(buf[i], "id");
-                if (!attr.has_value() || *attr != pipe.id_value) continue;
-              }
-              cands.push_back(buf[i]);
-            }
-            if (ctx != nullptr) {
-              st = ctx->Check();
-              if (!st.ok()) break;
-            }
-          }
-          if (!st.ok()) break;
-        }
-      }
-      constexpr size_t kBatch = 256;
-      for (size_t off = 0; st.ok() && off < cands.size(); off += kBatch) {
-        const size_t n = std::min(kBatch, cands.size() - off);
-        st = FlushFused(cx, emit, cands.data() + off, n, &out, ctx, stats);
-      }
-      break;
-    }
-    case CompiledPipeline::Scan::kDescendants: {
-      for (NodeHandle p : level) {
-        DescendantCursor cur;
-        store->OpenDescendantCursor(p, ChildFilter::kTag, pipe.scan_tag, &cur);
-        ++stats->descendant_scans;
-        st = DrainDescCursor(cx, emit, &cur, &out, ctx, stats);
-        if (!st.ok()) break;
-      }
-      break;
-    }
-  }
-
-  if (pipe.emit == CompiledPipeline::Emit::kCount) {
-    // Each emitted count is one descendant cursor drain of its binding's
-    // subtree.
-    stats->descendant_scans += static_cast<int64_t>(out.size());
-  }
-  if (!st.ok()) return st;
-  return out;
 }
 
 // ---------------------------------------------------------------------------

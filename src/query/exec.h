@@ -268,31 +268,6 @@ class ChildPathWalker {
 };
 
 // ---------------------------------------------------------------------------
-// PipelineExec: compiled-pipeline driver
-// ---------------------------------------------------------------------------
-
-/// Runs one CompiledPipeline (see query/plan.h): the fused scan → filter →
-/// compare → emit loop the plan-time pass proved equivalent to the FLWOR
-/// it annotates. The loop body is selected from a static table of
-/// monomorphic instantiations indexed by the pipeline's plan-time
-/// `dispatch` word — one instantiation per (filter kind × compare op ×
-/// operand type) — so the hot loop pays no per-candidate virtual call and
-/// drains the store's cursors straight into the result Sequence with no
-/// intermediate materialization. Byte-identical to the generic nested-loop
-/// evaluation by construction (the fusion pass refuses any shape it cannot
-/// prove).
-///
-/// Every batch checks `ctx` (when non-null), and the "exec/pipeline_drain"
-/// fault site covers the fused drain. Stateless: safe to call from any
-/// number of concurrent runs sharing the plan.
-class PipelineExec {
- public:
-  static StatusOr<Sequence> Run(const CompiledPipeline& pipe,
-                                const StorageAdapter* store, EvalStats* stats,
-                                ExecContext* ctx);
-};
-
-// ---------------------------------------------------------------------------
 // Hash join
 // ---------------------------------------------------------------------------
 

@@ -1,9 +1,11 @@
 #include "query/optimizer.h"
 
 #include <algorithm>
+#include <set>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
-
-#include "query/pipeline.h"
 
 namespace xmark::query {
 
@@ -600,39 +602,67 @@ ConstructPlan LowerConstructor(const AstNode& ctor) {
 
 namespace {
 
+// The evaluator strips a leading "fn:" before its function lookup, so a
+// prolog function shadows both spellings of a builtin.
+bool ShadowedBuiltin(const std::set<std::string>& udfs,
+                     std::string_view name) {
+  if (name.substr(0, 3) == "fn:") name = name.substr(3);
+  return udfs.count(std::string(name)) != 0;
+}
+
 // Appends the native form of predicate subtree `n` to `out->nodes`: an
-// and/or tree whose leaves compare a context-rooted child chain (already
-// lowered into `plan`) with a literal, in either operand order. False for
-// any other shape.
-bool AppendNativeNode(const AstNode& n, const PlanAnnotations& plan,
-                      NativePredicate* out) {
-  if (n.kind != AstKind::kBinary) return false;
+// and/or tree whose leaves test a child chain (already lowered into
+// `plan`) rooted at `var_slot` (-1: the context item) against a literal —
+// a comparison in either operand order, or contains/starts-with with a
+// string needle. False for any other shape.
+bool AppendNativeNode(const AstNode& n, int var_slot,
+                      const std::set<std::string>& udfs,
+                      const PlanAnnotations& plan, NativePredicate* out) {
   const size_t index = out->nodes.size();
   out->nodes.emplace_back();
-  out->nodes[index].op = n.op;
-  if (n.op == BinaryOp::kAnd || n.op == BinaryOp::kOr) {
+  const AstNode* chain = nullptr;
+  const AstNode* literal = nullptr;
+  if (n.kind == AstKind::kFunctionCall && n.args.size() == 2 &&
+      !ShadowedBuiltin(udfs, n.str_value)) {
+    const std::string_view name = n.str_value;
+    if (name == "contains" || name == "fn:contains") {
+      out->nodes[index].leaf = NativePredicate::Node::Leaf::kContains;
+    } else if (name == "starts-with" || name == "fn:starts-with") {
+      out->nodes[index].leaf = NativePredicate::Node::Leaf::kStartsWith;
+    } else {
+      return false;
+    }
+    chain = n.args[0].get();
+    literal = n.args[1].get();
+    if (literal->kind != AstKind::kStringLiteral) return false;
+  } else if (n.kind == AstKind::kBinary &&
+             (n.op == BinaryOp::kAnd || n.op == BinaryOp::kOr)) {
     // Write through the index: the recursion grows the vector.
+    out->nodes[index].op = n.op;
     out->nodes[index].lhs = out->nodes.size();
-    if (!AppendNativeNode(*n.args[0], plan, out)) return false;
+    if (!AppendNativeNode(*n.args[0], var_slot, udfs, plan, out)) {
+      return false;
+    }
     out->nodes[index].rhs = out->nodes.size();
-    return AppendNativeNode(*n.args[1], plan, out);
+    return AppendNativeNode(*n.args[1], var_slot, udfs, plan, out);
+  } else if (n.kind == AstKind::kBinary && IsComparisonOp(n.op)) {
+    chain = n.args[0].get();
+    literal = n.args[1].get();
+    out->nodes[index].op = n.op;
+    if (IsLiteral(*chain)) {
+      std::swap(chain, literal);
+      out->nodes[index].op = SwapComparison(n.op);
+    }
+    if (!IsLiteral(*literal)) return false;
+  } else {
+    return false;
   }
-  if (!IsComparisonOp(n.op)) return false;
-  const AstNode* chain = n.args[0].get();
-  const AstNode* literal = n.args[1].get();
-  BinaryOp op = n.op;
-  if (IsLiteral(*chain)) {
-    std::swap(chain, literal);
-    op = SwapComparison(op);
-  }
-  if (!IsLiteral(*literal)) return false;
   const auto it = plan.paths.find(chain);
   if (it == plan.paths.end() || !it->second.chain.has_value() ||
-      it->second.chain->var_slot != -1) {
+      it->second.chain->var_slot != var_slot) {
     return false;
   }
   NativePredicate::Node& leaf = out->nodes[index];
-  leaf.op = op;
   leaf.chain = *it->second.chain;
   leaf.literal = literal->kind == AstKind::kNumberLiteral
                      ? Item(literal->num_value)
@@ -640,8 +670,90 @@ bool AppendNativeNode(const AstNode& n, const PlanAnnotations& plan,
   return true;
 }
 
+// The emit of a fused FLWOR's return clause: $v itself, a child chain of
+// $v, or count($v//tag).
+bool MatchEmit(const AstNode& ret, int var_slot,
+               const std::set<std::string>& udfs, const PlanAnnotations& plan,
+               CompiledPipeline* pipe) {
+  if (ret.kind == AstKind::kVarRef) {
+    pipe->emit = CompiledPipeline::Emit::kVar;
+    return ret.var_slot == var_slot;
+  }
+  if (ret.kind == AstKind::kPath) {
+    const PathPlan& pp = plan.paths.at(&ret);
+    pipe->emit = CompiledPipeline::Emit::kTailNodes;
+    if (pp.chain.has_value() && pp.chain->var_slot == var_slot) {
+      pipe->tail = *pp.chain;
+      return true;
+    }
+    return false;
+  }
+  if (ret.kind != AstKind::kFunctionCall ||
+      (ret.str_value != "count" && ret.str_value != "fn:count") ||
+      ShadowedBuiltin(udfs, ret.str_value) || ret.args.size() != 1) {
+    return false;
+  }
+  const AstNode& a = *ret.args[0];
+  if (a.kind != AstKind::kPath || a.start == nullptr ||
+      a.start->kind != AstKind::kVarRef || a.start->var_slot != var_slot ||
+      a.steps.size() != 1) {
+    return false;
+  }
+  const Step& s = a.steps[0];
+  if (s.axis != Axis::kDescendant || s.test != Step::Test::kName ||
+      !s.predicates.empty()) {
+    return false;
+  }
+  pipe->emit = CompiledPipeline::Emit::kCount;
+  pipe->count_tag = plan.paths.at(&a).steps[0].name;
+  return true;
+}
+
+// Fuses `flwor` (its subexpressions already lowered) when it has the
+// CompiledPipeline shape: one `for` over a rooted path of child and
+// descendant steps, no `order by`, the nested-loop strategy and no
+// band-join let, a native where, and one of the three emits.
+void TryFuse(const AstNode& flwor, const std::set<std::string>& udfs,
+             PlanAnnotations* plan) {
+  if (flwor.clauses.size() != 1 || flwor.clauses[0].is_let ||
+      !flwor.order_by.empty()) {
+    return;
+  }
+  if (plan->flwors.at(&flwor).strategy != FlworPlan::Strategy::kNestedLoop ||
+      plan->band_lets.count(&flwor) != 0) {
+    return;
+  }
+  const ForLetClause& clause = flwor.clauses[0];
+  const AstNode& domain = *clause.expr;
+  if (domain.kind != AstKind::kPath || domain.steps.empty() ||
+      !(domain.absolute ||
+        (domain.start != nullptr && IsRootedEntryCall(*domain.start)))) {
+    return;
+  }
+  for (const Step& s : domain.steps) {
+    if (s.axis != Axis::kChild && s.axis != Axis::kDescendant) return;
+  }
+  CompiledPipeline pipe;
+  pipe.stages = "scan";
+  if (flwor.where != nullptr) {
+    pipe.where.emplace();
+    if (!AppendNativeNode(*flwor.where, clause.var_slot, udfs, *plan,
+                          &*pipe.where)) {
+      return;
+    }
+    pipe.stages += "|filter";
+  }
+  if (!MatchEmit(*flwor.ret, clause.var_slot, udfs, *plan, &pipe)) return;
+  pipe.stages +=
+      pipe.emit == CompiledPipeline::Emit::kCount ? "|count" : "|emit";
+  pipe.flwor = &flwor;
+  pipe.pipeline_id = plan->pipelines.size();
+  plan->pipelines.emplace(&flwor, std::move(pipe));
+}
+
 void LowerNode(const AstNode& node, const EvaluatorOptions& options,
-               const xml::NameTable& names, PlanAnnotations* plan) {
+               const xml::NameTable& names,
+               const std::set<std::string>& udfs, PlanAnnotations* plan) {
   if (node.kind == AstKind::kPath) {
     plan->paths.emplace(&node,
                         ComputePathPlan(node, options, plan->caps, names));
@@ -671,31 +783,35 @@ void LowerNode(const AstNode& node, const EvaluatorOptions& options,
       for (const ConstructPlan::Attr& attr : element.attrs) {
         if (attr.src == nullptr) continue;
         for (const AttrPart& part : attr.src->parts) {
-          if (part.expr) LowerNode(*part.expr, options, names, plan);
+          if (part.expr) LowerNode(*part.expr, options, names, udfs, plan);
         }
       }
       for (const ConstructPlan::Child& child : element.children) {
         if (child.kind == ConstructPlan::Child::Kind::kHole) {
-          LowerNode(*child.expr, options, names, plan);
+          LowerNode(*child.expr, options, names, udfs, plan);
         }
       }
     }
     return;
   }
   VisitChildren(node, [&](const AstNode& child) {
-    LowerNode(child, options, names, plan);
+    LowerNode(child, options, names, udfs, plan);
   });
-  // Step predicates go native once their leaf chains are lowered (above);
-  // chains exist only under hash_join, so F and G keep the generic Focus.
+  // Native predicates and fusion read the lowered chains of the
+  // subexpressions (above), which exist only under hash_join, so F and G
+  // keep the generic Focus and the nested loop.
+  if (!options.hash_join) return;
   if (node.kind == AstKind::kPath) {
     for (const Step& s : node.steps) {
       for (const AstPtr& pred : s.predicates) {
         NativePredicate native;
-        if (AppendNativeNode(*pred, *plan, &native)) {
+        if (AppendNativeNode(*pred, -1, udfs, *plan, &native)) {
           plan->predicates.emplace(pred.get(), std::move(native));
         }
       }
     }
+  } else if (node.kind == AstKind::kFlwor) {
+    TryFuse(node, udfs, plan);
   }
 }
 
@@ -722,18 +838,19 @@ void BuildPlan(const ParsedQuery& query, const StorageAdapter& store,
         break;
     }
   }
+  // The evaluator registers a prolog function under its full name and
+  // under the part after the prefix, and either spelling shadows a
+  // builtin of that name.
+  std::set<std::string> udfs;
   for (const FunctionDecl& f : query.functions) {
-    LowerNode(*f.body, options, store.names(), plan);
+    udfs.insert(f.name);
+    const size_t colon = f.name.find(':');
+    if (colon != std::string::npos) udfs.insert(f.name.substr(colon + 1));
   }
-  LowerNode(*query.body, options, store.names(), plan);
-  // Pipeline fusion runs after lowering: it consults the FLWOR strategies
-  // and band-let registrations decided above.
-  if (options.hash_join) {
-    for (const FunctionDecl& f : query.functions) {
-      FusePipelines(query, *f.body, store, plan);
-    }
-    FusePipelines(query, *query.body, store, plan);
+  for (const FunctionDecl& f : query.functions) {
+    LowerNode(*f.body, options, store.names(), udfs, plan);
   }
+  LowerNode(*query.body, options, store.names(), udfs, plan);
 }
 
 }  // namespace xmark::query

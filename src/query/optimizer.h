@@ -3,7 +3,8 @@
 // Layer contract: this is the only place that READS StorageCapabilities
 // and the EvaluatorOptions toggles to make choices — id and path index
 // probes, join decorrelation, band-shape recognition, invariant-path
-// cacheability, constructor-template lowering, child-chain lowering. Everything it emits is an
+// cacheability, constructor-template lowering, child-chain lowering,
+// native predicates and FLWOR fusion. Everything it emits is an
 // immutable annotation in the QueryPlan; nothing here touches documents,
 // evaluates expressions or allocates executor state (BuildPlan is pure
 // analysis and must stay cheap enough to run per query).
@@ -24,7 +25,7 @@
 namespace xmark::query {
 
 // ---------------------------------------------------------------------------
-// Static analysis (shared by the optimizer and the pipeline fusion pass)
+// Static analysis
 // ---------------------------------------------------------------------------
 
 /// Invokes `fn` on every direct child expression of `node`.
@@ -47,7 +48,7 @@ bool IsCollectionCall(const AstNode& node);
 
 /// Either document entry point: a path starting here is rooted, so every
 /// rooted-path optimization (invariant caching, path-index prefixes,
-/// pipeline fusion) applies to doc() and collection() scans alike.
+/// fused FLWOR domains) applies to doc() and collection() scans alike.
 bool IsRootedEntryCall(const AstNode& node);
 
 /// Document scope a query statically binds to, extracted from its entry
@@ -116,9 +117,10 @@ ConstructPlan LowerConstructor(const AstNode& ctor);
 /// Lowers a parsed query against one store + option set. Fills path plans
 /// (with every step's NameId resolved in `store`'s dictionary, and child
 /// chains lowered for the kernel), FLWOR strategies, band-join lets,
-/// constructor templates, native step predicates and pipelines into
+/// constructor templates, native step predicates and fused FLWORs into
 /// the annotation set (a QueryPlan's local annotations, or a standalone
-/// PlanAnnotations destined for the plan cache). Reads `query` only.
+/// PlanAnnotations destined for the plan cache), in one walk over each
+/// body. Reads `query` only.
 void BuildPlan(const ParsedQuery& query, const StorageAdapter& store,
                const EvaluatorOptions& options, PlanAnnotations* plan);
 

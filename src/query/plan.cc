@@ -279,7 +279,10 @@ class ExplainPrinter {
         return;
       }
       case AstKind::kFunctionCall: {
-        Line(depth, "call " + n.str_value);
+        Line(depth, "call " + n.str_value +
+                        (plan_.FindPredicate(&n) != nullptr
+                             ? " native-predicate"
+                             : ""));
         for (const AstPtr& a : n.args) Node(*a, depth + 1);
         return;
       }

@@ -55,9 +55,9 @@ struct EvaluatorOptions {
   ///   - rewrite the Q11/Q12 numeric band shape (`outer > k * inner`, used
   ///     only under count()) into a sort-merge band join that sorts the
   ///     invariant domain once and answers each probe by binary search;
-  ///   - fuse hot FLWOR shapes (scan -> filter -> compare -> emit chains)
-  ///     into CompiledPipeline loops that drain the store's cursors
-  ///     straight into the result;
+  ///   - fuse `for $v in <rooted path> [where ...] return ...` FLWORs into
+  ///     CompiledPipeline loops: the path evaluator's domain, a native
+  ///     where per binding, and an emit with no per-binding Eval;
   ///   - lower child chains (`$t/profile/age/text()`) into the child-path
   ///     kernel, and and/or step predicates over them into native
   ///     per-candidate tests.
@@ -100,9 +100,8 @@ struct EvalStats {
                                           // optimizer for this run
   int64_t governance_checks = 0;  // cooperative ExecContext checkpoints
                                   // performed (0 for ungoverned runs)
-  int64_t pipeline_batches_fused = 0;  // batches drained inside compiled
-                                       // pipeline loops (no per-batch
-                                       // virtual dispatch)
+  int64_t pipeline_batches_fused = 0;  // batches of up to 256 bindings run
+                                       // by fused FLWOR loops
   int64_t virtual_batches = 0;  // batches pulled through the virtual
                                 // operator boundary (NodeScan::Fill)
 
@@ -182,16 +181,23 @@ struct PathPlan {
   std::optional<ChildPath> chain;
 };
 
-/// A step predicate answered natively per candidate node: an and/or tree
-/// whose leaves compare a context-rooted child chain with a literal
-/// (`income >= 100000`, `@person = "person20"`). The evaluator walks each
-/// leaf's chain from the candidate and compares through views — no Focus,
-/// no Eval, no Sequence per candidate.
+/// A predicate answered natively per candidate node: an and/or tree whose
+/// leaves test a child chain of the candidate against a literal
+/// (`income >= 100000`, `@person = "person20"`, `contains(name, "x")`).
+/// It answers step predicates (chains rooted at the context item) and the
+/// where clause of a fused FLWOR (chains rooted at its variable). The
+/// evaluator walks each leaf's chain from the candidate and compares
+/// through views — no Focus, no Eval, no Sequence per candidate.
 struct NativePredicate {
   struct Node {
+    /// What a leaf tests: `chain op literal`, existential over the chain's
+    /// values, or contains/starts-with(chain, literal) over its first
+    /// value ("" when the chain selects nothing).
+    enum class Leaf : uint8_t { kCompare, kContains, kStartsWith };
     /// kAnd / kOr: an inner node over `lhs` and `rhs`. Any comparison op:
-    /// a leaf `chain op literal` (normalized with the chain on the left).
+    /// a kCompare leaf (normalized with the chain on the left).
     BinaryOp op = BinaryOp::kEq;
+    Leaf leaf = Leaf::kCompare;
     size_t lhs = 0;
     size_t rhs = 0;
     ChildPath chain;
@@ -272,71 +278,35 @@ struct ConstructPlan {
   size_t dyn_attr_count = 0;
 };
 
-/// A fused execution plan for one hot FLWOR shape (the Q1/Q5/Q6/Q14
-/// class): `for $v in <rooted path> [where <predicate($v)>] return
-/// <tail($v)>`. The optimizer's pipeline pass (query/pipeline.cc) proves
-/// the shape at plan time — rooted child/descendant name steps, a
-/// predicate that is a literal compare or contains/starts-with over a
-/// child chain of the variable, a tail that is the variable, a child chain
-/// of it, or a count() of one descendant step — and resolves every tag to
-/// a NameId. PipelineExec (query/exec.h) then runs the whole chain as one
-/// monomorphic loop selected from a dispatch table: the scan drains the
-/// store's cursor straight into the final result, with no intermediate
-/// Sequence and no per-candidate virtual call. Any shape the pass cannot prove simply gets no entry here and
-/// runs on the regular operators — byte-identical output by contract.
+/// A FLWOR fused at plan time (the Q1/Q5/Q6/Q14 class):
+///   for $v in <rooted path> [where <predicate($v)>] return <emit($v)>
+/// with one `for` clause, no `order by`, and the nested-loop strategy. The
+/// domain is a rooted path of child and descendant steps (any node test,
+/// any predicates), so it yields stored nodes only; the where is a
+/// NativePredicate over child chains of $v; the return is $v, a child
+/// chain of $v, or count($v//tag). The evaluator runs it as one loop: the
+/// path evaluator builds the domain, and each binding is tested and
+/// emitted with no Environment binding and no Eval. Any other FLWOR gets
+/// no entry here and runs on the nested loop — byte-identical either way.
 struct CompiledPipeline {
-  /// How the FLWOR domain is scanned.
-  enum class Scan : uint8_t {
-    kPrefixOnly,    // bindings = the resolved prefix nodes (Q6's $b)
-    kChildren,      // child-axis last step under each prefix node (Q1)
-    kDescendants,   // descendant-axis last step: one preorder interval
-                    // per prefix node (Q14's site//item)
-  };
-  /// The fused where-clause predicate (applied per scanned node).
-  enum class FilterKind : uint8_t {
-    kNone,
-    kContains,    // contains(<var path>, "lit"): first path match only
-    kStartsWith,  // starts-with(<var path>, "lit"): first match only
-    kCompare,     // <var path> OP literal: existential over all matches
-  };
   /// What each surviving binding contributes to the result.
   enum class Emit : uint8_t {
     kVar,        // the binding itself
-    kTailNodes,  // var-rooted child steps (+ optional trailing text())
+    kTailNodes,  // the items `tail` selects from the binding
     kCount,      // count($v//tag): one number per binding
   };
 
   const AstNode* flwor = nullptr;  // the FLWOR this pipeline replaces
   size_t pipeline_id = 0;          // dense per-plan index (Explain)
-
-  Scan scan = Scan::kPrefixOnly;
-  std::vector<xml::NameId> prefix;  // resolved child-name steps from the root
-  xml::NameId scan_tag = xml::kInvalidName;  // last-step tag (kChildren/kDesc...)
-  /// Last step carried [@id = "lit"]: filter scanned children on it.
-  bool id_filter = false;
-  /// ...and the store's ID index answers it directly (one NodeById probe
-  /// instead of the child scan). Mirrors the step planner's condition.
-  bool id_lookup = false;
-  std::string id_value;
-
-  FilterKind filter = FilterKind::kNone;
-  /// The filter's operand: a child chain of the variable, or the variable
-  /// itself (an empty chain with the kNodes terminal).
-  ChildPath filter_path;
-  std::string needle;               // contains/starts-with literal
-  BinaryOp cmp_op = BinaryOp::kEq;  // compare: <path> cmp_op <literal>
-  bool cmp_numeric = false;         // literal parsed as a number
-  double cmp_number = 0;
-  std::string cmp_str;
-
+  /// The where clause, its leaf chains rooted at the binding; unset when
+  /// the FLWOR has none.
+  std::optional<NativePredicate> where;
   Emit emit = Emit::kVar;
   ChildPath tail;  // kTailNodes: a child chain of the variable
-  xml::NameId count_tag = xml::kInvalidName;  // kCount: the descendant tag
-
-  /// Monomorphic-loop selector, computed at plan time (PipelineDispatch
-  /// in query/pipeline.h); exec.cc indexes its instantiation table by it.
-  uint32_t dispatch = 0;
-  /// Fused stage list ("scan|compare|emit", Explain + the CI gate).
+  /// kCount: the descendant tag; kInvalidName when the store never saw
+  /// it (every count is 0).
+  xml::NameId count_tag = xml::kInvalidName;
+  /// Fused stage list ("scan|filter|emit", Explain + the CI gate).
   std::string stages;
 };
 

@@ -126,8 +126,8 @@ class ChildCursor {
 /// Reusable, allocation-free cursor over the (optionally filtered)
 /// descendants of one node, in document order, excluding the node itself.
 /// Opened through StorageAdapter::OpenDescendantCursor, it is the query
-/// layer's only way to a descendant step's nodes, compiled pipelines and
-/// `count($v//tag)` included. Every store's handles are preorder ids, so a
+/// layer's only way to a descendant step's nodes, fused FLWOR domains
+/// and `count($v//tag)` emits included. Every store's handles are preorder ids, so a
 /// subtree is the contiguous handle interval (base, subtree_end) and each
 /// store scans whatever physical encoding of that interval it keeps: a
 /// dense tag column (ScanIdInterval), the native store's tag-index slices,

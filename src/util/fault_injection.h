@@ -39,7 +39,8 @@ inline constexpr std::string_view kFaultSites[] = {
     "parser/module",         // ParseQueryText: whole-module parse fails
     "plan_cache/compile",    // PlanCache::GetOrCompile: compile fn fails
     "thread_pool/submit",    // ThreadPool::TrySubmit: pool reports saturation
-    "exec/pipeline_drain",   // PipelineExec fused drain: one batch fails
+    "exec/pipeline_drain",   // Evaluator's fused FLWOR loop: one batch of
+                             // bindings fails
     "exec/hash_join_build",  // HashJoinExec::Build: table build fails
     "exec/band_join_build",  // BandJoinIndex::Build: domain build fails
     "exec/construct",        // ConstructExec::BuildElement: node alloc fails

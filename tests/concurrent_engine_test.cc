@@ -249,14 +249,14 @@ TEST(ConcurrentEngine, ParallelExecSessionsMatchSerial) {
                           /*passes=*/1);
 }
 
-// Compiled pipelines through the serving path: the fused Q1/Q6/Q14 drains
-// on the edge store (descendant cursors over its id->tag column) must stay
+// Fused FLWORs through the serving path: Q1, Q5, Q6 and Q14 on the edge
+// store (descendant cursors over its id->tag column) must stay
 // byte-identical to the serial engine while concurrent clients share the
 // store and plan cache.
-TEST(ConcurrentEngine, MorselPipelineSessionsMatchSerial) {
+TEST(ConcurrentEngine, FusedPipelineSessionsMatchSerial) {
   std::unique_ptr<Engine> engine = LoadedEngine(SystemId::kA);
   std::vector<std::string> expected;
-  const int fusable[] = {1, 6, 14};
+  const int fusable[] = {1, 5, 6, 14};
   for (int q : fusable) {
     auto result = engine->Run(GetQuery(q).text);
     ASSERT_TRUE(result.ok()) << result.status();

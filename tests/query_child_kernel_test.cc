@@ -1,8 +1,9 @@
 // Differential test of the child-path kernel and the stores' cursors
-// beyond Q1-Q20: child-chain, constructor and descendant-step shapes run
-// on systems A-E (kernel on, four mappings) must serialize to System F's
-// bytes (generic operators), or fail with System F's exact Status; id()
-// must answer the same on all seven systems. Two fixed-seed sf-0.01 documents: one as generated, and one with
+// beyond Q1-Q20: child-chain, constructor, descendant-step and fused
+// FLWOR shapes run on systems A-E (kernel and fusion on, four mappings)
+// must serialize to System F's bytes (generic operators), or fail with
+// System F's exact Status; id() must answer the same on all seven
+// systems. Two fixed-seed sf-0.01 documents: one as generated, and one with
 // `&`, `<`, `>` and `"` injected into text and attribute values (a
 // generated document contains no `&` at all), so values with escapable
 // characters flow through kernel comparisons, holes and attribute value
@@ -189,6 +190,19 @@ const Case kCases[] = {
      "for $i in document(\"auction.xml\")/site/regions//item "
      "order by $i/location/text() descending, $i/name "
      "return <i l=\"{$i/location}\">{$i/name/text()}</i>"},
+    // A prolog function shadows the builtin under its unprefixed name too,
+    // so these FLWORs and predicates keep the generic path.
+    {"udf_shadows_contains",
+     "declare function local:contains($a, $b) { $b = \"a\" }; "
+     "for $i in document(\"auction.xml\")/site//item "
+     "where contains($i/name, \"a\") return $i/@id"},
+    {"udf_shadows_starts_with",
+     "declare function starts-with($a, $b) { empty($a) }; "
+     "count(" PEOPLE "[starts-with(homepage, \"h\")])"},
+    {"udf_shadows_count",
+     "declare function local:count($x) { 7 }; "
+     "for $b in document(\"auction.xml\")/site/regions "
+     "return count($b//item)"},
 };
 
 class ChildKernelDifferential : public ::testing::TestWithParam<bool> {};
@@ -338,6 +352,82 @@ TEST_P(ChildKernelDifferential, DescendantCountsMatchSystemF) {
   }
 }
 
+// Fused FLWORs: one `for` over a rooted path, an optional where answered
+// natively per binding, and a $v, child-chain or count($v//tag) return.
+// Each case must fuse on A-E (CasesReachTheirShapes checks D) and match
+// System F's nested loop byte for byte: the ID-probed and the scanned
+// Q1 domain (C has no ID index), numeric and string compares over
+// injected non-numeric values, and/or wheres, contains/starts-with over
+// every chain terminal, domains the path evaluator answers with a
+// descendant first step or a positional predicate, and absent tags.
+const Case kFusedCases[] = {
+    {"q1_shape",
+     "for $b in " PEOPLE "[@id = \"person0\"] return $b/name/text()"},
+    {"q1_injected_id",
+     "for $b in " PEOPLE "[@id = 'pe&r<s>o\"n1'] return $b/name/text()"},
+    {"q5_shape",
+     "count(for $i in " CLOSED " where $i/price/text() >= 40 "
+     "return $i/price)"},
+    {"numeric_over_non_numeric",
+     "for $p in " PEOPLE " where $p/@id > 5 or $p/name < 1 "
+     "return $p/name/text()"},
+    {"string_compare",
+     "for $p in " PEOPLE " where $p/name/text() < \"B\" return $p/@id"},
+    {"and_or_where",
+     "for $p in " PEOPLE " where $p/profile/income > 50000 and "
+     "$p/address/country = \"United States\" or $p/@id = \"person3\" "
+     "return $p/name/text()"},
+    {"contains_element",
+     "for $i in document(\"auction.xml\")/site//item "
+     "where contains($i/description, \"gold\") return $i/name/text()"},
+    {"starts_with_text",
+     "for $p in " PEOPLE " where starts-with($p/name/text(), \"&<J\") or "
+     "fn:starts-with($p/name/text(), \"J\") return $p/@id"},
+    {"contains_attribute",
+     "for $p in " PEOPLE " where fn:contains($p/@id, \"n1\") "
+     "return $p/name/text()"},
+    {"contains_reads_first_hit",
+     "for $p in " PEOPLE " where contains($p/profile/interest/@category, "
+     "\"y1\") return $p/@id"},
+    {"empty_needle",
+     "for $p in " PEOPLE " where contains($p/homepage/text(), \"\") "
+     "return $p/@id"},
+    {"chain_selects_nothing",
+     "for $p in " PEOPLE " where starts-with($p/watches/watch/@open_auction, "
+     "\"\") and contains($p/homepage/text(), \"http\") return $p/@id"},
+    {"descendant_first_step",
+     "for $i in document(\"auction.xml\")//item "
+     "where $i/quantity > 1 return $i/@id"},
+    {"positional_domain",
+     "for $p in " PEOPLE "[position() <= 20] return $p/name/text()"},
+    {"absent_domain_tag",
+     "for $x in document(\"auction.xml\")/site/nosuchtag/person "
+     "return $x/name/text()"},
+    {"absent_where_tag",
+     "for $p in " PEOPLE " where $p/nosuchtag = \"x\" or "
+     "contains($p/profile/nosuchtag, \"\") return $p/@id"},
+    {"absent_count_tag",
+     "for $b in document(\"auction.xml\")/site/regions/* "
+     "return count($b//nosuchtag)"},
+    {"attribute_tail",
+     "for $b in " OPEN "/bidder return $b/personref/@person"},
+    {"var_emit",
+     "for $p in " PEOPLE "[position() <= 5] "
+     "where $p/profile/@income > 10000 return $p"},
+};
+
+TEST_P(ChildKernelDifferential, FusedFlworsMatchSystemF) {
+  const bool injected = GetParam();
+  for (const Case& c : kFusedCases) {
+    const std::string reference = Outcome(SystemId::kF, injected, c.query);
+    for (SystemId id : kKernelSystems) {
+      EXPECT_EQ(Outcome(id, injected, c.query), reference)
+          << "system " << SystemLabel(id) << " case " << c.name
+          << (injected ? " (injected document)" : "");
+    }
+  }
+}
+
 // id() answers the same with and without an ID index: A-E probe theirs,
 // F and G scan the document's elements in order.
 TEST_P(ChildKernelDifferential, IdFunctionSameOnEverySystem) {
@@ -378,6 +468,23 @@ TEST(ChildKernelDifferential, CasesReachTheirShapes) {
       Outcome(SystemId::kD, true, "count(" PEOPLE "/address"
                                   "[country = 'United & <States> \"'])");
   EXPECT_NE(hits, "0");
+
+  // Every fused case fuses, and a shadowed builtin never does.
+  for (const Case& c : kFusedCases) {
+    auto fused = d->Explain(c.query);
+    ASSERT_TRUE(fused.ok()) << c.name << ": " << fused.status();
+    EXPECT_NE(fused->find(" pipeline 0 fused=[scan"), std::string::npos)
+        << c.name << "\n" << *fused;
+  }
+  for (const Case& c : kCases) {
+    if (std::string_view(c.name).rfind("udf_shadows_", 0) != 0) continue;
+    auto shadowed = d->Explain(c.query);
+    ASSERT_TRUE(shadowed.ok()) << c.name << ": " << shadowed.status();
+    EXPECT_NE(shadowed->find("compiled-pipeline=0"), std::string::npos)
+        << c.name << "\n" << *shadowed;
+    EXPECT_EQ(shadowed->find("native-predicate"), std::string::npos)
+        << c.name << "\n" << *shadowed;
+  }
 
   auto constructed = d->Run("let $c := <a><name>x</name></a> return $c/name");
   ASSERT_FALSE(constructed.ok());

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gen/generator.h"
@@ -55,13 +56,18 @@ const store::EdgeStore& Edge() {
   return *kStore;
 }
 
-std::string ExplainQuery(const StorageAdapter& store, int query,
-                         const EvaluatorOptions& options) {
-  auto parsed = ParseQueryText(bench::GetQuery(query).text);
+std::string ExplainText(const StorageAdapter& store, std::string_view text,
+                        const EvaluatorOptions& options) {
+  auto parsed = ParseQueryText(text);
   XMARK_CHECK(parsed.ok());
   QueryPlan plan;
   BuildPlan(*parsed, store, options, plan.mutable_annotations());
   return plan.Explain(*parsed);
+}
+
+std::string ExplainQuery(const StorageAdapter& store, int query,
+                         const EvaluatorOptions& options) {
+  return ExplainText(store, bench::GetQuery(query).text, options);
 }
 
 TEST(ExplainGolden, Q8ChoosesHashJoin) {
@@ -109,14 +115,57 @@ TEST(ExplainGolden, BandJoinOffFallsBackToNestedLoop) {
 }
 
 // Compiled-pipeline fusion goldens: the hot Table 3 shapes must lower to
-// fused monomorphic loops, rendered with their stage chain and counted in
-// the CI-parsable summary line.
+// fused loops, rendered with their stage chain and counted in the
+// CI-parsable summary line.
 TEST(ExplainGolden, Q1FusesIdFilterPipeline) {
   const std::string text = ExplainQuery(Edge(), 1, EvaluatorOptions{});
+  // The [@id = "person0"] filter belongs to the domain path, which the
+  // path evaluator answers with the ID index.
+  EXPECT_NE(text.find("pipeline 0 fused=[scan|emit]"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("person[1 pred] access=[child-cursor,child-cursor,"
+                      "child-cursor+id-index]"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("compiled-pipeline=1"), std::string::npos) << text;
+}
+
+TEST(ExplainGolden, Q5FusesCompareFilter) {
+  const std::string text = ExplainQuery(Edge(), 5, EvaluatorOptions{});
   EXPECT_NE(text.find("pipeline 0 fused=[scan|filter|emit]"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("compiled-pipeline=1"), std::string::npos) << text;
+}
+
+// (An `=` conjunct against a literal would plan a hash join instead.)
+TEST(ExplainGolden, AndWhereOverTwoChainsFuses) {
+  const std::string text = ExplainText(
+      Edge(),
+      "for $p in document(\"auction.xml\")/site/people/person "
+      "where $p/profile/income > 5000 and $p/name < \"x\" return $p/@id",
+      EvaluatorOptions{});
+  EXPECT_NE(text.find("pipeline 0 fused=[scan|filter|emit]"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("compiled-pipeline=1"), std::string::npos) << text;
+}
+
+TEST(ExplainGolden, NonLiteralWhereOperandDoesNotFuse) {
+  for (const char* where :
+       {"$p/profile/income > $p/profile/age", "$p/name = \"x\" or $p = \"y\"",
+        "contains($p/name, $p/@id)"}) {
+    const std::string text = ExplainText(
+        Edge(),
+        std::string("for $p in document(\"auction.xml\")/site/people/person "
+                    "where ") +
+            where + " return $p/@id",
+        EvaluatorOptions{});
+    EXPECT_EQ(text.find("pipeline 0 fused"), std::string::npos)
+        << where << "\n" << text;
+    EXPECT_NE(text.find("compiled-pipeline=0"), std::string::npos)
+        << where << "\n" << text;
+  }
 }
 
 TEST(ExplainGolden, Q6FusesCountOnlyPipeline) {
@@ -370,6 +419,12 @@ TEST(ChildKernelEngagement, LoweredOnAThroughEAndNeverOnFG) {
       return *text;
     };
     const std::string label(1, bench::SystemLabel(id));
+    // The fusable Table 3 queries fuse wherever the kernel runs.
+    for (int q : {1, 5, 6, 14}) {
+      EXPECT_EQ(explain(q).find(" pipeline 0 fused=[scan") != std::string::npos,
+                kernel)
+          << label << " Q" << q;
+    }
     const std::string q10 = explain(10);
     const std::string q17 = explain(17);
     const std::string q20 = explain(20);
@@ -399,6 +454,27 @@ TEST(ChildKernelEngagement, LoweredOnAThroughEAndNeverOnFG) {
     EXPECT_EQ(KernelLines(q20, "/income"), 4u) << label << "\n" << q20;
     EXPECT_EQ(KernelLines(q20, "$p/profile/income"), 1u) << label;
     EXPECT_NE(q20.find(" child-kernels=5\n"), std::string::npos) << label;
+  }
+}
+
+// contains/starts-with step predicates go native where the kernel runs
+// (A-E) and stay on the generic Focus on F.
+TEST(ChildKernelEngagement, StringPredicatesGoNativeOnAThroughE) {
+  const char* const text =
+      "count(document(\"auction.xml\")/site/people/person"
+      "[contains(name, \"x\")][starts-with(@id, \"person1\")])";
+  for (int s = 0; s < 6; ++s) {
+    const bench::SystemId id = static_cast<bench::SystemId>(s);
+    std::unique_ptr<bench::Engine> engine = bench::Engine::Create(id);
+    ASSERT_TRUE(engine
+                    ->LoadDocument(bench::Engine::kDefaultDocumentId,
+                                   TestDocument())
+                    .ok());
+    auto explain = engine->Explain(text);
+    ASSERT_TRUE(explain.ok()) << explain.status();
+    const size_t native = id == bench::SystemId::kF ? 0u : 2u;
+    EXPECT_EQ(CountLines(*explain, "call ", " native-predicate"), native)
+        << bench::SystemLabel(id) << "\n" << *explain;
   }
 }
 

@@ -446,9 +446,10 @@ TEST(ResourceGovernance, PoolSaturationFallsBackToSerialDrain) {
 
 // Every registered fault site, armed in a full serving flow (load,
 // prepare cached, execute queries covering hash joins, band joins,
-// construction and a fused pipeline), must either never fire or fail the
-// operation with a clean error Status — no crash, no wedged engine. After
-// disarming, the same engine instance must serve exact results again.
+// construction and a fused FLWOR), must either never fire or fail the
+// operation with a clean error Status — no crash, no wedged engine. The
+// fused loop's site must fire: Q14 is fused on D. After disarming, the
+// same engine instance must serve exact results again.
 TEST(ResourceGovernance, EveryFaultSiteFailsCleanAndRecovers) {
   for (std::string_view site : fault::FaultSites()) {
     SCOPED_TRACE(std::string(site));
@@ -458,12 +459,16 @@ TEST(ResourceGovernance, EveryFaultSiteFailsCleanAndRecovers) {
     Status load =
         engine->LoadDocument(Engine::kDefaultDocumentId, TestDocument());
     if (load.ok()) {
-      // Q10: hash join + construction; Q11: band join; Q14: fused
-      // descendant pipeline.
+      // Q10: hash join + construction; Q11: band join; Q14: fused FLWOR
+      // over a descendant domain.
       for (int q : {10, 11, 14}) {
         auto session_or = engine->CreateSession();
         ASSERT_TRUE(session_or.ok()) << session_or.status();
         auto result = (*session_or)->Run(GetQuery(q).text);
+        if (site == "exec/pipeline_drain" && q == 14) {
+          ASSERT_FALSE(result.ok()) << "the fused loop never hit its site";
+          EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+        }
         if (!result.ok()) {
           // A clean structured failure: never OK-with-garbage, never a
           // crash. Message must name fault injection, not corrupt state.

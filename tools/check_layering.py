@@ -78,9 +78,6 @@ STORAGE_IMPLEMENTORS = {"store"}
 QUERY_SUBLAYER_FORBIDDEN = {
     "plan": {"optimizer", "exec", "evaluator"},
     "optimizer": {"exec", "evaluator"},
-    # The fusion pass is pure plan lowering: it may see ast/plan/storage
-    # but never the executor it feeds.
-    "pipeline": {"exec", "evaluator"},
 }
 
 RAW_MUTEX_RE = re.compile(
