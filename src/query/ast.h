@@ -10,7 +10,8 @@ namespace xmark::query {
 struct AstNode;
 using AstPtr = std::unique_ptr<AstNode>;
 
-/// Expression kinds of the XQuery subset (DESIGN.md §5).
+/// Expression kinds of the XQuery subset that `Parser` accepts (parser.h;
+/// README, "Architecture map").
 enum class AstKind {
   kStringLiteral,
   kNumberLiteral,

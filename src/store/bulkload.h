@@ -1,11 +1,13 @@
 #ifndef XMARK_STORE_BULKLOAD_H_
 #define XMARK_STORE_BULKLOAD_H_
 
-// Pieces every store's Load shares: the bulkload pool and the reads of
-// the parsed document's attribute columns that the mappings index.
+// Pieces every store's Load shares: the parallel passes (a load runs
+// each one as a ForkJoin on the shared pool, at most
+// LoadOptions::EffectiveThreads() wide and inline at one thread) and the
+// reads of the parsed document's attribute columns that the mappings
+// index.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,13 +17,6 @@
 #include "xml/dom.h"
 
 namespace xmark::store {
-
-/// The pool a load runs its passes on: null for one thread, so every
-/// ParallelFor / ParallelStableSort runs inline on the caller.
-inline std::unique_ptr<ThreadPool> MakeLoadPool(const LoadOptions& options) {
-  const unsigned threads = options.EffectiveThreads();
-  return threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
-}
 
 /// First attribute row of `n`, or the row count when it has none — the
 /// owner-row lookup the relational mappings store per node.

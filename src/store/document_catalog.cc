@@ -73,11 +73,12 @@ Status DocumentCatalog::LoadCorpus(const std::vector<CorpusDocument>& batch,
     }
   }
 
-  // Build every document as an independent pool task. Slots are written by
-  // exactly one task each and read only after Wait(), so the commit below
-  // is identical for any worker count or steal order. The thread budget is
-  // split across the builds running at once, so `width` concurrent loads
-  // each get threads / width workers instead of each starting a full pool.
+  // Build every document as one index of a ForkJoin on the shared pool,
+  // at most `width` wide. Slots are written by exactly one index each and
+  // read only after the join, so the commit below is identical for any
+  // interleaving. The thread budget is split across the builds running at
+  // once: each gets threads / width, which decides how it chunks its own
+  // passes.
   std::vector<StatusOr<std::shared_ptr<query::StorageAdapter>>> built(
       batch.size(), Status::Internal("document build did not run"));
   const unsigned threads = options.EffectiveThreads();
@@ -85,34 +86,30 @@ Status DocumentCatalog::LoadCorpus(const std::vector<CorpusDocument>& batch,
       static_cast<unsigned>(std::min<size_t>(threads, batch.size()));
   LoadOptions build_options = options;
   build_options.threads = std::max(1u, threads / width);
-  ThreadPool pool(width);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    pool.Submit([&, i] {
-      // Governance spans the corpus load: once the shared context trips
-      // (deadline, cancel, budget), remaining documents fail fast instead
-      // of paying full bulkloads.
-      if (governance != nullptr && governance->check) {
+  ForkJoinShared(width, batch.size(), [&](size_t i) {
+    // Governance spans the corpus load: once the shared context trips
+    // (deadline, cancel, budget), remaining documents fail fast instead
+    // of paying full bulkloads.
+    if (governance != nullptr && governance->check) {
+      Status governed = governance->check();
+      if (!governed.ok()) {
+        built[i] = governed;
+        return;
+      }
+    }
+    built[i] = builder(batch[i].xml, build_options);
+    if (governance != nullptr && built[i].ok()) {
+      // Loaded bytes count against the run's memory budget, so a
+      // max_result_bytes limit also bounds corpus residency.
+      if (governance->charge_bytes) {
+        governance->charge_bytes((*built[i])->StorageBytes());
+      }
+      if (governance->check) {
         Status governed = governance->check();
-        if (!governed.ok()) {
-          built[i] = governed;
-          return;
-        }
+        if (!governed.ok()) built[i] = governed;
       }
-      built[i] = builder(batch[i].xml, build_options);
-      if (governance != nullptr && built[i].ok()) {
-        // Loaded bytes count against the run's memory budget, so a
-        // max_result_bytes limit also bounds corpus residency.
-        if (governance->charge_bytes) {
-          governance->charge_bytes((*built[i])->StorageBytes());
-        }
-        if (governance->check) {
-          Status governed = governance->check();
-          if (!governed.ok()) built[i] = governed;
-        }
-      }
-    });
-  }
-  pool.Wait();
+    }
+  });
 
   // First failure in batch order wins; nothing commits.
   for (size_t i = 0; i < batch.size(); ++i) {

@@ -13,11 +13,11 @@
 // the corpus-wide id space), and a deterministic per-document DumpState.
 //
 // Ingest parallelizes ACROSS documents: each document's bulkload runs as
-// one thread-pool task (itself serial or chunked-parallel with its share
-// of LoadOptions::threads), results commit into index-ordered staging
-// slots, and the snapshot assembles in sorted-id order — so the loaded
-// catalog is byte-identical for any thread count and any task
-// interleaving.
+// one index of a ForkJoin on the shared pool (itself serial or
+// chunked-parallel with its share of LoadOptions::threads), results
+// commit into index-ordered staging slots, and the snapshot assembles in
+// sorted-id order — so the loaded catalog is byte-identical for any
+// thread count and any interleaving.
 //
 // Concurrency: mutations (Add/LoadCorpus/Drop) swap an immutable snapshot
 // under a mutex (copy-on-write); readers grab the snapshot shared_ptr and
@@ -89,9 +89,9 @@ class DocumentCatalog {
   Status AddDocument(std::string_view id, std::string_view xml,
                      const StoreBuilder& builder, const LoadOptions& options);
 
-  /// Loads a batch, parallelizing across documents: width =
-  /// min(threads, docs) pool workers each run one document's bulkload,
-  /// which gets max(1, threads / width) of `options.threads`, so the
+  /// Loads a batch, parallelizing across documents: one ForkJoin on the
+  /// shared pool, width = min(threads, docs) wide, runs each document's
+  /// bulkload with max(1, threads / width) of `options.threads`, so the
   /// builds together stay within the thread budget. All-or-nothing:
   /// duplicate ids (within the batch or against loaded documents) are
   /// rejected before any build, and on any build failure the catalog is

@@ -10,12 +10,12 @@ namespace xmark::store {
 StatusOr<std::unique_ptr<DomStore>> DomStore::Load(
     std::string_view xml, const Options& options,
     const LoadOptions& load_options) {
-  const std::unique_ptr<ThreadPool> pool = MakeLoadPool(load_options);
-  xml::ParseOptions popts;
-  popts.pool = pool.get();
-  XMARK_ASSIGN_OR_RETURN(xml::Document doc, xml::Document::Parse(xml, popts));
+  const unsigned threads = load_options.EffectiveThreads();
+  XMARK_ASSIGN_OR_RETURN(
+      xml::Document doc,
+      xml::Document::Parse(xml, xml::ParseOptions{.threads = threads}));
   std::unique_ptr<DomStore> out(new DomStore(std::move(doc), options));
-  out->BuildIndexes(pool.get());
+  out->BuildIndexes(threads);
   return out;
 }
 
@@ -51,22 +51,15 @@ void DomStore::BuildSummary() {
   }
 }
 
-void DomStore::BuildIndexes(ThreadPool* pool) {
+void DomStore::BuildIndexes(unsigned threads) {
   const size_t n = doc_.num_nodes();
   const size_t num_names = doc_.names().size();
   const xml::NameId id_attr = doc_.names().Lookup("id");
 
-  // Chunked collection for the tag and id indexes; the summary runs as
-  // one more task. All merges happen in chunk (= document) order.
-  if (options_.build_path_summary) {
-    if (pool != nullptr) {
-      pool->Submit([this] { BuildSummary(); });
-    } else {
-      BuildSummary();
-    }
-  }
-  const std::vector<size_t> bounds =
-      ChunkBounds(n, pool == nullptr ? 1 : pool->worker_count());
+  // One ForkJoin: index 0 builds the summary (when selected) while the
+  // others collect the tag and id indexes chunk by chunk. All merges
+  // happen in chunk (= document) order.
+  const std::vector<size_t> bounds = ChunkBounds(n, threads);
   const size_t chunks = bounds.size() - 1;
   std::vector<std::vector<std::vector<query::NodeHandle>>> tag_parts;
   std::vector<std::vector<std::pair<std::string, query::NodeHandle>>>
@@ -76,24 +69,26 @@ void DomStore::BuildIndexes(ThreadPool* pool) {
                      std::vector<std::vector<query::NodeHandle>>(num_names));
   }
   const bool ids = options_.build_id_index && id_attr != xml::kInvalidName;
-  if (options_.build_tag_index || ids) {
-    ParallelFor(pool, 0, chunks, 1, [&](size_t kb, size_t ke) {
-      for (size_t k = kb; k < ke; ++k) {
-        for (size_t i = bounds[k]; i < bounds[k + 1]; ++i) {
-          const xml::NodeId node = static_cast<xml::NodeId>(i);
-          if (!doc_.IsElement(node)) continue;
-          if (options_.build_tag_index) {
-            tag_parts[k][doc_.name(node)].push_back(node);
-          }
-          if (ids) {
-            const auto id = doc_.attribute(node, id_attr);
-            if (id.has_value()) id_parts[k].emplace_back(*id, node);
-          }
-        }
+  const size_t first_chunk = options_.build_path_summary ? 1 : 0;
+  const size_t scanned = options_.build_tag_index || ids ? chunks : 0;
+  ForkJoinShared(threads, first_chunk + scanned, [&](size_t t) {
+    if (t < first_chunk) {
+      BuildSummary();
+      return;
+    }
+    const size_t k = t - first_chunk;
+    for (size_t i = bounds[k]; i < bounds[k + 1]; ++i) {
+      const xml::NodeId node = static_cast<xml::NodeId>(i);
+      if (!doc_.IsElement(node)) continue;
+      if (options_.build_tag_index) {
+        tag_parts[k][doc_.name(node)].push_back(node);
       }
-    });
-  }
-  if (pool != nullptr) pool->Wait();  // the summary task
+      if (ids) {
+        const auto id = doc_.attribute(node, id_attr);
+        if (id.has_value()) id_parts[k].emplace_back(*id, node);
+      }
+    }
+  });
   if (options_.build_tag_index) {
     for (size_t t = 0; t < num_names; ++t) {
       size_t total = 0;

@@ -31,8 +31,8 @@ class DomStore : public query::StorageAdapter {
   };
 
   /// Parses `xml` and builds the selected indexes. More than one thread
-  /// parses in parallel and builds the tag/id/summary indexes
-  /// concurrently, with byte-identical results.
+  /// parses in parallel and builds the tag/id/summary indexes as one
+  /// ForkJoin on the shared pool, with byte-identical results.
   static StatusOr<std::unique_ptr<DomStore>> Load(
       std::string_view xml, const Options& options,
       const LoadOptions& load_options = {});
@@ -137,8 +137,8 @@ class DomStore : public query::StorageAdapter {
                                    : static_cast<query::NodeHandle>(id);
   }
 
-  // Builds the selected indexes; `pool` may be null (inline).
-  void BuildIndexes(ThreadPool* pool);
+  // Builds the selected indexes, at most `threads` wide.
+  void BuildIndexes(unsigned threads);
   void BuildSummary();
 
   xml::Document doc_;

@@ -9,17 +9,17 @@ namespace xmark::store {
 
 StatusOr<std::unique_ptr<EdgeStore>> EdgeStore::Load(
     std::string_view xml, const LoadOptions& options) {
-  const std::unique_ptr<ThreadPool> pool = MakeLoadPool(options);
-  xml::ParseOptions popts;
-  popts.pool = pool.get();
-  XMARK_ASSIGN_OR_RETURN(xml::Document doc, xml::Document::Parse(xml, popts));
+  const unsigned threads = options.EffectiveThreads();
+  XMARK_ASSIGN_OR_RETURN(
+      xml::Document doc,
+      xml::Document::Parse(xml, xml::ParseOptions{.threads = threads}));
   std::unique_ptr<EdgeStore> store(new EdgeStore());
   const size_t n = doc.num_nodes();
   const xml::NameId id_attr = doc.names().Lookup("id");
 
   // Sibling ordinals: each child is written exactly once, by its parent.
   std::vector<uint32_t> ord_of_node(n, 0);
-  ParallelFor(pool.get(), 0, n, 1024, [&](size_t b, size_t e) {
+  ParallelFor(threads, 0, n, 1024, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) {
       uint32_t ord = 0;
       for (xml::NodeId c = doc.first_child(static_cast<xml::NodeId>(i));
@@ -34,7 +34,7 @@ StatusOr<std::unique_ptr<EdgeStore>> EdgeStore::Load(
   // the spans, and the store adopts the document's heap below.
   store->rows_.resize(n);
   store->attrs_.resize(doc.num_attributes());
-  ParallelFor(pool.get(), 0, n, 4096, [&](size_t b, size_t e) {
+  ParallelFor(threads, 0, n, 4096, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) {
       const xml::NodeId node = static_cast<xml::NodeId>(i);
       EdgeRow row{};
@@ -57,7 +57,7 @@ StatusOr<std::unique_ptr<EdgeStore>> EdgeStore::Load(
   });
   store->id_value_index_ = CollectIdValues<uint32_t>(doc, id_attr);
   // (value, id) pairs are unique, so the stable sort is a plain sort.
-  ParallelStableSort(pool.get(), store->id_value_index_.begin(),
+  ParallelStableSort(threads, store->id_value_index_.begin(),
                      store->id_value_index_.end(),
                      [](const auto& a, const auto& b) { return a < b; });
   // The parse interned tag and attribute names in preorder, the order the
@@ -67,7 +67,7 @@ StatusOr<std::unique_ptr<EdgeStore>> EdgeStore::Load(
 
   // Cluster on (parent, ord): keys are unique, so the order is the same
   // for any thread count.
-  ParallelStableSort(pool.get(), store->rows_.begin(), store->rows_.end(),
+  ParallelStableSort(threads, store->rows_.begin(), store->rows_.end(),
                      [](const EdgeRow& a, const EdgeRow& b) {
                        if (a.parent != b.parent) return a.parent < b.parent;
                        return a.ord < b.ord;
@@ -78,7 +78,7 @@ StatusOr<std::unique_ptr<EdgeStore>> EdgeStore::Load(
   // Dense preorder id->tag projection for the descendant cursors.
   store->tag_by_id_.resize(n);
   store->child_begin_.assign(n, static_cast<uint32_t>(n));
-  ParallelFor(pool.get(), 0, n, 4096, [&](size_t b, size_t e) {
+  ParallelFor(threads, 0, n, 4096, [&](size_t b, size_t e) {
     for (size_t pos = b; pos < e; ++pos) {
       const EdgeRow& row = store->rows_[pos];
       store->pos_of_id_[row.id] = static_cast<uint32_t>(pos);

@@ -29,8 +29,9 @@ class EdgeStore : public query::StorageAdapter {
  public:
   /// Bulkloads the document: parse, shred the document's columns into the
   /// two relations (adopting its heap and name table), cluster, index.
-  /// More than one thread runs the parse, fills, sorts and index builds on
-  /// a pool with byte-identical results (see LoadOptions).
+  /// More than one thread runs the parse, fills, sorts and index builds as
+  /// ForkJoins on the shared pool, with byte-identical results (see
+  /// LoadOptions).
   static StatusOr<std::unique_ptr<EdgeStore>> Load(
       std::string_view xml, const LoadOptions& options = {});
 

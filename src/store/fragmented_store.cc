@@ -10,10 +10,10 @@ namespace xmark::store {
 
 StatusOr<std::unique_ptr<FragmentedStore>> FragmentedStore::Load(
     std::string_view xml, const LoadOptions& options) {
-  const std::unique_ptr<ThreadPool> pool = MakeLoadPool(options);
-  xml::ParseOptions popts;
-  popts.pool = pool.get();
-  XMARK_ASSIGN_OR_RETURN(xml::Document doc, xml::Document::Parse(xml, popts));
+  const unsigned threads = options.EffectiveThreads();
+  XMARK_ASSIGN_OR_RETURN(
+      xml::Document doc,
+      xml::Document::Parse(xml, xml::ParseOptions{.threads = threads}));
   std::unique_ptr<FragmentedStore> store(new FragmentedStore());
   const size_t n = doc.num_nodes();
   // The dictionary is "#text" followed by the document's own (first-
@@ -69,7 +69,7 @@ StatusOr<std::unique_ptr<FragmentedStore>> FragmentedStore::Load(
   // discovery pass and every attribute row by the document, so writes are
   // disjoint. Text and values stay in the document's heap, adopted below.
   store->attrs_.resize(doc.num_attributes());
-  ParallelFor(pool.get(), 0, n, 4096, [&](size_t b, size_t e) {
+  ParallelFor(threads, 0, n, 4096, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) {
       const xml::NodeId node = static_cast<xml::NodeId>(i);
       Row row{};
@@ -95,7 +95,7 @@ StatusOr<std::unique_ptr<FragmentedStore>> FragmentedStore::Load(
     store->attr_begin_[i] = FirstAttributeRow(doc, i);
   }
   store->id_value_index_ = CollectIdValues<uint32_t>(doc, id_attr);
-  ParallelStableSort(pool.get(), store->id_value_index_.begin(),
+  ParallelStableSort(threads, store->id_value_index_.begin(),
                      store->id_value_index_.end(),
                      [](const auto& a, const auto& b) { return a < b; });
   store->heap_ = doc.ReleaseHeap();

@@ -32,8 +32,8 @@ class FragmentedStore : public query::StorageAdapter {
  public:
   /// Bulkloads the document: parse, a sequential path-discovery pass, then
   /// the per-path table and attribute fills (adopting the document's
-  /// heap). More than one thread runs the parse, fills and sorts on a pool
-  /// with byte-identical results.
+  /// heap). More than one thread runs the parse, fills and sorts as
+  /// ForkJoins on the shared pool, with byte-identical results.
   static StatusOr<std::unique_ptr<FragmentedStore>> Load(
       std::string_view xml, const LoadOptions& options = {});
 

@@ -56,10 +56,10 @@ StatusOr<std::unique_ptr<InlinedStore>> InlinedStore::Load(
     std::string_view xml, std::string_view dtd_text,
     const LoadOptions& options) {
   XMARK_ASSIGN_OR_RETURN(xml::Dtd dtd, xml::Dtd::Parse(dtd_text));
-  const std::unique_ptr<ThreadPool> pool = MakeLoadPool(options);
-  xml::ParseOptions popts;
-  popts.pool = pool.get();
-  XMARK_ASSIGN_OR_RETURN(xml::Document doc, xml::Document::Parse(xml, popts));
+  const unsigned threads = options.EffectiveThreads();
+  XMARK_ASSIGN_OR_RETURN(
+      xml::Document doc,
+      xml::Document::Parse(xml, xml::ParseOptions{.threads = threads}));
   std::unique_ptr<InlinedStore> store(new InlinedStore());
   store->dtd_elements_ = dtd.elements().size();
   const size_t n = doc.num_nodes();
@@ -78,7 +78,7 @@ StatusOr<std::unique_ptr<InlinedStore>> InlinedStore::Load(
   store->tag_.resize(n);
   store->text_span_.resize(n, {0, 0});
   store->attrs_.resize(doc.num_attributes());
-  ParallelFor(pool.get(), 0, n, 4096, [&](size_t b, size_t e) {
+  ParallelFor(threads, 0, n, 4096, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) {
       const xml::NodeId node = static_cast<xml::NodeId>(i);
       store->parent_[i] = as_handle(doc.parent(node));
@@ -136,23 +136,20 @@ StatusOr<std::unique_ptr<InlinedStore>> InlinedStore::Load(
     uint32_t parent_row;
     query::NodeHandle child;
   };
-  const std::vector<size_t> bounds =
-      ChunkBounds(n, pool == nullptr ? 1 : pool->worker_count());
+  const std::vector<size_t> bounds = ChunkBounds(n, threads);
   const size_t chunks = bounds.size() - 1;
   std::vector<std::vector<SlotEntry>> slot_entries(chunks);
-  ParallelFor(pool.get(), 0, chunks, 1, [&](size_t kb, size_t ke) {
-    for (size_t k = kb; k < ke; ++k) {
-      for (size_t i = bounds[k]; i < bounds[k + 1]; ++i) {
-        const xml::NameId ptag = store->tag_[i];
-        if (ptag == xml::kInvalidName) continue;
-        for (query::NodeHandle c = store->first_child_[i];
-             c != query::kInvalidHandle; c = store->next_sibling_[c]) {
-          const xml::NameId ctag = store->tag_[c];
-          if (ctag == xml::kInvalidName) continue;
-          const uint64_t key = SlotKey(ptag, ctag);
-          if (!inlineable.count(key)) continue;
-          slot_entries[k].push_back(SlotEntry{key, store->row_of_[i], c});
-        }
+  ForkJoinShared(threads, chunks, [&](size_t k) {
+    for (size_t i = bounds[k]; i < bounds[k + 1]; ++i) {
+      const xml::NameId ptag = store->tag_[i];
+      if (ptag == xml::kInvalidName) continue;
+      for (query::NodeHandle c = store->first_child_[i];
+           c != query::kInvalidHandle; c = store->next_sibling_[c]) {
+        const xml::NameId ctag = store->tag_[c];
+        if (ctag == xml::kInvalidName) continue;
+        const uint64_t key = SlotKey(ptag, ctag);
+        if (!inlineable.count(key)) continue;
+        slot_entries[k].push_back(SlotEntry{key, store->row_of_[i], c});
       }
     }
   });

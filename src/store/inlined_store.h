@@ -35,7 +35,7 @@ class InlinedStore : public query::StorageAdapter {
   /// mapping from (defaults to the bundled auction DTD). The dense arrays
   /// come from the parsed document's columns, whose heap and name table
   /// the store adopts. More than one thread runs the parse, fills and slot
-  /// scans on a pool with byte-identical results.
+  /// scans as ForkJoins on the shared pool, with byte-identical results.
   static StatusOr<std::unique_ptr<InlinedStore>> Load(
       std::string_view xml, std::string_view dtd_text = xml::kAuctionDtd,
       const LoadOptions& options = {});

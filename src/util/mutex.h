@@ -74,7 +74,7 @@ class CondVar {
  private:
   // condition_variable_any waits on any BasicLockable — util::Mutex
   // qualifies — at the cost of one extra internal mutex per CondVar,
-  // irrelevant at the wait frequencies of a work-stealing pool.
+  // irrelevant at the wait frequencies of a thread pool.
   std::condition_variable_any cv_;
 };
 

@@ -1,17 +1,20 @@
 #include "util/thread_pool.h"
 
+#include <atomic>
+#include <memory>
+#include <utility>
+
 #include "util/fault_injection.h"
-#include "util/logging.h"
 
 namespace xmark {
 namespace {
 
 std::atomic<uint64_t> g_threads_started{0};
 
-// ForkJoin admission: helpers are refused once this many tasks are already
-// in flight — far above anything a healthy run reaches (each call submits
-// at most worker_count() - 1 helpers), low enough that a pathological
-// fan-out degrades to caller-run indices instead of queueing unboundedly.
+// ForkJoin admission: helpers are refused once this many are already
+// queued — far above anything a healthy run reaches (each call submits at
+// most worker_count() - 1 helpers), low enough that a pathological fan-out
+// degrades to caller-run indices instead of queueing unboundedly.
 constexpr size_t kMaxPendingHelpers = 1024;
 
 // Before sleeping on its condition variable, a ForkJoin caller re-checks
@@ -73,11 +76,7 @@ struct ForkJoinState {
 ThreadPool& ThreadPool::Shared() {
   // Leaked on purpose: destroying it would join its workers during static
   // destruction, racing client threads that are still submitting.
-  static ThreadPool* const pool = [] {
-    auto* p = new ThreadPool(0);
-    p->shared_ = true;
-    return p;
-  }();
+  static ThreadPool* const pool = new ThreadPool(0);
   return *pool;
 }
 
@@ -85,130 +84,55 @@ uint64_t ThreadPool::ThreadsStarted() {
   return g_threads_started.load();
 }
 
-ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  // Backstop against wrapped or absurd requests (e.g. a negative flag
-  // cast to unsigned): more workers than this never helps a bulkload.
-  constexpr unsigned kMaxWorkers = 256;
-  if (threads > kMaxWorkers) threads = kMaxWorkers;
-  queues_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    queues_.push_back(std::make_unique<Queue>());
-  }
-  threads_.reserve(threads - 1);
-  for (unsigned i = 1; i < threads; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+ThreadPool::ThreadPool(unsigned threads)
+    : workers_(threads != 0
+                   ? threads
+                   : std::max(1u, std::thread::hardware_concurrency())) {
+  threads_.reserve(workers_ - 1);
+  for (unsigned i = 1; i < workers_; ++i) {
+    threads_.emplace_back([this] { WorkerLoop(); });
     ++g_threads_started;
   }
 }
 
 ThreadPool::~ThreadPool() {
-  Wait();
   {
-    util::MutexLock lock(wake_mu_);
-    stop_.store(true, std::memory_order_release);
+    util::MutexLock lock(mu_);
+    stop_ = true;
   }
   wake_.NotifyAll();
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::Submit(std::function<void()> fn) {
-  const unsigned q = next_queue_.fetch_add(1, std::memory_order_relaxed) %
-                     queues_.size();
-  {
-    util::MutexLock lock(queues_[q]->mu);
-    queues_[q]->tasks.push_back(std::move(fn));
-  }
-  // pending_ changes under wake_mu_ so sleeping workers and Wait() cannot
-  // miss the state change between their predicate check and the wait.
-  {
-    util::MutexLock lock(wake_mu_);
-    pending_.fetch_add(1, std::memory_order_release);
-  }
-  wake_.NotifyOne();
-}
-
 bool ThreadPool::TrySubmit(std::function<void()>& fn, size_t max_pending) {
   if (XMARK_FAULT_POINT("thread_pool/submit")) return false;
-  if (pending_.load(std::memory_order_acquire) >= max_pending) return false;
-  Submit(std::move(fn));
+  {
+    util::MutexLock lock(mu_);
+    if (tasks_.size() >= max_pending) return false;
+    tasks_.push_back(std::move(fn));
+  }
+  wake_.NotifyOne();
   return true;
 }
 
-bool ThreadPool::RunOne(unsigned self) {
-  std::function<void()> task;
-  {
-    // Own deque: newest first (cache-hot).
-    Queue& own = *queues_[self];
-    util::MutexLock lock(own.mu);
-    if (!own.tasks.empty()) {
-      task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-    }
-  }
-  if (!task) {
-    // Steal oldest-first from the other deques.
-    for (size_t i = 1; i < queues_.size() && !task; ++i) {
-      Queue& victim = *queues_[(self + i) % queues_.size()];
-      util::MutexLock lock(victim.mu);
-      if (!victim.tasks.empty()) {
-        task = std::move(victim.tasks.front());
-        victim.tasks.pop_front();
-      }
-    }
-  }
-  if (!task) return false;
-  task();
-  size_t left;
-  {
-    util::MutexLock lock(wake_mu_);
-    left = pending_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  }
-  if (left == 0) idle_.NotifyAll();
-  return true;
-}
-
-bool ThreadPool::HasRunnable() {
-  for (const auto& q : queues_) {
-    util::MutexLock lock(q->mu);
-    if (!q->tasks.empty()) return true;
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(unsigned self) {
+void ThreadPool::WorkerLoop() {
   while (true) {
-    if (RunOne(self)) continue;
-    util::MutexLock lock(wake_mu_);
-    wake_.Wait(wake_mu_, [this] {
-      return stop_.load(std::memory_order_acquire) ||
-             (pending_.load(std::memory_order_acquire) > 0 && HasRunnable());
-    });
-    if (stop_.load(std::memory_order_acquire) && !HasRunnable()) return;
-  }
-}
-
-void ThreadPool::Wait() {
-  XMARK_CHECK(!shared_);  // ForkJoin is the only way onto the shared pool
-  // The caller works too: drain tasks until none remain in flight.
-  while (pending_.load(std::memory_order_acquire) > 0) {
-    if (RunOne(0)) continue;
-    // Nothing runnable here, but tasks are still in flight on other
-    // workers (or nested submissions may yet arrive).
-    util::MutexLock lock(wake_mu_);
-    idle_.Wait(wake_mu_, [this] {
-      return pending_.load(std::memory_order_acquire) == 0 || HasRunnable();
-    });
+    std::function<void()> task;
+    {
+      util::MutexLock lock(mu_);
+      while (!stop_ && tasks_.empty()) wake_.Wait(mu_);
+      if (stop_) return;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
+    }
+    task();
   }
 }
 
 void ForkJoin(ThreadPool& pool, size_t n,
-              const std::function<void(size_t)>& fn) {
+              const std::function<void(size_t)>& fn, size_t max_width) {
   // The caller plus up to width - 1 helpers.
-  const size_t width = std::min<size_t>(n, pool.worker_count());
+  const size_t width = std::min({n, size_t{pool.worker_count()}, max_width});
   if (width <= 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
@@ -220,6 +144,15 @@ void ForkJoin(ThreadPool& pool, size_t n,
   }
   state->Drain();
   state->AwaitHelpers();
+}
+
+void ForkJoinShared(unsigned threads, size_t n,
+                    const std::function<void(size_t)>& fn) {
+  if (threads <= 1 || n <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  ForkJoin(ThreadPool::Shared(), n, fn, threads);
 }
 
 }  // namespace xmark

@@ -20,8 +20,8 @@
 namespace xmark::bench {
 
 /// The anonymized systems of the paper's evaluation (§7). Each maps to a
-/// storage mapping plus an optimizer feature set; see DESIGN.md §2 for the
-/// correspondence with the architectures the paper describes.
+/// storage mapping plus an optimizer feature set; see docs/ARCHITECTURE.md
+/// §2 for the correspondence with the architectures the paper describes.
 enum class SystemId { kA, kB, kC, kD, kE, kF, kG };
 
 inline constexpr std::array<SystemId, 6> kMassStorageSystems = {

@@ -16,7 +16,8 @@ struct QuerySpec {
 
 /// All twenty queries, in order. The texts follow the published query set,
 /// adapted to this repository's XQuery subset and DTD (income is an
-/// element under profile per the paper's Figure 1 — see DESIGN.md).
+/// element under profile per the paper's Figure 1 — see xml::kAuctionDtd
+/// in xml/dtd.h).
 const std::array<QuerySpec, 20>& AllQueries();
 
 /// Returns the query with the given 1-based number.

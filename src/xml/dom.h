@@ -13,10 +13,6 @@
 #include "xml/names.h"
 #include "xml/sax_parser.h"
 
-namespace xmark {
-class ThreadPool;
-}
-
 namespace xmark::xml {
 
 /// Dense node identifier. Nodes are stored in document (preorder) order, so
@@ -89,17 +85,18 @@ class AttributeRange {
   const char* heap_;
 };
 
-/// Options for Document::Parse. When `pool` has more than one worker the
-/// document is parsed by the chunked parallel pipeline: a sequential
-/// structural pre-scan splits the text at safe element boundaries, the
-/// chunks are SAX-parsed concurrently into chunk-local documents, and
-/// those are stitched back in document order. The result is identical to
-/// the serial parse — same preorder NodeIds, same NameId assignment (name
-/// tables merge in chunk order, reproducing global first-occurrence
-/// order), same columns and heap bytes — for any worker count.
+/// Options for Document::Parse. With more than one thread the document is
+/// parsed by the chunked parallel pipeline: a sequential structural
+/// pre-scan splits the text into up to threads*4 chunks at safe element
+/// boundaries, the chunks are SAX-parsed as a ForkJoin on the shared pool
+/// into chunk-local documents, and those are stitched back in document
+/// order. The result is identical to the serial parse — same preorder
+/// NodeIds, same NameId assignment (name tables merge in chunk order,
+/// reproducing global first-occurrence order), same columns and heap
+/// bytes — for any thread count.
 struct ParseOptions {
   bool keep_whitespace = false;
-  ThreadPool* pool = nullptr;  // nullptr (or 1 worker): serial parse
+  unsigned threads = 1;  // <= 1: serial parse
 };
 
 /// Read-only in-memory XML document in columnar preorder form. Five dense

@@ -7,20 +7,23 @@
 //      decoding, no attribute parsing, no node construction) and picks
 //      split points: start tags at shallow depth nearest to evenly spaced
 //      byte targets, each recorded with its open-element context.
-//   2. The chunks are SAX-parsed concurrently, each by a DomBuilder into
-//      a chunk-local Document (columns, attribute rows, heap and name
+//   2. The chunks are SAX-parsed as one ForkJoin on the shared pool, at
+//      most ParseOptions::threads wide, each by a DomBuilder into a
+//      chunk-local Document (columns, attribute rows, heap and name
 //      table); elements opened before the chunk are represented by
 //      markers resolved at stitch time.
 //   3. A cheap sequential walk threads the chunk contexts together (the
 //      ids behind the markers, the subtree ends of elements that close in
 //      a later chunk), then the chunk columns and heaps are concatenated
-//      into the final document in parallel with id/offset/name fixups.
+//      into the final document, a second ForkJoin, with id/offset/name
+//      fixups.
 //
-// Determinism: chunk boundaries depend only on the input bytes, chunks
-// are concatenated in chunk order, and local name tables merge in chunk
-// order (which reproduces the serial first-occurrence interning order),
-// so the resulting Document is identical to the serial parse — same
-// preorder ids, same NameIds, same bytes — for any worker count.
+// Determinism: chunk boundaries depend only on the input bytes and the
+// requested thread count (never on the pool's size), chunks are
+// concatenated in chunk order, and local name tables merge in chunk order
+// (which reproduces the serial first-occurrence interning order), so the
+// resulting Document is identical to the serial parse — same
+// preorder ids, same NameIds, same bytes — for any thread count.
 
 #include <cctype>
 #include <cstring>
@@ -162,13 +165,11 @@ StatusOr<Document> Document::Parse(std::string_view input,
 
 StatusOr<Document> ParallelDomParser::Parse(std::string_view input,
                                             const ParseOptions& options) {
-  ThreadPool* pool = options.pool;
+  const unsigned threads = options.threads;
   constexpr size_t kMinParallelBytes = 1 << 16;
   std::vector<ChunkBoundary> bounds;
-  if (pool == nullptr || pool->worker_count() <= 1 ||
-      input.size() < kMinParallelBytes ||
-      !ScanChunkBoundaries(input, pool->worker_count() * size_t{4},
-                           &bounds)) {
+  if (threads <= 1 || input.size() < kMinParallelBytes ||
+      !ScanChunkBoundaries(input, threads * size_t{4}, &bounds)) {
     return Document::Parse(input, options.keep_whitespace);
   }
   const size_t chunks = bounds.size();
@@ -180,24 +181,20 @@ StatusOr<Document> ParallelDomParser::Parse(std::string_view input,
     Status status;
   };
   std::vector<Chunk> parts(chunks);
-  for (size_t k = 0; k < chunks; ++k) {
-    pool->Submit([&, k] {
-      Chunk& part = parts[k];
-      const size_t end =
-          k + 1 < chunks ? bounds[k + 1].offset : input.size();
-      const std::string_view text =
-          input.substr(bounds[k].offset, end - bounds[k].offset);
-      part.doc.Reserve(text.size());
-      part.builder = std::make_unique<DomBuilder>(
-          &part.doc, options.keep_whitespace, bounds[k].open_tags.size());
-      SaxFragment fragment;
-      fragment.open_tags = bounds[k].open_tags;
-      fragment.allow_open_end = true;
-      SaxParser parser;
-      part.status = parser.ParseFragment(text, part.builder.get(), fragment);
-    });
-  }
-  pool->Wait();
+  ForkJoinShared(threads, chunks, [&](size_t k) {
+    Chunk& part = parts[k];
+    const size_t end = k + 1 < chunks ? bounds[k + 1].offset : input.size();
+    const std::string_view text =
+        input.substr(bounds[k].offset, end - bounds[k].offset);
+    part.doc.Reserve(text.size());
+    part.builder = std::make_unique<DomBuilder>(
+        &part.doc, options.keep_whitespace, bounds[k].open_tags.size());
+    SaxFragment fragment;
+    fragment.open_tags = bounds[k].open_tags;
+    fragment.allow_open_end = true;
+    SaxParser parser;
+    part.status = parser.ParseFragment(text, part.builder.get(), fragment);
+  });
   for (const Chunk& part : parts) XMARK_RETURN_IF_ERROR(part.status);
 
   // Phase 3a: prefix sums and ordered name-table merge.
@@ -267,37 +264,34 @@ StatusOr<Document> ParallelDomParser::Parse(std::string_view input,
   doc.heap_begin_.resize(num_nodes + 1);
   doc.attrs_.resize(attr_base[chunks]);
   doc.heap_.resize(heap_base[chunks]);
-  for (size_t k = 0; k < chunks; ++k) {
-    pool->Submit([&, k] {
-      const Document& local = parts[k].doc;
-      const std::vector<NameId>& names = remap[k];
-      const NodeId nb = static_cast<NodeId>(node_base[k]);
-      const uint32_t ab = static_cast<uint32_t>(attr_base[k]);
-      const uint32_t hb = static_cast<uint32_t>(heap_base[k]);
-      for (size_t i = 0; i < local.num_nodes(); ++i) {
-        const size_t g = nb + i;
-        const NameId tag = local.tag_[i];
-        doc.tag_[g] = tag == kInvalidName ? tag : names[tag];
-        const NodeId p = local.parent_[i];
-        doc.parent_[g] = p == kInvalidNode ? p
-                         : p >= DomBuilder::kOpenBase
-                             ? outer_ids[k][p - DomBuilder::kOpenBase]
-                             : p + nb;
-        const NodeId end = local.subtree_end_[i];
-        doc.subtree_end_[g] = end == kInvalidNode ? end : end + nb;
-        doc.attr_begin_[g] = local.attr_begin_[i] + ab;
-        doc.heap_begin_[g] = local.heap_begin_[i] + hb;
-      }
-      for (size_t i = 0; i < local.attrs_.size(); ++i) {
-        const AttributeRow& row = local.attrs_[i];
-        doc.attrs_[ab + i] =
-            AttributeRow{names[row.name], row.offset + hb, row.length};
-      }
-      std::memcpy(doc.heap_.data() + hb, local.heap_.data(),
-                  local.heap_.size());
-    });
-  }
-  pool->Wait();
+  ForkJoinShared(threads, chunks, [&](size_t k) {
+    const Document& local = parts[k].doc;
+    const std::vector<NameId>& names = remap[k];
+    const NodeId nb = static_cast<NodeId>(node_base[k]);
+    const uint32_t ab = static_cast<uint32_t>(attr_base[k]);
+    const uint32_t hb = static_cast<uint32_t>(heap_base[k]);
+    for (size_t i = 0; i < local.num_nodes(); ++i) {
+      const size_t g = nb + i;
+      const NameId tag = local.tag_[i];
+      doc.tag_[g] = tag == kInvalidName ? tag : names[tag];
+      const NodeId p = local.parent_[i];
+      doc.parent_[g] = p == kInvalidNode ? p
+                       : p >= DomBuilder::kOpenBase
+                           ? outer_ids[k][p - DomBuilder::kOpenBase]
+                           : p + nb;
+      const NodeId end = local.subtree_end_[i];
+      doc.subtree_end_[g] = end == kInvalidNode ? end : end + nb;
+      doc.attr_begin_[g] = local.attr_begin_[i] + ab;
+      doc.heap_begin_[g] = local.heap_begin_[i] + hb;
+    }
+    for (size_t i = 0; i < local.attrs_.size(); ++i) {
+      const AttributeRow& row = local.attrs_[i];
+      doc.attrs_[ab + i] =
+          AttributeRow{names[row.name], row.offset + hb, row.length};
+    }
+    std::memcpy(doc.heap_.data() + hb, local.heap_.data(),
+                local.heap_.size());
+  });
   doc.attr_begin_[num_nodes] = static_cast<uint32_t>(attr_base[chunks]);
   doc.heap_begin_[num_nodes] = static_cast<uint32_t>(heap_base[chunks]);
   for (const auto& [id, end] : seam_ends) doc.subtree_end_[id] = end;

@@ -569,6 +569,112 @@ TEST(CatalogEdgeTest, QueriesStartNoThreads) {
   }
 }
 
+// Loads start no thread once the process pool exists either: every
+// bulkload pass is a ForkJoin on it, at any thread count, across the
+// documents of a corpus load and in System G's per-query reload.
+TEST(CatalogEdgeTest, LoadsStartNoThreads) {
+  const std::string& xml = CorpusDocs()[0].xml;
+  std::vector<store::CorpusDocument> corpus(4);
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    corpus[i].id = "n" + std::to_string(i) + ".xml";
+    corpus[i].xml = GenerateDocument(0.002, 400 + i);
+  }
+  ThreadPool::Shared();
+  uint64_t started = ThreadPool::ThreadsStarted();
+  auto expect_none_started = [&started](const std::string& what) {
+    EXPECT_EQ(ThreadPool::ThreadsStarted(), started) << what;
+    started = ThreadPool::ThreadsStarted();
+  };
+
+  for (SystemId id : kStores) {
+    for (unsigned threads : {1u, 2u, 8u}) {
+      auto engine = Engine::Create(id);
+      engine->set_load_options(store::LoadOptions{threads});
+      ASSERT_TRUE(engine->LoadDocument(Engine::kDefaultDocumentId, xml).ok())
+          << SystemLabel(id) << " threads=" << threads;
+      expect_none_started(std::string("LoadDocument on ") + SystemLabel(id) +
+                          " at " + std::to_string(threads) + " threads");
+    }
+  }
+
+  auto catalog = Engine::Create(SystemId::kD);
+  catalog->set_load_options(store::LoadOptions{4});
+  ASSERT_TRUE(catalog->LoadCorpus(corpus).ok());
+  expect_none_started("LoadCorpus of 4 documents at 4 threads");
+
+  // System G rebuilds its store on every query, with the default load
+  // threads (hardware_concurrency).
+  auto embedded = Engine::Create(SystemId::kG);
+  ASSERT_TRUE(embedded->LoadDocument(Engine::kDefaultDocumentId, xml).ok());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(embedded->Run(GetQuery(1).text).ok());
+  }
+  expect_none_started("5 System G queries");
+}
+
+// Loads and collection() fan-outs share the one pool: while two sessions
+// of one engine run collection() Q8 and Q10, other engines load and drop
+// documents at 4 threads in a loop, and every fan-out still returns the
+// exact id-order concatenation.
+TEST(CatalogEdgeTest, LoadsBesideFanOutsShareThePool) {
+  const std::string fan_outs[] = {
+      RewriteEntryCalls(GetQuery(8).text, "collection()"),
+      RewriteEntryCalls(GetQuery(10).text, "collection()")};
+  const std::string expected[] = {CollectionOracle(SystemId::kD, 8),
+                                  CollectionOracle(SystemId::kD, 10)};
+  Engine* serving = CatalogEngine(SystemId::kD, 1);
+  constexpr int kSessions = 2;
+  std::vector<std::shared_ptr<EngineSession>> sessions;
+  for (int t = 0; t < kSessions; ++t) {
+    auto session_or = serving->CreateSession();
+    ASSERT_TRUE(session_or.ok()) << session_or.status().message();
+    sessions.push_back(std::move(*session_or));
+  }
+
+  // The loader runs until every session is done, and at least one cycle
+  // per mapping.
+  std::atomic<int> sessions_running{kSessions};
+  std::string load_error;
+  std::thread loader([&] {
+    std::vector<std::unique_ptr<Engine>> loaders;
+    for (SystemId id : kStores) {
+      loaders.push_back(Engine::Create(id));
+      loaders.back()->set_load_options(store::LoadOptions{4});
+    }
+    for (size_t cycle = 0;
+         sessions_running.load() > 0 || cycle < loaders.size(); ++cycle) {
+      Engine& engine = *loaders[cycle % loaders.size()];
+      Status status = engine.LoadDocument("churn.xml", CorpusDocs()[1].xml);
+      if (status.ok()) status = engine.DropDocument("churn.xml");
+      if (!status.ok()) {
+        load_error = status.message();
+        return;
+      }
+    }
+  });
+  std::vector<std::string> errors(kSessions);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kSessions; ++t) {
+    clients.emplace_back([&, t] {
+      for (int round = 0; round < 3 && errors[t].empty(); ++round) {
+        for (size_t q = 0; q < 2; ++q) {
+          auto result = sessions[t]->Run(fan_outs[q]);
+          if (!result.ok()) {
+            errors[t] = result.status().message();
+          } else if (SerializeSequence(*result) != expected[q]) {
+            errors[t] = fan_outs[q] + " diverged from the oracle";
+          }
+        }
+      }
+      sessions_running.fetch_sub(1);
+    });
+  }
+  for (std::thread& c : clients) c.join();
+  loader.join();
+  EXPECT_EQ(load_error, "");
+  for (int t = 0; t < kSessions; ++t) EXPECT_EQ(errors[t], "") << t;
+}
+
 // A cancelled collection() fails coded, whatever leg observes the
 // cancellation first, and the next call serves the exact bytes.
 TEST(CatalogEdgeTest, CancelledCollectionFailsThenServesExactBytes) {

@@ -20,7 +20,9 @@
 #include "store/edge_store.h"
 #include "store/fragmented_store.h"
 #include "store/inlined_store.h"
+#include "util/fault_injection.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 #include "xmark/engine.h"
 #include "xmark/queries.h"
 
@@ -97,6 +99,49 @@ TEST(BulkloadDeterminismTest, DomStoreDumps) {
     return DomStore::Load(TestDocument(), full, o);
   });
 }
+
+#if XMARK_FAULT_INJECTION
+// A load whose every helper is refused ("thread_pool/submit" armed sticky)
+// runs each pass's chunks on its caller, and still dumps exactly the
+// serial load: the chunking follows the thread count, not who runs it.
+template <typename LoadFn>
+void ExpectRefusedHelpersMatchSerial(const char* name, LoadFn load) {
+  std::string dumps[2];
+  int hits = 0;
+  for (const unsigned threads : {1u, 8u}) {
+    if (threads > 1) fault::ArmSticky("thread_pool/submit");
+    auto store = load(LoadOptions{threads});
+    if (threads > 1) {
+      hits = fault::ArmedSiteHits();
+      fault::Disarm();
+    }
+    ASSERT_TRUE(store.ok()) << name << " threads=" << threads << ": "
+                            << store.status().ToString();
+    (*store)->DumpState(&dumps[threads > 1]);
+  }
+  EXPECT_TRUE(dumps[1] == dumps[0])
+      << name << ": threads=8 with every helper refused diverges from the "
+      << "serial load";
+  if (ThreadPool::Shared().worker_count() > 1) {
+    EXPECT_GT(hits, 0) << name << ": the load never asked the pool";
+  }
+}
+
+TEST(BulkloadDeterminismTest, EveryHelperRefusedMatchesSerialLoad) {
+  ExpectRefusedHelpersMatchSerial("edge", [](const LoadOptions& o) {
+    return EdgeStore::Load(TestDocument(), o);
+  });
+  ExpectRefusedHelpersMatchSerial("fragmented", [](const LoadOptions& o) {
+    return FragmentedStore::Load(TestDocument(), o);
+  });
+  ExpectRefusedHelpersMatchSerial("inlined", [](const LoadOptions& o) {
+    return InlinedStore::Load(TestDocument(), xml::kAuctionDtd, o);
+  });
+  ExpectRefusedHelpersMatchSerial("dom", [](const LoadOptions& o) {
+    return DomStore::Load(TestDocument(), DomStore::Options{}, o);
+  });
+}
+#endif
 
 // Q1-Q20 byte-parity across thread counts, through the full engine
 // plumbing (Engine::set_load_options -> store Load).

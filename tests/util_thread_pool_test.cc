@@ -1,6 +1,7 @@
-// ForkJoin, the primitive every query-side parallel region runs on, and
-// ParallelStableSort on top of it. The contract under test: every index
-// runs exactly once; the caller works too and never waits on the pool as a
+// ForkJoin, the primitive every parallel region runs on (collection()
+// legs and bulkload passes), and ParallelStableSort on top of it. The
+// contract under test: every index runs exactly once, on at most the
+// width asked for; the caller works too and never waits on the pool as a
 // whole, so concurrent callers, calls from inside the pool's own tasks and
 // refused submits are all safe; and helpers that start after the call has
 // returned touch nothing of it. Run under ASan and TSan in CI.
@@ -11,13 +12,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <memory>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "util/fault_injection.h"
+#include "util/mutex.h"
 #include "util/prng.h"
 
 namespace xmark {
@@ -73,19 +77,12 @@ TEST(ForkJoinTest, ConcurrentCallersGetTheirOwnResults) {
   for (int c = 0; c < kCallers; ++c) EXPECT_EQ(wrong[c], 0) << "caller " << c;
 }
 
-// ThreadPool::Wait() from inside one of the pool's tasks never returns:
-// the running task itself counts as pending. ForkJoin never calls it, so
-// nesting is safe both in a submitted task and in a ForkJoin helper.
+// ForkJoin never waits on the pool as a whole, so a ForkJoin issued from
+// inside one of the pool's tasks (here: every index of an outer ForkJoin,
+// some of them running on helpers) returns.
 TEST(ForkJoinTest, CallFromInsideAPoolTaskReturns) {
   for (unsigned workers : {1u, 4u}) {
     ThreadPool pool(workers);
-    std::atomic<size_t> from_task{0};
-    pool.Submit([&] {
-      ForkJoin(pool, 100, [&](size_t) { from_task.fetch_add(1); });
-    });
-    pool.Wait();
-    EXPECT_EQ(from_task.load(), 100u) << workers << " workers";
-
     std::atomic<size_t> nested{0};
     ForkJoin(pool, 8, [&](size_t) {
       ForkJoin(pool, 100, [&](size_t) { nested.fetch_add(1); });
@@ -94,20 +91,36 @@ TEST(ForkJoinTest, CallFromInsideAPoolTaskReturns) {
   }
 }
 
-// The pool's only background worker is busy, so the helper ForkJoin
-// submits stays queued and the caller runs every index and returns. The
-// callable and its data are then freed before the helper runs: a helper
-// that claimed an index or read the callable would be a use-after-free
-// (caught by ASan) or a race (caught by TSan).
+// Returns once every task queued on `pool` before the call has run: two
+// indices that each wait for the other, so one of them must run on a
+// helper, which the FIFO hands out after everything queued before it.
+void AwaitQueuedTasks(ThreadPool& pool) {
+  std::atomic<int> arrived{0};
+  ForkJoin(pool, 2, [&arrived](size_t) {
+    arrived.fetch_add(1);
+    while (arrived.load() < 2) std::this_thread::yield();
+  });
+}
+
+// The pool's only background worker is busy with a blocked index of
+// another caller's ForkJoin, so the helper this ForkJoin submits stays
+// queued and the caller runs every index and returns. The callable and
+// its data are then freed before the helper runs: a helper that claimed
+// an index or read the callable would be a use-after-free (caught by
+// ASan) or a race (caught by TSan).
 TEST(ForkJoinTest, HelperStartingAfterReturnTouchesNothing) {
   ThreadPool pool(2);
-  std::atomic<bool> blocker_running{false};
+  std::atomic<int> blocked{0};
   std::atomic<bool> release{false};
-  pool.Submit([&] {
-    blocker_running = true;
-    while (!release) std::this_thread::yield();
+  // Two indices that block until released: the other caller runs one,
+  // and the worker must be running the other.
+  std::thread other([&] {
+    ForkJoin(pool, 2, [&](size_t) {
+      blocked.fetch_add(1);
+      while (!release) std::this_thread::yield();
+    });
   });
-  while (!blocker_running) std::this_thread::yield();
+  while (blocked.load() < 2) std::this_thread::yield();
 
   auto runs = std::make_unique<std::vector<int>>(64, 0);
   auto fn = std::make_unique<std::function<void(size_t)>>(
@@ -118,7 +131,50 @@ TEST(ForkJoinTest, HelperStartingAfterReturnTouchesNothing) {
   runs.reset();
 
   release = true;
-  pool.Wait();  // the queued helper runs now and finds nothing to claim
+  other.join();
+  AwaitQueuedTasks(pool);  // the stale helper has run, finding nothing
+}
+
+// A width cap bounds the threads a ForkJoin runs on, whatever the pool's
+// size; a cap of 1 runs every index on the caller, in order. Each index
+// sleeps, so uncapped helpers would have time to claim some.
+TEST(ForkJoinTest, WidthCapBoundsTheThreads) {
+  ThreadPool pool(4);
+  for (size_t cap : {1u, 2u}) {
+    util::Mutex mu;
+    std::set<std::thread::id> threads;
+    std::vector<size_t> order;
+    ForkJoin(
+        pool, 200,
+        [&](size_t i) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+          util::MutexLock lock(mu);
+          threads.insert(std::this_thread::get_id());
+          order.push_back(i);
+        },
+        cap);
+    EXPECT_LE(threads.size(), cap);
+    ASSERT_EQ(order.size(), 200u);
+    if (cap == 1) {
+      EXPECT_EQ(*threads.begin(), std::this_thread::get_id());
+      for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+    }
+  }
+}
+
+// The bulkload form at one thread runs every index on the caller, in
+// order.
+TEST(ForkJoinTest, SharedFormAtOneThreadRunsInlineInOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  bool on_caller = true;
+  ForkJoinShared(1, 50, [&](size_t i) {
+    order.push_back(i);
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+  });
+  ASSERT_EQ(order.size(), 50u);
+  for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  EXPECT_TRUE(on_caller);
 }
 
 #if XMARK_FAULT_INJECTION
@@ -164,17 +220,18 @@ TEST(ParallelStableSortTest, SharedPoolConcurrentCallersMatchStableSort) {
   std::vector<Row> expected = input;
   std::stable_sort(expected.begin(), expected.end(), by_key);
 
-  std::vector<std::vector<Row>> sorted(2, input);
-  std::vector<std::thread> callers;
-  for (std::vector<Row>& rows : sorted) {
-    callers.emplace_back([&rows, by_key] {
-      ParallelStableSort(&ThreadPool::Shared(), rows.begin(), rows.end(),
-                         by_key);
-    });
+  for (unsigned threads : {1u, 2u, 8u}) {
+    std::vector<std::vector<Row>> sorted(2, input);
+    std::vector<std::thread> callers;
+    for (std::vector<Row>& rows : sorted) {
+      callers.emplace_back([&rows, by_key, threads] {
+        ParallelStableSort(threads, rows.begin(), rows.end(), by_key);
+      });
+    }
+    for (std::thread& t : callers) t.join();
+    EXPECT_EQ(sorted[0], expected) << threads << " threads";
+    EXPECT_EQ(sorted[1], expected) << threads << " threads";
   }
-  for (std::thread& t : callers) t.join();
-  EXPECT_EQ(sorted[0], expected);
-  EXPECT_EQ(sorted[1], expected);
 }
 
 }  // namespace

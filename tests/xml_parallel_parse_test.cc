@@ -8,7 +8,6 @@
 
 #include <string>
 
-#include "util/thread_pool.h"
 #include "xml/dom.h"
 
 namespace xmark::xml {
@@ -77,9 +76,8 @@ TEST(ParallelParseTest, MatchesSerialParse) {
   auto serial = Document::Parse(text);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   for (unsigned threads : {2u, 3u, 8u}) {
-    ThreadPool pool(threads);
     ParseOptions opts;
-    opts.pool = &pool;
+    opts.threads = threads;
     auto parallel = Document::Parse(text, opts);
     ASSERT_TRUE(parallel.ok())
         << "threads=" << threads << ": " << parallel.status().ToString();
@@ -94,19 +92,17 @@ TEST(ParallelParseTest, KeepWhitespaceMatches) {
   const std::string text = BigDocument();
   auto serial = Document::Parse(text, /*keep_whitespace=*/true);
   ASSERT_TRUE(serial.ok());
-  ThreadPool pool(4);
   ParseOptions opts;
   opts.keep_whitespace = true;
-  opts.pool = &pool;
+  opts.threads = 4;
   auto parallel = Document::Parse(text, opts);
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(Canon(*serial), Canon(*parallel));
 }
 
 TEST(ParallelParseTest, SmallDocumentFallsBackToSerial) {
-  ThreadPool pool(4);
   ParseOptions opts;
-  opts.pool = &pool;
+  opts.threads = 4;
   auto doc = Document::Parse("<a><b x=\"1\">t</b></a>", opts);
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc->num_nodes(), 3u);
@@ -121,9 +117,8 @@ TEST(ParallelParseTest, MalformedDocumentStillFails) {
   }
   text += "<unclosed>";
   text += "</site>";
-  ThreadPool pool(4);
   ParseOptions opts;
-  opts.pool = &pool;
+  opts.threads = 4;
   EXPECT_FALSE(Document::Parse(text, opts).ok());
 }
 
@@ -132,9 +127,8 @@ TEST(ParallelParseTest, SecondDocumentElementFails) {
   // reject it in whichever chunk it lands.
   const std::string text = BigDocument() + "<extra><x/></extra>";
   EXPECT_FALSE(Document::Parse(text).ok());
-  ThreadPool pool(4);
   ParseOptions opts;
-  opts.pool = &pool;
+  opts.threads = 4;
   EXPECT_FALSE(Document::Parse(text, opts).ok());
 }
 

@@ -33,6 +33,10 @@ plus repo-wide source contracts:
     includes ``util/thread_pool.h`` or names ``ThreadPool``. The engine's
     ``collection()`` fan-out (``src/xmark/``) is the one place a query
     forks.
+  * One process pool: nothing in ``src/`` constructs a ``ThreadPool``
+    (a named local, ``make_unique``/``make_shared`` or ``new``) except
+    ``ThreadPool::Shared()`` in ``util/thread_pool.cc``, so no private
+    pool grows back beside the shared one.
 
 Intra-``query/`` sub-layering (plan -> optimizer -> exec) is also
 checked: plan.h must not include optimizer.h/exec.h, optimizer.h must
@@ -99,6 +103,16 @@ CHILD_WALKER_HOME = "src/query/exec.cc"
 # The thread pool, which the query layer must not reach.
 THREAD_POOL_RE = re.compile(r'"util/thread_pool\.h"|\bThreadPool\b')
 
+# Constructing a ThreadPool: a named local (`ThreadPool pool(4);`),
+# make_unique/make_shared, or new. The one sanctioned construction is the
+# body of ThreadPool::Shared() in its home file, which the check skips.
+POOL_CONSTRUCTION_RE = re.compile(
+    r"\bThreadPool\s+\w+\s*[({;=]"
+    r"|\bmake_(?:unique|shared)\s*<\s*ThreadPool\s*>"
+    r"|\bnew\s+ThreadPool\b")
+POOL_HOME = "src/util/thread_pool.cc"
+SHARED_POOL_DEF_RE = re.compile(r"ThreadPool&\s*ThreadPool::Shared\(\)\s*\{")
+
 
 def strip_comments(text: str) -> str:
     """Removes // and /* */ comments (string literals with comment-like
@@ -106,6 +120,20 @@ def strip_comments(text: str) -> str:
     text = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
     text = re.sub(r"//[^\n]*", "", text)
     return text
+
+
+def without_shared_pool_body(text: str) -> str:
+    """Drops the body of ThreadPool::Shared() (brace-matched) from the
+    pool's home file, the one place a ThreadPool may be constructed."""
+    m = SHARED_POOL_DEF_RE.search(text)
+    if m is None:
+        return text
+    depth = 0
+    for i in range(m.end() - 1, len(text)):
+        depth += {"{": 1, "}": -1}.get(text[i], 0)
+        if depth == 0:
+            return text[:m.start()] + text[i + 1:]
+    return text[:m.start()]
 
 
 def layer_of(include: str) -> str | None:
@@ -203,6 +231,12 @@ def check_tree(root: pathlib.Path) -> list[str]:
                 f"{rel}: thread pool in query/ — a query runs on its "
                 f"calling thread; only the engine's collection() fan-out "
                 f"forks")
+        pooled = without_shared_pool_body(text) if rel == POOL_HOME else text
+        for m in POOL_CONSTRUCTION_RE.finditer(pooled):
+            errors.append(
+                f"{rel}: constructs a ThreadPool ({m.group(0).rstrip('({;= ')}) — "
+                f"run parallel work as a ForkJoin on ThreadPool::Shared() "
+                f"(ForkJoinShared, ParallelFor), never on a private pool")
         if rel in IMMUTABLE_HEADERS and re.search(r"\bmutable\b", text):
             errors.append(
                 f"{rel}: mutable member in a header whose types are shared "
@@ -242,6 +276,11 @@ SELF_TEST_BAD = {
     # a query forking onto the pool: forbidden.
     "src/query/exec.h":
         '#include "util/thread_pool.h"\nvoid Drain(ThreadPool* pool);\n',
+    # private pools beside the shared one, in each spelling: forbidden.
+    "src/store/bad_pool.cc":
+        "void Load() { ThreadPool pool(4); }\n"
+        "auto p = std::make_unique<ThreadPool>(2);\n"
+        "ThreadPool* q = new ThreadPool(2);\n",
 }
 
 SELF_TEST_CLEAN = {
@@ -261,6 +300,12 @@ SELF_TEST_CLEAN = {
     "src/store/edge_store.cc":
         '#include "query/storage.h"\n'
         "void E::OpenChildCursor(H p, F f, N t, C* c) const { Init(c); }\n",
+    # the shared pool's own construction, and references to it.
+    "src/util/thread_pool.cc":
+        "ThreadPool& ThreadPool::Shared() {\n"
+        "  static ThreadPool* const pool = new ThreadPool(0);\n"
+        "  return *pool;\n}\n"
+        "void ForkJoinShared(unsigned t) { ThreadPool& pool = Shared(); }\n",
 }
 
 SELF_TEST_EXPECT = [
@@ -275,6 +320,7 @@ SELF_TEST_EXPECT = [
     "src/query/ast.h: mutable member",
     "src/query/evaluator.cc: calls OpenChildCursor outside query/exec.cc",
     "src/query/exec.h: thread pool in query/",
+    "src/store/bad_pool.cc: constructs a ThreadPool",
 ]
 
 
