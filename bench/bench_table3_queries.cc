@@ -217,7 +217,7 @@ int Main(int argc, char** argv) {
 
     // Shape checks.
     auto m = [&](int q, int s) { return measured[q][s]; };
-    std::printf("shape checks (see EXPERIMENTS.md for discussion):\n");
+    std::printf("shape checks (see docs/BENCHMARKS.md for discussion):\n");
     std::printf("  Q6 on D vs A: %.2fx faster (paper: 29x)\n",
                 m(6, 0) / std::max(0.001, m(6, 3)));
     std::printf("  Q7 on D vs F: %.2fx faster (paper: 284x)\n",

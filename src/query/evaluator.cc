@@ -1127,8 +1127,8 @@ StatusOr<Sequence> Evaluator::EvalBinary(const AstNode& node, Environment& env,
   if (!lhs.front().is_node() || !rhs.front().is_node()) {
     return Status::InvalidArgument("<< / >> require nodes");
   }
-  const bool before = store_->Before(lhs.front().node().handle,
-                                     rhs.front().node().handle);
+  // Handles are preorder ids in every store: handle order is document order.
+  const bool before = lhs.front().node().handle < rhs.front().node().handle;
   return Sequence{Item(op == BinaryOp::kBefore ? before : !before)};
 }
 

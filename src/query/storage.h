@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <memory_resource>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -57,14 +59,16 @@ inline bool MatchesChildFilter(ChildFilter filter, xml::NameId tag,
 /// `*pos`; returns the count. The one interval loop behind every
 /// descendant cursor that walks such a column: the edge relation's id->tag
 /// projection, the inlined mapping's tag array and the native document's
-/// name column. The kTag path (every `//tag` step) is branch-free: each
-/// id is written, and kept only when its tag matches.
+/// name column. The kTag and kText paths (every `//tag` step and every
+/// string value) are branch-free: each id is written, and kept only when
+/// its tag matches (xml::kInvalidName for kText).
 inline size_t ScanIdInterval(const xml::NameId* tags, ChildFilter filter,
                              xml::NameId want, uint64_t* pos, uint64_t end,
                              NodeHandle* out, size_t cap) {
   uint64_t id = *pos;
   size_t n = 0;
-  if (filter == ChildFilter::kTag) {
+  if (filter == ChildFilter::kTag || filter == ChildFilter::kText) {
+    if (filter == ChildFilter::kText) want = xml::kInvalidName;
     while (n < cap && id < end) {
       // At most one id is kept per step, so `stop` cannot overrun `out`.
       const uint64_t stop = std::min<uint64_t>(end, id + (cap - n));
@@ -127,7 +131,9 @@ class ChildCursor {
 /// descendants of one node, in document order, excluding the node itself.
 /// Opened through StorageAdapter::OpenDescendantCursor, it is the query
 /// layer's only way to a descendant step's nodes, fused FLWOR domains
-/// and `count($v//tag)` emits included. Every store's handles are preorder ids, so a
+/// and `count($v//tag)` emits included, and to a stored subtree: string
+/// values (kText) and the serialization and copy walk (kAll). Every
+/// store's handles are preorder ids, so a
 /// subtree is the contiguous handle interval (base, subtree_end) and each
 /// store scans whatever physical encoding of that interval it keeps: a
 /// dense tag column (ScanIdInterval), the native store's tag-index slices,
@@ -212,8 +218,10 @@ struct StorageCapabilities {
 ///
 /// String access is zero-copy: every store keeps character data in a
 /// contiguous heap it owns, so TextView, AttributeView and
-/// ForEachAttribute hand out views valid for the store's lifetime, and
-/// AppendStringValue concatenates into a caller-owned scratch buffer.
+/// ForEachAttribute hand out views valid for the store's lifetime. A
+/// stored subtree is read only through the store's own descendant cursor,
+/// by two non-virtual members: AppendStringValue drains its kText scan,
+/// VisitSubtree (the walk behind serialization and DeepCopyNode) its kAll.
 class StorageAdapter {
  public:
   StorageAdapter() : uid_(NextStoreUid()) {}
@@ -234,9 +242,9 @@ class StorageAdapter {
   /// The document element.
   virtual NodeHandle Root() const = 0;
 
-  virtual bool IsElement(NodeHandle n) const = 0;
   /// Tag id for elements; xml::kInvalidName for text nodes.
   virtual xml::NameId NameOf(NodeHandle n) const = 0;
+  bool IsElement(NodeHandle n) const { return NameOf(n) != xml::kInvalidName; }
   virtual NodeHandle Parent(NodeHandle n) const = 0;
   virtual NodeHandle FirstChild(NodeHandle n) const = 0;
   virtual NodeHandle NextSibling(NodeHandle n) const = 0;
@@ -248,8 +256,21 @@ class StorageAdapter {
   virtual std::string_view TextView(NodeHandle n) const = 0;
 
   /// Appends the XPath string-value (concatenated descendant text) of `n`
-  /// to `*out`, so callers can reuse one scratch buffer across nodes.
-  virtual void AppendStringValue(NodeHandle n, std::string* out) const = 0;
+  /// to `*out`, so callers can reuse one scratch buffer across nodes: a
+  /// text node's content, or the text of an element's kText descendant
+  /// scan in document order.
+  void AppendStringValue(NodeHandle n, std::string* out) const {
+    if (!IsElement(n)) {
+      out->append(TextView(n));
+      return;
+    }
+    DescendantCursor cur;
+    OpenDescendantCursor(n, ChildFilter::kText, xml::kInvalidName, &cur);
+    NodeHandle batch[kSubtreeBatch];
+    for (size_t got; (got = cur.Fill(batch, kSubtreeBatch)) > 0;) {
+      for (size_t i = 0; i < got; ++i) out->append(TextView(batch[i]));
+    }
+  }
 
   /// Value of attribute `name` on `n` as a view into the store's heap.
   virtual std::optional<std::string_view> AttributeView(
@@ -261,8 +282,52 @@ class StorageAdapter {
   virtual void ForEachAttribute(NodeHandle n,
                                 AttributeVisitor visit) const = 0;
 
-  /// True when `a` precedes `b` in document order (Q4's BEFORE predicate).
-  virtual bool Before(NodeHandle a, NodeHandle b) const = 0;
+  /// The preorder walk of the subtree rooted at `n` (n included), over
+  /// the store's kAll descendant cursor: `open(element, tag)` on entering
+  /// an element, `text(view)` for a text node, `close(tag)` on leaving an
+  /// element. Open elements wait on a stack until a node arrives whose
+  /// Parent is not on top, so no store navigates child by child.
+  template <typename Open, typename Text, typename Close>
+  void VisitSubtree(NodeHandle n, Open&& open, Text&& text,
+                    Close&& close) const {
+    const xml::NameId tag = NameOf(n);
+    if (tag == xml::kInvalidName) {
+      text(TextView(n));
+      return;
+    }
+    struct OpenElement {
+      NodeHandle node;
+      xml::NameId tag;
+    };
+    // On this frame up to 32 levels, so a walk allocates nothing.
+    alignas(OpenElement) std::byte stack_bytes[64 * sizeof(OpenElement)];
+    std::pmr::monotonic_buffer_resource stack_mem(stack_bytes,
+                                                  sizeof(stack_bytes));
+    std::pmr::vector<OpenElement> stack({{n, tag}}, &stack_mem);
+    open(n, tag);
+    DescendantCursor cur;
+    OpenDescendantCursor(n, ChildFilter::kAll, xml::kInvalidName, &cur);
+    NodeHandle batch[kSubtreeBatch];
+    for (size_t got; (got = cur.Fill(batch, kSubtreeBatch)) > 0;) {
+      for (size_t i = 0; i < got; ++i) {
+        const NodeHandle c = batch[i];
+        // `n` is an ancestor of every node the cursor yields, so the
+        // stack never empties here.
+        for (const NodeHandle p = Parent(c); stack.back().node != p;
+             stack.pop_back()) {
+          close(stack.back().tag);
+        }
+        const xml::NameId c_tag = NameOf(c);
+        if (c_tag == xml::kInvalidName) {
+          text(TextView(c));
+        } else {
+          open(c, c_tag);
+          stack.push_back({c, c_tag});
+        }
+      }
+    }
+    for (; !stack.empty(); stack.pop_back()) close(stack.back().tag);
+  }
 
   // --- Batched child scans ----------------------------------------------
 
@@ -341,7 +406,8 @@ class StorageAdapter {
   }
 
   /// Resolves an element name against the mapping's catalog during query
-  /// compilation; returns the number of catalog entries inspected. For a
+  /// compilation; returns the number of catalog entries inspected (the
+  /// fragmented mapping adds its matches). For a
   /// monolithic mapping this is one dictionary probe, for a highly
   /// fragmented mapping it scans the table catalog — the effect Table 2
   /// reports as compilation-cost differences between systems A and B.
@@ -377,6 +443,9 @@ class StorageAdapter {
   virtual void DumpState(std::string* out) const = 0;
 
  private:
+  // Handles per cursor batch of AppendStringValue and VisitSubtree.
+  static constexpr size_t kSubtreeBatch = 64;
+
   static uint64_t NextStoreUid() {
     static std::atomic<uint64_t> counter{0};
     return ++counter;  // 0 stays reserved as "never resolved"

@@ -118,33 +118,41 @@ void AppendAttribute(std::string_view name, std::string_view value,
   out.push_back('"');
 }
 
-// Reads the store through views only: the tag by reference from the name
-// table, attributes from the store's rows and heap.
+// Writes a stored subtree's markup from the one subtree walk, through views
+// only. A start tag stays open (`<tag attrs`) until a child arrives, so a
+// childless element closes as `/>`.
 void SerializeStoredNode(const StorageAdapter& store, NodeHandle n,
                          std::string& out) {
-  if (!store.IsElement(n)) {
-    AppendXmlEscaped(out, store.TextView(n));
-    return;
-  }
   const xml::NameTable& names = store.names();
-  const std::string& tag = names.Spelling(store.NameOf(n));
-  out.push_back('<');
-  out.append(tag);
-  store.ForEachAttribute(n, [&](xml::NameId name, std::string_view value) {
-    AppendAttribute(names.Spelling(name), value, out);
-  });
-  NodeHandle child = store.FirstChild(n);
-  if (child == kInvalidHandle) {
-    out.append("/>");
-    return;
-  }
-  out.push_back('>');
-  for (; child != kInvalidHandle; child = store.NextSibling(child)) {
-    SerializeStoredNode(store, child, out);
-  }
-  out.append("</");
-  out.append(tag);
-  out.push_back('>');
+  bool start_tag_open = false;
+  const auto end_start_tag = [&] {
+    if (start_tag_open) out.push_back('>');
+    start_tag_open = false;
+  };
+  store.VisitSubtree(
+      n,
+      [&](NodeHandle element, xml::NameId tag) {
+        end_start_tag();
+        out.push_back('<');
+        out.append(names.Spelling(tag));
+        store.ForEachAttribute(
+            element, [&](xml::NameId name, std::string_view value) {
+              AppendAttribute(names.Spelling(name), value, out);
+            });
+        start_tag_open = true;
+      },
+      [&](std::string_view text) {
+        end_start_tag();
+        AppendXmlEscaped(out, text);
+      },
+      [&](xml::NameId tag) {
+        if (start_tag_open) {
+          out.append("/>");
+        } else {
+          out.append("</").append(names.Spelling(tag)).push_back('>');
+        }
+        start_tag_open = false;
+      });
 }
 
 void SerializeConstructed(const ConstructedNode& node, std::string& out) {
@@ -309,24 +317,34 @@ std::string SerializeItem(const Item& item) {
 }
 
 ConstructedNode* DeepCopyNode(const NodeRef& ref, NodeArena& arena) {
+  // The one subtree walk allocates each node in preorder and appends it to
+  // the copy of the innermost open element.
   const StorageAdapter& store = *ref.store;
-  ConstructedNode* out = arena.AllocateNode();
-  if (!store.IsElement(ref.handle)) {
-    out->text = arena.InternText(store.TextView(ref.handle));
-    return out;
-  }
   const xml::NameTable& names = store.names();
-  out->tag = arena.InternText(names.Spelling(store.NameOf(ref.handle)));
-  store.ForEachAttribute(
-      ref.handle, [&](xml::NameId name, std::string_view value) {
-        out->attributes.push_back({arena.InternText(names.Spelling(name)),
-                                   arena.InternText(value)});
-      });
-  for (NodeHandle c = store.FirstChild(ref.handle); c != kInvalidHandle;
-       c = store.NextSibling(c)) {
-    arena.AppendChild(out, DeepCopyNode(NodeRef{&store, c}, arena));
-  }
-  return out;
+  ConstructedNode* root = nullptr;
+  std::vector<ConstructedNode*> open;
+  const auto add = [&] {
+    ConstructedNode* node = arena.AllocateNode();
+    if (!open.empty()) arena.AppendChild(open.back(), node);
+    if (root == nullptr) root = node;
+    return node;
+  };
+  store.VisitSubtree(
+      ref.handle,
+      [&](NodeHandle element, xml::NameId tag) {
+        ConstructedNode* node = add();
+        node->tag = arena.InternText(names.Spelling(tag));
+        store.ForEachAttribute(
+            element, [&](xml::NameId name, std::string_view value) {
+              node->attributes.push_back(
+                  {arena.InternText(names.Spelling(name)),
+                   arena.InternText(value)});
+            });
+        open.push_back(node);
+      },
+      [&](std::string_view text) { add()->text = arena.InternText(text); },
+      [&](xml::NameId) { open.pop_back(); });
+  return root;
 }
 
 namespace {

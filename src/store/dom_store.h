@@ -45,9 +45,6 @@ class DomStore : public query::StorageAdapter {
   std::string_view mapping_name() const override { return "native DOM"; }
   const xml::NameTable& names() const override { return doc_.names(); }
   query::NodeHandle Root() const override { return doc_.root(); }
-  bool IsElement(query::NodeHandle n) const override {
-    return doc_.IsElement(static_cast<xml::NodeId>(n));
-  }
   xml::NameId NameOf(query::NodeHandle n) const override {
     return doc_.name(static_cast<xml::NodeId>(n));
   }
@@ -62,15 +59,6 @@ class DomStore : public query::StorageAdapter {
   }
   std::string_view TextView(query::NodeHandle n) const override {
     return doc_.text(static_cast<xml::NodeId>(n));
-  }
-  void AppendStringValue(query::NodeHandle n,
-                         std::string* out) const override {
-    // Preorder ids make the subtree a contiguous id range; one linear scan
-    // collects every descendant text node without recursion.
-    const xml::NodeId end = doc_.SubtreeEnd(static_cast<xml::NodeId>(n));
-    for (xml::NodeId i = static_cast<xml::NodeId>(n); i < end; ++i) {
-      if (!doc_.IsElement(i)) out->append(doc_.text(i));
-    }
   }
   std::optional<std::string_view> AttributeView(
       query::NodeHandle n, std::string_view name) const override {
@@ -95,10 +83,6 @@ class DomStore : public query::StorageAdapter {
   size_t AdvanceDescendantCursor(query::DescendantCursor* cur,
                                  query::NodeHandle* out,
                                  size_t cap) const override;
-  bool Before(query::NodeHandle a, query::NodeHandle b) const override {
-    return a < b;
-  }
-
   query::StorageCapabilities Capabilities() const override {
     return {.id_lookup = options_.build_id_index,
             .path_index = options_.build_path_summary};

@@ -143,10 +143,6 @@ void EdgeStore::DumpState(std::string* out) const {
   }
 }
 
-bool EdgeStore::IsElement(query::NodeHandle n) const {
-  return RowOf(n).tag != xml::kInvalidName;
-}
-
 xml::NameId EdgeStore::NameOf(query::NodeHandle n) const {
   return RowOf(n).tag;
 }
@@ -157,13 +153,9 @@ query::NodeHandle EdgeStore::Parent(query::NodeHandle n) const {
 }
 
 query::NodeHandle EdgeStore::FirstChild(query::NodeHandle n) const {
-  // Probe the clustered relation for (parent == n, ord == 0).
-  const auto it = std::lower_bound(
-      rows_.begin(), rows_.end(), n, [](const EdgeRow& row, uint64_t parent) {
-        return row.parent < parent;
-      });
-  if (it == rows_.end() || it->parent != n) return query::kInvalidHandle;
-  return it->id;
+  // The clustered row (parent == n, ord == 0), located in O(1).
+  const uint32_t pos = child_begin_[n];
+  return pos < rows_.size() ? rows_[pos].id : query::kInvalidHandle;
 }
 
 query::NodeHandle EdgeStore::NextSibling(query::NodeHandle n) const {
@@ -177,24 +169,6 @@ query::NodeHandle EdgeStore::NextSibling(query::NodeHandle n) const {
 std::string_view EdgeStore::TextView(query::NodeHandle n) const {
   const EdgeRow& row = RowOf(n);
   return HeapString(row.text_begin, row.text_len);
-}
-
-void EdgeStore::AppendStringValue(query::NodeHandle n, std::string* out) const {
-  const EdgeRow& row = RowOf(n);
-  if (row.tag == xml::kInvalidName) {
-    out->append(HeapString(row.text_begin, row.text_len));
-    return;
-  }
-  // Scan the clustered child range directly: O(1) positioning instead of a
-  // FirstChild probe plus a PK-index hop per sibling.
-  const auto begin = rows_.begin() + child_begin_[n];
-  for (auto it = begin; it != rows_.end() && it->parent == n; ++it) {
-    if (it->tag == xml::kInvalidName) {
-      out->append(HeapString(it->text_begin, it->text_len));
-    } else {
-      AppendStringValue(it->id, out);
-    }
-  }
 }
 
 std::optional<std::string_view> EdgeStore::AttributeView(

@@ -42,13 +42,11 @@ class EdgeStore : public query::StorageAdapter {
   std::string_view mapping_name() const override { return "edge table"; }
   const xml::NameTable& names() const override { return names_; }
   query::NodeHandle Root() const override { return root_; }
-  bool IsElement(query::NodeHandle n) const override;
   xml::NameId NameOf(query::NodeHandle n) const override;
   query::NodeHandle Parent(query::NodeHandle n) const override;
   query::NodeHandle FirstChild(query::NodeHandle n) const override;
   query::NodeHandle NextSibling(query::NodeHandle n) const override;
   std::string_view TextView(query::NodeHandle n) const override;
-  void AppendStringValue(query::NodeHandle n, std::string* out) const override;
   std::optional<std::string_view> AttributeView(
       query::NodeHandle n, std::string_view name) const override;
   void ForEachAttribute(query::NodeHandle n,
@@ -70,10 +68,6 @@ class EdgeStore : public query::StorageAdapter {
   size_t AdvanceDescendantCursor(query::DescendantCursor* cur,
                                  query::NodeHandle* out,
                                  size_t cap) const override;
-  bool Before(query::NodeHandle a, query::NodeHandle b) const override {
-    return a < b;
-  }
-
   query::StorageCapabilities Capabilities() const override {
     return {.id_lookup = true, .path_index = false};
   }

@@ -1,9 +1,10 @@
 #include "store/fragmented_store.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <memory_resource>
 
 #include "store/bulkload.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace xmark::store {
@@ -177,10 +178,6 @@ void FragmentedStore::DumpState(std::string* out) const {
   }
 }
 
-bool FragmentedStore::IsElement(query::NodeHandle n) const {
-  return paths_[path_of_[n]].tag != text_tag_;
-}
-
 xml::NameId FragmentedStore::NameOf(query::NodeHandle n) const {
   const xml::NameId tag = paths_[path_of_[n]].tag;
   return tag == text_tag_ ? xml::kInvalidName : tag;
@@ -244,36 +241,6 @@ std::string_view FragmentedStore::TextView(query::NodeHandle n) const {
   return std::string_view(heap_).substr(row.text_begin, row.text_len);
 }
 
-void FragmentedStore::AppendStringValue(query::NodeHandle n,
-                                        std::string* out) const {
-  if (!IsElement(n)) {
-    out->append(TextView(n));
-    return;
-  }
-  // Reconstruction: gather all #text descendants of the subtree interval.
-  // Even with the interval trick this touches every text path table — the
-  // fragmentation tax on reconstruction-heavy queries.
-  const Row& row = RowOf(n);
-  std::vector<std::pair<uint32_t, std::pair<uint32_t, uint32_t>>> pieces;
-  const auto text_paths = paths_by_tag_.find(text_tag_);
-  if (text_paths == paths_by_tag_.end()) return;
-  for (uint32_t path_id : text_paths->second) {
-    if (!PathExtends(path_id, path_of_[n])) continue;
-    const PathInfo& tp = paths_[path_id];
-    const auto [b, e] =
-        Slice(tp, static_cast<uint32_t>(n), row.subtree_end);
-    for (size_t i = b; i < e; ++i) {
-      pieces.emplace_back(tp.rows[i].id,
-                          std::make_pair(tp.rows[i].text_begin,
-                                         tp.rows[i].text_len));
-    }
-  }
-  std::sort(pieces.begin(), pieces.end());
-  for (const auto& [id, span] : pieces) {
-    out->append(std::string_view(heap_).substr(span.first, span.second));
-  }
-}
-
 std::optional<std::string_view> FragmentedStore::AttributeView(
     query::NodeHandle n, std::string_view name) const {
   const xml::NameId id = names_.Lookup(name);
@@ -332,6 +299,31 @@ size_t FragmentedStore::AdvanceChildCursor(query::ChildCursor* cur,
   return n;
 }
 
+size_t FragmentedStore::CandidatePaths(xml::NameId want, uint32_t base_path,
+                                       uint32_t* out, size_t cap) const {
+  size_t n = 0;
+  if (want == text_tag_) {
+    // The #text child of every path in the path subtree under base_path;
+    // a #text path is always a leaf.
+    for (const uint32_t child : paths_[base_path].child_paths) {
+      if (n == cap) break;
+      if (paths_[child].tag == text_tag_) {
+        out[n++] = child;
+      } else {
+        n += CandidatePaths(want, child, out + n, cap - n);
+      }
+    }
+    return n;
+  }
+  const auto it = paths_by_tag_.find(want);
+  if (it == paths_by_tag_.end()) return 0;
+  for (const uint32_t path_id : it->second) {
+    if (n == cap) break;
+    if (PathExtends(path_id, base_path)) out[n++] = path_id;
+  }
+  return n;
+}
+
 void FragmentedStore::OpenDescendantCursor(
     query::NodeHandle base, query::ChildFilter filter, xml::NameId tag,
     query::DescendantCursor* cur) const {
@@ -348,26 +340,17 @@ void FragmentedStore::OpenDescendantCursor(
   }
   const xml::NameId want =
       filter == query::ChildFilter::kText ? text_tag_ : tag;
-  const auto it = paths_by_tag_.find(want);
   const uint32_t lo = static_cast<uint32_t>(base) + 1;
   const uint32_t hi = RowOf(base).subtree_end;
-  uint32_t only_path = 0;
-  size_t candidates = 0;
-  if (it != paths_by_tag_.end()) {
-    for (uint32_t path_id : it->second) {
-      if (!PathExtends(path_id, path_of_[base])) continue;
-      ++candidates;
-      only_path = path_id;
-      if (candidates > 1) break;
-    }
-  }
+  uint32_t found[2];
+  const size_t candidates = CandidatePaths(want, path_of_[base], found, 2);
   if (candidates == 1) {
-    // The common case: one path table carries the tag below base — its
+    // The common case: one path table holds every match below base — its
     // subtree slice is the whole answer, already in document order.
-    const auto [b, e] = Slice(paths_[only_path], lo, hi);
+    const auto [b, e] = Slice(paths_[found[0]], lo, hi);
     cur->u0 = b;
     cur->u1 = e;
-    cur->u2 = static_cast<uint64_t>(only_path) << 1 | 1;
+    cur->u2 = static_cast<uint64_t>(found[0]) << 1 | 1;
     return;
   }
   if (candidates == 0) {
@@ -396,51 +379,43 @@ size_t FragmentedStore::AdvanceDescendantCursor(query::DescendantCursor* cur,
     cur->u0 = pos;
     return n;
   }
-  // Merge mode: re-slice each candidate table from the current lower bound
-  // and emit the smallest front id until the batch is full. The fronts are
-  // per-call locals (stack-resident up to kInlineFronts candidate paths,
-  // the overwhelmingly common case), so the persistent state stays within
-  // the cursor words.
+  // Merge mode: collect the candidate tables, re-slice each from the
+  // current lower bound and emit the smallest front id until the batch is
+  // full. Ids and fronts are per-call locals, on this frame up to
+  // kInlinePaths candidates, so the persistent state stays within the
+  // cursor words.
   if (cap == 0) return 0;  // must not conflate "no room" with "exhausted"
-  const xml::NameId want =
-      cur->filter == query::ChildFilter::kText ? text_tag_ : cur->tag;
   const uint32_t lo = static_cast<uint32_t>(cur->u0);
   const uint32_t hi = static_cast<uint32_t>(cur->u1);
   if (lo >= hi) return 0;
+  const xml::NameId want =
+      cur->filter == query::ChildFilter::kText ? text_tag_ : cur->tag;
+  const uint32_t base_path = path_of_[static_cast<uint32_t>(cur->base)];
   struct Front {
     const PathInfo* path;
     size_t pos;
     size_t end;
   };
-  constexpr size_t kInlineFronts = 8;
-  Front inline_fronts[kInlineFronts];
-  std::vector<Front> overflow_fronts;  // heap only beyond kInlineFronts
-  Front* fronts = inline_fronts;
-  size_t front_count = 0;
-  const auto it = paths_by_tag_.find(want);
-  XMARK_CHECK(it != paths_by_tag_.end());  // merge mode implies >= 2 paths
-  for (uint32_t path_id : it->second) {
-    if (!PathExtends(path_id, path_of_[static_cast<uint32_t>(cur->base)])) {
-      continue;
-    }
-    const PathInfo& p = paths_[path_id];
-    const auto [b, e] = Slice(p, lo, hi);
-    if (b == e) continue;
-    if (front_count == kInlineFronts && overflow_fronts.empty()) {
-      overflow_fronts.assign(inline_fronts, inline_fronts + front_count);
-    }
-    if (!overflow_fronts.empty()) {
-      overflow_fronts.push_back(Front{&p, b, e});
-      fronts = overflow_fronts.data();
-      front_count = overflow_fronts.size();
-    } else {
-      fronts[front_count++] = Front{&p, b, e};
-    }
+  constexpr size_t kInlinePaths = 64;
+  alignas(Front) std::byte
+      local[kInlinePaths * (sizeof(Front) + sizeof(uint32_t))];
+  std::pmr::monotonic_buffer_resource mem(local, sizeof(local));
+  std::pmr::vector<uint32_t> ids(kInlinePaths, &mem);
+  ids.resize(CandidatePaths(want, base_path, ids.data(), ids.size()));
+  if (ids.size() == kInlinePaths) {  // there may be more: room for every path
+    ids.resize(paths_.size());
+    ids.resize(CandidatePaths(want, base_path, ids.data(), ids.size()));
+  }
+  std::pmr::vector<Front> fronts(&mem);
+  fronts.reserve(ids.size());
+  for (const uint32_t id : ids) {
+    const auto [b, e] = Slice(paths_[id], lo, hi);
+    if (b != e) fronts.push_back(Front{&paths_[id], b, e});
   }
   size_t n = 0;
-  while (n < cap && front_count > 0) {
+  while (n < cap && !fronts.empty()) {
     size_t best = 0;
-    for (size_t f = 1; f < front_count; ++f) {
+    for (size_t f = 1; f < fronts.size(); ++f) {
       if (fronts[f].path->rows[fronts[f].pos].id <
           fronts[best].path->rows[fronts[best].pos].id) {
         best = f;
@@ -448,7 +423,8 @@ size_t FragmentedStore::AdvanceDescendantCursor(query::DescendantCursor* cur,
     }
     out[n++] = fronts[best].path->rows[fronts[best].pos].id;
     if (++fronts[best].pos == fronts[best].end) {
-      fronts[best] = fronts[--front_count];
+      fronts[best] = fronts.back();
+      fronts.pop_back();
     }
   }
   cur->u0 = n > 0 ? static_cast<uint64_t>(out[n - 1]) + 1 : hi;
@@ -521,8 +497,9 @@ size_t FragmentedStore::ResolveName(std::string_view name) const {
       ++matches;
     }
   }
-  // Report entries inspected; fold in matches so the scan is not elided.
-  return paths_.size() + (matches == 0 ? 0 : 0);
+  // Entries inspected plus matches: the count depends on every compare,
+  // so the compiler cannot drop them.
+  return path_names_.size() + matches;
 }
 
 size_t FragmentedStore::StorageBytes() const {

@@ -21,13 +21,15 @@ namespace xmark::store {
 ///
 /// Because a path determines its depth, the id-interval of a node's subtree
 /// sliced out of a child-path table is exactly its child set — so
-/// tag-specific child and descendant steps are two binary searches. The
-/// price of fragmentation: generic first-child/next-sibling navigation and
-/// string-value reconstruction must merge across all child tables (slow —
-/// the paper's B pays heavily on construction-dominated Q10), and the
-/// catalog has one entry per path, making name resolution during query
-/// compilation a catalog scan (Table 2: B spends twice as much of its time
-/// compiling as A).
+/// tag-specific child and descendant steps are two binary searches. A
+/// string value merges the slices of only the #text tables under the
+/// node's path (the "sorted outer union" of Shanmugasundaram et al.,
+/// VLDB 2000). The price of fragmentation: generic first-child/next-sibling
+/// navigation, and with it the serialization walk, must merge across all
+/// child tables of a node (slow — the paper's B pays heavily on
+/// construction-dominated Q10 and Q13), and the catalog has one entry per
+/// path, making name resolution during query compilation a catalog scan
+/// (Table 2: B spends twice as much of its time compiling as A).
 class FragmentedStore : public query::StorageAdapter {
  public:
   /// Bulkloads the document: parse, a sequential path-discovery pass, then
@@ -46,13 +48,11 @@ class FragmentedStore : public query::StorageAdapter {
   }
   const xml::NameTable& names() const override { return names_; }
   query::NodeHandle Root() const override { return root_; }
-  bool IsElement(query::NodeHandle n) const override;
   xml::NameId NameOf(query::NodeHandle n) const override;
   query::NodeHandle Parent(query::NodeHandle n) const override;
   query::NodeHandle FirstChild(query::NodeHandle n) const override;
   query::NodeHandle NextSibling(query::NodeHandle n) const override;
   std::string_view TextView(query::NodeHandle n) const override;
-  void AppendStringValue(query::NodeHandle n, std::string* out) const override;
   std::optional<std::string_view> AttributeView(
       query::NodeHandle n, std::string_view name) const override;
   void ForEachAttribute(query::NodeHandle n,
@@ -65,19 +65,15 @@ class FragmentedStore : public query::StorageAdapter {
   size_t AdvanceChildCursor(query::ChildCursor* cur, query::NodeHandle* out,
                             size_t cap) const override;
   // Tag/text-filtered descendant scans slice the subtree interval out of
-  // the matching path tables (one slice when a single path carries the
-  // tag, a document-order merge across slices otherwise); generic filters
-  // fall back to the sibling/parent walk.
+  // the candidate path tables (CandidatePaths: one slice when a single
+  // path qualifies, a document-order merge across slices otherwise);
+  // generic filters fall back to the sibling/parent walk.
   void OpenDescendantCursor(query::NodeHandle base, query::ChildFilter filter,
                             xml::NameId tag,
                             query::DescendantCursor* cur) const override;
   size_t AdvanceDescendantCursor(query::DescendantCursor* cur,
                                  query::NodeHandle* out,
                                  size_t cap) const override;
-  bool Before(query::NodeHandle a, query::NodeHandle b) const override {
-    return a < b;
-  }
-
   // The path tables ARE the path index.
   query::StorageCapabilities Capabilities() const override {
     return {.id_lookup = true, .path_index = true};
@@ -119,6 +115,12 @@ class FragmentedStore : public query::StorageAdapter {
   std::pair<size_t, size_t> Slice(const PathInfo& p, uint32_t lo,
                                   uint32_t hi) const;
   bool PathExtends(uint32_t candidate, uint32_t base) const;
+  // Writes to `out`, up to `cap`, the path tables a kTag (`want` = the
+  // tag) or kText (`want` = text_tag_) descendant scan below a node of
+  // path `base_path` reads, and returns their count: the tag's paths that
+  // extend base_path, or the #text tables in the path subtree under it.
+  size_t CandidatePaths(xml::NameId want, uint32_t base_path, uint32_t* out,
+                        size_t cap) const;
 
   std::vector<PathInfo> paths_;  // [0] is the virtual document node
   std::vector<std::string> path_names_;  // "/site/people/person" per path

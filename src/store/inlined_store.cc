@@ -242,19 +242,6 @@ std::string_view InlinedStore::TextView(query::NodeHandle n) const {
   return std::string_view(heap_).substr(begin, len);
 }
 
-void InlinedStore::AppendStringValue(query::NodeHandle n,
-                                     std::string* out) const {
-  if (tag_[n] == xml::kInvalidName) {
-    const auto& [begin, len] = text_span_[n];
-    out->append(std::string_view(heap_).substr(begin, len));
-    return;
-  }
-  for (query::NodeHandle c = first_child_[n]; c != query::kInvalidHandle;
-       c = next_sibling_[c]) {
-    AppendStringValue(c, out);
-  }
-}
-
 std::optional<std::string_view> InlinedStore::AttributeView(
     query::NodeHandle n, std::string_view name) const {
   const xml::NameId id = names_.Lookup(name);

@@ -49,9 +49,6 @@ class InlinedStore : public query::StorageAdapter {
   }
   const xml::NameTable& names() const override { return names_; }
   query::NodeHandle Root() const override { return root_; }
-  bool IsElement(query::NodeHandle n) const override {
-    return tag_[n] != xml::kInvalidName;
-  }
   xml::NameId NameOf(query::NodeHandle n) const override { return tag_[n]; }
   query::NodeHandle Parent(query::NodeHandle n) const override {
     return parent_[n];
@@ -63,7 +60,6 @@ class InlinedStore : public query::StorageAdapter {
     return next_sibling_[n];
   }
   std::string_view TextView(query::NodeHandle n) const override;
-  void AppendStringValue(query::NodeHandle n, std::string* out) const override;
   std::optional<std::string_view> AttributeView(
       query::NodeHandle n, std::string_view name) const override;
   void ForEachAttribute(query::NodeHandle n,
@@ -85,10 +81,6 @@ class InlinedStore : public query::StorageAdapter {
   size_t AdvanceDescendantCursor(query::DescendantCursor* cur,
                                  query::NodeHandle* out,
                                  size_t cap) const override;
-  bool Before(query::NodeHandle a, query::NodeHandle b) const override {
-    return a < b;
-  }
-
   query::StorageCapabilities Capabilities() const override {
     return {.id_lookup = true, .path_index = false};
   }

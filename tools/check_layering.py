@@ -29,6 +29,11 @@ plus repo-wide source contracts:
   * Child scans have one home: inside ``src/query/`` only ``exec.cc``
     (``NodeScan`` and the child-path kernel) calls ``OpenChildCursor(``,
     so no private child walker grows back beside the kernel.
+  * Per-node navigation has one home: inside ``src/query/`` only
+    ``storage.h`` (the default cursors) calls ``FirstChild(`` or
+    ``NextSibling(``, so stored subtrees are read through the store's
+    own cursors (``VisitSubtree``, ``AppendStringValue``) and no
+    recursive walk grows back into the serializer or the evaluator.
   * A query runs on the thread that calls it: nothing in ``src/query/``
     includes ``util/thread_pool.h`` or names ``ThreadPool``. The engine's
     ``collection()`` fan-out (``src/xmark/``) is the one place a query
@@ -99,6 +104,11 @@ IMMUTABLE_HEADERS = {"src/query/ast.h", "src/query/plan.h"}
 # and the one query/ file allowed to make it.
 CHILD_CURSOR_CALL_RE = re.compile(r"(\.|->)\s*OpenChildCursor\s*\(")
 CHILD_WALKER_HOME = "src/query/exec.cc"
+
+# A call of the per-node sibling-chain navigation, and the one query/ file
+# allowed to make it (the StorageAdapter default cursors).
+SIBLING_CHAIN_CALL_RE = re.compile(r"\b(FirstChild|NextSibling)\s*\(")
+SIBLING_CHAIN_HOME = "src/query/storage.h"
 
 # The thread pool, which the query layer must not reach.
 THREAD_POOL_RE = re.compile(r'"util/thread_pool\.h"|\bThreadPool\b')
@@ -226,6 +236,13 @@ def check_tree(root: pathlib.Path) -> list[str]:
                 f"{rel}: calls OpenChildCursor outside query/exec.cc — walk "
                 f"child chains with the child-path kernel (ChildPathWalker) "
                 f"or a NodeScan")
+        if layer == "query" and rel != SIBLING_CHAIN_HOME:
+            m = SIBLING_CHAIN_CALL_RE.search(text)
+            if m:
+                errors.append(
+                    f"{rel}: calls {m.group(1)} outside query/storage.h — "
+                    f"read a stored subtree through "
+                    f"StorageAdapter::VisitSubtree or a cursor")
         if layer == "query" and THREAD_POOL_RE.search(text):
             errors.append(
                 f"{rel}: thread pool in query/ — a query runs on its "
@@ -273,6 +290,11 @@ SELF_TEST_BAD = {
     # a private child walker beside the kernel: forbidden.
     "src/query/evaluator.cc":
         "void Walk(const S* s, C* c) { s->OpenChildCursor(0, f, 1, c); }\n",
+    # a recursive sibling-chain walk in the serializer: forbidden.
+    "src/query/value.cc":
+        "void Write(const S& s, H n) {\n"
+        "  for (H c = s.FirstChild(n); c != kNone; c = s.NextSibling(c)) {}\n"
+        "}\n",
     # a query forking onto the pool: forbidden.
     "src/query/exec.h":
         '#include "util/thread_pool.h"\nvoid Drain(ThreadPool* pool);\n',
@@ -286,7 +308,10 @@ SELF_TEST_BAD = {
 SELF_TEST_CLEAN = {
     "src/util/mutex.h": "struct Mutex {};\n",
     "src/xml/names.h": '#include "util/mutex.h"\n',
-    "src/query/storage.h": '#include "xml/names.h"\n',
+    # the default cursors walk the sibling chain.
+    "src/query/storage.h":
+        '#include "xml/names.h"\n'
+        "H Open(H base) const { return FirstChild(base); }\n",
     # the word in a comment is not a member.
     "src/query/plan.h": "// per-run mutable state lives in QueryPlan\n",
     "src/store/dom_store.h": '#include "query/storage.h"\n',
@@ -319,6 +344,7 @@ SELF_TEST_EXPECT = [
     "src/xmark/bad_cast.cc: const_cast",
     "src/query/ast.h: mutable member",
     "src/query/evaluator.cc: calls OpenChildCursor outside query/exec.cc",
+    "src/query/value.cc: calls FirstChild outside query/storage.h",
     "src/query/exec.h: thread pool in query/",
     "src/store/bad_pool.cc: constructs a ThreadPool",
 ]
