@@ -17,8 +17,11 @@ StatusOr<std::unique_ptr<EdgeStore>> EdgeStore::Load(
   const size_t n = doc.num_nodes();
   const xml::NameId id_attr = doc.names().Lookup("id");
 
-  // Sibling ordinals: each child is written exactly once, by its parent.
+  // Sibling ordinals, and each node's child count in child_begin_: each
+  // child is written exactly once, by its parent.
   std::vector<uint32_t> ord_of_node(n, 0);
+  std::vector<uint32_t>& child_begin = store->child_begin_;
+  child_begin.resize(n);
   ParallelFor(threads, 0, n, 1024, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) {
       uint32_t ord = 0;
@@ -26,28 +29,49 @@ StatusOr<std::unique_ptr<EdgeStore>> EdgeStore::Load(
            c != xml::kInvalidNode; c = doc.next_sibling(c)) {
         ord_of_node[c] = ord++;
       }
+      child_begin[i] = ord;
     }
   });
 
-  // Shred the columns into the edge and attribute relations. Text and
-  // attribute values stay where the parse put them: the relations keep
-  // the spans, and the store adopts the document's heap below.
+  // The relation is clustered on (parent, ord) with the root last, so each
+  // row's position is counted, not sorted for: the children of all earlier
+  // parents, plus its ordinal. The prefix sum turns the counts into first
+  // child positions (n for leaves).
+  uint32_t rows_before = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t children = child_begin[i];
+    child_begin[i] = children > 0 ? rows_before : static_cast<uint32_t>(n);
+    rows_before += children;
+  }
+
+  // Shred the columns into the edge and attribute relations, each row
+  // straight to its clustered position. Text and attribute values stay
+  // where the parse put them: the relations keep the spans, and the store
+  // adopts the document's heap below.
   store->rows_.resize(n);
+  store->pos_of_id_.resize(n);
+  // Dense preorder id->tag projection for the descendant cursors.
+  store->tag_by_id_.resize(n);
   store->attrs_.resize(doc.num_attributes());
   ParallelFor(threads, 0, n, 4096, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) {
       const xml::NodeId node = static_cast<xml::NodeId>(i);
+      const xml::NodeId parent = doc.parent(node);
       EdgeRow row{};
       row.id = node;
-      row.parent = doc.parent(node) == xml::kInvalidNode ? kNoParent
-                                                         : doc.parent(node);
+      row.parent = parent == xml::kInvalidNode ? kNoParent : parent;
       row.ord = ord_of_node[i];
       row.tag = doc.name(node);
       if (!doc.IsElement(node)) {
         row.text_begin = doc.heap_offset(node);
         row.text_len = doc.heap_offset(node + 1) - row.text_begin;
       }
-      store->rows_[i] = row;
+      const uint32_t pos = parent == xml::kInvalidNode
+                               ? static_cast<uint32_t>(n - 1)
+                               : child_begin[parent] + row.ord;
+      store->rows_[pos] = row;
+      store->pos_of_id_[i] = pos;
+      store->tag_by_id_[i] = row.tag;
       for (uint32_t a = doc.attribute_begin(node);
            a < doc.attribute_begin(node + 1); ++a) {
         const xml::AttributeRow& attr = doc.attribute_row(a);
@@ -65,30 +89,6 @@ StatusOr<std::unique_ptr<EdgeStore>> EdgeStore::Load(
   store->heap_ = doc.ReleaseHeap();
   store->names_ = doc.ReleaseNames();
 
-  // Cluster on (parent, ord): keys are unique, so the order is the same
-  // for any thread count.
-  ParallelStableSort(threads, store->rows_.begin(), store->rows_.end(),
-                     [](const EdgeRow& a, const EdgeRow& b) {
-                       if (a.parent != b.parent) return a.parent < b.parent;
-                       return a.ord < b.ord;
-                     });
-
-  // Index builds: disjoint writes throughout.
-  store->pos_of_id_.resize(n);
-  // Dense preorder id->tag projection for the descendant cursors.
-  store->tag_by_id_.resize(n);
-  store->child_begin_.assign(n, static_cast<uint32_t>(n));
-  ParallelFor(threads, 0, n, 4096, [&](size_t b, size_t e) {
-    for (size_t pos = b; pos < e; ++pos) {
-      const EdgeRow& row = store->rows_[pos];
-      store->pos_of_id_[row.id] = static_cast<uint32_t>(pos);
-      store->tag_by_id_[row.id] = row.tag;
-      if (row.parent != kNoParent &&
-          (pos == 0 || store->rows_[pos - 1].parent != row.parent)) {
-        store->child_begin_[row.parent] = static_cast<uint32_t>(pos);
-      }
-    }
-  });
   // Subtree intervals and first attribute rows come straight from the
   // document's columns.
   store->subtree_end_.resize(n);

@@ -27,11 +27,11 @@ namespace xmark::store {
 /// queries cheaply.
 class EdgeStore : public query::StorageAdapter {
  public:
-  /// Bulkloads the document: parse, shred the document's columns into the
-  /// two relations (adopting its heap and name table), cluster, index.
-  /// More than one thread runs the parse, fills, sorts and index builds as
-  /// ForkJoins on the shared pool, with byte-identical results (see
-  /// LoadOptions).
+  /// Bulkloads the document: parse, then shred the document's columns
+  /// into the two relations (adopting its heap and name table), each edge
+  /// row written straight to its clustered position, and index. More than
+  /// one thread runs the parse, fills, sorts and index builds as ForkJoins
+  /// on the shared pool, with byte-identical results (see LoadOptions).
   static StatusOr<std::unique_ptr<EdgeStore>> Load(
       std::string_view xml, const LoadOptions& options = {});
 
@@ -106,11 +106,12 @@ class EdgeStore : public query::StorageAdapter {
     return std::string_view(heap_).substr(begin, len);
   }
 
-  std::vector<EdgeRow> rows_;       // sorted by (parent, ord)
+  std::vector<EdgeRow> rows_;       // clustered on (parent, ord)
   std::vector<uint32_t> pos_of_id_; // id -> row position (PK index)
   // id -> position of its first child row in the clustered relation
-  // (rows_.size() for leaves). Gives cursors O(1) positioning; built in
-  // one pass over the sorted relation during bulkload.
+  // (rows_.size() for leaves). Gives cursors O(1) positioning; bulkload
+  // builds it as the prefix sum of the child counts and places each row
+  // at child_begin_[parent] + ord.
   std::vector<uint32_t> child_begin_;
   // id -> one past the last preorder id in its subtree; descendant scans
   // walk the id interval (n, subtree_end_[n]) directly.

@@ -120,12 +120,6 @@ NodeId DomBuilder::Append(NameId tag) {
 Status DomBuilder::OnStartElement(std::string_view name,
                                   const std::vector<SaxAttribute>& attributes) {
   Document& d = *doc_;
-  // The SAX parser accepts a second top-level element; the document
-  // element is the first node of a builder that starts outside every
-  // element.
-  if (stack_.empty() && (!d.tag_.empty() || !open_end_.empty())) {
-    return Status::ParseError("content after the document element");
-  }
   const NodeId id = Append(d.names_.Intern(name));
   for (const SaxAttribute& a : attributes) {
     d.attrs_.push_back(AttributeRow{d.names_.Intern(a.name),

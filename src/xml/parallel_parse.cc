@@ -1,12 +1,18 @@
 // Chunked parallel XML parse — the front end of the parallel bulkload
 // pipeline (Table 1 of the paper makes bulkload time a first-class
-// metric, and the serial SAX+DOM pass dominates every store's Load).
+// metric). The serial SAX+DOM pass is still most of every store's Load:
+// at sf 0.05 on one thread, 66-70% of A's, 64-69% of B's, 63-65% of C's,
+// 64-73% of D's and 71-76% of E's (4-vCPU Xeon container, gcc 12).
 //
 // Three phases:
 //   1. A sequential structural pre-scan walks only the markup (no entity
 //      decoding, no attribute parsing, no node construction) and picks
 //      split points: start tags at shallow depth nearest to evenly spaced
-//      byte targets, each recorded with its open-element context.
+//      byte targets, each recorded with its open-element context. It
+//      classifies name bytes with the tokenizer's table (byte_class.h).
+//      With the tokenizer at ~0.8-1.1 GB/s, this scan and the stitch are
+//      the serial part that keeps a 2-thread parse from beating the
+//      serial one.
 //   2. The chunks are SAX-parsed as one ForkJoin on the shared pool, at
 //      most ParseOptions::threads wide, each by a DomBuilder into a
 //      chunk-local Document (columns, attribute rows, heap and name
@@ -25,12 +31,12 @@
 // resulting Document is identical to the serial parse — same
 // preorder ids, same NameIds, same bytes — for any thread count.
 
-#include <cctype>
 #include <cstring>
 #include <memory>
 #include <utility>
 
 #include "util/thread_pool.h"
+#include "xml/byte_class.h"
 #include "xml/dom.h"
 
 namespace xmark::xml {
@@ -40,15 +46,6 @@ struct ChunkBoundary {
   size_t offset = 0;
   std::vector<std::string> open_tags;  // outermost first
 };
-
-bool IsNameStartChar(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-}
-
-bool IsNameChar(char c) {
-  return IsNameStartChar(c) || std::isdigit(static_cast<unsigned char>(c)) ||
-         c == '-' || c == '.';
-}
 
 // Structural pre-scan: splits `in` into ~`chunks` ranges, each starting at
 // a start tag whose enclosing depth is at most kMaxSplitDepth. Returns
@@ -110,11 +107,10 @@ bool ScanChunkBoundaries(std::string_view in, size_t chunks,
       pos = end + 2;
       continue;
     }
-    if (!IsNameStartChar(next)) return false;
+    if (!IsNameStartByte(next)) return false;
     // Start tag: name span, then scan to '>' skipping quoted values.
     const size_t name_start = pos + 1;
-    size_t p = name_start;
-    while (p < in.size() && IsNameChar(in[p])) ++p;
+    size_t p = ScanName(in.data(), name_start + 1, in.size());
     const size_t name_len = p - name_start;
     bool self_closing = false;
     while (p < in.size()) {

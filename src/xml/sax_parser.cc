@@ -1,29 +1,16 @@
 #include "xml/sax_parser.h"
 
-#include <cctype>
+#include <algorithm>
 #include <charconv>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "util/string_util.h"
+#include "xml/byte_class.h"
 
 namespace xmark::xml {
 namespace {
-
-bool IsNameStartChar(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-}
-
-bool IsNameChar(char c) {
-  return IsNameStartChar(c) || std::isdigit(static_cast<unsigned char>(c)) ||
-         c == '-' || c == '.';
-}
-
-bool IsSpace(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-}
 
 // Maximum digit counts that can still encode a code point <= 0x10ffff;
 // anything longer is an overlong reference and rejected outright (it could
@@ -31,11 +18,9 @@ bool IsSpace(char c) {
 constexpr size_t kMaxDecDigits = 7;  // "1114111"
 constexpr size_t kMaxHexDigits = 6;  // "10ffff"
 
-// Decodes &amp; &lt; &gt; &quot; &apos; and &#N; / &#xN; references in
-// `raw` into `out`. Returns false on a malformed reference.
-bool DecodeEntities(std::string_view raw, std::string& out) {
-  out.clear();
-  out.reserve(raw.size());
+// Appends `raw` to `out` with &amp; &lt; &gt; &quot; &apos; and &#N; /
+// &#xN; references decoded. Returns false on a malformed reference.
+bool AppendDecoded(std::string_view raw, std::string& out) {
   size_t i = 0;
   while (i < raw.size()) {
     if (raw[i] != '&') {
@@ -110,10 +95,36 @@ bool DecodeEntities(std::string_view raw, std::string& out) {
   return true;
 }
 
+// Offset of the first `c` in [from, to) of `in`, or `to` when there is
+// none.
+size_t Find(const char* in, size_t from, size_t to, char c) {
+  const void* hit = std::memchr(in + from, c, to - from);
+  return hit == nullptr ? to
+                        : static_cast<size_t>(static_cast<const char*>(hit) -
+                                              in);
+}
+
+size_t SkipSpace(const char* in, size_t p, size_t size) {
+  while (p < size && IsSpaceByte(in[p])) ++p;
+  return p;
+}
+
+// An attribute value decoded into the tag's scratch buffer: the view is
+// made once the tag's last value is in, as the buffer may move before.
+struct DecodedSpan {
+  size_t attr;
+  size_t offset;
+};
+
 }  // namespace
 
-Status SaxParser::Fail(const std::string& msg) const {
-  return Status::ParseError(StringPrintf("line %d: %s", line_, msg.c_str()));
+Status SaxParser::Fail(size_t at, std::string_view msg) const {
+  const auto newlines =
+      std::count(input_.begin(), input_.begin() + at, '\n');
+  return Status::ParseError(StringPrintf("line %ld: %.*s",
+                                         static_cast<long>(newlines) + 1,
+                                         static_cast<int>(msg.size()),
+                                         msg.data()));
 }
 
 Status SaxParser::ParseFile(const std::string& path, SaxHandler* handler) {
@@ -126,103 +137,106 @@ Status SaxParser::ParseFile(const std::string& path, SaxHandler* handler) {
 }
 
 Status SaxParser::Parse(std::string_view input, SaxHandler* handler) {
-  return ParseImpl(input, handler, {}, false);
+  return ParseImpl(input, handler, SaxFragment{});
 }
 
 Status SaxParser::ParseFragment(std::string_view input, SaxHandler* handler,
                                 const SaxFragment& fragment) {
-  return ParseImpl(input, handler, fragment.open_tags,
-                   fragment.allow_open_end);
+  return ParseImpl(input, handler, fragment);
 }
 
+// Each byte costs one table lookup or one memchr step: character data,
+// attribute values and the bodies of comments, CDATA sections and PIs are
+// found with memchr or find, names and whitespace by kByteClass. Open
+// elements, attribute names and values without a reference are views into
+// the input (or into the fragment's open tags); only values with '&' are
+// copied, decoded into one buffer reused across tags.
 Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
-                            std::vector<std::string> open_tags,
-                            bool allow_open_end) {
+                            const SaxFragment& fragment) {
   input_ = input;
-  pos_ = 0;
-  line_ = 1;
-  std::string decode_buf;   // scratch for entity decoding of text
-  std::string attr_buf;     // scratch for attribute values (all attrs)
+  const char* const in = input.data();
+  const size_t size = input.size();
+  std::vector<std::string_view> open(fragment.open_tags.begin(),
+                                     fragment.open_tags.end());
+  // A fragment starts inside its document element.
+  bool root_opened = !open.empty();
+  // Entity-decoded character data, or the current tag's decoded attribute
+  // values; each event's views into it end with its callback.
+  std::string decode_buf;
   std::vector<SaxAttribute> attrs;
-  std::vector<std::pair<size_t, size_t>> attr_spans;  // offsets in attr_buf
+  std::vector<DecodedSpan> decoded;
 
-  auto count_lines = [&](std::string_view chunk) {
-    for (char c : chunk) {
-      if (c == '\n') ++line_;
-    }
-  };
-
-  while (pos_ < input_.size()) {
-    if (input_[pos_] != '<') {
+  size_t pos = 0;
+  while (pos < size) {
+    if (in[pos] != '<') {
       // Character data run up to the next tag.
-      size_t end = input_.find('<', pos_);
-      if (end == std::string_view::npos) end = input_.size();
-      std::string_view raw = input_.substr(pos_, end - pos_);
-      count_lines(raw);
-      if (open_tags.empty()) {
+      const size_t end = Find(in, pos, size, '<');
+      const std::string_view raw(in + pos, end - pos);
+      if (open.empty()) {
         if (!TrimWhitespace(raw).empty()) {
-          return Fail("character data outside the document element");
+          return Fail(end, "character data outside the document element");
         }
       } else {
         std::string_view text = raw;
-        if (raw.find('&') != std::string_view::npos) {
-          if (!DecodeEntities(raw, decode_buf)) {
-            return Fail("malformed entity reference");
+        if (std::memchr(raw.data(), '&', raw.size()) != nullptr) {
+          decode_buf.clear();
+          if (!AppendDecoded(raw, decode_buf)) {
+            return Fail(end, "malformed entity reference");
           }
           text = decode_buf;
         }
         XMARK_RETURN_IF_ERROR(handler->OnCharacters(text));
       }
-      pos_ = end;
+      pos = end;
       continue;
     }
 
     // A tag of some form.
-    if (pos_ + 1 >= input_.size()) return Fail("truncated tag");
-    const char next = input_[pos_ + 1];
+    if (pos + 1 >= size) return Fail(pos, "truncated tag");
+    const char next = in[pos + 1];
 
     if (next == '!') {
-      if (input_.compare(pos_, 4, "<!--") == 0) {
-        const size_t end = input_.find("-->", pos_ + 4);
-        if (end == std::string_view::npos) return Fail("unterminated comment");
-        std::string_view body = input_.substr(pos_ + 4, end - pos_ - 4);
-        count_lines(body);
-        XMARK_RETURN_IF_ERROR(handler->OnComment(body));
-        pos_ = end + 3;
-        continue;
-      }
-      if (input_.compare(pos_, 9, "<![CDATA[") == 0) {
-        const size_t end = input_.find("]]>", pos_ + 9);
-        if (end == std::string_view::npos) return Fail("unterminated CDATA");
-        if (open_tags.empty()) return Fail("CDATA outside document element");
-        std::string_view body = input_.substr(pos_ + 9, end - pos_ - 9);
-        count_lines(body);
-        XMARK_RETURN_IF_ERROR(handler->OnCharacters(body));
-        pos_ = end + 3;
-        continue;
-      }
-      if (input_.compare(pos_, 9, "<!DOCTYPE") == 0) {
-        // Skip the doctype declaration, including an internal subset.
-        size_t p = pos_ + 9;
-        int depth = 0;
-        for (; p < input_.size(); ++p) {
-          if (input_[p] == '\n') ++line_;
-          if (input_[p] == '[') ++depth;
-          if (input_[p] == ']') --depth;
-          if (input_[p] == '>' && depth <= 0) break;
+      if (input.compare(pos, 4, "<!--") == 0) {
+        const size_t end = input.find("-->", pos + 4);
+        if (end == std::string_view::npos) {
+          return Fail(pos, "unterminated comment");
         }
-        if (p >= input_.size()) return Fail("unterminated DOCTYPE");
-        pos_ = p + 1;
+        XMARK_RETURN_IF_ERROR(
+            handler->OnComment(input.substr(pos + 4, end - pos - 4)));
+        pos = end + 3;
         continue;
       }
-      return Fail("unsupported markup declaration");
+      if (input.compare(pos, 9, "<![CDATA[") == 0) {
+        const size_t end = input.find("]]>", pos + 9);
+        if (end == std::string_view::npos) {
+          return Fail(pos, "unterminated CDATA");
+        }
+        if (open.empty()) return Fail(pos, "CDATA outside document element");
+        XMARK_RETURN_IF_ERROR(
+            handler->OnCharacters(input.substr(pos + 9, end - pos - 9)));
+        pos = end + 3;
+        continue;
+      }
+      if (input.compare(pos, 9, "<!DOCTYPE") == 0) {
+        // Skip the doctype declaration, including an internal subset.
+        size_t p = pos + 9;
+        int depth = 0;
+        for (; p < size; ++p) {
+          if (in[p] == '[') ++depth;
+          if (in[p] == ']') --depth;
+          if (in[p] == '>' && depth <= 0) break;
+        }
+        if (p >= size) return Fail(size, "unterminated DOCTYPE");
+        pos = p + 1;
+        continue;
+      }
+      return Fail(pos, "unsupported markup declaration");
     }
 
     if (next == '?') {
-      const size_t end = input_.find("?>", pos_ + 2);
-      if (end == std::string_view::npos) return Fail("unterminated PI");
-      std::string_view body = input_.substr(pos_ + 2, end - pos_ - 2);
-      count_lines(body);
+      const size_t end = input.find("?>", pos + 2);
+      if (end == std::string_view::npos) return Fail(pos, "unterminated PI");
+      std::string_view body = input.substr(pos + 2, end - pos - 2);
       const size_t sp = body.find_first_of(" \t\r\n");
       std::string_view target = sp == std::string_view::npos
                                     ? body
@@ -234,126 +248,104 @@ Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
       if (target != "xml") {
         XMARK_RETURN_IF_ERROR(handler->OnProcessingInstruction(target, data));
       }
-      pos_ = end + 2;
+      pos = end + 2;
       continue;
     }
 
     if (next == '/') {
       // End tag.
-      size_t p = pos_ + 2;
-      const size_t name_start = p;
-      while (p < input_.size() && IsNameChar(input_[p])) ++p;
-      const std::string_view name =
-          input_.substr(name_start, p - name_start);
-      while (p < input_.size() && IsSpace(input_[p])) {
-        if (input_[p] == '\n') ++line_;
-        ++p;
+      const size_t name_start = pos + 2;
+      size_t p = ScanName(in, name_start, size);
+      const std::string_view name(in + name_start, p - name_start);
+      p = SkipSpace(in, p, size);
+      if (p >= size || in[p] != '>') return Fail(p, "malformed end tag");
+      if (open.empty() || open.back() != name) {
+        return Fail(p, "mismatched end tag </" + std::string(name) + ">");
       }
-      if (p >= input_.size() || input_[p] != '>') {
-        return Fail("malformed end tag");
-      }
-      if (open_tags.empty() || open_tags.back() != name) {
-        return Fail("mismatched end tag </" + std::string(name) + ">");
-      }
-      open_tags.pop_back();
+      open.pop_back();
       XMARK_RETURN_IF_ERROR(handler->OnEndElement(name));
-      pos_ = p + 1;
+      pos = p + 1;
       continue;
     }
 
     // Start tag (or empty-element tag).
-    if (!IsNameStartChar(next)) return Fail("invalid tag");
-    if (open_tags.empty() && pos_ != 0) {
-      // Second root element would be caught by the well-formedness check
-      // below when character data follows; detect it here too.
-    }
-    size_t p = pos_ + 1;
-    const size_t name_start = p;
-    while (p < input_.size() && IsNameChar(input_[p])) ++p;
-    const std::string_view name = input_.substr(name_start, p - name_start);
+    if (!IsNameStartByte(next)) return Fail(pos, "invalid tag");
+    size_t p = ScanName(in, pos + 2, size);
+    const std::string_view name(in + pos + 1, p - pos - 1);
 
     attrs.clear();
-    attr_spans.clear();
-    attr_buf.clear();
+    decoded.clear();
+    decode_buf.clear();
     bool self_closing = false;
-    std::vector<std::string_view> attr_names;
     while (true) {
-      while (p < input_.size() && IsSpace(input_[p])) {
-        if (input_[p] == '\n') ++line_;
-        ++p;
-      }
-      if (p >= input_.size()) return Fail("truncated start tag");
-      if (input_[p] == '>') {
+      p = SkipSpace(in, p, size);
+      if (p >= size) return Fail(p, "truncated start tag");
+      if (in[p] == '>') {
         ++p;
         break;
       }
-      if (input_[p] == '/') {
-        if (p + 1 >= input_.size() || input_[p + 1] != '>') {
-          return Fail("malformed empty-element tag");
+      if (in[p] == '/') {
+        if (p + 1 >= size || in[p + 1] != '>') {
+          return Fail(p, "malformed empty-element tag");
         }
         self_closing = true;
         p += 2;
         break;
       }
-      if (!IsNameStartChar(input_[p])) return Fail("malformed attribute");
+      if (!IsNameStartByte(in[p])) return Fail(p, "malformed attribute");
       const size_t an_start = p;
-      while (p < input_.size() && IsNameChar(input_[p])) ++p;
-      const std::string_view attr_name =
-          input_.substr(an_start, p - an_start);
-      while (p < input_.size() && IsSpace(input_[p])) ++p;
-      if (p >= input_.size() || input_[p] != '=') {
-        return Fail("attribute without value");
+      p = ScanName(in, p + 1, size);
+      const std::string_view attr_name(in + an_start, p - an_start);
+      p = SkipSpace(in, p, size);
+      if (p >= size || in[p] != '=') return Fail(p, "attribute without value");
+      p = SkipSpace(in, p + 1, size);
+      if (p >= size || (in[p] != '"' && in[p] != '\'')) {
+        return Fail(p, "unquoted attribute value");
       }
-      ++p;
-      while (p < input_.size() && IsSpace(input_[p])) ++p;
-      if (p >= input_.size() || (input_[p] != '"' && input_[p] != '\'')) {
-        return Fail("unquoted attribute value");
+      const char quote = in[p];
+      const size_t v_start = p + 1;
+      const size_t v_end = Find(in, v_start, size, quote);
+      const size_t lt = Find(in, v_start, v_end, '<');
+      if (lt < v_end) return Fail(lt, "'<' in attribute value");
+      if (v_end >= size) return Fail(size, "unterminated attribute value");
+      const std::string_view raw_value(in + v_start, v_end - v_start);
+      p = v_end + 1;
+      if (std::memchr(raw_value.data(), '&', raw_value.size()) == nullptr) {
+        attrs.push_back(SaxAttribute{attr_name, raw_value});
+        continue;
       }
-      const char quote = input_[p];
-      ++p;
-      const size_t v_start = p;
-      while (p < input_.size() && input_[p] != quote) {
-        if (input_[p] == '<') return Fail("'<' in attribute value");
-        if (input_[p] == '\n') ++line_;
-        ++p;
+      const size_t off = decode_buf.size();
+      if (!AppendDecoded(raw_value, decode_buf)) {
+        return Fail(p, "malformed entity in attribute");
       }
-      if (p >= input_.size()) return Fail("unterminated attribute value");
-      std::string_view raw_value = input_.substr(v_start, p - v_start);
-      ++p;
-      // Decode into the shared buffer; record offsets because the buffer
-      // may reallocate while more attributes are appended.
-      const size_t off = attr_buf.size();
-      if (raw_value.find('&') != std::string_view::npos) {
-        std::string decoded;
-        if (!DecodeEntities(raw_value, decoded)) {
-          return Fail("malformed entity in attribute");
-        }
-        attr_buf.append(decoded);
-      } else {
-        attr_buf.append(raw_value);
-      }
-      attr_names.push_back(attr_name);
-      attr_spans.emplace_back(off, attr_buf.size() - off);
+      decoded.push_back(DecodedSpan{attrs.size(), off});
+      attrs.push_back(SaxAttribute{attr_name, {}});
+    }
+    for (size_t i = 0; i < decoded.size(); ++i) {
+      const size_t off = decoded[i].offset;
+      const size_t end =
+          i + 1 < decoded.size() ? decoded[i + 1].offset : decode_buf.size();
+      attrs[decoded[i].attr].value =
+          std::string_view(decode_buf).substr(off, end - off);
     }
 
-    for (size_t i = 0; i < attr_names.size(); ++i) {
-      attrs.push_back(SaxAttribute{
-          attr_names[i],
-          std::string_view(attr_buf).substr(attr_spans[i].first,
-                                            attr_spans[i].second)});
+    if (open.empty()) {
+      if (root_opened) {
+        return Fail(pos, "content after the document element");
+      }
+      root_opened = true;
     }
-
     XMARK_RETURN_IF_ERROR(handler->OnStartElement(name, attrs));
     if (self_closing) {
       XMARK_RETURN_IF_ERROR(handler->OnEndElement(name));
     } else {
-      open_tags.emplace_back(name);
+      open.push_back(name);
     }
-    pos_ = p;
+    pos = p;
   }
 
-  if (!open_tags.empty() && !allow_open_end) {
-    return Fail("unclosed element <" + open_tags.back() + ">");
+  if (!open.empty() && !fragment.allow_open_end) {
+    return Fail(size, "unclosed element <" + std::string(open.back()) + ">");
   }
   return Status::OK();
 }

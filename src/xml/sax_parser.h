@@ -15,9 +15,11 @@ struct SaxAttribute {
   std::string_view value;
 };
 
-/// Event receiver for SaxParser. The views passed to the callbacks are only
-/// valid for the duration of the call; handlers that keep data must copy it
-/// (the DOM builder copies into its arena).
+/// Event receiver for SaxParser. Every view passed to a callback (names,
+/// attribute names and values, text) is valid until that callback returns:
+/// it points into the input or, for entity-decoded text and attribute
+/// values, into a scratch buffer that the next event reuses. Handlers that
+/// keep data must copy it (the DOM builder copies into its arena).
 class SaxHandler {
  public:
   virtual ~SaxHandler() = default;
@@ -45,7 +47,9 @@ class SaxHandler {
 /// elements already open where the fragment starts (outermost first), and
 /// whether the fragment may legitimately end with elements still open.
 /// This is what lets the parallel bulkload pipeline hand disjoint byte
-/// ranges of one document to concurrent parsers.
+/// ranges of one document to concurrent parsers. The fragment is inside its
+/// document element, so a start tag after `open_tags` have closed is a
+/// second document element.
 struct SaxFragment {
   std::vector<std::string> open_tags;
   bool allow_open_end = false;
@@ -68,12 +72,12 @@ class SaxParser {
 
  private:
   Status ParseImpl(std::string_view input, SaxHandler* handler,
-                   std::vector<std::string> open_tags, bool allow_open_end);
-  Status Fail(const std::string& msg) const;
+                   const SaxFragment& fragment);
+  /// A parse error at byte `at`, named by its line: the line count is paid
+  /// only on failure.
+  Status Fail(size_t at, std::string_view msg) const;
 
   std::string_view input_;
-  size_t pos_ = 0;
-  int line_ = 1;
 };
 
 }  // namespace xmark::xml

@@ -123,8 +123,10 @@ TEST(ParallelParseTest, MalformedDocumentStillFails) {
 }
 
 TEST(ParallelParseTest, SecondDocumentElementFails) {
-  // The SAX parser accepts a second top-level element; the builders must
-  // reject it in whichever chunk it lands.
+  // The SAX parser rejects a second top-level element in a chunk that
+  // holds the document element or closes its outer tags; a chunk that
+  // starts at depth 0 cannot see the root before it, so the stitch
+  // rejects that one.
   const std::string text = BigDocument() + "<extra><x/></extra>";
   EXPECT_FALSE(Document::Parse(text).ok());
   ParseOptions opts;

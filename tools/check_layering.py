@@ -42,6 +42,10 @@ plus repo-wide source contracts:
     (a named local, ``make_unique``/``make_shared`` or ``new``) except
     ``ThreadPool::Shared()`` in ``util/thread_pool.cc``, so no private
     pool grows back beside the shared one.
+  * One place classifies XML bytes: the SAX tokenizer and the chunked
+    parse's split scan (``xml/sax_parser.cc``, ``xml/parallel_parse.cc``)
+    call no ``<cctype>`` classifier (``isalpha(``, ``isdigit(``,
+    ``isalnum(``, ``isspace(``); they read ``xml/byte_class.h``'s table.
 
 Intra-``query/`` sub-layering (plan -> optimizer -> exec) is also
 checked: plan.h must not include optimizer.h/exec.h, optimizer.h must
@@ -122,6 +126,10 @@ POOL_CONSTRUCTION_RE = re.compile(
     r"|\bnew\s+ThreadPool\b")
 POOL_HOME = "src/util/thread_pool.cc"
 SHARED_POOL_DEF_RE = re.compile(r"ThreadPool&\s*ThreadPool::Shared\(\)\s*\{")
+
+# The byte scanners, which classify bytes through xml/byte_class.h only.
+BYTE_SCANNERS = {"src/xml/sax_parser.cc", "src/xml/parallel_parse.cc"}
+CCTYPE_CALL_RE = re.compile(r"\b(isalpha|isdigit|isalnum|isspace)\s*\(")
 
 
 def strip_comments(text: str) -> str:
@@ -254,6 +262,13 @@ def check_tree(root: pathlib.Path) -> list[str]:
                 f"{rel}: constructs a ThreadPool ({m.group(0).rstrip('({;= ')}) — "
                 f"run parallel work as a ForkJoin on ThreadPool::Shared() "
                 f"(ForkJoinShared, ParallelFor), never on a private pool")
+        if rel in BYTE_SCANNERS:
+            m = CCTYPE_CALL_RE.search(text)
+            if m:
+                errors.append(
+                    f"{rel}: calls {m.group(1)} — classify XML bytes with "
+                    f"xml/byte_class.h's table, the one the tokenizer and "
+                    f"the split scan share")
         if rel in IMMUTABLE_HEADERS and re.search(r"\bmutable\b", text):
             errors.append(
                 f"{rel}: mutable member in a header whose types are shared "
@@ -298,6 +313,9 @@ SELF_TEST_BAD = {
     # a query forking onto the pool: forbidden.
     "src/query/exec.h":
         '#include "util/thread_pool.h"\nvoid Drain(ThreadPool* pool);\n',
+    # a locale-aware byte classifier in the tokenizer: forbidden.
+    "src/xml/sax_parser.cc":
+        "bool IsNameChar(char c) { return std::isalpha(c) || c == '_'; }\n",
     # private pools beside the shared one, in each spelling: forbidden.
     "src/store/bad_pool.cc":
         "void Load() { ThreadPool pool(4); }\n"
@@ -308,6 +326,10 @@ SELF_TEST_BAD = {
 SELF_TEST_CLEAN = {
     "src/util/mutex.h": "struct Mutex {};\n",
     "src/xml/names.h": '#include "util/mutex.h"\n',
+    # the table lookup, and the word in a comment.
+    "src/xml/parallel_parse.cc":
+        '#include "xml/byte_class.h"\n'
+        "// no isspace( here\nbool S(char c) { return IsSpaceByte(c); }\n",
     # the default cursors walk the sibling chain.
     "src/query/storage.h":
         '#include "xml/names.h"\n'
@@ -347,6 +369,7 @@ SELF_TEST_EXPECT = [
     "src/query/value.cc: calls FirstChild outside query/storage.h",
     "src/query/exec.h: thread pool in query/",
     "src/store/bad_pool.cc: constructs a ThreadPool",
+    "src/xml/sax_parser.cc: calls isalpha",
 ]
 
 
