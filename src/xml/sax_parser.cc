@@ -109,8 +109,8 @@ size_t SkipSpace(const char* in, size_t p, size_t size) {
   return p;
 }
 
-// An attribute value decoded into the tag's scratch buffer: the view is
-// made once the tag's last value is in, as the buffer may move before.
+// An attribute value decoded into the scratch buffer: its view is made
+// once the tag's last value is in, as the buffer may move before.
 struct DecodedSpan {
   size_t attr;
   size_t offset;
@@ -149,8 +149,8 @@ Status SaxParser::ParseFragment(std::string_view input, SaxHandler* handler,
 // attribute values and the bodies of comments, CDATA sections and PIs are
 // found with memchr or find, names and whitespace by kByteClass. Open
 // elements, attribute names and values without a reference are views into
-// the input (or into the fragment's open tags); only values with '&' are
-// copied, decoded into one buffer reused across tags.
+// the input (or into the fragment's open tags); only text and values with
+// '&' are copied, decoded into one scratch buffer.
 Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
                             const SaxFragment& fragment) {
   input_ = input;
@@ -158,7 +158,7 @@ Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
   const size_t size = input.size();
   std::vector<std::string_view> open(fragment.open_tags.begin(),
                                      fragment.open_tags.end());
-  // A fragment starts inside its document element.
+  // A fragment with open tags starts inside its document element.
   bool root_opened = !open.empty();
   // Entity-decoded character data, or the current tag's decoded attribute
   // values; each event's views into it end with its callback.
