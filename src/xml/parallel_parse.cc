@@ -29,7 +29,9 @@
 // concatenated in chunk order, and local name tables merge in chunk order
 // (which reproduces the serial first-occurrence interning order), so the
 // resulting Document is identical to the serial parse — same
-// preorder ids, same NameIds, same bytes — for any thread count.
+// preorder ids, same NameIds, same bytes — for any thread count. A
+// document that a chunk or the stitch finds malformed is parsed again
+// serially, so its error, line number included, is the serial one.
 
 #include <cstring>
 #include <memory>
@@ -191,7 +193,14 @@ StatusOr<Document> ParallelDomParser::Parse(std::string_view input,
     SaxParser parser;
     part.status = parser.ParseFragment(text, part.builder.get(), fragment);
   });
-  for (const Chunk& part : parts) XMARK_RETURN_IF_ERROR(part.status);
+  // A chunk's error counts lines from the chunk's first byte; the serial
+  // parse names the document's line, so every malformation is reported as
+  // at one thread.
+  for (const Chunk& part : parts) {
+    if (!part.status.ok()) {
+      return Document::Parse(input, options.keep_whitespace);
+    }
+  }
 
   // Phase 3a: prefix sums and ordered name-table merge.
   Document doc;
@@ -245,9 +254,7 @@ StatusOr<Document> ParallelDomParser::Parse(std::string_view input,
       context.push_back(static_cast<NodeId>(node_base[k] + b.stack()[s]));
     }
   }
-  if (!context.empty()) {
-    return Status::ParseError("unclosed element at end of input");
-  }
+  if (!context.empty()) return Document::Parse(input, options.keep_whitespace);
   const size_t num_nodes = node_base[chunks];
   if (num_nodes == 0) return Status::ParseError("document has no element");
 

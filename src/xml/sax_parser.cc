@@ -95,13 +95,14 @@ bool AppendDecoded(std::string_view raw, std::string& out) {
   return true;
 }
 
-// Offset of the first `c` in [from, to) of `in`, or `to` when there is
-// none.
-size_t Find(const char* in, size_t from, size_t to, char c) {
-  const void* hit = std::memchr(in + from, c, to - from);
-  return hit == nullptr ? to
-                        : static_cast<size_t>(static_cast<const char*>(hit) -
-                                              in);
+// A parse error at byte `at` of `input`, named by its line: the line count
+// is paid only on failure.
+Status Fail(std::string_view input, size_t at, std::string_view msg) {
+  const auto newlines = std::count(input.begin(), input.begin() + at, '\n');
+  return Status::ParseError(StringPrintf("line %ld: %.*s",
+                                         static_cast<long>(newlines) + 1,
+                                         static_cast<int>(msg.size()),
+                                         msg.data()));
 }
 
 size_t SkipSpace(const char* in, size_t p, size_t size) {
@@ -117,15 +118,6 @@ struct DecodedSpan {
 };
 
 }  // namespace
-
-Status SaxParser::Fail(size_t at, std::string_view msg) const {
-  const auto newlines =
-      std::count(input_.begin(), input_.begin() + at, '\n');
-  return Status::ParseError(StringPrintf("line %ld: %.*s",
-                                         static_cast<long>(newlines) + 1,
-                                         static_cast<int>(msg.size()),
-                                         msg.data()));
-}
 
 Status SaxParser::ParseFile(const std::string& path, SaxHandler* handler) {
   std::ifstream in(path, std::ios::binary);
@@ -147,13 +139,13 @@ Status SaxParser::ParseFragment(std::string_view input, SaxHandler* handler,
 
 // Each byte costs one table lookup or one memchr step: character data,
 // attribute values and the bodies of comments, CDATA sections and PIs are
-// found with memchr or find, names and whitespace by kByteClass. Open
-// elements, attribute names and values without a reference are views into
-// the input (or into the fragment's open tags); only text and values with
-// '&' are copied, decoded into one scratch buffer.
+// found with std::string_view::find (memchr underneath), names and
+// whitespace by kByteClass. Open elements, attribute names and values
+// without a reference are views into the input (or into the fragment's
+// open tags); only text and values with '&' are copied, decoded into one
+// scratch buffer.
 Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
                             const SaxFragment& fragment) {
-  input_ = input;
   const char* const in = input.data();
   const size_t size = input.size();
   std::vector<std::string_view> open(fragment.open_tags.begin(),
@@ -170,18 +162,19 @@ Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
   while (pos < size) {
     if (in[pos] != '<') {
       // Character data run up to the next tag.
-      const size_t end = Find(in, pos, size, '<');
+      const size_t end = std::min(input.find('<', pos), size);
       const std::string_view raw(in + pos, end - pos);
       if (open.empty()) {
         if (!TrimWhitespace(raw).empty()) {
-          return Fail(end, "character data outside the document element");
+          return Fail(input, end,
+                      "character data outside the document element");
         }
       } else {
         std::string_view text = raw;
-        if (std::memchr(raw.data(), '&', raw.size()) != nullptr) {
+        if (raw.find('&') != std::string_view::npos) {
           decode_buf.clear();
           if (!AppendDecoded(raw, decode_buf)) {
-            return Fail(end, "malformed entity reference");
+            return Fail(input, end, "malformed entity reference");
           }
           text = decode_buf;
         }
@@ -192,14 +185,14 @@ Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
     }
 
     // A tag of some form.
-    if (pos + 1 >= size) return Fail(pos, "truncated tag");
+    if (pos + 1 >= size) return Fail(input, pos, "truncated tag");
     const char next = in[pos + 1];
 
     if (next == '!') {
       if (input.compare(pos, 4, "<!--") == 0) {
         const size_t end = input.find("-->", pos + 4);
         if (end == std::string_view::npos) {
-          return Fail(pos, "unterminated comment");
+          return Fail(input, pos, "unterminated comment");
         }
         XMARK_RETURN_IF_ERROR(
             handler->OnComment(input.substr(pos + 4, end - pos - 4)));
@@ -209,9 +202,11 @@ Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
       if (input.compare(pos, 9, "<![CDATA[") == 0) {
         const size_t end = input.find("]]>", pos + 9);
         if (end == std::string_view::npos) {
-          return Fail(pos, "unterminated CDATA");
+          return Fail(input, pos, "unterminated CDATA");
         }
-        if (open.empty()) return Fail(pos, "CDATA outside document element");
+        if (open.empty()) {
+          return Fail(input, pos, "CDATA outside document element");
+        }
         XMARK_RETURN_IF_ERROR(
             handler->OnCharacters(input.substr(pos + 9, end - pos - 9)));
         pos = end + 3;
@@ -226,16 +221,18 @@ Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
           if (in[p] == ']') --depth;
           if (in[p] == '>' && depth <= 0) break;
         }
-        if (p >= size) return Fail(size, "unterminated DOCTYPE");
+        if (p >= size) return Fail(input, size, "unterminated DOCTYPE");
         pos = p + 1;
         continue;
       }
-      return Fail(pos, "unsupported markup declaration");
+      return Fail(input, pos, "unsupported markup declaration");
     }
 
     if (next == '?') {
       const size_t end = input.find("?>", pos + 2);
-      if (end == std::string_view::npos) return Fail(pos, "unterminated PI");
+      if (end == std::string_view::npos) {
+        return Fail(input, pos, "unterminated PI");
+      }
       std::string_view body = input.substr(pos + 2, end - pos - 2);
       const size_t sp = body.find_first_of(" \t\r\n");
       std::string_view target = sp == std::string_view::npos
@@ -258,9 +255,10 @@ Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
       size_t p = ScanName(in, name_start, size);
       const std::string_view name(in + name_start, p - name_start);
       p = SkipSpace(in, p, size);
-      if (p >= size || in[p] != '>') return Fail(p, "malformed end tag");
+      if (p >= size || in[p] != '>') return Fail(input, p, "malformed end tag");
       if (open.empty() || open.back() != name) {
-        return Fail(p, "mismatched end tag </" + std::string(name) + ">");
+        return Fail(input, p,
+                    "mismatched end tag </" + std::string(name) + ">");
       }
       open.pop_back();
       XMARK_RETURN_IF_ERROR(handler->OnEndElement(name));
@@ -269,7 +267,7 @@ Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
     }
 
     // Start tag (or empty-element tag).
-    if (!IsNameStartByte(next)) return Fail(pos, "invalid tag");
+    if (!IsNameStartByte(next)) return Fail(input, pos, "invalid tag");
     size_t p = ScanName(in, pos + 2, size);
     const std::string_view name(in + pos + 1, p - pos - 1);
 
@@ -279,44 +277,50 @@ Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
     bool self_closing = false;
     while (true) {
       p = SkipSpace(in, p, size);
-      if (p >= size) return Fail(p, "truncated start tag");
+      if (p >= size) return Fail(input, p, "truncated start tag");
       if (in[p] == '>') {
         ++p;
         break;
       }
       if (in[p] == '/') {
         if (p + 1 >= size || in[p + 1] != '>') {
-          return Fail(p, "malformed empty-element tag");
+          return Fail(input, p, "malformed empty-element tag");
         }
         self_closing = true;
         p += 2;
         break;
       }
-      if (!IsNameStartByte(in[p])) return Fail(p, "malformed attribute");
+      if (!IsNameStartByte(in[p])) return Fail(input, p, "malformed attribute");
       const size_t an_start = p;
       p = ScanName(in, p + 1, size);
       const std::string_view attr_name(in + an_start, p - an_start);
       p = SkipSpace(in, p, size);
-      if (p >= size || in[p] != '=') return Fail(p, "attribute without value");
+      if (p >= size || in[p] != '=') {
+        return Fail(input, p, "attribute without value");
+      }
       p = SkipSpace(in, p + 1, size);
       if (p >= size || (in[p] != '"' && in[p] != '\'')) {
-        return Fail(p, "unquoted attribute value");
+        return Fail(input, p, "unquoted attribute value");
       }
       const char quote = in[p];
       const size_t v_start = p + 1;
-      const size_t v_end = Find(in, v_start, size, quote);
-      const size_t lt = Find(in, v_start, v_end, '<');
-      if (lt < v_end) return Fail(lt, "'<' in attribute value");
-      if (v_end >= size) return Fail(size, "unterminated attribute value");
+      const size_t v_end = std::min(input.find(quote, v_start), size);
       const std::string_view raw_value(in + v_start, v_end - v_start);
+      const size_t lt = raw_value.find('<');
+      if (lt != std::string_view::npos) {
+        return Fail(input, v_start + lt, "'<' in attribute value");
+      }
+      if (v_end >= size) {
+        return Fail(input, size, "unterminated attribute value");
+      }
       p = v_end + 1;
-      if (std::memchr(raw_value.data(), '&', raw_value.size()) == nullptr) {
+      if (raw_value.find('&') == std::string_view::npos) {
         attrs.push_back(SaxAttribute{attr_name, raw_value});
         continue;
       }
       const size_t off = decode_buf.size();
       if (!AppendDecoded(raw_value, decode_buf)) {
-        return Fail(p, "malformed entity in attribute");
+        return Fail(input, p, "malformed entity in attribute");
       }
       decoded.push_back(DecodedSpan{attrs.size(), off});
       attrs.push_back(SaxAttribute{attr_name, {}});
@@ -331,7 +335,7 @@ Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
 
     if (open.empty()) {
       if (root_opened) {
-        return Fail(pos, "content after the document element");
+        return Fail(input, pos, "content after the document element");
       }
       root_opened = true;
     }
@@ -345,7 +349,8 @@ Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
   }
 
   if (!open.empty() && !fragment.allow_open_end) {
-    return Fail(size, "unclosed element <" + std::string(open.back()) + ">");
+    return Fail(input, size,
+                "unclosed element <" + std::string(open.back()) + ">");
   }
   return Status::OK();
 }

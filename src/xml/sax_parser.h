@@ -73,11 +73,6 @@ class SaxParser {
  private:
   Status ParseImpl(std::string_view input, SaxHandler* handler,
                    const SaxFragment& fragment);
-  /// A parse error at byte `at`, named by its line: the line count is paid
-  /// only on failure.
-  Status Fail(size_t at, std::string_view msg) const;
-
-  std::string_view input_;
 };
 
 }  // namespace xmark::xml

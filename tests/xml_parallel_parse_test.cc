@@ -126,12 +126,42 @@ TEST(ParallelParseTest, SecondDocumentElementFails) {
   // The SAX parser rejects a second top-level element in a chunk that
   // holds the document element or closes its outer tags; a chunk that
   // starts at depth 0 cannot see the root before it, so the stitch
-  // rejects that one.
+  // rejects that one. Either way the serial parse names the error.
   const std::string text = BigDocument() + "<extra><x/></extra>";
   EXPECT_FALSE(Document::Parse(text).ok());
   ParseOptions opts;
   opts.threads = 4;
   EXPECT_FALSE(Document::Parse(text, opts).ok());
+  EXPECT_EQ(Document::Parse(text, opts).status().message(),
+            Document::Parse(text).status().message());
+}
+
+TEST(ParallelParseTest, ErrorsNameTheDocumentLine) {
+  // A malformation deep in a multi-line document is reported with the
+  // serial parse's line, whether a chunk or the stitch finds it.
+  std::string doc = "<site>\n";
+  for (int i = 0; i < 20000; ++i) {
+    doc += "<entry id=\"e" + std::to_string(i) + "\"><name>x</name></entry>\n";
+  }
+  const struct {
+    std::string text;
+    std::string message;
+  } cases[] = {
+      {doc + "<bad></wrong>\n</site>\n",
+       "line 20002: mismatched end tag </wrong>"},
+      {doc + "<unclosed>\n</site>\n", "line 20003: mismatched end tag </site>"},
+      {doc, "line 20002: unclosed element <site>"},
+  };
+  for (const auto& c : cases) {
+    ASSERT_GT(c.text.size(), 65536u) << "document too small to chunk";
+    EXPECT_EQ(Document::Parse(c.text).status().message(), c.message);
+    for (unsigned threads : {2u, 4u, 8u}) {
+      ParseOptions opts;
+      opts.threads = threads;
+      EXPECT_EQ(Document::Parse(c.text, opts).status().message(), c.message)
+          << "threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

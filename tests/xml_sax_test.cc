@@ -191,6 +191,39 @@ TEST(SaxTest, ErrorsReportLineNumbers) {
             "line 2: '<' in attribute value");
 }
 
+TEST(SaxTest, MixedContent) {
+  RecordingHandler h;
+  ASSERT_TRUE(ParseInto("<t>one <b>two</b> three</t>", &h).ok());
+  EXPECT_EQ(h.events, (std::vector<std::string>{
+                          "start:t", "text:one ", "start:b", "text:two",
+                          "end:b", "text: three", "end:t"}));
+}
+
+TEST(SaxTest, HandlerErrorPropagates) {
+  class FailingHandler : public RecordingHandler {
+   public:
+    Status OnCharacters(std::string_view) override {
+      return Status::Internal("handler says no");
+    }
+  };
+  FailingHandler h;
+  SaxParser parser;
+  Status st = parser.Parse("<a>x</a>", &h);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+}
+
+TEST(SaxTest, DeeplyNestedDocument) {
+  std::string doc;
+  constexpr int kDepth = 2000;
+  for (int i = 0; i < kDepth; ++i) doc += "<d>";
+  doc += "x";
+  for (int i = 0; i < kDepth; ++i) doc += "</d>";
+  RecordingHandler h;
+  EXPECT_TRUE(ParseInto(doc, &h).ok());
+  EXPECT_EQ(h.events.size(), 2 * kDepth + 1u);
+}
+
 TEST(SaxTest, SecondDocumentElementRejected) {
   RecordingHandler h;
   EXPECT_EQ(ParseInto("<a></a>\n<b/>", &h).message(),
