@@ -254,14 +254,10 @@ int Main(int argc, char** argv) {
                 static_cast<long long>(es.nodes_constructed),
                 static_cast<long long>(es.construct_templates_built));
     std::printf("stats: %lld cursor scans, %lld descendant scans, "
-                "%lld allocations avoided, "
-                "%lld compare-path materializations, "
-                "%lld sequence heap spills\n",
+                "%lld compare-path materializations\n",
                 static_cast<long long>(es.cursor_scans),
                 static_cast<long long>(es.descendant_scans),
-                static_cast<long long>(es.allocations_avoided),
-                static_cast<long long>(es.compare_allocs),
-                static_cast<long long>(es.sequence_heap_spills));
+                static_cast<long long>(es.compare_allocs));
     std::printf("pipelines: %lld fused batches, %lld virtual batches "
                 "(fused fraction %.1f%%)\n",
                 static_cast<long long>(es.pipeline_batches_fused),
@@ -345,8 +341,6 @@ int Main(int argc, char** argv) {
     w.Key("band_join_rows").Value(es.band_join_rows);
     w.Key("nodes_constructed").Value(es.nodes_constructed);
     w.Key("construct_templates_built").Value(es.construct_templates_built);
-    w.Key("sequence_heap_spills").Value(es.sequence_heap_spills);
-    w.Key("allocations_avoided").Value(es.allocations_avoided);
     w.Key("compare_allocs_fast").Value(es.compare_allocs);
     w.EndObject();
     w.EndObject();

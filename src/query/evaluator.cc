@@ -87,7 +87,6 @@ StatusOr<Sequence> Evaluator::Run(
   udf_depth_ = 0;
 
   Environment env(slot_count_);
-  const int64_t spills_before = SequenceHeapSpills();
   // Governed runs charge NodeArena / Sequence allocations on this thread
   // to the run's budget.
   ScopedMemoryBudget charge(ctx_ != nullptr ? ctx_->memory_budget()
@@ -104,7 +103,6 @@ StatusOr<Sequence> Evaluator::Run(
       if (!st.ok()) result = std::move(st);
     }
   }
-  stats_.sequence_heap_spills = SequenceHeapSpills() - spills_before;
   if (ctx_ != nullptr) stats_.governance_checks = ctx_->checks();
   // Every node the run built, constructor results and copies alike, is in
   // its arena.
@@ -354,14 +352,8 @@ Status Evaluator::ApplyStep(const Step& step, const StepPlan& planned,
   if (step.axis == Axis::kAttribute) {
     for (const Item& item : input) {
       if (!item.is_node()) continue;
-      const auto view = store_->AttributeView(item.node().handle, step.name);
-      if (view.has_value()) {
-        // The Item still owns one string copy; what's avoided is the
-        // wrapper's intermediate optional<std::string> (the seed
-        // allocated twice per attribute access, this path once).
-        ++stats_.allocations_avoided;
-        output->push_back(Item(std::string(*view)));
-      }
+      const auto view = store_->AttributeView(item.node().handle, want);
+      if (view.has_value()) output->push_back(Item(std::string(*view)));
     }
     // Attribute strings support no further predicates groupings; apply
     // predicates over the whole output.
@@ -558,7 +550,9 @@ StatusOr<Sequence> Evaluator::EvalPath(const AstNode& node, Environment& env,
       // root and all its descendants.
       const Step& first = node.steps[0];
       const xml::NameId first_name = pp->steps[0].name;
+      // An attribute step's name is an attribute's, never the root's tag.
       const bool root_matches = first.test == Step::Test::kName &&
+                                first.axis != Axis::kAttribute &&
                                 first_name != xml::kInvalidName &&
                                 store_->NameOf(root) == first_name;
       Sequence group;
@@ -648,11 +642,7 @@ StatusOr<Sequence> Evaluator::EvalHashJoin(const AstNode& node,
     const std::string_view key = ItemStringView(k, &cmp_scratch_a_,
                                                 &materialized);
     ++stats_.join_probes;
-    if (materialized) {
-      ++stats_.join_probe_allocs;
-    } else {
-      ++stats_.allocations_avoided;
-    }
+    if (materialized) ++stats_.join_probe_allocs;
     cache->Probe(key, &matches);
   }
   std::sort(matches.begin(), matches.end());
@@ -964,11 +954,7 @@ bool Evaluator::CompareItems(const Item& a, const Item& b, BinaryOp op) {
   auto view_of = [&](const Item& item, std::string* scratch) {
     bool materialized = false;
     const std::string_view v = ItemStringView(item, scratch, &materialized);
-    if (materialized) {
-      ++stats_.compare_allocs;
-    } else {
-      ++stats_.allocations_avoided;
-    }
+    if (materialized) ++stats_.compare_allocs;
     return v;
   };
   if (numeric) {
@@ -1323,11 +1309,7 @@ StatusOr<Sequence> Evaluator::EvalFunction(const AstNode& node,
     bool materialized = false;
     const std::string_view v =
         ItemStringView(arg.front(), scratch, &materialized);
-    if (materialized) {
-      ++stats_.compare_allocs;
-    } else {
-      ++stats_.allocations_avoided;
-    }
+    if (materialized) ++stats_.compare_allocs;
     return v;
   };
   if (name == "contains") {
@@ -1417,9 +1399,10 @@ StatusOr<Sequence> Evaluator::EvalFunction(const AstNode& node,
     std::unordered_set<std::string, TransparentStringHash, std::equal_to<>>
         wanted;
     for (const Item& item : args[0]) wanted.insert(ItemStringValue(item));
+    const xml::NameId id_attr = store_->names().Lookup("id");
     const auto take = [&](NodeHandle n) {
       const std::optional<std::string_view> value =
-          store_->AttributeView(n, "id");
+          store_->AttributeView(n, id_attr);
       if (!value.has_value()) return;
       const auto it = wanted.find(*value);
       if (it == wanted.end()) return;

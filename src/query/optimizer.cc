@@ -235,12 +235,12 @@ const AstNode* IdLiteralOf(const Step& step) {
   return nullptr;
 }
 
-// Plan for one step: its NameId, and the id probe that replaces the
-// child scan when the store built an ID index.
+// Plan for one step: its NameId (tag or attribute name), and the id probe
+// that replaces the child scan when the store built an ID index.
 StepPlan ComputeStepPlan(const Step& step, const StorageCapabilities& caps,
                          const xml::NameTable& names) {
   StepPlan plan;
-  if (step.test == Step::Test::kName && step.axis != Axis::kAttribute) {
+  if (step.test == Step::Test::kName) {
     plan.name = names.Lookup(step.name);
     if (step.axis == Axis::kChild && caps.id_lookup) {
       plan.id_literal = IdLiteralOf(step);
@@ -275,7 +275,7 @@ std::optional<ChildPath> LowerChildChain(const AstNode& path,
     } else if (last && s.axis == Axis::kAttribute &&
                s.test == Step::Test::kName) {
       chain.terminal = ChildPath::Terminal::kAttribute;
-      chain.attribute = s.name;
+      chain.attribute = steps[i].name;
     } else {
       return std::nullopt;
     }

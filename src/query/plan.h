@@ -88,12 +88,9 @@ struct EvalStats {
   int64_t index_lookups = 0;       // id/tag/path index hits
   int64_t cursor_scans = 0;        // batched child scans opened
   int64_t descendant_scans = 0;    // batched descendant scans opened
-  int64_t allocations_avoided = 0; // per-node strings skipped via views
   int64_t compare_allocs = 0;      // strings materialized on compare paths
   int64_t join_probes = 0;         // hash-join index probes
   int64_t join_probe_allocs = 0;   // probe keys that materialized a string
-  int64_t sequence_heap_spills = 0;  // Sequences that outgrew the inline
-                                     // buffer (SBO miss count)
   int64_t nodes_constructed = 0;     // ConstructedNodes created in the
                                      // per-run NodeArena
   int64_t construct_templates_built = 0;  // ConstructPlans lowered by the
@@ -116,11 +113,9 @@ struct EvalStats {
     index_lookups += other.index_lookups;
     cursor_scans += other.cursor_scans;
     descendant_scans += other.descendant_scans;
-    allocations_avoided += other.allocations_avoided;
     compare_allocs += other.compare_allocs;
     join_probes += other.join_probes;
     join_probe_allocs += other.join_probe_allocs;
-    sequence_heap_spills += other.sequence_heap_spills;
     nodes_constructed += other.nodes_constructed;
     construct_templates_built += other.construct_templates_built;
     governance_checks += other.governance_checks;
@@ -133,9 +128,10 @@ struct EvalStats {
 /// child or descendant step drains the store's child or descendant cursor,
 /// an attribute step probes AttributeView, a self step filters its input.
 struct StepPlan {
-  /// The step's name test resolved against the planned store's
-  /// dictionary. kInvalidName for attribute steps and non-name tests, and
-  /// for a tag the store never saw (the step then selects nothing).
+  /// The step's name test (a tag, or an attribute name on the attribute
+  /// axis) resolved against the planned store's dictionary. kInvalidName
+  /// for non-name tests, and for a name the store never saw (the step then
+  /// selects nothing).
   xml::NameId name = xml::kInvalidName;
   /// Non-null: the step carries an [@id = "literal"] predicate and the
   /// store supports ID lookup — resolve through NodeById first.
@@ -164,7 +160,7 @@ struct ChildPath {
   int var_slot = -1;
   std::vector<xml::NameId> steps;  // the child name steps' tags, in order
   Terminal terminal = Terminal::kNodes;
-  std::string attribute;  // kAttribute: the attribute name
+  xml::NameId attribute = xml::kInvalidName;  // kAttribute: its name
   /// A step names a tag the store never saw: the chain selects nothing.
   bool absent = false;
 };

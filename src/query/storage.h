@@ -93,8 +93,7 @@ inline size_t ScanIdInterval(const xml::NameId* tags, ChildFilter filter,
 /// position for the edge table, a path-table slice for the fragmented
 /// mapping, a DTD child slot or a sibling pointer for the inlined arrays, a
 /// subtree-end hop for the native document). The evaluator drains it in
-/// batches, paying one virtual call per batch instead of a
-/// FirstChild/NextSibling call pair per node.
+/// batches, paying one virtual call per batch instead of one per child.
 class ChildCursor {
  public:
   /// Copies up to `cap` matching child handles into `out`; returns the
@@ -137,9 +136,9 @@ class ChildCursor {
 /// subtree is the contiguous handle interval (base, subtree_end) and each
 /// store scans whatever physical encoding of that interval it keeps: a
 /// dense tag column (ScanIdInterval), the native store's tag-index slices,
-/// the fragmented mapping's path-table slices, or (for stores without
-/// interval structures) a stack-free preorder walk over the sibling/parent
-/// links. The evaluator drains it in batches on the calling thread.
+/// or the fragmented mapping's path-table slices (its unfiltered and
+/// element scans walk the subtree in preorder, merging child tables per
+/// node). The evaluator drains it in batches on the calling thread.
 class DescendantCursor {
  public:
   /// Copies up to `cap` matching descendant handles into `out` in document
@@ -212,16 +211,21 @@ struct StorageCapabilities {
 /// DTD-inlined tables, native DOM with or without indexes), which is what
 /// produces the performance contrasts of Tables 1-3.
 ///
-/// Navigation methods must behave like the XPath data model over the loaded
+/// Navigation must behave like the XPath data model over the loaded
 /// document: elements and text nodes only (the benchmark document has no
 /// other node kinds), attributes exposed through dedicated accessors.
 ///
+/// One primitive per concern. A store implements NameOf, Parent, TextView,
+/// ForEachAttribute, its child and descendant cursors (the only
+/// navigation), the index probes and the accounting. The base class
+/// derives the rest, non-virtually: IsElement from NameOf,
+/// AppendStringValue from the kText descendant scan, VisitSubtree (the
+/// walk behind serialization and DeepCopyNode) from the kAll scan, and
+/// AttributeView from ForEachAttribute.
+///
 /// String access is zero-copy: every store keeps character data in a
-/// contiguous heap it owns, so TextView, AttributeView and
-/// ForEachAttribute hand out views valid for the store's lifetime. A
-/// stored subtree is read only through the store's own descendant cursor,
-/// by two non-virtual members: AppendStringValue drains its kText scan,
-/// VisitSubtree (the walk behind serialization and DeepCopyNode) its kAll.
+/// contiguous heap it owns, so TextView, ForEachAttribute and
+/// AttributeView hand out views valid for the store's lifetime.
 class StorageAdapter {
  public:
   StorageAdapter() : uid_(NextStoreUid()) {}
@@ -246,8 +250,6 @@ class StorageAdapter {
   virtual xml::NameId NameOf(NodeHandle n) const = 0;
   bool IsElement(NodeHandle n) const { return NameOf(n) != xml::kInvalidName; }
   virtual NodeHandle Parent(NodeHandle n) const = 0;
-  virtual NodeHandle FirstChild(NodeHandle n) const = 0;
-  virtual NodeHandle NextSibling(NodeHandle n) const = 0;
 
   // --- Zero-copy string access ------------------------------------------
 
@@ -272,15 +274,24 @@ class StorageAdapter {
     }
   }
 
-  /// Value of attribute `name` on `n` as a view into the store's heap.
-  virtual std::optional<std::string_view> AttributeView(
-      NodeHandle n, std::string_view name) const = 0;
-
   /// Calls `visit(name, value)` for every attribute of `n`, in document
   /// order, straight from the store's attribute rows: `name` is an id in
   /// names(), `value` a view into the store's heap.
   virtual void ForEachAttribute(NodeHandle n,
                                 AttributeVisitor visit) const = 0;
+
+  /// Value of the first attribute of `n` named `name` (an id in names(),
+  /// which the plan resolves once), as a view into the store's heap;
+  /// nullopt when there is none. kInvalidName matches no attribute.
+  std::optional<std::string_view> AttributeView(NodeHandle n,
+                                                xml::NameId name) const {
+    std::optional<std::string_view> found;
+    if (name == xml::kInvalidName) return found;
+    ForEachAttribute(n, [&](xml::NameId a, std::string_view value) {
+      if (a == name && !found.has_value()) found = value;
+    });
+    return found;
+  }
 
   /// The preorder walk of the subtree rooted at `n` (n included), over
   /// the store's kAll descendant cursor: `open(element, tag)` on entering
@@ -332,66 +343,30 @@ class StorageAdapter {
   // --- Batched child scans ----------------------------------------------
 
   /// Positions `cur` at the start of `parent`'s child list, restricted to
-  /// `filter` (with `tag` naming the element tag for ChildFilter::kTag).
-  /// The default implementation walks the generic FirstChild/NextSibling
-  /// chain; stores override both hooks to scan their physical layout
-  /// directly.
+  /// `filter` (with `tag` naming the element tag for ChildFilter::kTag),
+  /// over the store's physical layout.
   virtual void OpenChildCursor(NodeHandle parent, ChildFilter filter,
-                               xml::NameId tag, ChildCursor* cur) const {
-    cur->u0 = cur->Init(this, parent, filter, tag) ? FirstChild(parent)
-                                                   : kInvalidHandle;
-  }
+                               xml::NameId tag, ChildCursor* cur) const = 0;
 
   /// Advances `cur`, writing up to `cap` handles into `out`; returns the
   /// count (0 = exhausted). Called through ChildCursor::Fill.
   virtual size_t AdvanceChildCursor(ChildCursor* cur, NodeHandle* out,
-                                    size_t cap) const {
-    size_t n = 0;
-    NodeHandle c = cur->u0;
-    while (n < cap && c != kInvalidHandle) {
-      if (MatchesChildFilter(cur->filter, NameOf(c), cur->tag)) out[n++] = c;
-      c = NextSibling(c);
-    }
-    cur->u0 = c;
-    return n;
-  }
+                                    size_t cap) const = 0;
 
   // --- Batched descendant scans -----------------------------------------
 
   /// Positions `cur` at the start of `base`'s descendant set (excluding
-  /// `base`), restricted to `filter`. The default implementation walks the
-  /// subtree with the FirstChild/NextSibling/Parent links — stack-free, so
-  /// the cursor needs no heap state; stores with interval encodings
-  /// override both hooks to scan their physical layout directly.
+  /// `base`), restricted to `filter`, over the store's physical layout.
   virtual void OpenDescendantCursor(NodeHandle base, ChildFilter filter,
                                     xml::NameId tag,
-                                    DescendantCursor* cur) const {
-    cur->u0 = cur->Init(this, base, filter, tag) ? FirstChild(base)
-                                                 : kInvalidHandle;
-  }
+                                    DescendantCursor* cur) const = 0;
 
   /// Advances `cur`, writing up to `cap` handles into `out` in document
   /// order; returns the count (0 = exhausted). Called through
   /// DescendantCursor::Fill.
   virtual size_t AdvanceDescendantCursor(DescendantCursor* cur,
-                                         NodeHandle* out, size_t cap) const {
-    size_t n = 0;
-    NodeHandle c = cur->u0;
-    while (n < cap && c != kInvalidHandle) {
-      if (MatchesChildFilter(cur->filter, NameOf(c), cur->tag)) out[n++] = c;
-      // Preorder successor within the subtree: first child, else the next
-      // sibling of the nearest ancestor at or below base (exclusive).
-      NodeHandle next = FirstChild(c);
-      while (next == kInvalidHandle && c != cur->base &&
-             c != kInvalidHandle) {
-        next = NextSibling(c);
-        if (next == kInvalidHandle) c = Parent(c);
-      }
-      c = (c == cur->base) ? kInvalidHandle : next;
-    }
-    cur->u0 = c;
-    return n;
-  }
+                                         NodeHandle* out,
+                                         size_t cap) const = 0;
 
   // --- Index structures -------------------------------------------------
 

@@ -197,11 +197,7 @@ void AppendConstructedStringValue(const ConstructedNode& node,
   }
 }
 
-thread_local int64_t g_sequence_heap_spills = 0;
-
 }  // namespace
-
-int64_t SequenceHeapSpills() { return g_sequence_heap_spills; }
 
 void Sequence::Grow(size_t cap) {
   if (cap < kInlineItems * 2) cap = kInlineItems * 2;
@@ -214,8 +210,6 @@ void Sequence::Grow(size_t cap) {
   }
   if (data_ != inline_ptr()) {
     ::operator delete(data_, std::align_val_t{alignof(Item)});
-  } else {
-    ++g_sequence_heap_spills;  // first departure from the inline buffer
   }
   data_ = heap;
   capacity_ = static_cast<uint32_t>(cap);

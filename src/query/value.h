@@ -213,12 +213,6 @@ class Item {
   std::variant<bool, double, std::string, NodeRef, ConstructedPtr> value_;
 };
 
-/// Thread-local count of Sequence inline-to-heap spills (see Sequence).
-/// The evaluator snapshots it around a run to expose
-/// Stats::sequence_heap_spills; the ablation bench uses it to prove the
-/// small-buffer optimization engages on the Q11/Q12 Sequence churn.
-int64_t SequenceHeapSpills();
-
 /// XQuery value: an ordered sequence of items.
 ///
 /// Small-buffer-optimized vector: up to kInlineItems items live inside the

@@ -51,18 +51,8 @@ class DomStore : public query::StorageAdapter {
   query::NodeHandle Parent(query::NodeHandle n) const override {
     return AsHandle(doc_.parent(static_cast<xml::NodeId>(n)));
   }
-  query::NodeHandle FirstChild(query::NodeHandle n) const override {
-    return AsHandle(doc_.first_child(static_cast<xml::NodeId>(n)));
-  }
-  query::NodeHandle NextSibling(query::NodeHandle n) const override {
-    return AsHandle(doc_.next_sibling(static_cast<xml::NodeId>(n)));
-  }
   std::string_view TextView(query::NodeHandle n) const override {
     return doc_.text(static_cast<xml::NodeId>(n));
-  }
-  std::optional<std::string_view> AttributeView(
-      query::NodeHandle n, std::string_view name) const override {
-    return doc_.attribute(static_cast<xml::NodeId>(n), name);
   }
   void ForEachAttribute(query::NodeHandle n,
                         query::AttributeVisitor visit) const override;

@@ -81,9 +81,8 @@ StatusOr<std::unique_ptr<EdgeStore>> EdgeStore::Load(
   });
   store->id_value_index_ = CollectIdValues<uint32_t>(doc, id_attr);
   // (value, id) pairs are unique, so the stable sort is a plain sort.
-  ParallelStableSort(threads, store->id_value_index_.begin(),
-                     store->id_value_index_.end(),
-                     [](const auto& a, const auto& b) { return a < b; });
+  std::stable_sort(store->id_value_index_.begin(),
+                   store->id_value_index_.end());
   // The parse interned tag and attribute names in preorder, the order the
   // store's dictionary would assign, so both are adopted as they are.
   store->heap_ = doc.ReleaseHeap();
@@ -152,36 +151,9 @@ query::NodeHandle EdgeStore::Parent(query::NodeHandle n) const {
   return p == kNoParent ? query::kInvalidHandle : p;
 }
 
-query::NodeHandle EdgeStore::FirstChild(query::NodeHandle n) const {
-  // The clustered row (parent == n, ord == 0), located in O(1).
-  const uint32_t pos = child_begin_[n];
-  return pos < rows_.size() ? rows_[pos].id : query::kInvalidHandle;
-}
-
-query::NodeHandle EdgeStore::NextSibling(query::NodeHandle n) const {
-  const uint32_t pos = pos_of_id_[n];
-  if (pos + 1 >= rows_.size()) return query::kInvalidHandle;
-  const EdgeRow& next = rows_[pos + 1];
-  if (next.parent != rows_[pos].parent) return query::kInvalidHandle;
-  return next.id;
-}
-
 std::string_view EdgeStore::TextView(query::NodeHandle n) const {
   const EdgeRow& row = RowOf(n);
   return HeapString(row.text_begin, row.text_len);
-}
-
-std::optional<std::string_view> EdgeStore::AttributeView(
-    query::NodeHandle n, std::string_view name) const {
-  const xml::NameId id = names_.Lookup(name);
-  if (id == xml::kInvalidName) return std::nullopt;
-  for (size_t i = attr_begin_[n]; i < attrs_.size() && attrs_[i].owner == n;
-       ++i) {
-    if (attrs_[i].name == id) {
-      return HeapString(attrs_[i].value_begin, attrs_[i].value_len);
-    }
-  }
-  return std::nullopt;
 }
 
 void EdgeStore::OpenChildCursor(query::NodeHandle parent,

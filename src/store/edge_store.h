@@ -44,11 +44,7 @@ class EdgeStore : public query::StorageAdapter {
   query::NodeHandle Root() const override { return root_; }
   xml::NameId NameOf(query::NodeHandle n) const override;
   query::NodeHandle Parent(query::NodeHandle n) const override;
-  query::NodeHandle FirstChild(query::NodeHandle n) const override;
-  query::NodeHandle NextSibling(query::NodeHandle n) const override;
   std::string_view TextView(query::NodeHandle n) const override;
-  std::optional<std::string_view> AttributeView(
-      query::NodeHandle n, std::string_view name) const override;
   void ForEachAttribute(query::NodeHandle n,
                         query::AttributeVisitor visit) const override;
   // One binary search over the (parent, ord)-clustered relation, then a

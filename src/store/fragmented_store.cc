@@ -96,9 +96,8 @@ StatusOr<std::unique_ptr<FragmentedStore>> FragmentedStore::Load(
     store->attr_begin_[i] = FirstAttributeRow(doc, i);
   }
   store->id_value_index_ = CollectIdValues<uint32_t>(doc, id_attr);
-  ParallelStableSort(threads, store->id_value_index_.begin(),
-                     store->id_value_index_.end(),
-                     [](const auto& a, const auto& b) { return a < b; });
+  std::stable_sort(store->id_value_index_.begin(),
+                   store->id_value_index_.end());
   store->heap_ = doc.ReleaseHeap();
   store->root_ = doc.root();
   return store;
@@ -236,23 +235,47 @@ query::NodeHandle FragmentedStore::NextSibling(query::NodeHandle n) const {
   return best;
 }
 
+size_t FragmentedStore::SiblingWalk(query::ChildCursor* cur,
+                                    query::NodeHandle* out,
+                                    size_t cap) const {
+  size_t n = 0;
+  query::NodeHandle c = cur->u0;
+  while (n < cap && c != query::kInvalidHandle) {
+    if (query::MatchesChildFilter(cur->filter, NameOf(c), cur->tag)) {
+      out[n++] = c;
+    }
+    c = NextSibling(c);
+  }
+  cur->u0 = c;
+  return n;
+}
+
+size_t FragmentedStore::PreorderWalk(query::DescendantCursor* cur,
+                                     query::NodeHandle* out,
+                                     size_t cap) const {
+  size_t n = 0;
+  query::NodeHandle c = cur->u0;
+  while (n < cap && c != query::kInvalidHandle) {
+    if (query::MatchesChildFilter(cur->filter, NameOf(c), cur->tag)) {
+      out[n++] = c;
+    }
+    // Preorder successor within the subtree: first child, else the next
+    // sibling of the nearest ancestor at or below base (exclusive).
+    query::NodeHandle next = FirstChild(c);
+    while (next == query::kInvalidHandle && c != cur->base &&
+           c != query::kInvalidHandle) {
+      next = NextSibling(c);
+      if (next == query::kInvalidHandle) c = Parent(c);
+    }
+    c = (c == cur->base) ? query::kInvalidHandle : next;
+  }
+  cur->u0 = c;
+  return n;
+}
+
 std::string_view FragmentedStore::TextView(query::NodeHandle n) const {
   const Row& row = RowOf(n);
   return std::string_view(heap_).substr(row.text_begin, row.text_len);
-}
-
-std::optional<std::string_view> FragmentedStore::AttributeView(
-    query::NodeHandle n, std::string_view name) const {
-  const xml::NameId id = names_.Lookup(name);
-  if (id == xml::kInvalidName) return std::nullopt;
-  for (size_t i = attr_begin_[n]; i < attrs_.size() && attrs_[i].owner == n;
-       ++i) {
-    if (attrs_[i].name == id) {
-      return std::string_view(heap_).substr(attrs_[i].value_begin,
-                                            attrs_[i].value_len);
-    }
-  }
-  return std::nullopt;
 }
 
 void FragmentedStore::OpenChildCursor(query::NodeHandle parent,
@@ -261,8 +284,9 @@ void FragmentedStore::OpenChildCursor(query::NodeHandle parent,
                                       query::ChildCursor* cur) const {
   if (filter != query::ChildFilter::kTag &&
       filter != query::ChildFilter::kText) {
-    // Generic scan: merge across child path tables via the default chain.
-    query::StorageAdapter::OpenChildCursor(parent, filter, tag, cur);
+    // Generic scan: the sibling chain, merging across child path tables.
+    cur->Init(this, parent, filter, tag);
+    cur->u0 = FirstChild(parent);
     return;
   }
   // A filtered scan is a slice of exactly one child path table (text
@@ -287,7 +311,7 @@ size_t FragmentedStore::AdvanceChildCursor(query::ChildCursor* cur,
                                            size_t cap) const {
   if (cur->filter != query::ChildFilter::kTag &&
       cur->filter != query::ChildFilter::kText) {
-    return query::StorageAdapter::AdvanceChildCursor(cur, out, cap);
+    return SiblingWalk(cur, out, cap);
   }
   if (cur->u0 >= cur->u1) return 0;
   const PathInfo& path = paths_[cur->u2];
@@ -329,9 +353,10 @@ void FragmentedStore::OpenDescendantCursor(
     query::DescendantCursor* cur) const {
   if (filter != query::ChildFilter::kTag &&
       filter != query::ChildFilter::kText) {
-    // Generic filters merge across every child table per node; use the
-    // sibling/parent preorder walk of the base class.
-    query::StorageAdapter::OpenDescendantCursor(base, filter, tag, cur);
+    // Generic filters merge across every child table per node: the
+    // preorder walk over the sibling/parent links.
+    cur->Init(this, base, filter, tag);
+    cur->u0 = FirstChild(base);
     return;
   }
   if (!cur->Init(this, base, filter, tag)) {
@@ -368,7 +393,7 @@ size_t FragmentedStore::AdvanceDescendantCursor(query::DescendantCursor* cur,
                                                 size_t cap) const {
   if (cur->filter != query::ChildFilter::kTag &&
       cur->filter != query::ChildFilter::kText) {
-    return query::StorageAdapter::AdvanceDescendantCursor(cur, out, cap);
+    return PreorderWalk(cur, out, cap);
   }
   if (cur->u2 != 0) {  // single-slice mode
     const PathInfo& path = paths_[cur->u2 >> 1];

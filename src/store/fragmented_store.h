@@ -24,13 +24,15 @@ namespace xmark::store {
 /// tag-specific child and descendant steps are two binary searches. A
 /// string value merges the slices of only the #text tables under the
 /// node's path (the "sorted outer union" of Shanmugasundaram et al.,
-/// VLDB 2000). The price of fragmentation: generic first-child/next-sibling
-/// navigation, and with it the serialization walk, must merge across all
-/// child tables of a node (slow — the paper's B pays heavily on
-/// construction-dominated Q10 and Q13), and the catalog has one entry per
-/// path, making name resolution during query compilation a catalog scan
-/// (Table 2: B spends twice as much of its time compiling as A).
-class FragmentedStore : public query::StorageAdapter {
+/// VLDB 2000). The price of fragmentation: the unfiltered and element-only
+/// scans (kAll, kElements), and with them the serialization walk, find
+/// each first child and next sibling by merging across all child tables
+/// of a node (slow — the paper's B pays heavily on construction-dominated
+/// Q10 and Q13), and the catalog has one entry per path, making name
+/// resolution during query compilation a catalog scan (Table 2: B spends
+/// twice as much of its time compiling as A). That merging walk is private
+/// to this store, behind its own cursors.
+class FragmentedStore final : public query::StorageAdapter {
  public:
   /// Bulkloads the document: parse, a sequential path-discovery pass, then
   /// the per-path table and attribute fills (adopting the document's
@@ -50,15 +52,11 @@ class FragmentedStore : public query::StorageAdapter {
   query::NodeHandle Root() const override { return root_; }
   xml::NameId NameOf(query::NodeHandle n) const override;
   query::NodeHandle Parent(query::NodeHandle n) const override;
-  query::NodeHandle FirstChild(query::NodeHandle n) const override;
-  query::NodeHandle NextSibling(query::NodeHandle n) const override;
   std::string_view TextView(query::NodeHandle n) const override;
-  std::optional<std::string_view> AttributeView(
-      query::NodeHandle n, std::string_view name) const override;
   void ForEachAttribute(query::NodeHandle n,
                         query::AttributeVisitor visit) const override;
-  // Tag- and text-filtered scans are direct path-table slices; generic
-  // scans fall back to the (merging) FirstChild/NextSibling chain.
+  // Tag- and text-filtered scans are direct path-table slices; kAll and
+  // kElements scans walk the (merging) sibling chain (SiblingWalk).
   void OpenChildCursor(query::NodeHandle parent, query::ChildFilter filter,
                        xml::NameId tag,
                        query::ChildCursor* cur) const override;
@@ -67,7 +65,7 @@ class FragmentedStore : public query::StorageAdapter {
   // Tag/text-filtered descendant scans slice the subtree interval out of
   // the candidate path tables (CandidatePaths: one slice when a single
   // path qualifies, a document-order merge across slices otherwise);
-  // generic filters fall back to the sibling/parent walk.
+  // kAll and kElements scans walk the subtree in preorder (PreorderWalk).
   void OpenDescendantCursor(query::NodeHandle base, query::ChildFilter filter,
                             xml::NameId tag,
                             query::DescendantCursor* cur) const override;
@@ -121,6 +119,21 @@ class FragmentedStore : public query::StorageAdapter {
   // extend base_path, or the #text tables in the path subtree under it.
   size_t CandidatePaths(xml::NameId want, uint32_t base_path, uint32_t* out,
                         size_t cap) const;
+
+  // The generic navigation behind the kAll/kElements cursors. Each call
+  // merges across every child path table of a node: the child (or the
+  // sibling after n's subtree) with the smallest id.
+  query::NodeHandle FirstChild(query::NodeHandle n) const;
+  query::NodeHandle NextSibling(query::NodeHandle n) const;
+  // The kAll/kElements child scan: a walk along the sibling chain from
+  // cur->u0 (the next child to test).
+  size_t SiblingWalk(query::ChildCursor* cur, query::NodeHandle* out,
+                     size_t cap) const;
+  // The kAll/kElements descendant scan: a stack-free preorder walk of the
+  // subtree from cur->u0 (the next node to test) over the first-child,
+  // next-sibling and parent links.
+  size_t PreorderWalk(query::DescendantCursor* cur, query::NodeHandle* out,
+                      size_t cap) const;
 
   std::vector<PathInfo> paths_;  // [0] is the virtual document node
   std::vector<std::string> path_names_;  // "/site/people/person" per path

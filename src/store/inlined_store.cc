@@ -242,20 +242,6 @@ std::string_view InlinedStore::TextView(query::NodeHandle n) const {
   return std::string_view(heap_).substr(begin, len);
 }
 
-std::optional<std::string_view> InlinedStore::AttributeView(
-    query::NodeHandle n, std::string_view name) const {
-  const xml::NameId id = names_.Lookup(name);
-  if (id == xml::kInvalidName) return std::nullopt;
-  for (size_t i = attr_begin_[n]; i < attrs_.size() && attrs_[i].owner == n;
-       ++i) {
-    if (attrs_[i].name == id) {
-      return std::string_view(heap_).substr(attrs_[i].value_begin,
-                                            attrs_[i].value_len);
-    }
-  }
-  return std::nullopt;
-}
-
 void InlinedStore::OpenChildCursor(query::NodeHandle parent,
                                    query::ChildFilter filter, xml::NameId tag,
                                    query::ChildCursor* cur) const {

@@ -53,15 +53,7 @@ class InlinedStore : public query::StorageAdapter {
   query::NodeHandle Parent(query::NodeHandle n) const override {
     return parent_[n];
   }
-  query::NodeHandle FirstChild(query::NodeHandle n) const override {
-    return first_child_[n];
-  }
-  query::NodeHandle NextSibling(query::NodeHandle n) const override {
-    return next_sibling_[n];
-  }
   std::string_view TextView(query::NodeHandle n) const override;
-  std::optional<std::string_view> AttributeView(
-      query::NodeHandle n, std::string_view name) const override;
   void ForEachAttribute(query::NodeHandle n,
                         query::AttributeVisitor visit) const override;
   // A kTag scan of a DTD at-most-once (parent, child) pair reads the

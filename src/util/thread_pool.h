@@ -127,44 +127,6 @@ void ParallelFor(unsigned threads, size_t begin, size_t end, size_t grain,
                  });
 }
 
-/// Deterministic parallel stable sort: partitions [begin, end) into one
-/// run per thread, stable-sorts the runs as one ForkJoinShared, then
-/// merges adjacent runs pairwise (one ForkJoinShared per round) with
-/// std::inplace_merge. Stability of both phases makes the result identical
-/// to std::stable_sort for any thread count. threads <= 1 is a plain
-/// std::stable_sort.
-template <typename It, typename Comp>
-void ParallelStableSort(unsigned threads, It begin, It end, Comp comp) {
-  const size_t n = static_cast<size_t>(end - begin);
-  constexpr size_t kSerialCutoff = 1 << 13;
-  if (threads <= 1 || n <= kSerialCutoff) {
-    std::stable_sort(begin, end, comp);
-    return;
-  }
-  const size_t parts =
-      std::min<size_t>(threads, (n + kSerialCutoff - 1) / kSerialCutoff);
-  std::vector<size_t> bounds;
-  bounds.reserve(parts + 1);
-  for (size_t i = 0; i <= parts; ++i) bounds.push_back(i * n / parts);
-  ForkJoinShared(threads, parts, [begin, &bounds, &comp](size_t i) {
-    std::stable_sort(begin + bounds[i], begin + bounds[i + 1], comp);
-  });
-  // log2(parts) rounds of pairwise merges; merge m of a round joins runs
-  // [2m*width, (2m+1)*width) and [(2m+1)*width, (2m+2)*width).
-  for (size_t width = 1; width < parts; width *= 2) {
-    const size_t merges = (parts - width + 2 * width - 1) / (2 * width);
-    ForkJoinShared(threads, merges,
-                   [begin, &bounds, &comp, parts, width](size_t m) {
-                     const size_t i = m * 2 * width;
-                     const size_t lo = bounds[i];
-                     const size_t mid = bounds[i + width];
-                     const size_t hi = bounds[std::min(i + 2 * width, parts)];
-                     std::inplace_merge(begin + lo, begin + mid, begin + hi,
-                                        comp);
-                   });
-  }
-}
-
 }  // namespace xmark
 
 #endif  // XMARK_UTIL_THREAD_POOL_H_

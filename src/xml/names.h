@@ -34,8 +34,8 @@ class NameTable {
 
  private:
   // Transparent hash/eq: Lookup and Intern probe with the caller's
-  // string_view directly — no per-probe std::string (every relational
-  // AttributeView resolves the attribute name through here).
+  // string_view directly — no per-probe std::string (every plan resolves
+  // its tag and attribute names through here).
   std::unordered_map<std::string, NameId, TransparentStringHash,
                      std::equal_to<>>
       map_;

@@ -453,6 +453,42 @@ TEST_P(ChildKernelDifferential, IdFunctionSameOnEverySystem) {
   }
 }
 
+// Attribute steps, pinned by literal bytes on all seven systems over a
+// small document in which an attribute (`site`) shares the root element's
+// tag name: rooted, descendant and absent attributes, the kernel's @name
+// terminal and predicate, and an attribute value template over @id. Plans
+// resolve attribute names to ids, and `/@site` must still not select the
+// root element.
+TEST(AttributeSteps, LiteralBytesOnEverySystem) {
+  constexpr std::string_view kDoc =
+      "<site id=\"s0\"><people>"
+      "<person id=\"p&amp;0\" site=\"home\"><name>Ann</name></person>"
+      "<person id=\"p1\"><name>Bob</name></person>"
+      "</people></site>";
+#define ATTR_PEOPLE "doc(\"auction.xml\")/site/people/person"
+  const std::pair<const char*, const char*> cases[] = {
+      {"doc(\"auction.xml\")/@site", ""},
+      {"doc(\"auction.xml\")/site/@id", "s0"},
+      {"doc(\"auction.xml\")//person/@site", "home"},
+      {"for $p in " ATTR_PEOPLE " return $p/@nosuch", ""},
+      {"for $p in " ATTR_PEOPLE " return $p/@site", "home"},
+      {"for $p in " ATTR_PEOPLE " return <r id=\"{$p/@id}\"/>",
+       "<r id=\"p&amp;0\"/>\n<r id=\"p1\"/>"},
+      {ATTR_PEOPLE "[@site = \"home\"]/name/text()", "Ann"},
+  };
+#undef ATTR_PEOPLE
+  for (SystemId id : kAllSystems) {
+    auto engine = Engine::Create(id);
+    ASSERT_TRUE(engine->LoadDocument(Engine::kDefaultDocumentId, kDoc).ok());
+    for (const auto& [query, bytes] : cases) {
+      auto result = engine->Run(query);
+      ASSERT_TRUE(result.ok()) << query << ": " << result.status();
+      EXPECT_EQ(query::SerializeSequence(*result), bytes)
+          << "system " << SystemLabel(id) << " query " << query;
+    }
+  }
+}
+
 // The cases reach what they are meant to reach: the kernel is engaged on
 // A-E, the injected document carries escapable characters into results,
 // and the constructed-node cases keep the generic navigation error.

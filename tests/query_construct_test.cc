@@ -282,7 +282,11 @@ TEST(ArenaLifetime, NoReferenceCycleThroughNestedInstances) {
 TEST(SortDedupNodesTest, MixedStoredAndConstructedSequences) {
   const StorageAdapter* store = StoreByIndex(3);
   const NodeHandle root = store->Root();
-  const NodeHandle child = store->FirstChild(root);
+  ChildCursor children;
+  store->OpenChildCursor(root, ChildFilter::kAll, xml::kInvalidName,
+                         &children);
+  NodeHandle child = kInvalidHandle;
+  ASSERT_EQ(children.Fill(&child, 1), 1u);
   ASSERT_NE(child, kInvalidHandle);
 
   // Two constructed nodes; c1 is referenced twice through DIFFERENT

@@ -1,6 +1,6 @@
 // Cross-store descendant-cursor tests: on every physical mapping, the
 // DescendantCursor must produce exactly what a preorder walk over the
-// generic navigation chain produces (unit level, every filter), and
+// store's kAll child cursor produces (unit level, every filter), and
 // descendant queries (`//tag`, nested `$v//a/b`, multi-input steps through
 // SortDedupNodes, predicate-carrying descendant steps) must serialize to
 // the expected bytes over the hand-written document.
@@ -78,12 +78,22 @@ class DescendantCursorTest : public ::testing::TestWithParam<StoreCase> {
  protected:
   void SetUp() override { store_ = GetParam().factory(kDoc); }
 
-  // Reference: recursive preorder walk over the generic navigation chain,
-  // excluding the base, filtered like the cursor under test.
+  // The children of `n`, from the store's kAll child cursor.
+  std::vector<NodeHandle> Children(NodeHandle n) {
+    ChildCursor cur;
+    store_->OpenChildCursor(n, ChildFilter::kAll, xml::kInvalidName, &cur);
+    std::vector<NodeHandle> out;
+    NodeHandle buf[3];
+    size_t k;
+    while ((k = cur.Fill(buf, 3)) > 0) out.insert(out.end(), buf, buf + k);
+    return out;
+  }
+
+  // Reference: recursive preorder walk over the child cursor, excluding
+  // the base, filtered like the cursor under test.
   void CollectDfs(NodeHandle n, ChildFilter filter, xml::NameId tag,
                   std::vector<NodeHandle>* out) {
-    for (NodeHandle c = store_->FirstChild(n); c != kInvalidHandle;
-         c = store_->NextSibling(c)) {
+    for (const NodeHandle c : Children(n)) {
       if (MatchesChildFilter(filter, store_->NameOf(c), tag)) {
         out->push_back(c);
       }
@@ -112,8 +122,7 @@ TEST_P(DescendantCursorTest, MatchesDfsOnEveryElementAndFilter) {
   while (!stack.empty()) {
     const NodeHandle n = stack.back();
     stack.pop_back();
-    for (NodeHandle c = store_->FirstChild(n); c != kInvalidHandle;
-         c = store_->NextSibling(c)) {
+    for (const NodeHandle c : Children(n)) {
       if (store_->IsElement(c)) stack.push_back(c);
     }
     for (ChildFilter filter :

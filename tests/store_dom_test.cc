@@ -60,11 +60,12 @@ TEST(DomStoreTest, Navigation) {
   const auto root = store->Root();
   EXPECT_TRUE(store->IsElement(root));
   EXPECT_EQ(store->names().Spelling(store->NameOf(root)), "site");
-  const auto people = store->FirstChild(root);
+  const xml::Document& doc = store->document();
+  const auto people = doc.first_child(static_cast<xml::NodeId>(root));
   EXPECT_EQ(store->names().Spelling(store->NameOf(people)), "people");
-  const auto regions = store->NextSibling(people);
+  const auto regions = doc.next_sibling(people);
   EXPECT_EQ(store->names().Spelling(store->NameOf(regions)), "regions");
-  EXPECT_EQ(store->NextSibling(regions), query::kInvalidHandle);
+  EXPECT_EQ(doc.next_sibling(regions), xml::kInvalidNode);
   EXPECT_EQ(store->Parent(people), root);
 }
 
@@ -88,9 +89,11 @@ TEST(DomStoreTest, TagIndexDocumentOrder) {
 TEST(DomStoreTest, TagDescendantCursorRespectsSubtree) {
   auto store = Load(true);
   // Items under regions/asia only.
-  const auto regions = store->NextSibling(store->FirstChild(store->Root()));
-  const auto europe = store->FirstChild(regions);
-  const auto asia = store->NextSibling(europe);
+  const xml::Document& doc = store->document();
+  const auto regions = doc.next_sibling(
+      doc.first_child(static_cast<xml::NodeId>(store->Root())));
+  const auto europe = doc.first_child(regions);
+  const auto asia = doc.next_sibling(europe);
   EXPECT_EQ(DrainTag(*store, asia, "item"),
             (std::vector<query::NodeHandle>{store->NodeById("i1"),
                                             store->NodeById("i2")}));
@@ -144,8 +147,10 @@ TEST(DomStoreTest, BeforeIsDocumentOrder) {
 TEST(DomStoreTest, Attributes) {
   auto store = Load(true);
   const auto p0 = store->NodeById("p0");
-  EXPECT_EQ(store->AttributeView(p0, "id").value(), "p0");
-  EXPECT_FALSE(store->AttributeView(p0, "none").has_value());
+  EXPECT_EQ(store->AttributeView(p0, store->names().Lookup("id")).value(),
+            "p0");
+  EXPECT_FALSE(
+      store->AttributeView(p0, store->names().Lookup("none")).has_value());
   std::vector<std::pair<std::string, std::string_view>> attrs;
   store->ForEachAttribute(p0, [&](xml::NameId name, std::string_view value) {
     attrs.emplace_back(store->names().Spelling(name), value);

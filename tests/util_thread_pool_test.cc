@@ -1,10 +1,10 @@
 // ForkJoin, the primitive every parallel region runs on (collection()
-// legs and bulkload passes), and ParallelStableSort on top of it. The
-// contract under test: every index runs exactly once, on at most the
-// width asked for; the caller works too and never waits on the pool as a
-// whole, so concurrent callers, calls from inside the pool's own tasks and
-// refused submits are all safe; and helpers that start after the call has
-// returned touch nothing of it. Run under ASan and TSan in CI.
+// legs and bulkload passes). The contract under test: every index runs
+// exactly once, on at most the width asked for; the caller works too and
+// never waits on the pool as a whole, so concurrent callers, calls from
+// inside the pool's own tasks and refused submits are all safe; and
+// helpers that start after the call has returned touch nothing of it.
+// Run under ASan and TSan in CI.
 
 #include "util/thread_pool.h"
 
@@ -17,12 +17,10 @@
 #include <memory>
 #include <set>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "util/fault_injection.h"
 #include "util/mutex.h"
-#include "util/prng.h"
 
 namespace xmark {
 namespace {
@@ -203,35 +201,6 @@ TEST(SharedPoolTest, OneProcessPoolSizedToTheHardware) {
   const uint64_t before = ThreadPool::ThreadsStarted();
   { ThreadPool four(4); }
   EXPECT_EQ(ThreadPool::ThreadsStarted(), before + 3);
-}
-
-// Pairs with many equal keys: only a stable sort keeps each key's payloads
-// in input order, so any merge-order slip shows up.
-TEST(ParallelStableSortTest, SharedPoolConcurrentCallersMatchStableSort) {
-  using Row = std::pair<int, int>;
-  std::vector<Row> input(100000);
-  Prng rng(7, 0);
-  for (size_t i = 0; i < input.size(); ++i) {
-    input[i] = {static_cast<int>(rng.NextU64() % 500), static_cast<int>(i)};
-  }
-  const auto by_key = [](const Row& a, const Row& b) {
-    return a.first < b.first;
-  };
-  std::vector<Row> expected = input;
-  std::stable_sort(expected.begin(), expected.end(), by_key);
-
-  for (unsigned threads : {1u, 2u, 8u}) {
-    std::vector<std::vector<Row>> sorted(2, input);
-    std::vector<std::thread> callers;
-    for (std::vector<Row>& rows : sorted) {
-      callers.emplace_back([&rows, by_key, threads] {
-        ParallelStableSort(threads, rows.begin(), rows.end(), by_key);
-      });
-    }
-    for (std::thread& t : callers) t.join();
-    EXPECT_EQ(sorted[0], expected) << threads << " threads";
-    EXPECT_EQ(sorted[1], expected) << threads << " threads";
-  }
 }
 
 }  // namespace

@@ -29,11 +29,11 @@ plus repo-wide source contracts:
   * Child scans have one home: inside ``src/query/`` only ``exec.cc``
     (``NodeScan`` and the child-path kernel) calls ``OpenChildCursor(``,
     so no private child walker grows back beside the kernel.
-  * Per-node navigation has one home: inside ``src/query/`` only
-    ``storage.h`` (the default cursors) calls ``FirstChild(`` or
-    ``NextSibling(``, so stored subtrees are read through the store's
-    own cursors (``VisitSubtree``, ``AppendStringValue``) and no
-    recursive walk grows back into the serializer or the evaluator.
+  * Stores navigate only through their own cursors: nothing in
+    ``src/query/`` calls ``FirstChild(`` or ``NextSibling(``, so stored
+    nodes are read through the child and descendant cursors
+    (``VisitSubtree``, ``AppendStringValue``) and no sibling-chain walk
+    grows back into the interface, the serializer or the evaluator.
   * A query runs on the thread that calls it: nothing in ``src/query/``
     includes ``util/thread_pool.h`` or names ``ThreadPool``. The engine's
     ``collection()`` fan-out (``src/xmark/``) is the one place a query
@@ -109,10 +109,9 @@ IMMUTABLE_HEADERS = {"src/query/ast.h", "src/query/plan.h"}
 CHILD_CURSOR_CALL_RE = re.compile(r"(\.|->)\s*OpenChildCursor\s*\(")
 CHILD_WALKER_HOME = "src/query/exec.cc"
 
-# A call of the per-node sibling-chain navigation, and the one query/ file
-# allowed to make it (the StorageAdapter default cursors).
+# A call of the per-node sibling-chain navigation, which no query/ file
+# may make.
 SIBLING_CHAIN_CALL_RE = re.compile(r"\b(FirstChild|NextSibling)\s*\(")
-SIBLING_CHAIN_HOME = "src/query/storage.h"
 
 # The thread pool, which the query layer must not reach.
 THREAD_POOL_RE = re.compile(r'"util/thread_pool\.h"|\bThreadPool\b')
@@ -244,13 +243,13 @@ def check_tree(root: pathlib.Path) -> list[str]:
                 f"{rel}: calls OpenChildCursor outside query/exec.cc — walk "
                 f"child chains with the child-path kernel (ChildPathWalker) "
                 f"or a NodeScan")
-        if layer == "query" and rel != SIBLING_CHAIN_HOME:
+        if layer == "query":
             m = SIBLING_CHAIN_CALL_RE.search(text)
             if m:
                 errors.append(
-                    f"{rel}: calls {m.group(1)} outside query/storage.h — "
-                    f"read a stored subtree through "
-                    f"StorageAdapter::VisitSubtree or a cursor")
+                    f"{rel}: calls {m.group(1)} in query/ — navigate "
+                    f"through the store's child and descendant cursors "
+                    f"(StorageAdapter::VisitSubtree for a subtree)")
         if layer == "query" and THREAD_POOL_RE.search(text):
             errors.append(
                 f"{rel}: thread pool in query/ — a query runs on its "
@@ -310,6 +309,10 @@ SELF_TEST_BAD = {
         "void Write(const S& s, H n) {\n"
         "  for (H c = s.FirstChild(n); c != kNone; c = s.NextSibling(c)) {}\n"
         "}\n",
+    # a default cursor over the sibling chain in the interface: forbidden.
+    "src/query/storage.h":
+        '#include "xml/names.h"\n'
+        "H Open(H base) const { return FirstChild(base); }\n",
     # a query forking onto the pool: forbidden.
     "src/query/exec.h":
         '#include "util/thread_pool.h"\nvoid Drain(ThreadPool* pool);\n',
@@ -330,10 +333,6 @@ SELF_TEST_CLEAN = {
     "src/xml/parallel_parse.cc":
         '#include "xml/byte_class.h"\n'
         "// no isspace( here\nbool S(char c) { return IsSpaceByte(c); }\n",
-    # the default cursors walk the sibling chain.
-    "src/query/storage.h":
-        '#include "xml/names.h"\n'
-        "H Open(H base) const { return FirstChild(base); }\n",
     # the word in a comment is not a member.
     "src/query/plan.h": "// per-run mutable state lives in QueryPlan\n",
     "src/store/dom_store.h": '#include "query/storage.h"\n',
@@ -366,7 +365,8 @@ SELF_TEST_EXPECT = [
     "src/xmark/bad_cast.cc: const_cast",
     "src/query/ast.h: mutable member",
     "src/query/evaluator.cc: calls OpenChildCursor outside query/exec.cc",
-    "src/query/value.cc: calls FirstChild outside query/storage.h",
+    "src/query/value.cc: calls FirstChild in query/",
+    "src/query/storage.h: calls FirstChild in query/",
     "src/query/exec.h: thread pool in query/",
     "src/store/bad_pool.cc: constructs a ThreadPool",
     "src/xml/sax_parser.cc: calls isalpha",
