@@ -2,9 +2,13 @@
 // expat 4.9 seconds ... to scan the benchmark document" (100 MB, 550 MHz
 // Pentium III) — i.e. ~20 MB/s tokenization with no semantic actions.
 // We time our SAX scanner (tokenization + entity decoding, no-op handler)
-// and the full DOM build for comparison.
+// and the full DOM build for comparison, the latter also through the
+// chunked parallel parse at 2 and 4 threads.
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
+
+#include <map>
 
 #include "gen/generator.h"
 #include "xml/dom.h"
@@ -50,18 +54,36 @@ void BM_SaxScan(benchmark::State& state) {
 }
 BENCHMARK(BM_SaxScan)->Arg(10)->Arg(50)->Unit(benchmark::kMillisecond);
 
+int64_t MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+// Args: scale in thousandths, parse threads. minor_faults is the
+// process's page touches per parse (every thread counts).
 void BM_DomBuild(benchmark::State& state) {
   const double scale = static_cast<double>(state.range(0)) / 1000.0;
   const std::string& doc = Doc(scale);
+  xml::ParseOptions options;
+  options.threads = static_cast<unsigned>(state.range(1));
+  const int64_t faults = MinorFaults();
   for (auto _ : state) {
-    auto parsed = xml::Document::Parse(doc);
+    auto parsed = xml::Document::Parse(doc, options);
     if (!parsed.ok()) state.SkipWithError(parsed.status().ToString().c_str());
     benchmark::DoNotOptimize(parsed->num_nodes());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(doc.size()));
+  state.counters["minor_faults"] = benchmark::Counter(
+      static_cast<double>(MinorFaults() - faults),
+      benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_DomBuild)->Arg(10)->Arg(50)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DomBuild)
+    ->ArgsProduct({{20, 200}, {1, 2, 4}})
+    ->ArgNames({"sf_milli", "threads"})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace xmark::bench

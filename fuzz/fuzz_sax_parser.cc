@@ -4,8 +4,8 @@
 // every byte of every document flows through its tokenizer, entity
 // decoder and well-formedness checks before any store sees it. The
 // harness drives both the whole-document and the fragment entry points
-// (the parallel bulkload hands arbitrary byte ranges to ParseFragment,
-// so mid-token cuts must be handled, not assumed away).
+// (the parallel bulkload hands byte ranges cut at start tags to
+// ParseFragment, so mid-token cuts must be handled, not assumed away).
 //
 // Build: -DBUILD_FUZZERS=ON. With clang the binary is a real libFuzzer
 // fuzzer; elsewhere fuzz/standalone_driver.cc turns it into a corpus
@@ -86,12 +86,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
   {
     // Fragment mode: the input is treated as a byte range cut from a
-    // larger document — two elements already open, open end allowed —
-    // exactly what the parallel bulkload's chunk workers see.
+    // larger document at an unknown depth, open end allowed — exactly
+    // what the parallel bulkload's chunk workers after the first see.
     xmark::xml::SaxParser parser;
     TouchingHandler handler;
     xmark::xml::SaxFragment fragment;
-    fragment.open_tags = {"site", "regions"};
+    fragment.inside = true;
     fragment.allow_open_end = true;
     (void)parser.ParseFragment(input, &handler, fragment);
   }

@@ -48,7 +48,10 @@ enum class BinaryOp {
 
 const char* BinaryOpName(BinaryOp op);
 
-enum class Axis { kChild, kDescendant, kAttribute, kSelf };
+/// kDescendant is the `//` of `a//b` (descendant-or-self::node()/child::b,
+/// the same nodes as descendant::b). kDescendantOrSelf is only ever
+/// descendant-or-self::node(), the first half of `//@x`.
+enum class Axis { kChild, kDescendant, kAttribute, kSelf, kDescendantOrSelf };
 
 /// One path step: axis + node test + predicates.
 struct Step {

@@ -448,6 +448,8 @@ Status Evaluator::ApplyStep(const Step& step, const StepPlan& planned,
     const NodeHandle base = item.node().handle;
     Sequence& group = group_in_output ? *output : group_storage;
     if (!group_in_output) group.clear();
+    // descendant-or-self::node(): the node itself, then the scan below.
+    if (step.axis == Axis::kDescendantOrSelf) group.push_back(item);
     scan.Open(store_, base, step.axis, filter, want, &stats_);
     NodeHandle buf[kBatch];
     size_t n;
@@ -467,9 +469,7 @@ Status Evaluator::ApplyStep(const Step& step, const StepPlan& planned,
       }
     }
   }
-  if (step.axis == Axis::kDescendant && multi_input) {
-    SortDedupNodes(output);
-  }
+  if (step.axis != Axis::kChild && multi_input) SortDedupNodes(output);
   return Status::OK();
 }
 
@@ -545,21 +545,22 @@ StatusOr<Sequence> Evaluator::EvalPath(const AstNode& node, Environment& env,
         Sequence result{Item(NodeRef{store_, root})};
         return result;
       }
-      // The first step matches against the virtual document node: a child
-      // step tests the root element itself; a descendant step covers the
-      // root and all its descendants.
+      // The first step matches against the virtual document node, whose
+      // one child is the root element and which has no attributes: a
+      // child step tests the root element itself; a descendant step
+      // covers the root and all its descendants.
       const Step& first = node.steps[0];
       const xml::NameId first_name = pp->steps[0].name;
-      // An attribute step's name is an attribute's, never the root's tag.
-      const bool root_matches = first.test == Step::Test::kName &&
-                                first.axis != Axis::kAttribute &&
-                                first_name != xml::kInvalidName &&
-                                store_->NameOf(root) == first_name;
+      const bool root_matches =
+          first.test == Step::Test::kWildcard ||
+          first.test == Step::Test::kAnyNode ||
+          (first.test == Step::Test::kName && first_name != xml::kInvalidName &&
+           store_->NameOf(root) == first_name);
       Sequence group;
-      if (first.axis == Axis::kChild) {
-        if (first.test == Step::Test::kWildcard || root_matches) {
-          group.push_back(Item(NodeRef{store_, root}));
-        }
+      if (first.axis == Axis::kAttribute) {
+        // Selects nothing.
+      } else if (first.axis == Axis::kChild) {
+        if (root_matches) group.push_back(Item(NodeRef{store_, root}));
         XMARK_RETURN_IF_ERROR(ApplyPredicates(first.predicates, env, &group));
         current = std::move(group);
       } else {

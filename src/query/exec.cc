@@ -16,7 +16,7 @@ namespace xmark::query {
 void NodeScan::Open(const StorageAdapter* store, NodeHandle base, Axis axis,
                     ChildFilter filter, xml::NameId tag, EvalStats* stats) {
   stats_ = stats;
-  descendant_ = axis == Axis::kDescendant;
+  descendant_ = axis == Axis::kDescendant || axis == Axis::kDescendantOrSelf;
   if (descendant_) {
     store->OpenDescendantCursor(base, filter, tag, &descendant_cursor_);
     ++stats->descendant_scans;

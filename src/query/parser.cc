@@ -466,6 +466,13 @@ Status Parser::ParseStep(Axis axis, std::vector<Step>* steps) {
   if (CurIs(TokenKind::kAt)) {
     XMARK_RETURN_IF_ERROR(Advance());
     if (!CurIs(TokenKind::kIdent)) return Fail(ParseErrorCode::kUnexpectedToken, "expected attribute name");
+    if (axis == Axis::kDescendant) {
+      // `//@x` is descendant-or-self::node()/attribute::x.
+      Step all;
+      all.axis = Axis::kDescendantOrSelf;
+      all.test = Step::Test::kAnyNode;
+      steps->push_back(std::move(all));
+    }
     step.axis = Axis::kAttribute;
     step.name = cur_.text;
     XMARK_RETURN_IF_ERROR(Advance());
@@ -941,7 +948,9 @@ std::string AstToString(const AstNode& node) {
       if (node.absolute) out += " /";
       if (node.start) out += " " + AstToString(*node.start);
       for (const Step& s : node.steps) {
-        out += s.axis == Axis::kDescendant ? " //" : " /";
+        out += s.axis == Axis::kDescendant         ? " //"
+               : s.axis == Axis::kDescendantOrSelf ? " /descendant-or-self::"
+                                                   : " /";
         switch (s.test) {
           case Step::Test::kName:
             out += (s.axis == Axis::kAttribute ? "@" : "") + s.name;

@@ -87,6 +87,8 @@ class ExplainPrinter {
         return "attribute";
       case Axis::kSelf:
         return "self-filter";
+      case Axis::kDescendantOrSelf:
+        return "self+descendant-cursor";
     }
     return "?";
   }
@@ -105,6 +107,9 @@ class ExplainPrinter {
         break;
       case Axis::kSelf:
         spec = "/self::";
+        break;
+      case Axis::kDescendantOrSelf:
+        spec = "/descendant-or-self::";
         break;
     }
     switch (s.test) {

@@ -36,30 +36,35 @@ std::shared_ptr<const DocumentCatalog::Snapshot> DocumentCatalog::Assemble(
 Status DocumentCatalog::AddDocument(std::string_view id, std::string_view xml,
                                     const StoreBuilder& builder,
                                     const LoadOptions& options) {
-  std::vector<CorpusDocument> batch(1);
-  batch[0].id = std::string(id);
-  batch[0].xml = std::string(xml);
-  return LoadCorpus(batch, builder, options);
+  const DocumentText doc{id, xml};
+  return LoadTexts({&doc, 1}, builder, options);
 }
 
 Status DocumentCatalog::LoadCorpus(const std::vector<CorpusDocument>& batch,
                                    const StoreBuilder& builder,
                                    const LoadOptions& options,
                                    const IngestGovernance* governance) {
+  return LoadTexts(TextsOf(batch), builder, options, governance);
+}
+
+Status DocumentCatalog::LoadTexts(std::span<const DocumentText> batch,
+                                  const StoreBuilder& builder,
+                                  const LoadOptions& options,
+                                  const IngestGovernance* governance) {
   if (batch.empty()) return Status::OK();
   // Validate ids before building anything (all-or-nothing, cheap first).
   {
     std::shared_ptr<const Snapshot> current = snapshot();
     std::vector<std::string_view> ids;
     ids.reserve(batch.size());
-    for (const CorpusDocument& doc : batch) {
+    for (const DocumentText& doc : batch) {
       if (doc.id.empty()) {
         return Status::InvalidArgument(
             "[empty-document-id] document ids must be non-empty");
       }
       if (current->Find(doc.id) != nullptr) {
         return Status::InvalidArgument(
-            "[duplicate-document-id] document \"" + doc.id +
+            "[duplicate-document-id] document \"" + std::string(doc.id) +
             "\" is already loaded");
       }
       ids.push_back(doc.id);
@@ -124,12 +129,12 @@ Status DocumentCatalog::LoadCorpus(const std::vector<CorpusDocument>& batch,
     for (const Entry& e : docs) {
       if (e.id == batch[i].id) {
         return Status::InvalidArgument(
-            "[duplicate-document-id] document \"" + batch[i].id +
+            "[duplicate-document-id] document \"" + std::string(batch[i].id) +
             "\" is already loaded");
       }
     }
     Entry e;
-    e.id = batch[i].id;
+    e.id = std::string(batch[i].id);
     e.store = std::move(*built[i]);
     docs.push_back(std::move(e));
   }

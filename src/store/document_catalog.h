@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,6 +45,22 @@ struct CorpusDocument {
   std::string id;
   std::string xml;
 };
+
+/// One document of a batch by reference: the caller's strings outlive
+/// the load, which copies only the id.
+struct DocumentText {
+  std::string_view id;
+  std::string_view xml;
+};
+
+/// Views of a corpus batch's strings.
+inline std::vector<DocumentText> TextsOf(
+    const std::vector<CorpusDocument>& batch) {
+  std::vector<DocumentText> texts;
+  texts.reserve(batch.size());
+  for (const CorpusDocument& doc : batch) texts.push_back({doc.id, doc.xml});
+  return texts;
+}
 
 /// Resource-governance hooks for corpus ingest, supplied by the serving
 /// layer (which owns the ExecContext); the catalog stays below query/'s
@@ -103,6 +120,11 @@ class DocumentCatalog {
   Status LoadCorpus(const std::vector<CorpusDocument>& batch,
                     const StoreBuilder& builder, const LoadOptions& options,
                     const IngestGovernance* governance = nullptr);
+  /// LoadCorpus over views: the one build loop, which AddDocument and
+  /// LoadCorpus call without copying any document's text.
+  Status LoadTexts(std::span<const DocumentText> batch,
+                   const StoreBuilder& builder, const LoadOptions& options,
+                   const IngestGovernance* governance = nullptr);
 
   /// Removes a document and returns its store; kNotFound
   /// "[unknown-document]" when absent. Queries holding a snapshot keep the

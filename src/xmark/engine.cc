@@ -683,14 +683,16 @@ StatusOr<std::string> EngineSession::Explain(
 
 Status EngineSession::LoadDocument(std::string_view id,
                                    std::string_view xml) {
-  std::vector<store::CorpusDocument> batch(1);
-  batch[0].id = std::string(id);
-  batch[0].xml = std::string(xml);
-  return LoadCorpus(batch);
+  const store::DocumentText doc{id, xml};
+  return LoadTexts({&doc, 1});
 }
 
 Status EngineSession::LoadCorpus(
     const std::vector<store::CorpusDocument>& docs) {
+  return LoadTexts(store::TextsOf(docs));
+}
+
+Status EngineSession::LoadTexts(std::span<const store::DocumentText> docs) {
   if (docs.empty()) return Status::OK();
   ServingState& serving = *serving_;
   if (!serving.reload_per_query()) return LoadIntoCatalog(docs);
@@ -710,7 +712,7 @@ Status EngineSession::LoadCorpus(
 }
 
 Status EngineSession::LoadIntoCatalog(
-    const std::vector<store::CorpusDocument>& docs) {
+    std::span<const store::DocumentText> docs) {
   // Governance spans the whole corpus load: one context covers every
   // document's bulkload, charged with the loaded store bytes.
   std::optional<query::ExecContext> ctx;
@@ -725,7 +727,7 @@ Status EngineSession::LoadIntoCatalog(
     gov = &governance;
   }
   const SystemId id = serving_->id;
-  Status status = serving_->catalog.LoadCorpus(
+  Status status = serving_->catalog.LoadTexts(
       docs,
       [id](std::string_view xml, const store::LoadOptions& options) {
         return BuildStore(id, xml, options);

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -201,8 +202,11 @@ class EngineSession {
   StatusOr<query::Sequence> RunPrepared(
       const StatusOr<PreparedQuery>& prepared, query::ExecContext* ctx);
 
+  /// LoadCorpus over views of the documents' text.
+  Status LoadTexts(std::span<const store::DocumentText> docs);
+
   /// Governed catalog load of `docs` with this handle's options.
-  Status LoadIntoCatalog(const std::vector<store::CorpusDocument>& docs);
+  Status LoadIntoCatalog(std::span<const store::DocumentText> docs);
 
   std::shared_ptr<ServingState> serving_;
   query::EvaluatorOptions eval_options_;

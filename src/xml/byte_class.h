@@ -2,8 +2,8 @@
 #define XMARK_XML_BYTE_CLASS_H_
 
 // The one classification of input bytes that the SAX tokenizer and the
-// chunked parse's split scan share: one table lookup per byte instead of
-// a locale-aware <cctype> call. The classes are the C locale's: ASCII
+// chunked parse's chunk-start search share: one table lookup per byte
+// instead of a locale-aware <cctype> call. The classes are the C locale's: ASCII
 // letters, '_' and ':' start a name; digits, '-' and '.' may follow; and
 // the four XML whitespace bytes. Namespaces and non-ASCII names are out of
 // scope (paper §4.4).

@@ -1,5 +1,6 @@
 #include "xml/dom.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -45,13 +46,26 @@ void Document::Reserve(size_t input_bytes) {
   heap_.reserve(input_bytes);
 }
 
+namespace {
+
+// An exact-size copy as one memmove: shrink_to_fit would copy entry by
+// entry, as the column's allocator is not std::allocator.
+template <typename T>
+void ShrinkColumn(Column<T>* column) {
+  Column<T> exact(column->size());
+  std::copy(column->begin(), column->end(), exact.begin());
+  column->swap(exact);
+}
+
+}  // namespace
+
 void Document::ShrinkToFit() {
-  tag_.shrink_to_fit();
-  parent_.shrink_to_fit();
-  subtree_end_.shrink_to_fit();
-  attr_begin_.shrink_to_fit();
-  heap_begin_.shrink_to_fit();
-  attrs_.shrink_to_fit();
+  ShrinkColumn(&tag_);
+  ShrinkColumn(&parent_);
+  ShrinkColumn(&subtree_end_);
+  ShrinkColumn(&attr_begin_);
+  ShrinkColumn(&heap_begin_);
+  ShrinkColumn(&attrs_);
   heap_.shrink_to_fit();
 }
 
@@ -92,15 +106,10 @@ size_t Document::MemoryBytes() const {
          attrs_.capacity() * sizeof(AttributeRow) + heap_.capacity();
 }
 
-DomBuilder::DomBuilder(Document* doc, bool keep_whitespace,
-                       size_t open_levels)
-    : doc_(doc),
-      keep_whitespace_(keep_whitespace),
-      open_end_(open_levels, kInvalidNode) {
-  stack_.reserve(open_levels + 16);
-  for (size_t d = 0; d < open_levels; ++d) {
-    stack_.push_back(kOpenBase + static_cast<NodeId>(d));
-  }
+DomBuilder::DomBuilder(Document* doc, bool keep_whitespace, bool inside)
+    : doc_(doc), keep_whitespace_(keep_whitespace) {
+  stack_.reserve(16);
+  if (inside) stack_.push_back(kOpenBase);
 }
 
 NodeId DomBuilder::Append(NameId tag) {
@@ -133,15 +142,18 @@ Status DomBuilder::OnStartElement(std::string_view name,
   return Status::OK();
 }
 
-Status DomBuilder::OnEndElement(std::string_view /*name*/) {
+Status DomBuilder::OnEndElement(std::string_view name) {
   if (stack_.empty()) return Status::ParseError("unbalanced end element");
   const NodeId top = stack_.back();
   const NodeId end = static_cast<NodeId>(doc_->tag_.size());
   if (top >= kOpenBase) {
-    open_end_[top - kOpenBase] = end;
-  } else {
-    doc_->subtree_end_[top] = end;
+    // Closes the enclosing element; later top-level nodes are the next
+    // one's children.
+    outer_ends_.push_back(OuterEnd{std::string(name), end});
+    ++stack_.back();
+    return Status::OK();
   }
+  doc_->subtree_end_[top] = end;
   stack_.pop_back();
   return Status::OK();
 }

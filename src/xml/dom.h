@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -86,18 +88,43 @@ class AttributeRange {
 };
 
 /// Options for Document::Parse. With more than one thread the document is
-/// parsed by the chunked parallel pipeline: a sequential structural
-/// pre-scan splits the text into up to threads*4 chunks at safe element
-/// boundaries, the chunks are SAX-parsed as a ForkJoin on the shared pool
-/// into chunk-local documents, and those are stitched back in document
-/// order. The result is identical to the serial parse — same preorder
-/// NodeIds, same NameId assignment (name tables merge in chunk order,
-/// reproducing global first-occurrence order), same columns and heap
-/// bytes — for any thread count.
+/// parsed by the chunked parallel pipeline: up to threads*4 chunks, each
+/// starting at the first start tag at or after an evenly spaced byte
+/// target, are SAX-parsed as a ForkJoin on the shared pool into
+/// chunk-local documents, and those are stitched back in document order
+/// (see parallel_parse.cc). The result is identical to the serial parse —
+/// same preorder NodeIds, same NameId assignment (name tables merge in
+/// chunk order, reproducing global first-occurrence order), same columns
+/// and heap bytes, same error text — for any thread count.
 struct ParseOptions {
   bool keep_whitespace = false;
   unsigned threads = 1;  // <= 1: serial parse
 };
+
+/// Allocator whose value-less construct default-initializes, so resize()
+/// of a column of trivial values leaves the new entries unwritten: the
+/// parallel parse's concatenation is the first write to each page.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+template <typename T>
+using Column = std::vector<T, DefaultInitAllocator<T>>;
 
 /// Read-only in-memory XML document in columnar preorder form. Five dense
 /// 4-byte columns are indexed by NodeId: tag (kInvalidName marks a text
@@ -221,38 +248,47 @@ class Document {
   void Reserve(size_t input_bytes);
   void ShrinkToFit();
 
-  std::vector<NameId> tag_;
-  std::vector<NodeId> parent_;
-  std::vector<NodeId> subtree_end_;
-  std::vector<uint32_t> attr_begin_;  // num_nodes() + 1 entries
-  std::vector<uint32_t> heap_begin_;  // num_nodes() + 1 entries
-  std::vector<AttributeRow> attrs_;
+  Column<NameId> tag_;
+  Column<NodeId> parent_;
+  Column<NodeId> subtree_end_;
+  Column<uint32_t> attr_begin_;  // num_nodes() + 1 entries
+  Column<uint32_t> heap_begin_;  // num_nodes() + 1 entries
+  Column<AttributeRow> attrs_;
   std::string heap_;
   NameTable names_;
 };
 
-/// SAX handler that appends to a Document's columns. `open_levels`
-/// elements opened before the input starts (a chunk of the parallel parse)
-/// are represented on the stack by markers kOpenBase + level: nodes they
-/// parent record the marker, and where each one closes is reported in
-/// open_end(); Document::Parse uses none.
+/// SAX handler that appends to a Document's columns. Built `inside` (a
+/// chunk of the parallel parse, which starts at a depth it does not know),
+/// it numbers the elements opened before its input on demand: the j-th end
+/// tag that closes nothing opened in the input closes the j-th enclosing
+/// element, 0 the innermost. A node at the top of the input records the
+/// marker kOpenBase + j of the enclosing element then innermost as its
+/// parent, and outer_ends() holds each such end tag's name and the node
+/// count where it came. Document::Parse builds it outside any element.
 class DomBuilder : public SaxHandler {
  public:
   static constexpr NodeId kOpenBase = 0x80000000u;
 
+  /// An end tag that closed an element opened before the input.
+  struct OuterEnd {
+    std::string name;
+    NodeId nodes;  // node count when it closed
+  };
+
   explicit DomBuilder(Document* doc, bool keep_whitespace = false,
-                      size_t open_levels = 0);
+                      bool inside = false);
 
   Status OnStartElement(std::string_view name,
                         const std::vector<SaxAttribute>& attributes) override;
   Status OnEndElement(std::string_view name) override;
   Status OnCharacters(std::string_view text) override;
 
-  /// Element stack at the end of the input, outermost first: markers of
-  /// outer elements still open, then local ids of elements still open.
+  /// Element stack at the end of the input, outermost first: the marker of
+  /// the enclosing element (inside only), then local ids of elements still
+  /// open.
   const std::vector<NodeId>& stack() const { return stack_; }
-  /// Node count at which outer level `d` closed; kInvalidNode while open.
-  const std::vector<NodeId>& open_end() const { return open_end_; }
+  const std::vector<OuterEnd>& outer_ends() const { return outer_ends_; }
 
  private:
   NodeId Append(NameId tag);
@@ -260,7 +296,7 @@ class DomBuilder : public SaxHandler {
   Document* doc_;
   bool keep_whitespace_;
   std::vector<NodeId> stack_;
-  std::vector<NodeId> open_end_;
+  std::vector<OuterEnd> outer_ends_;
 };
 
 }  // namespace xmark::xml

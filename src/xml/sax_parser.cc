@@ -141,17 +141,17 @@ Status SaxParser::ParseFragment(std::string_view input, SaxHandler* handler,
 // attribute values and the bodies of comments, CDATA sections and PIs are
 // found with std::string_view::find (memchr underneath), names and
 // whitespace by kByteClass. Open elements, attribute names and values
-// without a reference are views into the input (or into the fragment's
-// open tags); only text and values with '&' are copied, decoded into one
-// scratch buffer.
+// without a reference are views into the input; only text and values
+// with '&' are copied, decoded into one scratch buffer.
 Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
                             const SaxFragment& fragment) {
   const char* const in = input.data();
   const size_t size = input.size();
-  std::vector<std::string_view> open(fragment.open_tags.begin(),
-                                     fragment.open_tags.end());
-  // A fragment with open tags starts inside its document element.
-  bool root_opened = !open.empty();
+  std::vector<std::string_view> open;
+  // With no element of its own open, a fragment inside its document
+  // element is at its top level, anything else at document level.
+  const bool inside = fragment.inside;
+  bool root_opened = false;
   // Entity-decoded character data, or the current tag's decoded attribute
   // values; each event's views into it end with its callback.
   std::string decode_buf;
@@ -164,7 +164,7 @@ Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
       // Character data run up to the next tag.
       const size_t end = std::min(input.find('<', pos), size);
       const std::string_view raw(in + pos, end - pos);
-      if (open.empty()) {
+      if (open.empty() && !inside) {
         if (!TrimWhitespace(raw).empty()) {
           return Fail(input, end,
                       "character data outside the document element");
@@ -177,6 +177,12 @@ Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
             return Fail(input, end, "malformed entity reference");
           }
           text = decode_buf;
+          if (open.empty() && TrimWhitespace(text).empty()) {
+            // At a fragment's top level, maybe after the document element,
+            // where the serial parse rejects what a DOM builder drops.
+            return Fail(input, end,
+                        "character data outside the document element");
+          }
         }
         XMARK_RETURN_IF_ERROR(handler->OnCharacters(text));
       }
@@ -256,11 +262,11 @@ Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
       const std::string_view name(in + name_start, p - name_start);
       p = SkipSpace(in, p, size);
       if (p >= size || in[p] != '>') return Fail(input, p, "malformed end tag");
-      if (open.empty() || open.back() != name) {
+      if (open.empty() ? !inside : open.back() != name) {
         return Fail(input, p,
                     "mismatched end tag </" + std::string(name) + ">");
       }
-      open.pop_back();
+      if (!open.empty()) open.pop_back();
       XMARK_RETURN_IF_ERROR(handler->OnEndElement(name));
       pos = p + 1;
       continue;
@@ -333,7 +339,7 @@ Status SaxParser::ParseImpl(std::string_view input, SaxHandler* handler,
           std::string_view(decode_buf).substr(off, end - off);
     }
 
-    if (open.empty()) {
+    if (open.empty() && !inside) {
       if (root_opened) {
         return Fail(input, pos, "content after the document element");
       }

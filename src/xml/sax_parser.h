@@ -37,33 +37,36 @@ class SaxHandler {
   }
 };
 
+/// Context for parsing a fragment cut out of a larger document. A fragment
+/// `inside` its document element starts at a depth it does not know (the
+/// parallel parse cuts every chunk after the first at a start tag): an end
+/// tag that closes none of the fragment's own elements reaches the handler
+/// unchecked, since matching it to an element opened before the fragment
+/// is the handler's job, and the fragment never reaches document level.
+/// At its top level it cannot tell inside the document element from after
+/// it, so it fails on what a DOM builder would drop there but the serial
+/// parse rejects after the root: CDATA, and character data that is not
+/// whitespace but decodes to whitespace only (e.g. "&#32;").
+/// `allow_open_end` lets a fragment stop with its own elements still open.
+struct SaxFragment {
+  bool inside = false;
+  bool allow_open_end = false;
+};
+
 /// Streaming, non-validating XML parser in the spirit of expat: it
 /// tokenizes the input, decodes the five predefined entities and numeric
 /// character references, checks well-formedness (tag balance), and reports
 /// events to a SaxHandler. Namespaces, external entities and notations are
 /// out of scope, matching the XML subset the benchmark document uses
 /// (paper §4.4).
-/// Context for parsing a fragment cut out of a larger document: the
-/// elements already open where the fragment starts (outermost first), and
-/// whether the fragment may legitimately end with elements still open.
-/// This is what lets the parallel bulkload pipeline hand disjoint byte
-/// ranges of one document to concurrent parsers. The fragment is inside its
-/// document element, so a start tag after `open_tags` have closed is a
-/// second document element.
-struct SaxFragment {
-  std::vector<std::string> open_tags;
-  bool allow_open_end = false;
-};
-
 class SaxParser {
  public:
   /// Parses `input` to completion, invoking `handler`. Returns the first
   /// error (from the document or from the handler).
   Status Parse(std::string_view input, SaxHandler* handler);
 
-  /// Parses a fragment of a document under the given context: end tags may
-  /// close `fragment.open_tags`, and (when `allow_open_end`) the fragment
-  /// may stop with elements still open.
+  /// Parses a fragment of a document under the given context (see
+  /// SaxFragment).
   Status ParseFragment(std::string_view input, SaxHandler* handler,
                        const SaxFragment& fragment);
 

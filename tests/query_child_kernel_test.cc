@@ -489,6 +489,41 @@ TEST(AttributeSteps, LiteralBytesOnEverySystem) {
   }
 }
 
+// XPath's answers for `//*`, `//node()` and `//@x`, rooted and below a
+// bound node, literal on A-G: under `//` the root element matches `*` and
+// `node()`, `//@x` is descendant-or-self::node()/@x, and a rooted first
+// attribute step selects nothing (the document node has no attributes).
+TEST(DescendantSteps, XPathResultsOnEverySystem) {
+  constexpr std::string_view kDoc =
+      "<site id=\"s0\"><people><person id=\"p0\" site=\"home\">"
+      "<name>a</name></person><person id=\"p1\"><name>b</name></person>"
+      "</people></site>";
+  const std::pair<const char*, const char*> cases[] = {
+      {"count(doc(\"auction.xml\")//*)", "6"},
+      {"count(doc(\"auction.xml\")//node())", "8"},
+      {"count(doc(\"auction.xml\")//@id)", "3"},
+      {"doc(\"auction.xml\")//@id", "s0 p0 p1"},
+      {"doc(\"auction.xml\")/@id", ""},
+      {"doc(\"auction.xml\")//@site", "home"},
+      {"doc(\"auction.xml\")/site/people//@id", "p0 p1"},
+      {"for $p in doc(\"auction.xml\")/site/people return $p//@id",
+       "p0 p1"},
+      // The self half of descendant-or-self: each person's own id.
+      {"for $p in doc(\"auction.xml\")/site/people/person return $p//@id",
+       "p0 p1"},
+  };
+  for (SystemId id : kAllSystems) {
+    auto engine = Engine::Create(id);
+    ASSERT_TRUE(engine->LoadDocument(Engine::kDefaultDocumentId, kDoc).ok());
+    for (const auto& [query, bytes] : cases) {
+      auto result = engine->Run(query);
+      ASSERT_TRUE(result.ok()) << query << ": " << result.status();
+      EXPECT_EQ(query::SerializeSequence(*result), bytes)
+          << "system " << SystemLabel(id) << " query " << query;
+    }
+  }
+}
+
 // The cases reach what they are meant to reach: the kernel is engaged on
 // A-E, the injected document carries escapable characters into results,
 // and the constructed-node cases keep the generic navigation error.

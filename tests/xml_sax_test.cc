@@ -235,14 +235,14 @@ TEST(SaxTest, SecondDocumentElementRejected) {
   RecordingHandler h3;
   EXPECT_TRUE(ParseInto("<a/>\n<!-- c -->\n<?pi x?>\n", &h3).ok());
 
-  // A fragment is inside its document element: once its outer tags close,
-  // a start tag is a second document element.
+  // A fragment inside its document element cannot tell a start tag after
+  // the elements open at its start from one inside them, so it parses;
+  // the parallel parse's seam walk decides (xml_parallel_parse_test).
   SaxParser parser;
   RecordingHandler h4;
   SaxFragment inside;
-  inside.open_tags = {"site"};
-  EXPECT_EQ(parser.ParseFragment("<x/></site><y/>", &h4, inside).message(),
-            "line 1: content after the document element");
+  inside.inside = true;
+  EXPECT_TRUE(parser.ParseFragment("<x/></site><y/>", &h4, inside).ok());
   // A fragment that starts outside every element may open one.
   RecordingHandler h5;
   SaxFragment outside;
@@ -266,13 +266,17 @@ TEST(SaxTest, ByteClassesAreTheCLocales) {
 }
 
 // The tokenizer's paths, each run as a whole document and as a fragment
-// whose two outer elements are open on entry and closed by its end tags.
-// The fragment's events are the document's without the outer start tags,
-// and both fail alike.
+// inside its document element whose end tags close the document's two
+// outer elements, as a chunk of the parallel parse sees them. The
+// fragment's events are the document's without the outer start tags, and
+// both fail alike.
 TEST(SaxTest, FragmentsTokenizeLikeDocuments) {
   struct Case {
     const char* body;
     const char* error;  // nullptr: parses
+    // The fragment's error, when it differs from `error`: CDATA at its
+    // top level cannot be placed inside or after the document element.
+    const char* chunk_error = nullptr;
   };
   const Case cases[] = {
       {"<i id=\"i0\" name='plain' note=\"a &amp; b\" alt='&lt;y&gt; &#65;'/>",
@@ -283,7 +287,8 @@ TEST(SaxTest, FragmentsTokenizeLikeDocuments) {
       {"<i a=\"1 < 2\"/>", "line 1: '<' in attribute value"},
       {"<i a=\"open\n<b>text</b>", "line 2: '<' in attribute value"},
       {"<i a=\"&bogus;\"/>", "line 1: malformed entity in attribute"},
-      {"<!-- a<b --><![CDATA[<c> & d]]><?pi <data>?>", nullptr},
+      {"<!-- a<b --><![CDATA[<c> & d]]><?pi <data>?>", nullptr,
+       "line 1: CDATA outside document element"},
       {"<i>one\r\ntwo</i>\r\n<j x='1'\r\n/>", nullptr},
       {"<i>\r\n\r\n</j>", "line 3: mismatched end tag </j>"},
       {"<!-- one\ntwo -->\n<i></j>", "line 3: mismatched end tag </j>"},
@@ -296,31 +301,56 @@ TEST(SaxTest, FragmentsTokenizeLikeDocuments) {
     RecordingHandler whole;
     const Status doc_status =
         ParseInto("<site><regions>" + body + close, &whole);
-    SaxFragment fragment;
-    fragment.open_tags = {"site", "regions"};
+    SaxFragment chunk;
+    chunk.inside = true;
+    chunk.allow_open_end = true;
     SaxParser parser;
     RecordingHandler part;
-    const Status frag_status =
-        parser.ParseFragment(body + close, &part, fragment);
+    const Status chunk_status = parser.ParseFragment(body + close, &part, chunk);
+    if (c.chunk_error != nullptr) {
+      EXPECT_EQ(chunk_status.message(), c.chunk_error);
+    }
     if (c.error != nullptr) {
       EXPECT_EQ(doc_status.message(), c.error);
-      EXPECT_EQ(frag_status.message(), c.error);
+      EXPECT_EQ(chunk_status.message(), c.error);
       continue;
     }
     ASSERT_TRUE(doc_status.ok()) << doc_status.ToString();
-    ASSERT_TRUE(frag_status.ok()) << frag_status.ToString();
+    if (c.chunk_error != nullptr) continue;
+    ASSERT_TRUE(chunk_status.ok()) << chunk_status.ToString();
     ASSERT_GE(whole.events.size(), 2u);
     EXPECT_EQ(std::vector<std::string>(whole.events.begin() + 2,
                                        whole.events.end()),
               part.events);
-    // A start tag after the outer elements close is a second document
-    // element.
+    // A start tag after the outer elements close may still be inside the
+    // document element; the parallel parse's seam walk decides.
     RecordingHandler after;
-    const auto lines = std::count(body.begin(), body.end(), '\n') + 1;
-    EXPECT_EQ(
-        parser.ParseFragment(body + close + "<x/>", &after, fragment).message(),
-        "line " + std::to_string(lines) +
-            ": content after the document element");
+    EXPECT_TRUE(
+        parser.ParseFragment(body + close + "<x/>", &after, chunk).ok());
+  }
+}
+
+// At its top level a fragment inside its document element fails on text
+// that a DOM builder would drop there but the serial parse rejects after
+// the root: it is not whitespace, yet decodes to whitespace only.
+TEST(SaxTest, InsideFragmentRejectsTopLevelWhitespaceReferences) {
+  SaxParser parser;
+  SaxFragment inside;
+  inside.inside = true;
+  inside.allow_open_end = true;
+  for (const char* tail : {"&#32;", "&#10;", " &#x9; "}) {
+    SCOPED_TRACE(tail);
+    RecordingHandler h;
+    EXPECT_EQ(parser.ParseFragment(std::string("</r>") + tail, &h, inside)
+                  .message(),
+              "line 1: character data outside the document element");
+  }
+  // Whitespace, text that decodes to more, and any text inside one of the
+  // fragment's own elements reach the handler.
+  for (const char* ok : {"</r>\n ", "</r>&#65;", "<x>&#32;</x>"}) {
+    SCOPED_TRACE(ok);
+    RecordingHandler h;
+    EXPECT_TRUE(parser.ParseFragment(ok, &h, inside).ok());
   }
 }
 
