@@ -1,6 +1,8 @@
 #ifndef XMARK_QUERY_AST_H_
 #define XMARK_QUERY_AST_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -87,6 +89,24 @@ struct AttrConstructor {
   std::vector<AttrPart> parts;
 };
 
+/// The callee of a kFunctionCall, resolved once by the parser
+/// (ModuleResolver in parser.cc): a builtin, a prolog function, or kUnknown,
+/// which fails only when called. Several spellings share one id where the
+/// evaluator treats them alike (doc/document, name/local-name, the
+/// cardinality assertions).
+enum class Builtin : uint8_t {
+  kUnknown,
+  kUserFunction,  // AstNode::function_index names the prolog function
+  // Never shadowed by a prolog function.
+  kPosition, kLast, kTrue, kFalse,
+  kDoc, kCollection,  // the document entry points
+  kCount, kEmpty, kExists, kNot, kBoolean, kString, kData, kNumber, kSum,
+  kAvg, kMin, kMax, kContains, kStartsWith, kStringLength, kConcat,
+  kDistinctValues, kRound, kFloor, kCeiling, kId,
+  kName,         // name, local-name
+  kCardinality,  // zero-or-one, exactly-one, exact-one, one-or-more
+};
+
 /// A single heterogeneous AST node (variant-style; the fields used depend
 /// on `kind`). Keeping one node type makes the recursive parser and
 /// evaluator compact.
@@ -95,11 +115,19 @@ struct AstNode {
 
   AstKind kind;
 
-  // kStringLiteral / kVarRef / kFunctionCall (name)
+  // Dense number of this node in its module (0 .. ParsedQuery::node_count
+  // - 1), assigned by the parser. Plans keep one slot per node under it
+  // (PlanAnnotations::nodes, QueryPlan's per-run state).
+  uint32_t plan_slot = 0;
+
+  // kStringLiteral / kVarRef / kFunctionCall (name as spelled)
   std::string str_value;
   // kVarRef: environment slot assigned by the parser. The evaluator binds
   // and looks variables up by this index instead of comparing names.
   int var_slot = -1;
+  // kFunctionCall resolved to kUserFunction: the prolog function's index
+  // in ParsedQuery::functions (see `builtin`).
+  int function_index = -1;
   // kNumberLiteral
   double num_value = 0.0;
 
@@ -114,6 +142,9 @@ struct AstNode {
   std::vector<OrderSpec> order_by;
   AstPtr ret;
   bool is_every = false;  // quantifier flavor
+
+  // kFunctionCall: the callee, resolved by the parser.
+  Builtin builtin = Builtin::kUnknown;
 
   // kBinary (args[0], args[1]) / kIf (args[0..2]) / kFunctionCall /
   // kSequenceExpr / kUnaryMinus (args[0])
@@ -137,12 +168,15 @@ struct FunctionDecl {
 /// A parsed query module: prolog functions plus the body expression.
 /// Immutable once the parser returns it, and store-independent: every
 /// store-specific decision (access paths, step NameIds, join strategies)
-/// lives in the PlanAnnotations the optimizer lowers per store, keyed by
-/// this module's node addresses. So one module, held by shared_ptr<const>,
+/// lives in the PlanAnnotations the optimizer lowers per store, indexed by
+/// this module's plan slots. So one module, held by shared_ptr<const>,
 /// serves any number of stores and threads at once.
 struct ParsedQuery {
   std::vector<FunctionDecl> functions;
   AstPtr body;
+  // Number of AST nodes in the module, UDF bodies included: the size of
+  // every slot-indexed plan vector.
+  size_t node_count = 0;
   // Distinct variable names in the module, indexed by slot. The parser
   // interns every variable into one dense slot space before it returns:
   // each distinct name gets one slot, shared by all its (possibly

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "query/optimizer.h"
+#include "query/parser.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -59,14 +60,7 @@ StatusOr<Sequence> Evaluator::Run(
     const ParsedQuery& query,
     std::shared_ptr<const PlanAnnotations> shared_annotations) {
   slot_count_ = query.var_names.size();
-  functions_.clear();
-  for (const FunctionDecl& f : query.functions) {
-    functions_[f.name] = &f;
-    const size_t colon = f.name.find(':');
-    if (colon != std::string::npos) {
-      functions_[f.name.substr(colon + 1)] = &f;
-    }
-  }
+  functions_ = &query.functions;
   // A fresh plan per run owns every cache (hash-join tables, band domains,
   // invariant memos), so state can never leak across documents. The
   // compile-time annotations may be adopted from the plan cache instead
@@ -81,9 +75,10 @@ StatusOr<Sequence> Evaluator::Run(
   } else {
     BuildPlan(query, *store_, options_, plan_->mutable_annotations());
   }
+  plan_->SizeRunState(query.node_count);
+  nodes_ = plan_->ann().nodes.data();
   stats_ = Stats{};
-  stats_.construct_templates_built =
-      static_cast<int64_t>(plan_->ann().constructs.size());
+  stats_.construct_templates_built = plan_->Summarize().construct_templates;
   udf_depth_ = 0;
 
   Environment env(slot_count_);
@@ -211,30 +206,14 @@ StatusOr<Environment::Binding*> Evaluator::Bound(int slot, Environment& env) {
 // Child-path kernel
 // ---------------------------------------------------------------------------
 
-const ChildPath* Evaluator::ChainOf(const AstNode& node) const {
-  if (node.kind != AstKind::kPath) return nullptr;
-  const PathPlan* pp = plan_->FindPath(&node);
-  return pp != nullptr && pp->chain.has_value() ? &*pp->chain : nullptr;
-}
-
 StatusOr<bool> Evaluator::ChainStarts(const ChildPath& chain,
                                       Environment& env, const Focus* focus,
                                       const Item** begin, const Item** end) {
-  if (chain.var_slot < 0) {
-    if (focus == nullptr) return false;
-    *begin = &focus->item;
-    *end = *begin + 1;
-  } else {
-    XMARK_ASSIGN_OR_RETURN(Environment::Binding * binding,
-                           Bound(chain.var_slot, env));
-    if (binding == nullptr) return false;
-    *begin = binding->value.begin();
-    *end = binding->value.end();
+  // A lazy let is materialized first, so the kernel walks its value.
+  if (chain.var_slot >= 0) {
+    XMARK_RETURN_IF_ERROR(Bound(chain.var_slot, env).status());
   }
-  for (const Item* item = *begin; item != *end; ++item) {
-    if (item->is_constructed()) return false;
-  }
-  return true;
+  return ChainStartItems(chain, env, focus, begin, end);
 }
 
 template <typename Visit>
@@ -242,15 +221,11 @@ StatusOr<std::optional<bool>> Evaluator::WalkChain(const ChildPath& chain,
                                                    Environment& env,
                                                    const Focus* focus,
                                                    Visit&& visit) {
-  const Item* begin;
-  const Item* end;
-  XMARK_ASSIGN_OR_RETURN(const bool kernel,
-                         ChainStarts(chain, env, focus, &begin, &end));
-  if (!kernel) return std::optional<bool>();
-  ChildPathWalker walker(store_, chain, &stats_, ctx_);
-  const bool stopped = walker.Walk(begin, end, visit);
-  XMARK_RETURN_IF_ERROR(walker.status());
-  return std::optional<bool>(stopped);
+  // A lazy let is materialized first, so the kernel walks its value.
+  if (chain.var_slot >= 0) {
+    XMARK_RETURN_IF_ERROR(Bound(chain.var_slot, env).status());
+  }
+  return query::WalkChain(store_, chain, env, focus, &stats_, ctx_, visit);
 }
 
 bool Evaluator::CompareChainValue(std::string_view value, bool node_hit,
@@ -311,7 +286,7 @@ StatusOr<bool> Evaluator::EvalNative(const NativePredicate& pred,
 Status Evaluator::ApplyPredicates(const std::vector<AstPtr>& predicates,
                                   Environment& env, Sequence* group) {
   for (const AstPtr& pred : predicates) {
-    const NativePredicate* native = plan_->FindPredicate(pred.get());
+    const NativePredicate* native = PlanOf(*pred).predicate.get();
     Sequence kept;
     const int64_t size = static_cast<int64_t>(group->size());
     for (int64_t i = 0; i < size; ++i) {
@@ -475,8 +450,7 @@ Status Evaluator::ApplyStep(const Step& step, const StepPlan& planned,
 
 StatusOr<Sequence> Evaluator::EvalPath(const AstNode& node, Environment& env,
                                        const Focus* focus) {
-  const PathPlan* pp = plan_->FindPath(&node);
-  if (pp == nullptr) return Status::Internal("path expression was not planned");
+  const PathPlan* pp = PlanOf(node).path.get();
 
   // Child chains run on the kernel: one walk over the start items, no
   // Sequence per step.
@@ -499,9 +473,10 @@ StatusOr<Sequence> Evaluator::EvalPath(const AstNode& node, Environment& env,
 
   // Memoize loop-invariant rooted paths (real systems materialize these
   // once; naive engines re-walk them per outer-loop iteration).
+  std::unique_ptr<const Sequence>* cached = nullptr;
   if (pp->cacheable) {
-    auto it = plan_->invariant_cache.find(&node);
-    if (it != plan_->invariant_cache.end()) return it->second;
+    cached = &plan_->invariant_cache[node.plan_slot];
+    if (*cached != nullptr) return **cached;
   }
 
   const bool rooted =
@@ -523,9 +498,7 @@ StatusOr<Sequence> Evaluator::EvalPath(const AstNode& node, Environment& env,
       for (size_t i = 0; i < pp->path_index_steps; ++i) {
         const xml::NameId id = pp->steps[i].name;
         if (id == xml::kInvalidName) {
-          if (pp->cacheable) {
-            plan_->invariant_cache.emplace(&node, Sequence{});
-          }
+          if (cached != nullptr) *cached = std::make_unique<const Sequence>();
           return Sequence{};  // unknown tag: empty result
         }
         prefix.push_back(id);
@@ -608,7 +581,7 @@ StatusOr<Sequence> Evaluator::EvalPath(const AstNode& node, Environment& env,
   }
   if (input != &current) current = *input;  // step-less path over a binding
 
-  if (pp->cacheable) plan_->invariant_cache.emplace(&node, current);
+  if (cached != nullptr) *cached = std::make_unique<const Sequence>(current);
   return current;
 }
 
@@ -620,17 +593,14 @@ StatusOr<Sequence> Evaluator::EvalHashJoin(const AstNode& node,
                                            const HashJoinPlan& plan,
                                            Environment& env,
                                            const Focus* focus) {
-  HashJoinExec* cache;
-  auto it = plan_->join_state.find(&node);
-  if (it == plan_->join_state.end()) {
+  std::unique_ptr<HashJoinExec>& state = plan_->join_state[node.plan_slot];
+  if (state == nullptr) {
     auto built = std::make_unique<HashJoinExec>();
     XMARK_RETURN_IF_ERROR(built->Build(plan, slot_count_, eval_fn_,
                                        &stats_));
-    cache = built.get();
-    plan_->join_state.emplace(&node, std::move(built));
-  } else {
-    cache = it->second.get();
+    state = std::move(built);
   }
+  const HashJoinExec* cache = state.get();
 
   XMARK_ASSIGN_OR_RETURN(Sequence probe_keys,
                          Eval(*plan.outer_key, env, focus));
@@ -677,17 +647,15 @@ StatusOr<int64_t> Evaluator::BandCount(int slot, Environment& env,
   if (binding->band_count >= 0) return binding->band_count;
   const BandJoinPlan band = *binding->band;
 
-  BandJoinIndex* index;
-  auto it = plan_->band_state.find(band.flwor);
-  if (it == plan_->band_state.end()) {
+  std::unique_ptr<BandJoinIndex>& state =
+      plan_->band_state[band.flwor->plan_slot];
+  if (state == nullptr) {
     auto built = std::make_unique<BandJoinIndex>();
     XMARK_RETURN_IF_ERROR(built->Build(band, slot_count_, eval_fn_,
                                        &stats_));
-    index = built.get();
-    plan_->band_state.emplace(band.flwor, std::move(built));
-  } else {
-    index = it->second.get();
+    state = std::move(built);
   }
+  const BandJoinIndex* index = state.get();
 
   if (!index->valid()) {
     // The domain keys could not be computed (evaluation error or a
@@ -798,11 +766,10 @@ StatusOr<Sequence> Evaluator::EvalFused(const CompiledPipeline& pipe,
 
 StatusOr<Sequence> Evaluator::EvalFlwor(const AstNode& node, Environment& env,
                                         const Focus* focus) {
-  const CompiledPipeline* pipe = plan_->FindPipeline(&node);
-  if (pipe != nullptr) return EvalFused(*pipe, env, focus);
+  const NodePlan& np = PlanOf(node);
+  if (np.pipeline != nullptr) return EvalFused(*np.pipeline, env, focus);
 
-  const FlworPlan* fp = plan_->FindFlwor(&node);
-  if (fp == nullptr) return Status::Internal("FLWOR was not planned");
+  const FlworPlan* fp = np.flwor.get();
   if (fp->strategy == FlworPlan::Strategy::kHashJoin) {
     return EvalHashJoin(node, fp->hash, env, focus);
   }
@@ -849,7 +816,7 @@ StatusOr<Sequence> Evaluator::EvalFlwor(const AstNode& node, Environment& env,
     const ForLetClause& clause = node.clauses[ci];
     if (clause.is_let) {
       const BandJoinPlan* band =
-          clause.expr ? plan_->FindBandLet(clause.expr.get()) : nullptr;
+          clause.expr ? PlanOf(*clause.expr).band_let.get() : nullptr;
       if (band != nullptr) {
         // Sort-merge band join: count($var) probes the sorted domain, any
         // other use falls back to materializing lazy_expr. Under eager-let
@@ -1002,9 +969,9 @@ StatusOr<Sequence> Evaluator::EvalComparison(const AstNode& node,
                                              const Focus* focus) {
   const AstNode& lhs = *node.args[0];
   const AstNode& rhs = *node.args[1];
-  const ChildPath* chain = ChainOf(lhs);
+  const ChildPath* chain = PlanOf(lhs).chain();
   const bool chain_left = chain != nullptr;
-  if (!chain_left) chain = ChainOf(rhs);
+  if (!chain_left) chain = PlanOf(rhs).chain();
   bool kernel = chain != nullptr;
   if (kernel && chain_left) {
     // Resolve (materialize) the chain's start before the other operand.
@@ -1051,7 +1018,7 @@ StatusOr<Sequence> Evaluator::EvalArithmetic(const AstNode& node,
   };
   auto operand = [&](const AstNode& arg) -> StatusOr<Operand> {
     Operand out;
-    if (const ChildPath* chain = ChainOf(arg)) {
+    if (const ChildPath* chain = PlanOf(arg).chain()) {
       XMARK_ASSIGN_OR_RETURN(
           const std::optional<bool> walked,
           WalkChain(*chain, env, focus, [&](const ChildPathHit& hit) {
@@ -1123,185 +1090,121 @@ StatusOr<Sequence> Evaluator::EvalBinary(const AstNode& node, Environment& env,
 // Functions
 // ---------------------------------------------------------------------------
 
+StatusOr<Sequence> Evaluator::CallFunction(const AstNode& node,
+                                           Environment& env,
+                                           const Focus* focus) {
+  const FunctionDecl& decl = (*functions_)[node.function_index];
+  const size_t n = node.args.size();
+  if (decl.params.size() != n) {
+    return Status::InvalidArgument("wrong arity for " +
+                                   std::string(CalledName(node)));
+  }
+  if (++udf_depth_ > 128) {
+    --udf_depth_;
+    return Status::InvalidArgument("UDF recursion too deep");
+  }
+  // Every argument is evaluated before any parameter is bound: a
+  // parameter may shadow a variable that a later argument reads.
+  Sequence inline_actuals[2];
+  std::vector<Sequence> heap_actuals;
+  Sequence* actuals = inline_actuals;
+  if (n > std::size(inline_actuals)) {
+    heap_actuals.resize(n);
+    actuals = heap_actuals.data();
+  }
+  for (size_t i = 0; i < n; ++i) {
+    StatusOr<Sequence> v = Eval(*node.args[i], env, focus);
+    if (!v.ok()) {
+      --udf_depth_;
+      return v.status();
+    }
+    actuals[i] = std::move(*v);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    env.Push(decl.param_slots[i], std::move(actuals[i]));
+  }
+  StatusOr<Sequence> result = Eval(*decl.body, env, nullptr);
+  for (size_t i = 0; i < n; ++i) env.Pop();
+  --udf_depth_;
+  return result;
+}
+
 StatusOr<Sequence> Evaluator::EvalFunction(const AstNode& node,
                                            Environment& env,
                                            const Focus* focus) {
-  std::string name = node.str_value;
-  if (StartsWith(name, "fn:")) name = name.substr(3);
-
-  // Context-dependent zero-argument functions first.
-  if (name == "position" || name == "last") {
-    if (focus == nullptr) {
-      return Status::InvalidArgument(name + "() outside a predicate");
-    }
-    return Sequence{Item(static_cast<double>(
-        name == "position" ? focus->position : focus->size))};
-  }
-  if (name == "true") return Sequence{Item(true)};
-  if (name == "false") return Sequence{Item(false)};
-
-  // User-defined functions.
-  const auto udf = functions_.find(name);
-  if (udf != functions_.end()) {
-    const FunctionDecl& decl = *udf->second;
-    if (decl.params.size() != node.args.size()) {
-      return Status::InvalidArgument("wrong arity for " + name);
-    }
-    if (++udf_depth_ > 128) {
-      --udf_depth_;
-      return Status::InvalidArgument("UDF recursion too deep");
-    }
-    std::vector<Sequence> actuals;
-    for (const AstPtr& arg : node.args) {
-      XMARK_ASSIGN_OR_RETURN(Sequence v, Eval(*arg, env, focus));
-      actuals.push_back(std::move(v));
-    }
-    for (size_t i = 0; i < decl.params.size(); ++i) {
-      env.Push(decl.param_slots[i], std::move(actuals[i]));
-    }
-    StatusOr<Sequence> result = Eval(*decl.body, env, nullptr);
-    for (size_t i = 0; i < decl.params.size(); ++i) env.Pop();
-    --udf_depth_;
-    return result;
-  }
-
-  // Band-join fast path: count($var) over a band binding is answered with
-  // one binary search against the sorted domain — the sequence is never
-  // materialized. (Reached only when `count` is not shadowed by a UDF.)
-  if (name == "count" && node.args.size() == 1 &&
-      node.args[0]->kind == AstKind::kVarRef) {
-    Environment::Binding* binding = env.Find(node.args[0]->var_slot);
-    if (binding != nullptr && binding->band != nullptr &&
-        !binding->evaluated) {
-      XMARK_ASSIGN_OR_RETURN(
-          int64_t count, BandCount(node.args[0]->var_slot, env, focus));
-      return Sequence{Item(static_cast<double>(count))};
-    }
+  // The parser resolved the callee (AstNode::builtin): no name is read
+  // here except to spell an error.
+  const Builtin builtin = node.builtin;
+  switch (builtin) {
+    case Builtin::kPosition:
+    case Builtin::kLast:
+      if (focus == nullptr) {
+        return Status::InvalidArgument(std::string(CalledName(node)) +
+                                       "() outside a predicate");
+      }
+      return Sequence{Item(static_cast<double>(
+          builtin == Builtin::kPosition ? focus->position : focus->size))};
+    case Builtin::kTrue:
+      return Sequence{Item(true)};
+    case Builtin::kFalse:
+      return Sequence{Item(false)};
+    case Builtin::kUserFunction:
+      return CallFunction(node, env, focus);
+    case Builtin::kCount:
+      // Band-join fast path: count($var) over a band binding is answered
+      // with one binary search against the sorted domain — the sequence
+      // is never materialized.
+      if (node.args.size() == 1 && node.args[0]->kind == AstKind::kVarRef) {
+        Environment::Binding* binding = env.Find(node.args[0]->var_slot);
+        if (binding != nullptr && binding->band != nullptr &&
+            !binding->evaluated) {
+          XMARK_ASSIGN_OR_RETURN(
+              int64_t count, BandCount(node.args[0]->var_slot, env, focus));
+          return Sequence{Item(static_cast<double>(count))};
+        }
+      }
+      break;
+    case Builtin::kEmpty:
+    case Builtin::kExists:
+      // empty()/exists() over a child chain stop at its first selected
+      // item.
+      if (node.args.size() != 1) break;
+      if (const ChildPath* chain = PlanOf(*node.args[0]).chain()) {
+        XMARK_ASSIGN_OR_RETURN(
+            const std::optional<bool> any,
+            WalkChain(*chain, env, focus,
+                      [](const ChildPathHit&) { return true; }));
+        if (any.has_value()) {
+          return Sequence{Item(builtin == Builtin::kEmpty ? !*any : *any)};
+        }
+      }
+      break;
+    default:
+      break;
   }
 
-  // empty()/exists() over a child chain stop at its first selected item.
-  if ((name == "empty" || name == "exists") && node.args.size() == 1) {
-    if (const ChildPath* chain = ChainOf(*node.args[0])) {
-      XMARK_ASSIGN_OR_RETURN(
-          const std::optional<bool> any,
-          WalkChain(*chain, env, focus,
-                    [](const ChildPathHit&) { return true; }));
-      if (any.has_value()) return Sequence{Item(name == "empty" ? !*any : *any)};
+  // Every other builtin evaluates its arguments eagerly, left to right,
+  // before checking their number. concat() folds each one in as it comes;
+  // the rest read at most two, which live on the stack.
+  constexpr size_t kMaxArgs = 2;
+  Sequence args[kMaxArgs];
+  std::string concat;
+  for (size_t i = 0; i < node.args.size(); ++i) {
+    XMARK_ASSIGN_OR_RETURN(Sequence v, Eval(*node.args[i], env, focus));
+    if (builtin == Builtin::kConcat) {
+      if (!v.empty()) concat += ItemStringValue(v.front());
+    } else if (i < kMaxArgs) {
+      args[i] = std::move(v);
     }
-  }
-
-  // Builtins: evaluate arguments eagerly.
-  std::vector<Sequence> args;
-  for (const AstPtr& arg : node.args) {
-    XMARK_ASSIGN_OR_RETURN(Sequence v, Eval(*arg, env, focus));
-    args.push_back(std::move(v));
   }
   auto require_args = [&](size_t n) -> Status {
-    if (args.size() != n) {
-      return Status::InvalidArgument(name + "() expects " +
-                                     std::to_string(n) + " argument(s)");
+    if (node.args.size() != n) {
+      return Status::InvalidArgument(std::string(CalledName(node)) +
+                                     "() expects " + std::to_string(n) +
+                                     " argument(s)");
     }
     return Status::OK();
   };
-
-  if (name == "document" || name == "doc") {
-    // The benchmark binds the single auction document regardless of URI
-    // (paper §5 takes the document() syntax literally). Multi-document
-    // routing happens above this layer: the engine resolves the query's
-    // document scope and hands this evaluator the right store.
-    return Sequence{Item(NodeRef{store_, store_->Root()})};
-  }
-  if (name == "collection") {
-    // Corpus scan entry point: within one per-document run this is the
-    // document root; the engine fans the query out across the catalog and
-    // concatenates per-document results in document-id order.
-    return Sequence{Item(NodeRef{store_, store_->Root()})};
-  }
-  if (name == "count") {
-    XMARK_RETURN_IF_ERROR(require_args(1));
-    return Sequence{Item(static_cast<double>(args[0].size()))};
-  }
-  if (name == "empty") {
-    XMARK_RETURN_IF_ERROR(require_args(1));
-    return Sequence{Item(args[0].empty())};
-  }
-  if (name == "exists") {
-    XMARK_RETURN_IF_ERROR(require_args(1));
-    return Sequence{Item(!args[0].empty())};
-  }
-  if (name == "not") {
-    XMARK_RETURN_IF_ERROR(require_args(1));
-    return Sequence{Item(!EffectiveBooleanValue(args[0]))};
-  }
-  if (name == "boolean") {
-    XMARK_RETURN_IF_ERROR(require_args(1));
-    return Sequence{Item(EffectiveBooleanValue(args[0]))};
-  }
-  if (name == "string") {
-    XMARK_RETURN_IF_ERROR(require_args(1));
-    if (args[0].empty()) return Sequence{Item(std::string())};
-    return Sequence{Item(ItemStringValue(args[0].front()))};
-  }
-  if (name == "data") {
-    XMARK_RETURN_IF_ERROR(require_args(1));
-    Sequence out;
-    for (const Item& item : args[0]) {
-      if (item.is_atomic()) {
-        out.push_back(item);
-      } else {
-        out.push_back(Item(ItemStringValue(item)));
-      }
-    }
-    return out;
-  }
-  if (name == "number") {
-    XMARK_RETURN_IF_ERROR(require_args(1));
-    if (args[0].empty()) {
-      return Sequence{Item(std::nan(""))};
-    }
-    const auto num = ItemNumberValue(args[0].front());
-    return Sequence{Item(num.value_or(std::nan("")))};
-  }
-  if (name == "sum") {
-    XMARK_RETURN_IF_ERROR(require_args(1));
-    double total = 0;
-    for (const Item& item : args[0]) {
-      const auto num = ItemNumberValue(item);
-      if (!num.has_value()) {
-        return Status::InvalidArgument("sum() over non-numeric value");
-      }
-      total += *num;
-    }
-    return Sequence{Item(total)};
-  }
-  if (name == "avg") {
-    XMARK_RETURN_IF_ERROR(require_args(1));
-    if (args[0].empty()) return Sequence{};
-    double total = 0;
-    for (const Item& item : args[0]) {
-      const auto num = ItemNumberValue(item);
-      if (!num.has_value()) {
-        return Status::InvalidArgument("avg() over non-numeric value");
-      }
-      total += *num;
-    }
-    return Sequence{Item(total / static_cast<double>(args[0].size()))};
-  }
-  if (name == "min" || name == "max") {
-    XMARK_RETURN_IF_ERROR(require_args(1));
-    if (args[0].empty()) return Sequence{};
-    double best = 0;
-    bool first = true;
-    for (const Item& item : args[0]) {
-      const auto num = ItemNumberValue(item);
-      if (!num.has_value()) {
-        return Status::InvalidArgument(name + "() over non-numeric value");
-      }
-      if (first || (name == "min" ? *num < best : *num > best)) best = *num;
-      first = false;
-    }
-    return Sequence{Item(best)};
-  }
   // String predicates consume their operands through zero-copy views: a
   // text-node operand (the common Q14 `contains` shape) reads straight
   // from the store heap; element string-values reuse the scratch buffers.
@@ -1313,121 +1216,209 @@ StatusOr<Sequence> Evaluator::EvalFunction(const AstNode& node,
     if (materialized) ++stats_.compare_allocs;
     return v;
   };
-  if (name == "contains") {
-    XMARK_RETURN_IF_ERROR(require_args(2));
-    const std::string_view hay = arg_view(args[0], &cmp_scratch_a_);
-    const std::string_view needle = arg_view(args[1], &cmp_scratch_b_);
-    return Sequence{Item(Contains(hay, needle))};
-  }
-  if (name == "starts-with") {
-    XMARK_RETURN_IF_ERROR(require_args(2));
-    const std::string_view s = arg_view(args[0], &cmp_scratch_a_);
-    const std::string_view prefix = arg_view(args[1], &cmp_scratch_b_);
-    return Sequence{Item(StartsWith(s, prefix))};
-  }
-  if (name == "string-length") {
-    XMARK_RETURN_IF_ERROR(require_args(1));
-    const std::string_view s = arg_view(args[0], &cmp_scratch_a_);
-    return Sequence{Item(static_cast<double>(s.size()))};
-  }
-  if (name == "concat") {
-    std::string out;
-    for (const Sequence& arg : args) {
-      if (!arg.empty()) out += ItemStringValue(arg.front());
-    }
-    return Sequence{Item(std::move(out))};
-  }
-  if (name == "distinct-values") {
-    XMARK_RETURN_IF_ERROR(require_args(1));
-    Sequence out;
-    std::unordered_set<std::string> seen;
-    for (const Item& item : args[0]) {
-      std::string v = ItemStringValue(item);
-      if (seen.insert(v).second) out.push_back(Item(std::move(v)));
-    }
-    return out;
-  }
-  if (name == "name" || name == "local-name") {
-    XMARK_RETURN_IF_ERROR(require_args(1));
-    if (args[0].empty()) return Sequence{Item(std::string())};
-    const Item& item = args[0].front();
-    if (item.is_node() && store_->IsElement(item.node().handle)) {
-      return Sequence{Item(std::string(
-          store_->names().Spelling(store_->NameOf(item.node().handle))))};
-    }
-    if (item.is_constructed()) {
-      return Sequence{Item(std::string(item.constructed()->tag))};
-    }
-    return Sequence{Item(std::string())};
-  }
-  if (name == "round") {
-    XMARK_RETURN_IF_ERROR(require_args(1));
-    if (args[0].empty()) return Sequence{};
-    const auto num = ItemNumberValue(args[0].front());
-    if (!num.has_value()) return Status::InvalidArgument("round() non-number");
-    return Sequence{Item(std::round(*num))};
-  }
-  if (name == "floor" || name == "ceiling") {
-    XMARK_RETURN_IF_ERROR(require_args(1));
-    if (args[0].empty()) return Sequence{};
-    const auto num = ItemNumberValue(args[0].front());
-    if (!num.has_value()) {
-      return Status::InvalidArgument(name + "() non-number");
-    }
-    return Sequence{
-        Item(name == "floor" ? std::floor(*num) : std::ceil(*num))};
-  }
-  if (name == "zero-or-one" || name == "exactly-one" || name == "exact-one" ||
-      name == "one-or-more") {
-    XMARK_RETURN_IF_ERROR(require_args(1));
-    return args[0];  // cardinality assertions are relaxed to pass-through
-  }
-  if (name == "id") {
-    XMARK_RETURN_IF_ERROR(require_args(1));
-    Sequence out;
-    if (plan_->ann().caps.id_lookup) {
+
+  switch (builtin) {
+    case Builtin::kDoc:
+    case Builtin::kCollection:
+      // The benchmark binds the single auction document regardless of URI
+      // (paper §5 takes the document() syntax literally). Multi-document
+      // routing happens above this layer: the engine resolves the query's
+      // document scope and hands this evaluator the right store. Within
+      // one per-document run collection() is that document's root too;
+      // the engine fans the query out across the catalog and concatenates
+      // per-document results in document-id order.
+      return Sequence{Item(NodeRef{store_, store_->Root()})};
+    case Builtin::kCount:
+      XMARK_RETURN_IF_ERROR(require_args(1));
+      return Sequence{Item(static_cast<double>(args[0].size()))};
+    case Builtin::kEmpty:
+      XMARK_RETURN_IF_ERROR(require_args(1));
+      return Sequence{Item(args[0].empty())};
+    case Builtin::kExists:
+      XMARK_RETURN_IF_ERROR(require_args(1));
+      return Sequence{Item(!args[0].empty())};
+    case Builtin::kNot:
+      XMARK_RETURN_IF_ERROR(require_args(1));
+      return Sequence{Item(!EffectiveBooleanValue(args[0]))};
+    case Builtin::kBoolean:
+      XMARK_RETURN_IF_ERROR(require_args(1));
+      return Sequence{Item(EffectiveBooleanValue(args[0]))};
+    case Builtin::kString:
+      XMARK_RETURN_IF_ERROR(require_args(1));
+      if (args[0].empty()) return Sequence{Item(std::string())};
+      return Sequence{Item(ItemStringValue(args[0].front()))};
+    case Builtin::kData: {
+      XMARK_RETURN_IF_ERROR(require_args(1));
+      Sequence out;
       for (const Item& item : args[0]) {
-        const NodeHandle h = store_->NodeById(ItemStringValue(item));
-        ++stats_.index_lookups;
-        if (h != kInvalidHandle) out.push_back(Item(NodeRef{store_, h}));
+        if (item.is_atomic()) {
+          out.push_back(item);
+        } else {
+          out.push_back(Item(ItemStringValue(item)));
+        }
       }
-      SortDedupNodes(&out);
       return out;
     }
-    // No ID index: scan the elements in document order and keep, per
-    // wanted value, the first one whose id attribute carries it — the
-    // element the index would answer.
-    std::unordered_set<std::string, TransparentStringHash, std::equal_to<>>
-        wanted;
-    for (const Item& item : args[0]) wanted.insert(ItemStringValue(item));
-    const xml::NameId id_attr = store_->names().Lookup("id");
-    const auto take = [&](NodeHandle n) {
-      const std::optional<std::string_view> value =
-          store_->AttributeView(n, id_attr);
-      if (!value.has_value()) return;
-      const auto it = wanted.find(*value);
-      if (it == wanted.end()) return;
-      wanted.erase(it);
-      out.push_back(Item(NodeRef{store_, n}));
-    };
-    const NodeHandle root = store_->Root();
-    if (wanted.empty() || root == kInvalidHandle) return out;
-    take(root);
-    DescendantCursor cursor;
-    store_->OpenDescendantCursor(root, ChildFilter::kElements,
-                                 xml::kInvalidName, &cursor);
-    ++stats_.descendant_scans;
-    constexpr size_t kBatch = 256;
-    NodeHandle buf[kBatch];
-    size_t n;
-    while (!wanted.empty() && (n = cursor.Fill(buf, kBatch)) > 0) {
-      stats_.nodes_visited += static_cast<int64_t>(n);
-      if (ctx_ != nullptr) XMARK_RETURN_IF_ERROR(ctx_->Check());
-      for (size_t i = 0; i < n; ++i) take(buf[i]);
+    case Builtin::kNumber: {
+      XMARK_RETURN_IF_ERROR(require_args(1));
+      if (args[0].empty()) {
+        return Sequence{Item(std::nan(""))};
+      }
+      const auto num = ItemNumberValue(args[0].front());
+      return Sequence{Item(num.value_or(std::nan("")))};
     }
+    case Builtin::kSum:
+    case Builtin::kAvg: {
+      XMARK_RETURN_IF_ERROR(require_args(1));
+      const bool avg = builtin == Builtin::kAvg;
+      if (avg && args[0].empty()) return Sequence{};
+      double total = 0;
+      for (const Item& item : args[0]) {
+        const auto num = ItemNumberValue(item);
+        if (!num.has_value()) {
+          return Status::InvalidArgument(
+              avg ? "avg() over non-numeric value"
+                  : "sum() over non-numeric value");
+        }
+        total += *num;
+      }
+      if (!avg) return Sequence{Item(total)};
+      return Sequence{Item(total / static_cast<double>(args[0].size()))};
+    }
+    case Builtin::kMin:
+    case Builtin::kMax: {
+      XMARK_RETURN_IF_ERROR(require_args(1));
+      if (args[0].empty()) return Sequence{};
+      double best = 0;
+      bool first = true;
+      for (const Item& item : args[0]) {
+        const auto num = ItemNumberValue(item);
+        if (!num.has_value()) {
+          return Status::InvalidArgument(std::string(CalledName(node)) +
+                                         "() over non-numeric value");
+        }
+        if (first || (builtin == Builtin::kMin ? *num < best : *num > best)) {
+          best = *num;
+        }
+        first = false;
+      }
+      return Sequence{Item(best)};
+    }
+    case Builtin::kContains:
+    case Builtin::kStartsWith: {
+      XMARK_RETURN_IF_ERROR(require_args(2));
+      const std::string_view s = arg_view(args[0], &cmp_scratch_a_);
+      const std::string_view t = arg_view(args[1], &cmp_scratch_b_);
+      return Sequence{Item(builtin == Builtin::kContains ? Contains(s, t)
+                                                         : StartsWith(s, t))};
+    }
+    case Builtin::kStringLength: {
+      XMARK_RETURN_IF_ERROR(require_args(1));
+      const std::string_view s = arg_view(args[0], &cmp_scratch_a_);
+      return Sequence{Item(static_cast<double>(s.size()))};
+    }
+    case Builtin::kConcat:
+      return Sequence{Item(std::move(concat))};
+    case Builtin::kDistinctValues: {
+      XMARK_RETURN_IF_ERROR(require_args(1));
+      Sequence out;
+      std::unordered_set<std::string> seen;
+      for (const Item& item : args[0]) {
+        std::string v = ItemStringValue(item);
+        if (seen.insert(v).second) out.push_back(Item(std::move(v)));
+      }
+      return out;
+    }
+    case Builtin::kName: {
+      XMARK_RETURN_IF_ERROR(require_args(1));
+      if (args[0].empty()) return Sequence{Item(std::string())};
+      const Item& item = args[0].front();
+      if (item.is_node() && store_->IsElement(item.node().handle)) {
+        return Sequence{Item(std::string(
+            store_->names().Spelling(store_->NameOf(item.node().handle))))};
+      }
+      if (item.is_constructed()) {
+        return Sequence{Item(std::string(item.constructed()->tag))};
+      }
+      return Sequence{Item(std::string())};
+    }
+    case Builtin::kRound: {
+      XMARK_RETURN_IF_ERROR(require_args(1));
+      if (args[0].empty()) return Sequence{};
+      const auto num = ItemNumberValue(args[0].front());
+      if (!num.has_value()) {
+        return Status::InvalidArgument("round() non-number");
+      }
+      return Sequence{Item(std::round(*num))};
+    }
+    case Builtin::kFloor:
+    case Builtin::kCeiling: {
+      XMARK_RETURN_IF_ERROR(require_args(1));
+      if (args[0].empty()) return Sequence{};
+      const auto num = ItemNumberValue(args[0].front());
+      if (!num.has_value()) {
+        return Status::InvalidArgument(std::string(CalledName(node)) +
+                                       "() non-number");
+      }
+      return Sequence{Item(builtin == Builtin::kFloor ? std::floor(*num)
+                                                      : std::ceil(*num))};
+    }
+    case Builtin::kCardinality:
+      XMARK_RETURN_IF_ERROR(require_args(1));
+      return std::move(args[0]);  // assertions are relaxed to pass-through
+    case Builtin::kId:
+      XMARK_RETURN_IF_ERROR(require_args(1));
+      return EvalId(args[0]);
+    default:
+      break;
+  }
+  return Status::InvalidArgument("unknown function " +
+                                 std::string(CalledName(node)));
+}
+
+StatusOr<Sequence> Evaluator::EvalId(const Sequence& values) {
+  Sequence out;
+  if (plan_->ann().caps.id_lookup) {
+    for (const Item& item : values) {
+      const NodeHandle h = store_->NodeById(ItemStringValue(item));
+      ++stats_.index_lookups;
+      if (h != kInvalidHandle) out.push_back(Item(NodeRef{store_, h}));
+    }
+    SortDedupNodes(&out);
     return out;
   }
-  return Status::InvalidArgument("unknown function " + name);
+  // No ID index: scan the elements in document order and keep, per
+  // wanted value, the first one whose id attribute carries it — the
+  // element the index would answer.
+  std::unordered_set<std::string, TransparentStringHash, std::equal_to<>>
+      wanted;
+  for (const Item& item : values) wanted.insert(ItemStringValue(item));
+  const xml::NameId id_attr = store_->names().Lookup("id");
+  const auto take = [&](NodeHandle n) {
+    const std::optional<std::string_view> value =
+        store_->AttributeView(n, id_attr);
+    if (!value.has_value()) return;
+    const auto it = wanted.find(*value);
+    if (it == wanted.end()) return;
+    wanted.erase(it);
+    out.push_back(Item(NodeRef{store_, n}));
+  };
+  const NodeHandle root = store_->Root();
+  if (wanted.empty() || root == kInvalidHandle) return out;
+  take(root);
+  DescendantCursor cursor;
+  store_->OpenDescendantCursor(root, ChildFilter::kElements,
+                               xml::kInvalidName, &cursor);
+  ++stats_.descendant_scans;
+  constexpr size_t kBatch = 256;
+  NodeHandle buf[kBatch];
+  size_t n;
+  while (!wanted.empty() && (n = cursor.Fill(buf, kBatch)) > 0) {
+    stats_.nodes_visited += static_cast<int64_t>(n);
+    if (ctx_ != nullptr) XMARK_RETURN_IF_ERROR(ctx_->Check());
+    for (size_t i = 0; i < n; ++i) take(buf[i]);
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -1440,8 +1431,7 @@ StatusOr<Sequence> Evaluator::EvalConstructor(const AstNode& node,
   // The optimizer lowered every constructor into a template: instantiate
   // it into the per-run NodeArena (block-allocated nodes, shared text
   // buffer).
-  const ConstructPlan* cp = plan_->FindConstruct(&node);
-  if (cp == nullptr) return Status::Internal("constructor was not lowered");
+  const ConstructPlan* cp = PlanOf(node).construct.get();
   XMARK_ASSIGN_OR_RETURN(Item item,
                          Construction().Instantiate(*cp, env, focus, eval_fn_,
                                                     options_.copy_results));
@@ -1451,7 +1441,8 @@ StatusOr<Sequence> Evaluator::EvalConstructor(const AstNode& node,
 ConstructExec& Evaluator::Construction() {
   if (plan_->construct_state == nullptr) {
     plan_->arena = std::make_shared<NodeArena>();
-    plan_->construct_state = std::make_unique<ConstructExec>(plan_->arena);
+    plan_->construct_state =
+        std::make_unique<ConstructExec>(plan_->arena, store_, &stats_, ctx_);
   }
   return *plan_->construct_state;
 }

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "query/ast.h"
@@ -77,10 +76,19 @@ class Evaluator {
                                 const Focus* focus);
   StatusOr<Sequence> EvalFunction(const AstNode& node, Environment& env,
                                   const Focus* focus);
+  /// A call of a prolog function (AstNode::function_index).
+  StatusOr<Sequence> CallFunction(const AstNode& node, Environment& env,
+                                  const Focus* focus);
+  /// id(): the elements whose id attribute carries one of `values`.
+  StatusOr<Sequence> EvalId(const Sequence& values);
   StatusOr<Sequence> EvalConstructor(const AstNode& node, Environment& env,
                                      const Focus* focus);
   /// The run's construction state and arena, created on first use.
   ConstructExec& Construction();
+  /// The plans of `node`'s slot in this run's annotations.
+  const NodePlan& PlanOf(const AstNode& node) const {
+    return nodes_[node.plan_slot];
+  }
 
   Status ApplyStep(const Step& step, const StepPlan& step_plan,
                    const Sequence& input, Environment& env, Sequence* output);
@@ -96,8 +104,6 @@ class Evaluator {
   StatusOr<Environment::Binding*> Bound(int slot, Environment& env);
 
   // --- child-path kernel ------------------------------------------------
-  /// The kernel plan of `node` when it is a lowered child chain, else null.
-  const ChildPath* ChainOf(const AstNode& node) const;
   /// Resolves `chain`'s start items into [*begin, *end): the variable's
   /// binding (a lazy let is materialized first) or the focus item. False
   /// when the chain must take the generic path — no focus, an unbound
@@ -149,8 +155,9 @@ class Evaluator {
   std::string cmp_scratch_a_;
   std::string cmp_scratch_b_;
 
-  std::unordered_map<std::string, const FunctionDecl*> functions_;
+  const std::vector<FunctionDecl>* functions_ = nullptr;  // the module's
   std::unique_ptr<QueryPlan> plan_;  // per-run plan + caches
+  const NodePlan* nodes_ = nullptr;  // plan_'s annotations, by plan slot
   ExecContext* ctx_ = nullptr;  // borrowed per-run governance (may be null)
   int udf_depth_ = 0;
 };

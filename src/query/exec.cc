@@ -80,13 +80,32 @@ bool CompareResult(int cmp, BinaryOp op) {
   }
 }
 
+bool ChainStartItems(const ChildPath& chain, Environment& env,
+                     const Focus* focus, const Item** begin,
+                     const Item** end) {
+  if (chain.var_slot < 0) {
+    if (focus == nullptr) return false;
+    *begin = &focus->item;
+    *end = *begin + 1;
+  } else {
+    const Environment::Binding* binding = env.Find(chain.var_slot);
+    if (binding == nullptr || !binding->evaluated) return false;
+    *begin = binding->value.begin();
+    *end = binding->value.end();
+  }
+  for (const Item* item = *begin; item != *end; ++item) {
+    if (item->is_constructed()) return false;
+  }
+  return true;
+}
+
 void ChildPathWalker::Open(size_t depth, NodeHandle parent,
                            ChildCursor* cursor) const {
   if (depth == path_.steps.size()) {
     store_->OpenChildCursor(parent, ChildFilter::kText, xml::kInvalidName,
                             cursor);
   } else {
-    store_->OpenChildCursor(parent, ChildFilter::kTag, path_.steps[depth],
+    store_->OpenChildCursor(parent, ChildFilter::kTag, path_.steps[depth].tag,
                             cursor);
   }
   ++stats_->cursor_scans;
@@ -187,10 +206,10 @@ ConstructedNode* ConstructExec::NewTextNode(std::string_view interned_text) {
 
 const ConstructExec::Interned& ConstructExec::Intern(
     const ConstructPlan& plan) {
-  if (plan.template_id >= interned_.size()) {
-    interned_.resize(plan.template_id + 1);
+  if (plan.source->plan_slot >= interned_.size()) {
+    interned_.resize(plan.source->plan_slot + 1);
   }
-  std::unique_ptr<Interned>& slot = interned_[plan.template_id];
+  std::unique_ptr<Interned>& slot = interned_[plan.source->plan_slot];
   if (slot == nullptr) {
     // First instantiation of this template this run: intern every constant
     // string once; all instantiations share the arena copies. (Views must
@@ -235,10 +254,26 @@ StatusOr<ConstructedNode*> ConstructExec::BuildElement(
       continue;
     }
     const size_t base = attr_scratch_.size();
-    for (const AttrPart& part : src->parts) {
+    for (size_t p = 0; p < src->parts.size(); ++p) {
+      const AttrPart& part = src->parts[p];
       if (part.expr == nullptr) {
         attr_scratch_ += part.text;
         continue;
+      }
+      if (const ChildPath* chain = el.attrs[a].chains[p]) {
+        // The selected values, space-separated like the part's items.
+        bool first = true;
+        XMARK_ASSIGN_OR_RETURN(
+            const std::optional<bool> walked,
+            WalkChain(store_, *chain, env, focus, stats_, ctx_,
+                      [&](const ChildPathHit& hit) {
+                        if (!first) attr_scratch_ += ' ';
+                        first = false;
+                        attr_scratch_ +=
+                            ChildPathValue(store_, *chain, hit, &scratch_);
+                        return false;
+                      }));
+        if (walked.has_value()) continue;
       }
       XMARK_ASSIGN_OR_RETURN(Sequence items, eval(*part.expr, env, focus));
       for (size_t i = 0; i < items.size(); ++i) {
@@ -267,15 +302,22 @@ StatusOr<ConstructedNode*> ConstructExec::BuildElement(
         break;
       }
       case ConstructPlan::Child::Kind::kHole: {
+        const size_t remaining =
+            el.children.size() - 1 -
+            static_cast<size_t>(&child - el.children.data());
+        if (child.chain != nullptr) {
+          XMARK_ASSIGN_OR_RETURN(
+              const bool walked,
+              WalkHole(*child.chain, env, focus, node, remaining,
+                       copy_results));
+          if (walked) break;
+        }
         XMARK_ASSIGN_OR_RETURN(Sequence items,
                                eval(*child.expr, env, focus));
         // Reserve for the hole's actual cardinality (plus the remaining
         // static slots): the pool's deallocate is a no-op, so every
         // outgrown intermediate buffer would stay dead in the arena.
-        arena_->ReserveChildren(
-            node, items.size() + (el.children.size() - 1 -
-                                  static_cast<size_t>(&child -
-                                                      el.children.data())));
+        arena_->ReserveChildren(node, items.size() + remaining);
         bool prev_atomic = false;
         for (Item& item : items) {
           if (item.is_atomic()) {
@@ -305,6 +347,41 @@ StatusOr<ConstructedNode*> ConstructExec::BuildElement(
     }
   }
   return node;
+}
+
+StatusOr<bool> ConstructExec::WalkHole(const ChildPath& chain,
+                                       Environment& env, const Focus* focus,
+                                       ConstructedNode* node, size_t remaining,
+                                       bool copy_results) {
+  hits_.clear();
+  XMARK_ASSIGN_OR_RETURN(const std::optional<bool> walked,
+                         WalkChain(store_, chain, env, focus, stats_, ctx_,
+                                   [&](const ChildPathHit& hit) {
+                                     hits_.push_back(hit);
+                                     return false;
+                                   }));
+  if (!walked.has_value()) return false;
+  if (chain.terminal == ChildPath::Terminal::kAttribute) {
+    // Adjacent atomics of one enclosed expression: space-separated text.
+    arena_->ReserveChildren(
+        node, (hits_.empty() ? 0 : 2 * hits_.size() - 1) + remaining);
+    for (size_t i = 0; i < hits_.size(); ++i) {
+      if (i > 0) arena_->AppendChild(node, NewTextNode(kAtomicSeparator));
+      arena_->AppendChild(
+          node, NewTextNode(arena_->InternText(hits_[i].attribute)));
+    }
+    return true;
+  }
+  arena_->ReserveChildren(node, hits_.size() + remaining);
+  for (const ChildPathHit& hit : hits_) {
+    const NodeRef ref{store_, hit.node};
+    if (copy_results) {
+      arena_->AppendChild(node, DeepCopyNode(ref, *arena_));
+    } else {
+      arena_->AppendChild(node, Item(ref));
+    }
+  }
+  return true;
 }
 
 StatusOr<Item> ConstructExec::Instantiate(const ConstructPlan& plan,

@@ -171,14 +171,27 @@ std::string_view ChildPathValue(const StorageAdapter* store,
 /// `cmp` (a three-way comparison result) read through comparison `op`.
 bool CompareResult(int cmp, BinaryOp op);
 
+/// The start items of a kernel walk of `chain`, as [*begin, *end): the
+/// evaluated binding of its variable, or the focus item of a relative
+/// chain. False when the chain must take the generic path instead: no
+/// focus, an unbound variable or an unevaluated let (the generic path
+/// materializes it), or a constructed start item, whose navigation error
+/// the generic path raises. The range aliases the binding: walk it before
+/// anything rebinds the variable.
+bool ChainStartItems(const ChildPath& chain, Environment& env,
+                     const Focus* focus, const Item** begin,
+                     const Item** end);
+
 /// The child-path kernel: walks one ChildPath (see query/plan.h) from
 /// start nodes and hands each selected item to a visitor, in the generic
 /// evaluator's order — a depth-first walk over nested child scans, which
 /// for child steps equals the step-by-step concatenation. Each level
 /// drains the store's tag-filtered child cursor, like NodeScan; a text()
-/// terminal is a text-filtered cursor. No Sequence and no per-node Item or
-/// string is built, and the visitor stops the walk whenever it has its
-/// answer.
+/// terminal is a text-filtered cursor. A positional level (`[k]`,
+/// `[last()]`) reads its cursor only up to the child it keeps and descends
+/// into that one, which is what the generic predicate keeps of each
+/// parent's group. No Sequence and no per-node Item or string is built,
+/// and the visitor stops the walk whenever it has its answer.
 /// One governance check per child batch when `ctx` is set. A walker holds
 /// no per-walk state beyond its status, so walks may nest freely.
 class ChildPathWalker {
@@ -237,24 +250,42 @@ class ChildPathWalker {
     Open(depth, node, &cursor);
     NodeHandle buf[kBatch];
     size_t n;
-    while ((n = cursor.Fill(buf, kBatch)) > 0) {
-      if (DescendBatch(depth, buf, n, visit)) return true;
+    const int32_t position = depth < path_.steps.size()
+                                 ? path_.steps[depth].position
+                                 : ChildPath::Step::kAll;
+    if (position == ChildPath::Step::kAll) {
+      while ((n = cursor.Fill(buf, kBatch)) > 0) {
+        if (Visited(n)) return true;
+        for (size_t i = 0; i < n; ++i) {
+          if (Descend(depth + 1, buf[i], visit)) return true;
+        }
+      }
+      return false;
     }
-    return false;
+    // A positional level keeps one child of `node`: the k-th or the last.
+    NodeHandle kept = kInvalidHandle;
+    size_t before = 0;  // children in the batches already read
+    while ((n = cursor.Fill(buf, kBatch)) > 0) {
+      if (Visited(n)) return true;
+      if (position == ChildPath::Step::kLast) {
+        kept = buf[n - 1];
+      } else if (before + n >= static_cast<size_t>(position)) {
+        kept = buf[static_cast<size_t>(position) - before - 1];
+        break;
+      } else {
+        before += n;
+      }
+    }
+    return kept != kInvalidHandle && Descend(depth + 1, kept, visit);
   }
 
-  /// One batch of level `depth`'s nodes: a governance check, then the
-  /// next level under each.
-  template <typename Visit>
-  bool DescendBatch(size_t depth, const NodeHandle* nodes, size_t n,
-                    Visit& visit) {
+  /// Books a batch of `n` nodes read and runs the governance check; true
+  /// when the check failed (status() holds why).
+  bool Visited(size_t n) {
     stats_->nodes_visited += static_cast<int64_t>(n);
     if (ctx_ != nullptr) {
       status_ = ctx_->Check();
       if (!status_.ok()) return true;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (Descend(depth + 1, nodes[i], visit)) return true;
     }
     return false;
   }
@@ -266,6 +297,27 @@ class ChildPathWalker {
   size_t levels_;  // name steps, plus one for a text() terminal
   Status status_;
 };
+
+/// Walks `chain` from its start items (ChainStartItems), calling
+/// `visit(const ChildPathHit&)` on each selected item until it returns
+/// true. nullopt, with nothing walked, when the chain must take the
+/// generic path; else whether the walk stopped early.
+template <typename Visit>
+StatusOr<std::optional<bool>> WalkChain(const StorageAdapter* store,
+                                        const ChildPath& chain,
+                                        Environment& env, const Focus* focus,
+                                        EvalStats* stats, ExecContext* ctx,
+                                        Visit&& visit) {
+  const Item* begin;
+  const Item* end;
+  if (!ChainStartItems(chain, env, focus, &begin, &end)) {
+    return std::optional<bool>();
+  }
+  ChildPathWalker walker(store, chain, stats, ctx);
+  const bool stopped = walker.Walk(begin, end, visit);
+  XMARK_RETURN_IF_ERROR(walker.status());
+  return std::optional<bool>(stopped);
+}
 
 // ---------------------------------------------------------------------------
 // Hash join
@@ -345,14 +397,19 @@ std::optional<double> BandNumericValue(const Item& item,
 /// constant strings (tags, constant attributes, text segments) interned
 /// into the arena once per run and shared by every instantiation, dynamic
 /// text and attribute values appended into the arena's shared buffer.
-/// Every produced ConstructedPtr aliases the arena's shared_ptr, so
-/// results stay valid for as long as anything references them, without a
-/// per-node control block. Owned by the QueryPlan of the current run, and
-/// used only by the thread that drives the run.
+/// Holes and attribute value parts that carry a child chain are walked on
+/// the child-path kernel straight into the arena; the rest are evaluated
+/// through `eval`. Every produced ConstructedPtr aliases the arena's
+/// shared_ptr, so results stay valid for as long as anything references
+/// them, without a per-node control block. Owned by the QueryPlan of the
+/// current run, and used only by the thread that drives the run.
 class ConstructExec {
  public:
-  explicit ConstructExec(std::shared_ptr<NodeArena> arena)
-      : arena_(std::move(arena)) {}
+  /// `store`, `stats` and `ctx` (may be null) are the run's, for the
+  /// kernel walks.
+  ConstructExec(std::shared_ptr<NodeArena> arena, const StorageAdapter* store,
+                EvalStats* stats, ExecContext* ctx)
+      : arena_(std::move(arena)), store_(store), stats_(stats), ctx_(ctx) {}
 
   /// Builds one instance of `plan` under the given bindings/focus.
   /// `copy_results` mirrors EvaluatorOptions::copy_results: stored nodes
@@ -387,16 +444,32 @@ class ConstructExec {
                                           Environment& env, const Focus* focus,
                                           const EvalFn& eval,
                                           bool copy_results);
+  /// Appends to `node` what hole `chain` selects, as the generic path
+  /// appends the hole's Sequence: stored nodes (deep copies under
+  /// `copy_results`), or attribute values as text nodes separated by
+  /// single spaces; `remaining` static slots follow the hole. False, with
+  /// nothing appended, when the chain must take the generic path (see
+  /// ChainStartItems).
+  StatusOr<bool> WalkHole(const ChildPath& chain, Environment& env,
+                          const Focus* focus, ConstructedNode* node,
+                          size_t remaining, bool copy_results);
   ConstructedNode* NewTextNode(std::string_view interned_text);
   /// The template's constant strings, interned into the arena on first use
   /// of the template this run.
   const Interned& Intern(const ConstructPlan& plan);
 
   std::shared_ptr<NodeArena> arena_;
-  // Indexed by ConstructPlan::template_id. unique_ptr values: Instantiate
-  // re-enters through hole evaluation, and growth must not invalidate the
-  // entry a caller still reads.
+  const StorageAdapter* store_;
+  EvalStats* stats_;
+  ExecContext* ctx_;
+  // Indexed by the template's plan slot (ConstructPlan::source). unique_ptr
+  // values: Instantiate re-enters through hole evaluation, and growth must
+  // not invalidate the entry a caller still reads.
   std::vector<std::unique_ptr<Interned>> interned_;
+  // A hole's kernel hits, collected to size the node's children exactly.
+  // Filled and drained with no evaluation in between, so re-entrant
+  // instantiations never see each other's hits.
+  std::vector<ChildPathHit> hits_;
   std::string scratch_;
   // Dynamic attribute values are built at the end of this buffer and
   // interned; a nested instantiation (a constructor inside an attribute

@@ -1,9 +1,11 @@
 #include "query/optimizer.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <memory>
 #include <set>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -75,15 +77,12 @@ std::set<std::string> FreeVars(const AstNode& node) {
 }
 
 bool IsDocumentCall(const AstNode& node) {
-  return node.kind == AstKind::kFunctionCall &&
-         (node.str_value == "document" || node.str_value == "doc" ||
-          node.str_value == "fn:doc");
+  return node.kind == AstKind::kFunctionCall && node.builtin == Builtin::kDoc;
 }
 
 bool IsCollectionCall(const AstNode& node) {
   return node.kind == AstKind::kFunctionCall &&
-         (node.str_value == "collection" ||
-          node.str_value == "fn:collection");
+         node.builtin == Builtin::kCollection;
 }
 
 bool IsRootedEntryCall(const AstNode& node) {
@@ -151,7 +150,7 @@ StatusOr<QueryScope> ExtractQueryScope(const ParsedQuery& query) {
 bool DependsOnFocus(const AstNode& node) {
   if (node.kind == AstKind::kContextItem) return true;
   if (node.kind == AstKind::kFunctionCall &&
-      (node.str_value == "position" || node.str_value == "last")) {
+      (node.builtin == Builtin::kPosition || node.builtin == Builtin::kLast)) {
     return true;
   }
   if (node.kind == AstKind::kPath && !node.absolute && !node.start) {
@@ -249,6 +248,26 @@ StepPlan ComputeStepPlan(const Step& step, const StorageCapabilities& caps,
   return plan;
 }
 
+// Which matching children of each parent a child name step keeps, as a
+// ChildPath::Step position: every one when it has no predicate, the k-th
+// for one integer literal `[k]` (k >= 1), the last for `[last()]`. nullopt
+// for any other predicate list, which stays on the generic operators.
+std::optional<int32_t> StepPosition(const Step& step) {
+  if (step.predicates.empty()) return ChildPath::Step::kAll;
+  if (step.predicates.size() != 1) return std::nullopt;
+  const AstNode& p = *step.predicates[0];
+  if (p.kind == AstKind::kNumberLiteral && p.num_value >= 1 &&
+      p.num_value <= std::numeric_limits<int32_t>::max() &&
+      p.num_value == std::floor(p.num_value)) {
+    return static_cast<int32_t>(p.num_value);
+  }
+  if (p.kind == AstKind::kFunctionCall && p.builtin == Builtin::kLast &&
+      p.args.empty()) {
+    return ChildPath::Step::kLast;
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 std::optional<ChildPath> LowerChildChain(const AstNode& path,
@@ -265,10 +284,13 @@ std::optional<ChildPath> LowerChildChain(const AstNode& path,
   for (size_t i = 0; i < path.steps.size(); ++i) {
     const Step& s = path.steps[i];
     const bool last = i + 1 == path.steps.size();
-    if (!s.predicates.empty()) return std::nullopt;
     if (s.axis == Axis::kChild && s.test == Step::Test::kName) {
-      chain.steps.push_back(steps[i].name);
+      const std::optional<int32_t> position = StepPosition(s);
+      if (!position.has_value()) return std::nullopt;
+      chain.steps.push_back({steps[i].name, *position});
       if (steps[i].name == xml::kInvalidName) chain.absent = true;
+    } else if (!s.predicates.empty()) {
+      return std::nullopt;
     } else if (last && s.axis == Axis::kChild &&
                s.test == Step::Test::kText) {
       chain.terminal = ChildPath::Terminal::kText;
@@ -475,8 +497,7 @@ namespace {
 // count() call. Shadowing rebinds of the same name bail out conservatively.
 bool CountOnlyUses(const AstNode& node, const std::string& var) {
   if (node.kind == AstKind::kVarRef) return node.str_value != var;
-  if (node.kind == AstKind::kFunctionCall &&
-      (node.str_value == "count" || node.str_value == "fn:count") &&
+  if (node.kind == AstKind::kFunctionCall && node.builtin == Builtin::kCount &&
       node.args.size() == 1 && node.args[0]->kind == AstKind::kVarRef) {
     return true;  // count($x) — the one permitted use site
   }
@@ -550,6 +571,7 @@ size_t LowerConstructorElement(const AstNode& ctor, ConstructPlan* plan) {
       ++plan->const_attr_count;
     } else {
       out.src = &attr;
+      out.chains.assign(attr.parts.size(), nullptr);
       ++plan->dyn_attr_count;
     }
     attrs.push_back(std::move(out));
@@ -602,32 +624,21 @@ ConstructPlan LowerConstructor(const AstNode& ctor) {
 
 namespace {
 
-// The evaluator strips a leading "fn:" before its function lookup, so a
-// prolog function shadows both spellings of a builtin.
-bool ShadowedBuiltin(const std::set<std::string>& udfs,
-                     std::string_view name) {
-  if (name.substr(0, 3) == "fn:") name = name.substr(3);
-  return udfs.count(std::string(name)) != 0;
-}
-
 // Appends the native form of predicate subtree `n` to `out->nodes`: an
 // and/or tree whose leaves test a child chain (already lowered into
 // `plan`) rooted at `var_slot` (-1: the context item) against a literal —
 // a comparison in either operand order, or contains/starts-with with a
 // string needle. False for any other shape.
 bool AppendNativeNode(const AstNode& n, int var_slot,
-                      const std::set<std::string>& udfs,
                       const PlanAnnotations& plan, NativePredicate* out) {
   const size_t index = out->nodes.size();
   out->nodes.emplace_back();
   const AstNode* chain = nullptr;
   const AstNode* literal = nullptr;
-  if (n.kind == AstKind::kFunctionCall && n.args.size() == 2 &&
-      !ShadowedBuiltin(udfs, n.str_value)) {
-    const std::string_view name = n.str_value;
-    if (name == "contains" || name == "fn:contains") {
+  if (n.kind == AstKind::kFunctionCall && n.args.size() == 2) {
+    if (n.builtin == Builtin::kContains) {
       out->nodes[index].leaf = NativePredicate::Node::Leaf::kContains;
-    } else if (name == "starts-with" || name == "fn:starts-with") {
+    } else if (n.builtin == Builtin::kStartsWith) {
       out->nodes[index].leaf = NativePredicate::Node::Leaf::kStartsWith;
     } else {
       return false;
@@ -640,11 +651,9 @@ bool AppendNativeNode(const AstNode& n, int var_slot,
     // Write through the index: the recursion grows the vector.
     out->nodes[index].op = n.op;
     out->nodes[index].lhs = out->nodes.size();
-    if (!AppendNativeNode(*n.args[0], var_slot, udfs, plan, out)) {
-      return false;
-    }
+    if (!AppendNativeNode(*n.args[0], var_slot, plan, out)) return false;
     out->nodes[index].rhs = out->nodes.size();
-    return AppendNativeNode(*n.args[1], var_slot, udfs, plan, out);
+    return AppendNativeNode(*n.args[1], var_slot, plan, out);
   } else if (n.kind == AstKind::kBinary && IsComparisonOp(n.op)) {
     chain = n.args[0].get();
     literal = n.args[1].get();
@@ -657,13 +666,10 @@ bool AppendNativeNode(const AstNode& n, int var_slot,
   } else {
     return false;
   }
-  const auto it = plan.paths.find(chain);
-  if (it == plan.paths.end() || !it->second.chain.has_value() ||
-      it->second.chain->var_slot != var_slot) {
-    return false;
-  }
+  const ChildPath* lowered = plan.of(*chain).chain();
+  if (lowered == nullptr || lowered->var_slot != var_slot) return false;
   NativePredicate::Node& leaf = out->nodes[index];
-  leaf.chain = *it->second.chain;
+  leaf.chain = *lowered;
   leaf.literal = literal->kind == AstKind::kNumberLiteral
                      ? Item(literal->num_value)
                      : Item(literal->str_value);
@@ -672,25 +678,23 @@ bool AppendNativeNode(const AstNode& n, int var_slot,
 
 // The emit of a fused FLWOR's return clause: $v itself, a child chain of
 // $v, or count($v//tag).
-bool MatchEmit(const AstNode& ret, int var_slot,
-               const std::set<std::string>& udfs, const PlanAnnotations& plan,
+bool MatchEmit(const AstNode& ret, int var_slot, const PlanAnnotations& plan,
                CompiledPipeline* pipe) {
   if (ret.kind == AstKind::kVarRef) {
     pipe->emit = CompiledPipeline::Emit::kVar;
     return ret.var_slot == var_slot;
   }
   if (ret.kind == AstKind::kPath) {
-    const PathPlan& pp = plan.paths.at(&ret);
+    const ChildPath* chain = plan.of(ret).chain();
     pipe->emit = CompiledPipeline::Emit::kTailNodes;
-    if (pp.chain.has_value() && pp.chain->var_slot == var_slot) {
-      pipe->tail = *pp.chain;
+    if (chain != nullptr && chain->var_slot == var_slot) {
+      pipe->tail = *chain;
       return true;
     }
     return false;
   }
-  if (ret.kind != AstKind::kFunctionCall ||
-      (ret.str_value != "count" && ret.str_value != "fn:count") ||
-      ShadowedBuiltin(udfs, ret.str_value) || ret.args.size() != 1) {
+  if (ret.kind != AstKind::kFunctionCall || ret.builtin != Builtin::kCount ||
+      ret.args.size() != 1) {
     return false;
   }
   const AstNode& a = *ret.args[0];
@@ -705,115 +709,135 @@ bool MatchEmit(const AstNode& ret, int var_slot,
     return false;
   }
   pipe->emit = CompiledPipeline::Emit::kCount;
-  pipe->count_tag = plan.paths.at(&a).steps[0].name;
+  pipe->count_tag = plan.of(a).path->steps[0].name;
   return true;
 }
 
-// Fuses `flwor` (its subexpressions already lowered) when it has the
-// CompiledPipeline shape: one `for` over a rooted path of child and
-// descendant steps, no `order by`, the nested-loop strategy and no
-// band-join let, a native where, and one of the three emits.
-void TryFuse(const AstNode& flwor, const std::set<std::string>& udfs,
-             PlanAnnotations* plan) {
-  if (flwor.clauses.size() != 1 || flwor.clauses[0].is_let ||
-      !flwor.order_by.empty()) {
-    return;
-  }
-  if (plan->flwors.at(&flwor).strategy != FlworPlan::Strategy::kNestedLoop ||
-      plan->band_lets.count(&flwor) != 0) {
-    return;
-  }
-  const ForLetClause& clause = flwor.clauses[0];
-  const AstNode& domain = *clause.expr;
-  if (domain.kind != AstKind::kPath || domain.steps.empty() ||
-      !(domain.absolute ||
-        (domain.start != nullptr && IsRootedEntryCall(*domain.start)))) {
-    return;
-  }
-  for (const Step& s : domain.steps) {
-    if (s.axis != Axis::kChild && s.axis != Axis::kDescendant) return;
-  }
-  CompiledPipeline pipe;
-  pipe.stages = "scan";
-  if (flwor.where != nullptr) {
-    pipe.where.emplace();
-    if (!AppendNativeNode(*flwor.where, clause.var_slot, udfs, *plan,
-                          &*pipe.where)) {
+// One BuildPlan walk: fills `plan`'s slots for every node it reaches.
+class Lowering {
+ public:
+  Lowering(const EvaluatorOptions& options, const xml::NameTable& names,
+           PlanAnnotations* plan)
+      : options_(options), names_(names), plan_(plan) {}
+
+  void Lower(const AstNode& node) {
+    NodePlan& slot = plan_->nodes[node.plan_slot];
+    if (node.kind == AstKind::kPath) {
+      slot.path = std::make_unique<const PathPlan>(
+          ComputePathPlan(node, options_, plan_->caps, names_));
+    } else if (node.kind == AstKind::kFlwor) {
+      FlworPlan fp;
+      AnalyzeFlworJoin(node, options_, &fp);
+      slot.flwor = std::make_unique<const FlworPlan>(fp);
+      if (options_.hash_join) {
+        for (size_t i = 0; i < node.clauses.size(); ++i) {
+          BandJoinPlan band;
+          if (AnalyzeBandLet(node, i, &band)) {
+            plan_->nodes[node.clauses[i].expr->plan_slot].band_let =
+                std::make_unique<const BandJoinPlan>(band);
+          }
+        }
+      }
+    } else if (node.kind == AstKind::kElementConstructor) {
+      slot.construct = std::make_unique<const ConstructPlan>(
+          LowerTemplate(node));
       return;
     }
-    pipe.stages += "|filter";
+    VisitChildren(node, [&](const AstNode& child) { Lower(child); });
+    // Native predicates and fusion read the lowered chains of the
+    // subexpressions (above), which exist only under hash_join, so F and G
+    // keep the generic Focus and the nested loop.
+    if (!options_.hash_join) return;
+    if (node.kind == AstKind::kPath) {
+      for (const Step& s : node.steps) {
+        for (const AstPtr& pred : s.predicates) {
+          NativePredicate native;
+          if (AppendNativeNode(*pred, -1, *plan_, &native)) {
+            plan_->nodes[pred->plan_slot].predicate =
+                std::make_unique<const NativePredicate>(std::move(native));
+          }
+        }
+      }
+    } else if (node.kind == AstKind::kFlwor) {
+      TryFuse(node);
+    }
   }
-  if (!MatchEmit(*flwor.ret, clause.var_slot, udfs, *plan, &pipe)) return;
-  pipe.stages +=
-      pipe.emit == CompiledPipeline::Emit::kCount ? "|count" : "|emit";
-  pipe.flwor = &flwor;
-  pipe.pipeline_id = plan->pipelines.size();
-  plan->pipelines.emplace(&flwor, std::move(pipe));
-}
 
-void LowerNode(const AstNode& node, const EvaluatorOptions& options,
-               const xml::NameTable& names,
-               const std::set<std::string>& udfs, PlanAnnotations* plan) {
-  if (node.kind == AstKind::kPath) {
-    plan->paths.emplace(&node,
-                        ComputePathPlan(node, options, plan->caps, names));
-  } else if (node.kind == AstKind::kFlwor) {
-    FlworPlan fp;
-    AnalyzeFlworJoin(node, options, &fp);
-    plan->flwors.emplace(&node, fp);
-    if (options.hash_join) {
-      for (size_t i = 0; i < node.clauses.size(); ++i) {
-        BandJoinPlan band;
-        if (AnalyzeBandLet(node, i, &band)) {
-          plan->band_lets.emplace(node.clauses[i].expr.get(), band);
-        }
-      }
-    }
-  } else if (node.kind == AstKind::kElementConstructor) {
-    // The template folds the whole static shell (nested constructors
-    // included), so recursion continues only into the dynamic parts:
-    // hole expressions and dynamic attribute value parts. A constructor
-    // inside a hole gets its own template when the recursion reaches it.
-    ConstructPlan lowered = LowerConstructor(node);
-    lowered.template_id = plan->constructs.size();
-    const auto [it, inserted] =
-        plan->constructs.emplace(&node, std::move(lowered));
-    const ConstructPlan& cp = it->second;
-    for (const ConstructPlan::Element& element : cp.elements) {
-      for (const ConstructPlan::Attr& attr : element.attrs) {
+ private:
+  // The template folds the whole static shell (nested constructors
+  // included), so lowering continues only into the dynamic parts: hole
+  // expressions and dynamic attribute value parts, each of which keeps
+  // the chain it was lowered to. A constructor inside a hole gets its own
+  // template when the recursion reaches it.
+  ConstructPlan LowerTemplate(const AstNode& ctor) {
+    ConstructPlan lowered = LowerConstructor(ctor);
+    for (ConstructPlan::Element& element : lowered.elements) {
+      for (ConstructPlan::Attr& attr : element.attrs) {
         if (attr.src == nullptr) continue;
-        for (const AttrPart& part : attr.src->parts) {
-          if (part.expr) LowerNode(*part.expr, options, names, udfs, plan);
+        for (size_t p = 0; p < attr.src->parts.size(); ++p) {
+          const AttrPart& part = attr.src->parts[p];
+          if (part.expr == nullptr) continue;
+          Lower(*part.expr);
+          attr.chains[p] = plan_->of(*part.expr).chain();
         }
       }
-      for (const ConstructPlan::Child& child : element.children) {
-        if (child.kind == ConstructPlan::Child::Kind::kHole) {
-          LowerNode(*child.expr, options, names, udfs, plan);
-        }
-      }
-    }
-    return;
-  }
-  VisitChildren(node, [&](const AstNode& child) {
-    LowerNode(child, options, names, udfs, plan);
-  });
-  // Native predicates and fusion read the lowered chains of the
-  // subexpressions (above), which exist only under hash_join, so F and G
-  // keep the generic Focus and the nested loop.
-  if (!options.hash_join) return;
-  if (node.kind == AstKind::kPath) {
-    for (const Step& s : node.steps) {
-      for (const AstPtr& pred : s.predicates) {
-        NativePredicate native;
-        if (AppendNativeNode(*pred, -1, udfs, *plan, &native)) {
-          plan->predicates.emplace(pred.get(), std::move(native));
-        }
+      for (ConstructPlan::Child& child : element.children) {
+        if (child.kind != ConstructPlan::Child::Kind::kHole) continue;
+        Lower(*child.expr);
+        child.chain = plan_->of(*child.expr).chain();
       }
     }
-  } else if (node.kind == AstKind::kFlwor) {
-    TryFuse(node, udfs, plan);
+    return lowered;
   }
-}
+
+  // Fuses `flwor` (its subexpressions already lowered) when it has the
+  // CompiledPipeline shape: one `for` over a rooted path of child and
+  // descendant steps, no `order by`, the nested-loop strategy and no
+  // band-join let, a native where, and one of the three emits.
+  void TryFuse(const AstNode& flwor) {
+    if (flwor.clauses.size() != 1 || flwor.clauses[0].is_let ||
+        !flwor.order_by.empty()) {
+      return;
+    }
+    const NodePlan& slot = plan_->of(flwor);
+    if (slot.flwor->strategy != FlworPlan::Strategy::kNestedLoop ||
+        slot.band_let != nullptr) {
+      return;
+    }
+    const ForLetClause& clause = flwor.clauses[0];
+    const AstNode& domain = *clause.expr;
+    if (domain.kind != AstKind::kPath || domain.steps.empty() ||
+        !(domain.absolute ||
+          (domain.start != nullptr && IsRootedEntryCall(*domain.start)))) {
+      return;
+    }
+    for (const Step& s : domain.steps) {
+      if (s.axis != Axis::kChild && s.axis != Axis::kDescendant) return;
+    }
+    CompiledPipeline pipe;
+    pipe.stages = "scan";
+    if (flwor.where != nullptr) {
+      pipe.where.emplace();
+      if (!AppendNativeNode(*flwor.where, clause.var_slot, *plan_,
+                            &*pipe.where)) {
+        return;
+      }
+      pipe.stages += "|filter";
+    }
+    if (!MatchEmit(*flwor.ret, clause.var_slot, *plan_, &pipe)) return;
+    pipe.stages +=
+        pipe.emit == CompiledPipeline::Emit::kCount ? "|count" : "|emit";
+    pipe.flwor = &flwor;
+    pipe.pipeline_id = pipelines_++;
+    plan_->nodes[flwor.plan_slot].pipeline =
+        std::make_unique<const CompiledPipeline>(std::move(pipe));
+  }
+
+  const EvaluatorOptions& options_;
+  const xml::NameTable& names_;
+  PlanAnnotations* plan_;
+  size_t pipelines_ = 0;
+};
 
 }  // namespace
 
@@ -838,19 +862,11 @@ void BuildPlan(const ParsedQuery& query, const StorageAdapter& store,
         break;
     }
   }
-  // The evaluator registers a prolog function under its full name and
-  // under the part after the prefix, and either spelling shadows a
-  // builtin of that name.
-  std::set<std::string> udfs;
-  for (const FunctionDecl& f : query.functions) {
-    udfs.insert(f.name);
-    const size_t colon = f.name.find(':');
-    if (colon != std::string::npos) udfs.insert(f.name.substr(colon + 1));
-  }
-  for (const FunctionDecl& f : query.functions) {
-    LowerNode(*f.body, options, store.names(), udfs, plan);
-  }
-  LowerNode(*query.body, options, store.names(), udfs, plan);
+  plan->nodes.clear();
+  plan->nodes.resize(query.node_count);
+  Lowering lowering(options, store.names(), plan);
+  for (const FunctionDecl& f : query.functions) lowering.Lower(*f.body);
+  lowering.Lower(*query.body);
 }
 
 }  // namespace xmark::query

@@ -40,10 +40,11 @@ std::set<std::string> FreeVars(const AstNode& node);
 /// position() or last()), which makes memoization unsound.
 bool DependsOnFocus(const AstNode& node);
 
-/// document()/doc() call recognition.
+/// A call the parser resolved to the document()/doc() builtin (either
+/// spelling, with or without `fn:`, and not shadowed by a prolog function).
 bool IsDocumentCall(const AstNode& node);
 
-/// collection()/fn:collection() call recognition (corpus-wide scan entry).
+/// A call resolved to the collection() builtin (corpus-wide scan entry).
 bool IsCollectionCall(const AstNode& node);
 
 /// Either document entry point: a path starting here is rooted, so every
@@ -84,10 +85,11 @@ bool IsComparisonOp(BinaryOp op);
 bool IsLiteral(const AstNode& n);
 
 /// The optimizer's one child-chain matcher: `path` (a kPath) starts at a
-/// variable or at the context item, has only predicate-free child name
-/// steps and may end in text() or @name. Lowers it against the planned
-/// `steps` (one StepPlan per AST step); nullopt for
-/// any other shape, or a chain deeper than ChildPath::kMaxLevels.
+/// variable or at the context item, has only child name steps, each with
+/// no predicate or one `[k]` (integer literal k >= 1) or `[last()]`, and
+/// may end in text() or @name. Lowers it against the planned `steps` (one
+/// StepPlan per AST step); nullopt for any other shape, or a chain deeper
+/// than ChildPath::kMaxLevels.
 std::optional<ChildPath> LowerChildChain(const AstNode& path,
                                          const std::vector<StepPlan>& steps);
 
@@ -117,10 +119,11 @@ ConstructPlan LowerConstructor(const AstNode& ctor);
 /// Lowers a parsed query against one store + option set. Fills path plans
 /// (with every step's NameId resolved in `store`'s dictionary, and child
 /// chains lowered for the kernel), FLWOR strategies, band-join lets,
-/// constructor templates, native step predicates and fused FLWORs into
-/// the annotation set (a QueryPlan's local annotations, or a standalone
-/// PlanAnnotations destined for the plan cache), in one walk over each
-/// body. Reads `query` only.
+/// constructor templates (with their holes' chains), native step
+/// predicates and fused FLWORs into the annotation set's plan slots (a
+/// QueryPlan's local annotations, or a standalone PlanAnnotations
+/// destined for the plan cache), in one walk over each body. Reads
+/// `query` only.
 void BuildPlan(const ParsedQuery& query, const StorageAdapter& store,
                const EvaluatorOptions& options, PlanAnnotations* plan);
 

@@ -1,7 +1,9 @@
 #include "query/parser.h"
 
 #include <cctype>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "util/fault_injection.h"
 #include "util/string_util.h"
@@ -28,24 +30,78 @@ bool IsXmlNameChar(char c) {
          c == '-' || c == '.' || c == ':';
 }
 
-// Interns every variable name of a module into a dense slot space: each
-// distinct name gets one slot, shared by all its (possibly shadowing)
-// bindings, so variable lookup is a vector index instead of a
-// string-keyed search. Deterministic for a given AST.
-class SlotResolver {
+// The builtins by name, after a leading "fn:" is dropped.
+constexpr std::pair<std::string_view, Builtin> kBuiltins[] = {
+    {"position", Builtin::kPosition}, {"last", Builtin::kLast},
+    {"true", Builtin::kTrue}, {"false", Builtin::kFalse},
+    {"document", Builtin::kDoc}, {"doc", Builtin::kDoc},
+    {"collection", Builtin::kCollection}, {"count", Builtin::kCount},
+    {"empty", Builtin::kEmpty}, {"exists", Builtin::kExists},
+    {"not", Builtin::kNot}, {"boolean", Builtin::kBoolean},
+    {"string", Builtin::kString}, {"data", Builtin::kData},
+    {"number", Builtin::kNumber}, {"sum", Builtin::kSum},
+    {"avg", Builtin::kAvg}, {"min", Builtin::kMin}, {"max", Builtin::kMax},
+    {"contains", Builtin::kContains}, {"starts-with", Builtin::kStartsWith},
+    {"string-length", Builtin::kStringLength}, {"concat", Builtin::kConcat},
+    {"distinct-values", Builtin::kDistinctValues}, {"name", Builtin::kName},
+    {"local-name", Builtin::kName}, {"round", Builtin::kRound},
+    {"floor", Builtin::kFloor}, {"ceiling", Builtin::kCeiling},
+    {"zero-or-one", Builtin::kCardinality},
+    {"exactly-one", Builtin::kCardinality},
+    {"exact-one", Builtin::kCardinality},
+    {"one-or-more", Builtin::kCardinality}, {"id", Builtin::kId},
+};
+
+Builtin BuiltinNamed(std::string_view name) {
+  for (const auto& [spelling, builtin] : kBuiltins) {
+    if (name == spelling) return builtin;
+  }
+  return Builtin::kUnknown;
+}
+
+// Resolves a module once, before any plan or run reads it:
+//   - numbers every AST node densely (its plan slot), UDF bodies included;
+//   - interns every variable name into a dense slot space: each distinct
+//     name gets one slot, shared by all its (possibly shadowing) bindings,
+//     so variable lookup is a vector index instead of a string-keyed
+//     search;
+//   - resolves every function call. A prolog function is known under its
+//     full name and under the part after its prefix (a later declaration
+//     wins), and a call's leading "fn:" is dropped, so a prolog function
+//     shadows the builtin of its name under either spelling; position(),
+//     last(), true() and false() are never shadowed. An unknown name stays
+//     kUnknown and fails only when called.
+// Deterministic for a given AST.
+class ModuleResolver {
  public:
-  explicit SlotResolver(std::vector<std::string>* names) : names_(names) {}
+  ModuleResolver(const std::vector<FunctionDecl>& functions,
+                 std::vector<std::string>* var_names)
+      : var_names_(var_names) {
+    for (size_t i = 0; i < functions.size(); ++i) {
+      const std::string& name = functions[i].name;
+      functions_[name] = static_cast<int>(i);
+      const size_t colon = name.find(':');
+      if (colon != std::string::npos) {
+        functions_[name.substr(colon + 1)] = static_cast<int>(i);
+      }
+    }
+  }
 
   int SlotOf(const std::string& name) {
     const auto [it, inserted] =
-        slots_.emplace(name, static_cast<int>(slots_.size()));
-    if (inserted) names_->push_back(name);
+        var_slots_.emplace(name, static_cast<int>(var_slots_.size()));
+    if (inserted) var_names_->push_back(name);
     return it->second;
   }
 
+  size_t node_count() const { return node_count_; }
+
   void Visit(AstNode& node) {
+    node.plan_slot = static_cast<uint32_t>(node_count_++);
     if (node.kind == AstKind::kVarRef) {
       node.var_slot = SlotOf(node.str_value);
+    } else if (node.kind == AstKind::kFunctionCall) {
+      ResolveCall(node);
     }
     if (node.start) Visit(*node.start);
     for (Step& s : node.steps) {
@@ -68,12 +124,36 @@ class SlotResolver {
   }
 
  private:
-  std::unordered_map<std::string, int> slots_;
-  std::vector<std::string>* names_;
+  void ResolveCall(AstNode& call) const {
+    const std::string_view name = CalledName(call);
+    const Builtin builtin = BuiltinNamed(name);
+    switch (builtin) {
+      case Builtin::kPosition:
+      case Builtin::kLast:
+      case Builtin::kTrue:
+      case Builtin::kFalse:
+        call.builtin = builtin;
+        return;
+      default:
+        break;
+    }
+    const auto udf = functions_.find(std::string(name));
+    if (udf != functions_.end()) {
+      call.builtin = Builtin::kUserFunction;
+      call.function_index = udf->second;
+      return;
+    }
+    call.builtin = builtin;
+  }
+
+  std::unordered_map<std::string, int> functions_;
+  std::unordered_map<std::string, int> var_slots_;
+  std::vector<std::string>* var_names_;
+  size_t node_count_ = 0;
 };
 
-void ResolveVariableSlots(ParsedQuery& query) {
-  SlotResolver resolver(&query.var_names);
+void ResolveModule(ParsedQuery& query) {
+  ModuleResolver resolver(query.functions, &query.var_names);
   for (FunctionDecl& f : query.functions) {
     for (const std::string& p : f.params) {
       f.param_slots.push_back(resolver.SlotOf(p));
@@ -81,6 +161,7 @@ void ResolveVariableSlots(ParsedQuery& query) {
     resolver.Visit(*f.body);
   }
   resolver.Visit(*query.body);
+  query.node_count = resolver.node_count();
 }
 
 }  // namespace
@@ -175,9 +256,9 @@ StatusOr<ParsedQuery> Parser::ParseQuery() {
   }
   XMARK_ASSIGN_OR_RETURN(query.body, ParseExpr());
   if (!CurIs(TokenKind::kEof)) return Fail(ParseErrorCode::kTrailingInput, "trailing input");
-  // Compile-time variable interning: bindings and references resolve to
-  // environment slots here, so a returned module is never written again.
-  ResolveVariableSlots(query);
+  // Compile-time resolution: plan slots, variable slots and callees are
+  // fixed here, so a returned module is never written again.
+  ResolveModule(query);
   return query;
 }
 
@@ -185,6 +266,8 @@ StatusOr<AstPtr> Parser::ParseExpression() {
   XMARK_RETURN_IF_ERROR(Advance());
   XMARK_ASSIGN_OR_RETURN(AstPtr expr, ParseExpr());
   if (!CurIs(TokenKind::kEof)) return Fail(ParseErrorCode::kTrailingInput, "trailing input");
+  std::vector<std::string> var_names;
+  ModuleResolver({}, &var_names).Visit(*expr);
   return expr;
 }
 
@@ -880,6 +963,12 @@ ParseErrorCode ParseErrorCodeOf(const Status& status) {
     if (slug == ParseErrorCodeSlug(code)) return code;
   }
   return ParseErrorCode::kUnknown;
+}
+
+std::string_view CalledName(const AstNode& call) {
+  std::string_view name = call.str_value;
+  if (StartsWith(name, "fn:")) name.remove_prefix(3);
+  return name;
 }
 
 StatusOr<ParsedQuery> ParseQueryText(std::string_view text) {

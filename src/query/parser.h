@@ -42,9 +42,10 @@ class Parser {
  public:
   explicit Parser(std::string_view input);
 
-  /// Parses a complete query module (prolog + body) and interns its
-  /// variables into environment slots, so the module is ready to run and
-  /// never written again.
+  /// Parses a complete query module (prolog + body), numbers its nodes
+  /// (AstNode::plan_slot), interns its variables into environment slots
+  /// and resolves every call to a builtin or a prolog function, so the
+  /// module is ready to plan and run and is never written again.
   StatusOr<ParsedQuery> ParseQuery();
 
   /// Parses a standalone expression (tests / interactive use).
@@ -119,6 +120,10 @@ class Parser {
   Token cur_;
   int depth_ = 0;
 };
+
+/// The name a kFunctionCall is resolved under: its spelling without a
+/// leading "fn:" (what error messages name).
+std::string_view CalledName(const AstNode& call);
 
 /// Convenience wrapper: parse a whole query text.
 StatusOr<ParsedQuery> ParseQueryText(std::string_view text);

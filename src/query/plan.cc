@@ -10,6 +10,12 @@ namespace xmark::query {
 QueryPlan::QueryPlan() = default;
 QueryPlan::~QueryPlan() = default;
 
+void QueryPlan::SizeRunState(size_t node_count) {
+  join_state.resize(node_count);
+  band_state.resize(node_count);
+  invariant_cache.resize(node_count);
+}
+
 uint64_t OptionsFingerprint(const EvaluatorOptions& o) {
   uint64_t f = 0;
   const auto bit = [&f](bool b) { f = (f << 1) | (b ? 1u : 0u); };
@@ -138,9 +144,9 @@ class ExplainPrinter {
     if (n.start != nullptr) {
       if (n.start->kind == AstKind::kVarRef) {
         spec += "$" + n.start->str_value;
-      } else if (IsCollectionCallName(*n.start)) {
+      } else if (n.start->builtin == Builtin::kCollection) {
         spec += "collection()";
-      } else if (IsDocCallName(*n.start)) {
+      } else if (IsEntryCall(*n.start)) {
         spec += "document()";
       } else {
         spec += "(...)";
@@ -151,21 +157,17 @@ class ExplainPrinter {
     return spec;
   }
 
-  static bool IsDocCallName(const AstNode& n) {
+  // A document entry call (the parser resolved the callee).
+  static bool IsEntryCall(const AstNode& n) {
     return n.kind == AstKind::kFunctionCall &&
-           (n.str_value == "document" || n.str_value == "doc" ||
-            n.str_value == "fn:doc" || n.str_value == "collection" ||
-            n.str_value == "fn:collection");
+           (n.builtin == Builtin::kDoc || n.builtin == Builtin::kCollection);
   }
 
-  static bool IsCollectionCallName(const AstNode& n) {
-    return n.kind == AstKind::kFunctionCall &&
-           (n.str_value == "collection" || n.str_value == "fn:collection");
-  }
+  const NodePlan& Of(const AstNode& n) const { return plan_.ann().of(n); }
 
   void Path(const AstNode& n, int depth) {
     std::string line = "path " + PathSpec(n);
-    const PathPlan* pp = plan_.FindPath(&n);
+    const PathPlan* pp = Of(n).path.get();
     if (pp != nullptr) {
       line += " access=[";
       for (size_t i = 0; i < pp->steps.size(); ++i) {
@@ -180,7 +182,7 @@ class ExplainPrinter {
     }
     Line(depth, line);
     if (n.start != nullptr && n.start->kind != AstKind::kVarRef &&
-        !IsDocCallName(*n.start)) {
+        !IsEntryCall(*n.start)) {
       Node(*n.start, depth + 1);
     }
     for (const Step& s : n.steps) {
@@ -190,7 +192,8 @@ class ExplainPrinter {
 
   void Flwor(const AstNode& n, int depth) {
     std::string line = "flwor strategy=";
-    const FlworPlan* fp = plan_.FindFlwor(&n);
+    const NodePlan& np = Of(n);
+    const FlworPlan* fp = np.flwor.get();
     if (fp != nullptr && fp->strategy == FlworPlan::Strategy::kHashJoin) {
       line += "hash-join key=" + PathSpecOf(fp->hash.inner_key) +
               " probe=" + PathSpecOf(fp->hash.outer_key);
@@ -200,20 +203,19 @@ class ExplainPrinter {
     } else {
       line += "nested-loop";
       if (fp != nullptr && fp->join_shape) line += " (joinable!)";
-      if (fp != nullptr && fp->band_shape &&
-          plan_.ann().band_lets.find(&n) == plan_.ann().band_lets.end()) {
+      if (fp != nullptr && fp->band_shape && np.band_let == nullptr) {
         line += " (band-shape)";
       }
     }
     Line(depth, line);
-    const CompiledPipeline* pipe = plan_.FindPipeline(&n);
+    const CompiledPipeline* pipe = np.pipeline.get();
     if (pipe != nullptr) {
       Line(depth + 1, StringPrintf("pipeline %zu fused=[%s]",
                                    pipe->pipeline_id, pipe->stages.c_str()));
     }
     for (const ForLetClause& c : n.clauses) {
       const BandJoinPlan* band =
-          c.is_let && c.expr ? plan_.FindBandLet(c.expr.get()) : nullptr;
+          c.is_let && c.expr ? Of(*c.expr).band_let.get() : nullptr;
       if (band != nullptr) {
         Line(depth + 1,
              "let $" + c.var + " := band-count-join op=" +
@@ -277,23 +279,21 @@ class ExplainPrinter {
       }
       case AstKind::kBinary: {
         Line(depth, std::string("op ") + BinaryOpName(n.op) +
-                        (plan_.FindPredicate(&n) != nullptr
-                             ? " native-predicate"
-                             : ""));
+                        (Of(n).predicate != nullptr ? " native-predicate"
+                                                    : ""));
         for (const AstPtr& a : n.args) Node(*a, depth + 1);
         return;
       }
       case AstKind::kFunctionCall: {
         Line(depth, "call " + n.str_value +
-                        (plan_.FindPredicate(&n) != nullptr
-                             ? " native-predicate"
-                             : ""));
+                        (Of(n).predicate != nullptr ? " native-predicate"
+                                                    : ""));
         for (const AstPtr& a : n.args) Node(*a, depth + 1);
         return;
       }
       case AstKind::kElementConstructor: {
         std::string line = "constructor <" + n.tag + ">";
-        const ConstructPlan* cp = plan_.FindConstruct(&n);
+        const ConstructPlan* cp = Of(n).construct.get();
         if (cp != nullptr) {
           // Arena template: the static shell (nested elements, constant
           // attrs/text) is instantiated per binding from one per-run
@@ -357,19 +357,18 @@ std::string QueryPlan::Explain(const ParsedQuery& query) const {
 QueryPlan::Summary QueryPlan::Summarize() const {
   const PlanAnnotations& a = ann();
   Summary s;
-  s.band_joins = static_cast<int>(a.band_lets.size());
-  s.construct_templates = static_cast<int>(a.constructs.size());
-  s.compiled_pipelines = static_cast<int>(a.pipelines.size());
-  for (const auto& [node, pp] : a.paths) {
-    if (pp.chain.has_value()) ++s.child_kernels;
-  }
-  for (const auto& [node, fp] : a.flwors) {
-    if (fp.strategy == FlworPlan::Strategy::kHashJoin) {
+  for (const NodePlan& np : a.nodes) {
+    if (np.band_let != nullptr) ++s.band_joins;
+    if (np.construct != nullptr) ++s.construct_templates;
+    if (np.pipeline != nullptr) ++s.compiled_pipelines;
+    if (np.path != nullptr && np.path->chain.has_value()) ++s.child_kernels;
+    const FlworPlan* fp = np.flwor.get();
+    if (fp == nullptr) continue;
+    if (fp->strategy == FlworPlan::Strategy::kHashJoin) {
       ++s.hash_joins;
-    } else if (fp.join_shape) {
+    } else if (fp->join_shape) {
       ++s.joinable_nested_loops;  // decorrelatable, hash_join off
-    } else if (fp.band_shape &&
-               a.band_lets.find(node) == a.band_lets.end()) {
+    } else if (fp->band_shape && np.band_let == nullptr) {
       ++s.joinable_nested_loops;  // band shape not converted
     }
   }

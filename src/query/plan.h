@@ -17,9 +17,13 @@
 // tables, band domains, invariant-path memos, the construction arena)
 // lives INSIDE the QueryPlan instance, and a fresh QueryPlan is built per
 // Evaluator::Run. Caches therefore cannot survive into a run over a
-// different document or option set by construction. Annotation maps are
-// keyed by AstNode address; a plan must never outlive the AST it was
-// lowered from.
+// different document or option set by construction.
+//
+// Slot rule: the parser numbers every AST node of a module densely
+// (AstNode::plan_slot), so annotations and per-run state are vectors
+// indexed by that number, never maps keyed by node address; a plan reads
+// its node's slot with one index. Annotations point into the AST they
+// were lowered from and must never outlive it.
 
 #ifndef XMARK_QUERY_PLAN_H_
 #define XMARK_QUERY_PLAN_H_
@@ -28,7 +32,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "query/ast.h"
@@ -140,15 +143,31 @@ struct StepPlan {
 
 /// A child chain lowered for the child-path kernel (ChildPathWalker in
 /// query/exec.h): a path that starts at a bound variable or at the context
-/// item, has only predicate-free child name steps, and may end in text()
-/// or @name — `$t/profile/age/text()`, `$t/buyer/@person`, or `income`
-/// inside `profile[income >= 100000]`. The kernel walks it per start node
-/// over the store's tag-filtered child cursors without building a
-/// Sequence.
+/// item, has only child name steps, each with no predicate or with one
+/// positional `[k]` (an integer literal k >= 1) or `[last()]`, and may end
+/// in text() or @name — `$t/profile/age/text()`, `$t/buyer/@person`,
+/// `$b/bidder[last()]/increase/text()`, or `income` inside
+/// `profile[income >= 100000]`. The kernel walks it per start node over
+/// the store's tag-filtered child cursors without building a Sequence; a
+/// positional step keeps one child per parent, as the generic predicate
+/// does over each parent's group.
 struct ChildPath {
   /// Levels the walker recurses through (name steps plus a text() level);
   /// deeper chains stay on the generic operators.
   static constexpr size_t kMaxLevels = 16;
+
+  /// One child name step.
+  struct Step {
+    /// `position` of a step that keeps every matching child.
+    static constexpr int32_t kAll = 0;
+    /// `position` of a `[last()]` step.
+    static constexpr int32_t kLast = -1;
+
+    xml::NameId tag = xml::kInvalidName;
+    /// kAll, kLast, or k >= 1 for `[k]`: the matching child of each
+    /// parent that the step keeps.
+    int32_t position = kAll;
+  };
 
   enum class Terminal : uint8_t {
     kNodes,      // the elements the last name step selects
@@ -158,7 +177,7 @@ struct ChildPath {
   /// Slot of the root variable; -1 when the chain starts at the context
   /// item (a relative path).
   int var_slot = -1;
-  std::vector<xml::NameId> steps;  // the child name steps' tags, in order
+  std::vector<Step> steps;  // the child name steps, in order
   Terminal terminal = Terminal::kNodes;
   xml::NameId attribute = xml::kInvalidName;  // kAttribute: its name
   /// A step names a tag the store never saw: the chain selects nothing.
@@ -238,6 +257,12 @@ struct BandJoinPlan {
 /// slot counts, constant text is interned into the arena once per run and
 /// shared by every instantiation, and dynamic text is appended into the
 /// arena's shared buffer instead of allocating a std::string per node.
+/// A hole or attribute value part that the optimizer lowered to a child
+/// chain (`{$t/name/text()}`, `name="{$i/@id}"`) carries the chain: the
+/// instantiation walks it from the bound variable straight into the
+/// arena, with no Eval and no Sequence, unless the binding is an
+/// unevaluated let, unbound, or holds a constructed item; those take the
+/// generic path, which materializes the let or raises the error.
 struct ConstructPlan {
   struct Child {
     enum class Kind : uint8_t {
@@ -248,11 +273,15 @@ struct ConstructPlan {
     Kind kind = Kind::kHole;
     size_t index = 0;
     const AstNode* expr = nullptr;
+    /// kHole: `expr`'s child chain when the optimizer lowered one.
+    const ChildPath* chain = nullptr;
   };
   struct Attr {
     std::string name;
     /// Non-null: dynamic value, evaluate `src->parts` per instantiation.
     const AttrConstructor* src = nullptr;
+    /// By `src->parts` index: the part's lowered child chain, or null.
+    std::vector<const ChildPath*> chains;
     /// src == nullptr: the value is this constant, folded at plan time.
     std::string const_value;
   };
@@ -262,11 +291,9 @@ struct ConstructPlan {
     std::vector<Child> children;  // pre-counted child slots
   };
 
-  const AstNode* source = nullptr;  // the kElementConstructor root
-  /// Dense per-plan index assigned at registration; ConstructExec keys its
-  /// per-run interned-segment cache by it (array indexing on the hot
-  /// instantiation path instead of a hash lookup).
-  size_t template_id = 0;
+  /// The kElementConstructor root; ConstructExec keys its per-run
+  /// interned-segment cache by its plan slot.
+  const AstNode* source = nullptr;
   std::vector<Element> elements;    // [0] is the root element
   std::vector<std::string> const_texts;  // deduplicated constant segments
   size_t hole_count = 0;
@@ -321,26 +348,47 @@ struct FlworPlan {
   HashJoinPlan hash;
 };
 
+/// Every plan the optimizer made for one AST node: one plan slot. Null
+/// where it made none; a node has at most the plans of its kind.
+struct NodePlan {
+  std::unique_ptr<const PathPlan> path;    // kPath (every one is planned)
+  std::unique_ptr<const FlworPlan> flwor;  // kFlwor (every one is planned)
+  /// A kFlwor bound by a count-only `let`, planned as a band join.
+  std::unique_ptr<const BandJoinPlan> band_let;
+  /// A kFlwor fused into a compiled pipeline.
+  std::unique_ptr<const CompiledPipeline> pipeline;
+  /// kElementConstructor outside another constructor's static shell.
+  std::unique_ptr<const ConstructPlan> construct;
+  /// The root expression of a step predicate answered natively.
+  std::unique_ptr<const NativePredicate> predicate;
+
+  /// The child chain a kPath was lowered to (the kernel walks it), else
+  /// null.
+  const ChildPath* chain() const {
+    return path != nullptr && path->chain.has_value() ? &*path->chain
+                                                      : nullptr;
+  }
+};
+
 /// The compile-time half of a lowered query: strategy annotations filled
 /// by the optimizer for one (module, store uid, options fingerprint)
 /// triple. Immutable once built, which is what lets the plan cache hand
 /// one instance to any number of concurrent runs via shared_ptr<const>.
-/// Maps are keyed by AstNode address; annotations must never outlive the
-/// ParsedQuery they were lowered from (a cache entry and a PreparedQuery
-/// hold both).
+/// One plan slot per AST node, indexed by AstNode::plan_slot; annotations
+/// must never outlive the ParsedQuery they were lowered from (a cache
+/// entry and a PreparedQuery hold both), and plans point into each other
+/// (a constructor hole's chain), so annotations are never copied.
 struct PlanAnnotations {
   std::string store_name;       // mapping_name at plan time (Explain)
   std::string doc_scope;        // document scope ("" = default document)
   uint64_t store_uid = 0;       // store identity the plan was built for
   StorageCapabilities caps;     // capability snapshot at plan time
   EvaluatorOptions options;     // toggles the plan was built under
-  std::unordered_map<const AstNode*, PathPlan> paths;
-  std::unordered_map<const AstNode*, FlworPlan> flwors;
-  std::unordered_map<const AstNode*, BandJoinPlan> band_lets;
-  std::unordered_map<const AstNode*, ConstructPlan> constructs;
-  std::unordered_map<const AstNode*, CompiledPipeline> pipelines;
-  /// Keyed by the step predicate's root expression.
-  std::unordered_map<const AstNode*, NativePredicate> predicates;
+  std::vector<NodePlan> nodes;  // ParsedQuery::node_count entries
+
+  const NodePlan& of(const AstNode& node) const {
+    return nodes[node.plan_slot];
+  }
 };
 
 /// A query lowered against one store + option set: per-node strategy
@@ -349,7 +397,7 @@ struct PlanAnnotations {
 /// Evaluator::Run — caches cannot survive into a run over a different
 /// document by construction. The annotations half may instead be ADOPTED
 /// from the plan cache (shared, const); the per-run state below is always
-/// exclusive to this run.
+/// exclusive to this run, one slot per AST node like the annotations.
 class QueryPlan {
  public:
   QueryPlan();
@@ -362,49 +410,9 @@ class QueryPlan {
   const PlanAnnotations& ann() const { return shared_ ? *shared_ : local_; }
   /// The locally owned annotations (optimizer output target).
   PlanAnnotations* mutable_annotations() { return &local_; }
-  /// Adopts a cached compilation; Find* then consult it first.
+  /// Adopts a cached compilation; ann() then returns it.
   void AdoptShared(std::shared_ptr<const PlanAnnotations> shared) {
     shared_ = std::move(shared);
-  }
-
-  /// The optimizer's plan for a kPath node (null only for nodes outside
-  /// the lowered module).
-  const PathPlan* FindPath(const AstNode* node) const {
-    const auto& paths = ann().paths;
-    auto it = paths.find(node);
-    return it == paths.end() ? nullptr : &it->second;
-  }
-  /// Non-null when `let_expr` (an inner FLWOR) was planned as a band join.
-  const BandJoinPlan* FindBandLet(const AstNode* let_expr) const {
-    const auto& band_lets = ann().band_lets;
-    auto it = band_lets.find(let_expr);
-    return it == band_lets.end() ? nullptr : &it->second;
-  }
-  /// The optimizer's join strategy for a kFlwor node.
-  const FlworPlan* FindFlwor(const AstNode* node) const {
-    const auto& flwors = ann().flwors;
-    auto it = flwors.find(node);
-    return it == flwors.end() ? nullptr : &it->second;
-  }
-  /// Non-null when `node` (a FLWOR) was fused into a compiled pipeline.
-  const CompiledPipeline* FindPipeline(const AstNode* node) const {
-    const auto& pipelines = ann().pipelines;
-    auto it = pipelines.find(node);
-    return it == pipelines.end() ? nullptr : &it->second;
-  }
-  /// Non-null when `node` (a kElementConstructor) was lowered into a
-  /// constructor template.
-  const ConstructPlan* FindConstruct(const AstNode* node) const {
-    const auto& constructs = ann().constructs;
-    auto it = constructs.find(node);
-    return it == constructs.end() ? nullptr : &it->second;
-  }
-  /// Non-null when the step predicate rooted at `node` is answered
-  /// natively per candidate.
-  const NativePredicate* FindPredicate(const AstNode* node) const {
-    const auto& predicates = ann().predicates;
-    auto it = predicates.find(node);
-    return it == predicates.end() ? nullptr : &it->second;
   }
 
   /// Renders the plan as indented text (bench --explain, golden tests).
@@ -429,12 +437,14 @@ class QueryPlan {
   PlanAnnotations local_;
 
  public:
-  // --- per-run executor state -------------------------------------------
-  std::unordered_map<const AstNode*, std::unique_ptr<HashJoinExec>>
-      join_state;
-  std::unordered_map<const AstNode*, std::unique_ptr<BandJoinIndex>>
-      band_state;
-  std::unordered_map<const AstNode*, Sequence> invariant_cache;
+  // --- per-run executor state, by plan slot ------------------------------
+  /// Sized to the module's node count before the run's first tuple; an
+  /// entry is filled on first use of its node.
+  void SizeRunState(size_t node_count);
+  std::vector<std::unique_ptr<HashJoinExec>> join_state;  // by kFlwor
+  /// By the band-join FLWOR.
+  std::vector<std::unique_ptr<BandJoinIndex>> band_state;
+  std::vector<std::unique_ptr<const Sequence>> invariant_cache;  // by kPath
   /// Arena backing this run's constructed results. shared_ptr because
   /// every arena-backed ConstructedPtr in a result aliases it: the arena
   /// outlives the plan for exactly as long as results reference it.

@@ -1,7 +1,6 @@
 #include "util/string_util.h"
 
 #include <array>
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdarg>
@@ -31,11 +30,21 @@ std::optional<int64_t> ParseInt(std::string_view s) {
   return out;
 }
 
+namespace {
+
+// std::isspace's set in the C locale, tested inline instead of through a
+// libc call per byte (every ParseDouble trims its input).
+constexpr bool IsCSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');  // \t \n \v \f \r
+}
+
+}  // namespace
+
 std::string_view TrimWhitespace(std::string_view s) {
   size_t b = 0;
-  while (b < s.size() && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
+  while (b < s.size() && IsCSpace(s[b])) ++b;
   size_t e = s.size();
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (e > b && IsCSpace(s[e - 1])) --e;
   return s.substr(b, e - b);
 }
 

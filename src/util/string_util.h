@@ -33,7 +33,8 @@ std::optional<double> ParseDouble(std::string_view s);
 /// Parses a decimal integer, rejecting trailing garbage.
 std::optional<int64_t> ParseInt(std::string_view s);
 
-/// Removes leading/trailing ASCII whitespace.
+/// Removes leading/trailing whitespace: the bytes std::isspace accepts in
+/// the C locale (' ', '\t', '\n', '\v', '\f', '\r').
 std::string_view TrimWhitespace(std::string_view s);
 
 /// Case-sensitive substring test (XQuery fn:contains over ASCII).

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <map>
 #include <memory>
 #include <string>
@@ -21,6 +22,7 @@
 #include "query/value.h"
 #include "util/logging.h"
 #include "xmark/engine.h"
+#include "xmark/queries.h"
 
 namespace xmark::bench {
 namespace {
@@ -519,6 +521,170 @@ TEST(DescendantSteps, XPathResultsOnEverySystem) {
       auto result = engine->Run(query);
       ASSERT_TRUE(result.ok()) << query << ": " << result.status();
       EXPECT_EQ(query::SerializeSequence(*result), bytes)
+          << "system " << SystemLabel(id) << " query " << query;
+    }
+  }
+}
+
+// Child chains with one positional step per level (`[k]`, `[last()]`) run
+// on the kernel on A-E; the shapes it must not take (`[0]`, `[1.5]`) stay
+// generic. Every use of a chain: a result, a comparison, a native
+// predicate, empty(), arithmetic, a fused FLWOR's tail, holes and
+// attribute value templates.
+const Case kPositionalCases[] = {
+    {"first", "for $b in " OPEN " return $b/bidder[1]/increase/text()"},
+    {"second", "for $b in " OPEN " return <i>{$b/bidder[2]/increase}</i>"},
+    {"past_last",
+     "for $b in " OPEN " return <i>{$b/bidder[1000]/increase/text()}"
+     "{empty($b/bidder[1000])}</i>"},
+    {"zero", "for $b in " OPEN " return $b/bidder[0]/increase/text()"},
+    {"fractional", "for $b in " OPEN " return $b/bidder[1.5]/increase"},
+    {"last", "for $b in " OPEN " return $b/bidder[last()]/increase/text()"},
+    {"fn_last",
+     "for $b in " OPEN " return <i l=\"{$b/bidder[fn:last()]/increase}\"/>"},
+    {"two_positional_steps",
+     "for $s in document(\"auction.xml\")/site return "
+     "$s/open_auctions[1]/open_auction[3]/bidder[last()]/personref/@person"},
+    {"several_starts",
+     "let $b := " OPEN " return $b/bidder[last()]/increase/text()"},
+    {"several_starts_in_hole",
+     "let $b := " OPEN " return <i>{$b/bidder[2]/increase/text()}</i>"},
+    {"compare_and_arithmetic",
+     "for $b in " OPEN " where $b/bidder[1]/increase * 2 <= "
+     "$b/bidder[last()]/increase return $b/@id"},
+    {"native_predicate",
+     "count(" OPEN "[bidder[1]/increase > 10 or bidder[last()]/@x = \"\"])"},
+    {"q3_shape",
+     "for $b in " OPEN " where zero-or-one($b/bidder[1]/increase/text()) * 2 "
+     "<= $b/bidder[last()]/increase/text() return <increase "
+     "first=\"{$b/bidder[1]/increase/text()}\" "
+     "last=\"{$b/bidder[last()]/increase/text()}\"/>"},
+};
+
+TEST_P(ChildKernelDifferential, PositionalStepsMatchSystemF) {
+  const bool injected = GetParam();
+  for (const Case& c : kPositionalCases) {
+    const std::string reference = Outcome(SystemId::kF, injected, c.query);
+    EXPECT_EQ(reference.rfind("status: ", 0), std::string::npos)
+        << c.name << ": " << reference;
+    for (SystemId id : kKernelSystems) {
+      EXPECT_EQ(Outcome(id, injected, c.query), reference)
+          << "system " << SystemLabel(id) << " case " << c.name
+          << (injected ? " (injected document)" : "");
+    }
+  }
+}
+
+// Constructor holes and attribute value templates over child chains, which
+// A-E walk straight into the result arena: 0, 1 and several hits of every
+// terminal (several @x hits are space-separated), a relative chain under a
+// predicate's focus and with no focus, and the bindings that keep the
+// generic path: a lazy let, a constructed binding (its navigation error)
+// and an unbound variable (its error).
+const Case kHoleCases[] = {
+    {"hits_0_1_many",
+     "for $p in " PEOPLE " return <p>{$p/nosuchtag/text()}"
+     "{$p/homepage/text()}{$p/name/text()}{$p/watches/watch}"
+     "{$p/profile/interest/@category}{$p/address}</p>"},
+    {"avt_hits_0_1_many",
+     "for $p in " PEOPLE " return <p a=\"{$p/nosuchtag}\" "
+     "b=\"{$p/homepage/text()}|{$p/name}\" "
+     "c=\"{$p/profile/interest/@category}\" d=\"{$p/watches/watch/@open_auction}\" "
+     "e=\"{$p/address}\"/>"},
+    {"several_text_hits",
+     "for $b in " OPEN " return <b t=\"{$b/bidder/increase/text()}\">"
+     "{$b/bidder/increase/text()}</b>"},
+    {"lazy_let",
+     "for $p in " PEOPLE " let $n := $p/name let $i := $p/profile/interest "
+     "return <p n=\"{$n/text()}\" c=\"{$i/@category}\">{$n/text()}"
+     "{$i/@category}</p>"},
+    {"focus_relative",
+     "count(" PEOPLE "[string(<a c=\"{profile/@income}\">{name/text()}</a>) "
+     "!= \"\"])"},
+    {"no_focus", "<a>{name/text()}</a>"},
+    {"no_focus_avt", "<a n=\"{name/text()}\"/>"},
+    {"constructed_binding",
+     "let $c := <a><name>x</name></a> return <r>{$c/name}</r>"},
+    {"constructed_binding_avt",
+     "let $c := <a><name>x</name></a> return <r n=\"{$c/name/text()}\"/>"},
+    {"unbound_variable", "<r>{$nosuch/name}</r>"},
+    {"unbound_variable_avt", "<r n=\"{$nosuch/@id}\"/>"},
+};
+
+TEST_P(ChildKernelDifferential, HolesMatchSystemF) {
+  const bool injected = GetParam();
+  for (const Case& c : kHoleCases) {
+    const std::string reference = Outcome(SystemId::kF, injected, c.query);
+    const std::string_view name = c.name;
+    const bool error = name.rfind("no_focus", 0) == 0 ||
+                       name.rfind("constructed_", 0) == 0 ||
+                       name.rfind("unbound_", 0) == 0;
+    EXPECT_EQ(reference.rfind("status: ", 0) == 0, error)
+        << c.name << ": " << reference.substr(0, 200);
+    for (SystemId id : kKernelSystems) {
+      EXPECT_EQ(Outcome(id, injected, c.query), reference)
+          << "system " << SystemLabel(id) << " case " << c.name
+          << (injected ? " (injected document)" : "");
+    }
+  }
+}
+
+// Prefixes every call of the builtins that Q1-Q20 use with `fn:`.
+std::string WithFnPrefix(std::string_view query) {
+  static const char* const kBuiltins[] = {
+      "document", "count",    "zero-or-one",    "last",
+      "empty",    "not",      "contains",       "distinct-values"};
+  auto name_char = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '-' ||
+           c == '_' || c == ':' || c == '.';
+  };
+  std::string out(query);
+  for (const char* builtin : kBuiltins) {
+    const std::string call = std::string(builtin) + "(";
+    for (size_t pos = out.find(call); pos != std::string::npos;
+         pos = out.find(call, pos + call.size())) {
+      if (pos > 0 && name_char(out[pos - 1])) continue;
+      out.insert(pos, "fn:");
+      pos += 3;
+    }
+  }
+  return out;
+}
+
+// The parser resolves every call once, and every layer reads that: the
+// builtins of Q1-Q20 answer alike with and without `fn:` (a path that
+// starts at fn:document() is rooted too), and a prolog function shadows a
+// builtin of its name under both spellings, as a plain call and as a path
+// start alike, while position() is never shadowed.
+TEST(CallResolution, FnPrefixAndShadowingOnEverySystem) {
+  for (SystemId id : kAllSystems) {
+    for (int q = 1; q <= 20; ++q) {
+      const std::string_view text = GetQuery(q).text;
+      const std::string prefixed = WithFnPrefix(text);
+      ASSERT_NE(prefixed, text) << "Q" << q;
+      EXPECT_EQ(Outcome(id, false, prefixed), Outcome(id, false, text))
+          << "system " << SystemLabel(id) << " Q" << q << "\n" << prefixed;
+    }
+    const std::string persons = Outcome(id, false, "count(" PEOPLE ")");
+    ASSERT_NE(persons, "0");
+    const std::pair<const char*, std::string> cases[] = {
+        {"count(fn:document(\"auction.xml\")/site/people/person)", persons},
+        {"declare function local:doc($u) { () }; "
+         "count(doc(\"auction.xml\"))",
+         "0"},
+        {"declare function local:doc($u) { () }; "
+         "count(doc(\"auction.xml\")/site)",
+         "0"},
+        {"declare function local:doc($u) { () }; "
+         "count(fn:doc(\"auction.xml\")/site/people/person)",
+         "0"},
+        {"declare function local:doc($u) { () }; count(" PEOPLE ")", persons},
+        {"declare function position() { 1 }; "
+         "count(" PEOPLE "[position() > 1]) + 1",
+         persons},
+    };
+    for (const auto& [query, bytes] : cases) {
+      EXPECT_EQ(Outcome(id, false, query), bytes)
           << "system " << SystemLabel(id) << " query " << query;
     }
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -33,6 +34,21 @@ TEST(ParseIntTest, Basics) {
   EXPECT_EQ(*ParseInt("-7"), -7);
   EXPECT_FALSE(ParseInt("1.5").has_value());
   EXPECT_FALSE(ParseInt("").has_value());
+}
+
+// TrimWhitespace trims exactly what std::isspace accepts in the C locale
+// (the test never calls setlocale), at either end and never inside.
+TEST(TrimTest, TrimsExactlyTheCLocaleSpaces) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const bool space = std::isspace(b) != 0;
+    const std::string alone(1, c);
+    const std::string padded = alone + "x" + alone + "y" + alone;
+    EXPECT_EQ(TrimWhitespace(alone).empty(), space) << "byte " << b;
+    EXPECT_EQ(TrimWhitespace(padded),
+              space ? padded.substr(1, padded.size() - 2) : padded)
+        << "byte " << b;
+  }
 }
 
 TEST(TrimTest, TrimsBothEnds) {

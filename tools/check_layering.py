@@ -46,6 +46,11 @@ plus repo-wide source contracts:
     parse's split scan (``xml/sax_parser.cc``, ``xml/parallel_parse.cc``)
     call no ``<cctype>`` classifier (``isalpha(``, ``isdigit(``,
     ``isalnum(``, ``isspace(``); they read ``xml/byte_class.h``'s table.
+  * One place resolves function calls: the parser (``query/parser.cc``)
+    turns every call's name into a builtin id or a prolog-function index
+    (``AstNode::builtin``). No other ``src/query/`` file compares a call's
+    name (``str_value``, or a variable copied from it) with a string
+    literal, so no second resolution with its own rules grows back.
 
 Intra-``query/`` sub-layering (plan -> optimizer -> exec) is also
 checked: plan.h must not include optimizer.h/exec.h, optimizer.h must
@@ -129,6 +134,30 @@ SHARED_POOL_DEF_RE = re.compile(r"ThreadPool&\s*ThreadPool::Shared\(\)\s*\{")
 # The byte scanners, which classify bytes through xml/byte_class.h only.
 BYTE_SCANNERS = {"src/xml/sax_parser.cc", "src/xml/parallel_parse.cc"}
 CCTYPE_CALL_RE = re.compile(r"\b(isalpha|isdigit|isalnum|isspace)\s*\(")
+
+
+# A node's name compared with a string literal, directly ...
+CALL_NAME_HOME = "src/query/parser.cc"
+STR_VALUE_LITERAL_RE = re.compile(
+    r'\bstr_value\s*[!=]=\s*"|"\s*[!=]=\s*[\w.>*-]*\bstr_value\b')
+# ... or through a copy: `std::string name = node.str_value;`.
+STR_VALUE_COPY_RE = re.compile(r"\b(\w+)\s*[=({]\s*[\w.>*-]*\bstr_value\b")
+
+
+def compares_call_name(text: str) -> bool:
+    """Whether `text` compares str_value, or a variable initialized from
+    it, with a string literal (==, != or a StartsWith/EndsWith prefix
+    test)."""
+    if STR_VALUE_LITERAL_RE.search(text):
+        return True
+    for name in set(STR_VALUE_COPY_RE.findall(text)):
+        if name == "str_value":
+            continue
+        n = re.escape(name)
+        if re.search(rf'\b{n}\s*[!=]=\s*"|"\s*[!=]=\s*{n}\b'
+                     rf'|\b(?:StartsWith|EndsWith)\s*\(\s*{n}\s*,\s*"', text):
+            return True
+    return False
 
 
 def strip_comments(text: str) -> str:
@@ -268,6 +297,12 @@ def check_tree(root: pathlib.Path) -> list[str]:
                     f"{rel}: calls {m.group(1)} — classify XML bytes with "
                     f"xml/byte_class.h's table, the one the tokenizer and "
                     f"the split scan share")
+        if (layer == "query" and rel != CALL_NAME_HOME
+                and compares_call_name(text)):
+            errors.append(
+                f"{rel}: compares a call's name with a string literal — "
+                f"the parser resolves every call once; read "
+                f"AstNode::builtin / function_index instead")
         if rel in IMMUTABLE_HEADERS and re.search(r"\bmutable\b", text):
             errors.append(
                 f"{rel}: mutable member in a header whose types are shared "
@@ -319,6 +354,14 @@ SELF_TEST_BAD = {
     # a locale-aware byte classifier in the tokenizer: forbidden.
     "src/xml/sax_parser.cc":
         "bool IsNameChar(char c) { return std::isalpha(c) || c == '_'; }\n",
+    # a call's name matched outside the parser, directly and through a
+    # copy: forbidden.
+    "src/query/optimizer.cc":
+        "bool IsCount(const AstNode& n) { return n.str_value == \"count\"; }\n",
+    "src/query/plan.cc":
+        "void F(const AstNode& n) {\n"
+        "  const std::string_view name = n.str_value;\n"
+        "  if (name == \"doc\") {}\n}\n",
     # private pools beside the shared one, in each spelling: forbidden.
     "src/store/bad_pool.cc":
         "void Load() { ThreadPool pool(4); }\n"
@@ -346,6 +389,14 @@ SELF_TEST_CLEAN = {
     "src/store/edge_store.cc":
         '#include "query/storage.h"\n'
         "void E::OpenChildCursor(H p, F f, N t, C* c) const { Init(c); }\n",
+    # the parser resolves call names; elsewhere a name is compared with a
+    # variable or printed, never matched against a literal.
+    "src/query/parser.cc":
+        "bool IsDoc(const AstNode& n) { return n.str_value == \"doc\"; }\n",
+    "src/query/optimizer.cc":
+        "bool Same(const AstNode& n, const std::string& v) {\n"
+        "  const std::string& name = n.str_value;\n"
+        "  return name != v && \"$\" + n.str_value != v;\n}\n",
     # the shared pool's own construction, and references to it.
     "src/util/thread_pool.cc":
         "ThreadPool& ThreadPool::Shared() {\n"
@@ -370,6 +421,8 @@ SELF_TEST_EXPECT = [
     "src/query/exec.h: thread pool in query/",
     "src/store/bad_pool.cc: constructs a ThreadPool",
     "src/xml/sax_parser.cc: calls isalpha",
+    "src/query/optimizer.cc: compares a call's name",
+    "src/query/plan.cc: compares a call's name",
 ]
 
 
